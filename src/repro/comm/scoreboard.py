@@ -9,8 +9,8 @@ state, and this module provides it in two flavours behind one interface:
   simulated :class:`~repro.multigpu.chain.MultiGpuChain` whose device
   processes all run inside one event loop;
 * :class:`SharedScoreboard` — a lock-free shared-memory scoreboard for
-  the real-process engines (:func:`~repro.multigpu.procchain.align_multi_process`
-  and the persistent :class:`~repro.multigpu.pool.WorkerPool`).
+  the real-process engine (:class:`~repro.multigpu.pool.WorkerPool`, which
+  :func:`~repro.multigpu.procchain.align_multi_process` runs on).
 
 Why lock-free is safe here
 --------------------------

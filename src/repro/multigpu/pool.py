@@ -1,26 +1,30 @@
-"""Persistent slab-worker pool: amortise process startup across runs.
+"""The real-process engine: a live chain of slab workers.
 
-:func:`~repro.multigpu.procchain.align_multi_process` forks (or spawns) a
-fresh set of slab workers per comparison — fine for one megabase matrix,
-wasteful for batch workloads that push many pairs through the same
-machine (:mod:`repro.multigpu.batch` campaigns, clustering sweeps).  A
-:class:`WorkerPool` starts the workers and the shared-memory border rings
-**once** and reuses them for every subsequent comparison:
+A :class:`WorkerPool` starts one worker process per slab plus the border
+transports between them, then serves comparisons over that chain:
 
-* each worker blocks on its private task queue between comparisons;
+* each worker blocks on its private task queue between comparisons and
+  answers every :class:`~repro.multigpu.procchain.SlabTask` with one
+  :class:`~repro.multigpu.procchain.SlabReport`;
 * the border rings (one :class:`~repro.comm.shmring.ShmRing` per slab
   boundary, or a pipe pair under ``transport="pipe"``) are created at
-  pool construction, sized for the pool's maximum block height, and drain
-  back to empty at the end of every successful comparison, so no per-run
-  setup or teardown remains on the hot path;
+  spawn, sized for the pool's maximum block height, and drain back to
+  empty at the end of every successful comparison, so no per-run setup
+  or teardown remains on the hot path;
 * slab widths are proportional to the pool's *weights* (heterogeneous
   worker speeds), recomputed per comparison for its matrix width.
 
+Batch workloads (:mod:`repro.multigpu.batch` campaigns, the serving
+daemon) keep one pool for many comparisons;
+:func:`~repro.multigpu.procchain.align_multi_process` is the same engine
+with a lifetime of one comparison.
+
 Failure semantics: any worker error or death marks the pool **broken**
 (the transports' cursors can no longer be trusted) and raises
-``RuntimeError``; a broken or closed pool refuses further work.  With
-``max_restarts > 0`` on :meth:`WorkerPool.align` the pool instead
-*recovers*: the comparison's state is checkpointed into a shared-memory
+``RuntimeError``; a broken or closed pool refuses further work, and
+closing it terminates its workers at once.  With ``max_restarts > 0`` on
+:meth:`WorkerPool.align` the pool instead *recovers*: the comparison's
+state is checkpointed into a shared-memory
 :class:`~repro.multigpu.checkpoint.CheckpointArea`, the pool tears down
 and respawns its workers and transports (dropping the dead, re-splitting
 columns across the survivors), and the comparison resumes from the
@@ -32,11 +36,11 @@ unlinks the shared memory.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from dataclasses import replace
 
 from ..comm.progress import ProgressBoard
 from ..comm.scoreboard import SharedScoreboard
@@ -44,41 +48,45 @@ from ..comm.shmring import ShmRing
 from ..device.trace import Tracer, WallClockRecorder, merge_wall_records
 from ..errors import ConfigError
 from ..obs.heartbeat import HeartbeatMonitor
-from ..obs.instruments import (EngineInstruments, finalize_run_metrics,
-                               record_heuristic, record_recovery)
+from ..obs.instruments import (EngineInstruments, record_heuristic,
+                               record_recovery)
 from ..obs.registry import MetricsRegistry
 from ..seq.scoring import Scoring
 from ..sw.backend import KERNELS
-from ..sw.batched import KernelWorkspace, validate_kernel
+from ..sw.batched import KernelWorkspace
 from ..sw.compiled import warmup as compiled_warmup
-from ..sw.constants import resolve_dp_dtype, validate_dp_dtype
+from ..sw.constants import resolve_dp_dtype
 from ..sw.kernel import BestCell
-from ..sw.pruning import BlockPruner
-from ..sw.xdrop import (DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, assess_heuristic,
-                        validate_mode, xdrop_score)
+from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, assess_heuristic
 from .checkpoint import CheckpointArea, RetryPolicy
-from .partition import proportional_partition
+from .partition import proportional_partition, surviving_partition
 from .procchain import (
-    TRANSPORTS,
     PipeLink,
     ProcessChainResult,
+    SlabReport,
+    SlabTask,
+    check_chain_args,
+    check_comparison,
     checkpoint_history_for,
     collect_results,
+    journal_run_start,
     pick_context,
+    publish_run,
     sweep_slab,
+    xdrop_result,
 )
 
 
 def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
-                 scoreboard, progress=None, warm_kernels=()):
-    """Long-lived slab worker: one task per comparison, ``None`` to exit.
+                 scoreboard, progress, warm_kernels=()):
+    """Long-lived slab worker: one :class:`SlabTask` per comparison,
+    ``None`` to exit.
 
-    Result message layout matches the one-shot worker's (see
-    :func:`~repro.multigpu.procchain._worker`): the metrics snapshot and
-    counters sit before the error slot because :func:`collect_results`
-    reads ``msg[-2]`` as err.  A fresh per-comparison registry keeps the
-    snapshots additive — the parent merges them, so pool-lifetime totals
-    still accumulate there.
+    Every task is answered with one :class:`SlabReport`.  A fresh
+    per-comparison registry keeps the metrics snapshots additive — the
+    parent merges them, so pool-lifetime totals still accumulate there.
+    A task that raises is reported and ends the worker: its transports'
+    state is suspect, so the pool must break or re-spawn.
 
     JIT warmup runs **once per process**, never per block: kernels named
     in *warm_kernels* compile at spawn (before the worker even blocks on
@@ -86,84 +94,43 @@ def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
     lazy warmup wrapped in a ``warmup`` recorder span, so the compile
     cost is visible in the merged trace instead of inflating that task's
     first compute interval.
-
-    The task tuple's tail carries the recovery fields: *resume_state*
-    (``(start_row, h_init, f_init)`` or ``None``), the per-attempt
-    *checkpoints* area (attached on unpickle, closed after the task),
-    *checkpoint_blocks*, the test-only *fault_block* crash hook, the
-    static *band_half_width* (``None`` unless ``mode="banded"``), and the
-    narrow :class:`~repro.sw.constants.DpPolicy` *dp* (``None`` for plain
-    int32; the tiny frozen dataclass pickles cleanly).
     """
     workspace = KernelWorkspace()  # persists across comparisons
     warmed = False
     if "compiled" in warm_kernels:
-        if progress is not None:
-            progress.beat(worker_id, 0, "warmup")
+        progress.beat(worker_id, 0, "warmup")
         compiled_warmup()  # spawn-time compile: no task is waiting yet
         warmed = True
-        if progress is not None:
-            progress.beat(worker_id, 0, "idle")
+        progress.beat(worker_id, 0, "idle")
     while True:
         task = task_queue.get()
         if task is None:
             break
-        (a_codes, b_slab, slab, scoring, block_rows, origin,
-         border_timeout_s, kernel, n_cols, pruning, collect_metrics,
-         resume_state, checkpoints, checkpoint_blocks, fault_block,
-         band_half_width, dp) = task
-        recorder = WallClockRecorder(origin)
-        registry = MetricsRegistry() if collect_metrics else None
+        recorder = WallClockRecorder(task.origin)
+        registry = MetricsRegistry() if task.collect_metrics else None
         instruments = (EngineInstruments(registry, f"worker{worker_id}")
                        if registry is not None else None)
-        # Fresh pruner per comparison: counters must not leak across runs
-        # (the parent resets the scoreboard before enqueueing the tasks).
-        pruner = BlockPruner(match=scoring.match) if pruning else None
-        start_row, h_init, f_init = (resume_state if resume_state is not None
-                                     else (0, None, None))
+        outcome = error = None
         try:
-            if kernel == "compiled" and not warmed:
-                # Lazy once-per-process warm: the span lands in this
-                # task's recorder so the merged trace shows the compile.
-                if progress is not None:
-                    progress.beat(worker_id, start_row, "warmup")
+            if task.kernel == "compiled" and not warmed:
+                progress.beat(worker_id, task.start_row, "warmup")
                 with recorder.span("warmup"):
                     compiled_warmup()
                 warmed = True
-            outcome = sweep_slab(a_codes, b_slab, slab, scoring, block_rows,
-                                 recv_link, send_link, recorder, border_timeout_s,
-                                 fault_block,
-                                 kernel=kernel, workspace=workspace,
-                                 n_cols=n_cols,
-                                 pruner=pruner,
-                                 scoreboard=scoreboard if pruning else None,
-                                 slot=worker_id, instruments=instruments,
-                                 progress=progress,
-                                 start_row=start_row, h_init=h_init,
-                                 f_init=f_init, checkpoints=checkpoints,
-                                 checkpoint_blocks=checkpoint_blocks,
-                                 band_half_width=band_half_width, dp=dp)
-            best = outcome.best
-            result_queue.put(
-                (worker_id, best.score, best.row, best.col,
-                 outcome.blocks_checked, outcome.blocks_pruned,
-                 outcome.blocks_skipped_band,
-                 outcome.blocks_narrow, outcome.blocks_wide,
-                 outcome.dtype_escalations,
-                 registry.snapshot() if registry is not None else None,
-                 None, recorder.records))
+            outcome = sweep_slab(task, recv_link, send_link, recorder,
+                                 progress, slot=worker_id, workspace=workspace,
+                                 scoreboard=scoreboard, instruments=instruments)
         except Exception as exc:
-            result_queue.put(
-                (worker_id, 0, -1, -1, 0, 0, 0, 0, 0, 0,
-                 registry.snapshot() if registry is not None else None,
-                 repr(exc), recorder.records))
-            if checkpoints is not None:
-                checkpoints.close()
-            break  # transport state is suspect; die and let the pool break
-        if checkpoints is not None:
-            checkpoints.close()
-    if progress is not None:
-        progress.close()
+            error = repr(exc)
+        result_queue.put(SlabReport(
+            worker=worker_id, outcome=outcome,
+            metrics=registry.snapshot() if registry is not None else None,
+            error=error, records=recorder.records))
+        if task.checkpoints is not None:
+            task.checkpoints.close()
+        if error is not None:
+            break
+    progress.close()
 
 
 class WorkerPool:
@@ -178,9 +145,18 @@ class WorkerPool:
         (default: equal).
     max_block_rows:
         Largest ``block_rows`` any comparison may use — it sizes the
-        shared-memory ring slots once, at construction.
-    capacity, transport, start_method, border_timeout_s:
-        As in :func:`~repro.multigpu.procchain.align_multi_process`.
+        shared-memory ring slots once, at spawn.
+    capacity:
+        Border ring depth (block rows a producer may run ahead).
+    transport:
+        ``"shm"`` rings or ``"pipe"`` links (see
+        :mod:`repro.multigpu.procchain`).
+    start_method:
+        Overrides the fork-else-spawn default of
+        :func:`~repro.multigpu.procchain.pick_context`.
+    border_timeout_s:
+        Bound on every border send/receive, so a dead neighbour surfaces
+        as an error instead of a hang.
     warm_kernels:
         Kernel backends every worker pre-compiles **at spawn**, before
         the first task (e.g. ``("compiled",)``) — batch campaigns pay
@@ -208,18 +184,12 @@ class WorkerPool:
         border_timeout_s: float = 60.0,
         warm_kernels: Sequence[str] = (),
         events=None,
+        _backend: str = "pool",
     ) -> None:
-        if workers <= 0:
-            raise ConfigError("workers must be positive")
+        check_chain_args(workers, capacity=capacity, transport=transport,
+                         weights=weights)
         if max_block_rows <= 0:
             raise ConfigError("max_block_rows must be positive")
-        if capacity <= 0:
-            raise ConfigError("capacity must be positive")
-        if transport not in TRANSPORTS:
-            raise ConfigError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
-        if weights is not None and len(weights) != workers:
-            raise ConfigError("weights length must equal the worker count")
         for k in warm_kernels:
             if k not in KERNELS:
                 raise ConfigError(
@@ -235,27 +205,21 @@ class WorkerPool:
         self._ctx = pick_context(start_method)
         self.start_method = self._ctx.get_start_method()
         self.events = events
+        # Metric/event label; align_multi_process runs as "process".
+        self._backend = _backend
+        self._worker_label = "pool worker" if _backend == "pool" else "worker"
         self._broken = False
         self._closed = False
 
         #: Last :class:`~repro.multigpu.autotune.RebalanceDecision` made by
         #: an ``align(rebalance=True)`` run (``None`` until one completes).
         self.last_rebalance = None
-
-        # One scoreboard for the pool's lifetime (reset per pruning run).
-        # Sized for the initial worker count — a recovery re-spawn only
-        # ever shrinks the chain, so the slots stay sufficient.
-        self._scoreboard = SharedScoreboard(workers, label="pool-scoreboard")
-        # One heartbeat board for the pool's lifetime (reset per run);
-        # workers always beat into it — it is one shared-memory store per
-        # phase transition — and align() decides whether anyone watches.
-        self._progress = ProgressBoard(workers, label="pool-progress")
         self._spawn_workers()
 
     def _spawn_workers(self) -> None:
-        """Create the transports, queues and worker processes for the
-        current ``self.workers``/``self.weights`` (construction, and again
-        after a recovery re-spawn)."""
+        """Create the transports, boards, queues and worker processes for
+        the current ``self.workers`` (construction, and again after a
+        recovery re-spawn)."""
         workers = self.workers
         self._rings: list[ShmRing] = []
         links: list = []
@@ -272,6 +236,12 @@ class WorkerPool:
                 self._parent_conns.extend([recv_conn, send_conn])
                 links.append(PipeLink(recv_conn, send_conn,
                                       label=f"pool-border{g}->{g + 1}"))
+        # The pruning scoreboard (reset per pruning run) and the heartbeat
+        # board (reset per attempt) live as long as this set of workers;
+        # workers always beat — one shared-memory store per phase
+        # transition — and align() decides whether anyone watches.
+        self._scoreboard = SharedScoreboard(workers, label="pool-scoreboard")
+        self._progress = ProgressBoard(workers, label="pool-progress")
 
         self._result_queue = self._ctx.Queue()
         self._task_queues = [self._ctx.Queue() for _ in range(workers)]
@@ -293,10 +263,11 @@ class WorkerPool:
                 self.events.emit("worker_spawn", worker=g, pid=proc.pid,
                                  pool=True)
 
-    def _teardown_workers(self, *, graceful: bool) -> list[str]:
-        """Stop the current workers and release their per-spawn resources
-        (everything except the pool-lifetime scoreboard/progress boards).
-        Every step is attempted; the error strings are returned."""
+    def _stop_workers(self, *, graceful: bool) -> list[str]:
+        """Stop the worker processes: a ``None`` task each and a bounded
+        join when *graceful*, otherwise terminate at once (after a failure
+        neighbours may be blocked on a border that will never arrive —
+        don't wait out their timeouts).  Returns the error strings."""
         errors: list[str] = []
         if graceful:
             for q in self._task_queues:
@@ -314,6 +285,12 @@ class WorkerPool:
                     proc.join()
             except Exception as exc:  # pragma: no cover - platform noise
                 errors.append(f"stopping {proc.name}: {exc!r}")
+        return errors
+
+    def _release(self) -> list[str]:
+        """Release the stopped workers' queues, transports and boards.
+        Every step is attempted; the error strings are returned."""
+        errors: list[str] = []
         for q in [*self._task_queues, self._result_queue]:
             try:
                 q.close()
@@ -324,28 +301,15 @@ class WorkerPool:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-        for ring in self._rings:
+        segments = [(f"ring {ring.label!r}", ring) for ring in self._rings]
+        segments += [("scoreboard", self._scoreboard),
+                     ("progress board", self._progress)]
+        for what, segment in segments:
             try:
-                ring.unlink()
+                segment.unlink()
             except Exception as exc:
-                errors.append(f"unlinking ring {ring.label!r}: {exc!r}")
+                errors.append(f"unlinking {what}: {exc!r}")
         return errors
-
-    def _rebuild(self, dead: Sequence[int]) -> None:
-        """Recovery re-spawn: kill the current attempt's workers, drop the
-        *dead* ones from the partition weights, and bring up a fresh set
-        of workers and transports (ring cursors of a failed attempt can
-        never be trusted).  Raises :class:`ConfigError` when nobody
-        survives."""
-        self._teardown_workers(graceful=False)
-        if dead:
-            gone = set(int(d) for d in dead)
-            self.weights = [w for i, w in enumerate(self.weights)
-                            if i not in gone]
-            self.workers = len(self.weights)
-        if self.workers == 0:
-            raise ConfigError("no surviving workers to re-spawn")
-        self._spawn_workers()
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -363,24 +327,19 @@ class WorkerPool:
     def close(self) -> None:
         """Stop the workers and release the shared memory (idempotent).
 
-        Exception-safe: every teardown step is attempted even when an
-        earlier one raises (a ring whose segment is already gone must not
-        leak the scoreboard and progress segments behind it); the errors
-        are aggregated into one ``RuntimeError`` at the end.  A second
-        call is a no-op regardless of how the first one went.
+        A broken pool's workers are terminated at once; a healthy pool's
+        finish their queue and exit.  Exception-safe: every teardown step
+        is attempted even when an earlier one raises (a ring whose
+        segment is already gone must not leak the scoreboard and progress
+        segments behind it); the errors are aggregated into one
+        ``RuntimeError`` at the end.  A second call is a no-op regardless
+        of how the first one went.
         """
         if self._closed:
             return
         self._closed = True
-        errors = self._teardown_workers(graceful=True)
-        try:
-            self._scoreboard.unlink()
-        except Exception as exc:
-            errors.append(f"unlinking scoreboard: {exc!r}")
-        try:
-            self._progress.unlink()
-        except Exception as exc:
-            errors.append(f"unlinking progress board: {exc!r}")
+        errors = self._stop_workers(graceful=not self._broken)
+        errors += self._release()
         if errors:
             raise RuntimeError(
                 "pool close encountered errors (all teardown steps were "
@@ -421,42 +380,61 @@ class WorkerPool:
         _fault: tuple[int, int] | None = None,
         _finalize_metrics: bool = True,
     ) -> ProcessChainResult:
-        """Exact SW over the pool's worker chain (bit-identical to every
-        other engine); raises ``RuntimeError`` on worker failure/timeout.
+        """Local alignment over the pool's worker chain (exact modes are
+        bit-identical to every other engine); raises ``RuntimeError`` on
+        worker failure/timeout and :class:`ConfigError` on bad arguments.
 
-        *mode* selects the alignment tier, exactly as in
-        :func:`~repro.multigpu.procchain.align_multi_process`:
-        ``"banded"`` skips slab block rows outside the static band of
-        half-width *band_width*, ``"xdrop"`` runs the origin-anchored
-        X-drop extension inline in the parent (threshold *xdrop_x*), and
-        ``"auto"`` answers with the banded heuristic unless the
-        confidence check fails, in which case the exact chain re-runs.
+        Heuristic tier (INTERNALS.md section 10): *mode* selects
+        ``"exact"`` (default), ``"banded"`` (slab block rows that miss the
+        static band ``|j - i| <= band_width`` are skipped outright,
+        compounding with pruning), ``"xdrop"`` (origin-anchored X-drop
+        extension with threshold *xdrop_x*; the sequential frontier runs
+        inline in the parent — the workers stay idle), or ``"auto"``
+        (banded first, exact re-run over the same live workers when the
+        confidence check fails; the result's ``tier``/``escalated``
+        fields say which tier answered).  Heuristic scores never exceed
+        the exact score.
 
-        *pruning* turns on distributed block pruning against the pool's
+        *pruning* turns on distributed block pruning against the chain's
         shared scoreboard (reset before each comparison, so scores from
-        one pair never prune another).  Telemetry mirrors
-        :func:`~repro.multigpu.procchain.align_multi_process`: *metrics*
-        collects per-worker counters (merged into the same registry run
-        after run, so pool-lifetime totals accumulate); *heartbeat_s*
-        arms a watchdog over the pool's progress board for this
-        comparison and enriches failure diagnostics with each stalled
-        worker's last completed row.
+        one pair never prune another; exact — see INTERNALS.md section
+        7).  Pass a :class:`~repro.device.trace.Tracer` to collect
+        per-worker wall-clock intervals (actors ``worker0``, ...; one is
+        created on the result regardless).
 
-        Recovery mirrors
-        :func:`~repro.multigpu.procchain.align_multi_process` too: with
-        ``max_restarts > 0`` (or an explicit *retry* policy) a failed
-        attempt checkpoint-resumes instead of breaking the pool — the
-        pool's workers and transports are re-spawned (dead workers
-        dropped from ``self.weights``, so later comparisons inherit the
-        shrunken chain), and the comparison restarts from the newest row
-        every slab had published.  The pool is only marked broken when
-        the policy is exhausted or the failure is permanent.  ``_fault``
-        is the test-only ``(worker_id, block_index)`` crash hook, first
-        attempt only.
+        Telemetry (INTERNALS.md section 8): *metrics* collects per-worker
+        counters (spawn-safe snapshot-and-merge into the same registry
+        run after run, so pool-lifetime totals accumulate);
+        *heartbeat_s* arms a :class:`~repro.obs.heartbeat.HeartbeatMonitor`
+        over the progress board for this comparison that flags workers
+        silent beyond that many seconds (calling *on_stall* per episode)
+        and enriches failure diagnostics with each stalled worker's last
+        completed row and phase.  *timeline* accepts a
+        :class:`~repro.obs.timeseries.TimeSeriesSampler`: it is attached
+        to the progress board for each attempt of this comparison and
+        detached with a final frame as the attempt ends, so one ring
+        spans every recovery attempt.
 
-        *dp_dtype* selects the kernel-internal DP dtype exactly as in
-        :func:`~repro.multigpu.procchain.align_multi_process` (resolved
-        per attempt against the widest slab; bit-identical scores).
+        Recovery (INTERNALS.md section 9): with ``max_restarts > 0`` (or
+        an explicit *retry* policy) workers checkpoint their block-row
+        state every *checkpoint_blocks* block rows and a failed attempt
+        checkpoint-resumes instead of breaking the pool — the workers and
+        transports are re-spawned (dead workers dropped from
+        ``self.weights``, so later comparisons inherit the shrunken
+        chain), and the comparison restarts from the newest row every
+        slab had published.  Each attempt gets the full *timeout_s*
+        budget.  The pool is only marked broken when the policy is
+        exhausted or the failure is permanent.  When *heartbeat_s* is
+        also set, workers silent for twice that long are killed by the
+        watchdog so hard stalls enter the same recovery path as crashes.
+        ``_fault`` is the test-only ``(worker_id, block_index)`` crash
+        hook, first attempt only.
+
+        DP dtype (INTERNALS.md section 11): *dp_dtype* selects the
+        kernel-internal compute dtype — ``"auto"`` (default) resolves per
+        attempt to the narrowest policy guaranteed overflow-free for the
+        widest slab, explicit narrow names escalate overflowing blocks
+        back to int32 per block.  Scores are bit-identical either way.
 
         Online re-balancing: with ``rebalance=True`` the comparison's
         progress board is sampled while the chain runs, per-worker
@@ -469,105 +447,124 @@ class WorkerPool:
         and, when *metrics* is given, as a ``slab_rebalances`` counter
         plus per-worker ``worker_rows_per_s`` gauges.
 
-        *timeline* accepts a
-        :class:`~repro.obs.timeseries.TimeSeriesSampler`: it is attached
-        to the pool's progress board for each attempt of this comparison
-        (after the per-attempt reset) and detached with a final frame as
-        the attempt ends — see
-        :func:`~repro.multigpu.procchain.align_multi_process` for the
-        event-journal counterpart (the pool's journal is pool-lifetime,
-        passed at construction).
+        ``_finalize_metrics=False`` leaves the run's ``run_start``, its
+        successful ``run_end`` and the run-level summary metrics to the
+        caller; a failed run always journals its ``run_end``.
         """
         if self._closed:
             raise ConfigError("pool is closed")
         if self._broken:
             raise ConfigError("pool is broken by an earlier failure")
-        validate_kernel(kernel)
-        validate_mode(mode)
-        validate_dp_dtype(dp_dtype)
-        if band_width < 0:
-            raise ConfigError("band_width must be non-negative")
-        if rebalance_threshold <= 0:
-            raise ConfigError("rebalance_threshold must be positive")
-        if xdrop_x <= 0:
-            raise ConfigError("xdrop_x must be positive")
-        if a_codes.size == 0 or b_codes.size == 0:
-            raise ConfigError("sequences must be non-empty")
-        if mode == "xdrop":
-            if self.events is not None and _finalize_metrics:
-                self.events.emit("run_start", backend="pool", mode="xdrop",
-                                 rows=int(a_codes.size),
-                                 cols=int(b_codes.size), workers=0)
-            t0 = time.perf_counter()
-            xo = xdrop_score(a_codes, b_codes, scoring, xdrop_x)
-            wall = time.perf_counter() - t0
-            result = ProcessChainResult(
-                best=xo.best, wall_time_s=wall,
-                cells=int(a_codes.size) * int(b_codes.size),
-                workers=0, partition=(), transport=self.transport,
-                start_method=self.start_method,
-                tracer=tracer or Tracer(), kernel=kernel,
-                mode="xdrop", tier="xdrop")
-            if metrics is not None and _finalize_metrics:
-                finalize_run_metrics(
-                    metrics, backend="pool", blocks_checked=0,
-                    blocks_pruned=0, wall_time_s=wall, gcups=result.gcups)
-            if self.events is not None and _finalize_metrics:
-                self.events.emit("run_end", status="ok",
-                                 score=int(xo.best.score),
-                                 wall_time_s=round(wall, 6), restarts=0,
-                                 tier="xdrop")
-            return result
-        if mode == "auto":
-            return self._align_auto(
-                a_codes, b_codes, scoring, block_rows=block_rows,
-                timeout_s=timeout_s, tracer=tracer, kernel=kernel,
-                pruning=pruning, metrics=metrics, heartbeat_s=heartbeat_s,
-                on_stall=on_stall, max_restarts=max_restarts,
-                restart_backoff_s=restart_backoff_s, retry=retry,
-                checkpoint_blocks=checkpoint_blocks, band_width=band_width,
-                dp_dtype=dp_dtype, rebalance=rebalance,
-                rebalance_threshold=rebalance_threshold, timeline=timeline)
-        band_half_width = band_width if mode == "banded" else None
-        if block_rows <= 0:
-            raise ConfigError("block_rows must be positive")
+        check_comparison(a_codes, b_codes, workers=self.workers,
+                         block_rows=block_rows, kernel=kernel, mode=mode,
+                         dp_dtype=dp_dtype, band_width=band_width,
+                         xdrop_x=xdrop_x)
         if block_rows > self.max_block_rows:
             raise ConfigError(
                 f"block_rows {block_rows} exceeds the pool's max_block_rows "
                 f"{self.max_block_rows}")
-        m, n = int(a_codes.size), int(b_codes.size)
-        if m == 0 or n == 0:
-            raise ConfigError("sequences must be non-empty")
-        if n < self.workers:
-            raise ConfigError("matrix narrower than the worker count")
+        if rebalance_threshold <= 0:
+            raise ConfigError("rebalance_threshold must be positive")
         if retry is None:
             retry = RetryPolicy(max_restarts=max_restarts,
                                 backoff_s=restart_backoff_s)
-        recovery = retry.max_restarts > 0
+        if self.events is not None and _finalize_metrics:
+            journal_run_start(
+                self.events, backend=self._backend, mode=mode,
+                rows=int(a_codes.size), cols=int(b_codes.size),
+                workers=self.workers, kernel=kernel,
+                transport=self.transport, pruning=pruning,
+                max_restarts=retry.max_restarts, band_width=band_width)
+        if mode == "xdrop":
+            result = xdrop_result(
+                a_codes, b_codes, scoring, xdrop_x, transport=self.transport,
+                start_method=self.start_method, tracer=tracer, kernel=kernel)
+        else:
+            sweep = partial(
+                self._sweep, a_codes, b_codes, scoring,
+                block_rows=block_rows, timeout_s=timeout_s, tracer=tracer,
+                kernel=kernel, pruning=pruning, metrics=metrics,
+                heartbeat_s=heartbeat_s, on_stall=on_stall, retry=retry,
+                checkpoint_blocks=checkpoint_blocks, band_width=band_width,
+                dp_dtype=dp_dtype, rebalance=rebalance,
+                rebalance_threshold=rebalance_threshold, timeline=timeline,
+                fault=_fault)
+            if mode == "auto":
+                result = self._align_auto(sweep, a_codes, b_codes, scoring,
+                                          band_width=band_width,
+                                          metrics=metrics)
+            else:
+                result = sweep(mode)
+        if _finalize_metrics:
+            publish_run(result, backend=self._backend, metrics=metrics,
+                        events=self.events)
+        return result
 
+    def _align_auto(self, sweep, a_codes, b_codes, scoring, *, band_width,
+                    metrics) -> ProcessChainResult:
+        """``mode="auto"``: banded heuristic first, exact re-run over the
+        same live workers only when
+        :func:`~repro.sw.xdrop.assess_heuristic` rejects the answer.  The
+        reported wall time sums the tiers actually run."""
+        m, n = int(a_codes.size), int(b_codes.size)
+        heur = sweep("banded")
+        decision = assess_heuristic(heur.best, m, n, scoring,
+                                    band_half_width=band_width)
+        if decision.confident:
+            result = replace(heur, mode="auto", tier="banded")
+        else:
+            if self.events is not None:
+                self.events.emit(
+                    "heuristic_escalation", tier="exact",
+                    heur_score=int(heur.best.score), band_width=band_width,
+                    reason="confidence check rejected the banded score")
+            exact = sweep("exact", fault=None)  # the hook fired on tier 1
+            result = replace(
+                exact,
+                wall_time_s=heur.wall_time_s + exact.wall_time_s,
+                mode="auto", tier="exact", escalated=True)
+        if metrics is not None:
+            record_heuristic(metrics, backend=self._backend,
+                             tier=result.tier, escalated=result.escalated)
+        return result
+
+    def _sweep(self, a_codes, b_codes, scoring, mode, *, block_rows,
+               timeout_s, tracer, kernel, pruning, metrics, heartbeat_s,
+               on_stall, retry, checkpoint_blocks, band_width, dp_dtype,
+               rebalance, rebalance_threshold, timeline,
+               fault) -> ProcessChainResult:
+        """One exact or banded comparison over the chain: one attempt per
+        loop iteration; a failed attempt either checkpoint-resumes on the
+        re-spawned survivors or raises."""
+        m, n = int(a_codes.size), int(b_codes.size)
+        band_half_width = band_width if mode == "banded" else None
+        recovery = retry.max_restarts > 0
         result_tracer = tracer if tracer is not None else Tracer()
         restarts = 0
         rows_recomputed_total = 0
         resume: tuple | None = None          # (row, h_full, f_full)
         base_best = BestCell.none()
         base_checked = base_pruned = 0
-        dp_name = "int32"
         total_narrow = total_wide = total_esc = 0
         checkpoints: CheckpointArea | None = None
-        if self.events is not None and _finalize_metrics:
-            self.events.emit("run_start", backend="pool", mode=mode,
-                             rows=m, cols=n, workers=self.workers,
-                             kernel=kernel, pruning=pruning,
-                             max_restarts=retry.max_restarts)
+
+        def fail(detail: str) -> RuntimeError:
+            if self.events is not None:
+                self.events.emit("run_end", status="failed",
+                                 restarts=restarts, detail=detail)
+            return RuntimeError(detail)
+
         origin = time.perf_counter()
         try:
             while True:
+                # The DP dtype policy is resolved per attempt against the
+                # *current* partition's widest slab — recovery can widen
+                # the surviving slabs, and "auto" must stay overflow-free.
                 slabs = proportional_partition(n, self.weights)
                 dp_policy = resolve_dp_dtype(
                     dp_dtype, scoring,
                     block_cols=max(s.cols for s in slabs), m=m, n=n,
                     local=True)
-                dp_name = dp_policy.name
                 dp = dp_policy if dp_policy.narrow else None
                 if pruning:
                     # Safe: no comparison is in flight here (align is serial
@@ -584,95 +581,68 @@ class WorkerPool:
                         history=checkpoint_history_for(
                             len(slabs), self.capacity, checkpoint_blocks),
                         label="pool-ckpt")
+                start_row, h_full, f_full = resume or (0, None, None)
                 for g, slab in enumerate(slabs):
-                    resume_state = None
-                    if resume is not None:
-                        row, h_full, f_full = resume
-                        resume_state = (row,
-                                        h_full[slab.col0:slab.col1].copy(),
-                                        f_full[slab.col0:slab.col1].copy())
-                    fault_block = (_fault[1] if _fault is not None
-                                   and _fault[0] == g and restarts == 0
-                                   else None)
-                    self._task_queues[g].put(
-                        (a_codes, b_codes[slab.col0:slab.col1].copy(), slab,
-                         scoring, block_rows, origin, self.border_timeout_s,
-                         kernel, n, pruning, metrics is not None,
-                         resume_state, checkpoints, checkpoint_blocks,
-                         fault_block, band_half_width, dp))
+                    cols = slice(slab.col0, slab.col1)
+                    self._task_queues[g].put(SlabTask(
+                        a_codes=a_codes, b_slab=b_codes[cols].copy(),
+                        slab=slab, scoring=scoring, block_rows=block_rows,
+                        origin=origin, border_timeout_s=self.border_timeout_s,
+                        kernel=kernel, n_cols=n, pruning=pruning,
+                        collect_metrics=metrics is not None,
+                        start_row=start_row,
+                        h_init=None if h_full is None else h_full[cols].copy(),
+                        f_init=None if f_full is None else f_full[cols].copy(),
+                        checkpoints=checkpoints,
+                        checkpoint_blocks=checkpoint_blocks,
+                        fault_block=(fault[1] if fault is not None
+                                     and fault[0] == g and restarts == 0
+                                     else None),
+                        band_half_width=band_half_width, dp=dp))
 
-                describe = lambda g: f"pool worker {g}"  # noqa: E731
-                monitor = None
-                if heartbeat_s is not None:
-                    on_hard = None
-                    hard_stall_s = None
-                    if recovery:
-                        hard_stall_s = 2.0 * heartbeat_s
-                        procs_now = self._procs
+                reports, failures, sampler = self._collect(
+                    timeout_s, heartbeat_s=heartbeat_s, on_stall=on_stall,
+                    hard_kill=recovery, metrics=metrics,
+                    rebalance=rebalance, timeline=timeline)
+                wall = time.perf_counter() - origin
 
-                        def on_hard(report, _procs=procs_now):
-                            proc = _procs[report.worker]
-                            if proc.is_alive():
-                                proc.kill()
-
-                    monitor = HeartbeatMonitor(
-                        self._progress, stall_after_s=heartbeat_s,
-                        on_stall=on_stall, hard_stall_s=hard_stall_s,
-                        on_hard_stall=on_hard, metrics=metrics,
-                        events=self.events)
-                    monitor.start()
-                    describe = lambda g: f"pool worker {g} ({monitor.describe(g)})"  # noqa: E731
-                sampler = None
-                if rebalance:
-                    from .autotune import ProgressRateSampler
-                    sampler = ProgressRateSampler(self._progress)
-                    sampler.start()
-                try:
-                    deadline = time.monotonic() + timeout_s
-                    messages, failures = collect_results(
-                        self._result_queue, self._procs,
-                        set(range(self.workers)), deadline, describe=describe)
-                    wall = time.perf_counter() - origin
-                finally:
-                    if sampler is not None:
-                        sampler.stop()
-                    if monitor is not None:
-                        monitor.stop()
-                    if timeline is not None:
-                        # Always per attempt: the board is pool-lifetime
-                        # and resets at the top of the next one.
-                        timeline.detach()
-
+                # Fold whatever this attempt reported — survivors of a
+                # failed attempt still deliver honest trace records and
+                # counters.
                 attempt_best = BestCell.none()
                 worker_blocks = []
                 attempt_skipped_band = 0
-                for g in sorted(messages):
-                    (_wid, score, row, col, checked, pruned, skipped_band,
-                     narrow, wide, esc, msnap, _err, records) = messages[g]
-                    merge_wall_records(result_tracer, f"worker{g}", records)
-                    if metrics is not None and msnap is not None:
-                        metrics.merge_snapshot(msnap)
-                    worker_blocks.append((int(checked), int(pruned)))
-                    attempt_skipped_band += int(skipped_band)
-                    total_narrow += int(narrow)
-                    total_wide += int(wide)
-                    total_esc += int(esc)
-                    cell = BestCell(score, row, col)
-                    if cell.better_than(attempt_best):
-                        attempt_best = cell
+                for g in sorted(reports):
+                    report = reports[g]
+                    outcome = report.outcome
+                    merge_wall_records(result_tracer, f"worker{g}",
+                                       report.records)
+                    if metrics is not None and report.metrics is not None:
+                        metrics.merge_snapshot(report.metrics)
+                    worker_blocks.append((outcome.blocks_checked,
+                                          outcome.blocks_pruned))
+                    attempt_skipped_band += outcome.blocks_skipped_band
+                    total_narrow += outcome.blocks_narrow
+                    total_wide += outcome.blocks_wide
+                    total_esc += outcome.dtype_escalations
+                    if outcome.best.better_than(attempt_best):
+                        attempt_best = outcome.best
 
                 if not failures:
-                    if checkpoints is not None:
-                        checkpoints.unlink()
-                        checkpoints = None
                     if sampler is not None:
                         self._apply_rebalance(sampler, slabs,
                                               rebalance_threshold, metrics)
-                    best = (attempt_best
-                            if attempt_best.better_than(base_best)
-                            else base_best)
-                    result = ProcessChainResult(
-                        best=best, wall_time_s=wall, cells=m * n,
+                    if self.events is not None and total_esc > 0:
+                        self.events.emit(
+                            "dtype_escalation", dp_dtype=dp_policy.name,
+                            escalations=total_esc,
+                            blocks_narrow=total_narrow,
+                            blocks_wide=total_wide)
+                    return ProcessChainResult(
+                        best=(attempt_best
+                              if attempt_best.better_than(base_best)
+                              else base_best),
+                        wall_time_s=wall, cells=m * n,
                         workers=self.workers,
                         partition=tuple(slabs), transport=self.transport,
                         start_method=self.start_method, tracer=result_tracer,
@@ -688,31 +658,11 @@ class WorkerPool:
                         mode=mode,
                         tier="banded" if mode == "banded" else "exact",
                         blocks_skipped_band=attempt_skipped_band,
-                        dp_dtype=dp_name,
+                        dp_dtype=dp_policy.name,
                         blocks_narrow=total_narrow,
                         blocks_wide=total_wide,
                         dtype_escalations=total_esc,
                     )
-                    if metrics is not None and _finalize_metrics:
-                        finalize_run_metrics(
-                            metrics, backend="pool",
-                            blocks_checked=result.blocks_checked,
-                            blocks_pruned=result.blocks_pruned,
-                            wall_time_s=wall, gcups=result.gcups)
-                    if self.events is not None:
-                        if total_esc > 0:
-                            self.events.emit(
-                                "dtype_escalation", dp_dtype=dp_name,
-                                escalations=total_esc,
-                                blocks_narrow=total_narrow,
-                                blocks_wide=total_wide)
-                        if _finalize_metrics:
-                            self.events.emit(
-                                "run_end", status="ok",
-                                score=int(best.score),
-                                wall_time_s=round(wall, 6),
-                                restarts=restarts, tier=result.tier)
-                    return result
 
                 # -- failed attempt --------------------------------------------
                 if self.events is not None:
@@ -720,33 +670,33 @@ class WorkerPool:
                         self.events.emit("worker_death", worker=key,
                                          attempt=restarts, kind=kind,
                                          detail=desc)
-                descs = [desc for _key, desc, _kind in failures]
+                detail = "; ".join(desc for _key, desc, _kind in failures)
                 if (not recovery or restarts >= retry.max_restarts
-                        or any(retry.is_permanent(d) for d in descs)):
-                    self._broken = True
-                    if self.events is not None and _finalize_metrics:
-                        self.events.emit("run_end", status="failed",
-                                         restarts=restarts,
-                                         detail="; ".join(descs))
-                    raise RuntimeError("; ".join(descs))
+                        or any(retry.is_permanent(desc)
+                               for _key, desc, _kind in failures)):
+                    raise fail(detail)
 
                 fail_t = time.perf_counter() - origin
-                died = [key for key, _desc, kind in failures
-                        if kind == "died"]
-                try:
-                    self._rebuild(died)
-                except Exception as exc:
-                    self._broken = True
-                    raise RuntimeError(
-                        "; ".join(descs)
-                        + f"; recovery impossible: {exc!r}") from None
-                # The board still holds this attempt's final beats (reset
-                # happens at the top of the next attempt) — the honest
-                # "how far did each slab get" record.
+                # Checkpoints and the progress board are only read once
+                # every worker of the failed attempt is gone.
+                self._stop_workers(graceful=False)
+                # The board still holds this attempt's final beats — the
+                # honest "how far did each slab get" record.
                 progress_rows = [s.rows_done
                                  for s in self._progress.snapshot()]
+                self._release()
+                died = [key for key, _desc, kind in failures if kind == "died"]
+                try:
+                    # Ring cursors of a failed attempt can never be
+                    # trusted: every survivor gets fresh transports.
+                    _, self.weights = surviving_partition(n, self.weights,
+                                                          died)
+                    self.workers = len(self.weights)
+                    self._spawn_workers()
+                except Exception as exc:
+                    raise fail(detail + f"; recovery impossible: {exc!r}") from None
 
-                resume_row = resume[0] if resume is not None else 0
+                resume_row = start_row
                 r_new = checkpoints.consistent_row()
                 if self.events is not None:
                     self.events.emit("checkpoint", attempt=restarts,
@@ -770,7 +720,7 @@ class WorkerPool:
                 rows_recomputed_total += rows_recomputed
                 restarts += 1
                 if metrics is not None:
-                    record_recovery(metrics, backend="pool",
+                    record_recovery(metrics, backend=self._backend,
                                     rows_recomputed=rows_recomputed)
                 if self.events is not None:
                     self.events.emit("restart_attempt", attempt=restarts,
@@ -780,9 +730,61 @@ class WorkerPool:
                 time.sleep(retry.delay_s(restarts - 1))
                 result_tracer.record("supervisor", "recovery", fail_t,
                                      time.perf_counter() - origin)
+        except BaseException:
+            # Whatever ended the comparison early (worker failure, timeout,
+            # KeyboardInterrupt), the transports' state is now unknown.
+            self._broken = True
+            raise
         finally:
             if checkpoints is not None:
                 checkpoints.unlink()
+
+    def _collect(self, timeout_s, *, heartbeat_s, on_stall, hard_kill,
+                 metrics, rebalance, timeline):
+        """Gather one attempt's reports under its deadline, with the
+        heartbeat watchdog and the re-balancing sampler riding along.
+
+        With *hard_kill* (recovery armed), a worker wedged for twice the
+        stall threshold is killed so the ordinary death path — and
+        recovery — takes over.  Returns ``(reports, failures, sampler)``
+        (see :func:`~repro.multigpu.procchain.collect_results`)."""
+        label = self._worker_label
+        describe = lambda g: f"{label} {g}"  # noqa: E731
+        monitor = None
+        if heartbeat_s is not None:
+            on_hard = None
+            if hard_kill:
+                def on_hard(report, _procs=self._procs):
+                    proc = _procs[report.worker]
+                    if proc.is_alive():
+                        proc.kill()
+
+            monitor = HeartbeatMonitor(
+                self._progress, stall_after_s=heartbeat_s,
+                on_stall=on_stall,
+                hard_stall_s=2.0 * heartbeat_s if hard_kill else None,
+                on_hard_stall=on_hard, metrics=metrics, events=self.events)
+            monitor.start()
+            describe = lambda g: f"{label} {g} ({monitor.describe(g)})"  # noqa: E731
+        sampler = None
+        if rebalance:
+            from .autotune import ProgressRateSampler
+            sampler = ProgressRateSampler(self._progress)
+            sampler.start()
+        try:
+            reports, failures = collect_results(
+                self._result_queue, self._procs, set(range(self.workers)),
+                time.monotonic() + timeout_s, describe=describe)
+        finally:
+            if sampler is not None:
+                sampler.stop()
+            if monitor is not None:
+                monitor.stop()
+            if timeline is not None:
+                # Final sample before the next attempt resets the board:
+                # the last frame records how far this attempt got.
+                timeline.detach()
+        return reports, failures, sampler
 
     def _apply_rebalance(self, sampler, slabs, threshold, metrics) -> None:
         """Act on one comparison's progress samples: estimate per-worker
@@ -809,66 +811,12 @@ class WorkerPool:
                 metrics.counter(
                     "slab_rebalances",
                     help="pool weight updates fired by online re-balancing",
-                ).inc(1, backend="pool")
+                ).inc(1, backend=self._backend)
             if self.events is not None:
                 self.events.emit(
                     "slab_rebalance",
                     old_weights=[round(w, 4) for w in old_weights],
                     new_weights=[round(w, 4) for w in self.weights])
-
-    def _align_auto(
-        self,
-        a_codes: np.ndarray,
-        b_codes: np.ndarray,
-        scoring: Scoring,
-        *,
-        band_width: int,
-        metrics: MetricsRegistry | None,
-        **kwargs,
-    ) -> ProcessChainResult:
-        """``mode="auto"`` on the pool: banded heuristic first, exact
-        re-run over the same live workers only when
-        :func:`~repro.sw.xdrop.assess_heuristic` rejects the answer."""
-        m, n = int(a_codes.size), int(b_codes.size)
-        if self.events is not None:
-            self.events.emit("run_start", backend="pool", mode="auto",
-                             rows=m, cols=n, workers=self.workers,
-                             band_width=band_width)
-        heur = self.align(a_codes, b_codes, scoring, mode="banded",
-                          band_width=band_width, metrics=metrics,
-                          _finalize_metrics=False, **kwargs)
-        decision = assess_heuristic(heur.best, m, n, scoring,
-                                    band_half_width=band_width)
-        if decision.confident:
-            result = replace(heur, mode="auto", tier="banded")
-        else:
-            if self.events is not None:
-                self.events.emit(
-                    "heuristic_escalation", tier="exact",
-                    heur_score=int(heur.best.score), band_width=band_width,
-                    reason="confidence check rejected the banded score")
-            exact = self.align(a_codes, b_codes, scoring, mode="exact",
-                               metrics=metrics, _finalize_metrics=False,
-                               **kwargs)
-            result = replace(
-                exact,
-                wall_time_s=heur.wall_time_s + exact.wall_time_s,
-                mode="auto", tier="exact", escalated=True)
-        if metrics is not None:
-            record_heuristic(metrics, backend="pool",
-                             tier=result.tier, escalated=result.escalated)
-            finalize_run_metrics(
-                metrics, backend="pool",
-                blocks_checked=result.blocks_checked,
-                blocks_pruned=result.blocks_pruned,
-                wall_time_s=result.wall_time_s, gcups=result.gcups)
-        if self.events is not None:
-            self.events.emit("run_end", status="ok",
-                             score=int(result.best.score),
-                             wall_time_s=round(result.wall_time_s, 6),
-                             restarts=result.restarts, tier=result.tier,
-                             escalated=result.escalated)
-        return result
 
     def map(
         self,

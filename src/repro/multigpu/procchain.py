@@ -1,8 +1,11 @@
 """Real-process chain: the paper's dataflow on actual parallel workers.
 
-Everything else in :mod:`repro.multigpu` runs on a simulated clock; this
-module executes the same column-slab / border-column dataflow across
-**real OS processes**, one per slab.  Two border transports implement the
+Everything else in :mod:`repro.multigpu` runs on a simulated clock; the
+real-process engine executes the same column-slab / border-column
+dataflow across **real OS processes**, one per slab.  This module holds
+the pieces of that dataflow; :class:`repro.multigpu.pool.WorkerPool` is
+the engine that runs them, and :func:`align_multi_process` is a pool with
+a lifetime of one comparison.  Two border transports implement the
 paper's host circular buffer:
 
 * ``"shm"`` (default) — a :class:`~repro.comm.shmring.ShmRing` per slab
@@ -10,35 +13,28 @@ paper's host circular buffer:
   H/E border columns without pickling or pipe copies, the real-world
   analogue of the simulated :class:`~repro.comm.ringbuf.SimRingBuffer`.
 * ``"pipe"`` — one OS pipe per boundary with raw-byte framed messages
-  (MPI point-to-point style), kept as the baseline the transport
-  benchmark compares against.
+  (:class:`PipeLink`, MPI point-to-point style), kept as the baseline the
+  transport benchmark compares against.
 
-On a multi-core host the workers genuinely overlap; the result is
-bit-identical to every other engine (same kernels, same border contract).
-This is the bridge from the simulation to a real deployment: replace the
-transport with CUDA-aware MPI and each worker's kernel with a device
-kernel, and the orchestration is unchanged.
+A worker receives one :class:`SlabTask` per comparison, runs
+:func:`sweep_slab` over its slab and answers with one
+:class:`SlabReport`; :func:`collect_results` gathers the reports while
+watching for dead workers.  On a multi-core host the workers genuinely
+overlap; the result is bit-identical to every other engine (same
+kernels, same border contract).  This is the bridge from the simulation
+to a real deployment: replace the transport with CUDA-aware MPI and each
+worker's kernel with a device kernel, and the orchestration is
+unchanged.
 
 Robustness contract: worker failures are detected (a worker that raises
 reports its exception; a worker that *dies* is noticed by the parent's
 liveness poll and by its neighbours' border timeouts), every phase is
 bounded by a timeout, failures propagate as one deterministic
 :class:`RuntimeError` listing the failed workers in id order, and shared
-memory segments are unlinked on every exit path.
-
-With ``max_restarts > 0`` failures become recoverable (INTERNALS.md
-section 9): workers publish block-row state into a shared-memory
-:class:`~repro.multigpu.checkpoint.CheckpointArea` on a fixed row ladder,
-and on a failed attempt the supervisor tears the attempt down, drops the
-workers that *died* from the partition
-(:func:`~repro.multigpu.partition.surviving_partition`), and resumes
-every survivor from the newest matrix row all slabs had checkpointed —
-under a :class:`~repro.multigpu.checkpoint.RetryPolicy` bounding restart
-count and backoff.  Scores stay exact: the resumed chain recomputes every
-row past the checkpoint from genuine DP state.
-
-For batch workloads prefer :class:`repro.multigpu.pool.WorkerPool`, which
-keeps the slab workers alive across comparisons.
+memory segments are unlinked on every exit path.  Recovery from failures
+(checkpoint-resume on the survivors, INTERNALS.md section 9) is the
+pool's job; :class:`~repro.multigpu.checkpoint.CheckpointArea` and
+:func:`checkpoint_history_for` are the pieces it uses.
 """
 
 from __future__ import annotations
@@ -47,34 +43,30 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from ..comm.progress import ProgressBoard
 from ..comm.scoreboard import SharedScoreboard
-from ..comm.shmring import HEADER_BYTES, HEADER_STRUCT, ShmRing
-from ..device.trace import Tracer, WallClockRecorder, merge_wall_records
+from ..comm.shmring import HEADER_BYTES, HEADER_STRUCT
+from ..device.trace import Tracer, WallClockRecorder
 from ..errors import CommError, ConfigError
-from ..obs.heartbeat import HeartbeatMonitor
-from ..obs.instruments import (EngineInstruments, finalize_run_metrics,
-                               record_heuristic, record_recovery)
+from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..obs.registry import MetricsRegistry
 from ..perf.metrics import gcups as _metrics_gcups
 from ..seq.scoring import Scoring
 from ..sw.batched import BlockJob, KernelWorkspace, cached_profile, sweep_wavefront, validate_kernel
 from ..sw.blocks import BlockSpec, pruned_border_result
 from ..sw.compiled import sweep_block_compiled
-from ..sw.compiled import warmup as compiled_warmup
-from ..sw.constants import (DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype,
-                            validate_dp_dtype)
+from ..sw.constants import DTYPE, NEG_INF, DpPolicy, validate_dp_dtype
 from ..sw.kernel import BestCell, sweep_block
 from ..sw.pruning import BlockPruner
-from ..sw.xdrop import (DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, assess_heuristic,
-                        band_intersects, validate_mode, xdrop_score)
+from ..sw.xdrop import (DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, band_intersects,
+                        validate_mode, xdrop_score)
 from .checkpoint import CheckpointArea, RetryPolicy
-from .partition import Slab, proportional_partition, surviving_partition
+from .partition import Slab
 
 #: Supported border transports.
 TRANSPORTS = ("shm", "pipe")
@@ -233,101 +225,147 @@ class SlabOutcome:
     dtype_escalations: int = 0
 
 
+@dataclass(frozen=True)
+class SlabTask:
+    """One comparison's work order for one slab worker.
+
+    *b_slab* is the worker's column slab of the reference and *n_cols*
+    the full matrix width; *origin* is the parent's ``perf_counter``
+    origin for wall-clock trace records.  The recovery fields resume the
+    sweep at matrix row *start_row* from *h_init*/*f_init* (H/F of row
+    ``start_row - 1`` across the slab) and name the per-attempt
+    *checkpoints* area to publish into (attached on unpickle, closed
+    after the task).  *fault_block* is the test-only crash hook,
+    *band_half_width* is set only under ``mode="banded"``, and *dp* is
+    the narrow :class:`~repro.sw.constants.DpPolicy` (``None`` for plain
+    int32).
+    """
+
+    a_codes: np.ndarray
+    b_slab: np.ndarray
+    slab: Slab
+    scoring: Scoring
+    block_rows: int
+    origin: float
+    border_timeout_s: float
+    kernel: str
+    n_cols: int
+    pruning: bool
+    collect_metrics: bool
+    start_row: int = 0
+    h_init: np.ndarray | None = None
+    f_init: np.ndarray | None = None
+    checkpoints: CheckpointArea | None = None
+    checkpoint_blocks: int = 1
+    fault_block: int | None = None
+    band_half_width: int | None = None
+    dp: DpPolicy | None = None
+
+
+@dataclass(frozen=True)
+class SlabReport:
+    """A slab worker's answer to one :class:`SlabTask`.
+
+    *outcome* is ``None`` exactly when *error* (the worker's exception
+    repr) is set.  *metrics* is the worker registry's
+    :meth:`~repro.obs.registry.MetricsRegistry.snapshot` (``None`` unless
+    the task asked for metrics) — a plain dict, so it crosses any start
+    method's queue; the parent merges it into its own registry.
+    *records* are the worker's wall-clock trace records.
+    """
+
+    worker: int
+    outcome: SlabOutcome | None
+    metrics: dict | None = None
+    error: str | None = None
+    records: list = field(default_factory=list)
+
+
 def sweep_slab(
-    a_codes: np.ndarray,
-    b_slab: np.ndarray,
-    slab: Slab,
-    scoring: Scoring,
-    block_rows: int,
+    task: SlabTask,
     recv_link,
     send_link,
     recorder: WallClockRecorder,
-    border_timeout_s: float | None,
-    fault_block: int | None = None,
-    kernel: str = "scalar",
-    workspace: KernelWorkspace | None = None,
-    n_cols: int | None = None,
-    pruner: BlockPruner | None = None,
-    scoreboard: SharedScoreboard | None = None,
+    progress: ProgressBoard,
+    *,
     slot: int = 0,
+    workspace: KernelWorkspace | None = None,
+    scoreboard: SharedScoreboard | None = None,
     instruments: EngineInstruments | None = None,
-    progress: ProgressBoard | None = None,
-    start_row: int = 0,
-    h_init: np.ndarray | None = None,
-    f_init: np.ndarray | None = None,
-    checkpoints: CheckpointArea | None = None,
-    checkpoint_blocks: int = 1,
-    band_half_width: int | None = None,
-    dp: DpPolicy | None = None,
 ) -> SlabOutcome:
-    """One slab's sweep loop (the body of every real-process worker).
+    """One slab's sweep of one :class:`SlabTask` (the body of every
+    real-process worker).
 
     *recv_link* / *send_link* are border transports (``None`` at the chain
-    ends); *fault_block* is a test-only hook that kills the process just
-    before computing that block row (failure-injection tests).  *kernel*
-    selects the block sweep: ``"batched"`` runs each block row through
-    :func:`~repro.sw.batched.sweep_wavefront` with a slab-lifetime
-    workspace, so persistent pool workers stop reallocating scratch.
-    The profile is content-LRU-cached per process, so a pool worker that
-    sees the same slab repeatedly skips the rebuild.
+    ends); the task's *fault_block* kills the process just before
+    computing that block row (failure-injection tests).  The task's
+    *kernel* selects the block sweep: ``"batched"`` runs each block row
+    through :func:`~repro.sw.batched.sweep_wavefront` with the
+    caller's *workspace*, so persistent workers stop reallocating
+    scratch.  The profile is content-LRU-cached per process, so a worker
+    that sees the same slab repeatedly skips the rebuild.
 
-    Distributed pruning: pass a :class:`~repro.sw.pruning.BlockPruner`, a
-    :class:`~repro.comm.scoreboard.SharedScoreboard`, this worker's *slot*
-    and the full matrix width *n_cols* (the bound needs ``n - col0``, and
-    a worker only sees its own slab).  Each block row is checked against
-    the chain-wide best before sweeping; pruned rows emit restart borders
-    (:func:`~repro.sw.blocks.pruned_border_result`) and are recorded as
-    zero-length ``pruned`` spans.  Scoreboard reads may be stale — safe by
-    monotonicity (see :mod:`repro.comm.scoreboard`).
+    Distributed pruning (``task.pruning``): pass the chain-wide
+    :class:`~repro.comm.scoreboard.SharedScoreboard` and this worker's
+    *slot*.  Each block row is checked against the chain-wide best
+    before sweeping (the bound needs the full matrix width
+    ``task.n_cols``, and a worker only sees its own slab); pruned rows
+    emit restart borders (:func:`~repro.sw.blocks.pruned_border_result`)
+    and are recorded as zero-length ``pruned`` spans.  Scoreboard reads
+    may be stale — safe by monotonicity (see :mod:`repro.comm.scoreboard`).
 
-    Static band (``mode="banded"``): with *band_half_width*, block rows
-    whose slab block misses the band ``|j - i| <= band_half_width`` are
-    skipped outright — before the pruner even looks — emitting the same
-    restart borders (``band-skip`` spans; the result is the banded best,
-    a lower bound of the unrestricted optimum).
+    Static band (``mode="banded"``): with ``task.band_half_width``, block
+    rows whose slab block misses the band ``|j - i| <= band_half_width``
+    are skipped outright — before the pruner even looks — emitting the
+    same restart borders (``band-skip`` spans; the result is the banded
+    best, a lower bound of the unrestricted optimum).
 
-    Telemetry (both optional, off the hot path when ``None``):
-    *instruments* receives per-block counters and sweep latencies
-    (:mod:`repro.obs.instruments`); *progress* is the shared-memory
-    heartbeat board this worker beats into at every phase transition —
-    ``rows_done`` carries the last *completed* matrix row, so the parent
-    watchdog can report exactly where a stalled worker got to.
+    Telemetry: *progress* is the shared-memory heartbeat board this
+    worker beats into at every phase transition — ``rows_done`` carries
+    the last *completed* matrix row, so the parent watchdog can report
+    exactly where a stalled worker got to; *instruments* (optional, off
+    the hot path when ``None``) receives per-block counters and sweep
+    latencies (:mod:`repro.obs.instruments`).
 
-    Recovery (INTERNALS.md section 9): pass *checkpoints* to publish this
-    slab's DP state on the checkpoint ladder — after every
+    Recovery (INTERNALS.md section 9): with ``task.checkpoints`` this
+    slab's DP state is published on the checkpoint ladder — after every
     ``checkpoint_blocks``-th block row, plus the final row — so a later
-    attempt can resume; *start_row*/*h_init*/*f_init* resume the sweep at
-    matrix row *start_row* from that published state (``h_init``/``f_init``
-    are H/F of row ``start_row - 1`` across the slab).  The border
-    contract is unchanged: every worker of an attempt resumes from the
-    *same* row, so the first border a resumed worker receives is for rows
+    attempt can resume; ``task.start_row``/``h_init``/``f_init`` resume
+    the sweep from that published state.  The border contract is
+    unchanged: every worker of an attempt resumes from the *same* row,
+    so the first border a resumed worker receives is for rows
     ``[start_row, start_row + rows)`` and its first corner is
     ``h_init[-1]`` — exactly ``H[start_row-1, col0-1]`` of its right
     neighbour's view.
 
-    DP dtype: *dp* (a narrow :class:`~repro.sw.constants.DpPolicy`,
-    resolved by the parent so the whole chain shares one policy) routes
-    eligible block sweeps through the narrow kernel; overflowing blocks
-    escalate to int32 transparently.  Borders stay int32 on the wire.
+    DP dtype: ``task.dp`` (a narrow
+    :class:`~repro.sw.constants.DpPolicy`, resolved by the parent so the
+    whole chain shares one policy) routes eligible block sweeps through
+    the narrow kernel; overflowing blocks escalate to int32
+    transparently.  Borders stay int32 on the wire.
     """
-    profile = cached_profile(b_slab, scoring)
+    a_codes, slab, scoring = task.a_codes, task.slab, task.scoring
+    block_rows, kernel, dp = task.block_rows, task.kernel, task.dp
+    border_timeout_s = task.border_timeout_s
+    profile = cached_profile(task.b_slab, scoring)
     if kernel == "batched" and workspace is None:
         workspace = KernelWorkspace()
+    pruner = BlockPruner(match=scoring.match) if task.pruning else None
     w = slab.cols
     m = int(a_codes.size)
-    n = int(n_cols) if n_cols is not None else slab.col1
+    start_row = task.start_row
     if start_row > 0:
-        if h_init is None or f_init is None:
+        if task.h_init is None or task.f_init is None:
             raise CommError("resuming needs h_init and f_init")
-        h_top = np.asarray(h_init, dtype=DTYPE).copy()
-        f_top = np.asarray(f_init, dtype=DTYPE).copy()
+        h_top = np.asarray(task.h_init, dtype=DTYPE).copy()
+        f_top = np.asarray(task.f_init, dtype=DTYPE).copy()
         prev_right_last = int(h_top[-1])
     else:
         h_top = np.zeros(w, dtype=DTYPE)
         f_top = np.full(w, NEG_INF, dtype=DTYPE)
         prev_right_last = 0
     best = BestCell.none()
-    ckpt_stride = max(1, int(checkpoint_blocks)) * block_rows
+    ckpt_stride = max(1, int(task.checkpoint_blocks)) * block_rows
     blocks_skipped_band = 0
     blocks_narrow = blocks_wide = dtype_escalations = 0
 
@@ -335,8 +373,7 @@ def sweep_slab(
     for block_index, (r0, r1) in enumerate(zip(row_edges, row_edges[1:])):
         rows = r1 - r0
         if recv_link is not None:
-            if progress is not None:
-                progress.beat(slot, r0, "wait")
+            progress.beat(slot, r0, "wait")
             with recorder.span("wait"):
                 h_left, e_left, corner = recv_link.recv_border(timeout=border_timeout_s)
             if h_left.size != rows:
@@ -350,55 +387,49 @@ def sweep_slab(
             h_left = np.zeros(rows, dtype=DTYPE)
             e_left = np.full(rows, NEG_INF, dtype=DTYPE)
 
-        if fault_block is not None and block_index == fault_block:
+        if block_index == task.fault_block:
             os._exit(3)  # simulated hard crash: no exception, no result
 
         pruned = False
         skipped_band = False
         spec = BlockSpec(r0, r1, slab.col0, slab.col1)
-        if band_half_width is not None and not band_intersects(
-                spec, band_half_width):
+        if task.band_half_width is not None and not band_intersects(
+                spec, task.band_half_width):
             skipped_band = True
             blocks_skipped_band += 1
         elif pruner is not None:
             pruned = pruner.should_prune(
                 spec,
                 m,
-                n,
+                task.n_cols,
                 int(h_top.max(initial=NEG_INF)),
                 int(h_left.max(initial=NEG_INF)),
                 scoreboard.read(),
             )
         if skipped_band:
-            if progress is not None:
-                progress.beat(slot, r0, "pruned")
+            progress.beat(slot, r0, "pruned")
             with recorder.span("band-skip"):
                 result = pruned_border_result(spec)
             if instruments is not None:
                 instruments.block_skipped_band()
         elif pruned:
-            if progress is not None:
-                progress.beat(slot, r0, "pruned")
+            progress.beat(slot, r0, "pruned")
             with recorder.span("pruned"):
                 result = pruned_border_result(spec)
             if instruments is not None:
                 instruments.block_pruned()
         else:
-            if progress is not None:
-                progress.beat(slot, r0, "compute")
+            progress.beat(slot, r0, "compute")
             with recorder.span("compute"):
                 if kernel == "batched":
                     job = BlockJob(a_codes[r0:r1], profile, h_top, f_top,
                                    h_left, e_left, corner)
                     result = sweep_wavefront([job], scoring, local=True,
                                              workspace=workspace, dp=dp)[0]
-                elif kernel == "compiled":
-                    result = sweep_block_compiled(
-                        a_codes[r0:r1], profile, h_top, f_top, h_left, e_left,
-                        corner, scoring, local=True, dp=dp,
-                    )
                 else:
-                    result = sweep_block(
+                    sweep = (sweep_block_compiled if kernel == "compiled"
+                             else sweep_block)
+                    result = sweep(
                         a_codes[r0:r1], profile, h_top, f_top, h_left, e_left,
                         corner, scoring, local=True, dp=dp,
                     )
@@ -420,12 +451,11 @@ def sweep_slab(
         cell = result.best.shifted(r0, slab.col0)
         if cell.better_than(best):
             best = cell
-            if scoreboard is not None:
+            if pruner is not None:
                 scoreboard.publish(slot, best.score)
 
         if send_link is not None:
-            if progress is not None:
-                progress.beat(slot, r0, "send")
+            progress.beat(slot, r0, "send")
             with recorder.span("d2h"):
                 send_link.send_border(result.h_right, result.e_right,
                                       prev_right_last, timeout=border_timeout_s)
@@ -433,20 +463,17 @@ def sweep_slab(
                 instruments.border_sent(
                     result.h_right.nbytes + result.e_right.nbytes + HEADER_BYTES)
             prev_right_last = int(result.h_right[-1])
-        if checkpoints is not None and (r1 == m or r1 % ckpt_stride == 0):
-            if progress is not None:
-                progress.beat(slot, r0, "checkpoint")
+        if task.checkpoints is not None and (r1 == m or r1 % ckpt_stride == 0):
+            progress.beat(slot, r0, "checkpoint")
             with recorder.span("checkpoint"):
-                checkpoints.publish(
+                task.checkpoints.publish(
                     slot, r1, h_top, f_top, best,
                     pruner.blocks_checked if pruner is not None else 0,
                     pruner.blocks_pruned if pruner is not None else 0)
             if instruments is not None:
                 instruments.checkpoint_published()
-        if progress is not None:
-            progress.beat(slot, r1, "idle")
-    if progress is not None:
-        progress.beat(slot, m, "done")
+        progress.beat(slot, r1, "idle")
+    progress.beat(slot, m, "done")
     return SlabOutcome(
         best=best,
         blocks_checked=pruner.blocks_checked if pruner is not None else 0,
@@ -458,116 +485,6 @@ def sweep_slab(
     )
 
 
-def _worker(
-    worker_id: int,
-    a_codes: np.ndarray,
-    b_slab: np.ndarray,
-    slab: Slab,
-    scoring: Scoring,
-    block_rows: int,
-    recv_link,
-    send_link,
-    result_queue,
-    origin: float,
-    border_timeout_s: float,
-    fault_block: int | None,
-    kernel: str,
-    n_cols: int | None = None,
-    scoreboard: SharedScoreboard | None = None,
-    progress: ProgressBoard | None = None,
-    collect_metrics: bool = False,
-    resume_state: tuple | None = None,
-    checkpoints: CheckpointArea | None = None,
-    checkpoint_blocks: int = 1,
-    band_half_width: int | None = None,
-    dp: DpPolicy | None = None,
-) -> None:
-    """One-shot slab worker (runs in a child process).
-
-    Result message layout (parsed positionally by :func:`collect_results`,
-    which reads ``msg[0]`` as the key and ``msg[-2]`` as the error):
-    ``(worker_id, score, row, col, blocks_checked, blocks_pruned,
-    blocks_skipped_band, blocks_narrow, blocks_wide, dtype_escalations,
-    metrics_snapshot, err, records)``.
-    ``metrics_snapshot`` is the
-    worker registry's :meth:`~repro.obs.registry.MetricsRegistry.snapshot`
-    (``None`` unless *collect_metrics*) — a plain dict, so it crosses any
-    start-method's queue; the parent merges it into its own registry.
-
-    *resume_state* is ``(start_row, h_init, f_init)`` when this attempt
-    resumes from a checkpoint; *checkpoints* is the shared checkpoint
-    area this worker publishes into (see :func:`sweep_slab`).
-    """
-    recorder = WallClockRecorder(origin)
-    registry = MetricsRegistry() if collect_metrics else None
-    instruments = (EngineInstruments(registry, f"worker{worker_id}")
-                   if registry is not None else None)
-    pruner = (BlockPruner(match=scoring.match)
-              if scoreboard is not None else None)
-    start_row, h_init, f_init = (resume_state if resume_state is not None
-                                 else (0, None, None))
-    try:
-        if kernel == "compiled":
-            # JIT-warm before the first block so compile time lands in an
-            # explicit tracer span instead of the first compute span (and
-            # hence the block_sweep_seconds histogram / progress rates).
-            if progress is not None:
-                progress.beat(worker_id, start_row, "warmup")
-            with recorder.span("warmup"):
-                compiled_warmup()
-        outcome = sweep_slab(a_codes, b_slab, slab, scoring, block_rows,
-                             recv_link, send_link, recorder, border_timeout_s,
-                             fault_block, kernel, n_cols=n_cols,
-                             pruner=pruner, scoreboard=scoreboard,
-                             slot=worker_id, instruments=instruments,
-                             progress=progress,
-                             start_row=start_row, h_init=h_init, f_init=f_init,
-                             checkpoints=checkpoints,
-                             checkpoint_blocks=checkpoint_blocks,
-                             band_half_width=band_half_width, dp=dp)
-        best = outcome.best
-        result_queue.put(
-            (worker_id, best.score, best.row, best.col,
-             outcome.blocks_checked, outcome.blocks_pruned,
-             outcome.blocks_skipped_band,
-             outcome.blocks_narrow, outcome.blocks_wide,
-             outcome.dtype_escalations,
-             registry.snapshot() if registry is not None else None,
-             None, recorder.records))
-    except Exception as exc:  # surface the failure to the parent
-        result_queue.put(
-            (worker_id, 0, -1, -1, 0, 0, 0, 0, 0, 0,
-             registry.snapshot() if registry is not None else None,
-             repr(exc), recorder.records))
-    finally:
-        if scoreboard is not None:
-            scoreboard.close()
-        if progress is not None:
-            progress.close()
-        if checkpoints is not None:
-            checkpoints.close()
-
-
-def _validate_args(a_codes, b_codes, workers, block_rows, transport, weights,
-                   capacity, kernel="scalar") -> None:
-    if workers <= 0:
-        raise ConfigError("workers must be positive")
-    if block_rows <= 0:
-        raise ConfigError("block_rows must be positive")
-    if transport not in TRANSPORTS:
-        raise ConfigError(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
-    validate_kernel(kernel)
-    if capacity <= 0:
-        raise ConfigError("capacity must be positive")
-    if weights is not None and len(weights) != workers:
-        raise ConfigError("weights length must equal the worker count")
-    m, n = int(a_codes.size), int(b_codes.size)
-    if m == 0 or n == 0:
-        raise ConfigError("sequences must be non-empty")
-    if n < workers:
-        raise ConfigError("matrix narrower than the worker count")
-
-
 def collect_results(
     result_queue,
     procs: Sequence,
@@ -575,18 +492,17 @@ def collect_results(
     deadline: float,
     describe=lambda key: f"worker {key}",
 ):
-    """Drain one result message per pending key, robustly.
+    """Drain one :class:`SlabReport` per pending worker key, robustly.
 
     Polls the queue, watching the worker processes for silent deaths; a
     key whose process dies without reporting (grace period for in-flight
-    messages) becomes a failure.  Returns ``(messages, failures)`` where
-    *messages* maps key -> the raw queue message and *failures* is a list
-    of ``(key, description, kind)`` tuples in key order, with *kind* one
-    of ``"died"`` (process gone without a result), ``"error"`` (worker
-    reported an exception) or ``"timeout"`` (no result by *deadline*).
-    The kind is what recovery keys off: only *died* workers are dropped
-    from the partition.  Shared by the one-shot chain and the persistent
-    pool.
+    messages) becomes a failure.  Returns ``(reports, failures)`` where
+    *reports* maps key -> the worker's successful :class:`SlabReport` and
+    *failures* is a list of ``(key, description, kind)`` tuples in key
+    order, with *kind* one of ``"died"`` (process gone without a result),
+    ``"error"`` (worker reported an exception) or ``"timeout"`` (no
+    result by *deadline*).  The kind is what recovery keys off: only
+    *died* workers are dropped from the partition.
 
     An already-expired *deadline* is handled deterministically: results
     that are sitting in the queue are still drained (``get_nowait``) and
@@ -594,9 +510,20 @@ def collect_results(
     late caller never passes a negative timeout down to the queue and
     never discards a result that had in fact arrived in time.
     """
-    messages: dict = {}
+    reports: dict = {}
     failures: list[tuple[int, str, str]] = []
     dead_since: dict = {}
+
+    def accept(report: SlabReport) -> None:
+        key = report.worker
+        if key not in pending:
+            return  # stale report from an earlier, failed run
+        pending.discard(key)
+        if report.error is not None:
+            failures.append((key, f"{describe(key)}: {report.error}", "error"))
+        else:
+            reports[key] = report
+
     while pending:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -605,24 +532,16 @@ def collect_results(
             # caller's deadline was already in the past on entry.
             while pending:
                 try:
-                    msg = result_queue.get_nowait()
+                    accept(result_queue.get_nowait())
                 except queue_mod.Empty:
                     break
-                key, err = msg[0], msg[-2]
-                if key not in pending:
-                    continue
-                pending.discard(key)
-                if err is not None:
-                    failures.append((key, f"{describe(key)}: {err}", "error"))
-                else:
-                    messages[key] = msg
             for key in sorted(pending):
                 failures.append(
                     (key, f"{describe(key)}: no result before the timeout",
                      "timeout"))
             break
         try:
-            msg = result_queue.get(timeout=min(0.2, max(0.01, remaining)))
+            report = result_queue.get(timeout=min(0.2, max(0.01, remaining)))
         except queue_mod.Empty:
             now = time.monotonic()
             newly_failed = []
@@ -643,15 +562,8 @@ def collect_results(
             if failures and not pending:
                 break
             continue
-        key, err, payload = msg[0], msg[-2], msg
-        if key not in pending:
-            continue  # stale message from an earlier, failed run
-        pending.discard(key)
-        if err is not None:
-            failures.append((key, f"{describe(key)}: {err}", "error"))
-        else:
-            messages[key] = payload
-    return messages, sorted(failures)
+        accept(report)
+    return reports, sorted(failures)
 
 
 def checkpoint_history_for(workers: int, capacity: int,
@@ -668,162 +580,83 @@ def checkpoint_history_for(workers: int, capacity: int,
     return max(4, (workers - 1) * per_link + 2)
 
 
-def _run_attempt(
-    ctx,
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    scoring: Scoring,
-    slabs: Sequence[Slab],
-    *,
-    block_rows: int,
-    transport: str,
-    capacity: int,
-    timeout_s: float,
-    border_timeout_s: float,
-    kernel: str,
-    origin: float,
-    scoreboard: SharedScoreboard | None,
-    checkpoints: CheckpointArea | None,
-    checkpoint_blocks: int,
-    collect_metrics: bool,
-    metrics: MetricsRegistry | None,
-    heartbeat_s: float | None,
-    on_stall,
-    want_progress: bool,
-    resume: tuple | None,
-    fault: tuple[int, int] | None,
-    band_half_width: int | None = None,
-    dp: DpPolicy | None = None,
-    events=None,
-    timeline=None,
-    attempt: int = 0,
-):
-    """Run the slab workers once over ``[resume_row, m)``.
+def check_chain_args(workers: int, *, capacity: int, transport: str,
+                     weights: Sequence[float] | None) -> None:
+    """Refuse a chain shape no real-process run can use."""
+    if workers <= 0:
+        raise ConfigError("workers must be positive")
+    if transport not in TRANSPORTS:
+        raise ConfigError(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
+    if capacity <= 0:
+        raise ConfigError("capacity must be positive")
+    if weights is not None and len(weights) != workers:
+        raise ConfigError("weights length must equal the worker count")
 
-    One *attempt* of :func:`align_multi_process`: fresh result queue,
-    border links and progress board (so no message from a previous,
-    failed attempt can leak in), workers started over the given *slabs*,
-    results collected under the attempt's deadline, everything but the
-    cross-attempt state (scoreboard, checkpoint area) torn down.
 
-    Returns ``(messages, failures, progress_rows)`` where *progress_rows*
-    is the last completed matrix row per worker as the attempt ended —
-    the supervisor's source for ``rows_recomputed``.
-    """
-    workers = len(slabs)
-    n = int(b_codes.size)
-    result_queue = ctx.Queue()
-    rings: list[ShmRing] = []
-    links: list = []
-    parent_conns: list = []
-    if transport == "shm":
-        for g in range(workers - 1):
-            ring = ShmRing(ctx, capacity, block_rows, label=f"border{g}->{g + 1}")
-            rings.append(ring)
-            links.append(ring)
-    else:
-        for g in range(workers - 1):
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            parent_conns.extend([recv_conn, send_conn])
-            links.append(PipeLink(recv_conn, send_conn, label=f"border{g}->{g + 1}"))
+def check_comparison(a_codes: np.ndarray, b_codes: np.ndarray, *,
+                     workers: int, block_rows: int, kernel: str, mode: str,
+                     dp_dtype: str, band_width: int, xdrop_x: int) -> None:
+    """Refuse a comparison a *workers*-long chain cannot run."""
+    if block_rows <= 0:
+        raise ConfigError("block_rows must be positive")
+    validate_kernel(kernel)
+    validate_mode(mode)
+    validate_dp_dtype(dp_dtype)
+    if band_width < 0:
+        raise ConfigError("band_width must be >= 0")
+    if xdrop_x <= 0:
+        raise ConfigError("xdrop_x must be positive")
+    if a_codes.size == 0 or b_codes.size == 0:
+        raise ConfigError("sequences must be non-empty")
+    if b_codes.size < workers:
+        raise ConfigError("matrix narrower than the worker count")
 
-    progress = (ProgressBoard(workers, label="chain-progress")
-                if want_progress else None)
-    if timeline is not None and progress is not None:
-        # Workers beat *absolute* matrix rows (resume attempts start
-        # partway up), so the per-worker target is simply m.
-        timeline.attach(progress, rows=int(a_codes.size),
-                        cols_per_worker=[s.cols for s in slabs],
-                        attempt=attempt)
-    procs: list = []
-    monitor = None
-    progress_rows: list[int] = [0] * workers
-    clean_exit = False
-    try:
-        for g, slab in enumerate(slabs):
-            recv_link = links[g - 1] if g > 0 else None
-            send_link = links[g] if g < workers - 1 else None
-            fault_block = fault[1] if fault is not None and fault[0] == g else None
-            resume_state = None
-            if resume is not None:
-                row, h_full, f_full = resume
-                resume_state = (row, h_full[slab.col0:slab.col1].copy(),
-                                f_full[slab.col0:slab.col1].copy())
-            proc = ctx.Process(
-                target=_worker,
-                args=(g, a_codes, b_codes[slab.col0:slab.col1].copy(), slab,
-                      scoring, block_rows, recv_link, send_link, result_queue,
-                      origin, border_timeout_s, fault_block, kernel,
-                      n, scoreboard, progress, collect_metrics,
-                      resume_state, checkpoints, checkpoint_blocks,
-                      band_half_width, dp),
-                name=f"mgsw-worker-{g}",
-            )
-            proc.start()
-            procs.append(proc)
-            if events is not None:
-                events.emit("worker_spawn", worker=g, attempt=attempt,
-                            pid=proc.pid, slab_cols=slab.cols)
 
-        describe = lambda key: f"worker {key}"  # noqa: E731
-        if progress is not None and heartbeat_s is not None:
-            # With a checkpoint area armed, a hard stall (a worker wedged
-            # well past the soft threshold) is escalated to a kill so the
-            # ordinary death path — and recovery — takes over.
-            on_hard = None
-            hard_stall_s = None
-            if checkpoints is not None:
-                hard_stall_s = 2.0 * heartbeat_s
+def xdrop_result(a_codes: np.ndarray, b_codes: np.ndarray, scoring: Scoring,
+                 xdrop_x: int, *, transport: str, start_method: str,
+                 tracer: Tracer | None, kernel: str) -> ProcessChainResult:
+    """``mode="xdrop"`` on the real-process engine.
 
-                def on_hard(report, _procs=procs):
-                    proc = _procs[report.worker]
-                    if proc.is_alive():
-                        proc.kill()
+    The X-drop frontier is one sequential anti-diagonal sweep with no
+    block decomposition to distribute, so it runs inline in the parent
+    (a documented scheduling decision; no worker takes part)."""
+    t0 = time.perf_counter()
+    xo = xdrop_score(a_codes, b_codes, scoring, xdrop_x)
+    return ProcessChainResult(
+        best=xo.best, wall_time_s=time.perf_counter() - t0,
+        cells=int(a_codes.size) * int(b_codes.size),
+        workers=0, partition=(), transport=transport,
+        start_method=start_method,
+        tracer=tracer if tracer is not None else Tracer(),
+        kernel=kernel, mode="xdrop", tier="xdrop")
 
-            monitor = HeartbeatMonitor(progress, stall_after_s=heartbeat_s,
-                                       on_stall=on_stall,
-                                       hard_stall_s=hard_stall_s,
-                                       on_hard_stall=on_hard, metrics=metrics,
-                                       events=events)
-            monitor.start()
-            describe = lambda key: f"worker {key} ({monitor.describe(key)})"  # noqa: E731
 
-        deadline = time.monotonic() + timeout_s
-        messages, failures = collect_results(
-            result_queue, procs, set(range(workers)), deadline,
-            describe=describe)
-        clean_exit = not failures
-        return messages, failures, progress_rows
-    finally:
-        if monitor is not None:
-            monitor.stop()
-        for proc in procs:
-            # On the failure path neighbours may be blocked on a border
-            # that will never arrive — don't wait out their timeouts.
-            if not clean_exit and proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - last resort
-                proc.kill()
-                proc.join()
-        if progress is not None:
-            if timeline is not None:
-                # Final sample before the segment goes away: the last
-                # frame records how far the attempt actually got.
-                timeline.detach()
-            # Sample after every worker stopped: the honest "how far did
-            # each slab get" record the supervisor charges recomputation to.
-            for sample in progress.snapshot():
-                progress_rows[sample.worker] = sample.rows_done
-            progress.unlink()
-        result_queue.close()
-        for conn in parent_conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for ring in rings:
-            ring.unlink()
+def journal_run_start(events, *, backend: str, mode: str, rows: int,
+                      cols: int, workers: int, kernel: str, transport: str,
+                      pruning: bool, max_restarts: int,
+                      band_width: int) -> None:
+    """Open a real-process run in the event journal."""
+    events.emit("run_start", backend=backend, mode=mode, rows=rows,
+                cols=cols, workers=0 if mode == "xdrop" else workers,
+                kernel=kernel, transport=transport, pruning=pruning,
+                max_restarts=max_restarts,
+                band_width=band_width if mode in ("banded", "auto") else None)
+
+
+def publish_run(result: ProcessChainResult, *, backend: str,
+                metrics: MetricsRegistry | None, events) -> None:
+    """Close a successful real-process run: the run-level summary metrics
+    and the ``run_end`` record."""
+    if metrics is not None:
+        finalize_run_metrics(
+            metrics, backend=backend, blocks_checked=result.blocks_checked,
+            blocks_pruned=result.blocks_pruned,
+            wall_time_s=result.wall_time_s, gcups=result.gcups)
+    if events is not None:
+        events.emit("run_end", status="ok", score=int(result.best.score),
+                    wall_time_s=round(result.wall_time_s, 6),
+                    restarts=result.restarts, tier=result.tier,
+                    escalated=result.escalated if result.mode == "auto" else None)
 
 
 def align_multi_process(
@@ -856,370 +689,71 @@ def align_multi_process(
     events=None,
     timeline=None,
     _fault: tuple[int, int] | None = None,
-    _finalize_metrics: bool = True,
 ) -> ProcessChainResult:
-    """Exact SW across *workers* real processes (see module docstring).
+    """One comparison across *workers* real processes.
 
-    Parameters mirror the simulated chain where they exist there:
-    *weights* sizes slabs proportionally to per-worker speed (equal by
-    default, via :func:`~repro.multigpu.partition.proportional_partition`),
-    *capacity* is the border ring depth, *transport* picks shared memory
-    or pipes, *start_method* overrides the fork-else-spawn default,
-    *kernel* selects the scalar or batched block sweep (bit-identical;
-    see :func:`sweep_slab`).  *pruning* enables distributed block pruning
-    against a chain-wide :class:`~repro.comm.scoreboard.SharedScoreboard`
-    (exact: scores and end cells are unchanged; see INTERNALS.md
-    section 7).  Pass a :class:`~repro.device.trace.Tracer`
-    to collect per-worker wall-clock intervals (one is created on the
-    result regardless).
+    A :class:`~repro.multigpu.pool.WorkerPool` with a lifetime of one
+    comparison: every argument is validated first (each
+    :class:`ConfigError` is raised before any process spawns), then a
+    pool of *workers* slab processes is built, runs this comparison once
+    and is closed on every exit path.  *weights* sizes slabs
+    proportionally to per-worker speed (equal by default), *capacity* is
+    the border ring depth, *transport* picks shared memory or pipes,
+    *start_method* overrides the fork-else-spawn default.  Every other
+    argument means what it means on :meth:`WorkerPool.align
+    <repro.multigpu.pool.WorkerPool.align>` — tiers (*mode*,
+    *band_width*, *xdrop_x*), *kernel*, *pruning*, *dp_dtype*, recovery
+    (*max_restarts*, *restart_backoff_s*, *retry*, *checkpoint_blocks*),
+    telemetry (*metrics*, *heartbeat_s*, *on_stall*, *tracer*,
+    *timeline*) and the test-only ``_fault`` crash hook.
+    ``mode="xdrop"`` runs inline in the parent and spawns nothing.
 
-    Telemetry (INTERNALS.md section 8): pass a
-    :class:`~repro.obs.registry.MetricsRegistry` to collect per-worker
-    counters/histograms (spawn-safe snapshot-and-merge); *heartbeat_s*
-    turns on the shared-memory progress board plus a parent-side
-    :class:`~repro.obs.heartbeat.HeartbeatMonitor` that flags workers
-    silent beyond that many seconds (calling *on_stall* per episode) and
-    enriches worker-death errors with the victim's last completed row
-    and phase.
-
-    Live telemetry (INTERNALS.md section 13): *events* accepts an
-    :class:`~repro.obs.events.EventJournal` — the supervisor journals
-    ``run_start``/``run_end``, per-worker ``worker_spawn``/``worker_death``,
-    recovery ``checkpoint``/``restart_attempt`` and summary
-    ``dtype_escalation`` records, and the heartbeat watchdog adds
-    ``stall`` events.  *timeline* accepts a
-    :class:`~repro.obs.timeseries.TimeSeriesSampler`; it is attached to
-    each attempt's progress board (the board is created whenever a
-    sampler is armed, even without *heartbeat_s*) and detached with a
-    final frame as the attempt ends, so one ring spans every recovery
-    attempt.
-
-    Recovery (INTERNALS.md section 9): with ``max_restarts > 0`` (or an
-    explicit :class:`~repro.multigpu.checkpoint.RetryPolicy` via *retry*)
-    workers checkpoint their block-row state every *checkpoint_blocks*
-    block rows into a shared-memory
-    :class:`~repro.multigpu.checkpoint.CheckpointArea`, and a failed
-    attempt is resumed instead of raised: workers that *died* are dropped
-    from the partition (:func:`~repro.multigpu.partition.surviving_partition`),
-    the survivors restart from the newest matrix row every slab had
-    checkpointed, and the run only raises once the policy is exhausted or
-    the failure is classified permanent.  Each attempt gets the full
-    *timeout_s* budget.  Recovery is visible on the result
-    (``restarts``/``rows_recomputed``), in the metrics registry
-    (``worker_restarts``/``rows_recomputed``) and as supervisor
-    ``recovery`` spans on the tracer.  When *heartbeat_s* is also set,
-    workers silent for twice that long are killed by the watchdog so
-    hard stalls enter the same recovery path as crashes.
-
-    Heuristic tier (INTERNALS.md section 10): *mode* selects ``"exact"``
-    (default), ``"banded"`` (slab block rows that miss the static band
-    ``|j - i| <= band_width`` are skipped outright, compounding with
-    pruning), ``"xdrop"`` (origin-anchored X-drop extension with
-    threshold *xdrop_x*; the sequential frontier runs inline in the
-    parent — no workers are spawned), or ``"auto"`` (banded first, exact
-    re-run when the confidence check fails; the result's
-    ``tier``/``escalated`` fields say which tier answered).  Heuristic
-    scores never exceed the exact score.
-
-    DP dtype (INTERNALS.md section 11): *dp_dtype* selects the
-    kernel-internal compute dtype — ``"auto"`` (default) resolves to the
-    narrowest policy guaranteed overflow-free for the widest slab of the
-    current attempt, explicit narrow names escalate overflowing blocks
-    back to int32 per block.  Scores are bit-identical either way, and
-    the int32 border wire format is unchanged.
+    *events* journals ``run_start``, the pool's ``worker_spawn`` and
+    recovery records, and ``run_end``.  The result's ``wall_time_s``, the
+    ``last_run_*`` gauges and ``run_end`` cover the whole call, worker
+    spawn and teardown included; metrics and events carry
+    ``backend="process"``.
 
     Raises :class:`ConfigError` on bad parameters and ``RuntimeError``
-    when a worker fails or the run times out.  ``_fault`` is a test-only
-    hook: ``(worker_id, block_index)`` crashes that worker at that block
-    (first attempt only, so recovery tests observe exactly one crash).
+    when a worker fails or the run times out.
     """
-    _validate_args(a_codes, b_codes, workers, block_rows, transport, weights,
-                   capacity, kernel)
-    validate_mode(mode)
-    validate_dp_dtype(dp_dtype)
-    if band_width < 0:
-        raise ConfigError("band_width must be >= 0")
-    if xdrop_x <= 0:
-        raise ConfigError("xdrop_x must be positive")
-    if mode == "xdrop":
-        # The X-drop frontier is one sequential anti-diagonal sweep with
-        # no block decomposition to distribute — it runs inline in the
-        # parent (a documented scheduling decision; no workers spawn).
-        if events is not None and _finalize_metrics:
-            events.emit("run_start", backend="process", mode="xdrop",
-                        rows=int(a_codes.size), cols=int(b_codes.size),
-                        workers=0)
-        t0 = time.perf_counter()
-        xo = xdrop_score(a_codes, b_codes, scoring, xdrop_x)
-        wall = time.perf_counter() - t0
-        result = ProcessChainResult(
-            best=xo.best, wall_time_s=wall,
-            cells=int(a_codes.size) * int(b_codes.size),
-            workers=0, partition=(), transport=transport,
-            start_method=pick_context(start_method).get_start_method(),
-            tracer=tracer if tracer is not None else Tracer(),
-            kernel=kernel, mode="xdrop", tier="xdrop")
-        if metrics is not None and _finalize_metrics:
-            finalize_run_metrics(
-                metrics, backend="process", blocks_checked=0,
-                blocks_pruned=0, wall_time_s=wall, gcups=result.gcups)
-        if events is not None and _finalize_metrics:
-            events.emit("run_end", status="ok", score=int(xo.best.score),
-                        wall_time_s=round(wall, 6), restarts=0, tier="xdrop")
-        return result
-    if mode == "auto":
-        return _align_process_auto(
-            a_codes, b_codes, scoring,
-            workers=workers, block_rows=block_rows, timeout_s=timeout_s,
-            transport=transport, start_method=start_method, weights=weights,
-            capacity=capacity, border_timeout_s=border_timeout_s,
-            tracer=tracer, kernel=kernel, pruning=pruning, metrics=metrics,
-            heartbeat_s=heartbeat_s, on_stall=on_stall,
-            max_restarts=max_restarts, restart_backoff_s=restart_backoff_s,
-            retry=retry, checkpoint_blocks=checkpoint_blocks,
-            band_width=band_width, dp_dtype=dp_dtype,
-            events=events, timeline=timeline)
-    band_half_width = band_width if mode == "banded" else None
+    from .pool import WorkerPool  # the engine builds on this module
+
+    t0 = time.perf_counter()
+    check_chain_args(workers, capacity=capacity, transport=transport,
+                     weights=weights)
+    check_comparison(a_codes, b_codes, workers=workers, block_rows=block_rows,
+                     kernel=kernel, mode=mode, dp_dtype=dp_dtype,
+                     band_width=band_width, xdrop_x=xdrop_x)
+    ctx = pick_context(start_method)
     if retry is None:
         retry = RetryPolicy(max_restarts=max_restarts,
                             backoff_s=restart_backoff_s)
-    m, n = int(a_codes.size), int(b_codes.size)
-    weights_now = list(weights) if weights is not None else [1.0] * workers
-    slabs = proportional_partition(n, weights_now)
-    ctx = pick_context(start_method)
-    result_tracer = tracer if tracer is not None else Tracer()
-    recovery = retry.max_restarts > 0
-    scoreboard = SharedScoreboard(workers) if pruning else None
-    checkpoints: CheckpointArea | None = None
-
-    restarts = 0
-    rows_recomputed_total = 0
-    resume: tuple | None = None          # (row, h_full, f_full)
-    base_best = BestCell.none()
-    base_checked = base_pruned = 0
-    dp_name = "int32"
-    total_narrow = total_wide = total_esc = 0
-    if events is not None and _finalize_metrics:
-        events.emit("run_start", backend="process", mode=mode,
-                    rows=m, cols=n, workers=workers, kernel=kernel,
-                    transport=transport, pruning=pruning,
-                    max_restarts=retry.max_restarts)
-    origin = time.perf_counter()
-    try:
-        while True:
-            # The DP dtype policy is resolved per attempt against the
-            # *current* partition's widest slab — recovery can widen the
-            # surviving slabs, and ``"auto"`` must stay overflow-free.
-            dp_policy = resolve_dp_dtype(
-                dp_dtype, scoring,
-                block_cols=max(s.cols for s in slabs), m=m, n=n, local=True)
-            dp_name = dp_policy.name
-            dp = dp_policy if dp_policy.narrow else None
-            if recovery:
-                checkpoints = CheckpointArea(
-                    [s.cols for s in slabs],
-                    history=checkpoint_history_for(len(slabs), capacity,
-                                                   checkpoint_blocks),
-                    label="chain-ckpt")
-            messages, failures, progress_rows = _run_attempt(
-                ctx, a_codes, b_codes, scoring, slabs,
-                block_rows=block_rows, transport=transport, capacity=capacity,
-                timeout_s=timeout_s, border_timeout_s=border_timeout_s,
-                kernel=kernel, origin=origin, scoreboard=scoreboard,
-                checkpoints=checkpoints, checkpoint_blocks=checkpoint_blocks,
-                collect_metrics=metrics is not None, metrics=metrics,
-                heartbeat_s=heartbeat_s, on_stall=on_stall,
-                want_progress=(heartbeat_s is not None or recovery
-                               or timeline is not None),
-                resume=resume,
-                fault=_fault if restarts == 0 else None,
-                band_half_width=band_half_width, dp=dp,
-                events=events, timeline=timeline, attempt=restarts)
-
-            # Fold whatever this attempt reported — survivors of a failed
-            # attempt still deliver honest trace records and counters.
-            attempt_best = BestCell.none()
-            worker_blocks = []
-            attempt_skipped_band = 0
-            for g in sorted(messages):
-                (_wid, score, row, col, checked, pruned, skipped_band,
-                 narrow, wide, esc, msnap, _err, records) = messages[g]
-                merge_wall_records(result_tracer, f"worker{g}", records)
-                if metrics is not None and msnap is not None:
-                    metrics.merge_snapshot(msnap)
-                worker_blocks.append((int(checked), int(pruned)))
-                attempt_skipped_band += int(skipped_band)
-                total_narrow += int(narrow)
-                total_wide += int(wide)
-                total_esc += int(esc)
-                cell = BestCell(score, row, col)
-                if cell.better_than(attempt_best):
-                    attempt_best = cell
-
-            if not failures:
-                wall = time.perf_counter() - origin
-                best = (attempt_best if attempt_best.better_than(base_best)
-                        else base_best)
-                result = ProcessChainResult(
-                    best=best, wall_time_s=wall, cells=m * n,
-                    workers=len(slabs),
-                    partition=tuple(slabs), transport=transport,
-                    start_method=ctx.get_start_method(), tracer=result_tracer,
-                    kernel=kernel,
-                    pruning=pruning,
-                    blocks_checked=base_checked
-                    + sum(c for c, _ in worker_blocks),
-                    blocks_pruned=base_pruned
-                    + sum(p for _, p in worker_blocks),
-                    worker_blocks=tuple(worker_blocks),
-                    restarts=restarts,
-                    rows_recomputed=rows_recomputed_total,
-                    mode=mode,
-                    tier="banded" if mode == "banded" else "exact",
-                    blocks_skipped_band=attempt_skipped_band,
-                    dp_dtype=dp_name,
-                    blocks_narrow=total_narrow,
-                    blocks_wide=total_wide,
-                    dtype_escalations=total_esc,
-                )
-                if metrics is not None and _finalize_metrics:
-                    finalize_run_metrics(
-                        metrics, backend="process",
-                        blocks_checked=result.blocks_checked,
-                        blocks_pruned=result.blocks_pruned,
-                        wall_time_s=wall, gcups=result.gcups)
-                if events is not None:
-                    if total_esc > 0:
-                        events.emit("dtype_escalation", dp_dtype=dp_name,
-                                    escalations=total_esc,
-                                    blocks_narrow=total_narrow,
-                                    blocks_wide=total_wide)
-                    if _finalize_metrics:
-                        events.emit("run_end", status="ok",
-                                    score=int(best.score),
-                                    wall_time_s=round(wall, 6),
-                                    restarts=restarts, tier=result.tier)
-                return result
-
-            # -- failed attempt ------------------------------------------------
-            if events is not None:
-                for key, desc, kind in failures:
-                    events.emit("worker_death", worker=key, attempt=restarts,
-                                kind=kind, detail=desc)
-            descs = [desc for _key, desc, _kind in failures]
-            if (not recovery or restarts >= retry.max_restarts
-                    or any(retry.is_permanent(d) for d in descs)):
-                if events is not None and _finalize_metrics:
-                    events.emit("run_end", status="failed",
-                                restarts=restarts,
-                                detail="; ".join(descs))
-                raise RuntimeError("; ".join(descs))
-
-            fail_t = time.perf_counter() - origin
-            died = [key for key, _desc, kind in failures if kind == "died"]
-            if died:
-                # PartitionError here means no survivors (or the matrix
-                # cannot host them) — that is a permanent failure too.
-                try:
-                    slabs, weights_now = surviving_partition(
-                        n, weights_now, died)
-                except Exception as exc:
-                    raise RuntimeError(
-                        "; ".join(descs)
-                        + f"; recovery impossible: {exc!r}") from None
-
-            resume_row = resume[0] if resume is not None else 0
-            r_new = checkpoints.consistent_row()
-            if events is not None:
-                events.emit("checkpoint", attempt=restarts,
-                            consistent_row=r_new)
-            ckpt_best = checkpoints.best_overall()
-            if ckpt_best.better_than(base_best):
-                base_best = ckpt_best
-            if r_new > resume_row:
-                h_full, f_full, _b, checked_at, pruned_at = \
-                    checkpoints.assemble(r_new)
-                base_checked += checked_at
-                base_pruned += pruned_at
-                resume = (r_new, h_full, f_full)
-                resume_row = r_new
-            checkpoints.unlink()
-            checkpoints = None
-
-            rows_recomputed = sum(
-                max(0, rows_done - resume_row) for rows_done in progress_rows)
-            rows_recomputed_total += rows_recomputed
-            restarts += 1
-            if metrics is not None:
-                record_recovery(metrics, backend="process",
-                                rows_recomputed=rows_recomputed)
-            if events is not None:
-                events.emit("restart_attempt", attempt=restarts,
-                            resume_row=resume_row,
-                            workers_left=len(slabs),
-                            rows_recomputed=rows_recomputed)
-            time.sleep(retry.delay_s(restarts - 1))
-            result_tracer.record("supervisor", "recovery", fail_t,
-                                 time.perf_counter() - origin)
-    finally:
-        if scoreboard is not None:
-            scoreboard.unlink()
-        if checkpoints is not None:
-            checkpoints.unlink()
-
-
-def _align_process_auto(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    scoring: Scoring,
-    *,
-    band_width: int,
-    metrics: MetricsRegistry | None,
-    **kwargs,
-) -> ProcessChainResult:
-    """``mode="auto"`` for the process chain: banded heuristic first, exact
-    re-run only when :func:`~repro.sw.xdrop.assess_heuristic` rejects the
-    heuristic answer.  The reported wall time sums the tiers actually run;
-    ``tier``/``escalated`` say which one answered."""
-    from dataclasses import replace as _replace
-
-    events = kwargs.get("events")
-    m, n = int(a_codes.size), int(b_codes.size)
     if events is not None:
-        events.emit("run_start", backend="process", mode="auto",
-                    rows=m, cols=n, workers=kwargs.get("workers", 2),
-                    band_width=band_width)
-    heur = align_multi_process(
-        a_codes, b_codes, scoring, mode="banded", band_width=band_width,
-        metrics=metrics, _finalize_metrics=False, **kwargs)
-    decision = assess_heuristic(heur.best, m, n, scoring,
-                                band_half_width=band_width)
-    if decision.confident:
-        result = _replace(heur, mode="auto", tier="banded")
+        journal_run_start(events, backend="process", mode=mode,
+                          rows=int(a_codes.size), cols=int(b_codes.size),
+                          workers=workers, kernel=kernel, transport=transport,
+                          pruning=pruning, max_restarts=retry.max_restarts,
+                          band_width=band_width)
+    if mode == "xdrop":
+        result = xdrop_result(a_codes, b_codes, scoring, xdrop_x,
+                              transport=transport,
+                              start_method=ctx.get_start_method(),
+                              tracer=tracer, kernel=kernel)
     else:
-        if events is not None:
-            events.emit("heuristic_escalation", tier="exact",
-                        heur_score=int(heur.best.score),
-                        band_width=band_width,
-                        reason="confidence check rejected the banded score")
-        exact = align_multi_process(
-            a_codes, b_codes, scoring, mode="exact",
-            metrics=metrics, _finalize_metrics=False, **kwargs)
-        result = _replace(
-            exact,
-            wall_time_s=heur.wall_time_s + exact.wall_time_s,
-            mode="auto", tier="exact", escalated=True)
-    if metrics is not None:
-        record_heuristic(metrics, backend="process",
-                         tier=result.tier, escalated=result.escalated)
-        finalize_run_metrics(
-            metrics, backend="process",
-            blocks_checked=result.blocks_checked,
-            blocks_pruned=result.blocks_pruned,
-            wall_time_s=result.wall_time_s, gcups=result.gcups)
-    if events is not None:
-        events.emit("run_end", status="ok", score=int(result.best.score),
-                    wall_time_s=round(result.wall_time_s, 6),
-                    restarts=result.restarts, tier=result.tier,
-                    escalated=result.escalated)
+        with WorkerPool(workers, weights=weights, max_block_rows=block_rows,
+                        capacity=capacity, transport=transport,
+                        start_method=start_method,
+                        border_timeout_s=border_timeout_s, events=events,
+                        _backend="process") as pool:
+            result = pool.align(
+                a_codes, b_codes, scoring, block_rows=block_rows,
+                timeout_s=timeout_s, tracer=tracer, kernel=kernel,
+                pruning=pruning, metrics=metrics, heartbeat_s=heartbeat_s,
+                on_stall=on_stall, retry=retry,
+                checkpoint_blocks=checkpoint_blocks, mode=mode,
+                band_width=band_width, dp_dtype=dp_dtype, timeline=timeline,
+                _fault=_fault, _finalize_metrics=False)
+    result = replace(result, wall_time_s=time.perf_counter() - t0)
+    publish_run(result, backend="process", metrics=metrics, events=events)
     return result

@@ -16,11 +16,10 @@ Design constraints:
   being written, never corrupts earlier ones.  :func:`read_events`
   tolerates a torn final line for exactly that reason.
 * **Supervisor-side emission.**  Events are emitted by the parent
-  process (the supervisors in :mod:`repro.multigpu.procchain`,
-  :mod:`repro.multigpu.pool`, :mod:`repro.multigpu.chain` and the
-  heartbeat watchdog), never from slab workers — the journal needs no
-  cross-process synchronisation, only a thread lock (the watchdog and
-  samplers run on parent threads).
+  process (the supervisors in :mod:`repro.multigpu.pool`,
+  :mod:`repro.multigpu.chain` and the heartbeat watchdog), never from
+  slab workers — the journal needs no cross-process synchronisation,
+  only a thread lock (the watchdog and samplers run on parent threads).
 * **Closed taxonomy.**  :data:`EVENT_KINDS` pins the vocabulary;
   emitting an unknown kind raises, so dashboards and the `mgsw top`
   renderer can rely on the set (INTERNALS.md section 13).

@@ -85,3 +85,15 @@ def test_campaign_subcommand(capsys):
     out = capsys.readouterr().out
     assert "chained:" in out and "split:" in out
     assert "chr19" in out
+
+
+@pytest.mark.parametrize("backend", ["sim", "process"])
+def test_align_reports_a_zero_optimum(tmp_path, capsys, backend):
+    """An all-N query scores nothing anywhere: the report must still say
+    so instead of omitting the best-score line."""
+    fa = tmp_path / "a.fa"
+    fb = tmp_path / "b.fa"
+    fa.write_text(">q\n" + "N" * 16 + "\n")
+    fb.write_text(">r\n" + "ACGT" * 4 + "AC\n")
+    assert main(["align", str(fa), str(fb), "--backend", backend]) == 0
+    assert "best score: 0 (no positive-scoring cell)" in capsys.readouterr().out

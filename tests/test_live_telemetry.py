@@ -102,6 +102,29 @@ class TestProcessEngineJournal:
         assert kinds[-1] == "run_end"
         assert journal.recent()[-1]["status"] == "failed"
 
+    def test_escalating_auto_run_reuses_its_workers(self, rng):
+        """A divergent pair escalates banded -> exact on the same live
+        chain: one spawn per worker, not one per tier."""
+        a, b = random_codes(rng, 300), random_codes(rng, 300)
+        want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
+        journal = EventJournal()
+        res = align_multi_process(a, b, DNA_DEFAULT, workers=2, block_rows=64,
+                                  mode="auto", events=journal)
+        assert res.escalated and res.tier == "exact" and res.score == want
+        assert journal.count("heuristic_escalation") == 1
+        assert journal.count("worker_spawn") == 2
+        kinds = _kinds(journal)
+        assert kinds.count("run_start") == kinds.count("run_end") == 1
+
+    def test_xdrop_run_spawns_no_worker(self, rng):
+        a, b = random_codes(rng, 120), random_codes(rng, 120)
+        journal = EventJournal()
+        res = align_multi_process(a, b, DNA_DEFAULT, workers=2, mode="xdrop",
+                                  events=journal)
+        assert res.tier == "xdrop" and res.workers == 0
+        assert journal.count("worker_spawn") == 0
+        assert _kinds(journal) == ["run_start", "run_end"]
+
     def test_pruning_differential_with_sampler_armed(self, rng):
         a = random_codes(rng, 200)
         b = np.concatenate([a[40:170], random_codes(rng, 60)])

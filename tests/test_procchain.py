@@ -192,20 +192,33 @@ class TestFailureHandling:
 
 
 class TestValidation:
-    def test_bad_parameters(self, rng):
+    def test_bad_parameters(self, rng, monkeypatch):
+        """Every refusal happens before any worker process starts."""
+        started = []
+        monkeypatch.setattr(mp.process.BaseProcess, "start",
+                            lambda proc: started.append(proc))
         a = random_codes(rng, 10)
-        with pytest.raises(ConfigError):
-            align_multi_process(a, a, DNA_DEFAULT, workers=0)
-        with pytest.raises(ConfigError):
-            align_multi_process(a, a, DNA_DEFAULT, workers=2, block_rows=0)
-        with pytest.raises(ConfigError):
-            align_multi_process(a, random_codes(rng, 1), DNA_DEFAULT, workers=2)
-        with pytest.raises(ConfigError):
-            align_multi_process(a, a, DNA_DEFAULT, workers=2, transport="udp")
-        with pytest.raises(ConfigError):
-            align_multi_process(a, a, DNA_DEFAULT, workers=2, weights=[1.0])
-        with pytest.raises(ConfigError):
-            align_multi_process(a, a, DNA_DEFAULT, workers=2, capacity=0)
+        cases = [
+            (a, dict(workers=0)),
+            (a, dict(workers=2, block_rows=0)),
+            (random_codes(rng, 1), dict(workers=2)),
+            (a, dict(workers=2, transport="udp")),
+            (a, dict(workers=2, weights=[1.0])),
+            (a, dict(workers=2, capacity=0)),
+            (a, dict(workers=2, kernel="no-such-kernel")),
+            (a, dict(workers=2, mode="no-such-mode")),
+            (a, dict(workers=2, dp_dtype="int4")),
+            (a, dict(workers=2, mode="banded", band_width=-1)),
+            (a, dict(workers=2, mode="xdrop", xdrop_x=0)),
+            (a, dict(workers=2, mode="xdrop", transport="udp")),
+            (a, dict(workers=2, start_method="not-a-method")),
+            (a, dict(workers=2, max_restarts=-1)),
+        ]
+        for b, kwargs in cases:
+            with pytest.raises(ConfigError):
+                align_multi_process(a, b, DNA_DEFAULT, **kwargs)
+            assert started == [], kwargs
+            assert mp.active_children() == [], kwargs
 
     def test_empty_sequences_rejected(self):
         import numpy as np

@@ -38,7 +38,7 @@ from repro.multigpu import (
     surviving_partition,
 )
 from repro.multigpu.checkpoint import CHECKPOINT_NAME_PREFIX
-from repro.multigpu.procchain import collect_results
+from repro.multigpu.procchain import SlabOutcome, SlabReport, collect_results
 from repro.obs.registry import MetricsRegistry
 from repro.seq import DNA_DEFAULT
 from repro.sw import sw_score_naive
@@ -109,7 +109,8 @@ class _StubProc:
 
 
 def _msg(worker_id, score=7, err=None):
-    return (worker_id, score, 1, 2, 0, 0, None, err, [])
+    outcome = None if err is not None else SlabOutcome(BestCell(score, 1, 2))
+    return SlabReport(worker=worker_id, outcome=outcome, error=err)
 
 
 class TestCollectResultsExpiredDeadline:

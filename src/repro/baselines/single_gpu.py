@@ -1,12 +1,18 @@
 """Single-GPU baseline (the CUDAlign-2.1-shaped comparator).
 
-One simulated device sweeps the whole matrix in block rows — no
+One simulated device sweeps the whole matrix in 2-D blocks — no
 partitioning, no border channels.  Optionally applies block pruning,
 which the multi-GPU engines now also support through a chain-wide
 best-score scoreboard (``ChainConfig.pruning`` /
 ``align_multi_process(pruning=True)``; see
 :mod:`repro.comm.scoreboard`) — this baseline remains the reference
 for the single-device pruned fraction.
+
+The tiers (``mode``) come from the shared front door
+(:mod:`repro.sw.tiers`): this engine supplies only its exact/banded
+sweep — :func:`~repro.sw.blocks.compute_blocked` with the same
+block-granular static band as every other engine — and charges an
+inline X-drop extension's cells to the device.
 
 Like the chain, it runs in compute mode (real cells, exact score) or
 timing mode (virtual clock only, any scale).
@@ -23,7 +29,7 @@ from ..device.gpu import SimulatedGPU
 from ..device.spec import DeviceSpec
 from ..errors import ConfigError
 from ..obs.instruments import (EngineInstruments, finalize_run_metrics,
-                               record_dtype, record_heuristic)
+                               record_dtype)
 from ..seq.scoring import Scoring
 from ..sw.backend import validate_kernel
 from ..sw.blocks import BlockedOutcome, compute_blocked
@@ -31,9 +37,8 @@ from ..sw.compiled import warmup as compiled_warmup
 from ..sw.constants import validate_dp_dtype
 from ..sw.kernel import BestCell
 from ..sw.pruning import BlockPruner
-from ..sw.xdrop import (DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X,
-                        adaptive_banded_score, assess_heuristic, validate_mode,
-                        xdrop_score)
+from ..sw.tiers import run_tiers, validate_tiers
+from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
 
 
 @dataclass
@@ -80,6 +85,25 @@ class SingleGpuResult:
         return self.best.score if self.best.row >= 0 else 0
 
 
+def _device_time(spec: DeviceSpec, cols: int,
+                 chunks: list[tuple[int, int | None]],
+                 instruments: EngineInstruments | None = None) -> float:
+    """Virtual time of one device running a kernel call per ``(cells,
+    block_rows)`` chunk over a *cols*-wide matrix."""
+    engine = Engine()
+    gpu = SimulatedGPU(engine, spec)
+
+    def proc():
+        for cells, rows in chunks:
+            t0 = engine.now
+            yield from gpu.compute(max(1, cells), cols, block_rows=rows)
+            if instruments is not None:
+                instruments.block_computed(engine.now - t0, cells=cells)
+
+    engine.process(proc(), "single-gpu")
+    return engine.run()
+
+
 def run_single_gpu(
     a_codes: np.ndarray,
     b_codes: np.ndarray,
@@ -105,11 +129,12 @@ def run_single_gpu(
     standard instrument set (virtual-clock latencies, no border traffic —
     a single device has no neighbours).
 
-    *mode* selects the tier: ``"exact"`` (default, full matrix),
-    ``"banded"`` (the adaptive band of
-    :func:`~repro.sw.xdrop.adaptive_banded_score`, half-width
-    *band_width*), ``"xdrop"`` (origin-anchored X-drop extension with
-    threshold *xdrop_x*), or ``"auto"`` (heuristic first, exact re-run
+    *mode* selects the tier through the shared front door
+    (:func:`~repro.sw.tiers.run_tiers`): ``"exact"`` (default, full
+    matrix), ``"banded"`` (blocks missing the static band ``|j - i| <=
+    band_width`` are skipped, as on every other engine), ``"xdrop"``
+    (origin-anchored X-drop extension with threshold *xdrop_x*, its cells
+    charged to the device), or ``"auto"`` (banded first, exact re-run
     only when the :func:`~repro.sw.xdrop.assess_heuristic` confidence
     check fails; the result's ``tier``/``escalated`` fields say which
     tier answered).  Heuristic scores are lower bounds of the exact one.
@@ -117,187 +142,88 @@ def run_single_gpu(
     ``dp_dtype`` selects the kernel's internal compute dtype (``"auto"``
     picks the narrowest guaranteed-overflow-free policy; explicit narrow
     names escalate per block).  ``kernel`` selects the block sweep
-    (scalar/batched/compiled).  Scores stay bit-identical either way.
+    (scalar/batched/compiled) of every swept tier.  Scores stay
+    bit-identical either way.
     """
-    validate_mode(mode)
+    validate_tiers(mode, band_width, xdrop_x)
     validate_kernel(kernel)
     validate_dp_dtype(dp_dtype)
-    if mode != "exact":
-        return _run_single_heuristic(
-            a_codes, b_codes, scoring, spec,
-            block_rows=block_rows, block_cols=block_cols, prune=prune,
-            mode=mode, band_width=band_width, xdrop_x=xdrop_x,
-            kernel=kernel, dp_dtype=dp_dtype, metrics=metrics)
     m, n = int(a_codes.size), int(b_codes.size)
     if block_cols is None:
         block_cols = block_rows
-    if kernel == "compiled":
-        compiled_warmup()  # idempotent; keeps compile out of callers' timings
-    pruner = BlockPruner(match=scoring.match) if prune else None
-    outcome: BlockedOutcome = compute_blocked(
-        a_codes, b_codes, scoring,
-        block_rows=block_rows, block_cols=block_cols, pruner=pruner,
-        kernel=kernel, dp_dtype=dp_dtype,
-    )
-    computed = outcome.cells_total - outcome.cells_pruned
-    engine = Engine()
-    gpu = SimulatedGPU(engine, spec)
     instruments = (EngineInstruments(metrics, "single-gpu")
                    if metrics is not None else None)
 
-    def proc():
-        # One compute charge per block row over the full width; pruned
-        # cells are charged nothing (the device skips those blocks).
-        rows_done = 0
-        remaining = computed
-        while rows_done < m:
-            rows = min(block_rows, m - rows_done)
+    def sweep(band_half_width: int | None) -> SingleGpuResult:
+        if kernel == "compiled":
+            compiled_warmup()  # idempotent; keeps compile out of callers' timings
+        pruner = BlockPruner(match=scoring.match) if prune else None
+        outcome: BlockedOutcome = compute_blocked(
+            a_codes, b_codes, scoring,
+            block_rows=block_rows, block_cols=block_cols, pruner=pruner,
+            kernel=kernel, band_half_width=band_half_width, dp_dtype=dp_dtype,
+        )
+        computed = (outcome.cells_total - outcome.cells_pruned
+                    - outcome.cells_skipped_band)
+        # One compute charge per block row over the full width; pruned and
+        # band-skipped cells are charged nothing (the device skips them).
+        chunks, remaining = [], computed
+        for r0 in range(0, m, block_rows):
+            rows = min(block_rows, m - r0)
             cells = min(remaining, rows * n)
             if cells > 0:
-                t0 = engine.now
-                yield from gpu.compute(cells, n, block_rows=rows)
-                if instruments is not None:
-                    instruments.block_computed(engine.now - t0, cells=cells)
+                chunks.append((cells, rows))
                 remaining -= cells
-            rows_done += rows
+        result = SingleGpuResult(
+            best=outcome.best,
+            total_time_s=_device_time(spec, n, chunks, instruments),
+            cells=m * n,
+            cells_computed=computed,
+            pruned_fraction=outcome.pruned_fraction,
+            blocks_checked=pruner.blocks_checked if pruner is not None else 0,
+            blocks_pruned=pruner.blocks_pruned if pruner is not None else 0,
+            blocks_skipped_band=outcome.blocks_skipped_band,
+            kernel=kernel,
+            dp_dtype=outcome.dp_dtype,
+            blocks_narrow=outcome.blocks_narrow,
+            blocks_wide=outcome.blocks_wide,
+            dtype_escalations=outcome.dtype_escalations,
+        )
+        if instruments is not None:
+            # 2-D-block skip and dtype decisions happen inside
+            # compute_blocked, so they are bulk-recorded from its outcome.
+            if result.blocks_pruned:
+                instruments.block_pruned(result.blocks_pruned)
+            if result.blocks_skipped_band:
+                instruments.block_skipped_band(result.blocks_skipped_band)
+            if outcome.dp_dtype != "int32":
+                record_dtype(metrics, device="single-gpu",
+                             narrow=outcome.blocks_narrow,
+                             wide=outcome.blocks_wide,
+                             escalations=outcome.dtype_escalations)
+        return result
 
-    engine.process(proc(), "single-gpu")
-    total = engine.run()
-    result = SingleGpuResult(
-        best=outcome.best,
-        total_time_s=total,
-        cells=m * n,
-        cells_computed=computed,
-        pruned_fraction=outcome.pruned_fraction,
-        blocks_checked=pruner.blocks_checked if pruner is not None else 0,
-        blocks_pruned=pruner.blocks_pruned if pruner is not None else 0,
-        kernel=kernel,
-        dp_dtype=outcome.dp_dtype,
-        blocks_narrow=outcome.blocks_narrow,
-        blocks_wide=outcome.blocks_wide,
-        dtype_escalations=outcome.dtype_escalations,
-    )
+    def from_xdrop(xo) -> SingleGpuResult:
+        # The frontier runs on the host; the device is charged its actual
+        # cells so the virtual clock stays comparable to the swept tiers.
+        cells = xo.cells_computed
+        return SingleGpuResult(
+            best=xo.best,
+            total_time_s=_device_time(spec, n, [(cells, block_rows)],
+                                      instruments),
+            cells=m * n, cells_computed=cells, pruned_fraction=0.0,
+            kernel=kernel)
+
+    result = run_tiers(a_codes, b_codes, scoring, mode=mode,
+                       band_width=band_width, xdrop_x=xdrop_x, sweep=sweep,
+                       from_xdrop=from_xdrop, elapsed="total_time_s",
+                       backend="single", metrics=metrics)
     if metrics is not None:
-        # 2-D-block pruning decisions happen inside compute_blocked, so
-        # the per-block counters are bulk-recorded from its outcome.
-        if result.blocks_pruned:
-            instruments.block_pruned(result.blocks_pruned)
-        if outcome.dp_dtype != "int32":
-            record_dtype(metrics, device="single-gpu",
-                         narrow=outcome.blocks_narrow,
-                         wide=outcome.blocks_wide,
-                         escalations=outcome.dtype_escalations)
         finalize_run_metrics(
             metrics, backend="single",
             blocks_checked=result.blocks_checked,
             blocks_pruned=result.blocks_pruned,
-            wall_time_s=total, gcups=result.gcups)
-    return result
-
-
-def _run_single_heuristic(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    scoring: Scoring,
-    spec: DeviceSpec,
-    *,
-    block_rows: int,
-    block_cols: int | None,
-    prune: bool,
-    mode: str,
-    band_width: int,
-    xdrop_x: int,
-    kernel: str = "scalar",
-    dp_dtype: str = "auto",
-    metrics=None,
-) -> SingleGpuResult:
-    """The banded/xdrop/auto tiers of :func:`run_single_gpu`.
-
-    The heuristic sweeps run on the host (they are tiny next to the full
-    matrix); the device is charged their actual cell count so the virtual
-    clock stays comparable to the exact tier.  ``mode="auto"`` re-runs the
-    exact engine when the confidence check fails and reports the *summed*
-    virtual time of both tiers.
-    """
-    m, n = int(a_codes.size), int(b_codes.size)
-    saturated = False
-    if mode == "xdrop":
-        xo = xdrop_score(a_codes, b_codes, scoring, xdrop_x)
-        best, computed = xo.best, xo.cells_computed
-    else:  # banded or auto: the adaptive band is the heuristic
-        bo = adaptive_banded_score(a_codes, b_codes, scoring, band_width,
-                                   block_rows=block_rows)
-        best, computed = bo.best, bo.cells_computed
-        saturated = bo.saturated
-
-    engine = Engine()
-    gpu = SimulatedGPU(engine, spec)
-    instruments = (EngineInstruments(metrics, "single-gpu")
-                   if metrics is not None else None)
-
-    def proc():
-        t0 = engine.now
-        yield from gpu.compute(max(1, computed), n, block_rows=block_rows)
-        if instruments is not None:
-            instruments.block_computed(engine.now - t0, cells=computed)
-
-    engine.process(proc(), "single-gpu")
-    total = engine.run()
-
-    tier = "xdrop" if mode == "xdrop" else "banded"
-    escalated = False
-    pruned_fraction = 0.0
-    blocks_checked = blocks_pruned = 0
-    dp_name = "int32"
-    blocks_narrow = blocks_wide = dtype_escalations = 0
-    if mode == "auto":
-        decision = assess_heuristic(best, m, n, scoring, saturated=saturated)
-        if not decision.confident:
-            exact = run_single_gpu(
-                a_codes, b_codes, scoring, spec,
-                block_rows=block_rows, block_cols=block_cols, prune=prune,
-                kernel=kernel, dp_dtype=dp_dtype)
-            best = exact.best
-            computed += exact.cells_computed
-            total += exact.total_time_s
-            tier, escalated = "exact", True
-            pruned_fraction = exact.pruned_fraction
-            blocks_checked = exact.blocks_checked
-            blocks_pruned = exact.blocks_pruned
-            dp_name = exact.dp_dtype
-            blocks_narrow = exact.blocks_narrow
-            blocks_wide = exact.blocks_wide
-            dtype_escalations = exact.dtype_escalations
-
-    result = SingleGpuResult(
-        best=best,
-        total_time_s=total,
-        cells=m * n,
-        cells_computed=computed,
-        pruned_fraction=pruned_fraction,
-        blocks_checked=blocks_checked,
-        blocks_pruned=blocks_pruned,
-        mode=mode,
-        tier=tier,
-        escalated=escalated,
-        kernel=kernel,
-        dp_dtype=dp_name,
-        blocks_narrow=blocks_narrow,
-        blocks_wide=blocks_wide,
-        dtype_escalations=dtype_escalations,
-    )
-    if metrics is not None:
-        if mode == "auto":
-            record_heuristic(metrics, backend="single",
-                             tier=tier, escalated=escalated)
-        if dp_name != "int32":
-            record_dtype(metrics, device="single-gpu",
-                         narrow=blocks_narrow, wide=blocks_wide,
-                         escalations=dtype_escalations)
-        finalize_run_metrics(
-            metrics, backend="single",
-            blocks_checked=blocks_checked, blocks_pruned=blocks_pruned,
-            wall_time_s=total, gcups=result.gcups)
+            wall_time_s=result.total_time_s, gcups=result.gcups)
     return result
 
 
@@ -318,17 +244,9 @@ def time_single_gpu(
         raise ConfigError("pruned_fraction must be in [0, 1)")
     cells = rows * cols
     computed = int(cells * (1.0 - pruned_fraction))
-    engine = Engine()
-    gpu = SimulatedGPU(engine, spec)
-
-    def proc():
-        yield from gpu.compute(max(1, computed), cols)
-
-    engine.process(proc(), "single-gpu")
-    total = engine.run()
     return SingleGpuResult(
         best=BestCell.none(),
-        total_time_s=total,
+        total_time_s=_device_time(spec, cols, [(computed, None)]),
         cells=cells,
         cells_computed=computed,
         pruned_fraction=pruned_fraction,

@@ -24,8 +24,8 @@ Two execution modes share this engine:
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +37,7 @@ from ..device.engine import Engine
 from ..device.gpu import GpuCounters, SimulatedGPU
 from ..device.spec import DeviceSpec
 from ..errors import ConfigError
-from ..obs.instruments import (EngineInstruments, finalize_run_metrics,
-                               record_heuristic)
+from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..seq.scoring import Scoring
 from ..sw.batched import BlockJob, KernelWorkspace, cached_profile, sweep_wavefront, validate_kernel
 from ..sw.blocks import BlockSpec, pruned_border_result
@@ -47,8 +46,8 @@ from ..sw.compiled import warmup as compiled_warmup
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype, validate_dp_dtype
 from ..sw.kernel import BestCell, sweep_block
 from ..sw.pruning import BlockPruner
-from ..sw.xdrop import (DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, assess_heuristic,
-                        band_intersects, validate_mode, xdrop_score)
+from ..sw.tiers import run_tiers, validate_tiers
+from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, band_intersects
 from .partition import Slab, proportional_partition
 
 #: Bytes per border row: H (int32) + E (int32).
@@ -94,14 +93,16 @@ class ChainConfig:
         restart borders instead.  Scores and end points are unchanged
         (see INTERNALS.md section 7); only similar sequences prune much.
     mode:
-        Alignment tier (compute mode only): ``"exact"`` (default),
-        ``"banded"`` (restrict to the static band ``|j - i| <=
-        band_width``; slab block rows that miss the band are skipped
-        outright, compounding with pruning), ``"xdrop"`` (origin-anchored
-        X-drop extension — the sequential frontier runs inline and is
-        charged to the first device), or ``"auto"`` (banded first, exact
-        re-run when the confidence check fails; see INTERNALS.md
-        section 10).  Heuristic scores never exceed the exact score.
+        Alignment tier (compute mode only), dispatched by the shared
+        front door :func:`~repro.sw.tiers.run_tiers` over this chain's
+        exact/banded sweep: ``"exact"`` (default), ``"banded"`` (restrict
+        to the static band ``|j - i| <= band_width``; slab block rows that
+        miss the band are skipped outright, compounding with pruning),
+        ``"xdrop"`` (origin-anchored X-drop extension — the sequential
+        frontier runs inline and is charged to the first device), or
+        ``"auto"`` (banded first, exact re-run when the confidence check
+        fails; see INTERNALS.md section 10).  Heuristic scores never
+        exceed the exact score.
     band_width:
         Half-width of the static band for ``mode="banded"``/``"auto"``.
     xdrop_x:
@@ -134,11 +135,7 @@ class ChainConfig:
         if self.device_slots <= 0:
             raise ConfigError("device_slots must be positive")
         validate_kernel(self.kernel)
-        validate_mode(self.mode)
-        if self.band_width < 0:
-            raise ConfigError("band_width must be >= 0")
-        if self.xdrop_x <= 0:
-            raise ConfigError("xdrop_x must be positive")
+        validate_tiers(self.mode, self.band_width, self.xdrop_x)
         validate_dp_dtype(self.dp_dtype)
 
 
@@ -164,6 +161,7 @@ class PhantomWorkload:
             raise ConfigError("matrix dimensions must be positive")
         self.rows = rows
         self.cols = cols
+        self.a = self.b = None  # no sequences: timing-mode exact runs only
         self.scoring: Scoring | None = None
         self.phantom = True
 
@@ -181,7 +179,7 @@ class GpuReport:
     blocks_checked: int = 0
     blocks_pruned: int = 0
     #: Slab block rows skipped because they miss the static band
-    #: (``ChainConfig.mode == "banded"`` only).
+    #: (banded sweeps only).
     blocks_skipped_band: int = 0
     #: Narrow/wide split of this device's swept blocks (zeros unless a
     #: narrow DP dtype policy was active).
@@ -311,7 +309,6 @@ class MultiGpuChain:
         stop_row: int | None = None,
         metrics=None,
         events=None,
-        _finalize_metrics: bool = True,
     ) -> ChainResult:
         """Execute the workload; pass a :class:`repro.device.trace.Tracer`
         to record per-device activity intervals.
@@ -322,20 +319,24 @@ class MultiGpuChain:
         result carries a ``checkpoint`` to resume from).  Virtual time
         accumulates across segments.
 
+        ``config.mode`` is answered by the shared tier front door
+        (:func:`~repro.sw.tiers.run_tiers`) over this chain's
+        exact/banded sweep; heuristic modes need a compute-mode workload
+        and refuse ``resume``/``stop_row``.
+
         ``metrics`` accepts a :class:`~repro.obs.registry.MetricsRegistry`
         to collect the standard per-device instrument set (block and
         border counters, sweep latency histograms — on the **virtual**
         clock, matching the rest of this engine's timing).  ``events``
         accepts an :class:`~repro.obs.events.EventJournal`; the simulated
-        engine journals ``run_start``/``run_end`` (plus
-        ``heuristic_escalation`` under ``mode="auto"`` and a summary
-        ``dtype_escalation``) — there are no processes to spawn or lose,
-        so the per-worker lifecycle events stay with the real-process
-        engines.
+        engine journals ``run_start``/``run_end`` plus the front door's
+        ``heuristic_escalation`` and ``dtype_escalation`` records — there
+        are no processes to spawn or lose, so the per-worker lifecycle
+        events stay with the real-process engine.
         """
         cfg = self.config
         m, n = workload.rows, workload.cols
-        if events is not None and _finalize_metrics:
+        if events is not None:
             events.emit("run_start", backend="sim", mode=cfg.mode,
                         rows=m, cols=n, devices=len(self.specs),
                         kernel=cfg.kernel, pruning=cfg.pruning)
@@ -346,13 +347,35 @@ class MultiGpuChain:
             if resume is not None or stop_row is not None:
                 raise ConfigError(
                     "heuristic modes do not support resume/stop_row")
-            if cfg.mode == "xdrop":
-                return self._run_xdrop(workload, tracer=tracer,
-                                       metrics=metrics, events=events,
-                                       _finalize_metrics=_finalize_metrics)
-            if cfg.mode == "auto":
-                return self._run_auto(workload, tracer=tracer,
-                                      metrics=metrics, events=events)
+        result = run_tiers(
+            workload.a, workload.b, workload.scoring, mode=cfg.mode,
+            band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
+            sweep=partial(self._sweep, workload, tracer=tracer, resume=resume,
+                          stop_row=stop_row, metrics=metrics),
+            from_xdrop=partial(self._from_xdrop, workload, tracer=tracer,
+                               metrics=metrics),
+            elapsed="total_time_s", backend="sim", metrics=metrics,
+            events=events)
+        if metrics is not None:
+            finalize_run_metrics(
+                metrics, backend="sim",
+                blocks_checked=result.blocks_checked,
+                blocks_pruned=result.blocks_pruned,
+                wall_time_s=result.total_time_s, gcups=result.gcups)
+        if events is not None:
+            events.emit("run_end", status="ok", score=int(result.best.score),
+                        virtual_time_s=round(result.total_time_s, 6),
+                        tier=result.tier, escalated=result.escalated)
+        return result
+
+    def _sweep(self, workload: MatrixWorkload | PhantomWorkload,
+               band_half_width: int | None, *, tracer, resume, stop_row,
+               metrics) -> ChainResult:
+        """One exact sweep of the chain, or a banded one: slab block rows
+        that miss the static band ``|j - i| <= band_half_width`` are
+        skipped outright, compounding with pruning."""
+        cfg = self.config
+        m, n = workload.rows, workload.cols
         slabs = self.partition_for(n)
         if len(slabs) != len(self.specs):
             raise ConfigError("partition size != device count")
@@ -421,11 +444,9 @@ class MultiGpuChain:
         # one in-process scoreboard (the lock-free SharedScoreboard plays
         # this role for the real-process engines).  Seeded from the resume
         # best so a continued run prunes against everything already found.
-        # Static band (mode="banded"): slab block rows whose block misses
-        # |j - i| <= band_width are skipped outright — before the pruner
-        # even looks — and emit the same restart borders.
-        band_hw = (cfg.band_width
-                   if cfg.mode == "banded" and not workload.phantom else None)
+        # Static band: slab block rows whose block misses |j - i| <=
+        # band_half_width are skipped outright — before the pruner even
+        # looks — and emit the same restart borders.
         band_skips = [0] * len(gpus)
 
         scoreboard = None
@@ -483,8 +504,7 @@ class MultiGpuChain:
                         corner = 0
 
                     spec = BlockSpec(r0, r1, slab.col0, slab.col1)
-                    skipped_band = (band_hw is not None
-                                    and not band_intersects(spec, band_hw))
+                    skipped_band = not band_intersects(spec, band_half_width)
                     if skipped_band:
                         band_skips[g] += 1
                         if instruments is not None:
@@ -497,6 +517,7 @@ class MultiGpuChain:
                             int(h_top.max(initial=NEG_INF)),
                             int(h_left.max(initial=NEG_INF)),
                             scoreboard.read(),
+                            corner=int(corner),
                         )
 
                     if pruned or skipped_band:
@@ -617,7 +638,7 @@ class MultiGpuChain:
             checkpoint = ChainCheckpoint(
                 row=end_row, h_row=h_row, f_row=f_row, best=best, elapsed_s=total
             )
-        result = ChainResult(
+        return ChainResult(
             best=best,
             total_time_s=total,
             # Cumulative across resumed segments: rows [0, end_row) over the
@@ -628,48 +649,23 @@ class MultiGpuChain:
             config=cfg,
             partition=slabs,
             checkpoint=checkpoint,
-            mode=cfg.mode,
-            tier="banded" if cfg.mode == "banded" else "exact",
             dp_dtype=dp_name,
         )
-        if metrics is not None and _finalize_metrics:
-            finalize_run_metrics(
-                metrics, backend="sim",
-                blocks_checked=result.blocks_checked,
-                blocks_pruned=result.blocks_pruned,
-                wall_time_s=total, gcups=result.gcups)
-        if events is not None and _finalize_metrics:
-            total_esc = sum(c[2] for c in dtype_counts)
-            if total_esc > 0:
-                events.emit("dtype_escalation", dp_dtype=dp_name,
-                            escalations=total_esc)
-            events.emit("run_end", status="ok", score=int(best.score),
-                        virtual_time_s=round(total, 6), tier=result.tier)
-        return result
 
-    def _run_xdrop(
-        self,
-        workload: MatrixWorkload,
-        *,
-        tracer=None,
-        metrics=None,
-        events=None,
-        _finalize_metrics: bool = True,
-    ) -> ChainResult:
-        """``mode="xdrop"``: the extension frontier is a sequential
-        anti-diagonal sweep with no block decomposition, so it runs
-        inline and its cells are charged to the first device (the rest of
-        the chain stays idle — a documented scheduling decision, not a
-        limitation of the virtual clock)."""
+    def _from_xdrop(self, workload: MatrixWorkload, xo, *, tracer,
+                    metrics) -> ChainResult:
+        """An X-drop outcome as a chain result: the extension frontier is
+        a sequential anti-diagonal sweep with no block decomposition, so
+        its cells are charged to the first device (the rest of the chain
+        stays idle — a documented scheduling decision, not a limitation
+        of the virtual clock)."""
         cfg = self.config
-        m, n = workload.rows, workload.cols
+        n = workload.cols
         slabs = self.partition_for(n)
-        xo = xdrop_score(workload.a, workload.b, workload.scoring, cfg.xdrop_x)
-
         engine = Engine()
         gpus = [SimulatedGPU(engine, spec, i, tracer)
                 for i, spec in enumerate(self.specs)]
-        instruments = ([EngineInstruments(metrics, gpu.name) for gpu in gpus]
+        instruments = (EngineInstruments(metrics, gpus[0].name)
                        if metrics is not None else None)
 
         def proc():
@@ -677,8 +673,8 @@ class MultiGpuChain:
             yield from gpus[0].compute(max(1, xo.cells_computed), n,
                                        block_rows=cfg.block_rows)
             if instruments is not None:
-                instruments[0].block_computed(engine.now - t0,
-                                              cells=xo.cells_computed)
+                instruments.block_computed(engine.now - t0,
+                                           cells=xo.cells_computed)
 
         engine.process(proc(), "gpu0")
         total = engine.run()
@@ -688,77 +684,9 @@ class MultiGpuChain:
                       finished_at=total if g == 0 else 0.0)
             for g in range(len(gpus))
         ]
-        result = ChainResult(
-            best=xo.best,
-            total_time_s=total,
-            cells=m * n,
-            gpus=reports,
-            channels=[],
-            config=cfg,
-            partition=slabs,
-            mode="xdrop",
-            tier="xdrop",
-        )
-        if metrics is not None and _finalize_metrics:
-            finalize_run_metrics(
-                metrics, backend="sim", blocks_checked=0, blocks_pruned=0,
-                wall_time_s=total, gcups=result.gcups)
-        if events is not None and _finalize_metrics:
-            events.emit("run_end", status="ok", score=int(xo.best.score),
-                        virtual_time_s=round(total, 6), tier="xdrop")
-        return result
-
-    def _run_auto(
-        self,
-        workload: MatrixWorkload,
-        *,
-        tracer=None,
-        metrics=None,
-        events=None,
-    ) -> ChainResult:
-        """``mode="auto"``: banded heuristic first; re-run exact only when
-        the confidence check fails.  The reported virtual time sums the
-        tiers actually run, and ``tier``/``escalated`` say who answered."""
-        cfg = self.config
-        m, n = workload.rows, workload.cols
-        sub = copy.copy(self)  # preserves cluster subclasses' channels
-        sub.config = replace(cfg, mode="banded")
-        heur = sub.run(workload, tracer=tracer, metrics=metrics,
-                       _finalize_metrics=False)
-        decision = assess_heuristic(heur.best, m, n, workload.scoring,
-                                    band_half_width=cfg.band_width)
-        if decision.confident:
-            result = heur
-            result.config = cfg
-            result.mode, result.tier = "auto", "banded"
-        else:
-            if events is not None:
-                events.emit(
-                    "heuristic_escalation", tier="exact",
-                    heur_score=int(heur.best.score),
-                    band_width=cfg.band_width,
-                    reason="confidence check rejected the banded score")
-            sub.config = replace(cfg, mode="exact")
-            exact = sub.run(workload, tracer=tracer, metrics=metrics,
-                            _finalize_metrics=False)
-            result = exact
-            result.config = cfg
-            result.total_time_s += heur.total_time_s
-            result.mode, result.tier = "auto", "exact"
-            result.escalated = True
-        if metrics is not None:
-            record_heuristic(metrics, backend="sim",
-                             tier=result.tier, escalated=result.escalated)
-            finalize_run_metrics(
-                metrics, backend="sim",
-                blocks_checked=result.blocks_checked,
-                blocks_pruned=result.blocks_pruned,
-                wall_time_s=result.total_time_s, gcups=result.gcups)
-        if events is not None:
-            events.emit("run_end", status="ok", score=int(result.best.score),
-                        virtual_time_s=round(result.total_time_s, 6),
-                        tier=result.tier, escalated=result.escalated)
-        return result
+        return ChainResult(best=xo.best, total_time_s=total,
+                           cells=workload.rows * n, gpus=reports, channels=[],
+                           config=cfg, partition=slabs)
 
 
 def align_multi_gpu(

@@ -36,8 +36,6 @@ unlinks the shared memory.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,8 +46,7 @@ from ..comm.shmring import ShmRing
 from ..device.trace import Tracer, WallClockRecorder, merge_wall_records
 from ..errors import ConfigError
 from ..obs.heartbeat import HeartbeatMonitor
-from ..obs.instruments import (EngineInstruments, record_heuristic,
-                               record_recovery)
+from ..obs.instruments import EngineInstruments, record_recovery
 from ..obs.registry import MetricsRegistry
 from ..seq.scoring import Scoring
 from ..sw.backend import KERNELS
@@ -57,23 +54,22 @@ from ..sw.batched import KernelWorkspace
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.constants import resolve_dp_dtype
 from ..sw.kernel import BestCell
-from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, assess_heuristic
+from ..sw.tiers import BANDED_MODES, SWEPT_MODES, run_tiers
+from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
 from .checkpoint import CheckpointArea, RetryPolicy
 from .partition import proportional_partition, surviving_partition
 from .procchain import (
+    TRANSPORTS,
     PipeLink,
     ProcessChainResult,
     SlabReport,
     SlabTask,
-    check_chain_args,
     check_comparison,
     checkpoint_history_for,
     collect_results,
-    journal_run_start,
     pick_context,
     publish_run,
     sweep_slab,
-    xdrop_result,
 )
 
 
@@ -185,9 +181,17 @@ class WorkerPool:
         warm_kernels: Sequence[str] = (),
         events=None,
         _backend: str = "pool",
+        _lazy: bool = False,
     ) -> None:
-        check_chain_args(workers, capacity=capacity, transport=transport,
-                         weights=weights)
+        if workers <= 0:
+            raise ConfigError("workers must be positive")
+        if transport not in TRANSPORTS:
+            raise ConfigError(f"unknown transport {transport!r}; expected "
+                              f"one of {TRANSPORTS}")
+        if capacity <= 0:
+            raise ConfigError("capacity must be positive")
+        if weights is not None and len(weights) != workers:
+            raise ConfigError("weights length must equal the worker count")
         if max_block_rows <= 0:
             raise ConfigError("max_block_rows must be positive")
         for k in warm_kernels:
@@ -214,7 +218,11 @@ class WorkerPool:
         #: Last :class:`~repro.multigpu.autotune.RebalanceDecision` made by
         #: an ``align(rebalance=True)`` run (``None`` until one completes).
         self.last_rebalance = None
-        self._spawn_workers()
+        # _lazy (align_multi_process) defers the spawn to the first sweep,
+        # so a comparison answered inline (X-drop) starts no process.
+        self._procs: list = []
+        if not _lazy:
+            self._spawn_workers()
 
     def _spawn_workers(self) -> None:
         """Create the transports, boards, queues and worker processes for
@@ -338,6 +346,8 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
+        if not self._procs:  # a lazy pool that never swept
+            return
         errors = self._stop_workers(graceful=not self._broken)
         errors += self._release()
         if errors:
@@ -384,16 +394,17 @@ class WorkerPool:
         bit-identical to every other engine); raises ``RuntimeError`` on
         worker failure/timeout and :class:`ConfigError` on bad arguments.
 
-        Heuristic tier (INTERNALS.md section 10): *mode* selects
-        ``"exact"`` (default), ``"banded"`` (slab block rows that miss the
-        static band ``|j - i| <= band_width`` are skipped outright,
-        compounding with pruning), ``"xdrop"`` (origin-anchored X-drop
-        extension with threshold *xdrop_x*; the sequential frontier runs
-        inline in the parent — the workers stay idle), or ``"auto"``
-        (banded first, exact re-run over the same live workers when the
-        confidence check fails; the result's ``tier``/``escalated``
-        fields say which tier answered).  Heuristic scores never exceed
-        the exact score.
+        Heuristic tier (INTERNALS.md section 10): *mode* is dispatched by
+        the shared front door :func:`~repro.sw.tiers.run_tiers` over this
+        pool's exact/banded sweep: ``"exact"`` (default), ``"banded"``
+        (slab block rows that miss the static band ``|j - i| <=
+        band_width`` are skipped outright, compounding with pruning),
+        ``"xdrop"`` (origin-anchored X-drop extension with threshold
+        *xdrop_x*; the sequential frontier runs inline in the parent —
+        the workers stay idle), or ``"auto"`` (banded first, exact re-run
+        over the same live workers when the confidence check fails; the
+        result's ``tier``/``escalated`` fields say which tier answered).
+        Heuristic scores never exceed the exact score.
 
         *pruning* turns on distributed block pruning against the chain's
         shared scoreboard (reset before each comparison, so scores from
@@ -447,9 +458,9 @@ class WorkerPool:
         and, when *metrics* is given, as a ``slab_rebalances`` counter
         plus per-worker ``worker_rows_per_s`` gauges.
 
-        ``_finalize_metrics=False`` leaves the run's ``run_start``, its
-        successful ``run_end`` and the run-level summary metrics to the
-        caller; a failed run always journals its ``run_end``.
+        ``_finalize_metrics=False`` leaves the run's successful ``run_end``
+        and the run-level summary metrics to the caller; a failed run
+        always journals its ``run_end``.
         """
         if self._closed:
             raise ConfigError("pool is closed")
@@ -468,76 +479,59 @@ class WorkerPool:
         if retry is None:
             retry = RetryPolicy(max_restarts=max_restarts,
                                 backoff_s=restart_backoff_s)
-        if self.events is not None and _finalize_metrics:
-            journal_run_start(
-                self.events, backend=self._backend, mode=mode,
+        if self.events is not None:
+            self.events.emit(
+                "run_start", backend=self._backend, mode=mode,
                 rows=int(a_codes.size), cols=int(b_codes.size),
-                workers=self.workers, kernel=kernel,
-                transport=self.transport, pruning=pruning,
-                max_restarts=retry.max_restarts, band_width=band_width)
-        if mode == "xdrop":
-            result = xdrop_result(
-                a_codes, b_codes, scoring, xdrop_x, transport=self.transport,
-                start_method=self.start_method, tracer=tracer, kernel=kernel)
-        else:
-            sweep = partial(
-                self._sweep, a_codes, b_codes, scoring,
+                workers=self.workers if mode in SWEPT_MODES else 0,
+                kernel=kernel, transport=self.transport, pruning=pruning,
+                max_restarts=retry.max_restarts,
+                band_width=band_width if mode in BANDED_MODES else None)
+        t0 = time.perf_counter()
+        faults = iter([_fault])  # the crash hook fires on the first sweep only
+
+        def sweep(band_half_width: int | None) -> ProcessChainResult:
+            return self._sweep(
+                a_codes, b_codes, scoring, band_half_width,
                 block_rows=block_rows, timeout_s=timeout_s, tracer=tracer,
                 kernel=kernel, pruning=pruning, metrics=metrics,
                 heartbeat_s=heartbeat_s, on_stall=on_stall, retry=retry,
-                checkpoint_blocks=checkpoint_blocks, band_width=band_width,
-                dp_dtype=dp_dtype, rebalance=rebalance,
-                rebalance_threshold=rebalance_threshold, timeline=timeline,
-                fault=_fault)
-            if mode == "auto":
-                result = self._align_auto(sweep, a_codes, b_codes, scoring,
-                                          band_width=band_width,
-                                          metrics=metrics)
-            else:
-                result = sweep(mode)
+                checkpoint_blocks=checkpoint_blocks, dp_dtype=dp_dtype,
+                rebalance=rebalance, rebalance_threshold=rebalance_threshold,
+                timeline=timeline, fault=next(faults, None))
+
+        def from_xdrop(xo) -> ProcessChainResult:
+            # The frontier has no block decomposition to distribute: it
+            # ran inline in the parent and no worker took part.
+            return ProcessChainResult(
+                best=xo.best, wall_time_s=time.perf_counter() - t0,
+                cells=int(a_codes.size) * int(b_codes.size), workers=0,
+                transport=self.transport, start_method=self.start_method,
+                tracer=tracer if tracer is not None else Tracer(),
+                kernel=kernel)
+
+        result = run_tiers(a_codes, b_codes, scoring, mode=mode,
+                           band_width=band_width, xdrop_x=xdrop_x,
+                           sweep=sweep, from_xdrop=from_xdrop,
+                           elapsed="wall_time_s", backend=self._backend,
+                           metrics=metrics, events=self.events)
         if _finalize_metrics:
             publish_run(result, backend=self._backend, metrics=metrics,
                         events=self.events)
         return result
 
-    def _align_auto(self, sweep, a_codes, b_codes, scoring, *, band_width,
-                    metrics) -> ProcessChainResult:
-        """``mode="auto"``: banded heuristic first, exact re-run over the
-        same live workers only when
-        :func:`~repro.sw.xdrop.assess_heuristic` rejects the answer.  The
-        reported wall time sums the tiers actually run."""
-        m, n = int(a_codes.size), int(b_codes.size)
-        heur = sweep("banded")
-        decision = assess_heuristic(heur.best, m, n, scoring,
-                                    band_half_width=band_width)
-        if decision.confident:
-            result = replace(heur, mode="auto", tier="banded")
-        else:
-            if self.events is not None:
-                self.events.emit(
-                    "heuristic_escalation", tier="exact",
-                    heur_score=int(heur.best.score), band_width=band_width,
-                    reason="confidence check rejected the banded score")
-            exact = sweep("exact", fault=None)  # the hook fired on tier 1
-            result = replace(
-                exact,
-                wall_time_s=heur.wall_time_s + exact.wall_time_s,
-                mode="auto", tier="exact", escalated=True)
-        if metrics is not None:
-            record_heuristic(metrics, backend=self._backend,
-                             tier=result.tier, escalated=result.escalated)
-        return result
-
-    def _sweep(self, a_codes, b_codes, scoring, mode, *, block_rows,
-               timeout_s, tracer, kernel, pruning, metrics, heartbeat_s,
-               on_stall, retry, checkpoint_blocks, band_width, dp_dtype,
+    def _sweep(self, a_codes, b_codes, scoring, band_half_width, *,
+               block_rows, timeout_s, tracer, kernel, pruning, metrics,
+               heartbeat_s, on_stall, retry, checkpoint_blocks, dp_dtype,
                rebalance, rebalance_threshold, timeline,
                fault) -> ProcessChainResult:
-        """One exact or banded comparison over the chain: one attempt per
-        loop iteration; a failed attempt either checkpoint-resumes on the
-        re-spawned survivors or raises."""
+        """One exact sweep over the chain, or a banded one (slab block rows
+        missing the static band ``|j - i| <= band_half_width`` are
+        skipped): one attempt per loop iteration; a failed attempt either
+        checkpoint-resumes on the re-spawned survivors or raises."""
+        if not self._procs:
+            self._spawn_workers()
         m, n = int(a_codes.size), int(b_codes.size)
-        band_half_width = band_width if mode == "banded" else None
         recovery = retry.max_restarts > 0
         result_tracer = tracer if tracer is not None else Tracer()
         restarts = 0
@@ -632,12 +626,6 @@ class WorkerPool:
                     if sampler is not None:
                         self._apply_rebalance(sampler, slabs,
                                               rebalance_threshold, metrics)
-                    if self.events is not None and total_esc > 0:
-                        self.events.emit(
-                            "dtype_escalation", dp_dtype=dp_policy.name,
-                            escalations=total_esc,
-                            blocks_narrow=total_narrow,
-                            blocks_wide=total_wide)
                     return ProcessChainResult(
                         best=(attempt_best
                               if attempt_best.better_than(base_best)
@@ -655,8 +643,6 @@ class WorkerPool:
                         worker_blocks=tuple(worker_blocks),
                         restarts=restarts,
                         rows_recomputed=rows_recomputed_total,
-                        mode=mode,
-                        tier="banded" if mode == "banded" else "exact",
                         blocks_skipped_band=attempt_skipped_band,
                         dp_dtype=dp_policy.name,
                         blocks_narrow=total_narrow,

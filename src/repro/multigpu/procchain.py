@@ -63,8 +63,8 @@ from ..sw.compiled import sweep_block_compiled
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy, validate_dp_dtype
 from ..sw.kernel import BestCell, sweep_block
 from ..sw.pruning import BlockPruner
-from ..sw.xdrop import (DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, band_intersects,
-                        validate_mode, xdrop_score)
+from ..sw.tiers import validate_tiers
+from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, band_intersects
 from .checkpoint import CheckpointArea, RetryPolicy
 from .partition import Slab
 
@@ -236,7 +236,7 @@ class SlabTask:
     ``start_row - 1`` across the slab) and name the per-attempt
     *checkpoints* area to publish into (attached on unpickle, closed
     after the task).  *fault_block* is the test-only crash hook,
-    *band_half_width* is set only under ``mode="banded"``, and *dp* is
+    *band_half_width* is set only for a banded sweep, and *dp* is
     the narrow :class:`~repro.sw.constants.DpPolicy` (``None`` for plain
     int32).
     """
@@ -314,7 +314,7 @@ def sweep_slab(
     and are recorded as zero-length ``pruned`` spans.  Scoreboard reads
     may be stale — safe by monotonicity (see :mod:`repro.comm.scoreboard`).
 
-    Static band (``mode="banded"``): with ``task.band_half_width``, block
+    Static band (a banded sweep): with ``task.band_half_width``, block
     rows whose slab block misses the band ``|j - i| <= band_half_width``
     are skipped outright — before the pruner even looks — emitting the
     same restart borders (``band-skip`` spans; the result is the banded
@@ -390,34 +390,23 @@ def sweep_slab(
         if block_index == task.fault_block:
             os._exit(3)  # simulated hard crash: no exception, no result
 
-        pruned = False
-        skipped_band = False
         spec = BlockSpec(r0, r1, slab.col0, slab.col1)
-        if task.band_half_width is not None and not band_intersects(
-                spec, task.band_half_width):
-            skipped_band = True
-            blocks_skipped_band += 1
-        elif pruner is not None:
-            pruned = pruner.should_prune(
-                spec,
-                m,
-                task.n_cols,
-                int(h_top.max(initial=NEG_INF)),
-                int(h_left.max(initial=NEG_INF)),
-                scoreboard.read(),
-            )
-        if skipped_band:
+        skipped_band = not band_intersects(spec, task.band_half_width)
+        blocks_skipped_band += skipped_band
+        pruned = (not skipped_band and pruner is not None
+                  and pruner.should_prune(
+                      spec, m, task.n_cols, int(h_top.max(initial=NEG_INF)),
+                      int(h_left.max(initial=NEG_INF)), scoreboard.read(),
+                      corner=corner))
+        if skipped_band or pruned:
             progress.beat(slot, r0, "pruned")
-            with recorder.span("band-skip"):
+            with recorder.span("band-skip" if skipped_band else "pruned"):
                 result = pruned_border_result(spec)
             if instruments is not None:
-                instruments.block_skipped_band()
-        elif pruned:
-            progress.beat(slot, r0, "pruned")
-            with recorder.span("pruned"):
-                result = pruned_border_result(spec)
-            if instruments is not None:
-                instruments.block_pruned()
+                if skipped_band:
+                    instruments.block_skipped_band()
+                else:
+                    instruments.block_pruned()
         else:
             progress.beat(slot, r0, "compute")
             with recorder.span("compute"):
@@ -580,19 +569,6 @@ def checkpoint_history_for(workers: int, capacity: int,
     return max(4, (workers - 1) * per_link + 2)
 
 
-def check_chain_args(workers: int, *, capacity: int, transport: str,
-                     weights: Sequence[float] | None) -> None:
-    """Refuse a chain shape no real-process run can use."""
-    if workers <= 0:
-        raise ConfigError("workers must be positive")
-    if transport not in TRANSPORTS:
-        raise ConfigError(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
-    if capacity <= 0:
-        raise ConfigError("capacity must be positive")
-    if weights is not None and len(weights) != workers:
-        raise ConfigError("weights length must equal the worker count")
-
-
 def check_comparison(a_codes: np.ndarray, b_codes: np.ndarray, *,
                      workers: int, block_rows: int, kernel: str, mode: str,
                      dp_dtype: str, band_width: int, xdrop_x: int) -> None:
@@ -600,47 +576,12 @@ def check_comparison(a_codes: np.ndarray, b_codes: np.ndarray, *,
     if block_rows <= 0:
         raise ConfigError("block_rows must be positive")
     validate_kernel(kernel)
-    validate_mode(mode)
+    validate_tiers(mode, band_width, xdrop_x)
     validate_dp_dtype(dp_dtype)
-    if band_width < 0:
-        raise ConfigError("band_width must be >= 0")
-    if xdrop_x <= 0:
-        raise ConfigError("xdrop_x must be positive")
     if a_codes.size == 0 or b_codes.size == 0:
         raise ConfigError("sequences must be non-empty")
     if b_codes.size < workers:
         raise ConfigError("matrix narrower than the worker count")
-
-
-def xdrop_result(a_codes: np.ndarray, b_codes: np.ndarray, scoring: Scoring,
-                 xdrop_x: int, *, transport: str, start_method: str,
-                 tracer: Tracer | None, kernel: str) -> ProcessChainResult:
-    """``mode="xdrop"`` on the real-process engine.
-
-    The X-drop frontier is one sequential anti-diagonal sweep with no
-    block decomposition to distribute, so it runs inline in the parent
-    (a documented scheduling decision; no worker takes part)."""
-    t0 = time.perf_counter()
-    xo = xdrop_score(a_codes, b_codes, scoring, xdrop_x)
-    return ProcessChainResult(
-        best=xo.best, wall_time_s=time.perf_counter() - t0,
-        cells=int(a_codes.size) * int(b_codes.size),
-        workers=0, partition=(), transport=transport,
-        start_method=start_method,
-        tracer=tracer if tracer is not None else Tracer(),
-        kernel=kernel, mode="xdrop", tier="xdrop")
-
-
-def journal_run_start(events, *, backend: str, mode: str, rows: int,
-                      cols: int, workers: int, kernel: str, transport: str,
-                      pruning: bool, max_restarts: int,
-                      band_width: int) -> None:
-    """Open a real-process run in the event journal."""
-    events.emit("run_start", backend=backend, mode=mode, rows=rows,
-                cols=cols, workers=0 if mode == "xdrop" else workers,
-                kernel=kernel, transport=transport, pruning=pruning,
-                max_restarts=max_restarts,
-                band_width=band_width if mode in ("banded", "auto") else None)
 
 
 def publish_run(result: ProcessChainResult, *, backend: str,
@@ -656,7 +597,7 @@ def publish_run(result: ProcessChainResult, *, backend: str,
         events.emit("run_end", status="ok", score=int(result.best.score),
                     wall_time_s=round(result.wall_time_s, 6),
                     restarts=result.restarts, tier=result.tier,
-                    escalated=result.escalated if result.mode == "auto" else None)
+                    escalated=result.escalated)
 
 
 def align_multi_process(
@@ -694,9 +635,9 @@ def align_multi_process(
 
     A :class:`~repro.multigpu.pool.WorkerPool` with a lifetime of one
     comparison: every argument is validated first (each
-    :class:`ConfigError` is raised before any process spawns), then a
-    pool of *workers* slab processes is built, runs this comparison once
-    and is closed on every exit path.  *weights* sizes slabs
+    :class:`ConfigError` is raised before any process spawns), then the
+    pool's first sweep spawns *workers* slab processes, the pool runs
+    this comparison once and is closed on every exit path.  *weights* sizes slabs
     proportionally to per-worker speed (equal by default), *capacity* is
     the border ring depth, *transport* picks shared memory or pipes,
     *start_method* overrides the fork-else-spawn default.  Every other
@@ -720,40 +661,25 @@ def align_multi_process(
     from .pool import WorkerPool  # the engine builds on this module
 
     t0 = time.perf_counter()
-    check_chain_args(workers, capacity=capacity, transport=transport,
-                     weights=weights)
     check_comparison(a_codes, b_codes, workers=workers, block_rows=block_rows,
                      kernel=kernel, mode=mode, dp_dtype=dp_dtype,
                      band_width=band_width, xdrop_x=xdrop_x)
-    ctx = pick_context(start_method)
-    if retry is None:
-        retry = RetryPolicy(max_restarts=max_restarts,
-                            backoff_s=restart_backoff_s)
-    if events is not None:
-        journal_run_start(events, backend="process", mode=mode,
-                          rows=int(a_codes.size), cols=int(b_codes.size),
-                          workers=workers, kernel=kernel, transport=transport,
-                          pruning=pruning, max_restarts=retry.max_restarts,
-                          band_width=band_width)
-    if mode == "xdrop":
-        result = xdrop_result(a_codes, b_codes, scoring, xdrop_x,
-                              transport=transport,
-                              start_method=ctx.get_start_method(),
-                              tracer=tracer, kernel=kernel)
-    else:
-        with WorkerPool(workers, weights=weights, max_block_rows=block_rows,
-                        capacity=capacity, transport=transport,
-                        start_method=start_method,
-                        border_timeout_s=border_timeout_s, events=events,
-                        _backend="process") as pool:
-            result = pool.align(
-                a_codes, b_codes, scoring, block_rows=block_rows,
-                timeout_s=timeout_s, tracer=tracer, kernel=kernel,
-                pruning=pruning, metrics=metrics, heartbeat_s=heartbeat_s,
-                on_stall=on_stall, retry=retry,
-                checkpoint_blocks=checkpoint_blocks, mode=mode,
-                band_width=band_width, dp_dtype=dp_dtype, timeline=timeline,
-                _fault=_fault, _finalize_metrics=False)
+    # A lazy pool: every remaining check runs before its first sweep
+    # spawns the workers, and an inline X-drop run spawns none.
+    with WorkerPool(workers, weights=weights, max_block_rows=block_rows,
+                    capacity=capacity, transport=transport,
+                    start_method=start_method,
+                    border_timeout_s=border_timeout_s, events=events,
+                    _backend="process", _lazy=True) as pool:
+        result = pool.align(
+            a_codes, b_codes, scoring, block_rows=block_rows,
+            timeout_s=timeout_s, tracer=tracer, kernel=kernel,
+            pruning=pruning, metrics=metrics, heartbeat_s=heartbeat_s,
+            on_stall=on_stall, max_restarts=max_restarts,
+            restart_backoff_s=restart_backoff_s, retry=retry,
+            checkpoint_blocks=checkpoint_blocks, mode=mode,
+            band_width=band_width, xdrop_x=xdrop_x, dp_dtype=dp_dtype,
+            timeline=timeline, _fault=_fault, _finalize_metrics=False)
     result = replace(result, wall_time_s=time.perf_counter() - t0)
     publish_run(result, backend="process", metrics=metrics, events=events)
     return result

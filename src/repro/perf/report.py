@@ -36,12 +36,7 @@ def chain_result_dict(result) -> dict:
             "blocks_pruned": result.blocks_pruned,
             "pruned_ratio": result.pruned_ratio,
         } if result.config.pruning else None,
-        "heuristic": {
-            "mode": result.mode,
-            "tier": result.tier,
-            "escalated": result.escalated,
-            "blocks_skipped_band": result.blocks_skipped_band,
-        } if getattr(result, "mode", "exact") != "exact" else None,
+        "heuristic": _heuristic_dict(result),
         "dtype": _dtype_dict(result),
         "devices": [
             {
@@ -97,12 +92,7 @@ def process_result_dict(result) -> dict:
             "restarts": result.restarts,
             "rows_recomputed": result.rows_recomputed,
         } if getattr(result, "restarts", 0) else None,
-        "heuristic": {
-            "mode": result.mode,
-            "tier": result.tier,
-            "escalated": result.escalated,
-            "blocks_skipped_band": result.blocks_skipped_band,
-        } if getattr(result, "mode", "exact") != "exact" else None,
+        "heuristic": _heuristic_dict(result),
         "dtype": _dtype_dict(result),
         # Cross-process clock-skew spans clamped during trace merging —
         # nonzero values flag workers whose perf_counter drifted.
@@ -144,12 +134,7 @@ def single_result_dict(result) -> dict:
             "pruned_ratio": result.pruned_ratio,
             "pruned_fraction": result.pruned_fraction,
         } if result.blocks_checked else None,
-        "heuristic": {
-            "mode": result.mode,
-            "tier": result.tier,
-            "escalated": result.escalated,
-            "blocks_skipped_band": result.blocks_skipped_band,
-        } if getattr(result, "mode", "exact") != "exact" else None,
+        "heuristic": _heuristic_dict(result),
         "dtype": _dtype_dict(result),
     }
 
@@ -176,6 +161,15 @@ def _warmup_seconds(tracer) -> float:
     if tracer is None:
         return 0.0
     return sum(iv.duration for iv in tracer.intervals if iv.kind == "warmup")
+
+
+def _heuristic_dict(result) -> dict | None:
+    """The tier section of a result dict (``None`` on exact runs)."""
+    if getattr(result, "mode", "exact") == "exact":
+        return None
+    return {"mode": result.mode, "tier": result.tier,
+            "escalated": result.escalated,
+            "blocks_skipped_band": result.blocks_skipped_band}
 
 
 def _dtype_dict(result) -> dict | None:

@@ -512,8 +512,8 @@ class ServeDaemon:
             dp_dtype=str(req.get("dp_dtype", "auto")),
             kernel=str(req.get("kernel", "scalar")),
             block_rows=int(req.get("block_rows", 256)),
-            pruning=bool(req.get("pruning", False)),
-            use_cache=bool(req.get("use_cache", True)),
+            pruning=req.get("pruning", False),
+            use_cache=req.get("use_cache", True),
             lane_override=req.get("lane"))
 
     def handle_request(self, req: dict) -> dict:

@@ -31,8 +31,10 @@ import numpy as np
 
 from ..errors import ConfigError, ServeError
 from ..seq.scoring import Scoring
+from ..sw.backend import validate_kernel
 from ..sw.constants import validate_dp_dtype
-from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, validate_mode
+from ..sw.tiers import BANDED_MODES, validate_tiers
+from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
 from .scheduler import LANES, FairScheduler
 
 #: Job lifecycle states (a record only ever moves left to right).
@@ -76,8 +78,17 @@ class JobSpec:
     lane_override: str | None = None   #: force a lane ("short"/"long")
 
     def __post_init__(self) -> None:
-        validate_mode(self.mode)
+        # Refused at submit, before the job is queued: a bad field must
+        # not surface later as an executor failure.
+        validate_tiers(self.mode, self.band_width, self.xdrop_x)
         validate_dp_dtype(self.dp_dtype)
+        if self.kernel != "auto":  # the executor resolves "auto" per host
+            validate_kernel(self.kernel)
+        if self.block_rows <= 0:
+            raise ConfigError("block_rows must be positive")
+        if not (isinstance(self.pruning, bool)
+                and isinstance(self.use_cache, bool)):
+            raise ConfigError("pruning and use_cache must be booleans")
         if self.a_codes.size == 0 or self.b_codes.size == 0:
             raise ConfigError("sequences must be non-empty")
         if not self.tenant:
@@ -101,7 +112,7 @@ class JobSpec:
         short lane (the whole point of the priority lanes).
         """
         m, n = int(self.a_codes.size), int(self.b_codes.size)
-        if self.mode == "banded" or self.mode == "auto":
+        if self.mode in BANDED_MODES:
             return m * min(n, 2 * self.band_width + 1)
         if self.mode == "xdrop":
             return min(m, n) * (2 * self.xdrop_x + 1)
@@ -130,7 +141,7 @@ class JobSpec:
         config = (f"match={s.match},mismatch={s.mismatch},"
                   f"gap_open={s.gap_open},gap_extend={s.gap_extend},"
                   f"mode={self.mode},dp_dtype={self.dp_dtype}")
-        if self.mode in ("banded", "auto"):
+        if self.mode in BANDED_MODES:
             config += f",band_width={self.band_width}"
         if self.mode == "xdrop":
             config += f",xdrop_x={self.xdrop_x}"

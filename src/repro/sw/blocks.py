@@ -263,8 +263,7 @@ def compute_blocked(
         row_corner_updates = [0] * (n_bcols + 1)
         for bc in range(n_bcols):
             spec = specs[br][bc]
-            if band_half_width is not None and not band_intersects(
-                    spec, band_half_width):
+            if not band_intersects(spec, band_half_width):
                 result = pruned_border_result(spec)
                 blocks_skipped += 1
                 cells_skipped += spec.cells
@@ -294,6 +293,7 @@ def compute_blocked(
                 int(bnd.h_top.max(initial=NEG_INF)),
                 int(bnd.h_left.max(initial=NEG_INF)),
                 best.score if best.row >= 0 else 0,
+                corner=int(bnd.h_diag),
             ):
                 result = pruned_border_result(spec)
                 blocks_pruned += 1
@@ -406,8 +406,7 @@ def _compute_blocked_wavefront(
         placed: list[tuple[int, int, BlockSpec]] = []
         for br, bc in diag:
             spec = specs[br][bc]
-            if band_half_width is not None and not band_intersects(
-                    spec, band_half_width):
+            if not band_intersects(spec, band_half_width):
                 # Still pop the incoming borders so the resident set
                 # stays one wavefront deep.
                 bottom.pop((br, bc), None)
@@ -440,6 +439,7 @@ def _compute_blocked_wavefront(
                 int(bnd.h_top.max(initial=NEG_INF)),
                 int(bnd.h_left.max(initial=NEG_INF)),
                 best.score if best.row >= 0 else 0,
+                corner=int(bnd.h_diag),
             ):
                 # Pruned blocks drop out of the batch: their restart
                 # borders are constant, no sweep lane needed.

@@ -8,6 +8,9 @@ bounds the final score of any alignment whose path touches a block:
     upper_bound(block) = max(border H entering the block, 0)
                        + match * min(m - row0, n - col0)
 
+The entering border is the top row, the left column *and* the diagonal
+corner ``H(row0 - 1, col0 - 1)``: a path may enter through the corner,
+which can exceed every border cell beside it.  The bound holds
 because a local-alignment path can gain at most ``match`` per remaining
 diagonal step, it has at most ``min(m - row0, n - col0)`` diagonal steps
 left counting from the block's top-left corner, and in local mode a path
@@ -68,9 +71,10 @@ class BlockPruner:
         n: int,
         h_top_max: int,
         h_left_max: int,
+        corner: int = 0,
     ) -> int:
         """Best final score any path through *spec* could still reach."""
-        entry = max(h_top_max, h_left_max, 0)
+        entry = max(h_top_max, h_left_max, corner, 0)
         remaining = min(m - spec.row0, n - spec.col0)
         return entry + self.match * remaining
 
@@ -82,14 +86,17 @@ class BlockPruner:
         h_top_max: int,
         h_left_max: int,
         best_score: int,
+        corner: int = 0,
     ) -> bool:
-        """True when the block provably cannot improve on *best_score*."""
+        """True when the block provably cannot improve on *best_score*;
+        *corner* is the diagonal entry ``H(row0 - 1, col0 - 1)``."""
         if not self.enabled:
             return False
         self.blocks_checked += 1
         if best_score <= 0:
             return False
-        if self.upper_bound(spec, m, n, h_top_max, h_left_max) <= best_score:
+        if self.upper_bound(spec, m, n, h_top_max, h_left_max,
+                            corner) <= best_score:
             self.blocks_pruned += 1
             return True
         return False

@@ -365,9 +365,10 @@ def adaptive_banded_score(
 # Static band / block intersection (the blocked engines' skip test)
 # ---------------------------------------------------------------------------
 
-def band_intersects(spec: "BlockSpec", half_width: int) -> bool:
+def band_intersects(spec: "BlockSpec", half_width: int | None) -> bool:
     """True when block *spec* intersects the static band ``|j - i| <=
-    half_width`` around the main diagonal.
+    half_width`` around the main diagonal (always, when *half_width* is
+    ``None``: an unbanded sweep).
 
     The diagonal offset ``j - i`` over the block spans
     ``[col0 - (row1 - 1), (col1 - 1) - row0]``; the block intersects the
@@ -375,6 +376,8 @@ def band_intersects(spec: "BlockSpec", half_width: int) -> bool:
     that miss emit restart borders (H = 0 lower bounds), so in-band
     scores are never overestimated.
     """
+    if half_width is None:
+        return True
     if half_width < 0:
         raise ConfigError("half_width must be >= 0")
     return (spec.col0 - (spec.row1 - 1) <= half_width

@@ -62,6 +62,32 @@ class TestShouldPrune:
     def test_zero_checked_ratio(self):
         assert BlockPruner(match=1).pruned_ratio == 0.0
 
+    def test_corner_entry_counts(self):
+        """A path may enter through the diagonal corner, which can exceed
+        every border cell beside it: the bound must include it."""
+        p = BlockPruner(match=1)
+        s = spec(row0=2, col0=2, rows=1, cols=1)
+        assert p.upper_bound(s, 3, 3, 1, 1, corner=2) == 3
+        assert not p.should_prune(s, 3, 3, 1, 1, best_score=2, corner=2)
+
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    def test_pruned_sweep_keeps_corner_entered_optimum(self, kernel):
+        """With mismatch 0 the corner H(1, 1) = 2 tops both borders of
+        block (2, 2), whose true H is 3; a corner-blind bound of 2 pruned
+        it and reported 2."""
+        import numpy as np
+
+        from repro.seq import Scoring
+        from repro.sw import compute_blocked, sw_score_naive
+
+        codes = np.array([2, 0, 0], dtype=np.uint8)
+        scoring = Scoring(match=1, mismatch=0, gap_open=0, gap_extend=1)
+        out = compute_blocked(codes, codes, scoring, block_rows=1,
+                              block_cols=1, pruner=BlockPruner(match=1),
+                              kernel=kernel)
+        want, wi, wj = sw_score_naive(codes, codes, scoring)
+        assert (out.best.score, out.best.row, out.best.col) == (want, wi, wj)
+
 
 class TestValidation:
     @pytest.mark.parametrize("match", [0, -1])

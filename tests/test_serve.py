@@ -496,6 +496,23 @@ class TestServeDaemon:
             resp = client.request({"op": "status", "id": "job-999999"})
             assert resp["code"] == 404
 
+            # Bad tier/strategy fields are refused at submit: no job
+            # record, no admission count — not a later executor failure.
+            def submitted():
+                fam = daemon.registry.snapshot()["counters"].get(
+                    "serve_jobs_submitted")
+                return sum(s["value"] for s in fam["series"]) if fam else 0
+
+            jobs_before, count_before = len(daemon.queue.jobs()), submitted()
+            for bad in ({"kernel": "bogus"}, {"band_width": -1},
+                        {"xdrop_x": 0}, {"block_rows": 0},
+                        {"pruning": "false"}, {"use_cache": "false"}):
+                resp = client.submit(seq_a=A_TEXT, seq_b=B_TEXT,
+                                     tenant="bad", **bad)
+                assert resp["ok"] is False and resp["code"] == 400, bad
+                assert len(daemon.queue.jobs()) == jobs_before, bad
+                assert submitted() == count_before, bad
+
     def test_status_server_routes(self, daemon):
         with ServeClient(port=daemon.port) as client:
             job = client.check(client.submit(

@@ -46,6 +46,7 @@ from repro.sw import (
     sw_score_naive,
     sweep_block,
     sweep_wavefront,
+    xdrop_score,
 )
 from repro.sw.banded import banded_score
 from repro.sw.constants import DTYPE
@@ -342,6 +343,27 @@ def _counter_total(registry, name: str) -> float:
     return sum(s["value"] for s in fam["series"]) if fam else 0
 
 
+def _front_doors(a, b, **tiers):
+    """One run per public front door — single device, simulated chain,
+    one-shot process engine and a persistent pool — each a callable
+    taking the metrics registry to record into."""
+    def pooled(reg):
+        with WorkerPool(2, max_block_rows=64) as pool:
+            return pool.align(a, b, DNA_DEFAULT, block_rows=64, metrics=reg,
+                              **tiers)
+
+    return (
+        lambda reg: run_single_gpu(a, b, DNA_DEFAULT, TESLA_M2090,
+                                   block_rows=64, metrics=reg, **tiers),
+        lambda reg: align_multi_gpu(
+            a, b, DNA_DEFAULT, [TESLA_M2090] * 2,
+            config=ChainConfig(block_rows=64, **tiers), metrics=reg),
+        lambda reg: align_multi_process(a, b, DNA_DEFAULT, workers=2,
+                                        block_rows=64, metrics=reg, **tiers),
+        pooled,
+    )
+
+
 class TestHeuristicDifferential:
     """The ``mode="auto"`` contract, differentially, across engines.
 
@@ -427,17 +449,7 @@ class TestHeuristicDifferential:
 
         a = random_dna(400, rng=rng)
         b = mutate(a, HUMAN_CHIMP, rng=rng)
-        for run in (
-            lambda reg: align_multi_gpu(
-                a, b, DNA_DEFAULT, [TESLA_M2090] * 2,
-                config=ChainConfig(block_rows=64, mode="auto"), metrics=reg),
-            lambda reg: align_multi_process(
-                a, b, DNA_DEFAULT, workers=2, block_rows=64, mode="auto",
-                metrics=reg),
-            lambda reg: run_single_gpu(
-                a, b, DNA_DEFAULT, TESLA_M2090, block_rows=64, mode="auto",
-                metrics=reg),
-        ):
+        for run in _front_doors(a, b, mode="auto"):
             registry = MetricsRegistry()
             res = run(registry)
             assert not res.escalated
@@ -452,19 +464,68 @@ class TestHeuristicDifferential:
 
         a = random_dna(400, rng=rng)
         b = random_dna(400, rng=rng)
-        registry = MetricsRegistry()
-        res = align_multi_gpu(
-            a, b, DNA_DEFAULT, [TESLA_M2090] * 2,
-            config=ChainConfig(block_rows=64, mode="auto"), metrics=registry)
-        assert res.escalated
-        assert _counter_total(registry, "escalations") == 1
-        assert _counter_total(registry, "heuristic_hits") == 0
-        assert _counter_total(registry, "alignments_total") == 1
+        for run in _front_doors(a, b, mode="auto"):
+            registry = MetricsRegistry()
+            res = run(registry)
+            assert res.escalated
+            assert _counter_total(registry, "escalations") == 1
+            assert _counter_total(registry, "heuristic_hits") == 0
+            assert _counter_total(registry, "alignments_total") == 1
+
+    def test_xdrop_mode_through_every_front_door(self, rng):
+        """``mode="xdrop"`` is the inline extension on every engine: the
+        score is :func:`xdrop_score`'s, the tier says so, and the run is
+        finalized exactly once."""
+        from repro.obs import MetricsRegistry
+
+        a = random_dna(300, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        want = xdrop_score(a, b, DNA_DEFAULT, 25).score
+        for run in _front_doors(a, b, mode="xdrop", xdrop_x=25):
+            registry = MetricsRegistry()
+            res = run(registry)
+            assert res.score == want
+            assert res.mode == res.tier == "xdrop" and not res.escalated
+            assert _counter_total(registry, "alignments_total") == 1
+
+    def test_dtype_escalation_journaled_alike(self):
+        """One ``dtype_escalation`` rule on every engine: an escalating
+        auto run with a narrow DP dtype journals one event per swept tier
+        whose narrow kernel escalated — the same count on the simulated
+        chain, the one-shot process engine and a persistent pool."""
+        from repro.obs import EventJournal
+
+        hot = Scoring(match=2000, mismatch=-3, gap_open=3, gap_extend=2)
+        rng = np.random.default_rng(3)
+        a = random_dna(600, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        counts = []
+        journal = EventJournal()
+        sim = align_multi_gpu(
+            a, b, hot, [TESLA_M2090] * 2,
+            config=ChainConfig(block_rows=64, dp_dtype="int16", mode="auto"),
+            events=journal)
+        counts.append(journal.count("dtype_escalation"))
+        journal = EventJournal()
+        real = align_multi_process(a, b, hot, workers=2, block_rows=64,
+                                   dp_dtype="int16", mode="auto",
+                                   events=journal)
+        counts.append(journal.count("dtype_escalation"))
+        journal = EventJournal()
+        with WorkerPool(2, max_block_rows=64, events=journal) as pool:
+            pooled = pool.align(a, b, hot, block_rows=64, dp_dtype="int16",
+                                mode="auto")
+        counts.append(journal.count("dtype_escalation"))
+        for res in (sim, real, pooled):
+            assert res.escalated and res.dtype_escalations > 0
+        assert sim.score == real.score == pooled.score
+        assert counts[0] >= 1 and counts == [counts[0]] * 3, counts
 
     def test_banded_mode_skips_blocks(self, rng):
-        """``mode="banded"`` must actually skip off-band blocks on both
-        multi-engine backends — counted on the result AND in the metrics
-        registry — while still matching exact on a similar pair."""
+        """``mode="banded"`` must actually skip off-band blocks on every
+        engine — the single device included — counted on the result AND
+        in the metrics registry, while still matching exact on a similar
+        pair."""
         from repro.obs import MetricsRegistry
 
         a = random_dna(900, rng=rng)
@@ -489,6 +550,15 @@ class TestHeuristicDifferential:
         assert real.blocks_skipped_band > 0
         assert _counter_total(registry, "blocks_skipped_band") == \
             real.blocks_skipped_band
+
+        registry = MetricsRegistry()
+        single = run_single_gpu(a, b, DNA_DEFAULT, TESLA_M2090,
+                                block_rows=96, mode="banded", band_width=64,
+                                metrics=registry)
+        assert single.score == want
+        assert single.blocks_skipped_band > 0
+        assert _counter_total(registry, "blocks_skipped_band") == \
+            single.blocks_skipped_band
 
     def test_banded_compounds_with_pruning(self, rng):
         """Band skipping and distributed pruning are disjoint counters

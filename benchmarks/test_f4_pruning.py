@@ -23,7 +23,7 @@ LENGTH = 1500
 def run(identity: float):
     a, b = identity_pair(LENGTH, identity, seed=1)
     plain = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=64)
-    pruned = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=64, prune=True)
+    pruned = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=64, pruning=True)
     return plain, pruned
 
 

@@ -3,8 +3,7 @@
 One simulated device sweeps the whole matrix in 2-D blocks — no
 partitioning, no border channels.  Optionally applies block pruning,
 which the multi-GPU engines now also support through a chain-wide
-best-score scoreboard (``ChainConfig.pruning`` /
-``align_multi_process(pruning=True)``; see
+best-score scoreboard (``pruning=True`` on any engine; see
 :mod:`repro.comm.scoreboard`) — this baseline remains the reference
 for the single-device pruned fraction.
 
@@ -31,14 +30,12 @@ from ..errors import ConfigError
 from ..obs.instruments import (EngineInstruments, finalize_run_metrics,
                                record_dtype)
 from ..seq.scoring import Scoring
-from ..sw.backend import validate_kernel
 from ..sw.blocks import BlockedOutcome, compute_blocked
 from ..sw.compiled import warmup as compiled_warmup
-from ..sw.constants import validate_dp_dtype
+from ..sw.config import AlignConfig, resolve_config
 from ..sw.kernel import BestCell
 from ..sw.pruning import BlockPruner
-from ..sw.tiers import run_tiers, validate_tiers
-from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
+from ..sw.tiers import run_tiers
 
 
 @dataclass
@@ -110,44 +107,28 @@ def run_single_gpu(
     scoring: Scoring,
     spec: DeviceSpec,
     *,
-    block_rows: int = 512,
+    config: AlignConfig | None = None,
     block_cols: int | None = None,
-    prune: bool = False,
-    mode: str = "exact",
-    band_width: int = DEFAULT_BAND_WIDTH,
-    xdrop_x: int = DEFAULT_XDROP_X,
-    kernel: str = "scalar",
-    dp_dtype: str = "auto",
     metrics=None,
+    **overrides,
 ) -> SingleGpuResult:
     """Compute-mode single-GPU run: virtual-clock timing.
 
-    ``block_cols`` defaults to ``block_rows``; pruning operates per block,
-    so 2-D blocking (not full-width stripes) is what lets similar-sequence
-    runs skip off-diagonal work.  Pass a
+    The comparison's knobs are *config* (an
+    :class:`~repro.sw.config.AlignConfig`, defaults when ``None``) with
+    keyword *overrides* of its fields (``block_rows=``, ``pruning=``,
+    ``mode=``, ...).  Every swept tier goes through
+    :func:`~repro.sw.blocks.compute_blocked` with the same block-granular
+    static band as every other engine; an X-drop extension's cells are
+    charged to the device.  ``block_cols`` defaults to ``block_rows``;
+    pruning operates per block, so 2-D blocking (not full-width stripes)
+    is what lets similar-sequence runs skip off-diagonal work.  Pass a
     :class:`~repro.obs.registry.MetricsRegistry` as *metrics* for the
     standard instrument set (virtual-clock latencies, no border traffic —
     a single device has no neighbours).
-
-    *mode* selects the tier through the shared front door
-    (:func:`~repro.sw.tiers.run_tiers`): ``"exact"`` (default, full
-    matrix), ``"banded"`` (blocks missing the static band ``|j - i| <=
-    band_width`` are skipped, as on every other engine), ``"xdrop"``
-    (origin-anchored X-drop extension with threshold *xdrop_x*, its cells
-    charged to the device), or ``"auto"`` (banded first, exact re-run
-    only when the :func:`~repro.sw.xdrop.assess_heuristic` confidence
-    check fails; the result's ``tier``/``escalated`` fields say which
-    tier answered).  Heuristic scores are lower bounds of the exact one.
-
-    ``dp_dtype`` selects the kernel's internal compute dtype (``"auto"``
-    picks the narrowest guaranteed-overflow-free policy; explicit narrow
-    names escalate per block).  ``kernel`` selects the block sweep
-    (scalar/batched/compiled) of every swept tier.  Scores stay
-    bit-identical either way.
     """
-    validate_tiers(mode, band_width, xdrop_x)
-    validate_kernel(kernel)
-    validate_dp_dtype(dp_dtype)
+    cfg = resolve_config(config, **overrides)
+    block_rows, kernel = cfg.block_rows, cfg.kernel
     m, n = int(a_codes.size), int(b_codes.size)
     if block_cols is None:
         block_cols = block_rows
@@ -157,11 +138,12 @@ def run_single_gpu(
     def sweep(band_half_width: int | None) -> SingleGpuResult:
         if kernel == "compiled":
             compiled_warmup()  # idempotent; keeps compile out of callers' timings
-        pruner = BlockPruner(match=scoring.match) if prune else None
+        pruner = BlockPruner(match=scoring.match) if cfg.pruning else None
         outcome: BlockedOutcome = compute_blocked(
             a_codes, b_codes, scoring,
             block_rows=block_rows, block_cols=block_cols, pruner=pruner,
-            kernel=kernel, band_half_width=band_half_width, dp_dtype=dp_dtype,
+            kernel=kernel, band_half_width=band_half_width,
+            dp_dtype=cfg.dp_dtype,
         )
         computed = (outcome.cells_total - outcome.cells_pruned
                     - outcome.cells_skipped_band)
@@ -214,8 +196,9 @@ def run_single_gpu(
             cells=m * n, cells_computed=cells, pruned_fraction=0.0,
             kernel=kernel)
 
-    result = run_tiers(a_codes, b_codes, scoring, mode=mode,
-                       band_width=band_width, xdrop_x=xdrop_x, sweep=sweep,
+    result = run_tiers(a_codes, b_codes, scoring, mode=cfg.mode,
+                       band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
+                       sweep=sweep,
                        from_xdrop=from_xdrop, elapsed="total_time_s",
                        backend="single", metrics=metrics)
     if metrics is not None:
@@ -232,7 +215,7 @@ def time_single_gpu(
     cols: int,
     spec: DeviceSpec,
     *,
-    block_rows: int = 512,
+    block_rows: int = AlignConfig.block_rows,
     pruned_fraction: float = 0.0,
 ) -> SingleGpuResult:
     """Timing-mode single-GPU run at arbitrary scale.

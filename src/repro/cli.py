@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import seq, workloads
@@ -61,7 +62,8 @@ from .multigpu import (
 )
 from .perf import format_table, humanize_cells, humanize_time
 from .sw import DP_DTYPE_CHOICES, KERNEL_CHOICES, align_local, resolve_kernel
-from .sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, MODES
+from .sw.config import CONFIG_FIELDS, AlignConfig
+from .sw.xdrop import MODES
 
 #: Name -> preset mapping for --gpu flags.
 PRESETS: dict[str, DeviceSpec] = {
@@ -91,10 +93,90 @@ def _add_device_args(p: argparse.ArgumentParser) -> None:
                    help="named GPU environment (default: env1)")
     p.add_argument("--gpu", action="append", choices=sorted(PRESETS), default=None,
                    help="add one device by preset name (repeatable)")
-    p.add_argument("--block-rows", type=int, default=512,
-                   help="block row height (border segment granularity)")
+
+
+def _add_buffer_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--buffer", type=int, default=4,
-                   help="circular-buffer capacity in segments")
+                   help="border ring (circular buffer) capacity in segments")
+
+
+def _add_sim_args(p: argparse.ArgumentParser) -> None:
+    """The timing-mode subcommands' flags: devices, block height, ring."""
+    _add_device_args(p)
+    _add_config_args(p, "block_rows")
+    _add_buffer_arg(p)
+
+
+#: argparse keywords and help for each AlignConfig field's flag.
+_CONFIG_FLAGS: dict[str, dict] = {
+    "block_rows": dict(
+        type=int, help="block row height (border segment granularity)"),
+    "kernel": dict(
+        choices=KERNEL_CHOICES,
+        help="block sweep kernel: scalar (one block at a time), batched "
+             "(one NumPy sweep per row across all resident blocks), "
+             "compiled (numba-jitted fused row sweeps; needs the optional "
+             "'.[compiled]' extra), or auto (measured pick among the "
+             "backends this host can run); scores are bit-identical"),
+    "pruning": dict(
+        action=argparse.BooleanOptionalAction,
+        help="distributed block pruning against a chain-wide best-score "
+             "scoreboard (exact: same score and end cell; pays off on "
+             "similar sequences)"),
+    "mode": dict(
+        choices=MODES,
+        help="alignment tier: exact, banded (static diagonal "
+             "band, heuristic lower bound), xdrop (origin-anchored X-drop "
+             "extension), or auto (heuristic first, exact re-run only "
+             "when the confidence check fails)"),
+    "band_width": dict(
+        type=int, help="band half-width for --mode banded/auto"),
+    "xdrop_x": dict(
+        type=int, help="X-drop termination threshold for --mode xdrop"),
+    "dp_dtype": dict(
+        choices=DP_DTYPE_CHOICES,
+        help="DP cell dtype: auto (narrowest type whose headroom "
+             "guarantees no escalation), int32, or a saturating narrow "
+             "type (int16/int8) with per-block escalation back to int32 "
+             "on overflow — final scores are bit-identical either way"),
+}
+
+
+def _add_config_args(p: argparse.ArgumentParser, *names: str,
+                     **defaults) -> None:
+    """Add the flags of the AlignConfig fields *names* (default: all
+    seven), defaulted from AlignConfig unless *defaults* overrides one."""
+    for name in names or CONFIG_FIELDS:
+        flag = dict(_CONFIG_FLAGS[name])
+        default = defaults.get(name, getattr(AlignConfig, name))
+        if name != "pruning":  # BooleanOptionalAction adds its own
+            flag["help"] += (" (default %(default)s)" if default is not None
+                             else " (default: the serve job default)")
+        p.add_argument("--" + name.replace("_", "-"), default=default, **flag)
+
+
+def _add_process_args(p: argparse.ArgumentParser, *,
+                      start_method: bool = True) -> None:
+    """Add the real-process engine's flags: worker count, border
+    transport, ring depth and (optionally) the start method."""
+    p.add_argument("--workers", type=int, default=2,
+                   help="slab worker count for the process engine")
+    p.add_argument("--transport", choices=TRANSPORTS, default="shm",
+                   help="border transport for the process engine")
+    _add_buffer_arg(p)
+    if start_method:
+        p.add_argument("--start-method",
+                       choices=("fork", "spawn", "forkserver"), default=None,
+                       help="multiprocessing start method (default: fork "
+                            "if available, else spawn)")
+
+
+def _config_from_args(args: argparse.Namespace, **resolved) -> AlignConfig:
+    """The AlignConfig the parsed config flags name; *resolved* replaces
+    fields a front door resolved (the kernel) or that a subcommand left
+    to its own default."""
+    return AlignConfig(**{**{n: getattr(args, n) for n in CONFIG_FIELDS
+                             if hasattr(args, n)}, **resolved})
 
 
 def _write_telemetry(outdir, *, backend, config, res, registry, tracer,
@@ -190,9 +272,9 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def _run_align(args, a, b, title, *, telemetry, registry, tracer,
                journal, sampler, time_mod) -> int:
-    if args.backend == "process":
-        from .perf.report import process_report
+    from .perf.report import chain_report, process_report, timeline_report
 
+    if args.backend == "process":
         heartbeat_s = args.heartbeat_s
         if heartbeat_s is None and telemetry:
             from .obs import DEFAULT_STALL_AFTER_S
@@ -207,89 +289,53 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
         # Resolve before spawning: an explicit --kernel compiled without
         # numba fails here with a clean ConfigError; --kernel auto
         # degrades to the best backend this host can actually run.
-        kernel = resolve_kernel(args.kernel)
+        config = _config_from_args(args, kernel=resolve_kernel(args.kernel))
         t0 = time_mod.perf_counter()
         res = align_multi_process(
-            a, b, seq.DNA_DEFAULT,
-            workers=args.workers,
-            block_rows=args.block_rows,
-            capacity=args.buffer,
-            transport=args.transport,
-            start_method=args.start_method,
-            kernel=kernel,
-            pruning=args.pruning,
-            mode=args.mode,
-            band_width=args.band_width,
-            xdrop_x=args.xdrop_x,
-            dp_dtype=args.dp_dtype,
-            tracer=tracer,
-            metrics=registry,
+            a, b, seq.DNA_DEFAULT, config=config, workers=args.workers,
+            capacity=args.buffer, transport=args.transport,
+            start_method=args.start_method, tracer=tracer, metrics=registry,
             heartbeat_s=heartbeat_s,
             on_stall=on_stall if heartbeat_s is not None else None,
             max_restarts=args.max_restarts,
-            restart_backoff_s=args.restart_backoff_s,
-            events=journal,
-            timeline=sampler,
-        )
-        wall = time_mod.perf_counter() - t0
-        print(process_report(res, title=title))
-        if sampler is not None and sampler.frames():
-            from .perf.report import timeline_report
-
-            section = timeline_report(sampler.frames())
-            if section:
-                print()
-                print(section)
-        if telemetry:
-            config = {
-                "backend": "process", "workers": args.workers,
-                "block_rows": args.block_rows, "capacity": args.buffer,
-                "transport": args.transport,
-                "start_method": res.start_method, "kernel": kernel,
-                "kernel_requested": args.kernel,
-                "pruning": args.pruning, "heartbeat_s": heartbeat_s,
-                "max_restarts": args.max_restarts,
-                "restart_backoff_s": args.restart_backoff_s,
-                "mode": args.mode, "band_width": args.band_width,
-                "xdrop_x": args.xdrop_x, "dp_dtype": args.dp_dtype,
-            }
-            _write_telemetry(args.telemetry, backend="process", config=config,
-                             res=res, registry=registry, tracer=res.tracer,
-                             a=a, b=b, wall_time_s=wall,
-                             command=getattr(args, "_argv", None))
+            restart_backoff_s=args.restart_backoff_s, events=journal,
+            timeline=sampler)
+        backend_keys = dict(
+            workers=args.workers, transport=args.transport,
+            start_method=res.start_method, heartbeat_s=heartbeat_s,
+            max_restarts=args.max_restarts,
+            restart_backoff_s=args.restart_backoff_s)
     else:
-        from .perf.report import chain_report
-
         devices = _devices_from_args(args)
         # --kernel auto consults the measured device autotuner (the
         # chain's first device stands in for the host probe).
-        kernel = resolve_kernel(args.kernel, spec=devices[0],
-                                scoring=seq.DNA_DEFAULT,
-                                block_rows=args.block_rows,
-                                dp_dtype=args.dp_dtype)
-        cfg = ChainConfig(block_rows=args.block_rows, channel_capacity=args.buffer,
-                          kernel=kernel, pruning=args.pruning,
-                          mode=args.mode, band_width=args.band_width,
-                          xdrop_x=args.xdrop_x, dp_dtype=args.dp_dtype)
+        config = _config_from_args(args, kernel=resolve_kernel(
+            args.kernel, spec=devices[0], scoring=seq.DNA_DEFAULT,
+            block_rows=args.block_rows, dp_dtype=args.dp_dtype))
         t0 = time_mod.perf_counter()
-        res = align_multi_gpu(a, b, seq.DNA_DEFAULT, devices, config=cfg,
-                              tracer=tracer, metrics=registry,
-                              events=journal)
-        wall = time_mod.perf_counter() - t0
-        print(chain_report(res, title=title))
-        if telemetry:
-            config = {
-                "backend": "sim", "devices": [d.name for d in devices],
-                "block_rows": args.block_rows, "buffer": args.buffer,
-                "kernel": kernel, "kernel_requested": args.kernel,
-                "pruning": args.pruning,
-                "mode": args.mode, "band_width": args.band_width,
-                "xdrop_x": args.xdrop_x, "dp_dtype": args.dp_dtype,
-            }
-            _write_telemetry(args.telemetry, backend="sim", config=config,
-                             res=res, registry=registry, tracer=tracer,
-                             a=a, b=b, wall_time_s=wall,
-                             command=getattr(args, "_argv", None))
+        res = align_multi_gpu(
+            a, b, seq.DNA_DEFAULT, devices,
+            config=ChainConfig(**asdict(config), channel_capacity=args.buffer),
+            tracer=tracer, metrics=registry, events=journal)
+        backend_keys = dict(devices=[d.name for d in devices])
+    wall = time_mod.perf_counter() - t0
+    report = process_report if args.backend == "process" else chain_report
+    print(report(res, title=title))
+    section = timeline_report(sampler.frames()) if sampler is not None else ""
+    if section:
+        print()
+        print(section)
+    if telemetry:
+        # One config block for both backends: the AlignConfig fields as
+        # run, the ring depth and the kernel as requested, then the
+        # backend's own keys.
+        manifest = {"backend": args.backend, **asdict(config),
+                    "capacity": args.buffer, "kernel_requested": args.kernel,
+                    **backend_keys}
+        _write_telemetry(args.telemetry, backend=args.backend,
+                         config=manifest, res=res, registry=registry,
+                         tracer=tracer, a=a, b=b, wall_time_s=wall,
+                         command=getattr(args, "_argv", None))
     if args.trace and res.score > 0:
         aln = align_local(a, b, seq.DNA_DEFAULT)
         print(aln.pretty(a, b))
@@ -401,18 +447,14 @@ def cmd_perf_trace_export(args: argparse.Namespace) -> int:
     a = seq.read_single(args.seq_a).codes
     b = seq.read_single(args.seq_b).codes
     tracer = Tracer()
-    kernel = resolve_kernel(args.kernel)
+    config = _config_from_args(args, kernel=resolve_kernel(args.kernel))
     if args.backend == "process":
         res = align_multi_process(
-            a, b, seq.DNA_DEFAULT, workers=args.workers,
-            block_rows=args.block_rows, capacity=args.buffer,
-            transport=args.transport, kernel=kernel,
-            pruning=args.pruning, tracer=tracer)
+            a, b, seq.DNA_DEFAULT, config=config, workers=args.workers,
+            capacity=args.buffer, transport=args.transport, tracer=tracer)
     else:
         devices = _devices_from_args(args)
-        cfg = ChainConfig(block_rows=args.block_rows,
-                          channel_capacity=args.buffer,
-                          kernel=kernel, pruning=args.pruning)
+        cfg = ChainConfig(**asdict(config), channel_capacity=args.buffer)
         res = align_multi_gpu(a, b, seq.DNA_DEFAULT, devices, config=cfg,
                               tracer=tracer)
     doc = tracer_to_chrome(tracer)
@@ -520,14 +562,14 @@ def cmd_submit(args: argparse.Namespace) -> int:
     """Submit one job to a running daemon; wait for the result by default."""
     import json
 
-    from .serve import ServeClient
+    from .serve import JobSpec, ServeClient
 
+    # --block-rows left unset takes the serve default from JobSpec.
+    block_rows = (args.block_rows if args.block_rows is not None
+                  else JobSpec.block_rows)
     fields: dict = {
-        "path_a": args.seq_a, "path_b": args.seq_b,
-        "tenant": args.tenant, "mode": args.mode,
-        "band_width": args.band_width, "xdrop_x": args.xdrop_x,
-        "dp_dtype": args.dp_dtype, "kernel": args.kernel,
-        "block_rows": args.block_rows, "pruning": args.pruning,
+        "path_a": args.seq_a, "path_b": args.seq_b, "tenant": args.tenant,
+        **asdict(_config_from_args(args, block_rows=block_rows)),
         "use_cache": not args.no_cache,
     }
     if args.lane is not None:
@@ -610,44 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("sim", "process"), default="sim",
                    help="sim: simulated device chain on the virtual clock; "
                         "process: real OS processes with shared-memory borders")
-    p.add_argument("--workers", type=int, default=2,
-                   help="slab worker count for --backend process")
-    p.add_argument("--transport", choices=TRANSPORTS, default="shm",
-                   help="border transport for --backend process")
-    p.add_argument("--start-method", choices=("fork", "spawn", "forkserver"),
-                   default=None,
-                   help="multiprocessing start method (default: fork if "
-                        "available, else spawn)")
-    p.add_argument("--kernel", choices=KERNEL_CHOICES, default="scalar",
-                   help="block sweep kernel: scalar (one block at a time), "
-                        "batched (one NumPy sweep per row across all resident "
-                        "blocks), compiled (numba-jitted fused row sweeps; "
-                        "needs the optional '.[compiled]' extra), or auto "
-                        "(measured pick among the backends this host can "
-                        "run); scores are bit-identical")
-    p.add_argument("--pruning", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="distributed block pruning against a chain-wide "
-                        "best-score scoreboard (exact: same score and end "
-                        "cell; pays off on similar sequences)")
-    p.add_argument("--mode", choices=MODES, default="exact",
-                   help="alignment tier: exact (default), banded (static "
-                        "diagonal band, heuristic lower bound), xdrop "
-                        "(origin-anchored X-drop extension), or auto "
-                        "(heuristic first, exact re-run only when the "
-                        "confidence check fails)")
-    p.add_argument("--band-width", type=int, default=DEFAULT_BAND_WIDTH,
-                   help="band half-width for --mode banded/auto "
-                        f"(default {DEFAULT_BAND_WIDTH})")
-    p.add_argument("--xdrop-x", type=int, default=DEFAULT_XDROP_X,
-                   help="X-drop termination threshold for --mode xdrop "
-                        f"(default {DEFAULT_XDROP_X})")
-    p.add_argument("--dp-dtype", choices=DP_DTYPE_CHOICES, default="auto",
-                   help="DP cell dtype: auto (default; narrowest type whose "
-                        "headroom guarantees no escalation), int32, or a "
-                        "saturating narrow type (int16/int8) with per-block "
-                        "escalation back to int32 on overflow — final scores "
-                        "are bit-identical either way")
+    _add_process_args(p)
+    _add_config_args(p)
     p.add_argument("--telemetry", metavar="DIR", default=None,
                    help="write the telemetry bundle (manifest.json, "
                         "metrics.json, metrics.prom, trace.json, plus the "
@@ -682,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("time", help="timing-mode run at arbitrary scale")
     p.add_argument("rows", type=int)
     p.add_argument("cols", type=int)
-    _add_device_args(p)
+    _add_sim_args(p)
     p.set_defaults(func=cmd_time)
 
     p = sub.add_parser("tune", help="autotune block height and buffer capacity")
@@ -694,11 +700,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score candidates with full event-simulator runs "
                         "instead of the analytic pipeline model (slower, "
                         "never worse on the simulated workload)")
-    _add_device_args(p)
+    _add_sim_args(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("campaign", help="run the 4-pair paper campaign, both strategies")
-    _add_device_args(p)
+    _add_sim_args(p)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("stats", help="Karlin-Altschul significance thresholds")
@@ -743,15 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "-1 disables the endpoint)")
     p.add_argument("--pools", type=int, default=1,
                    help="concurrent worker pools (jobs running in parallel)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="slab workers per pool")
+    _add_process_args(p)
     p.add_argument("--max-block-rows", type=int, default=2048,
                    help="largest per-job block height the pools accept")
-    p.add_argument("--buffer", type=int, default=4,
-                   help="border ring capacity in segments")
-    p.add_argument("--transport", choices=TRANSPORTS, default="shm")
-    p.add_argument("--start-method", choices=("fork", "spawn", "forkserver"),
-                   default=None)
     p.add_argument("--queue-depth", type=int, default=64,
                    help="admission cap: most jobs queued at once (excess "
                         "submissions are refused with 429 semantics)")
@@ -782,14 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="daemon job listener port")
     p.add_argument("--tenant", default="default",
                    help="tenant identity for fair-share accounting")
-    p.add_argument("--mode", choices=MODES, default="exact")
-    p.add_argument("--band-width", type=int, default=DEFAULT_BAND_WIDTH)
-    p.add_argument("--xdrop-x", type=int, default=DEFAULT_XDROP_X)
-    p.add_argument("--dp-dtype", choices=DP_DTYPE_CHOICES, default="auto")
-    p.add_argument("--kernel", choices=KERNEL_CHOICES, default="scalar")
-    p.add_argument("--block-rows", type=int, default=256)
-    p.add_argument("--pruning", action=argparse.BooleanOptionalAction,
-                   default=False)
+    # block_rows=None: the daemon's JobSpec default (serve runs shorter
+    # blocks), filled in by cmd_submit.
+    _add_config_args(p, block_rows=None)
     p.add_argument("--lane", choices=("short", "long"), default=None,
                    help="force a scheduling lane (default: classified by "
                         "estimated cost)")
@@ -824,12 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default="trace.json",
                    help="output path for the Chrome trace-event JSON")
     q.add_argument("--backend", choices=("sim", "process"), default="process")
-    q.add_argument("--workers", type=int, default=2,
-                   help="slab worker count for --backend process")
-    q.add_argument("--transport", choices=TRANSPORTS, default="shm")
-    q.add_argument("--kernel", choices=KERNEL_CHOICES, default="scalar")
-    q.add_argument("--pruning", action=argparse.BooleanOptionalAction,
-                   default=False)
+    _add_process_args(q, start_method=False)
+    _add_config_args(q, "block_rows", "kernel", "pruning")
     _add_device_args(q)
     q.set_defaults(func=cmd_perf_trace_export)
 

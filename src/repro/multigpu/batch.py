@@ -25,6 +25,7 @@ import numpy as np
 from ..device.spec import DeviceSpec
 from ..errors import ConfigError
 from ..seq.scoring import Scoring
+from ..sw.config import AlignConfig, resolve_config
 from ..workloads.catalog import ChromosomePair
 from .chain import ChainConfig, ChainResult, MultiGpuChain, PhantomWorkload
 from .pool import WorkerPool
@@ -93,14 +94,14 @@ def align_batch_process(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     scoring: Scoring,
     *,
+    config: AlignConfig | None = None,
     workers: int = 2,
     weights: Sequence[float] | None = None,
-    block_rows: int = 512,
     transport: str = "shm",
     start_method: str | None = None,
     timeout_s: float = 300.0,
-    pruning: bool = False,
     metrics=None,
+    **overrides,
 ) -> list[ProcessChainResult]:
     """Run many real comparisons through ONE persistent worker pool.
 
@@ -109,16 +110,18 @@ def align_batch_process(
     and reused for every pair, so process startup is amortised across the
     batch (the reason :class:`~repro.multigpu.pool.WorkerPool` exists).
     Results are bit-identical to running each pair through
-    :func:`~repro.multigpu.procchain.align_multi_process` (with or
-    without *pruning* — distributed pruning is exact).  A *metrics*
-    registry accumulates across the whole batch (counters are additive).
+    :func:`~repro.multigpu.procchain.align_multi_process` under the same
+    config (*config* plus keyword *overrides* of its fields).  A
+    *metrics* registry accumulates across the whole batch (counters are
+    additive).
     """
     if not pairs:
         raise ConfigError("batch needs at least one pair")
-    with WorkerPool(workers, weights=weights, max_block_rows=block_rows,
+    cfg = resolve_config(config, **overrides)
+    with WorkerPool(workers, weights=weights, max_block_rows=cfg.block_rows,
                     transport=transport, start_method=start_method) as pool:
-        return pool.map(pairs, scoring, block_rows=block_rows,
-                        timeout_s=timeout_s, pruning=pruning, metrics=metrics)
+        return pool.map(pairs, scoring, config=cfg, timeout_s=timeout_s,
+                        metrics=metrics)
 
 
 def run_campaign_split(

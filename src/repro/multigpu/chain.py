@@ -39,15 +39,13 @@ from ..device.spec import DeviceSpec
 from ..errors import ConfigError
 from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..seq.scoring import Scoring
-from ..sw.batched import BlockJob, KernelWorkspace, cached_profile, sweep_wavefront, validate_kernel
-from ..sw.blocks import BlockSpec, pruned_border_result
-from ..sw.compiled import sweep_block_compiled
+from ..sw.batched import KernelWorkspace, cached_profile
+from ..sw.blocks import SlabSweep
 from ..sw.compiled import warmup as compiled_warmup
-from ..sw.constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype, validate_dp_dtype
-from ..sw.kernel import BestCell, sweep_block
-from ..sw.pruning import BlockPruner
-from ..sw.tiers import run_tiers, validate_tiers
-from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, band_intersects
+from ..sw.config import AlignConfig
+from ..sw.constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
+from ..sw.kernel import BestCell
+from ..sw.tiers import run_tiers
 from .partition import Slab, proportional_partition
 
 #: Bytes per border row: H (int32) + E (int32).
@@ -57,14 +55,19 @@ BORDER_BYTES_FIXED = 4
 
 
 @dataclass(frozen=True)
-class ChainConfig:
-    """Tuning knobs of the chain engine.
+class ChainConfig(AlignConfig):
+    """The simulated chain's knobs: the seven comparison knobs of
+    :class:`~repro.sw.config.AlignConfig` plus three simulator-only ones.
+
+    The comparison knobs run in compute mode only (phantom runs ignore
+    them, except ``block_rows``).  ``mode`` is answered by the shared
+    front door :func:`~repro.sw.tiers.run_tiers`: ``xdrop``'s sequential
+    frontier runs inline and is charged to the first device, and a
+    ``"compiled"`` kernel is JIT-warmed before the event loop starts, so
+    compile time never lands inside a virtual compute span.
 
     Attributes
     ----------
-    block_rows:
-        Height of one block row (the paper's external-diagonal step and
-        border-segment granularity).
     channel_capacity:
         Slots in each host circular buffer (the paper's mechanism; 1
         degenerates to rendezvous — ablation X1).
@@ -74,69 +77,18 @@ class ChainConfig:
     async_transfers:
         True (default) spawns sender/receiver processes so transfers
         overlap compute; False runs them inline (ablation: no hiding).
-    kernel:
-        Compute-mode block kernel: ``"scalar"`` calls
-        :func:`~repro.sw.kernel.sweep_block` per block; ``"batched"``
-        routes blocks through :func:`~repro.sw.batched.sweep_wavefront`
-        with a per-run :class:`~repro.sw.batched.KernelWorkspace`, so the
-        sweeps reuse scratch instead of reallocating every block row;
-        ``"compiled"`` calls the numba-jitted fused sweep
-        (:func:`~repro.sw.compiled.sweep_block_compiled`; JIT-warmed once
-        before the event loop starts so compile time never lands inside a
-        virtual compute span).  Bit-identical results every way; phantom
-        runs ignore it.
-    pruning:
-        Enables distributed block pruning (compute mode only): every
-        device checks each slab block row against the chain-wide best
-        score on a shared :class:`~repro.comm.scoreboard.LocalScoreboard`
-        and skips block rows that provably cannot improve it, emitting
-        restart borders instead.  Scores and end points are unchanged
-        (see INTERNALS.md section 7); only similar sequences prune much.
-    mode:
-        Alignment tier (compute mode only), dispatched by the shared
-        front door :func:`~repro.sw.tiers.run_tiers` over this chain's
-        exact/banded sweep: ``"exact"`` (default), ``"banded"`` (restrict
-        to the static band ``|j - i| <= band_width``; slab block rows that
-        miss the band are skipped outright, compounding with pruning),
-        ``"xdrop"`` (origin-anchored X-drop extension — the sequential
-        frontier runs inline and is charged to the first device), or
-        ``"auto"`` (banded first, exact re-run when the confidence check
-        fails; see INTERNALS.md section 10).  Heuristic scores never
-        exceed the exact score.
-    band_width:
-        Half-width of the static band for ``mode="banded"``/``"auto"``.
-    xdrop_x:
-        Drop threshold for ``mode="xdrop"``.
-    dp_dtype:
-        Kernel-internal DP dtype policy (compute mode): ``"auto"``
-        (default) resolves to the narrowest dtype guaranteed overflow-free
-        for the widest slab, ``"int32"``/``"int16"``/``"int8"`` force a
-        policy (narrow ones escalate overflowing blocks back to int32 per
-        block; scores stay bit-identical).  Borders stay int32 on the
-        wire either way.
     """
 
-    block_rows: int = 512
     channel_capacity: int = 4
     device_slots: int = 2
     async_transfers: bool = True
-    kernel: str = "scalar"
-    pruning: bool = False
-    mode: str = "exact"
-    band_width: int = DEFAULT_BAND_WIDTH
-    xdrop_x: int = DEFAULT_XDROP_X
-    dp_dtype: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.block_rows <= 0:
-            raise ConfigError("block_rows must be positive")
+        super().__post_init__()
         if self.channel_capacity <= 0:
             raise ConfigError("channel_capacity must be positive")
         if self.device_slots <= 0:
             raise ConfigError("device_slots must be positive")
-        validate_kernel(self.kernel)
-        validate_tiers(self.mode, self.band_width, self.xdrop_x)
-        validate_dp_dtype(self.dp_dtype)
 
 
 class MatrixWorkload:
@@ -278,7 +230,7 @@ class MultiGpuChain:
         if not devices:
             raise ConfigError("need at least one device")
         self.specs = list(devices)
-        self.config = config or ChainConfig()
+        self.config = (config or ChainConfig()).concrete()
         self._partition = partition
 
     def _make_channel(self, engine: Engine, gpus: list[SimulatedGPU], g: int) -> BorderChannel:
@@ -393,7 +345,6 @@ class MultiGpuChain:
                                       local=True)
             dp_name = policy.name
             dp_policy = policy if policy.narrow else None
-        dtype_counts = [[0, 0, 0] for _ in self.specs]  # narrow, wide, esc
 
         start_row = 0
         elapsed_before = 0.0
@@ -416,65 +367,52 @@ class MultiGpuChain:
 
         row_edges = list(range(start_row, end_row, cfg.block_rows)) + [end_row]
         n_block_rows = len(row_edges) - 1
-        bests: list[BestCell] = [BestCell.none() for _ in gpus]
-        if resume is not None and resume.best.row >= 0:
-            bests[0] = resume.best
         finished_at = [0.0] * len(gpus)
-        final_h: list[np.ndarray | None] = [None] * len(gpus)
-        final_f: list[np.ndarray | None] = [None] * len(gpus)
 
-        profile = None
-        workspace = None
+        # Compute mode: one SlabSweep per device.  Pruning publishes into
+        # one in-process scoreboard (the lock-free SharedScoreboard plays
+        # this role for the real-process engines), seeded from the resume
+        # best so a continued run prunes against everything already found.
+        sweepers: list[SlabSweep | None] = [None] * len(gpus)
         if not workload.phantom:
             # LRU-cached: repeated comparisons against the same horizontal
             # sequence (batch campaigns, resumed runs) skip the rebuild.
             profile = cached_profile(workload.b, workload.scoring)
-            if cfg.kernel == "batched":
-                # Shared across the simulated devices: their sweeps never
-                # interleave (each work thunk runs atomically inside the
-                # single-threaded event loop).
-                workspace = KernelWorkspace()
-            elif cfg.kernel == "compiled":
+            # Shared across the simulated devices: their sweeps never
+            # interleave (each work thunk runs atomically inside the
+            # single-threaded event loop).
+            workspace = KernelWorkspace() if cfg.kernel == "batched" else None
+            if cfg.kernel == "compiled":
                 # JIT-warm before the event loop: the simulated clock is
                 # virtual, but the host wall time callers measure around
                 # run() should not fold numba compiles into block 0.
                 compiled_warmup()
-
-        # Distributed pruning: one pruner per device, all publishing into
-        # one in-process scoreboard (the lock-free SharedScoreboard plays
-        # this role for the real-process engines).  Seeded from the resume
-        # best so a continued run prunes against everything already found.
-        # Static band: slab block rows whose block misses |j - i| <=
-        # band_half_width are skipped outright — before the pruner even
-        # looks — and emit the same restart borders.
-        band_skips = [0] * len(gpus)
-
-        scoreboard = None
-        pruners: list[BlockPruner] | None = None
-        if cfg.pruning and not workload.phantom:
-            scoreboard = LocalScoreboard()
-            pruners = [BlockPruner(match=workload.scoring.match) for _ in gpus]
-            if resume is not None and resume.best.row >= 0:
+            scoreboard = LocalScoreboard() if cfg.pruning else None
+            resumed = resume is not None and resume.best.row >= 0
+            if resumed and scoreboard is not None:
                 scoreboard.publish(0, resume.best.score)
+            for g, slab in enumerate(slabs):
+                cols = slice(slab.col0, slab.col1)
+                sweepers[g] = SlabSweep(
+                    cfg, workload.scoring, profile[:, cols], slab.col0,
+                    slab.col1, m=m, n_cols=n, band_half_width=band_half_width,
+                    dp=dp_policy, scoreboard=scoreboard, slot=g,
+                    workspace=workspace,
+                    instruments=instruments[g] if instruments else None,
+                    h_top=resume.h_row[cols] if resume is not None else None,
+                    f_top=resume.f_row[cols] if resume is not None else None,
+                    best=resume.best if resumed and g == 0 else BestCell.none())
 
         def gpu_proc(g: int):
             gpu = gpus[g]
-            slab = slabs[g]
-            w = slab.cols
+            w = slabs[g].cols
+            sweeper = sweepers[g]
             in_ch = channels[g - 1] if g > 0 else None
             out_ch = channels[g] if g < len(gpus) - 1 else None
-
-            # Rolling top border of this slab (compute mode only).
-            if not workload.phantom:
-                if resume is not None:
-                    h_top = resume.h_row[slab.col0 : slab.col1].astype(DTYPE, copy=True)
-                    f_top = resume.f_row[slab.col0 : slab.col1].astype(DTYPE, copy=True)
-                    prev_right_last = int(resume.h_row[slab.col1 - 1])
-                else:
-                    h_top = np.zeros(w, dtype=DTYPE)
-                    f_top = np.full(w, NEG_INF, dtype=DTYPE)
-                    prev_right_last = 0  # H(r0-1, col1-1): right neighbour's corner
-            scoring = workload.scoring
+            # H(r0-1, col1-1): the right neighbour's corner.
+            prev_right_last = (int(sweeper.h_top[-1])
+                               if sweeper is not None and resume is not None
+                               else 0)
 
             for r in range(n_block_rows):
                 r0, r1 = row_edges[r], row_edges[r + 1]
@@ -493,95 +431,35 @@ class MultiGpuChain:
                     yield out_ch.reserve_out_slot()
                     gpu.record_wait(t0)
 
-                work = None
-                pruned = False
-                if not workload.phantom:
+                work = skip = None
+                if sweeper is not None:
                     if in_ch is not None:
                         h_left, e_left, corner = payload_in.payload
                     else:
                         h_left = np.zeros(rows, dtype=DTYPE)
                         e_left = np.full(rows, NEG_INF, dtype=DTYPE)
                         corner = 0
-
-                    spec = BlockSpec(r0, r1, slab.col0, slab.col1)
-                    skipped_band = not band_intersects(spec, band_half_width)
-                    if skipped_band:
-                        band_skips[g] += 1
-                        if instruments is not None:
-                            instruments[g].block_skipped_band()
-                    elif pruners is not None:
-                        pruned = pruners[g].should_prune(
-                            spec,
-                            m,
-                            n,
-                            int(h_top.max(initial=NEG_INF)),
-                            int(h_left.max(initial=NEG_INF)),
-                            scoreboard.read(),
-                            corner=int(corner),
-                        )
-
-                    if pruned or skipped_band:
+                    skip = sweeper.skip(r0, r1, h_left, corner)
+                    if skip is not None:
                         # Skip the device sweep entirely: emit restart
                         # borders (legal lower bounds) and charge no
                         # virtual compute time — the pruning/band payoff.
-                        result = pruned_border_result(spec)
+                        result = sweeper.restart(r0, r1)
                         if gpu.tracer is not None:
-                            gpu.tracer.record(
-                                gpu.name, "band-skip" if skipped_band else "pruned",
-                                engine.now, engine.now)
-                        if pruned and instruments is not None:
-                            instruments[g].block_pruned()
-                        pruned = True
+                            gpu.tracer.record(gpu.name, skip, engine.now,
+                                              engine.now)
                     else:
-                        a_slice = workload.a[r0:r1]
-                        p_slice = profile[:, slab.col0 : slab.col1]
-                        ht, ft = h_top, f_top
+                        work = partial(sweeper.sweep, workload.a[r0:r1],
+                                       h_left, e_left, corner)
 
-                        if cfg.kernel == "batched":
-                            def work(a=a_slice, p=p_slice, ht=ht, ft=ft,
-                                     hl=h_left, el=e_left, c=corner):
-                                job = BlockJob(a, p, ht, ft, hl, el, c)
-                                return sweep_wavefront([job], scoring, local=True,
-                                                       workspace=workspace,
-                                                       dp=dp_policy)[0]
-                        elif cfg.kernel == "compiled":
-                            def work(a=a_slice, p=p_slice, ht=ht, ft=ft,
-                                     hl=h_left, el=e_left, c=corner):
-                                return sweep_block_compiled(
-                                    a, p, ht, ft, hl, el, c, scoring,
-                                    local=True, dp=dp_policy)
-                        else:
-                            def work(a=a_slice, p=p_slice, ht=ht, ft=ft,
-                                     hl=h_left, el=e_left, c=corner):
-                                return sweep_block(a, p, ht, ft, hl, el, c,
-                                                   scoring, local=True,
-                                                   dp=dp_policy)
-
-                if not pruned:
+                if skip is None:
                     t_c0 = engine.now
                     result = yield from gpu.compute(rows * w, w, work, block_rows=rows)
                     if instruments is not None:
                         instruments[g].block_computed(engine.now - t_c0,
                                                       cells=rows * w)
-                    if dp_policy is not None and not workload.phantom:
-                        narrow = int(result.dtype == dp_policy.name)
-                        esc = int(result.escalated)
-                        dtype_counts[g][0] += narrow
-                        dtype_counts[g][1] += 1 - narrow
-                        dtype_counts[g][2] += esc
-                        if instruments is not None:
-                            instruments[g].block_dtype(
-                                narrow=narrow, wide=1 - narrow,
-                                escalations=esc)
-
-                if not workload.phantom:
-                    h_top = result.h_bottom
-                    f_top = result.f_bottom
-                    cell = result.best.shifted(r0, slab.col0)
-                    if cell.better_than(bests[g]):
-                        bests[g] = cell
-                        if scoreboard is not None:
-                            scoreboard.publish(g, bests[g].score)
+                if sweeper is not None:
+                    sweeper.advance(result, r0)
 
                 if out_ch is not None:
                     nbytes = rows * BORDER_BYTES_PER_ROW + BORDER_BYTES_FIXED
@@ -598,9 +476,6 @@ class MultiGpuChain:
                     else:
                         yield from out_ch.send_sync(segment)
             finished_at[g] = engine.now
-            if not workload.phantom:
-                final_h[g] = h_top
-                final_f[g] = f_top
 
         for g in range(len(gpus)):
             engine.process(gpu_proc(g), f"gpu{g}")
@@ -612,18 +487,13 @@ class MultiGpuChain:
         total = elapsed_before + engine.run()
 
         best = BestCell.none()
-        for cell in bests:
-            if cell.better_than(best):
-                best = cell
+        for sweeper in sweepers:
+            if sweeper is not None and sweeper.best.better_than(best):
+                best = sweeper.best
         reports = [
             GpuReport(name=gpus[g].name, slab=slabs[g], counters=gpus[g].counters,
                       finished_at=finished_at[g],
-                      blocks_checked=pruners[g].blocks_checked if pruners else 0,
-                      blocks_pruned=pruners[g].blocks_pruned if pruners else 0,
-                      blocks_skipped_band=band_skips[g],
-                      blocks_narrow=dtype_counts[g][0],
-                      blocks_wide=dtype_counts[g][1],
-                      dtype_escalations=dtype_counts[g][2])
+                      **(sweepers[g].counters() if sweepers[g] else {}))
             for g in range(len(gpus))
         ]
         checkpoint = None
@@ -633,8 +503,8 @@ class MultiGpuChain:
             if workload.phantom:
                 h_row = f_row = None
             else:
-                h_row = np.concatenate([h for h in final_h if h is not None])
-                f_row = np.concatenate([f for f in final_f if f is not None])
+                h_row = np.concatenate([sw.h_top for sw in sweepers])
+                f_row = np.concatenate([sw.f_top for sw in sweepers])
             checkpoint = ChainCheckpoint(
                 row=end_row, h_row=h_row, f_row=f_row, best=best, elapsed_s=total
             )

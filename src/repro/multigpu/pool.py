@@ -52,10 +52,10 @@ from ..seq.scoring import Scoring
 from ..sw.backend import KERNELS
 from ..sw.batched import KernelWorkspace
 from ..sw.compiled import warmup as compiled_warmup
+from ..sw.config import AlignConfig, resolve_config
 from ..sw.constants import resolve_dp_dtype
 from ..sw.kernel import BestCell
 from ..sw.tiers import BANDED_MODES, SWEPT_MODES, run_tiers
-from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
 from .checkpoint import CheckpointArea, RetryPolicy
 from .partition import proportional_partition, surviving_partition
 from .procchain import (
@@ -108,7 +108,7 @@ def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
                        if registry is not None else None)
         outcome = error = None
         try:
-            if task.kernel == "compiled" and not warmed:
+            if task.config.kernel == "compiled" and not warmed:
                 progress.beat(worker_id, task.start_row, "warmup")
                 with recorder.span("warmup"):
                     compiled_warmup()
@@ -368,11 +368,9 @@ class WorkerPool:
         b_codes: np.ndarray,
         scoring: Scoring,
         *,
-        block_rows: int = 512,
+        config: AlignConfig | None = None,
         timeout_s: float = 300.0,
         tracer: Tracer | None = None,
-        kernel: str = "scalar",
-        pruning: bool = False,
         metrics: MetricsRegistry | None = None,
         heartbeat_s: float | None = None,
         on_stall=None,
@@ -380,38 +378,32 @@ class WorkerPool:
         restart_backoff_s: float = 0.5,
         retry: RetryPolicy | None = None,
         checkpoint_blocks: int = 4,
-        mode: str = "exact",
-        band_width: int = DEFAULT_BAND_WIDTH,
-        xdrop_x: int = DEFAULT_XDROP_X,
-        dp_dtype: str = "auto",
         rebalance: bool = False,
         rebalance_threshold: float = 0.25,
         timeline=None,
         _fault: tuple[int, int] | None = None,
         _finalize_metrics: bool = True,
+        **overrides,
     ) -> ProcessChainResult:
         """Local alignment over the pool's worker chain (exact modes are
         bit-identical to every other engine); raises ``RuntimeError`` on
         worker failure/timeout and :class:`ConfigError` on bad arguments.
 
-        Heuristic tier (INTERNALS.md section 10): *mode* is dispatched by
-        the shared front door :func:`~repro.sw.tiers.run_tiers` over this
-        pool's exact/banded sweep: ``"exact"`` (default), ``"banded"``
-        (slab block rows that miss the static band ``|j - i| <=
-        band_width`` are skipped outright, compounding with pruning),
-        ``"xdrop"`` (origin-anchored X-drop extension with threshold
-        *xdrop_x*; the sequential frontier runs inline in the parent —
-        the workers stay idle), or ``"auto"`` (banded first, exact re-run
-        over the same live workers when the confidence check fails; the
-        result's ``tier``/``escalated`` fields say which tier answered).
-        Heuristic scores never exceed the exact score.
-
-        *pruning* turns on distributed block pruning against the chain's
-        shared scoreboard (reset before each comparison, so scores from
-        one pair never prune another; exact — see INTERNALS.md section
-        7).  Pass a :class:`~repro.device.trace.Tracer` to collect
-        per-worker wall-clock intervals (actors ``worker0``, ...; one is
-        created on the result regardless).
+        The comparison's knobs are *config* (an
+        :class:`~repro.sw.config.AlignConfig`, defaults when ``None``)
+        with keyword *overrides* of its fields (``block_rows=``,
+        ``kernel=``, ``pruning=``, ``mode=``, ``band_width=``,
+        ``xdrop_x=``, ``dp_dtype=``), which the config class documents.
+        The tiers are dispatched by
+        :func:`~repro.sw.tiers.run_tiers` over this pool's exact/banded
+        sweep: a banded sweep skips slab block rows that miss the static
+        band, ``xdrop`` runs inline in the parent while the workers stay
+        idle, and ``auto`` re-runs exact over the same live workers when
+        the confidence check fails.  Pruning runs against the chain's
+        shared scoreboard, reset before each comparison.  Pass a
+        :class:`~repro.device.trace.Tracer` to collect per-worker
+        wall-clock intervals (actors ``worker0``, ...; one is created on
+        the result regardless).
 
         Telemetry (INTERNALS.md section 8): *metrics* collects per-worker
         counters (spawn-safe snapshot-and-merge into the same registry
@@ -438,14 +430,13 @@ class WorkerPool:
         exhausted or the failure is permanent.  When *heartbeat_s* is
         also set, workers silent for twice that long are killed by the
         watchdog so hard stalls enter the same recovery path as crashes.
+        Without recovery the first worker death or error fails the
+        comparison at once; closing the broken pool stops the survivors.
         ``_fault`` is the test-only ``(worker_id, block_index)`` crash
         hook, first attempt only.
 
-        DP dtype (INTERNALS.md section 11): *dp_dtype* selects the
-        kernel-internal compute dtype — ``"auto"`` (default) resolves per
-        attempt to the narrowest policy guaranteed overflow-free for the
-        widest slab, explicit narrow names escalate overflowing blocks
-        back to int32 per block.  Scores are bit-identical either way.
+        DP dtype (INTERNALS.md section 11): ``dp_dtype="auto"`` resolves
+        per attempt against the widest slab of that attempt's partition.
 
         Online re-balancing: with ``rebalance=True`` the comparison's
         progress board is sampled while the chain runs, per-worker
@@ -466,14 +457,12 @@ class WorkerPool:
             raise ConfigError("pool is closed")
         if self._broken:
             raise ConfigError("pool is broken by an earlier failure")
-        check_comparison(a_codes, b_codes, workers=self.workers,
-                         block_rows=block_rows, kernel=kernel, mode=mode,
-                         dp_dtype=dp_dtype, band_width=band_width,
-                         xdrop_x=xdrop_x)
-        if block_rows > self.max_block_rows:
+        cfg = resolve_config(config, **overrides)
+        check_comparison(a_codes, b_codes, workers=self.workers)
+        if cfg.block_rows > self.max_block_rows:
             raise ConfigError(
-                f"block_rows {block_rows} exceeds the pool's max_block_rows "
-                f"{self.max_block_rows}")
+                f"block_rows {cfg.block_rows} exceeds the pool's "
+                f"max_block_rows {self.max_block_rows}")
         if rebalance_threshold <= 0:
             raise ConfigError("rebalance_threshold must be positive")
         if retry is None:
@@ -481,24 +470,24 @@ class WorkerPool:
                                 backoff_s=restart_backoff_s)
         if self.events is not None:
             self.events.emit(
-                "run_start", backend=self._backend, mode=mode,
+                "run_start", backend=self._backend, mode=cfg.mode,
                 rows=int(a_codes.size), cols=int(b_codes.size),
-                workers=self.workers if mode in SWEPT_MODES else 0,
-                kernel=kernel, transport=self.transport, pruning=pruning,
-                max_restarts=retry.max_restarts,
-                band_width=band_width if mode in BANDED_MODES else None)
+                workers=self.workers if cfg.mode in SWEPT_MODES else 0,
+                kernel=cfg.kernel, transport=self.transport,
+                pruning=cfg.pruning, max_restarts=retry.max_restarts,
+                band_width=(cfg.band_width if cfg.mode in BANDED_MODES
+                            else None))
         t0 = time.perf_counter()
         faults = iter([_fault])  # the crash hook fires on the first sweep only
 
         def sweep(band_half_width: int | None) -> ProcessChainResult:
             return self._sweep(
-                a_codes, b_codes, scoring, band_half_width,
-                block_rows=block_rows, timeout_s=timeout_s, tracer=tracer,
-                kernel=kernel, pruning=pruning, metrics=metrics,
+                a_codes, b_codes, scoring, band_half_width, cfg,
+                timeout_s=timeout_s, tracer=tracer, metrics=metrics,
                 heartbeat_s=heartbeat_s, on_stall=on_stall, retry=retry,
-                checkpoint_blocks=checkpoint_blocks, dp_dtype=dp_dtype,
-                rebalance=rebalance, rebalance_threshold=rebalance_threshold,
-                timeline=timeline, fault=next(faults, None))
+                checkpoint_blocks=checkpoint_blocks, rebalance=rebalance,
+                rebalance_threshold=rebalance_threshold, timeline=timeline,
+                fault=next(faults, None))
 
         def from_xdrop(xo) -> ProcessChainResult:
             # The frontier has no block decomposition to distribute: it
@@ -508,10 +497,10 @@ class WorkerPool:
                 cells=int(a_codes.size) * int(b_codes.size), workers=0,
                 transport=self.transport, start_method=self.start_method,
                 tracer=tracer if tracer is not None else Tracer(),
-                kernel=kernel)
+                kernel=cfg.kernel)
 
-        result = run_tiers(a_codes, b_codes, scoring, mode=mode,
-                           band_width=band_width, xdrop_x=xdrop_x,
+        result = run_tiers(a_codes, b_codes, scoring, mode=cfg.mode,
+                           band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
                            sweep=sweep, from_xdrop=from_xdrop,
                            elapsed="wall_time_s", backend=self._backend,
                            metrics=metrics, events=self.events)
@@ -520,10 +509,9 @@ class WorkerPool:
                         events=self.events)
         return result
 
-    def _sweep(self, a_codes, b_codes, scoring, band_half_width, *,
-               block_rows, timeout_s, tracer, kernel, pruning, metrics,
-               heartbeat_s, on_stall, retry, checkpoint_blocks, dp_dtype,
-               rebalance, rebalance_threshold, timeline,
+    def _sweep(self, a_codes, b_codes, scoring, band_half_width, cfg, *,
+               timeout_s, tracer, metrics, heartbeat_s, on_stall, retry,
+               checkpoint_blocks, rebalance, rebalance_threshold, timeline,
                fault) -> ProcessChainResult:
         """One exact sweep over the chain, or a banded one (slab block rows
         missing the static band ``|j - i| <= band_half_width`` are
@@ -556,11 +544,11 @@ class WorkerPool:
                 # the surviving slabs, and "auto" must stay overflow-free.
                 slabs = proportional_partition(n, self.weights)
                 dp_policy = resolve_dp_dtype(
-                    dp_dtype, scoring,
+                    cfg.dp_dtype, scoring,
                     block_cols=max(s.cols for s in slabs), m=m, n=n,
                     local=True)
                 dp = dp_policy if dp_policy.narrow else None
-                if pruning:
+                if cfg.pruning:
                     # Safe: no comparison is in flight here (align is serial
                     # and the previous run's workers have all reported).
                     self._scoreboard.reset()
@@ -580,10 +568,9 @@ class WorkerPool:
                     cols = slice(slab.col0, slab.col1)
                     self._task_queues[g].put(SlabTask(
                         a_codes=a_codes, b_slab=b_codes[cols].copy(),
-                        slab=slab, scoring=scoring, block_rows=block_rows,
+                        slab=slab, scoring=scoring, config=cfg,
                         origin=origin, border_timeout_s=self.border_timeout_s,
-                        kernel=kernel, n_cols=n, pruning=pruning,
-                        collect_metrics=metrics is not None,
+                        n_cols=n, collect_metrics=metrics is not None,
                         start_row=start_row,
                         h_init=None if h_full is None else h_full[cols].copy(),
                         f_init=None if f_full is None else f_full[cols].copy(),
@@ -596,7 +583,7 @@ class WorkerPool:
 
                 reports, failures, sampler = self._collect(
                     timeout_s, heartbeat_s=heartbeat_s, on_stall=on_stall,
-                    hard_kill=recovery, metrics=metrics,
+                    recovery=recovery, metrics=metrics,
                     rebalance=rebalance, timeline=timeline)
                 wall = time.perf_counter() - origin
 
@@ -634,8 +621,8 @@ class WorkerPool:
                         workers=self.workers,
                         partition=tuple(slabs), transport=self.transport,
                         start_method=self.start_method, tracer=result_tracer,
-                        kernel=kernel,
-                        pruning=pruning,
+                        kernel=cfg.kernel,
+                        pruning=cfg.pruning,
                         blocks_checked=base_checked
                         + sum(c for c, _ in worker_blocks),
                         blocks_pruned=base_pruned
@@ -725,21 +712,21 @@ class WorkerPool:
             if checkpoints is not None:
                 checkpoints.unlink()
 
-    def _collect(self, timeout_s, *, heartbeat_s, on_stall, hard_kill,
+    def _collect(self, timeout_s, *, heartbeat_s, on_stall, recovery,
                  metrics, rebalance, timeline):
         """Gather one attempt's reports under its deadline, with the
         heartbeat watchdog and the re-balancing sampler riding along.
 
-        With *hard_kill* (recovery armed), a worker wedged for twice the
-        stall threshold is killed so the ordinary death path — and
-        recovery — takes over.  Returns ``(reports, failures, sampler)``
+        With *recovery* armed, a worker wedged for twice the stall
+        threshold is killed so the ordinary death path — and recovery —
+        takes over; without it the first failure ends the wait.  Returns ``(reports, failures, sampler)``
         (see :func:`~repro.multigpu.procchain.collect_results`)."""
         label = self._worker_label
         describe = lambda g: f"{label} {g}"  # noqa: E731
         monitor = None
         if heartbeat_s is not None:
             on_hard = None
-            if hard_kill:
+            if recovery:
                 def on_hard(report, _procs=self._procs):
                     proc = _procs[report.worker]
                     if proc.is_alive():
@@ -748,7 +735,7 @@ class WorkerPool:
             monitor = HeartbeatMonitor(
                 self._progress, stall_after_s=heartbeat_s,
                 on_stall=on_stall,
-                hard_stall_s=2.0 * heartbeat_s if hard_kill else None,
+                hard_stall_s=2.0 * heartbeat_s if recovery else None,
                 on_hard_stall=on_hard, metrics=metrics, events=self.events)
             monitor.start()
             describe = lambda g: f"{label} {g} ({monitor.describe(g)})"  # noqa: E731
@@ -760,7 +747,8 @@ class WorkerPool:
         try:
             reports, failures = collect_results(
                 self._result_queue, self._procs, set(range(self.workers)),
-                time.monotonic() + timeout_s, describe=describe)
+                time.monotonic() + timeout_s, describe=describe,
+                fail_fast=not recovery)
         finally:
             if sampler is not None:
                 sampler.stop()
@@ -809,19 +797,18 @@ class WorkerPool:
         pairs: Iterable[tuple[np.ndarray, np.ndarray]],
         scoring: Scoring,
         *,
-        block_rows: int = 512,
+        config: AlignConfig | None = None,
         timeout_s: float = 300.0,
-        kernel: str = "scalar",
-        pruning: bool = False,
         metrics: MetricsRegistry | None = None,
+        **overrides,
     ) -> list[ProcessChainResult]:
-        """Run every ``(a, b)`` pair through the pool, in order.
+        """Run every ``(a, b)`` pair through the pool, in order, under
+        one config (*config* plus keyword *overrides*, as on
+        :meth:`align`).
 
         A shared *metrics* registry accumulates across the whole batch
         (counters are additive; each run's merge adds on top)."""
-        return [
-            self.align(a, b, scoring, block_rows=block_rows,
-                       timeout_s=timeout_s, kernel=kernel, pruning=pruning,
-                       metrics=metrics)
-            for a, b in pairs
-        ]
+        cfg = resolve_config(config, **overrides)
+        return [self.align(a, b, scoring, config=cfg, timeout_s=timeout_s,
+                           metrics=metrics)
+                for a, b in pairs]

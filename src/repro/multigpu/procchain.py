@@ -57,15 +57,12 @@ from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..obs.registry import MetricsRegistry
 from ..perf.metrics import gcups as _metrics_gcups
 from ..seq.scoring import Scoring
-from ..sw.batched import BlockJob, KernelWorkspace, cached_profile, sweep_wavefront, validate_kernel
-from ..sw.blocks import BlockSpec, pruned_border_result
-from ..sw.compiled import sweep_block_compiled
-from ..sw.constants import DTYPE, NEG_INF, DpPolicy, validate_dp_dtype
-from ..sw.kernel import BestCell, sweep_block
-from ..sw.pruning import BlockPruner
-from ..sw.tiers import validate_tiers
-from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, band_intersects
-from .checkpoint import CheckpointArea, RetryPolicy
+from ..sw.batched import KernelWorkspace, cached_profile
+from ..sw.blocks import SlabSweep
+from ..sw.config import CONFIG_FIELDS, AlignConfig, resolve_config
+from ..sw.constants import DTYPE, NEG_INF, DpPolicy
+from ..sw.kernel import BestCell
+from .checkpoint import CheckpointArea
 from .partition import Slab
 
 #: Supported border transports.
@@ -229,8 +226,11 @@ class SlabOutcome:
 class SlabTask:
     """One comparison's work order for one slab worker.
 
-    *b_slab* is the worker's column slab of the reference and *n_cols*
-    the full matrix width; *origin* is the parent's ``perf_counter``
+    *config* is the comparison's resolved
+    :class:`~repro.sw.config.AlignConfig`; its ``block_rows``, ``kernel``
+    and ``pruning`` drive the sweep.  *b_slab* is the worker's column
+    slab of the reference and *n_cols* the full matrix width; *origin*
+    is the parent's ``perf_counter``
     origin for wall-clock trace records.  The recovery fields resume the
     sweep at matrix row *start_row* from *h_init*/*f_init* (H/F of row
     ``start_row - 1`` across the slab) and name the per-attempt
@@ -245,12 +245,10 @@ class SlabTask:
     b_slab: np.ndarray
     slab: Slab
     scoring: Scoring
-    block_rows: int
+    config: AlignConfig
     origin: float
     border_timeout_s: float
-    kernel: str
     n_cols: int
-    pruning: bool
     collect_metrics: bool
     start_row: int = 0
     h_init: np.ndarray | None = None
@@ -298,27 +296,14 @@ def sweep_slab(
 
     *recv_link* / *send_link* are border transports (``None`` at the chain
     ends); the task's *fault_block* kills the process just before
-    computing that block row (failure-injection tests).  The task's
-    *kernel* selects the block sweep: ``"batched"`` runs each block row
-    through :func:`~repro.sw.batched.sweep_wavefront` with the
-    caller's *workspace*, so persistent workers stop reallocating
-    scratch.  The profile is content-LRU-cached per process, so a worker
-    that sees the same slab repeatedly skips the rebuild.
-
-    Distributed pruning (``task.pruning``): pass the chain-wide
-    :class:`~repro.comm.scoreboard.SharedScoreboard` and this worker's
-    *slot*.  Each block row is checked against the chain-wide best
-    before sweeping (the bound needs the full matrix width
-    ``task.n_cols``, and a worker only sees its own slab); pruned rows
-    emit restart borders (:func:`~repro.sw.blocks.pruned_border_result`)
-    and are recorded as zero-length ``pruned`` spans.  Scoreboard reads
-    may be stale — safe by monotonicity (see :mod:`repro.comm.scoreboard`).
-
-    Static band (a banded sweep): with ``task.band_half_width``, block
-    rows whose slab block misses the band ``|j - i| <= band_half_width``
-    are skipped outright — before the pruner even looks — emitting the
-    same restart borders (``band-skip`` spans; the result is the banded
-    best, a lower bound of the unrestricted optimum).
+    computing that block row (failure-injection tests).  Each block row
+    goes through the shared :class:`~repro.sw.blocks.SlabSweep` step:
+    skipped rows (static band, or pruned against the chain-wide
+    :class:`~repro.comm.scoreboard.SharedScoreboard` at this worker's
+    *slot*; stale reads are safe by monotonicity) are recorded as
+    zero-length ``band-skip``/``pruned`` spans.  The persistent worker's
+    *workspace* is the batched kernel's scratch, and the profile is
+    content-LRU-cached per process.
 
     Telemetry: *progress* is the shared-memory heartbeat board this
     worker beats into at every phase transition — ``rows_done`` carries
@@ -338,36 +323,24 @@ def sweep_slab(
     ``h_init[-1]`` — exactly ``H[start_row-1, col0-1]`` of its right
     neighbour's view.
 
-    DP dtype: ``task.dp`` (a narrow
-    :class:`~repro.sw.constants.DpPolicy`, resolved by the parent so the
-    whole chain shares one policy) routes eligible block sweeps through
-    the narrow kernel; overflowing blocks escalate to int32
-    transparently.  Borders stay int32 on the wire.
+    DP dtype: ``task.dp`` is the narrow
+    :class:`~repro.sw.constants.DpPolicy` the parent resolved for the
+    whole chain; borders stay int32 on the wire.
     """
-    a_codes, slab, scoring = task.a_codes, task.slab, task.scoring
-    block_rows, kernel, dp = task.block_rows, task.kernel, task.dp
-    border_timeout_s = task.border_timeout_s
-    profile = cached_profile(task.b_slab, scoring)
-    if kernel == "batched" and workspace is None:
-        workspace = KernelWorkspace()
-    pruner = BlockPruner(match=scoring.match) if task.pruning else None
-    w = slab.cols
+    a_codes, slab = task.a_codes, task.slab
+    block_rows, border_timeout_s = task.config.block_rows, task.border_timeout_s
     m = int(a_codes.size)
     start_row = task.start_row
-    if start_row > 0:
-        if task.h_init is None or task.f_init is None:
-            raise CommError("resuming needs h_init and f_init")
-        h_top = np.asarray(task.h_init, dtype=DTYPE).copy()
-        f_top = np.asarray(task.f_init, dtype=DTYPE).copy()
-        prev_right_last = int(h_top[-1])
-    else:
-        h_top = np.zeros(w, dtype=DTYPE)
-        f_top = np.full(w, NEG_INF, dtype=DTYPE)
-        prev_right_last = 0
-    best = BestCell.none()
+    if start_row > 0 and (task.h_init is None or task.f_init is None):
+        raise CommError("resuming needs h_init and f_init")
+    sweeper = SlabSweep(
+        task.config, task.scoring, cached_profile(task.b_slab, task.scoring),
+        slab.col0, slab.col1, m=m, n_cols=task.n_cols,
+        band_half_width=task.band_half_width, dp=task.dp,
+        scoreboard=scoreboard, slot=slot, workspace=workspace,
+        instruments=instruments, h_top=task.h_init, f_top=task.f_init)
+    prev_right_last = int(sweeper.h_top[-1]) if start_row > 0 else 0
     ckpt_stride = max(1, int(task.checkpoint_blocks)) * block_rows
-    blocks_skipped_band = 0
-    blocks_narrow = blocks_wide = dtype_escalations = 0
 
     row_edges = list(range(start_row, m, block_rows)) + [m]
     for block_index, (r0, r1) in enumerate(zip(row_edges, row_edges[1:])):
@@ -390,58 +363,20 @@ def sweep_slab(
         if block_index == task.fault_block:
             os._exit(3)  # simulated hard crash: no exception, no result
 
-        spec = BlockSpec(r0, r1, slab.col0, slab.col1)
-        skipped_band = not band_intersects(spec, task.band_half_width)
-        blocks_skipped_band += skipped_band
-        pruned = (not skipped_band and pruner is not None
-                  and pruner.should_prune(
-                      spec, m, task.n_cols, int(h_top.max(initial=NEG_INF)),
-                      int(h_left.max(initial=NEG_INF)), scoreboard.read(),
-                      corner=corner))
-        if skipped_band or pruned:
+        skip = sweeper.skip(r0, r1, h_left, corner)
+        if skip is not None:
             progress.beat(slot, r0, "pruned")
-            with recorder.span("band-skip" if skipped_band else "pruned"):
-                result = pruned_border_result(spec)
-            if instruments is not None:
-                if skipped_band:
-                    instruments.block_skipped_band()
-                else:
-                    instruments.block_pruned()
+            with recorder.span(skip):
+                result = sweeper.restart(r0, r1)
         else:
             progress.beat(slot, r0, "compute")
             with recorder.span("compute"):
-                if kernel == "batched":
-                    job = BlockJob(a_codes[r0:r1], profile, h_top, f_top,
-                                   h_left, e_left, corner)
-                    result = sweep_wavefront([job], scoring, local=True,
-                                             workspace=workspace, dp=dp)[0]
-                else:
-                    sweep = (sweep_block_compiled if kernel == "compiled"
-                             else sweep_block)
-                    result = sweep(
-                        a_codes[r0:r1], profile, h_top, f_top, h_left, e_left,
-                        corner, scoring, local=True, dp=dp,
-                    )
+                result = sweeper.sweep(a_codes[r0:r1], h_left, e_left, corner)
             if instruments is not None:
                 _, span_start, span_end = recorder.records[-1]
                 instruments.block_computed(span_end - span_start,
-                                           cells=rows * w)
-            if dp is not None:
-                narrow = int(result.dtype == dp.name)
-                esc = int(result.escalated)
-                blocks_narrow += narrow
-                blocks_wide += 1 - narrow
-                dtype_escalations += esc
-                if instruments is not None:
-                    instruments.block_dtype(narrow=narrow, wide=1 - narrow,
-                                            escalations=esc)
-        h_top = result.h_bottom
-        f_top = result.f_bottom
-        cell = result.best.shifted(r0, slab.col0)
-        if cell.better_than(best):
-            best = cell
-            if pruner is not None:
-                scoreboard.publish(slot, best.score)
+                                           cells=rows * slab.cols)
+        sweeper.advance(result, r0)
 
         if send_link is not None:
             progress.beat(slot, r0, "send")
@@ -454,24 +389,16 @@ def sweep_slab(
             prev_right_last = int(result.h_right[-1])
         if task.checkpoints is not None and (r1 == m or r1 % ckpt_stride == 0):
             progress.beat(slot, r0, "checkpoint")
+            counters = sweeper.counters()
             with recorder.span("checkpoint"):
                 task.checkpoints.publish(
-                    slot, r1, h_top, f_top, best,
-                    pruner.blocks_checked if pruner is not None else 0,
-                    pruner.blocks_pruned if pruner is not None else 0)
+                    slot, r1, sweeper.h_top, sweeper.f_top, sweeper.best,
+                    counters["blocks_checked"], counters["blocks_pruned"])
             if instruments is not None:
                 instruments.checkpoint_published()
         progress.beat(slot, r1, "idle")
     progress.beat(slot, m, "done")
-    return SlabOutcome(
-        best=best,
-        blocks_checked=pruner.blocks_checked if pruner is not None else 0,
-        blocks_pruned=pruner.blocks_pruned if pruner is not None else 0,
-        blocks_skipped_band=blocks_skipped_band,
-        blocks_narrow=blocks_narrow,
-        blocks_wide=blocks_wide,
-        dtype_escalations=dtype_escalations,
-    )
+    return SlabOutcome(best=sweeper.best, **sweeper.counters())
 
 
 def collect_results(
@@ -480,6 +407,8 @@ def collect_results(
     pending: set,
     deadline: float,
     describe=lambda key: f"worker {key}",
+    *,
+    fail_fast: bool = False,
 ):
     """Drain one :class:`SlabReport` per pending worker key, robustly.
 
@@ -498,6 +427,11 @@ def collect_results(
     the blocking get's timeout is clamped to a small positive floor, so a
     late caller never passes a negative timeout down to the queue and
     never discards a result that had in fact arrived in time.
+
+    With *fail_fast* the first failure ends the wait: the keys still
+    pending are neither reported nor failed.  A caller that cannot
+    recover uses it, because a dead worker's neighbours would otherwise
+    hold the run until their border timeouts expire.
     """
     reports: dict = {}
     failures: list[tuple[int, str, str]] = []
@@ -513,7 +447,7 @@ def collect_results(
         else:
             reports[key] = report
 
-    while pending:
+    while pending and not (fail_fast and failures):
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             # Deadline elapsed: drain whatever already arrived, then
@@ -570,14 +504,9 @@ def checkpoint_history_for(workers: int, capacity: int,
 
 
 def check_comparison(a_codes: np.ndarray, b_codes: np.ndarray, *,
-                     workers: int, block_rows: int, kernel: str, mode: str,
-                     dp_dtype: str, band_width: int, xdrop_x: int) -> None:
-    """Refuse a comparison a *workers*-long chain cannot run."""
-    if block_rows <= 0:
-        raise ConfigError("block_rows must be positive")
-    validate_kernel(kernel)
-    validate_tiers(mode, band_width, xdrop_x)
-    validate_dp_dtype(dp_dtype)
+                     workers: int) -> None:
+    """Refuse sequences a *workers*-long chain cannot run (the config
+    validated itself on construction)."""
     if a_codes.size == 0 or b_codes.size == 0:
         raise ConfigError("sequences must be non-empty")
     if b_codes.size < workers:
@@ -605,31 +534,15 @@ def align_multi_process(
     b_codes: np.ndarray,
     scoring: Scoring,
     *,
+    config: AlignConfig | None = None,
     workers: int = 2,
-    block_rows: int = 512,
-    timeout_s: float = 300.0,
-    transport: str = "shm",
-    start_method: str | None = None,
     weights: Sequence[float] | None = None,
     capacity: int = 4,
+    transport: str = "shm",
+    start_method: str | None = None,
     border_timeout_s: float = 60.0,
-    tracer: Tracer | None = None,
-    kernel: str = "scalar",
-    pruning: bool = False,
-    metrics: MetricsRegistry | None = None,
-    heartbeat_s: float | None = None,
-    on_stall=None,
-    max_restarts: int = 0,
-    restart_backoff_s: float = 0.5,
-    retry: RetryPolicy | None = None,
-    checkpoint_blocks: int = 4,
-    mode: str = "exact",
-    band_width: int = DEFAULT_BAND_WIDTH,
-    xdrop_x: int = DEFAULT_XDROP_X,
-    dp_dtype: str = "auto",
     events=None,
-    timeline=None,
-    _fault: tuple[int, int] | None = None,
+    **options,
 ) -> ProcessChainResult:
     """One comparison across *workers* real processes.
 
@@ -637,16 +550,14 @@ def align_multi_process(
     comparison: every argument is validated first (each
     :class:`ConfigError` is raised before any process spawns), then the
     pool's first sweep spawns *workers* slab processes, the pool runs
-    this comparison once and is closed on every exit path.  *weights* sizes slabs
-    proportionally to per-worker speed (equal by default), *capacity* is
-    the border ring depth, *transport* picks shared memory or pipes,
-    *start_method* overrides the fork-else-spawn default.  Every other
-    argument means what it means on :meth:`WorkerPool.align
-    <repro.multigpu.pool.WorkerPool.align>` — tiers (*mode*,
-    *band_width*, *xdrop_x*), *kernel*, *pruning*, *dp_dtype*, recovery
-    (*max_restarts*, *restart_backoff_s*, *retry*, *checkpoint_blocks*),
-    telemetry (*metrics*, *heartbeat_s*, *on_stall*, *tracer*,
-    *timeline*) and the test-only ``_fault`` crash hook.
+    this comparison once and is closed on every exit path.  *weights*
+    sizes slabs proportionally to per-worker speed (equal by default),
+    *capacity* is the border ring depth, *transport* picks shared memory
+    or pipes, *start_method* overrides the fork-else-spawn default.
+    *config* and the :class:`~repro.sw.config.AlignConfig` field names
+    in *options* (``block_rows=``, ``kernel=``, ``mode=``, ...) make the
+    comparison's config; every other option means what it means on
+    :meth:`WorkerPool.align <repro.multigpu.pool.WorkerPool.align>`.
     ``mode="xdrop"`` runs inline in the parent and spawns nothing.
 
     *events* journals ``run_start``, the pool's ``worker_spawn`` and
@@ -661,25 +572,19 @@ def align_multi_process(
     from .pool import WorkerPool  # the engine builds on this module
 
     t0 = time.perf_counter()
-    check_comparison(a_codes, b_codes, workers=workers, block_rows=block_rows,
-                     kernel=kernel, mode=mode, dp_dtype=dp_dtype,
-                     band_width=band_width, xdrop_x=xdrop_x)
+    cfg = resolve_config(config, **{n: options.pop(n) for n in CONFIG_FIELDS
+                                    if n in options})
+    check_comparison(a_codes, b_codes, workers=workers)
     # A lazy pool: every remaining check runs before its first sweep
     # spawns the workers, and an inline X-drop run spawns none.
-    with WorkerPool(workers, weights=weights, max_block_rows=block_rows,
+    with WorkerPool(workers, weights=weights, max_block_rows=cfg.block_rows,
                     capacity=capacity, transport=transport,
                     start_method=start_method,
                     border_timeout_s=border_timeout_s, events=events,
                     _backend="process", _lazy=True) as pool:
-        result = pool.align(
-            a_codes, b_codes, scoring, block_rows=block_rows,
-            timeout_s=timeout_s, tracer=tracer, kernel=kernel,
-            pruning=pruning, metrics=metrics, heartbeat_s=heartbeat_s,
-            on_stall=on_stall, max_restarts=max_restarts,
-            restart_backoff_s=restart_backoff_s, retry=retry,
-            checkpoint_blocks=checkpoint_blocks, mode=mode,
-            band_width=band_width, xdrop_x=xdrop_x, dp_dtype=dp_dtype,
-            timeline=timeline, _fault=_fault, _finalize_metrics=False)
+        result = pool.align(a_codes, b_codes, scoring, config=cfg,
+                            _finalize_metrics=False, **options)
     result = replace(result, wall_time_s=time.perf_counter() - t0)
-    publish_run(result, backend="process", metrics=metrics, events=events)
+    publish_run(result, backend="process",
+                metrics=options.get("metrics"), events=events)
     return result

@@ -121,7 +121,7 @@ def single_result_dict(result) -> dict:
     :class:`~repro.sw.pruning.BlockPruner` statistics that used to be
     dropped on the single-engine path."""
     return {
-        "kernel": getattr(result, "kernel", "scalar"),
+        "kernel": result.kernel,
         "cells": result.cells,
         "cells_computed": result.cells_computed,
         "total_time_s": result.total_time_s,
@@ -231,9 +231,8 @@ def single_report(result, *, title: str = "single-GPU run") -> str:
         f"virtual time: {humanize_time(result.total_time_s)}   "
         f"throughput: {result.gcups:.2f} GCUPS"
     )
-    kernel = getattr(result, "kernel", "scalar")
-    if kernel != "scalar":
-        lines.append(f"kernel: {kernel}")
+    if result.kernel != "scalar":
+        lines.append(f"kernel: {result.kernel}")
     lines.append(_best_line(result))
     if result.blocks_checked:
         lines.append(

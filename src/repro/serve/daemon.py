@@ -41,8 +41,9 @@ from __future__ import annotations
 import socketserver
 import threading
 import time
+import typing
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .. import seq
@@ -54,7 +55,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.timeseries import TimeSeriesSampler
 from ..seq.scoring import Scoring
 from ..sw.backend import resolve_kernel
-from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
+from ..sw.config import AlignConfig
 from .cache import DEFAULT_CACHE_ENTRIES, ResultCache
 from .jobs import (
     DEFAULT_QUEUE_DEPTH,
@@ -76,6 +77,18 @@ LATENCY_BUCKETS = (
 
 #: Jobs one `/jobs` scrape returns (newest first).
 JOBS_ROUTE_LIMIT = 100
+
+
+def _wire_fields(cls, doc: dict) -> dict:
+    """The fields of dataclass *cls* that request *doc* sets, each
+    refused unless it has its declared type exactly (no coercion)."""
+    types = typing.get_type_hints(cls)
+    out = {f.name: doc[f.name] for f in fields(cls) if f.init and f.name in doc}
+    for name, value in out.items():
+        if type(value) is not types[name]:
+            raise ConfigError(f"{name} must be a JSON "
+                              f"{types[name].__name__}, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -373,14 +386,13 @@ class ServeDaemon:
             pool = self.pools[idx]
             if pool is None or pool.broken or pool.closed:
                 pool = self._respawn_pool(idx)
-            kernel = resolve_kernel(spec.kernel)
+            # The executor is the front door for a job's kernel: "auto"
+            # resolves on this host, an unavailable kernel fails the job.
             res = pool.align(
-                spec.a_codes, spec.b_codes, spec.scoring,
+                spec.a_codes, spec.b_codes, spec.scoring, config=spec,
+                kernel=resolve_kernel(spec.kernel),
                 block_rows=min(spec.block_rows, cfg.max_block_rows),
                 timeout_s=cfg.job_timeout_s,
-                kernel=kernel, pruning=spec.pruning,
-                mode=spec.mode, band_width=spec.band_width,
-                xdrop_x=spec.xdrop_x, dp_dtype=spec.dp_dtype,
                 metrics=self._pool_registries[idx],
                 timeline=self._samplers[idx],
                 max_restarts=cfg.max_restarts)
@@ -483,7 +495,13 @@ class ServeDaemon:
 
     # -- the wire API ---------------------------------------------------------
     def spec_from_request(self, req: dict) -> JobSpec:
-        """Build a :class:`JobSpec` from one ``submit`` request dict."""
+        """Build a :class:`JobSpec` from one ``submit`` request dict.
+
+        The :class:`~repro.sw.config.AlignConfig` and ``scoring`` fields
+        are decoded by their declared types, strictly: ``64.9``, ``true``
+        or ``"128"`` for an int field is refused, not coerced.  An absent
+        field takes its default.
+        """
 
         def codes_for(side: str):
             inline = req.get(f"seq_{side}")
@@ -494,27 +512,15 @@ class ServeDaemon:
                 return seq.read_single(path).codes
             raise ServeError(f"submit needs seq_{side} or path_{side}")
 
-        scoring = seq.DNA_DEFAULT
-        if "scoring" in req:
-            s = req["scoring"]
-            scoring = Scoring(
-                match=int(s.get("match", seq.DNA_DEFAULT.match)),
-                mismatch=int(s.get("mismatch", seq.DNA_DEFAULT.mismatch)),
-                gap_open=int(s.get("gap_open", seq.DNA_DEFAULT.gap_open)),
-                gap_extend=int(
-                    s.get("gap_extend", seq.DNA_DEFAULT.gap_extend)))
+        scoring = replace(seq.DNA_DEFAULT,
+                          **_wire_fields(Scoring, req.get("scoring", {})))
+        config = _wire_fields(AlignConfig, req)
+        if "tenant" in req:
+            config["tenant"] = str(req["tenant"])
         return JobSpec(
             a_codes=codes_for("a"), b_codes=codes_for("b"), scoring=scoring,
-            tenant=str(req.get("tenant", "default")),
-            mode=str(req.get("mode", "exact")),
-            band_width=int(req.get("band_width", DEFAULT_BAND_WIDTH)),
-            xdrop_x=int(req.get("xdrop_x", DEFAULT_XDROP_X)),
-            dp_dtype=str(req.get("dp_dtype", "auto")),
-            kernel=str(req.get("kernel", "scalar")),
-            block_rows=int(req.get("block_rows", 256)),
-            pruning=req.get("pruning", False),
             use_cache=req.get("use_cache", True),
-            lane_override=req.get("lane"))
+            lane_override=req.get("lane"), **config)
 
     def handle_request(self, req: dict) -> dict:
         """Dispatch one protocol request (shared by TCP and tests)."""

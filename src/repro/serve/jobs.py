@@ -11,9 +11,9 @@ tenant cannot monopolise the pools and short jobs are not starved
 behind megabase runs (INTERNALS.md section 14).
 
 The cache key (:meth:`JobSpec.cache_key`) is derived from the
-manifest-style SHA-256 content digests of both sequences plus every
-config field that names the comparison — scoring parameters, tier
-(``mode`` + its band/X-drop knobs) and ``dp_dtype`` — so two submissions
+manifest-style SHA-256 content digests of both sequences plus the
+scoring parameters and the config's
+:meth:`~repro.sw.config.AlignConfig.answer_key` — so two submissions
 of the same popular comparison collapse onto one computed result
 whatever file paths or tenants they came from.
 """
@@ -31,10 +31,8 @@ import numpy as np
 
 from ..errors import ConfigError, ServeError
 from ..seq.scoring import Scoring
-from ..sw.backend import validate_kernel
-from ..sw.constants import validate_dp_dtype
-from ..sw.tiers import BANDED_MODES, validate_tiers
-from ..sw.xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
+from ..sw.config import AlignConfig
+from ..sw.tiers import BANDED_MODES
 from .scheduler import LANES, FairScheduler
 
 #: Job lifecycle states (a record only ever moves left to right).
@@ -59,36 +57,31 @@ class AdmissionError(ServeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """Everything needed to run (and cache) one alignment job."""
+@dataclass(frozen=True, kw_only=True)
+class JobSpec(AlignConfig):
+    """Everything needed to run (and cache) one alignment job: the
+    sequences, the scoring scheme and the
+    :class:`~repro.sw.config.AlignConfig` knobs (serve runs shorter
+    blocks by default), plus the serving fields.
+
+    Construction is the submit-time check: a bad field is refused before
+    the job is queued, not later as an executor failure.  ``kernel="auto"``
+    is kept as submitted; the executor resolves it on its host.
+    """
 
     a_codes: np.ndarray
     b_codes: np.ndarray
     scoring: Scoring
     tenant: str = "default"
-    mode: str = "exact"
-    band_width: int = DEFAULT_BAND_WIDTH
-    xdrop_x: int = DEFAULT_XDROP_X
-    dp_dtype: str = "auto"
-    kernel: str = "scalar"
     block_rows: int = 256
-    pruning: bool = False
     use_cache: bool = True
     lane_override: str | None = None   #: force a lane ("short"/"long")
 
     def __post_init__(self) -> None:
-        # Refused at submit, before the job is queued: a bad field must
-        # not surface later as an executor failure.
-        validate_tiers(self.mode, self.band_width, self.xdrop_x)
-        validate_dp_dtype(self.dp_dtype)
-        if self.kernel != "auto":  # the executor resolves "auto" per host
-            validate_kernel(self.kernel)
-        if self.block_rows <= 0:
-            raise ConfigError("block_rows must be positive")
-        if not (isinstance(self.pruning, bool)
-                and isinstance(self.use_cache, bool)):
-            raise ConfigError("pruning and use_cache must be booleans")
+        super().__post_init__()
+        if not isinstance(self.use_cache, bool):
+            raise ConfigError(
+                f"use_cache must be a bool, got {self.use_cache!r}")
         if self.a_codes.size == 0 or self.b_codes.size == 0:
             raise ConfigError("sequences must be non-empty")
         if not self.tenant:
@@ -127,10 +120,7 @@ class JobSpec:
         """Digest-keyed identity of the comparison (hex SHA-256).
 
         Sequence *content* digests (not paths) + the scoring scheme +
-        the tier config + ``dp_dtype``.  ``kernel``/``block_rows``/
-        ``pruning`` are deliberately excluded: they are proven
-        bit-identical execution strategies (INTERNALS.md sections 6, 7,
-        11), not answer-changing configuration.
+        the config's :meth:`~repro.sw.config.AlignConfig.answer_key`.
         """
         h = hashlib.sha256()
         for codes in (self.a_codes, self.b_codes):
@@ -138,14 +128,10 @@ class JobSpec:
             h.update(str(arr.size).encode())
             h.update(hashlib.sha256(arr.tobytes()).digest())
         s = self.scoring
-        config = (f"match={s.match},mismatch={s.mismatch},"
-                  f"gap_open={s.gap_open},gap_extend={s.gap_extend},"
-                  f"mode={self.mode},dp_dtype={self.dp_dtype}")
-        if self.mode in BANDED_MODES:
-            config += f",band_width={self.band_width}"
-        if self.mode == "xdrop":
-            config += f",xdrop_x={self.xdrop_x}"
-        h.update(config.encode())
+        key = {"match": s.match, "mismatch": s.mismatch,
+               "gap_open": s.gap_open, "gap_extend": s.gap_extend,
+               **self.answer_key()}
+        h.update(",".join(f"{k}={v}" for k, v in key.items()).encode())
         return h.hexdigest()
 
 

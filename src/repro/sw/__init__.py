@@ -19,6 +19,8 @@ Layering (bottom up):
 * :mod:`repro.sw.banded` — banded screen / cross-check.
 * :mod:`repro.sw.xdrop` — heuristic tier: X-drop extension, the adaptive
   band engine, and the ``mode="auto"`` confidence check.
+* :mod:`repro.sw.config` — :class:`AlignConfig`, the seven comparison
+  knobs every engine, the CLI and serve share.
 """
 
 from .alignment import Alignment, from_ops
@@ -55,6 +57,7 @@ from .scan import (
     use_scan_engine,
 )
 from .blocks import BlockSpec, BlockedOutcome, compute_blocked, grid_specs, wavefront_order
+from .config import AlignConfig, resolve_config
 from .constants import (
     DP_DTYPE_CHOICES,
     DP_DTYPES,
@@ -166,6 +169,8 @@ __all__ = [
     "stage2_start",
     "stage2_with_crossings",
     "stage3_align",
+    "AlignConfig",
+    "resolve_config",
     "DEFAULT_BAND_WIDTH",
     "DEFAULT_XDROP_X",
     "MODES",

@@ -16,9 +16,9 @@ The library ships three block-sweep kernels:
     refuses it with a clear error so users don't silently benchmark the
     fallback.  ``--kernel auto`` degrades instead of erroring.
 
-Capabilities are probed exactly once at import: ``import numba`` (and,
-for a future GPU lane, ``import cupy``) inside a ``try`` so a missing
-or broken optional install can never take the core library down.  Set
+Capabilities are probed exactly once at import: ``import numba``
+inside a ``try`` so a missing or broken optional install can never
+take the core library down.  Set
 ``MGSW_NO_NUMBA=1`` to force the fallback path even where numba is
 installed — CI uses it to exercise the degraded matrix.
 """
@@ -50,24 +50,9 @@ def _probe_numba():
     return numba
 
 
-def _probe_cupy():
-    """Import cupy if present and usable; never raises.  No kernel uses
-    it yet — the probe exists so ``available_kernels`` callers (and the
-    autotuner) see a stable capability surface when the GPU lane lands.
-    """
-    if os.environ.get("MGSW_NO_CUPY"):
-        return None
-    try:
-        import cupy  # type: ignore[import-not-found]
-    except Exception:
-        return None
-    return cupy
-
-
-#: Probe results, set once at import.  Tests monkeypatch these (and call
+#: Probe result, set once at import.  Tests monkeypatch it (and call
 #: :func:`repro.sw.compiled.reset_jit`) to simulate either environment.
 NUMBA = _probe_numba()
-CUPY = _probe_cupy()
 
 
 def numba_available() -> bool:
@@ -115,7 +100,7 @@ def resolve_kernel(
     spec=None,
     scoring=None,
     block_rows: int | None = None,
-    dp_dtype: str = "auto",
+    dp_dtype: str | None = None,
 ) -> str:
     """Resolve a CLI ``--kernel`` choice to a concrete kernel name.
 
@@ -140,7 +125,7 @@ def resolve_kernel(
         probe_kwargs = {}
         if block_rows is not None:
             probe_kwargs["block_rows_candidates"] = (min(int(block_rows), 512),)
-        if dp_dtype != "auto":
+        if dp_dtype not in (None, "auto"):
             probe_kwargs["dp_dtypes"] = (dp_dtype,)
         choice = tune_device_kernel(spec, scoring, kernels=kernels,
                                     **probe_kwargs)

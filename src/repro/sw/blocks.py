@@ -134,6 +134,111 @@ def pruned_border_result(spec: BlockSpec) -> BlockResult:
     )
 
 
+class SlabSweep:
+    """One column slab's rolling block-row sweep, the step every chain
+    device runs (simulated or real): per block row an engine asks
+    :meth:`skip`, takes :meth:`restart` borders or runs :meth:`sweep`,
+    then hands the result to :meth:`advance`.  It holds the slab's top
+    border (*h_top*/*f_top* resume part-way down), best cell and
+    counters; time, transport and tracing stay with the engine."""
+
+    def __init__(self, config, scoring: Scoring, profile: np.ndarray,
+                 col0: int, col1: int, *, m: int, n_cols: int,
+                 band_half_width: int | None = None,
+                 dp: DpPolicy | None = None, scoreboard=None, slot: int = 0,
+                 workspace: KernelWorkspace | None = None, instruments=None,
+                 h_top: np.ndarray | None = None,
+                 f_top: np.ndarray | None = None,
+                 best: BestCell = BestCell.none()) -> None:
+        self.kernel, self.scoring, self.profile = config.kernel, scoring, profile
+        self.col0, self.col1, self.m, self.n_cols = col0, col1, m, n_cols
+        self.band_half_width, self.dp = band_half_width, dp
+        self.scoreboard, self.slot = scoreboard, slot
+        if self.kernel == "batched" and workspace is None:
+            workspace = KernelWorkspace()
+        self.workspace, self.instruments = workspace, instruments
+        w = col1 - col0
+        self.h_top = np.array(np.zeros(w) if h_top is None else h_top, dtype=DTYPE)
+        self.f_top = np.array(np.full(w, NEG_INF) if f_top is None else f_top,
+                              dtype=DTYPE)
+        self.best = best
+        self.pruner = BlockPruner(match=scoring.match) if config.pruning else None
+        self.blocks_skipped_band = 0
+        self.blocks_narrow = self.blocks_wide = self.dtype_escalations = 0
+
+    def skip(self, r0: int, r1: int, h_left: np.ndarray,
+             corner: int) -> str | None:
+        """Why block row ``[r0, r1)`` needs no sweep: ``"band-skip"`` (it
+        misses the static band), ``"pruned"`` (it cannot beat the
+        chain-wide best on the *scoreboard*), or ``None``."""
+        spec = BlockSpec(r0, r1, self.col0, self.col1)
+        if not band_intersects(spec, self.band_half_width):
+            self.blocks_skipped_band += 1
+            if self.instruments is not None:
+                self.instruments.block_skipped_band()
+            return "band-skip"
+        if self.pruner is not None and self.pruner.should_prune(
+                spec, self.m, self.n_cols, int(self.h_top.max(initial=NEG_INF)),
+                int(h_left.max(initial=NEG_INF)), self.scoreboard.read(),
+                corner=int(corner)):
+            if self.instruments is not None:
+                self.instruments.block_pruned()
+            return "pruned"
+        return None
+
+    def restart(self, r0: int, r1: int) -> BlockResult:
+        """The restart borders a skipped block row emits."""
+        return pruned_border_result(BlockSpec(r0, r1, self.col0, self.col1))
+
+    def sweep(self, a_rows: np.ndarray, h_left: np.ndarray,
+              e_left: np.ndarray, corner: int) -> BlockResult:
+        """Sweep the next block row with the config's kernel, counting
+        the narrow-DP outcome."""
+        dp = self.dp
+        if self.kernel == "batched":
+            job = BlockJob(a_rows, self.profile, self.h_top, self.f_top,
+                           h_left, e_left, corner)
+            result = sweep_wavefront([job], self.scoring, local=True,
+                                     workspace=self.workspace, dp=dp)[0]
+        else:
+            sweep = (sweep_block_compiled if self.kernel == "compiled"
+                     else sweep_block)
+            result = sweep(a_rows, self.profile, self.h_top, self.f_top,
+                           h_left, e_left, corner, self.scoring, local=True,
+                           dp=dp)
+        if dp is not None:
+            narrow, esc = int(result.dtype == dp.name), int(result.escalated)
+            self.blocks_narrow += narrow
+            self.blocks_wide += 1 - narrow
+            self.dtype_escalations += esc
+            if self.instruments is not None:
+                self.instruments.block_dtype(narrow=narrow, wide=1 - narrow,
+                                             escalations=esc)
+        return result
+
+    def advance(self, result: BlockResult, r0: int) -> None:
+        """Roll the top border past the block row starting at *r0* and
+        publish a better best cell to the chain's scoreboard."""
+        self.h_top, self.f_top = result.h_bottom, result.f_bottom
+        cell = result.best.shifted(r0, self.col0)
+        if cell.better_than(self.best):
+            self.best = cell
+            if self.pruner is not None:
+                self.scoreboard.publish(self.slot, cell.score)
+
+    def counters(self) -> dict[str, int]:
+        """The prune, band-skip and narrow-DP counters, by result-field
+        name."""
+        return {
+            "blocks_checked": self.pruner.blocks_checked if self.pruner else 0,
+            "blocks_pruned": self.pruner.blocks_pruned if self.pruner else 0,
+            "blocks_skipped_band": self.blocks_skipped_band,
+            "blocks_narrow": self.blocks_narrow,
+            "blocks_wide": self.blocks_wide,
+            "dtype_escalations": self.dtype_escalations,
+        }
+
+
 @dataclass
 class BlockedOutcome:
     """Result of a blocked single-device run."""

@@ -44,27 +44,16 @@ rounds read the pre-round values as the recurrence requires.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
 from ..errors import ConfigError
 
-#: Prefix-max evaluation strategies accepted by :func:`use_scan_engine`
-#: and the ``MGSW_SCAN`` environment variable.
+#: Prefix-max evaluation strategies accepted by :func:`use_scan_engine`.
 SCAN_ENGINES = ("sequential", "kogge_stone")
 
-
-def _initial_engine() -> str:
-    name = os.environ.get("MGSW_SCAN", "sequential")
-    if name not in SCAN_ENGINES:
-        raise ConfigError(
-            f"unknown scan engine {name!r} in MGSW_SCAN; expected one of {SCAN_ENGINES}")
-    return name
-
-
-_ENGINE = _initial_engine()
+_ENGINE = "sequential"
 
 
 def scan_engine() -> str:

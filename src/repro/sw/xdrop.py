@@ -93,7 +93,7 @@ def xdrop_score(
     a_codes: np.ndarray,
     b_codes: np.ndarray,
     scoring: Scoring,
-    x: int = DEFAULT_XDROP_X,
+    x: int,
 ) -> XDropOutcome:
     """Greedy X-drop extension anchored at the matrix origin.
 

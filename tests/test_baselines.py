@@ -35,7 +35,7 @@ class TestSingleGpu:
         a = random_codes(rng, 500)
         b = mutated_copy(rng, a, 0.02)
         plain = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=32)
-        pruned = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=32, prune=True)
+        pruned = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=32, pruning=True)
         assert pruned.score == plain.score
         assert pruned.pruned_fraction > 0.2
         assert pruned.total_time_s < plain.total_time_s

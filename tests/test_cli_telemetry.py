@@ -83,6 +83,29 @@ class TestAlignTelemetry:
         manifest = load_manifest(out / "manifest.json")
         assert manifest["config"]["heartbeat_s"] is None
 
+    def test_both_backends_write_one_config_block(self, fasta_pair, tmp_path,
+                                                 capsys):
+        """The same non-default flags land under the same manifest keys
+        with the same values on both backends."""
+        flags = ("--buffer", "3", "--kernel", "batched", "--pruning",
+                 "--mode", "banded", "--band-width", "32", "--xdrop-x", "7",
+                 "--dp-dtype", "int32")
+        configs = {}
+        for backend in ("sim", "process"):
+            out = tmp_path / backend
+            assert _run_align(fasta_pair, out, "--backend", backend,
+                              *flags) == 0
+            configs[backend] = load_manifest(out / "manifest.json")["config"]
+        capsys.readouterr()
+        keys = ("block_rows", "kernel", "pruning", "mode", "band_width",
+                "xdrop_x", "dp_dtype", "capacity")
+        sim, proc = ({k: c[k] for k in keys}
+                     for c in (configs["sim"], configs["process"]))
+        assert sim == proc == {
+            "block_rows": 64, "kernel": "batched", "pruning": True,
+            "mode": "banded", "band_width": 32, "xdrop_x": 7,
+            "dp_dtype": "int32", "capacity": 3}
+
     def test_align_without_telemetry_writes_nothing(self, fasta_pair, tmp_path,
                                                     capsys):
         fa, fb = fasta_pair

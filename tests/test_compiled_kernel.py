@@ -258,8 +258,6 @@ class TestBackendRegistry:
     def test_mgsw_no_numba_forces_fallback(self, monkeypatch):
         monkeypatch.setenv("MGSW_NO_NUMBA", "1")
         assert backend._probe_numba() is None
-        monkeypatch.setenv("MGSW_NO_CUPY", "1")
-        assert backend._probe_cupy() is None
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class TestSingleGpuAccounting:
         b = mutated_copy(rng, a, 0.02)
         reg = MetricsRegistry()
         res = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=64,
-                             prune=True, metrics=reg)
+                             pruning=True, metrics=reg)
         assert res.blocks_pruned > 0
         assert reg.counter("blocks_pruned").value(
             device="single-gpu") == res.blocks_pruned

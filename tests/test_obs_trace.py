@@ -32,8 +32,11 @@ from repro.obs import (
 )
 
 
-def _span_worker(actor: str, origin: float, kinds: list, out_queue) -> None:
-    """Record one span per kind against the parent's shared origin."""
+def _span_worker(actor: str, origin: float, kinds: list, out_queue,
+                 start) -> None:
+    """Record one span per kind against the parent's shared origin,
+    once every worker has started (*start* is a shared barrier)."""
+    start.wait(timeout=60.0)
     recorder = WallClockRecorder(origin)
     for kind in kinds:
         with recorder.span(kind):
@@ -122,8 +125,11 @@ class TestWallRecordsAcrossProcesses:
     def _collect(self, ctx, plans: dict[str, list]) -> Tracer:
         origin = time.perf_counter()
         queue = ctx.Queue()
+        # Spawn skew can exceed a worker's whole span budget; the barrier
+        # starts every worker's spans together.
+        start = ctx.Barrier(len(plans))
         procs = [ctx.Process(target=_span_worker,
-                             args=(actor, origin, kinds, queue))
+                             args=(actor, origin, kinds, queue, start))
                  for actor, kinds in plans.items()]
         for p in procs:
             p.start()

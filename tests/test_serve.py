@@ -506,7 +506,11 @@ class TestServeDaemon:
             jobs_before, count_before = len(daemon.queue.jobs()), submitted()
             for bad in ({"kernel": "bogus"}, {"band_width": -1},
                         {"xdrop_x": 0}, {"block_rows": 0},
-                        {"pruning": "false"}, {"use_cache": "false"}):
+                        {"pruning": "false"}, {"use_cache": "false"},
+                        # Decoded by the AlignConfig field types: refused,
+                        # not coerced.
+                        {"band_width": 64.9}, {"band_width": True},
+                        {"block_rows": "128"}, {"xdrop_x": 2.5}):
                 resp = client.submit(seq_a=A_TEXT, seq_b=B_TEXT,
                                      tenant="bad", **bad)
                 assert resp["ok"] is False and resp["code"] == 400, bad

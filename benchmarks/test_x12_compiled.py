@@ -1,20 +1,13 @@
-"""X12 — compiled kernel backend: JIT row sweeps + log-step E-scan.
+"""X12 — compiled kernel backend: JIT row sweeps.
 
 Wall-clock comparison of the three block-sweep kernels (scalar, batched,
 compiled) at int32 and int16 on the paper-style geometry.  X11 measured
 the Amdahl floor: the sequential per-row ``np.maximum.accumulate``
 E-scan is dtype-insensitive, so narrow-int kernels cap near 1.15x over
-int32 no matter how many bytes they save.  This experiment measures the
-two mechanisms PR 8 built to break that floor:
-
-* the Kogge–Stone log-step prefix-max (``sw/scan.py``) replaces the
-  sequential C loop with ``ceil(log2 n)`` vectorised ``np.maximum``
-  rounds — the *E-scan share* section times the batched kernel under
-  both engines to show how much of the sweep the serial scan was
-  claiming;
-* the numba-jitted fused row sweep (``sw/compiled.py``) removes the
-  NumPy temporaries entirely, computing H/E/F and the best cell in one
-  dtype-specialised pass.
+int32 no matter how many bytes they save.  The numba-jitted fused row
+sweep (``sw/compiled.py``) breaks that floor: it removes the NumPy
+temporaries entirely, computing H/E/F and the best cell in one
+dtype-specialised pass with E carried in a register.
 
 JIT compile time is excluded: ``compiled_warmup()`` runs before any
 timed sweep, exactly as the engines warm their workers once per process.
@@ -22,9 +15,9 @@ Scores must stay bit-identical across every kernel x dtype cell (the
 cross-engine differential suite holds exactness; this holds speed).
 
 The headline bound — compiled int16 >= 1.5x batched int32 — only
-applies where numba is importable; without it the compiled backend runs
-the pure-NumPy Kogge–Stone oracle, so the run degrades to a
-parity-check (bit-identical scores, no speed claim).  Set
+applies where numba is importable; without it ``compiled`` is the
+scalar sweep, so the run degrades to a parity-check (bit-identical
+scores, no speed claim).  Set
 ``MGSW_X12_TINY=1`` for the CI smoke configuration.  Results land in
 ``benchmarks/BENCH_compiled.json`` for regression tracking.
 """
@@ -45,7 +38,6 @@ from repro.sw import (
     compiled_warmup,
     compute_blocked,
     numba_available,
-    use_scan_engine,
 )
 from repro.workloads import random_dna
 
@@ -62,7 +54,7 @@ KERNELS = ("scalar", "batched", "compiled")
 #: Headline bound: the fused JIT sweep at int16 over the batched NumPy
 #: sweep at int32 — the cross-kernel *and* cross-dtype win the paper's
 #: CUDA kernel banks on.  Only asserted where numba actually compiles
-#: (the oracle fallback is a correctness lane, not a speed lane) and at
+#: (the scalar fallback is a correctness lane, not a speed lane) and at
 #: full scale (the tiny matrix can't amortise anything).
 MIN_SPEEDUP = 1.5
 OUT_PATH = pathlib.Path(__file__).parent / "BENCH_compiled.json"
@@ -100,28 +92,12 @@ def _section(title, a, b, cases, *, repeats=REPEATS):
     return runs, gcups
 
 
-def _escan_share(a, b):
-    """Batched int32 wall under each scan engine: what the serial scan cost.
-
-    ``1 - t_ks / t_seq`` is the fraction of the sweep the sequential
-    E-scan was claiming that the log-step engine hands back.
-    """
-    with use_scan_engine("sequential"):
-        t_seq, out_seq = _best_run(a, b, "batched", "int32")
-    with use_scan_engine("kogge_stone"):
-        t_ks, out_ks = _best_run(a, b, "batched", "int32")
-    assert (out_seq.best.score, out_seq.best.row, out_seq.best.col) == \
-           (out_ks.best.score, out_ks.best.row, out_ks.best.col), \
-        "scan engines disagree on the best cell"
-    return t_seq, t_ks
-
-
 def test_x12_compiled_throughput(benchmark):
     jit = numba_available()
     print_header("X12 compiled kernel backend",
                  f"compiled int16 vs batched int32 >= {MIN_SPEEDUP}x "
                  "(wall clock, warmup excluded), bit-identical scores; "
-                 f"numba {'present' if jit else 'ABSENT -> oracle parity run'}")
+                 f"numba {'present' if jit else 'ABSENT -> scalar parity run'}")
     warm_s = compiled_warmup()
     print(f"jit warmup: {warm_s:.3f}s (excluded from every timed sweep)")
     rng = np.random.default_rng(54)
@@ -145,13 +121,6 @@ def test_x12_compiled_throughput(benchmark):
     print(f"megabase compiled-int16 / batched-int32 speedup: "
           f"{mega_speedup:.2f}x")
 
-    # -- E-scan share: sequential vs log-step on the batched sweep -----------
-    t_seq, t_ks = _escan_share(a, b)
-    share = 1.0 - t_ks / t_seq
-    print(f"\nE-scan engines (batched int32, square): "
-          f"sequential {t_seq:.3f}s -> kogge_stone {t_ks:.3f}s "
-          f"({share:+.1%} of the sweep recovered by the log-step scan)")
-
     best = sq_runs[("batched", "int32")][1].best
     record = {
         "experiment": "x12_compiled",
@@ -170,11 +139,6 @@ def test_x12_compiled_throughput(benchmark):
             "matrix": {"rows": int(ma.size), "cols": int(mb.size)},
             "gcups": {f"{k}_{d}": mega_gcups[(k, d)] for k, d in cases},
             "speedup_compiled_int16": mega_speedup,
-        },
-        "escan": {
-            "sequential_s": t_seq,
-            "kogge_stone_s": t_ks,
-            "share_recovered": share,
         },
         "recorded_unix": time.time(),
     }

@@ -116,8 +116,8 @@ _CONFIG_FLAGS: dict[str, dict] = {
         help="block sweep kernel: scalar (one block at a time), batched "
              "(one NumPy sweep per row across all resident blocks), "
              "compiled (numba-jitted fused row sweeps; needs the optional "
-             "'.[compiled]' extra), or auto (measured pick among the "
-             "backends this host can run); scores are bit-identical"),
+             "'.[compiled]' extra), or auto (compiled where numba "
+             "imports, else scalar); scores are bit-identical"),
     "pruning": dict(
         action=argparse.BooleanOptionalAction,
         help="distributed block pruning against a chain-wide best-score "
@@ -274,6 +274,10 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
                journal, sampler, time_mod) -> int:
     from .perf.report import chain_report, process_report, timeline_report
 
+    # Resolve before spawning: an explicit --kernel compiled without
+    # numba fails here with a clean ConfigError; --kernel auto is the
+    # one static rule on both backends.
+    config = _config_from_args(args, kernel=resolve_kernel(args.kernel))
     if args.backend == "process":
         heartbeat_s = args.heartbeat_s
         if heartbeat_s is None and telemetry:
@@ -286,10 +290,6 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
         def on_stall(report):
             print(f"[mgsw] {report.describe()}", file=sys.stderr)
 
-        # Resolve before spawning: an explicit --kernel compiled without
-        # numba fails here with a clean ConfigError; --kernel auto
-        # degrades to the best backend this host can actually run.
-        config = _config_from_args(args, kernel=resolve_kernel(args.kernel))
         t0 = time_mod.perf_counter()
         res = align_multi_process(
             a, b, seq.DNA_DEFAULT, config=config, workers=args.workers,
@@ -307,11 +307,6 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
             restart_backoff_s=args.restart_backoff_s)
     else:
         devices = _devices_from_args(args)
-        # --kernel auto consults the measured device autotuner (the
-        # chain's first device stands in for the host probe).
-        config = _config_from_args(args, kernel=resolve_kernel(
-            args.kernel, spec=devices[0], scoring=seq.DNA_DEFAULT,
-            block_rows=args.block_rows, dp_dtype=args.dp_dtype))
         t0 = time_mod.perf_counter()
         res = align_multi_gpu(
             a, b, seq.DNA_DEFAULT, devices,

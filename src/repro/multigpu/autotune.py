@@ -12,7 +12,7 @@ They trade off against each other:
 * **Buffer capacity ≥ 2** pipelines the two PCIe hops; beyond the point
   where the producer never blocks, more slots only cost host memory.
 
-Three tuners live here, cheapest first:
+Two tuners live here:
 
 * :func:`autotune` — evaluates the analytic model (``predict_chain``)
   over a candidate grid and returns the configuration minimising
@@ -25,15 +25,6 @@ Three tuners live here, cheapest first:
   simulator's own workload (benchmark ``X3`` asserts exactly that).
   Measured runs are memoised per (devices, matrix, grid) for the
   process lifetime.
-* :func:`tune_device_kernel` — *wall-clock* calibration of the compute
-  kernel itself: short :func:`~repro.sw.blocks.compute_blocked` probes
-  per ``(block_rows, kernel, dp_dtype)`` candidate, with latencies
-  published through the standard
-  :class:`~repro.obs.instruments.EngineInstruments` into a fresh
-  :class:`~repro.obs.registry.MetricsRegistry` and read back from the
-  ``block_sweep_seconds`` histogram — the tuner consumes the same
-  telemetry the engines emit.  Results are memoised per
-  ``(device, scoring)`` key.
 * :func:`rebalance_weights` (+ :class:`ProgressRateSampler`,
   :func:`estimate_capacities`) — the online half: while a
   :class:`~repro.multigpu.pool.WorkerPool` comparison runs, the shared
@@ -46,18 +37,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from ..device.spec import DeviceSpec
 from ..errors import ConfigError
-from ..obs.instruments import SWEEP_BUCKETS, EngineInstruments
-from ..obs.registry import MetricsRegistry
-from ..seq.scoring import Scoring
-from ..sw.blocks import compute_blocked
-from ..sw.constants import get_policy
 from .chain import ChainConfig, time_multi_gpu
 from .overlap import predict_chain, segment_bytes
 from .partition import Slab, proportional_partition
@@ -66,26 +50,6 @@ from .partition import Slab, proportional_partition
 DEFAULT_BLOCK_ROWS = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
 #: Candidate circular-buffer capacities.
 DEFAULT_CAPACITIES = (2, 4, 8, 16)
-#: Calibration candidates for :func:`tune_device_kernel`.
-DEFAULT_CALIBRATION_BLOCK_ROWS = (128, 256, 512)
-#: Always-available core kernels; the default candidate set extends this
-#: with ``compiled`` when the numba probe succeeds (see
-#: :func:`default_calibration_kernels`).
-DEFAULT_CALIBRATION_KERNELS = ("scalar", "batched")
-DEFAULT_CALIBRATION_DTYPES = ("int32", "int16", "int8")
-
-
-def default_calibration_kernels() -> tuple[str, ...]:
-    """Kernel candidates this host can actually run, probed at call time.
-
-    ``compiled`` joins the core pair only when numba imports — a
-    calibration must never crash (or silently measure the fallback
-    oracle) on hosts without the optional dependency.
-    """
-    from ..sw.backend import numba_available  # lazy: keeps import light
-    if numba_available():
-        return DEFAULT_CALIBRATION_KERNELS + ("compiled",)
-    return DEFAULT_CALIBRATION_KERNELS
 
 
 @dataclass(frozen=True)
@@ -122,21 +86,13 @@ def _devices_key(devices: Sequence[DeviceSpec]) -> tuple:
     )
 
 
-def _scoring_key(scoring: Scoring) -> tuple:
-    return (scoring.match, scoring.mismatch,
-            scoring.gap_open, scoring.gap_extend)
-
-
 #: Process-lifetime memo for measured ``autotune`` runs.
 _MEASURED_CACHE: dict[tuple, TuneResult] = {}
-#: Process-lifetime memo for :func:`tune_device_kernel` calibrations.
-_CALIBRATION_CACHE: dict[tuple, "DeviceKernelChoice"] = {}
 
 
 def clear_tuner_caches() -> None:
-    """Drop both memo caches (tests, or after device specs change)."""
+    """Drop the measured-run memo (tests, or after device specs change)."""
     _MEASURED_CACHE.clear()
-    _CALIBRATION_CACHE.clear()
 
 
 def autotune(
@@ -217,123 +173,6 @@ def autotune(
     if cache_key is not None:
         _MEASURED_CACHE[cache_key] = result
     return result
-
-
-# -- wall-clock kernel calibration -------------------------------------------
-
-@dataclass(frozen=True)
-class DeviceKernelChoice:
-    """One device's measured kernel pick.
-
-    ``table`` holds every probed candidate as
-    ``(kernel, block_rows, dp_dtype) -> mean seconds per block row`` so
-    callers (and the benchmark report) can see the margins, not just the
-    winner.
-    """
-
-    device: str
-    kernel: str
-    block_rows: int
-    dp_dtype: str
-    seconds_per_block: float
-    cells_per_second: float
-    table: dict = field(default_factory=dict)
-
-
-def tune_device_kernel(
-    spec: DeviceSpec,
-    scoring: Scoring,
-    *,
-    block_rows_candidates: Sequence[int] = DEFAULT_CALIBRATION_BLOCK_ROWS,
-    kernels: Sequence[str] | None = None,
-    dp_dtypes: Sequence[str] = DEFAULT_CALIBRATION_DTYPES,
-    probe_cols: int = 1024,
-    repeats: int = 2,
-    seed: int = 0,
-) -> DeviceKernelChoice:
-    """Measure the host kernel across ``(block_rows, kernel, dp_dtype)``.
-
-    Runs short random-sequence :func:`~repro.sw.blocks.compute_blocked`
-    probes for every candidate, publishing each sweep's wall-clock
-    latency through :class:`~repro.obs.instruments.EngineInstruments`
-    into a private :class:`~repro.obs.registry.MetricsRegistry`, then
-    reads the ``block_sweep_seconds`` histogram back (sum / count) to
-    rank candidates by throughput — the tuner measures through the same
-    telemetry pipe the engines report through.
-
-    Narrow dtypes that cannot support the scoring scheme at the probe
-    width are skipped (not an error: the point of calibration is to find
-    what *this* scheme admits).  The winner maximises probed cells per
-    second.  Results are memoised per ``(device, scoring, grid)`` key
-    for the process lifetime.
-
-    ``kernels=None`` (the default) probes every backend this host can
-    run (:func:`default_calibration_kernels`); when ``compiled`` is
-    among the candidates its JIT is warmed **before** any probe runs,
-    so one-time compile cost never poisons the measurements.
-    """
-    if repeats <= 0:
-        raise ConfigError("repeats must be positive")
-    if probe_cols <= 0:
-        raise ConfigError("probe_cols must be positive")
-    if kernels is None:
-        kernels = default_calibration_kernels()
-    if "compiled" in kernels:
-        from ..sw.compiled import warmup as compiled_warmup
-        compiled_warmup()
-    cache_key = (_devices_key([spec]), _scoring_key(scoring),
-                 tuple(block_rows_candidates), tuple(kernels),
-                 tuple(dp_dtypes), probe_cols, repeats, seed)
-    hit = _CALIBRATION_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-
-    rng = np.random.default_rng(seed)
-    table: dict[tuple, float] = {}
-    best_key: tuple | None = None
-    best_rate = 0.0
-    for br in block_rows_candidates:
-        rows = int(br)
-        a = rng.integers(0, 4, rows, dtype=np.int64).astype(np.int8)
-        b = rng.integers(0, 4, probe_cols, dtype=np.int64).astype(np.int8)
-        for kernel in kernels:
-            for dd in dp_dtypes:
-                eff_w = probe_cols
-                policy = get_policy(dd)
-                if policy.narrow and (
-                        not policy.supports(scoring)
-                        or eff_w > policy.max_width(scoring)):
-                    continue  # this scheme cannot host the narrow probe
-                registry = MetricsRegistry()
-                instruments = EngineInstruments(registry, spec.name)
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    compute_blocked(a, b, scoring, block_rows=rows,
-                                    block_cols=probe_cols, kernel=kernel,
-                                    dp_dtype=dd)
-                    instruments.block_computed(time.perf_counter() - t0,
-                                               cells=rows * probe_cols)
-                hist = registry.histogram("block_sweep_seconds",
-                                          buckets=SWEEP_BUCKETS)
-                mean_s = (hist.sum(device=spec.name)
-                          / max(1, hist.count(device=spec.name)))
-                table[(kernel, rows, dd)] = mean_s
-                rate = rows * probe_cols / mean_s if mean_s > 0 else 0.0
-                if best_key is None or rate > best_rate:
-                    best_key, best_rate = (kernel, rows, dd), rate
-    if best_key is None:
-        raise ConfigError("no feasible calibration candidate")
-    choice = DeviceKernelChoice(
-        device=spec.name,
-        kernel=best_key[0],
-        block_rows=best_key[1],
-        dp_dtype=best_key[2],
-        seconds_per_block=table[best_key],
-        cells_per_second=best_rate,
-        table=table,
-    )
-    _CALIBRATION_CACHE[cache_key] = choice
-    return choice
 
 
 # -- online slab re-balancing -------------------------------------------------

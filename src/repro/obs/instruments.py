@@ -1,8 +1,8 @@
 """The standard engine instrument set, bound once per engine actor.
 
-All four engines — the blocked single-device executor, the simulated
-:class:`~repro.multigpu.chain.MultiGpuChain`, the one-shot process chain
-and the persistent :class:`~repro.multigpu.pool.WorkerPool` — emit the
+All three engines — the blocked single-device executor, the simulated
+:class:`~repro.multigpu.chain.MultiGpuChain` and the real-process
+:class:`~repro.multigpu.pool.WorkerPool` — emit the
 same metric families under the same names, labelled by ``device``:
 
 =============================  ========= ====================================

@@ -2,15 +2,15 @@
 
 Layering (bottom up):
 
-* :mod:`repro.sw.scan` — the shared E-scan recurrence (sequential and
-  Kogge–Stone log-step prefix-max engines).
+* :mod:`repro.sw.scan` — the shared E-scan recurrence (one sequential
+  prefix-max, two layouts).
 * :mod:`repro.sw.kernel` — the vectorised Gotoh row-sweep ("GPU kernel").
 * :mod:`repro.sw.batched` — batched wavefront kernel + workspace arena +
   profile cache (one stacked sweep per anti-diagonal).
 * :mod:`repro.sw.backend` — kernel registry + capability probing
   (``--kernel`` resolution, numba detection).
 * :mod:`repro.sw.compiled` — numba-jitted fused row sweeps with the
-  register-carried E-scan (pure-NumPy Kogge–Stone oracle fallback).
+  register-carried E-scan (the scalar sweep where numba is absent).
 * :mod:`repro.sw.naive` — full-matrix oracle used by the tests.
 * :mod:`repro.sw.blocks` — block grid + single-device blocked executor.
 * :mod:`repro.sw.pruning` — block pruning for similar sequences.
@@ -41,21 +41,9 @@ from .batched import (
     cached_profile,
     sweep_wavefront,
 )
-from .compiled import (
-    jit_available,
-    sweep_block_compiled,
-    sweep_wavefront_compiled,
-)
+from .compiled import jit_available, sweep_block_compiled
 from .compiled import warmup as compiled_warmup
-from .scan import (
-    SCAN_ENGINES,
-    escan_row,
-    escan_segmented,
-    kogge_stone_max,
-    prefix_max,
-    scan_engine,
-    use_scan_engine,
-)
+from .scan import escan_row, escan_segmented
 from .blocks import BlockSpec, BlockedOutcome, compute_blocked, grid_specs, wavefront_order
 from .config import AlignConfig, resolve_config
 from .constants import (
@@ -115,15 +103,9 @@ __all__ = [
     "validate_kernel",
     "jit_available",
     "sweep_block_compiled",
-    "sweep_wavefront_compiled",
     "compiled_warmup",
-    "SCAN_ENGINES",
     "escan_row",
     "escan_segmented",
-    "kogge_stone_max",
-    "prefix_max",
-    "scan_engine",
-    "use_scan_engine",
     "BlockJob",
     "KernelWorkspace",
     "ProfileCache",

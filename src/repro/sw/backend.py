@@ -3,18 +3,22 @@
 The library ships three block-sweep kernels:
 
 ``scalar``
-    One NumPy row loop per block (``sw/kernel.py``).  Always available.
+    One NumPy row loop per block (``sw/kernel.py``).  Always available;
+    the default.
 ``batched``
     Stacked ``(B, W)`` wavefront sweeps (``sw/batched.py``).  Always
     available.
 ``compiled``
-    Numba-jitted fused row sweeps with the log-step E-scan
-    (``sw/compiled.py``).  Needs the optional ``numba`` dependency
-    (``pip install .[compiled]``); without it the *library* still
-    accepts ``kernel="compiled"`` and transparently runs the pure-NumPy
-    Kogge–Stone oracle (bit-identical, no speedup), while the *CLI*
-    refuses it with a clear error so users don't silently benchmark the
-    fallback.  ``--kernel auto`` degrades instead of erroring.
+    Numba-jitted fused row sweeps (``sw/compiled.py``).  Needs the
+    optional ``numba`` dependency (``pip install .[compiled]``); without
+    it the *library* still accepts ``kernel="compiled"`` and runs the
+    scalar sweep (same code path, same results), while the *CLI*
+    refuses it with a clear error so users don't time the scalar sweep
+    under the JIT's name.
+
+``auto`` is one static rule on every front door — both ``mgsw align``
+backends, ``mgsw submit`` and ``AlignConfig.concrete()``: ``compiled``
+where numba imports, else ``scalar``.
 
 Capabilities are probed exactly once at import: ``import numba``
 inside a ``try`` so a missing or broken optional install can never
@@ -35,7 +39,7 @@ KERNELS = ("scalar", "batched", "compiled")
 #: Kernels that need no optional dependency.
 CORE_KERNELS = ("scalar", "batched")
 
-#: What the CLI accepts: the kernel universe plus measured resolution.
+#: What the CLI accepts: the kernel universe plus the static ``auto`` rule.
 KERNEL_CHOICES = ("auto",) + KERNELS
 
 
@@ -70,7 +74,7 @@ def validate_kernel(kernel: str) -> str:
     """Reject unknown kernel names with one shared error message.
 
     Membership check only — ``compiled`` passes even without numba
-    (the library falls back transparently); use :func:`require_kernel`
+    (the library runs the scalar sweep); use :func:`require_kernel`
     where an unavailable pick must fail loudly instead.
     """
     if kernel not in KERNELS:
@@ -82,8 +86,8 @@ def require_kernel(kernel: str) -> str:
     """:func:`validate_kernel` plus a hard availability check.
 
     The CLI front door: an explicit ``--kernel compiled`` without numba
-    is a user error worth a clear message, not a silent fallback whose
-    numbers would then be attributed to the JIT backend.
+    is a user error worth a clear message, not a silent scalar run
+    whose numbers would then be attributed to the JIT backend.
     """
     validate_kernel(kernel)
     if kernel == "compiled" and not numba_available():
@@ -94,40 +98,13 @@ def require_kernel(kernel: str) -> str:
     return kernel
 
 
-def resolve_kernel(
-    kernel: str,
-    *,
-    spec=None,
-    scoring=None,
-    block_rows: int | None = None,
-    dp_dtype: str | None = None,
-) -> str:
-    """Resolve a CLI ``--kernel`` choice to a concrete kernel name.
+def resolve_kernel(kernel: str) -> str:
+    """Resolve a ``--kernel`` choice to a concrete kernel name.
 
-    Concrete names pass through :func:`require_kernel`.  ``auto`` asks
-    the PR 7 measured autotuner when a device spec and scoring scheme
-    are on hand (the probe results are memoised per spec + scoring, so
-    repeated resolutions are free); without them it falls back to the
-    static preference compiled > batched, restricted to
-    :func:`available_kernels` either way — so ``auto`` *degrades* where
-    an explicit ``compiled`` errors.
-
-    ``block_rows`` and ``dp_dtype`` narrow the probe grid to the
-    caller's actual configuration (probe heights are capped at 512 rows
-    to bound calibration cost; the pick transfers).
+    Concrete names pass through :func:`require_kernel`.  ``auto`` is the
+    one static rule: ``compiled`` where numba imports, else ``scalar``
+    — so ``auto`` *degrades* where an explicit ``compiled`` errors.
     """
     if kernel != "auto":
         return require_kernel(kernel)
-    kernels = available_kernels()
-    if spec is not None and scoring is not None:
-        from ..multigpu.autotune import tune_device_kernel  # lazy: avoids a cycle
-
-        probe_kwargs = {}
-        if block_rows is not None:
-            probe_kwargs["block_rows_candidates"] = (min(int(block_rows), 512),)
-        if dp_dtype not in (None, "auto"):
-            probe_kwargs["dp_dtypes"] = (dp_dtype,)
-        choice = tune_device_kernel(spec, scoring, kernels=kernels,
-                                    **probe_kwargs)
-        return choice.kernel
-    return "compiled" if "compiled" in kernels else "batched"
+    return "compiled" if numba_available() else "scalar"

@@ -304,8 +304,8 @@ def compute_blocked(
     caller-supplied *workspace* lets repeated batched runs share scratch.
     ``kernel="compiled"`` runs the scalar schedule with the jitted fused
     sweep (:func:`~repro.sw.compiled.sweep_block_compiled`) per block —
-    identical pruning decisions to scalar, JIT speed (or the pure-NumPy
-    Kogge–Stone oracle where numba is absent).
+    identical pruning decisions to scalar, JIT speed (or the scalar
+    sweep itself where numba is absent).
 
     With *band_half_width* (local mode only), blocks that do not intersect
     the static band ``|j - i| <= band_half_width`` are skipped outright —

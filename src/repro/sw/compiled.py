@@ -2,25 +2,22 @@
 
 The NumPy kernels evaluate each DP row as a handful of full-width vector
 ops plus one *sequential* E-scan — the scan is the documented Amdahl
-floor (INTERNALS.md §11) that caps the narrow-dtype win at ~1.15x.  This
-backend removes the floor two ways:
+floor (INTERNALS.md §11) that caps the narrow-dtype win at ~1.15x.
+With numba (``pip install .[compiled]``) this backend removes the
+floor: a single ``@njit`` fused cell loop computes E, F, H and the
+best-cell candidate in one pass — no NumPy temporaries, no per-row
+ufunc launches, and the E dependency is carried in a register, so the
+"scan" costs one ``max`` per cell inside the same loop that already
+touches the cell.  The loop is dtype-generic; numba lazily specialises
+it per DP dtype (int32 / int16 / int8), which is where the narrow
+kernels finally cash their byte-ratio win: int16 halves the memory
+traffic *and* no longer funnels through a dtype-insensitive serial
+scan.
 
-* **With numba** (``pip install .[compiled]``): a single ``@njit`` fused
-  cell loop computes E, F, H and the best-cell candidate in one pass —
-  no NumPy temporaries, no per-row ufunc launches, and the E dependency
-  is carried in a register, so the "scan" costs one ``max`` per cell
-  inside the same loop that already touches the cell.  The loop is
-  dtype-generic; numba lazily specialises it per DP dtype (int32 /
-  int16 / int8), which is where the narrow kernels finally cash their
-  byte-ratio win: int16 halves the memory traffic *and* no longer
-  funnels through a dtype-insensitive serial scan.
-
-* **Without numba**: the backend transparently falls back to the NumPy
-  kernels running under the Kogge–Stone scan engine (``sw/scan.py``) —
-  the log-step parallel prefix-max formulation.  This fallback is the
-  *reference oracle* for the JIT path: same recurrence, same narrow
-  policy, bit-identical outputs, and it keeps every ``compiled`` code
-  path testable on machines without the optional dependency.
+Without numba (or when its compilation fails) ``kernel="compiled"`` is
+the scalar sweep: :func:`sweep_block_compiled` returns
+:func:`repro.sw.kernel.sweep_block` directly, so the library accepts
+the name everywhere and the fallback costs nothing over ``scalar``.
 
 Exactness contract: ``sweep_block_compiled`` is bit-identical to
 :func:`repro.sw.kernel.sweep_block` for every (dtype, mode, pruning,
@@ -30,12 +27,12 @@ tie-break.  The cross-engine differential suite pins this.
 
 JIT warmup: the first call per compiled specialisation pays the numba
 compile (hundreds of ms).  Engines must call :func:`warmup` once per
-process *before* the first timed block (the pool workers do it at
-spawn; the one-shot workers wrap it in a tracer ``warmup`` span) so
-latency histograms and GCUPS figures never fold compile time into row
-0.  ``MGSW_WARMUP_DELAY=<seconds>`` injects an artificial warmup cost —
-the telemetry tests use it to prove the exclusion holds even where
-numba itself is absent.
+process *before* the first timed block (pool workers do it at spawn or
+inside their first compiled task's tracer ``warmup`` span) so latency
+histograms and GCUPS figures never fold compile time into row 0.
+``MGSW_WARMUP_DELAY=<seconds>`` injects an artificial warmup cost — the
+telemetry tests use it to prove the exclusion holds even where numba
+itself is absent.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from ..seq.scoring import Scoring
 from . import backend
 from .constants import DTYPE, MAX_SWEEP_WIDTH, NEG_INF, DpPolicy, get_policy
 from .kernel import BestCell, BlockResult, build_profile, local_boundaries, narrow_entry_ok, sweep_block
-from .scan import use_scan_engine
 
 #: Sentinel cap for wide sweeps: no int32 row maximum can reach it, so
 #: the jitted overflow gate compiles to a dead branch.
@@ -73,7 +69,7 @@ def reset_jit() -> None:
 def _get_jit():
     """The jitted sweep, building it on first use; ``None`` when numba
     is absent (or its compilation failed — sticky, so a broken install
-    degrades to the oracle once instead of retrying per block)."""
+    degrades to the scalar sweep once instead of retrying per block)."""
     global _JIT, _JIT_FAILED
     if _JIT is not None or _JIT_FAILED:
         return _JIT
@@ -89,7 +85,7 @@ def _get_jit():
 
 
 def jit_available() -> bool:
-    """Whether ``kernel="compiled"`` runs the JIT path (vs the oracle)."""
+    """Whether ``kernel="compiled"`` runs the JIT path (vs the scalar sweep)."""
     return _get_jit() is not None
 
 
@@ -228,9 +224,13 @@ def sweep_block_compiled(
     special rows call the NumPy kernels directly).  Narrow policies run
     the same entry gate / per-row cap / wide-escalation protocol as the
     scalar kernel, so results are bit-identical across every dtype and
-    escalation outcome.  Without numba this degrades to the pure-NumPy
-    oracle: ``sweep_block`` under the Kogge–Stone scan engine.
+    escalation outcome.  Without a JIT this is ``sweep_block`` itself.
     """
+    sweep = _get_jit()
+    if sweep is None:
+        return sweep_block(
+            a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
+            scoring, local=local, track_best=track_best, dp=dp)
     R = int(a_codes.size)
     W = int(profile.shape[1])
     if W == 0 or R == 0:
@@ -241,13 +241,6 @@ def sweep_block_compiled(
         raise ConfigError("h_top/f_top must have one entry per block column")
     if h_left.shape != (R,) or e_left.shape != (R,):
         raise ConfigError("h_left/e_left must have one entry per block row")
-
-    sweep = _get_jit()
-    if sweep is None:
-        with use_scan_engine("kogge_stone"):
-            return sweep_block(
-                a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
-                scoring, local=local, track_best=track_best, dp=dp)
 
     escalated = False
     if dp is not None and dp.narrow and local:
@@ -271,33 +264,6 @@ def sweep_block_compiled(
         scoring, local=local, track_best=track_best)
     result.escalated = escalated
     return result
-
-
-def sweep_wavefront_compiled(
-    jobs,
-    scoring: Scoring,
-    *,
-    local: bool = True,
-    track_best: bool = True,
-    workspace=None,
-    dp: DpPolicy | None = None,
-) -> list[BlockResult]:
-    """Batched-API adapter: sweep each job through the compiled kernel.
-
-    The batched kernel exists to amortise the *interpreted* row loop
-    across blocks; the jitted loop has no interpreted rows to amortise,
-    so per-block dispatch is already optimal and the stack/pad/unstack
-    machinery (and its workspace) is unnecessary — the parameter is
-    accepted for signature parity and ignored.
-    """
-    del workspace
-    return [
-        sweep_block_compiled(
-            job.a_codes, job.profile, job.h_top, job.f_top, job.h_left,
-            job.e_left, job.h_diag, scoring, local=local,
-            track_best=track_best, dp=dp)
-        for job in jobs
-    ]
 
 
 def warmup(dp_dtypes: tuple[str, ...] = ("int32", "int16", "int8"),

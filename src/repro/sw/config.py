@@ -57,8 +57,8 @@ class AlignConfig:
         return key
 
     def concrete(self):
-        """This config with ``kernel="auto"`` resolved to the static
-        preference of :func:`~repro.sw.backend.resolve_kernel`."""
+        """This config with ``kernel="auto"`` resolved by the one static
+        rule of :func:`~repro.sw.backend.resolve_kernel`."""
         if self.kernel != "auto":
             return self
         return replace(self, kernel=resolve_kernel("auto"))

@@ -104,47 +104,6 @@ class TestMeasuredAutotune:
         assert abs(measured.predicted_total_s - sim_me) < 1e-9
 
 
-class TestKernelCalibration:
-    def test_probes_and_memoises(self):
-        from repro.device import TESLA_M2090
-        from repro.multigpu.autotune import (clear_tuner_caches,
-                                             tune_device_kernel)
-        from repro.seq import DNA_DEFAULT
-
-        clear_tuner_caches()
-        choice = tune_device_kernel(
-            TESLA_M2090, DNA_DEFAULT,
-            block_rows_candidates=(32, 64), kernels=("scalar", "batched"),
-            dp_dtypes=("int32", "int16"), probe_cols=128, repeats=1)
-        assert choice.device == TESLA_M2090.name
-        assert choice.kernel in ("scalar", "batched")
-        assert choice.block_rows in (32, 64)
-        assert choice.dp_dtype in ("int32", "int16")
-        assert choice.cells_per_second > 0
-        # every feasible (kernel, block_rows, dtype) cell was probed
-        assert len(choice.table) == 2 * 2 * 2
-        assert choice.table[(choice.kernel, choice.block_rows,
-                             choice.dp_dtype)] == choice.seconds_per_block
-        again = tune_device_kernel(
-            TESLA_M2090, DNA_DEFAULT,
-            block_rows_candidates=(32, 64), kernels=("scalar", "batched"),
-            dp_dtypes=("int32", "int16"), probe_cols=128, repeats=1)
-        assert again is choice
-
-    def test_unsupported_narrow_dtypes_are_skipped(self):
-        from repro.device import TESLA_M2090
-        from repro.multigpu.autotune import tune_device_kernel
-        from repro.seq import Scoring
-
-        heavy = Scoring(match=2, mismatch=-100, gap_open=4, gap_extend=2)
-        choice = tune_device_kernel(
-            TESLA_M2090, heavy, block_rows_candidates=(32,),
-            kernels=("scalar",), dp_dtypes=("int32", "int8"),
-            probe_cols=64, repeats=1)
-        # int8 cannot host this scheme: only the wide probe ran
-        assert list(choice.table) == [("scalar", 32, "int32")]
-
-
 class TestRebalanceMath:
     def test_no_fire_when_capacity_matches_weights(self):
         from repro.multigpu.autotune import rebalance_weights

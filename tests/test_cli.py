@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -97,3 +104,26 @@ def test_align_reports_a_zero_optimum(tmp_path, capsys, backend):
     fb.write_text(">r\n" + "ACGT" * 4 + "AC\n")
     assert main(["align", str(fa), str(fb), "--backend", backend]) == 0
     assert "best score: 0 (no positive-scoring cell)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend_args", [
+    ("--backend", "sim"),
+    ("--backend", "process", "--workers", "2"),
+], ids=["sim", "process"])
+def test_kernel_auto_without_numba_is_scalar_on_every_backend(tmp_path,
+                                                               backend_args):
+    """``--kernel auto`` is one static rule: in a fresh interpreter with
+    ``MGSW_NO_NUMBA=1`` both backends report ``kernel=scalar``."""
+    fa, fb = str(tmp_path / "a.fa"), str(tmp_path / "b.fa")
+    assert main(["generate", "chr22", fa, fb, "--scale", "2e-5",
+                 "--seed", "9"]) == 0
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, MGSW_NO_NUMBA="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "align", fa, fb,
+         "--kernel", "auto", *backend_args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert re.findall(r"kernel=(\w+)", out) == ["scalar"]

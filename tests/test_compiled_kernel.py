@@ -2,21 +2,20 @@
 
 Four layers, bottom up:
 
-* the Kogge–Stone prefix-max is *property-tested* against
-  ``np.maximum.accumulate`` (hypothesis draws the values and dtype), and
-  the shared E-scan helpers are pinned to a hand-written sequential
-  reference of Gotoh's horizontal recurrence;
+* the shared E-scan helpers are *property-tested* against a
+  hand-written sequential reference of Gotoh's horizontal recurrence
+  (hypothesis draws the values and dtype);
 * the kernel backend registry: capability probing, the strict
   (``require_kernel``) vs degrading (``resolve_kernel("auto")``)
   resolution split, and the numba-absent import shim;
 * ``sweep_block_compiled`` differentially against ``sweep_block`` for
   every dtype policy, mode, and the forced-escalation path — these run
-  identically with or without numba (the oracle fallback IS the
-  contract);
+  identically with or without numba (without it ``compiled`` is the
+  scalar sweep, and these pin that fallback);
 * the warmup hook: idempotence, the ``MGSW_WARMUP_DELAY`` test injector,
   and the end-to-end telemetry guarantee that compile time lands in
-  ``warmup`` tracer spans and never in compute spans (pool and
-  one-shot process engines).
+  ``warmup`` tracer spans and never in compute spans (the pool engine,
+  lazily and at spawn).
 """
 
 from __future__ import annotations
@@ -33,82 +32,17 @@ from repro.errors import ConfigError
 from repro.seq import DNA_DEFAULT, Scoring
 from repro.sw import backend, compiled
 from repro.sw.blocks import compute_blocked
+from repro.sw.config import AlignConfig
 from repro.sw.constants import DTYPE, get_policy
 from repro.sw.kernel import build_profile, local_boundaries, sweep_block
 from repro.sw.naive import sw_score_naive
-from repro.sw.batched import BlockJob, sweep_wavefront
 from repro.sw.pruning import BlockPruner
-from repro.sw.scan import (
-    SCAN_ENGINES,
-    escan_row,
-    escan_segmented,
-    kogge_stone_max,
-    prefix_max,
-    scan_engine,
-    use_scan_engine,
-)
+from repro.sw.scan import escan_row, escan_segmented
 from repro.workloads import random_dna
 
 from helpers import mutated_copy, random_codes
 
 INT_DTYPES = (np.int16, np.int32, np.int64)
-
-
-# ---------------------------------------------------------------------------
-# prefix-max property
-# ---------------------------------------------------------------------------
-
-class TestPrefixMax:
-    @settings(max_examples=60, deadline=None)
-    @given(vals=st.lists(st.integers(min_value=-120, max_value=120),
-                         min_size=1, max_size=200),
-           dtype=st.sampled_from(INT_DTYPES))
-    def test_kogge_stone_matches_accumulate_1d(self, vals, dtype):
-        x = np.array(vals, dtype=dtype)
-        want = np.maximum.accumulate(x.copy())
-        got = kogge_stone_max(x.copy())
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == dtype
-
-    @settings(max_examples=40, deadline=None)
-    @given(b=st.integers(min_value=1, max_value=6),
-           w=st.integers(min_value=1, max_value=40),
-           dtype=st.sampled_from(INT_DTYPES),
-           data=st.data())
-    def test_kogge_stone_matches_accumulate_segmented(self, b, w, dtype, data):
-        vals = data.draw(st.lists(
-            st.integers(min_value=-120, max_value=120),
-            min_size=b * w, max_size=b * w))
-        x = np.array(vals, dtype=dtype).reshape(b, w)
-        want = np.maximum.accumulate(x.copy(), axis=1)
-        got = kogge_stone_max(x.copy(), axis=1)
-        np.testing.assert_array_equal(got, want)
-        # Lanes are independent: no cross-lane leakage along axis 0.
-        want0 = np.maximum.accumulate(x.copy(), axis=0)
-        got0 = kogge_stone_max(x.copy(), axis=0)
-        np.testing.assert_array_equal(got0, want0)
-
-    def test_single_element_and_inplace(self):
-        x = np.array([7], dtype=np.int32)
-        assert kogge_stone_max(x) is x and x[0] == 7
-
-    def test_prefix_max_engine_dispatch(self, rng):
-        x = rng.integers(-50, 50, 33).astype(np.int32)
-        seq = prefix_max(x.copy(), engine="sequential")
-        ks = prefix_max(x.copy(), engine="kogge_stone")
-        np.testing.assert_array_equal(seq, ks)
-        with pytest.raises(ConfigError):
-            prefix_max(x.copy(), engine="warp_shuffle")
-
-    def test_use_scan_engine_scopes_and_restores(self):
-        assert scan_engine() in SCAN_ENGINES
-        prev = scan_engine()
-        with use_scan_engine("kogge_stone"):
-            assert scan_engine() == "kogge_stone"
-        assert scan_engine() == prev
-        with pytest.raises(ConfigError):
-            with use_scan_engine("nope"):
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +68,8 @@ class TestEscanHelpers:
            w=st.integers(min_value=1, max_value=64),
            open_=st.integers(min_value=0, max_value=5),
            ext=st.integers(min_value=1, max_value=3),
-           engine=st.sampled_from(SCAN_ENGINES),
            dtype=st.sampled_from(INT_DTYPES))
-    def test_escan_row_matches_reference(self, seed, w, open_, ext, engine,
-                                         dtype):
+    def test_escan_row_matches_reference(self, seed, w, open_, ext, dtype):
         rng = np.random.default_rng(seed)
         temp = rng.integers(-60, 60, w).astype(dtype)
         h_left_i = dtype(rng.integers(-60, 60))
@@ -145,9 +77,8 @@ class TestEscanHelpers:
         j_ext = (np.arange(w, dtype=dtype) * dtype(ext)).astype(dtype)
         scan = np.empty(w, dtype=dtype)
         e_row = np.empty(w, dtype=dtype)
-        with use_scan_engine(engine):
-            escan_row(temp, h_left_i, e_left_i, dtype(open_), dtype(ext),
-                      j_ext, scan, e_row)
+        escan_row(temp, h_left_i, e_left_i, dtype(open_), dtype(ext),
+                  j_ext, scan, e_row)
         want = _escan_reference(temp, h_left_i, e_left_i, open_, ext)
         np.testing.assert_array_equal(e_row.astype(np.int64), want)
 
@@ -156,10 +87,8 @@ class TestEscanHelpers:
            b=st.integers(min_value=1, max_value=5),
            w=st.integers(min_value=1, max_value=48),
            open_=st.integers(min_value=0, max_value=5),
-           ext=st.integers(min_value=1, max_value=3),
-           engine=st.sampled_from(SCAN_ENGINES))
-    def test_escan_segmented_matches_rowwise(self, seed, b, w, open_, ext,
-                                             engine):
+           ext=st.integers(min_value=1, max_value=3))
+    def test_escan_segmented_matches_rowwise(self, seed, b, w, open_, ext):
         dtype = DTYPE
         rng = np.random.default_rng(seed)
         temp = rng.integers(-60, 60, (b, w)).astype(dtype)
@@ -169,9 +98,8 @@ class TestEscanHelpers:
         scan = np.empty((b, w), dtype=dtype)
         e_row = np.empty((b, w), dtype=dtype)
         e0 = np.empty(b, dtype=dtype)
-        with use_scan_engine(engine):
-            escan_segmented(temp, h_left_col, e_left_col, dtype(open_),
-                            dtype(ext), j_ext, scan, e_row, e0)
+        escan_segmented(temp, h_left_col, e_left_col, dtype(open_),
+                        dtype(ext), j_ext, scan, e_row, e0)
         for lane in range(b):
             want = _escan_reference(temp[lane], h_left_col[lane],
                                     e_left_col[lane], open_, ext)
@@ -203,7 +131,8 @@ class TestBackendRegistry:
             assert not backend.numba_available()
             with pytest.raises(ConfigError, match="numba"):
                 backend.require_kernel("compiled")
-            assert backend.resolve_kernel("auto") == "batched"
+            assert backend.resolve_kernel("auto") == "scalar"
+            assert AlignConfig(kernel="auto").concrete().kernel == "scalar"
             assert backend.resolve_kernel("scalar") == "scalar"
             assert backend.resolve_kernel("batched") == "batched"
         finally:
@@ -222,7 +151,7 @@ class TestBackendRegistry:
     def test_broken_numba_degrades_to_oracle_once(self, monkeypatch, rng):
         """A numba whose jit build fails must not take the library down:
         the failure is sticky, ``jit_available()`` answers False, and the
-        sweep transparently runs the bit-identical oracle."""
+        sweep transparently runs the scalar sweep."""
         monkeypatch.setattr(backend, "NUMBA", object())
         compiled.reset_jit()
         try:
@@ -344,26 +273,6 @@ class TestCompiledSweepDifferential:
         _assert_block_equal(got, want)
         assert want.escalated  # the scheme really does overflow int16
 
-    def test_wavefront_adapter_matches_batched(self, rng):
-        jobs = []
-        for _ in range(5):
-            rows = int(rng.integers(1, 30))
-            cols = int(rng.integers(1, 30))
-            b = random_codes(rng, cols)
-            jobs.append(BlockJob(
-                a_codes=random_codes(rng, rows),
-                profile=build_profile(b, DNA_DEFAULT),
-                h_top=rng.integers(-80, 90, cols).astype(DTYPE),
-                f_top=rng.integers(-150, 60, cols).astype(DTYPE),
-                h_left=rng.integers(-80, 90, rows).astype(DTYPE),
-                e_left=rng.integers(-150, 60, rows).astype(DTYPE),
-                h_diag=int(rng.integers(-80, 90)),
-            ))
-        got = compiled.sweep_wavefront_compiled(jobs, DNA_DEFAULT)
-        want = sweep_wavefront(jobs, DNA_DEFAULT)
-        for g, w in zip(got, want):
-            _assert_block_equal(g, w)
-
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -409,7 +318,7 @@ class TestWarmup:
 
     def test_warmup_spans_cover_delay_in_process_engine(self, monkeypatch,
                                                         rng):
-        """One-shot process workers: the injected warmup cost must land
+        """``align_multi_process`` workers: the injected warmup cost must land
         in per-worker ``warmup`` tracer spans, and every compute span
         must stay well under it (compile time never pollutes blocks)."""
         from repro.device.trace import Tracer

@@ -697,10 +697,9 @@ class TestCompiledDifferential:
     every engine, in every mode, under every DP dtype — including the
     pruned and forced-escalation paths.
 
-    On machines without numba these tests exercise the oracle fallback
-    (the NumPy kernels under the Kogge–Stone scan engine), which is the
-    compiled path's reference semantics; the CI numba leg runs the same
-    suite through the real JIT.  Either way the contract is identical:
+    On machines without numba these tests exercise the fallback, where
+    ``compiled`` is the scalar sweep itself; the CI numba leg runs the
+    same suite through the real JIT.  Either way the contract is identical:
     ``kernel="compiled"`` may only change *when* a cell is computed,
     never *what* it evaluates to.
     """

@@ -1,4 +1,4 @@
-"""Shared-memory progress board: live worker heartbeats for the watchdog.
+"""Shared-memory progress board: live worker heartbeats for the parent.
 
 The real-process engines detect a *dead* worker quickly (the parent polls
 ``Process.is_alive``), but a worker that is merely *stuck* — wedged on a
@@ -8,8 +8,10 @@ scheduler — looks healthy until its border timeout finally fires.  The
 ``(rows_done, phase, last_beat)`` into its own slot of a small
 POSIX-shared-memory segment (the same single-writer layout as the pruning
 :class:`~repro.comm.scoreboard.SharedScoreboard` that lives next to it),
-and a parent-side watchdog (:class:`repro.obs.heartbeat.HeartbeatMonitor`)
-reads the board without any synchronisation.
+and one parent-side thread, the
+:class:`~repro.obs.timeseries.TimeSeriesSampler`, reads the board
+without any synchronisation (the stall watchdog,
+:class:`~repro.obs.heartbeat.HeartbeatMonitor`, acts on its frames).
 
 Why lock-free reads are safe here
 ---------------------------------
@@ -21,23 +23,22 @@ timestamps come from ``time.monotonic()`` (CLOCK_MONOTONIC — system-wide
 on the supported platforms), so "how long has this worker been silent"
 is a plain subtraction in the parent, immune to wall-clock steps.  A
 stale read can only *under*-report progress, which makes the watchdog
-conservative — it may flag a worker a poll late, never wrongly early by
-more than the poll interval.
+conservative — it may flag a worker a sample late, never wrongly early.
 
 Single-host clock domain
 ------------------------
 ``time.monotonic()`` (CLOCK_MONOTONIC) is system-wide *within one host*
 but has an arbitrary, boot-relative epoch: beat timestamps from two
 different machines are **not comparable**, and neither are readings
-taken on one host against beats stored on another.  Every consumer in
-this repository (heartbeat watchdog, rate samplers, time-series
-sampler) runs in the same host's process tree as the writers, so the
-subtraction in :meth:`ProgressSample.silent_s` is well-defined — and it
-still clamps at zero, because even same-host readers can race one
-in-flight store and observe a beat "from the future" by a few
-microseconds.  A future cross-node replication layer (ROADMAP item 1's
-gossip protocol) must therefore ship *derived* quantities (rows done,
-phase, seconds-of-silence measured by the origin host), never raw beat
+taken on one host against beats stored on another.  Every reader in
+this repository (the time-series sampler, and the stall watchdog's
+failure diagnosis) runs in the same host's process tree as the
+writers, so the subtraction in :meth:`ProgressSample.silent_s` is
+well-defined — and it still clamps at zero, because even same-host
+readers can race one in-flight store and observe a beat "from the
+future" by a few microseconds.  A future cross-node replication layer
+must therefore ship *derived* quantities (rows done, phase,
+seconds-of-silence measured by the origin host), never raw beat
 timestamps; :meth:`ProgressBoard.__setstate__` asserts the same-host
 invariant at unpickle time so a violation fails loudly instead of
 producing nonsense silence readings.
@@ -63,7 +64,7 @@ PROGRESS_NAME_PREFIX = "mgswbeat"
 #: board stores the index; readers translate back through this tuple.
 #: ``warmup`` (appended last to keep older encodings stable) marks the
 #: one-time per-process JIT compile of the compiled kernel backend —
-#: rate samplers treat it like ``idle``: no rows are advancing.
+#: like ``idle``, no rows are advancing.
 PHASES = ("idle", "wait", "compute", "pruned", "send", "done", "checkpoint",
           "warmup")
 
@@ -155,8 +156,8 @@ class ProgressBoard:
         # Same-host invariant: beat timestamps are time.monotonic()
         # readings, whose epoch is boot-relative — comparable only
         # within the creating host.  A board shipped to another machine
-        # (e.g. by a future cross-node gossip layer, ROADMAP item 1)
-        # must replicate derived state instead of attaching here.
+        # (e.g. by a future cross-node replication layer) must
+        # replicate derived state instead of attaching here.
         here = platform.node()
         if self.host != here:
             raise CommError(

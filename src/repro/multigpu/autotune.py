@@ -25,18 +25,15 @@ Two tuners live here:
   simulator's own workload (benchmark ``X3`` asserts exactly that).
   Measured runs are memoised per (devices, matrix, grid) for the
   process lifetime.
-* :func:`rebalance_weights` (+ :class:`ProgressRateSampler`,
-  :func:`estimate_capacities`) — the online half: while a
-  :class:`~repro.multigpu.pool.WorkerPool` comparison runs, the shared
-  progress board is sampled, per-worker capacity is estimated from the
-  observed row rate and compute share, and the pool's slab weights are
-  updated when the drift exceeds a threshold (INTERNALS.md section 11).
+* :func:`rebalance_weights` (+ :func:`estimate_capacities`) — the
+  online half: after a :class:`~repro.multigpu.pool.WorkerPool`
+  comparison, per-worker capacity is measured from each worker's own
+  ``compute`` spans, and the pool's slab weights are updated when the
+  drift exceeds a threshold (INTERNALS.md section 11).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -177,84 +174,17 @@ def autotune(
 
 # -- online slab re-balancing -------------------------------------------------
 
-class ProgressRateSampler:
-    """Background sampler over a :class:`~repro.comm.progress.ProgressBoard`.
-
-    Polls the board on a short interval, accumulating per worker the
-    number of samples seen in each phase and the ``(time, rows_done)``
-    trajectory endpoints.  Everything is read-only on the shared memory
-    (the board is single-writer per slot), so the sampler can run beside
-    a live chain with no coordination.
-
-    :meth:`rates` gives observed matrix rows per second per worker;
-    :meth:`compute_shares` the fraction of samples caught in the
-    ``compute`` phase — low share means the worker spent its time
-    waiting on a border, i.e. it has spare capacity.
-    """
-
-    def __init__(self, board, interval_s: float = 0.02) -> None:
-        if interval_s <= 0:
-            raise ConfigError("interval_s must be positive")
-        self._board = board
-        self._interval = interval_s
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        n = board.n_slots
-        self._phase_counts: list[dict[str, int]] = [dict() for _ in range(n)]
-        self._first: list[tuple[float, int] | None] = [None] * n
-        self._last: list[tuple[float, int] | None] = [None] * n
-        self.samples = 0
-
-    @property
-    def workers(self) -> int:
-        return len(self._first)
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="mgsw-rate-sampler")
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            self.sample_once()
-            self._stop.wait(self._interval)
-
-    def sample_once(self) -> None:
-        """Take one sample (also usable synchronously, e.g. from tests)."""
-        now = time.monotonic()
-        for s in self._board.snapshot():
-            if not s.started:
-                continue
-            counts = self._phase_counts[s.worker]
-            counts[s.phase] = counts.get(s.phase, 0) + 1
-            if self._first[s.worker] is None:
-                self._first[s.worker] = (now, s.rows_done)
-            self._last[s.worker] = (now, s.rows_done)
-        self.samples += 1
-
-    def rates(self) -> list[float]:
-        """Observed rows/s per worker (0.0 with <2 samples or no motion)."""
-        out = []
-        for first, last in zip(self._first, self._last):
-            if first is None or last is None or last[0] <= first[0]:
-                out.append(0.0)
-                continue
-            out.append(max(0.0, (last[1] - first[1]) / (last[0] - first[0])))
-        return out
-
-    def compute_shares(self) -> list[float]:
-        """Fraction of samples caught in the ``compute`` phase, per worker."""
-        out = []
-        for counts in self._phase_counts:
-            total = sum(counts.values())
-            out.append(counts.get("compute", 0) / total if total else 0.0)
-        return out
+def compute_rates(reports: Sequence, rows: int) -> list[float]:
+    """Matrix rows per second of compute, one per worker's
+    :class:`~repro.multigpu.procchain.SlabReport`: *rows* (swept by the
+    attempt) over the summed length of its ``compute`` spans, 0.0 for a
+    worker that computed nothing."""
+    rates = []
+    for report in reports:
+        busy = sum(end - start for kind, start, end in report.records
+                   if kind == "compute")
+        rates.append(rows / busy if busy > 0 else 0.0)
+    return rates
 
 
 @dataclass(frozen=True)
@@ -269,35 +199,21 @@ class RebalanceDecision:
     capacities: tuple[float, ...]
 
 
-def estimate_capacities(sampler: ProgressRateSampler,
-                        slabs: Sequence[Slab],
-                        *,
-                        min_share: float = 0.02) -> list[float]:
-    """Per-worker capacity estimates from one run's progress samples.
+def estimate_capacities(reports: Sequence, slabs: Sequence[Slab],
+                        rows: int) -> list[float]:
+    """Per-worker capacity from one comparison's slab reports.
 
-    A worker sweeping ``cols_g`` columns at ``rate_g`` rows/s pushes
-    ``cols_g * rate_g`` cells/s *while computing*; dividing by its
-    compute share projects what it could sustain if never starved —
-    the paper's per-device throughput, observed instead of declared.
-    Shares are floored at *min_share* so a worker the sampler barely
-    caught computing doesn't produce an absurd estimate.  Workers with
-    no observed motion fall back to their slab-width share (neutral:
-    they neither gain nor lose columns).
+    A worker that swept ``cols_g x rows`` cells in ``compute_g`` seconds
+    of compute pushes ``cols_g * rows / compute_g`` cells/s while not
+    starved — the paper's per-device throughput, measured instead of
+    declared; time spent waiting on borders is not in the spans.
+    Workers with no compute time fall back to their slab width
+    (neutral: they neither gain nor lose columns).
     """
-    # The board may carry more slots than live workers (a pool that shrank
-    # through recovery keeps its construction-time board), so only the
-    # leading ``len(slabs)`` slots are read.
-    if len(slabs) > sampler.workers:
-        raise ConfigError("more slabs than sampler slots")
-    rates = sampler.rates()[:len(slabs)]
-    shares = sampler.compute_shares()[:len(slabs)]
-    caps = []
-    for slab, rate, share in zip(slabs, rates, shares):
-        if rate <= 0.0:
-            caps.append(float(slab.cols))  # neutral: keep current share
-            continue
-        caps.append(slab.cols * rate / max(share, min_share))
-    return caps
+    if len(reports) != len(slabs):
+        raise ConfigError("need one slab report per slab")
+    return [slab.cols * rate if rate > 0.0 else float(slab.cols)
+            for slab, rate in zip(slabs, compute_rates(reports, rows))]
 
 
 def rebalance_weights(

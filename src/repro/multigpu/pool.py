@@ -48,6 +48,7 @@ from ..errors import ConfigError
 from ..obs.heartbeat import HeartbeatMonitor
 from ..obs.instruments import EngineInstruments, record_recovery
 from ..obs.registry import MetricsRegistry
+from ..obs.timeseries import TimeSeriesSampler
 from ..seq.scoring import Scoring
 from ..sw.backend import KERNELS
 from ..sw.batched import KernelWorkspace
@@ -408,15 +409,17 @@ class WorkerPool:
         Telemetry (INTERNALS.md section 8): *metrics* collects per-worker
         counters (spawn-safe snapshot-and-merge into the same registry
         run after run, so pool-lifetime totals accumulate);
-        *heartbeat_s* arms a :class:`~repro.obs.heartbeat.HeartbeatMonitor`
-        over the progress board for this comparison that flags workers
-        silent beyond that many seconds (calling *on_stall* per episode)
-        and enriches failure diagnostics with each stalled worker's last
-        completed row and phase.  *timeline* accepts a
+        *timeline* accepts a
         :class:`~repro.obs.timeseries.TimeSeriesSampler`: it is attached
         to the progress board for each attempt of this comparison and
         detached with a final frame as the attempt ends, so one ring
-        spans every recovery attempt.
+        spans every recovery attempt.  *heartbeat_s* arms a
+        :class:`~repro.obs.heartbeat.HeartbeatMonitor` on that sampler
+        (or on a private one when *timeline* is ``None``) that flags
+        workers silent beyond that many seconds — in the frames, and by
+        calling *on_stall* per episode — and enriches failure
+        diagnostics with each stalled worker's last completed row and
+        phase.
 
         Recovery (INTERNALS.md section 9): with ``max_restarts > 0`` (or
         an explicit *retry* policy) workers checkpoint their block-row
@@ -438,14 +441,13 @@ class WorkerPool:
         DP dtype (INTERNALS.md section 11): ``dp_dtype="auto"`` resolves
         per attempt against the widest slab of that attempt's partition.
 
-        Online re-balancing: with ``rebalance=True`` the comparison's
-        progress board is sampled while the chain runs, per-worker
-        capacity is estimated from each worker's observed row rate and
-        compute share, and when the estimated capacity shares drift from
-        ``self.weights`` by more than *rebalance_threshold* (relative)
-        the pool's weights are updated **for subsequent comparisons** —
-        the paper's heterogeneous slab split, measured instead of
-        declared.  The decision is recorded on ``self.last_rebalance``
+        Online re-balancing: with ``rebalance=True`` per-worker capacity
+        is measured from each worker's ``compute`` spans (slab width x
+        rows swept / compute seconds), and when the capacity shares drift
+        from ``self.weights`` by more than *rebalance_threshold*
+        (relative) the pool's weights are updated **for subsequent
+        comparisons** — the paper's heterogeneous slab split, measured
+        instead of declared.  The decision is recorded on ``self.last_rebalance``
         and, when *metrics* is given, as a ``slab_rebalances`` counter
         plus per-worker ``worker_rows_per_s`` gauges.
 
@@ -553,10 +555,6 @@ class WorkerPool:
                     # and the previous run's workers have all reported).
                     self._scoreboard.reset()
                 self._progress.reset()  # same serial-point argument
-                if timeline is not None:
-                    timeline.attach(self._progress, rows=m,
-                                    cols_per_worker=[s.cols for s in slabs],
-                                    attempt=restarts)
                 if recovery:
                     checkpoints = CheckpointArea(
                         [s.cols for s in slabs],
@@ -581,10 +579,10 @@ class WorkerPool:
                                      else None),
                         band_half_width=band_half_width, dp=dp))
 
-                reports, failures, sampler = self._collect(
+                reports, failures = self._collect(
                     timeout_s, heartbeat_s=heartbeat_s, on_stall=on_stall,
-                    recovery=recovery, metrics=metrics,
-                    rebalance=rebalance, timeline=timeline)
+                    recovery=recovery, metrics=metrics, timeline=timeline,
+                    rows=m, slabs=slabs, attempt=restarts)
                 wall = time.perf_counter() - origin
 
                 # Fold whatever this attempt reported — survivors of a
@@ -610,9 +608,10 @@ class WorkerPool:
                         attempt_best = outcome.best
 
                 if not failures:
-                    if sampler is not None:
-                        self._apply_rebalance(sampler, slabs,
-                                              rebalance_threshold, metrics)
+                    if rebalance:
+                        self._apply_rebalance(
+                            [reports[g] for g in range(len(slabs))], slabs,
+                            m - start_row, rebalance_threshold, metrics)
                     return ProcessChainResult(
                         best=(attempt_best
                               if attempt_best.better_than(base_best)
@@ -713,17 +712,20 @@ class WorkerPool:
                 checkpoints.unlink()
 
     def _collect(self, timeout_s, *, heartbeat_s, on_stall, recovery,
-                 metrics, rebalance, timeline):
+                 metrics, timeline, rows, slabs, attempt):
         """Gather one attempt's reports under its deadline, with the
-        heartbeat watchdog and the re-balancing sampler riding along.
+        time-series sampler — the one reader of the progress board —
+        riding along: the caller's *timeline*, or a private ring-only
+        one when only *heartbeat_s* arms the stall watchdog.
 
         With *recovery* armed, a worker wedged for twice the stall
         threshold is killed so the ordinary death path — and recovery —
-        takes over; without it the first failure ends the wait.  Returns ``(reports, failures, sampler)``
-        (see :func:`~repro.multigpu.procchain.collect_results`)."""
+        takes over; without it the first failure ends the wait.  Returns
+        ``(reports, failures)`` (see
+        :func:`~repro.multigpu.procchain.collect_results`)."""
         label = self._worker_label
         describe = lambda g: f"{label} {g}"  # noqa: E731
-        monitor = None
+        watchdog = None
         if heartbeat_s is not None:
             on_hard = None
             if recovery:
@@ -732,51 +734,49 @@ class WorkerPool:
                     if proc.is_alive():
                         proc.kill()
 
-            monitor = HeartbeatMonitor(
+            watchdog = HeartbeatMonitor(
                 self._progress, stall_after_s=heartbeat_s,
                 on_stall=on_stall,
                 hard_stall_s=2.0 * heartbeat_s if recovery else None,
                 on_hard_stall=on_hard, metrics=metrics, events=self.events)
-            monitor.start()
-            describe = lambda g: f"{label} {g} ({monitor.describe(g)})"  # noqa: E731
-        sampler = None
-        if rebalance:
-            from .autotune import ProgressRateSampler
-            sampler = ProgressRateSampler(self._progress)
-            sampler.start()
+            describe = lambda g: f"{label} {g} ({watchdog.describe(g)})"  # noqa: E731
+        sampler = timeline
+        if sampler is None and watchdog is not None:
+            sampler = TimeSeriesSampler(ring=1)
+        if sampler is not None:
+            sampler.attach(self._progress, rows=rows,
+                           cols_per_worker=[s.cols for s in slabs],
+                           attempt=attempt, watchdog=watchdog)
         try:
-            reports, failures = collect_results(
+            return collect_results(
                 self._result_queue, self._procs, set(range(self.workers)),
                 time.monotonic() + timeout_s, describe=describe,
                 fail_fast=not recovery)
         finally:
             if sampler is not None:
-                sampler.stop()
-            if monitor is not None:
-                monitor.stop()
-            if timeline is not None:
                 # Final sample before the next attempt resets the board:
                 # the last frame records how far this attempt got.
-                timeline.detach()
-        return reports, failures, sampler
+                sampler.detach()
 
-    def _apply_rebalance(self, sampler, slabs, threshold, metrics) -> None:
-        """Act on one comparison's progress samples: estimate per-worker
-        capacity from observed row rate and compute share, update
-        ``self.weights`` when the drift against the current shares
-        exceeds *threshold* (relative).  Applies to *subsequent*
+    def _apply_rebalance(self, reports, slabs, rows, threshold,
+                         metrics) -> None:
+        """Act on one comparison's slab reports: estimate per-worker
+        capacity from each worker's compute spans over its *rows*,
+        update ``self.weights`` when the drift against the current
+        shares exceeds *threshold* (relative).  Applies to *subsequent*
         comparisons only — the finished one already ran."""
-        from .autotune import estimate_capacities, rebalance_weights
+        from .autotune import (compute_rates, estimate_capacities,
+                               rebalance_weights)
 
-        capacities = estimate_capacities(sampler, slabs)
+        capacities = estimate_capacities(reports, slabs, rows)
         decision = rebalance_weights(self.weights, capacities,
                                      threshold=threshold)
         self.last_rebalance = decision
         if metrics is not None:
             gauge = metrics.gauge(
                 "worker_rows_per_s",
-                help="observed matrix-row completion rate per pool worker")
-            for g, rate in enumerate(sampler.rates()):
+                help="matrix rows per second of compute, per pool worker")
+            for g, rate in enumerate(compute_rates(reports, rows)):
                 gauge.set(rate, device=f"worker{g}")
         if decision.fired:
             old_weights = list(self.weights)

@@ -13,8 +13,9 @@ section 8 for the architecture):
   sequence digests, versions, result + metrics snapshots);
 * :mod:`repro.obs.chrometrace` — Chrome trace-event export of
   :class:`~repro.device.trace.Tracer` timelines (loadable in Perfetto);
-* :mod:`repro.obs.heartbeat` — parent-side watchdog over the
-  shared-memory :class:`~repro.comm.progress.ProgressBoard`;
+* :mod:`repro.obs.heartbeat` — the stall watchdog, fed the timeline
+  sampler's frames of the shared-memory
+  :class:`~repro.comm.progress.ProgressBoard`;
 * :mod:`repro.obs.diff` — regression diff between two manifest/benchmark
   JSON documents (``mgsw perf diff``);
 * :mod:`repro.obs.timeseries` — live time-series sampler over the

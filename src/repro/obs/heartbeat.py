@@ -1,30 +1,29 @@
-"""Parent-side watchdog over the shared-memory progress board.
+"""Stall policy over the progress board, fed by the time-series sampler.
 
 The real-process engines already notice *dead* workers (liveness polls)
 and *wedged transports* (border timeouts), but both are slow, and
 neither says what the worker was doing when it went quiet.  The
 :class:`HeartbeatMonitor` closes the loop: slab workers beat into a
 :class:`~repro.comm.progress.ProgressBoard` at every phase transition,
-and a daemon thread in the parent polls the board, surfaces live
-progress, flags workers silent beyond a threshold, and — crucially —
-enriches the existing worker-death diagnostics with the stalled actor's
-last completed row and phase (:meth:`HeartbeatMonitor.describe` feeds
+the :class:`~repro.obs.timeseries.TimeSeriesSampler` — the one thread
+that reads the board — hands every frame it builds to the monitor, and
+the monitor acts on the frame's ``stalled`` flags (which use its
+threshold): live warnings, ``stall`` events, the hard-stall kill, and
+the worker-death diagnostics with the stalled actor's last completed row
+and phase (:meth:`HeartbeatMonitor.describe` feeds
 :func:`~repro.multigpu.procchain.collect_results`'s ``describe`` hook).
 
-The monitor only ever *reads* shared memory (lock-free; see
-:mod:`repro.comm.progress` for why stale reads are safe), so it can
-never slow down or wedge a worker — observability stays off the hot
-path.
+Nothing here writes shared memory (see :mod:`repro.comm.progress` for
+why stale reads are safe), so the watchdog can never slow down or wedge
+a worker — observability stays off the hot path.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..comm.progress import ProgressBoard, ProgressSample
+from ..comm.progress import ProgressBoard
 
 #: Default seconds of silence before a started worker counts as stalled.
 DEFAULT_STALL_AFTER_S = 5.0
@@ -46,19 +45,23 @@ class StallReport:
 
 
 class HeartbeatMonitor:
-    """Watchdog thread over one :class:`~repro.comm.progress.ProgressBoard`.
+    """Stall policy for one attempt, fed frames by a time-series sampler.
+
+    Attach it with
+    ``TimeSeriesSampler.attach(board, ..., watchdog=monitor)``: every
+    frame then marks a worker ``stalled`` by this monitor's threshold,
+    and :meth:`observe` acts on the frame.
 
     Parameters
     ----------
     board:
-        The progress board the workers beat into.
+        The progress board the workers beat into (read once per
+        :meth:`describe`, for failure diagnostics).
     stall_after_s:
         Seconds of silence after which a *started* worker is flagged
         (workers that never beat are the liveness poll's problem — they
-        may still be importing).
-    poll_interval_s:
-        Watchdog wake-up period; stall detection lags true silence by at
-        most this much.
+        may still be importing).  Detection lags true silence by at most
+        the sampler's interval.
     on_stall:
         Optional callback invoked once per worker per stall episode with
         a :class:`StallReport` (e.g. the CLI's live stderr warning).  A
@@ -89,7 +92,6 @@ class HeartbeatMonitor:
         board: ProgressBoard,
         *,
         stall_after_s: float = DEFAULT_STALL_AFTER_S,
-        poll_interval_s: float = 0.2,
         on_stall: Callable[[StallReport], None] | None = None,
         hard_stall_s: float | None = None,
         on_hard_stall: Callable[[StallReport], None] | None = None,
@@ -103,33 +105,19 @@ class HeartbeatMonitor:
         self.board = board
         self.stall_after_s = stall_after_s
         self.hard_stall_s = hard_stall_s
-        self.poll_interval_s = max(0.01, poll_interval_s)
         self.on_stall = on_stall
         self.on_hard_stall = on_hard_stall
         self._metrics = metrics
         self._events = events
         self._flagged: set[int] = set()
         self._hard_flagged: set[int] = set()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
-    # -- queries (usable with or without the thread running) -----------------
-    def status(self) -> tuple[ProgressSample, ...]:
-        """Live progress: one (possibly slightly stale) sample per worker."""
-        return self.board.snapshot()
-
-    def stalled(self, now: float | None = None) -> list[StallReport]:
-        """Workers that have started, not finished, and gone silent."""
-        now = time.monotonic() if now is None else now
-        out = []
-        for sample in self.board.snapshot():
-            if not sample.started or sample.phase == "done":
-                continue
-            silent = sample.silent_s(now)
-            if silent >= self.stall_after_s:
-                out.append(StallReport(sample.worker, sample.rows_done,
-                                       sample.phase, silent))
-        return out
+    @staticmethod
+    def stalled(frame) -> list[StallReport]:
+        """The workers *frame* (a
+        :class:`~repro.obs.timeseries.TimelineFrame`) marks stalled."""
+        return [StallReport(w.worker, w.rows_done, w.phase, w.silent_s)
+                for w in frame.workers if w.stalled]
 
     def describe(self, worker: int) -> str:
         """One-line heartbeat diagnosis for *worker* — appended to the
@@ -141,9 +129,10 @@ class HeartbeatMonitor:
                 f"phase {sample.phase!r}, "
                 f"silent {sample.silent_s():.1f}s")
 
-    # -- the watchdog thread -------------------------------------------------
-    def _tick(self) -> None:
-        reports = {r.worker: r for r in self.stalled()}
+    def observe(self, frame) -> None:
+        """Act on one sampled frame: start and end stall episodes, fire
+        the hard-stall escalation, and refresh the row gauges."""
+        reports = {r.worker: r for r in self.stalled(frame)}
         for worker, report in reports.items():
             if worker not in self._flagged:
                 self._flagged.add(worker)
@@ -182,34 +171,5 @@ class HeartbeatMonitor:
         if self._metrics is not None:
             gauge = self._metrics.gauge(
                 "worker_rows_done", help="rows completed per worker (live)")
-            for sample in self.board.snapshot():
-                if sample.started:
-                    gauge.set(sample.rows_done, device=f"worker{sample.worker}")
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.poll_interval_s):
-            self._tick()
-
-    def start(self) -> "HeartbeatMonitor":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="mgsw-heartbeat", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the thread and take one final sample (idempotent)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self._tick()
-
-    def __enter__(self) -> "HeartbeatMonitor":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+            for w in frame.workers:
+                gauge.set(w.rows_done, device=f"worker{w.worker}")

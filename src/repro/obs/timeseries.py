@@ -8,7 +8,10 @@ reads the :class:`~repro.comm.progress.ProgressBoard` plus a delta of
 the local :class:`~repro.obs.registry.MetricsRegistry` and appends one
 :class:`TimelineFrame` to a bounded ring — per-worker rows/s and phase,
 GCUPS-so-far, prune/band-skip rates, restart count, and an ETA
-(rows remaining ÷ smoothed aggregate rate).
+(rows remaining ÷ smoothed aggregate rate).  It is the only thread
+that reads the board: an attached
+:class:`~repro.obs.heartbeat.HeartbeatMonitor` sets the frames' stall
+threshold and is handed every frame to act on.
 
 Sampling is strictly read-only on the shared memory (the board is
 single-writer per slot; see :mod:`repro.comm.progress` for why stale
@@ -37,6 +40,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from ..errors import ObsError
+from .heartbeat import DEFAULT_STALL_AFTER_S
 
 #: Default sampling period (seconds).
 DEFAULT_INTERVAL_S = 0.25
@@ -62,7 +66,7 @@ class WorkerFrame:
     phase: str
     rows_per_s: float      #: smoothed (EMA) matrix rows completed per second
     silent_s: float        #: seconds since the worker's last heartbeat
-    stalled: bool          #: silent beyond the sampler's stall threshold
+    stalled: bool          #: silent beyond the watchdog's stall threshold
 
 
 @dataclass(frozen=True)
@@ -151,24 +155,17 @@ class TimeSeriesSampler:
         restart count.  Worker-side counters only merge into it at run
         end, so mid-run these reflect what the supervisor has seen —
         restarts update on every recovery, prune totals at completion.
-    stall_after_s:
-        Seconds of heartbeat silence after which a frame marks a worker
-        ``stalled`` (display-only; the watchdog owns stall *handling*).
     """
 
     def __init__(self, *, interval_s: float = DEFAULT_INTERVAL_S,
                  ring: int = DEFAULT_RING,
                  spill: str | Path | None = None,
-                 registry=None,
-                 stall_after_s: float = 5.0) -> None:
+                 registry=None) -> None:
         if interval_s <= 0:
             raise ObsError("interval_s must be positive")
         if ring <= 0:
             raise ObsError("ring must be positive")
-        if stall_after_s <= 0:
-            raise ObsError("stall_after_s must be positive")
         self.interval_s = interval_s
-        self.stall_after_s = stall_after_s
         self._registry = registry
         self._frames: deque[TimelineFrame] = deque(maxlen=ring)
         self._lock = threading.Lock()
@@ -181,6 +178,7 @@ class TimeSeriesSampler:
             self._spill_fh = open(self._spill_path, "a", encoding="utf-8")
         # Per-attachment state (set by attach()).
         self._board = None
+        self._watchdog = None
         self._attempt = 0
         self._rows_target = 0
         self._cols_per_worker: tuple[int, ...] = ()
@@ -195,20 +193,24 @@ class TimeSeriesSampler:
 
     def attach(self, board, *, rows: int,
                cols_per_worker: Sequence[int],
-               attempt: int = 0) -> "TimeSeriesSampler":
+               attempt: int = 0, watchdog=None) -> "TimeSeriesSampler":
         """Start sampling *board* for one attempt.
 
         *rows* is the matrix height every slab sweeps (``rows_done`` per
         worker finishes at it); *cols_per_worker* the slab widths (for
-        cells-so-far -> GCUPS).  Re-attaching after :meth:`detach` keeps
-        the accumulated frames and spill — recovery attempts extend one
-        timeline.
+        cells-so-far -> GCUPS).  *watchdog* (a
+        :class:`~repro.obs.heartbeat.HeartbeatMonitor`) sets the
+        frames' stall threshold — :data:`DEFAULT_STALL_AFTER_S` without
+        one — and observes every frame of this attempt.  Re-attaching
+        after :meth:`detach` keeps the accumulated frames and spill —
+        recovery attempts extend one timeline.
         """
         if self._board is not None:
             raise ObsError("sampler already attached; detach() first")
         if len(cols_per_worker) != board.n_slots:
             raise ObsError("cols_per_worker length must match board slots")
         self._board = board
+        self._watchdog = watchdog
         self._attempt = int(attempt)
         self._rows_target = int(rows) * board.n_slots
         self._cols_per_worker = tuple(int(c) for c in cols_per_worker)
@@ -238,6 +240,7 @@ class TimeSeriesSampler:
             self._thread = None
         self.sample_once()
         self._board = None
+        self._watchdog = None
 
     def close(self) -> None:
         """Detach (if needed) and close the spill file."""
@@ -265,6 +268,9 @@ class TimeSeriesSampler:
         board = self._board
         if board is None:
             return None
+        watchdog = self._watchdog
+        stall_after_s = (DEFAULT_STALL_AFTER_S if watchdog is None
+                         else watchdog.stall_after_s)
         now = time.monotonic()
         samples = board.snapshot()
         workers: list[WorkerFrame] = []
@@ -285,7 +291,7 @@ class TimeSeriesSampler:
                 worker=i, rows_done=s.rows_done, phase=s.phase,
                 rows_per_s=round(ema, 3), silent_s=round(silent, 3),
                 stalled=bool(s.started and s.phase != "done"
-                             and silent >= self.stall_after_s)))
+                             and silent >= stall_after_s)))
             rows_total += s.rows_done
             if s.phase != "done":
                 agg_rate += max(0.0, ema)
@@ -330,6 +336,8 @@ class TimeSeriesSampler:
                 self._spill_fh.write(
                     json.dumps(frame.to_json_dict(), sort_keys=True) + "\n")
                 self._spill_fh.flush()
+        if watchdog is not None:
+            watchdog.observe(frame)
         return frame
 
     # -- queries -------------------------------------------------------------

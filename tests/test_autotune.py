@@ -142,62 +142,52 @@ class TestRebalanceMath:
             rebalance_weights([0.0], [0.0])
 
 
+def _report(worker, *spans):
+    from repro.multigpu.procchain import SlabReport
+
+    return SlabReport(worker=worker, outcome=None, records=list(spans))
+
+
 class TestProgressSampling:
-    def test_rates_and_shares_from_board(self):
-        from repro.comm.progress import ProgressBoard
-        from repro.multigpu.autotune import (ProgressRateSampler,
-                                             estimate_capacities)
+    def test_rates_and_capacities_from_compute_spans(self):
+        from repro.multigpu.autotune import compute_rates, estimate_capacities
         from repro.multigpu.partition import Slab
-        import time as time_mod
 
-        with ProgressBoard(2, label="t-rebal") as board:
-            sampler = ProgressRateSampler(board, interval_s=0.005)
-            board.beat(0, 0, "compute")
-            board.beat(1, 0, "wait")
-            sampler.sample_once()
-            time_mod.sleep(0.02)
-            board.beat(0, 100, "compute")
-            board.beat(1, 10, "wait")
-            sampler.sample_once()
-
-            rates = sampler.rates()
-            assert rates[0] > rates[1] > 0
-            shares = sampler.compute_shares()
-            assert shares[0] == 1.0 and shares[1] == 0.0
-
-            slabs = [Slab(0, 0, 100), Slab(1, 100, 200)]
-            caps = estimate_capacities(sampler, slabs)
-            # worker 1 moved slowly but never computed: the share floor
-            # projects a large idle capacity, worker 0's is rate-bound
-            assert caps[0] == pytest.approx(100 * rates[0])
-            assert caps[1] == pytest.approx(100 * rates[1] / 0.02)
+        reports = [
+            # 0.4 s of compute around a long border wait
+            _report(0, ("compute", 0.0, 0.2), ("wait", 0.2, 0.9),
+                    ("compute", 0.9, 1.1)),
+            # 0.8 s of compute
+            _report(1, ("wait", 0.0, 0.1), ("compute", 0.1, 0.9),
+                    ("d2h", 0.9, 1.0)),
+        ]
+        rates = compute_rates(reports, 100)
+        assert rates == [pytest.approx(250.0), pytest.approx(125.0)]
+        caps = estimate_capacities(reports, [Slab(0, 0, 100), Slab(1, 100, 300)],
+                                   100)
+        # cells per compute-second: waiting is not lost capacity
+        assert caps == [pytest.approx(100 * 250.0), pytest.approx(200 * 125.0)]
 
     def test_neutral_fallback_without_motion(self):
-        from repro.comm.progress import ProgressBoard
-        from repro.multigpu.autotune import (ProgressRateSampler,
-                                             estimate_capacities)
+        from repro.multigpu.autotune import compute_rates, estimate_capacities
         from repro.multigpu.partition import Slab
 
-        with ProgressBoard(2, label="t-rebal2") as board:
-            sampler = ProgressRateSampler(board, interval_s=0.005)
-            sampler.sample_once()
-            caps = estimate_capacities(sampler, [Slab(0, 0, 70), Slab(1, 70, 100)])
-            assert caps == [70.0, 30.0]  # keeps the current shares
+        reports = [_report(0, ("wait", 0.0, 1.0)), _report(1)]
+        assert compute_rates(reports, 10) == [0.0, 0.0]
+        caps = estimate_capacities(reports, [Slab(0, 0, 70), Slab(1, 70, 100)],
+                                   10)
+        assert caps == [70.0, 30.0]  # keeps the current shares
 
-    def test_board_may_outlive_a_shrunken_pool(self):
-        from repro.comm.progress import ProgressBoard
-        from repro.multigpu.autotune import (ProgressRateSampler,
-                                             estimate_capacities)
+    def test_reports_must_match_slabs(self):
+        from repro.multigpu.autotune import estimate_capacities
         from repro.multigpu.partition import Slab
 
-        with ProgressBoard(3, label="t-rebal3") as board:
-            sampler = ProgressRateSampler(board, interval_s=0.005)
-            sampler.sample_once()
-            caps = estimate_capacities(sampler, [Slab(0, 0, 50), Slab(1, 50, 100)])
-            assert len(caps) == 2
-            with pytest.raises(ConfigError):
-                estimate_capacities(
-                    sampler, [Slab(i, i * 25, (i + 1) * 25) for i in range(4)])  # more slabs than slots
+        reports = [_report(g, ("compute", 0.0, 1.0)) for g in range(2)]
+        assert len(estimate_capacities(
+            reports, [Slab(0, 0, 50), Slab(1, 50, 100)], 10)) == 2
+        with pytest.raises(ConfigError):
+            estimate_capacities(
+                reports, [Slab(i, i * 25, (i + 1) * 25) for i in range(4)], 10)
 
 
 class TestPoolRebalanceIntegration:
@@ -209,31 +199,26 @@ class TestPoolRebalanceIntegration:
         from repro.seq import DNA_DEFAULT
 
         rng = np.random.default_rng(77)
-        # long enough that the 4:1 skew is visible to the 20ms sampler
-        a = rng.integers(0, 4, 2400).astype(np.int8)
-        b = rng.integers(0, 4, 4000).astype(np.int8)
-        # equally fast OS workers given a 4:1 slab split: the wide slab's
-        # worker lags, the sampler sees the skew, and the pool re-weights
-        with WorkerPool(2, weights=[4.0, 1.0], max_block_rows=8) as pool:
-            ref = pool.align(a, b, DNA_DEFAULT, block_rows=8)
-            # The sampler is wall-clock based, so the compute-share
-            # estimate is noisy on a loaded machine: retry from the same
-            # 4:1 start (fresh registry per attempt) until one observation
-            # moves the split toward balance.
-            for _ in range(5):
-                pool.weights = [4.0, 1.0]
-                registry = MetricsRegistry()
-                res = pool.align(a, b, DNA_DEFAULT, block_rows=8,
-                                 rebalance=True, metrics=registry)
-                assert res.score == ref.score
-                decision = pool.last_rebalance
-                assert decision is not None
-                share0 = pool.weights[0] / sum(pool.weights)
-                if decision.fired and share0 < 0.8:
-                    break
+        a = rng.integers(0, 4, 1200).astype(np.int8)
+        b = rng.integers(0, 4, 16000).astype(np.int8)
+        # Equally fast OS workers given a 4:1 slab split: the wide slab's
+        # worker spends far more compute time on its rows, its compute
+        # spans say so, and the pool re-weights.  Blocks and slabs must
+        # be large enough that per-cell cost, not per-block and per-row
+        # overhead, dominates a span: at 8-row blocks of a 4000-column
+        # matrix the two slabs measure about alike.
+        registry = MetricsRegistry()
+        with WorkerPool(2, weights=[4.0, 1.0], max_block_rows=64) as pool:
+            ref = pool.align(a, b, DNA_DEFAULT, block_rows=64)
+            res = pool.align(a, b, DNA_DEFAULT, block_rows=64,
+                             rebalance=True, metrics=registry)
+            assert res.score == ref.score
+            decision = pool.last_rebalance
+            assert decision is not None
             assert decision.fired
+            share0 = pool.weights[0] / sum(pool.weights)
             assert share0 < 0.8  # strictly more balanced than 4:1
-            after = pool.align(a, b, DNA_DEFAULT, block_rows=8)
+            after = pool.align(a, b, DNA_DEFAULT, block_rows=64)
             assert after.score == ref.score
             assert [s.cols for s in after.partition] != \
                 [s.cols for s in ref.partition]

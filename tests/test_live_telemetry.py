@@ -182,8 +182,8 @@ class TestPoolJournal:
         journal = EventJournal()
         with WorkerPool(2, max_block_rows=64, events=journal) as pool:
             monkeypatch.setattr(autotune, "estimate_capacities",
-                                lambda sampler, slabs: [300.0, 100.0])
-            pool._apply_rebalance(None, None, 0.25, None)
+                                lambda reports, slabs, rows: [300.0, 100.0])
+            pool._apply_rebalance(None, None, 0, 0.25, None)
         (rec,) = [r for r in journal.recent()
                   if r["event"] == "slab_rebalance"]
         assert rec["old_weights"] == [1.0, 1.0]
@@ -197,21 +197,24 @@ class TestStallEpisodes:
         journal = EventJournal()
         monitor = HeartbeatMonitor(board, stall_after_s=0.05,
                                    events=journal)
+        sampler = TimeSeriesSampler(interval_s=3600.0)
+        sampler.attach(board, rows=10, cols_per_worker=[5, 5],
+                       watchdog=monitor)
         try:
             board.beat(0, 3, "compute")
             time.sleep(0.08)
-            monitor._tick()
-            monitor._tick()          # still the same episode: no new event
-            monitor._tick()
+            sampler.sample_once()
+            sampler.sample_once()    # still the same episode: no new event
+            sampler.sample_once()
             assert journal.count("stall") == 1
             # The worker resumes beating: the episode ends, the flag re-arms.
             board.beat(0, 4, "compute")
-            monitor._tick()
+            sampler.sample_once()
             assert journal.count("stall") == 1
             # A second silence is a new episode: exactly one more event.
             time.sleep(0.08)
-            monitor._tick()
-            monitor._tick()
+            sampler.sample_once()
+            sampler.sample_once()
             assert journal.count("stall") == 2
             stalls = [r for r in journal.recent() if r["event"] == "stall"]
             assert [r["worker"] for r in stalls] == [0, 0]
@@ -219,6 +222,7 @@ class TestStallEpisodes:
             assert stalls[1]["rows_done"] == 4
             assert all("hard" not in r for r in stalls)
         finally:
+            sampler.detach()
             board.unlink()
 
     def test_hard_stall_emits_once_with_hard_flag(self):
@@ -229,24 +233,75 @@ class TestStallEpisodes:
                                    hard_stall_s=0.06,
                                    on_hard_stall=killed.append,
                                    events=journal)
+        sampler = TimeSeriesSampler(interval_s=3600.0)
+        sampler.attach(board, rows=10, cols_per_worker=[10],
+                       watchdog=monitor)
         try:
             board.beat(0, 1, "wait")
             time.sleep(0.1)
-            monitor._tick()
-            monitor._tick()
+            sampler.sample_once()
+            sampler.sample_once()
             stalls = [r for r in journal.recent() if r["event"] == "stall"]
             # One soft flag + one hard escalation, both for worker 0.
             assert len(stalls) == 2
             assert [r.get("hard") for r in stalls] == [None, True]
             assert len(killed) == 1
         finally:
+            sampler.detach()
             board.unlink()
+
+
+class _ThreadCensus(TimeSeriesSampler):
+    """A sampler that lists the live threads at every periodic sample."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.census: list[list[str]] = []
+
+    def sample_once(self):
+        if threading.current_thread().name == "mgsw-timeseries":
+            self.census.append([t.name for t in threading.enumerate()])
+        return super().sample_once()
+
+
+class TestOneBoardReader:
+    def test_one_sampler_thread_serves_watchdog_and_rebalance(self, rng):
+        """Stall watchdog, re-balancing and timeline together run one
+        parent thread over the progress board."""
+        a, b = random_codes(rng, 2400), random_codes(rng, 4000)
+        sampler = _ThreadCensus(interval_s=0.01)
+        with WorkerPool(2, max_block_rows=64) as pool:
+            pool.align(a, b, DNA_DEFAULT, block_rows=64, heartbeat_s=30.0,
+                       rebalance=True, timeline=sampler)
+        sampler.close()
+        assert sampler.census, "no periodic sample fired during the run"
+        for names in sampler.census:
+            assert names.count("mgsw-timeseries") == 1, names
+            assert not {"mgsw-heartbeat", "mgsw-rate-sampler"} & set(names)
+
+    def test_stall_warnings_match_the_timeline(self, rng):
+        """on_stall and the timeline frames share one stall threshold:
+        every worker reported stalled is flagged in some frame."""
+        a, b = random_codes(rng, 700), random_codes(rng, 900)
+        stalls = []
+        sampler = TimeSeriesSampler(interval_s=0.05)
+        with pytest.raises(RuntimeError):
+            align_multi_process(a, b, DNA_DEFAULT, workers=3, block_rows=64,
+                                heartbeat_s=0.5, on_stall=stalls.append,
+                                timeline=sampler, _fault=(1, 3))
+        sampler.close()
+        assert stalls
+        flagged = {w.worker for f in sampler.frames() for w in f.workers
+                   if w.stalled}
+        assert {s.worker for s in stalls} <= flagged
 
 
 class TestTopRenderer:
     def _frame(self, sampler_board):
-        sampler = TimeSeriesSampler(interval_s=3600.0, stall_after_s=0.05)
-        sampler.attach(sampler_board, rows=100, cols_per_worker=[50, 50])
+        sampler = TimeSeriesSampler(interval_s=3600.0)
+        sampler.attach(sampler_board, rows=100, cols_per_worker=[50, 50],
+                       watchdog=HeartbeatMonitor(sampler_board,
+                                                 stall_after_s=0.05))
         sampler_board.beat(0, 10, "compute")
         sampler_board.beat(1, 20, "compute")
         time.sleep(0.08)

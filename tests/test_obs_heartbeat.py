@@ -1,4 +1,4 @@
-"""Tests: shared-memory ProgressBoard + parent-side HeartbeatMonitor."""
+"""Tests: shared-memory ProgressBoard + the HeartbeatMonitor stall policy."""
 
 from __future__ import annotations
 
@@ -9,14 +9,42 @@ import pytest
 
 from repro.comm.progress import PHASES, ProgressBoard, ProgressSample
 from repro.errors import CommError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TimeSeriesSampler
 from repro.obs.heartbeat import DEFAULT_STALL_AFTER_S, HeartbeatMonitor, StallReport
+from repro.obs.timeseries import TimelineFrame, WorkerFrame
 
 
 def _beat_worker(board: ProgressBoard, slot: int, rows: int, phase: str) -> None:
     """Attach to the pickled board in a spawned child and beat once."""
     board.beat(slot, rows, phase)
     board.close()
+
+
+def sampled_frame(board: ProgressBoard, monitor: HeartbeatMonitor):
+    """One frame of *board* built by a sampler with *monitor* attached
+    (fed to the monitor, as is the detach's final frame)."""
+    sampler = TimeSeriesSampler(interval_s=3600.0)
+    sampler.attach(board, rows=100, cols_per_worker=[1] * board.n_slots,
+                   watchdog=monitor)
+    try:
+        return sampler.sample_once()
+    finally:
+        sampler.detach()
+
+
+def frame(*workers: WorkerFrame) -> TimelineFrame:
+    """A hand-built frame carrying *workers*."""
+    return TimelineFrame(
+        t_s=0.0, ts_unix=0.0, attempt=0,
+        rows_done=sum(w.rows_done for w in workers), rows_target=0,
+        rows_per_s=0.0, eta_s=None, gcups=0.0, prune_rate=0.0,
+        band_skip_rate=0.0, restarts=0, workers=workers)
+
+
+def worker(g: int, rows: int, *, stalled: bool, silent_s: float = 0.0,
+           phase: str = "compute") -> WorkerFrame:
+    return WorkerFrame(worker=g, rows_done=rows, phase=phase, rows_per_s=0.0,
+                       silent_s=silent_s, stalled=stalled)
 
 
 @pytest.fixture
@@ -149,23 +177,27 @@ class TestHeartbeatMonitor:
 
     def test_never_started_workers_are_not_stalled(self, board):
         monitor = HeartbeatMonitor(board, stall_after_s=0.01)
-        assert monitor.stalled() == []
+        time.sleep(0.03)
+        assert monitor.stalled(sampled_frame(board, monitor)) == []
         assert monitor.describe(0) == "never heartbeat"
 
     def test_done_workers_are_not_stalled(self, board):
         board.beat(0, 5, "done")
         monitor = HeartbeatMonitor(board, stall_after_s=0.01)
-        beat = board.read(0).last_beat
-        assert monitor.stalled(now=beat + 100.0) == []
+        time.sleep(0.03)
+        assert monitor.stalled(sampled_frame(board, monitor)) == []
 
     def test_silent_started_worker_is_stalled(self, board):
         board.beat(1, 7, "wait")
-        monitor = HeartbeatMonitor(board, stall_after_s=1.0)
-        beat = board.read(1).last_beat
-        assert monitor.stalled(now=beat + 0.5) == []
-        reports = monitor.stalled(now=beat + 1.5)
+        patient = HeartbeatMonitor(board, stall_after_s=10.0)
+        assert patient.stalled(sampled_frame(board, patient)) == []
+        monitor = HeartbeatMonitor(board, stall_after_s=0.05)
+        time.sleep(0.1)
+        reports = monitor.stalled(sampled_frame(board, monitor))
         assert len(reports) == 1
-        assert reports[0] == StallReport(1, 7, "wait", pytest.approx(1.5))
+        assert reports[0].worker == 1
+        assert (reports[0].rows_done, reports[0].phase) == (7, "wait")
+        assert reports[0].silent_s >= 0.05
         assert "last completed row 7" in reports[0].describe()
 
     def test_describe_reports_row_phase_silence(self, board):
@@ -177,72 +209,43 @@ class TestHeartbeatMonitor:
         assert "silent" in text
 
     def test_watchdog_fires_on_stall_once_per_episode(self, board):
-        """on_stall fires once when the threshold trips; resuming beats
-        re-arms the worker so a second stall fires again."""
+        """on_stall fires once when a frame first flags the worker;
+        a frame showing it beating again re-arms it, so a second stall
+        fires again."""
         hits: list[StallReport] = []
-        board.beat(0, 3, "compute")
-        monitor = HeartbeatMonitor(board, stall_after_s=0.15,
-                                   poll_interval_s=0.02,
-                                   on_stall=hits.append)
-        with monitor:
-            deadline = time.monotonic() + 5.0
-            while not hits and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert len(hits) == 1
-            assert hits[0].worker == 0
-            assert hits[0].rows_done == 3
-            # Resume beating: the flag clears...
-            board.beat(0, 4, "compute")
-            time.sleep(0.1)
-            assert len(hits) == 1
-            # ...and a fresh silence trips a second report.
-            deadline = time.monotonic() + 5.0
-            while len(hits) < 2 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert len(hits) == 2
-            assert hits[1].rows_done == 4
+        monitor = HeartbeatMonitor(board, on_stall=hits.append)
+        monitor.observe(frame(worker(0, 3, stalled=True, silent_s=5.5)))
+        monitor.observe(frame(worker(0, 3, stalled=True, silent_s=5.8)))
+        assert hits == [StallReport(0, 3, "compute", 5.5)]
+        # Resume beating: the flag clears...
+        monitor.observe(frame(worker(0, 4, stalled=False)))
+        assert len(hits) == 1
+        # ...and a fresh silence trips a second report.
+        monitor.observe(frame(worker(0, 4, stalled=True, silent_s=5.1)))
+        assert len(hits) == 2
+        assert hits[1].rows_done == 4
 
     def test_metrics_gauges_and_stall_counter(self, board):
         reg = MetricsRegistry()
         board.beat(0, 12, "send")
-        monitor = HeartbeatMonitor(board, stall_after_s=0.05,
-                                   poll_interval_s=0.02, metrics=reg)
-        monitor.start()
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if reg.counter("worker_stalls").total() >= 1:
-                break
-            time.sleep(0.02)
-        monitor.stop()
+        monitor = HeartbeatMonitor(board, stall_after_s=0.05, metrics=reg)
+        time.sleep(0.1)
+        sampled_frame(board, monitor)
         assert reg.counter("worker_stalls").value(device="worker0") == 1
         assert reg.gauge("worker_rows_done").value(device="worker0") == 12
 
-    def test_start_stop_idempotent(self, board):
-        monitor = HeartbeatMonitor(board, stall_after_s=10.0)
-        assert monitor.start() is monitor
-        assert monitor.start() is monitor  # second start is a no-op
-        monitor.stop()
-        monitor.stop()  # second stop is a no-op
-        assert monitor._thread is None
-
     def test_stop_takes_final_sample(self, board):
-        """stop() runs one last tick so short-lived runs still populate
-        the metrics even if the poll never fired."""
+        """Detaching the sampler takes one last frame, so short-lived
+        runs still populate the metrics even if no periodic sample
+        fired."""
         reg = MetricsRegistry()
         board.beat(1, 8, "done")
-        monitor = HeartbeatMonitor(board, stall_after_s=10.0,
-                                   poll_interval_s=60.0, metrics=reg)
-        monitor.start()
-        monitor.stop()
+        monitor = HeartbeatMonitor(board, stall_after_s=10.0, metrics=reg)
+        sampler = TimeSeriesSampler(interval_s=3600.0)
+        sampler.attach(board, rows=8, cols_per_worker=[1, 1, 1],
+                       watchdog=monitor)
+        sampler.detach()
         assert reg.gauge("worker_rows_done").value(device="worker1") == 8
-
-    def test_status_mirrors_board_snapshot(self, board):
-        board.beat(0, 2, "wait")
-        monitor = HeartbeatMonitor(board)
-        status = monitor.status()
-        assert len(status) == 3
-        assert isinstance(status[0], ProgressSample)
-        assert status[0].rows_done == 2
 
     def test_default_threshold_exported(self):
         assert DEFAULT_STALL_AFTER_S == 5.0

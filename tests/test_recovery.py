@@ -408,6 +408,48 @@ class TestPoolRecovery:
             assert res.workers == 2
         assert _segments() == []
 
+    def test_hard_stall_kill_recovers(self, rng):
+        """A wedged (SIGSTOPped) worker is killed by the watchdog riding
+        the time-series sampler once silent for twice the heartbeat, and
+        the kill enters checkpoint recovery: exact score, one restart.
+        The border timeout is shorter than the hard stall, so the
+        neighbours report an error (and are not dropped) first."""
+        import threading
+
+        a, b = random_codes(rng, 2000), random_codes(rng, 3000)
+        want = sw_score_naive(a, b, DNA_DEFAULT)[0]
+        registry = MetricsRegistry()
+        with WorkerPool(3, max_block_rows=16, border_timeout_s=0.5) as pool:
+            victim = pool.worker_pids()[1]
+            board = pool._progress
+
+            def freeze():
+                deadline = time.monotonic() + 30.0
+                while (board.read(1).rows_done < 64
+                       and time.monotonic() < deadline):
+                    time.sleep(0.002)
+                os.kill(victim, signal.SIGSTOP)
+
+            freezer = threading.Thread(target=freeze)
+            freezer.start()
+            try:
+                res = pool.align(a, b, DNA_DEFAULT, block_rows=16,
+                                 heartbeat_s=0.6, max_restarts=1,
+                                 restart_backoff_s=0.01, timeout_s=60.0,
+                                 metrics=registry)
+            finally:
+                freezer.join()
+                try:
+                    os.kill(victim, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass
+            assert res.score == want
+            assert res.restarts == 1
+            assert res.workers == 2
+        assert registry.counter("worker_hard_stalls").value(
+            device="worker1") == 1
+        assert _segments() == []
+
     def test_fail_fast_marks_pool_broken(self, pair):
         a, b, _ = pair
         with WorkerPool(3, max_block_rows=32, border_timeout_s=5.0) as pool:

@@ -9,6 +9,7 @@ import pytest
 from repro.comm.progress import ProgressBoard
 from repro.errors import ObsError
 from repro.obs import MetricsRegistry, TimeSeriesSampler, read_timeline
+from repro.obs.heartbeat import HeartbeatMonitor
 from repro.obs.timeseries import (
     FRAME_SCHEMA,
     RATE_EMA_ALPHA,
@@ -77,7 +78,7 @@ class TestAttachLifecycle:
         sampler.close()
 
     def test_constructor_validation(self):
-        for bad in (dict(interval_s=0), dict(ring=0), dict(stall_after_s=0)):
+        for bad in (dict(interval_s=0), dict(ring=0)):
             with pytest.raises(ObsError):
                 TimeSeriesSampler(**bad)
 
@@ -176,11 +177,17 @@ class TestFrameContents:
             sampler.detach()
 
     def test_stalled_flag_follows_silence_threshold(self, board):
-        with manual_sampler(stall_after_s=0.05) as sampler:
+        with manual_sampler() as sampler:
             sampler.attach(board, rows=100, cols_per_worker=[10, 10])
             board.beat(0, 5, "compute")
             import time
             time.sleep(0.1)
+            # No watchdog: the default 5 s threshold is far off.
+            assert not sampler.sample_once().workers[0].stalled
+            sampler.detach()
+            # The attached watchdog's threshold decides the flag.
+            sampler.attach(board, rows=100, cols_per_worker=[10, 10],
+                           watchdog=HeartbeatMonitor(board, stall_after_s=0.05))
             frame = sampler.sample_once()
             assert frame.workers[0].stalled          # silent past threshold
             assert not frame.workers[1].stalled      # never started

@@ -39,26 +39,21 @@ readers can race one in-flight store and observe a beat "from the
 future" by a few microseconds.  A future cross-node replication layer
 must therefore ship *derived* quantities (rows done, phase,
 seconds-of-silence measured by the origin host), never raw beat
-timestamps; :meth:`ProgressBoard.__setstate__` asserts the same-host
+timestamps; :meth:`ProgressBoard._check_attach` asserts the same-host
 invariant at unpickle time so a violation fails loudly instead of
 producing nonsense silence readings.
 """
 
 from __future__ import annotations
 
-import os
 import platform
 import time
-import uuid
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..errors import CommError
-
-#: Prefix of every segment this module creates (leak checks grep for it).
-PROGRESS_NAME_PREFIX = "mgswbeat"
+from .shm import ShmSegment
 
 #: Worker phases, in the order they occur inside one block row.  The
 #: board stores the index; readers translate back through this tuple.
@@ -94,41 +89,34 @@ class ProgressSample:
         never propagate into stall math.  Beat timestamps are only
         comparable within one host (module docstring) — a genuinely
         cross-host reading would be rejected at unpickle time by
-        :meth:`ProgressBoard.__setstate__` long before reaching here.
+        :meth:`ProgressBoard._check_attach` long before reaching here.
         """
         if not self.started:
             return 0.0
         return max(0.0, (time.monotonic() if now is None else now) - self.last_beat)
 
 
-class ProgressBoard:
+class ProgressBoard(ShmSegment):
     """Lock-free cross-process heartbeat board: one slot per worker.
 
-    Mirrors :class:`~repro.comm.scoreboard.SharedScoreboard`'s lifecycle:
-    the object is spawn-safe (pickling ships only the segment name; the
-    child re-attaches on unpickle), the creator owns the segment and must
-    :meth:`unlink` it, attached processes only :meth:`close` their
-    mapping.
+    Ownership, spawn-safe pickling and teardown are the
+    :class:`~repro.comm.shm.ShmSegment` lifecycle; the board adds one
+    attach-time check, that the attaching process runs on the creating
+    host (module docstring).
     """
+
+    kind = "beat"
 
     def __init__(self, n_slots: int, *, label: str = "progress") -> None:
         if n_slots <= 0:
             raise CommError("progress board needs at least one slot")
         self.n_slots = n_slots
-        self.label = label
         #: Host that owns the clock domain of every beat timestamp —
         #: checked on unpickle (module docstring: monotonic clocks do
         #: not compare across hosts).
         self.host = platform.node()
-        name = f"{PROGRESS_NAME_PREFIX}_{os.getpid()}_{uuid.uuid4().hex[:12]}"
-        self._shm = shared_memory.SharedMemory(
-            name=name, create=True, size=n_slots * SLOT_BYTES)
-        self.name = self._shm.name
-        self._owner = True
-        self._closed = False
-        self._rows_view().fill(0)
-        self._phases_view().fill(0)
-        self._beats_view().fill(0.0)
+        super().__init__(n_slots * SLOT_BYTES, label=label)
+        self.reset()
 
     # Three parallel arrays in one segment: all int64/float64 stores are
     # aligned 8-byte writes (the single-writer lock-free contract).
@@ -143,16 +131,7 @@ class ProgressBoard:
         return np.frombuffer(self._shm.buf, dtype=np.float64, count=self.n_slots,
                              offset=16 * self.n_slots)
 
-    # -- pickling (spawn-safe hand-off to worker processes) -----------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_shm"] = None
-        state["_owner"] = False
-        state["_closed"] = False
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+    def _check_attach(self) -> None:
         # Same-host invariant: beat timestamps are time.monotonic()
         # readings, whose epoch is boot-relative — comparable only
         # within the creating host.  A board shipped to another machine
@@ -165,7 +144,6 @@ class ProgressBoard:
                 f"{self.host!r} cannot attach on {here!r} — monotonic "
                 "beat timestamps are not comparable across hosts "
                 "(replicate derived progress, not the raw board)")
-        self._shm = shared_memory.SharedMemory(name=self.name)
 
     # -- the board -----------------------------------------------------------
     def beat(self, slot: int, rows_done: int, phase: str) -> None:
@@ -175,9 +153,7 @@ class ProgressBoard:
         is stored *last* so readers never see a fresh beat with stale
         row/phase values (module docstring).
         """
-        if not 0 <= slot < self.n_slots:
-            raise CommError(
-                f"{self.label}: slot {slot} outside [0, {self.n_slots})")
+        self._check_slot(slot)
         try:
             code = PHASES.index(phase)
         except ValueError:
@@ -190,9 +166,7 @@ class ProgressBoard:
 
     def read(self, slot: int) -> ProgressSample:
         """One slot's state (non-blocking; may lag by one store)."""
-        if not 0 <= slot < self.n_slots:
-            raise CommError(
-                f"{self.label}: slot {slot} outside [0, {self.n_slots})")
+        self._check_slot(slot)
         return ProgressSample(
             worker=slot,
             rows_done=int(self._rows_view()[slot]),
@@ -210,31 +184,3 @@ class ProgressBoard:
         self._rows_view().fill(0)
         self._phases_view().fill(0)
         self._beats_view().fill(0.0)
-
-    # -- teardown ------------------------------------------------------------
-    def close(self) -> None:
-        """Drop this process's mapping (idempotent)."""
-        if self._closed or self._shm is None:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - platform noise
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment from the OS (creator only; idempotent)."""
-        if not self._owner or self._shm is None:
-            return
-        self.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self._owner = False
-
-    def __enter__(self) -> "ProgressBoard":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unlink() if self._owner else self.close()

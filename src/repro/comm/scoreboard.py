@@ -42,16 +42,10 @@ ever observed).  The failure-injection tests in
 
 from __future__ import annotations
 
-import os
-import uuid
-from multiprocessing import shared_memory
-
 import numpy as np
 
 from ..errors import CommError
-
-#: Prefix of every segment this module creates (leak checks grep for it).
-SCOREBOARD_NAME_PREFIX = "mgswboard"
+from .shm import ShmSegment
 
 #: Bytes per worker slot (one int64).
 SLOT_BYTES = 8
@@ -85,7 +79,7 @@ class LocalScoreboard:
         self._best = 0
 
 
-class SharedScoreboard:
+class SharedScoreboard(ShmSegment):
     """Lock-free cross-process scoreboard: one int64 slot per worker.
 
     Parameters
@@ -97,39 +91,21 @@ class SharedScoreboard:
     label:
         Human-readable name used in error messages.
 
-    The object is spawn-safe: pickling it (as a ``Process`` argument)
-    ships only the segment name, and the child re-attaches on unpickle.
-    The creating process owns the segment and must call :meth:`unlink`;
-    attached processes only ever :meth:`close` their mapping.
+    Ownership, spawn-safe pickling and teardown are the
+    :class:`~repro.comm.shm.ShmSegment` lifecycle.
     """
+
+    kind = "board"
 
     def __init__(self, n_slots: int, *, label: str = "scoreboard") -> None:
         if n_slots <= 0:
             raise CommError("scoreboard needs at least one slot")
         self.n_slots = n_slots
-        self.label = label
-        name = f"{SCOREBOARD_NAME_PREFIX}_{os.getpid()}_{uuid.uuid4().hex[:12]}"
-        self._shm = shared_memory.SharedMemory(
-            name=name, create=True, size=n_slots * SLOT_BYTES)
-        self.name = self._shm.name
-        self._owner = True
-        self._closed = False
-        self._slots().fill(0)
+        super().__init__(n_slots * SLOT_BYTES, label=label)
+        self.reset()
 
     def _slots(self) -> np.ndarray:
         return np.frombuffer(self._shm.buf, dtype=np.int64, count=self.n_slots)
-
-    # -- pickling (spawn-safe hand-off to worker processes) -----------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_shm"] = None
-        state["_owner"] = False
-        state["_closed"] = False
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._shm = shared_memory.SharedMemory(name=self.name)
 
     # -- the scoreboard ------------------------------------------------------
     def publish(self, slot: int, score: int) -> None:
@@ -138,9 +114,7 @@ class SharedScoreboard:
         A plain aligned store — never blocks, never takes a lock, so a
         publisher can die at any point without affecting anyone else.
         """
-        if not 0 <= slot < self.n_slots:
-            raise CommError(
-                f"{self.label}: slot {slot} outside [0, {self.n_slots})")
+        self._check_slot(slot)
         slots = self._slots()
         if score > int(slots[slot]):
             slots[slot] = score
@@ -157,31 +131,3 @@ class SharedScoreboard:
         """Zero every slot (creator only, between comparisons — callers
         must ensure no comparison is in flight)."""
         self._slots().fill(0)
-
-    # -- teardown ------------------------------------------------------------
-    def close(self) -> None:
-        """Drop this process's mapping (idempotent)."""
-        if self._closed or self._shm is None:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - platform noise
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment from the OS (creator only; idempotent)."""
-        if not self._owner or self._shm is None:
-            return
-        self.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self._owner = False
-
-    def __enter__(self) -> "SharedScoreboard":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unlink() if self._owner else self.close()

@@ -34,49 +34,24 @@ the overlap-window semantics of the simulated ring.
 
 Robustness: both operations accept a timeout and raise
 :class:`~repro.errors.CommError` when it expires — a crashed peer
-surfaces as a timeout on the survivor's side rather than a hang.  The
-*creating* process owns the segment and must call :meth:`unlink` (the
-chain drivers do so in a ``finally``); attached processes only ever
-:meth:`close` their mapping.
-
-The object is spawn-safe: pickling it (as a ``Process`` argument) ships
-only the segment name and the semaphores, and the child re-attaches on
-unpickle.
+surfaces as a timeout on the survivor's side rather than a hang.
+Ownership, spawn-safe pickling (the segment name plus the semaphores)
+and teardown are the :class:`~repro.comm.shm.ShmSegment` lifecycle.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import uuid
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..errors import CommError
 from ..sw.constants import DTYPE
+from .shm import ShmSegment
 
 #: Per-slot header: rows (int64) then corner (int64).
 HEADER_BYTES = 16
 HEADER_STRUCT = struct.Struct("<qq")
-
-#: Prefix of every segment this module creates (leak checks grep for it).
-SHM_NAME_PREFIX = "mgswring"
-
-
-def list_segments(prefix: str = SHM_NAME_PREFIX) -> list[str]:
-    """Names of live POSIX shared-memory segments starting with *prefix*.
-
-    Linux exposes them as ``/dev/shm`` entries; on platforms without that
-    directory the check degrades to "none visible" rather than failing.
-    Used by teardown tests and the CI leak check to assert that every
-    ``mgswring``/``mgswboard``/``mgswbeat``/``mgswckpt`` segment is gone
-    after a run.
-    """
-    try:
-        return sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
-    except OSError:  # pragma: no cover - non-Linux
-        return []
 
 
 def slot_bytes_for(max_rows: int) -> int:
@@ -86,7 +61,7 @@ def slot_bytes_for(max_rows: int) -> int:
     return HEADER_BYTES + 2 * 4 * max_rows
 
 
-class ShmRing:
+class ShmRing(ShmSegment):
     """Bounded SPSC FIFO of border messages in POSIX shared memory.
 
     Parameters
@@ -103,41 +78,21 @@ class ShmRing:
         Human-readable name used in error messages.
     """
 
+    kind = "ring"
+
     def __init__(self, ctx, capacity: int, max_rows: int, *, label: str = "shmring") -> None:
         if capacity <= 0:
             raise CommError("ring capacity must be positive")
         self.capacity = capacity
         self.max_rows = max_rows
         self.slot_bytes = slot_bytes_for(max_rows)
-        self.label = label
-        name = f"{SHM_NAME_PREFIX}_{os.getpid()}_{uuid.uuid4().hex[:12]}"
-        self._shm = shared_memory.SharedMemory(
-            name=name, create=True, size=capacity * self.slot_bytes)
-        self.name = self._shm.name
         self._free = ctx.Semaphore(capacity)
         self._filled = ctx.Semaphore(0)
         self._wpos = 0  # producer-private slot cursor
         self._rpos = 0  # consumer-private slot cursor
-        self._owner = True
-        self._closed = False
         self.sent = 0
         self.received = 0
-
-    # -- pickling (spawn-safe hand-off to worker processes) -----------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_shm"] = None
-        state["_owner"] = False
-        state["_closed"] = False
-        return state
-
-    def __setstate__(self, state):
-        # Re-attach in the worker process.  CPython < 3.13 registers the
-        # attach with the (shared) resource tracker too; that is harmless
-        # here — the tracker's cache is a set, so the duplicate collapses
-        # and the creator's unlink() removes the single entry.
-        self.__dict__.update(state)
-        self._shm = shared_memory.SharedMemory(name=self.name)
+        super().__init__(capacity * self.slot_bytes, label=label)
 
     # -- producer side -------------------------------------------------------
     def send_border(self, h: np.ndarray, e: np.ndarray, corner: int,
@@ -194,31 +149,3 @@ class ShmRing:
         self.received += 1
         self._free.release()
         return h, e, int(corner)
-
-    # -- teardown ------------------------------------------------------------
-    def close(self) -> None:
-        """Drop this process's mapping (idempotent)."""
-        if self._closed or self._shm is None:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - platform noise
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment from the OS (creator only; idempotent)."""
-        if not self._owner or self._shm is None:
-            return
-        self.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self._owner = False
-
-    def __enter__(self) -> "ShmRing":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unlink() if self._owner else self.close()

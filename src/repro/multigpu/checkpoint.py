@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import os
 import struct
-import uuid
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Sequence
 
 import numpy as np
 
+from ..comm.shm import ShmSegment
 from ..errors import CommError, ConfigError
 from ..sw.constants import DTYPE
 from ..sw.kernel import BestCell
@@ -158,9 +157,6 @@ class RetryPolicy:
         return any(marker in failure for marker in _PERMANENT_MARKERS)
 
 
-#: Prefix of every segment this module creates (leak checks grep for it).
-CHECKPOINT_NAME_PREFIX = "mgswckpt"
-
 #: Per-entry header: row, score, best_row, best_col, checked, pruned.
 _ENTRY_HEADER = struct.Struct("<qqqqqq")
 
@@ -179,7 +175,7 @@ class SlabCheckpoint:
     blocks_pruned: int
 
 
-class CheckpointArea:
+class CheckpointArea(ShmSegment):
     """Shared-memory per-slab checkpoint board for the process engines.
 
     One POSIX-shared-memory segment, owned by the *parent*, holding a
@@ -204,10 +200,11 @@ class CheckpointArea:
       ever is not (defence in depth), :meth:`consistent_row` returns 0
       and the run restarts from scratch — slower, never wrong.
 
-    The object is spawn-safe (pickling ships only the segment name and
-    geometry; children re-attach on unpickle and must :meth:`close`);
-    the creator must :meth:`unlink`.
+    Ownership, spawn-safe pickling (the segment name and geometry) and
+    teardown are the :class:`~repro.comm.shm.ShmSegment` lifecycle.
     """
+
+    kind = "ckpt"
 
     def __init__(self, widths: Sequence[int], *, history: int = 4,
                  label: str = "checkpoints") -> None:
@@ -220,7 +217,6 @@ class CheckpointArea:
         self.widths = tuple(int(w) for w in widths)
         self.n_slots = len(self.widths)
         self.history = int(history)
-        self.label = label
         # Per-slab region: one int64 publish count, then `history` entries
         # of (header + H + F), each sized for that slab's width.
         self._entry_bytes = tuple(
@@ -230,11 +226,7 @@ class CheckpointArea:
         for eb in self._entry_bytes:
             self._offsets.append(off)
             off += 8 + self.history * eb
-        name = f"{CHECKPOINT_NAME_PREFIX}_{os.getpid()}_{uuid.uuid4().hex[:12]}"
-        self._shm = shared_memory.SharedMemory(name=name, create=True, size=off)
-        self.name = self._shm.name
-        self._owner = True
-        self._closed = False
+        super().__init__(off, label=label)
         for slot in range(self.n_slots):
             self._count_view(slot)[0] = 0
 
@@ -244,18 +236,6 @@ class CheckpointArea:
 
     def _entry_offset(self, slot: int, index: int) -> int:
         return self._offsets[slot] + 8 + index * self._entry_bytes[slot]
-
-    # -- pickling (spawn-safe hand-off to worker processes) -----------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_shm"] = None
-        state["_owner"] = False
-        state["_closed"] = False
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._shm = shared_memory.SharedMemory(name=self.name)
 
     # -- worker side ---------------------------------------------------------
     def publish(self, slot: int, row: int, h: np.ndarray, f: np.ndarray,
@@ -267,9 +247,7 @@ class CheckpointArea:
         writer killed at any point never corrupts an already-published
         entry (class docstring).
         """
-        if not 0 <= slot < self.n_slots:
-            raise CommError(
-                f"{self.label}: slot {slot} outside [0, {self.n_slots})")
+        self._check_slot(slot)
         w = self.widths[slot]
         if h.size != w or f.size != w:
             raise CommError(
@@ -291,9 +269,7 @@ class CheckpointArea:
     # -- supervisor side (read only after the attempt is torn down) ----------
     def entries(self, slot: int) -> list[SlabCheckpoint]:
         """Valid entries of *slot*'s ring, oldest first."""
-        if not 0 <= slot < self.n_slots:
-            raise CommError(
-                f"{self.label}: slot {slot} outside [0, {self.n_slots})")
+        self._check_slot(slot)
         count = int(self._count_view(slot)[0])
         valid = min(count, self.history)
         out = []
@@ -366,31 +342,3 @@ class CheckpointArea:
                 if e.best.better_than(best):
                     best = e.best
         return best
-
-    # -- teardown ------------------------------------------------------------
-    def close(self) -> None:
-        """Drop this process's mapping (idempotent)."""
-        if self._closed or self._shm is None:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - platform noise
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment from the OS (creator only; idempotent)."""
-        if not self._owner or self._shm is None:
-            return
-        self.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self._owner = False
-
-    def __enter__(self) -> "CheckpointArea":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unlink() if self._owner else self.close()

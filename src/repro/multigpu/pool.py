@@ -219,58 +219,70 @@ class WorkerPool:
         #: Last :class:`~repro.multigpu.autotune.RebalanceDecision` made by
         #: an ``align(rebalance=True)`` run (``None`` until one completes).
         self.last_rebalance = None
-        # _lazy (align_multi_process) defers the spawn to the first sweep,
-        # so a comparison answered inline (X-drop) starts no process.
+        # What one set of workers holds; _release() returns the pool to
+        # this empty state.  _lazy (align_multi_process) defers the spawn
+        # to the first sweep, so a comparison answered inline (X-drop)
+        # starts no process.
         self._procs: list = []
+        self._rings: list[ShmRing] = []
+        self._parent_conns: list = []
+        self._scoreboard: SharedScoreboard | None = None
+        self._progress: ProgressBoard | None = None
+        self._result_queue = None
+        self._task_queues: list = []
         if not _lazy:
             self._spawn_workers()
 
     def _spawn_workers(self) -> None:
         """Create the transports, boards, queues and worker processes for
         the current ``self.workers`` (construction, and again after a
-        recovery re-spawn)."""
-        workers = self.workers
-        self._rings: list[ShmRing] = []
-        links: list = []
-        self._parent_conns: list = []
-        if self.transport == "shm":
+        recovery re-spawn).  If any step raises, the workers started so
+        far are stopped and everything created is released before the
+        error propagates."""
+        try:
+            workers = self.workers
+            links: list = []
             for g in range(workers - 1):
-                ring = ShmRing(self._ctx, self.capacity, self.max_block_rows,
-                               label=f"pool-border{g}->{g + 1}")
-                self._rings.append(ring)
-                links.append(ring)
-        else:
-            for g in range(workers - 1):
-                recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-                self._parent_conns.extend([recv_conn, send_conn])
-                links.append(PipeLink(recv_conn, send_conn,
-                                      label=f"pool-border{g}->{g + 1}"))
-        # The pruning scoreboard (reset per pruning run) and the heartbeat
-        # board (reset per attempt) live as long as this set of workers;
-        # workers always beat — one shared-memory store per phase
-        # transition — and align() decides whether anyone watches.
-        self._scoreboard = SharedScoreboard(workers, label="pool-scoreboard")
-        self._progress = ProgressBoard(workers, label="pool-progress")
+                label = f"pool-border{g}->{g + 1}"
+                if self.transport == "shm":
+                    ring = ShmRing(self._ctx, self.capacity,
+                                   self.max_block_rows, label=label)
+                    self._rings.append(ring)
+                    links.append(ring)
+                else:
+                    recv_conn, send_conn = self._ctx.Pipe(duplex=False)
+                    self._parent_conns += [recv_conn, send_conn]
+                    links.append(PipeLink(recv_conn, send_conn, label=label))
+            # The pruning scoreboard (reset per pruning run) and the
+            # heartbeat board (reset per attempt) live as long as this set
+            # of workers; workers always beat — one shared-memory store per
+            # phase transition — and align() decides whether anyone watches.
+            self._scoreboard = SharedScoreboard(workers,
+                                                label="pool-scoreboard")
+            self._progress = ProgressBoard(workers, label="pool-progress")
 
-        self._result_queue = self._ctx.Queue()
-        self._task_queues = [self._ctx.Queue() for _ in range(workers)]
-        self._procs = []
-        for g in range(workers):
-            recv_link = links[g - 1] if g > 0 else None
-            send_link = links[g] if g < workers - 1 else None
-            proc = self._ctx.Process(
-                target=_pool_worker,
-                args=(g, self._task_queues[g], self._result_queue,
-                      recv_link, send_link, self._scoreboard, self._progress,
-                      self.warm_kernels),
-                name=f"mgsw-pool-{g}",
-            )
-            proc.daemon = True
-            proc.start()
-            self._procs.append(proc)
-            if self.events is not None:
-                self.events.emit("worker_spawn", worker=g, pid=proc.pid,
-                                 pool=True)
+            self._result_queue = self._ctx.Queue()
+            self._task_queues = [self._ctx.Queue() for _ in range(workers)]
+            for g in range(workers):
+                recv_link = links[g - 1] if g > 0 else None
+                send_link = links[g] if g < workers - 1 else None
+                proc = self._ctx.Process(
+                    target=_pool_worker,
+                    args=(g, self._task_queues[g], self._result_queue,
+                          recv_link, send_link, self._scoreboard,
+                          self._progress, self.warm_kernels),
+                    name=f"mgsw-pool-{g}",
+                )
+                proc.daemon = True
+                proc.start()
+                self._procs.append(proc)
+                if self.events is not None:
+                    self.events.emit("worker_spawn", worker=g, pid=proc.pid,
+                                     pool=True)
+        except BaseException:
+            self._stop_workers(graceful=False)
+            self._release()
+            raise
 
     def _stop_workers(self, *, graceful: bool) -> list[str]:
         """Stop the worker processes: a ``None`` task each and a bounded
@@ -297,10 +309,11 @@ class WorkerPool:
         return errors
 
     def _release(self) -> list[str]:
-        """Release the stopped workers' queues, transports and boards.
+        """Release the stopped workers' queues, transports and boards,
+        whichever exist, and forget them (a second call is a no-op).
         Every step is attempted; the error strings are returned."""
         errors: list[str] = []
-        for q in [*self._task_queues, self._result_queue]:
+        for q in filter(None, [*self._task_queues, self._result_queue]):
             try:
                 q.close()
             except Exception as exc:  # pragma: no cover - platform noise
@@ -310,14 +323,15 @@ class WorkerPool:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-        segments = [(f"ring {ring.label!r}", ring) for ring in self._rings]
-        segments += [("scoreboard", self._scoreboard),
-                     ("progress board", self._progress)]
-        for what, segment in segments:
+        for segment in filter(None, [*self._rings, self._scoreboard,
+                                     self._progress]):
             try:
                 segment.unlink()
             except Exception as exc:
-                errors.append(f"unlinking {what}: {exc!r}")
+                errors.append(f"unlinking {segment.label!r}: {exc!r}")
+        self._procs, self._rings, self._parent_conns = [], [], []
+        self._scoreboard = self._progress = self._result_queue = None
+        self._task_queues = []
         return errors
 
     # -- lifecycle -----------------------------------------------------------
@@ -347,8 +361,6 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        if not self._procs:  # a lazy pool that never swept
-            return
         errors = self._stop_workers(graceful=not self._broken)
         errors += self._release()
         if errors:

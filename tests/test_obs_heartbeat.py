@@ -161,14 +161,6 @@ class TestProgressBoard:
         beat = board.read(0).last_beat
         assert board.read(0).silent_s(now=beat - 0.001) == 0.0
 
-    def test_context_manager_unlinks_for_owner(self):
-        with ProgressBoard(1) as b:
-            b.beat(0, 1, "compute")
-        # Segment gone: re-attach by name must fail.
-        from multiprocessing import shared_memory
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=b.name)
-
 
 class TestHeartbeatMonitor:
     def test_invalid_threshold_rejected(self, board):

@@ -158,24 +158,16 @@ class TestFailureHandling:
         assert time.monotonic() - t0 < 20.0
 
     def test_killed_worker_leaves_no_shm(self, rng):
-        from repro.comm.shmring import SHM_NAME_PREFIX
-        import os
+        from repro.comm import list_segments
 
-        def shm_names():
-            try:
-                return {n for n in os.listdir("/dev/shm")
-                        if n.startswith(SHM_NAME_PREFIX)}
-            except FileNotFoundError:  # pragma: no cover
-                return set()
-
-        before = shm_names()
+        before = set(list_segments())
         a = random_codes(rng, 200)
         b = random_codes(rng, 150)
         with pytest.raises(RuntimeError):
             align_multi_process(a, b, DNA_DEFAULT, workers=2, block_rows=16,
                                 timeout_s=20.0, border_timeout_s=3.0,
                                 _fault=(0, 1))
-        assert shm_names() <= before
+        assert set(list_segments()) <= before
 
     def test_deterministic_error_ordering(self, rng):
         """Worker failures are reported in worker-id order."""

@@ -5,7 +5,8 @@ plus the teardown/timeout fixes that ride along with it:
 * ``collect_results`` handles an already-expired deadline deterministically
   (drains queued results, never passes a negative timeout down);
 * ``WorkerPool.close()`` is exception-safe and idempotent — an injected
-  ring-unlink failure must not leak the scoreboard/progress segments;
+  ring-unlink failure must not leak the scoreboard/progress segments,
+  and a spawn that fails part-way releases what it made;
 * the shared-memory :class:`CheckpointArea` / :class:`RetryPolicy` layer;
 * killing one slab worker mid-comparison with ``max_restarts >= 1`` still
   yields the exact optimal score on both real-process backends, with the
@@ -15,6 +16,8 @@ plus the teardown/timeout fixes that ride along with it:
 
 from __future__ import annotations
 
+import errno
+import multiprocessing as mp
 import queue
 import os
 import signal
@@ -23,9 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.comm.shmring import SHM_NAME_PREFIX, list_segments
-from repro.comm.progress import PROGRESS_NAME_PREFIX
-from repro.comm.scoreboard import SCOREBOARD_NAME_PREFIX
+from repro.comm import list_segments
 from repro.errors import CommError, ConfigError, PartitionError
 from repro.multigpu import (
     ChainCheckpoint,
@@ -37,7 +38,7 @@ from repro.multigpu import (
     save_checkpoint,
     surviving_partition,
 )
-from repro.multigpu.checkpoint import CHECKPOINT_NAME_PREFIX
+from repro.multigpu import pool as pool_mod
 from repro.multigpu.procchain import SlabOutcome, SlabReport, collect_results
 from repro.obs.registry import MetricsRegistry
 from repro.seq import DNA_DEFAULT
@@ -45,13 +46,6 @@ from repro.sw import sw_score_naive
 from repro.sw.kernel import BestCell
 
 from helpers import random_codes
-
-ALL_PREFIXES = (SHM_NAME_PREFIX, SCOREBOARD_NAME_PREFIX,
-                PROGRESS_NAME_PREFIX, CHECKPOINT_NAME_PREFIX)
-
-
-def _segments():
-    return [name for prefix in ALL_PREFIXES for name in list_segments(prefix)]
 
 
 def _counter_value(registry, name):
@@ -172,7 +166,7 @@ class TestPoolCloseExceptionSafety:
         ring.unlink = exploding_unlink
         with pytest.raises(RuntimeError, match="injected"):
             pool.close()
-        assert _segments() == []
+        assert list_segments() == []
         # Idempotent: the second close is a no-op, not a second raise.
         pool.close()
 
@@ -180,7 +174,46 @@ class TestPoolCloseExceptionSafety:
         pool = WorkerPool(2, max_block_rows=32)
         pool.close()
         pool.close()
-        assert _segments() == []
+        assert list_segments() == []
+
+
+class _WorkerSpawnFails:
+    """Event journal whose ``worker_spawn`` for worker 1 raises: the pool
+    already holds its rings, both boards and one started worker."""
+
+    def emit(self, event, **fields):
+        if event == "worker_spawn" and fields["worker"] == 1:
+            raise OSError(errno.EMFILE, "injected: too many open files")
+
+
+class TestSpawnFailureReleases:
+    """A spawn that fails part-way releases every segment it created and
+    stops every worker it started, through both front doors."""
+
+    @pytest.fixture(params=["progress-board", "worker-start"])
+    def inject(self, request, monkeypatch):
+        if request.param == "worker-start":
+            return _WorkerSpawnFails()
+
+        def no_board(*_args, **_kwargs):
+            raise OSError(errno.EMFILE, "injected: too many open files")
+
+        monkeypatch.setattr(pool_mod, "ProgressBoard", no_board)
+        return None
+
+    @pytest.mark.parametrize("front_door", ["pool", "one-shot"])
+    def test_failed_spawn_leaks_nothing(self, rng, inject, front_door):
+        before = list_segments()
+        with pytest.raises(OSError, match="injected"):
+            if front_door == "pool":
+                WorkerPool(3, max_block_rows=16, events=inject)
+            else:
+                align_multi_process(random_codes(rng, 40),
+                                    random_codes(rng, 60), DNA_DEFAULT,
+                                    workers=3, block_rows=16, events=inject)
+        assert list_segments() == before
+        assert not [p for p in mp.active_children()
+                    if p.name.startswith("mgsw-pool-")]
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +269,6 @@ class TestCheckpointArea:
                 area.publish(1, 8, h3, h3, BestCell.none())
             with pytest.raises(CommError):
                 area.assemble(99)
-
-    def test_pickle_attaches_and_segment_unlinks(self):
-        import pickle
-
-        area = CheckpointArea([2])
-        assert list_segments(CHECKPOINT_NAME_PREFIX)
-        child = pickle.loads(pickle.dumps(area))
-        h = np.ones(2, dtype=np.int32)
-        child.publish(0, 4, h, h, BestCell(1, 0, 0))
-        child.close()
-        assert area.newest_row(0) == 4
-        area.unlink()
-        area.unlink()  # idempotent
-        assert list_segments(CHECKPOINT_NAME_PREFIX) == []
 
 
 class TestRetryPolicy:
@@ -315,7 +334,7 @@ class TestProcessRecovery:
         assert _counter_value(registry, "rows_recomputed") > 0
         assert any(iv.kind == "recovery" and iv.actor == "supervisor"
                    for iv in res.tracer.intervals)
-        assert _segments() == []
+        assert list_segments() == []
 
     def test_matches_no_failure_run_exactly(self, pair):
         a, b, _ = pair
@@ -341,7 +360,7 @@ class TestProcessRecovery:
         assert res.score == want
         assert (res.best.row, res.best.col) == (end_i, end_j)
         assert res.restarts == 1
-        assert _segments() == []
+        assert list_segments() == []
 
     def test_fail_fast_without_restarts(self, pair):
         """max_restarts=0 keeps the old behaviour: one RuntimeError naming
@@ -351,7 +370,7 @@ class TestProcessRecovery:
             align_multi_process(a, b, DNA_DEFAULT, workers=3, block_rows=16,
                                 timeout_s=120.0, border_timeout_s=5.0,
                                 _fault=(1, 3))
-        assert _segments() == []
+        assert list_segments() == []
 
     def test_policy_exhaustion_raises(self, pair):
         """Every attempt crashes the first worker: the policy runs out and
@@ -365,7 +384,7 @@ class TestProcessRecovery:
             align_multi_process(a, b, DNA_DEFAULT, workers=1, block_rows=16,
                                 timeout_s=120.0, max_restarts=3,
                                 restart_backoff_s=0.01, _fault=(0, 3))
-        assert _segments() == []
+        assert list_segments() == []
 
 
 class TestPoolRecovery:
@@ -388,7 +407,7 @@ class TestPoolRecovery:
             assert again.score == want and again.restarts == 0
         assert _counter_value(registry, "worker_restarts") == 1
         assert _counter_value(registry, "rows_recomputed") > 0
-        assert _segments() == []
+        assert list_segments() == []
 
     def test_real_sigkill_recovers(self, pair):
         """An actual SIGKILL (not the crash hook): kill one pool worker,
@@ -406,7 +425,7 @@ class TestPoolRecovery:
             assert res.score == want
             assert res.restarts == 1
             assert res.workers == 2
-        assert _segments() == []
+        assert list_segments() == []
 
     def test_hard_stall_kill_recovers(self, rng):
         """A wedged (SIGSTOPped) worker is killed by the watchdog riding
@@ -448,7 +467,7 @@ class TestPoolRecovery:
             assert res.workers == 2
         assert registry.counter("worker_hard_stalls").value(
             device="worker1") == 1
-        assert _segments() == []
+        assert list_segments() == []
 
     def test_fail_fast_marks_pool_broken(self, pair):
         a, b, _ = pair
@@ -459,4 +478,4 @@ class TestPoolRecovery:
             assert pool.broken
             with pytest.raises(ConfigError, match="broken"):
                 pool.align(a, b, DNA_DEFAULT, block_rows=16)
-        assert _segments() == []
+        assert list_segments() == []

@@ -6,29 +6,21 @@ reads prune less, never wrongly) is covered by the cross-engine
 differential suite, so this file concentrates on the scoreboard contract
 itself: monotonic compare-and-raise, slot isolation, spawn-safe pickling,
 segment hygiene, and the lock-free claim that a worker dying mid-publish
-cannot wedge any reader.
+cannot wedge any reader.  The lifecycle shared by every segment kind is
+tested once in ``tests/test_shm_segment.py``.
 """
 
 from __future__ import annotations
 
-import glob
 import os
 import signal
 import time
 
 import pytest
 
-from repro.comm.scoreboard import (
-    SCOREBOARD_NAME_PREFIX,
-    LocalScoreboard,
-    SharedScoreboard,
-)
+from repro.comm import LocalScoreboard, SharedScoreboard, list_segments
 from repro.errors import CommError
 from repro.multigpu.procchain import pick_context
-
-
-def _shm_segments() -> set[str]:
-    return set(glob.glob(f"/dev/shm/{SCOREBOARD_NAME_PREFIX}*"))
 
 
 class TestLocalScoreboard:
@@ -74,18 +66,17 @@ class TestSharedScoreboard:
             SharedScoreboard(0)
 
     def test_unlink_removes_segment(self):
-        before = _shm_segments()
+        before = list_segments()
         board = SharedScoreboard(2)
-        assert _shm_segments() - before  # segment exists while owned
+        assert board.name in list_segments()  # segment exists while owned
         board.unlink()
-        assert _shm_segments() == before
+        assert list_segments() == before
         board.unlink()  # idempotent
 
     def test_spawn_safe_pickling(self):
         """A child attached via pickle publishes; the parent reads it."""
         ctx = pick_context()
         with SharedScoreboard(2) as board:
-
             proc = ctx.Process(target=_publish_and_exit, args=(board, 1, 77))
             proc.start()
             proc.join(timeout=30)
@@ -136,7 +127,7 @@ class TestFailureInjection:
             assert board.read() == last + 100
 
     def test_no_segment_leak_after_death(self):
-        before = _shm_segments()
+        before = list_segments()
         ctx = pick_context()
         board = SharedScoreboard(1)
         started = ctx.Event()
@@ -146,4 +137,4 @@ class TestFailureInjection:
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=30)
         board.unlink()
-        assert _shm_segments() == before
+        assert list_segments() == before

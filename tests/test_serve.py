@@ -11,7 +11,6 @@ shared-memory segments.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import urllib.error
 import urllib.request
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import seq
-from repro.comm.shmring import SHM_NAME_PREFIX
+from repro.comm import list_segments
 from repro.errors import ConfigError, ServeError
 from repro.serve import (
     AdmissionError,
@@ -49,14 +48,6 @@ def record(lane="short", tenant="default", cells=10, job_id="j") -> JobRecord:
     s = spec("A" * max(1, cells // 2), "A" * 2, tenant=tenant,
              lane_override=lane)
     return JobRecord(id=job_id, spec=s, lane=lane)
-
-
-def _shm_names() -> set[str]:
-    try:
-        return {n for n in os.listdir("/dev/shm")
-                if n.startswith(SHM_NAME_PREFIX)}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +456,16 @@ class TestServeDaemon:
             d.stop()
 
     def test_shutdown_drains_without_leaking_shm(self):
-        before = _shm_names()
+        before = set(list_segments())
         d = ServeDaemon(ServeConfig(pools=2, workers=2), status_port=0)
         d.start()
         with ServeClient(port=d.port) as client:
             job = client.check(client.submit(
                 seq_a=A_TEXT, seq_b=B_TEXT, use_cache=False))["job"]
             client.check(client.wait(job["id"], timeout_s=60))
-        assert _shm_names() - before  # pools really hold shm while alive
+        assert set(list_segments()) - before  # pools really hold shm while alive
         d.stop()
-        assert _shm_names() - before == set()
+        assert set(list_segments()) - before == set()
         d.stop()  # idempotent
 
     def test_jobs_and_stats_ops(self, daemon):

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.comm.shmring import SHM_NAME_PREFIX, ShmRing, slot_bytes_for
+from repro.comm import list_segments
+from repro.comm.shmring import ShmRing, slot_bytes_for
 from repro.errors import CommError
 from repro.sw.constants import DTYPE
 
@@ -18,13 +19,6 @@ def _message(index: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
     h = (np.arange(rows, dtype=DTYPE) * 7 + index) % 1000
     e = (np.arange(rows, dtype=DTYPE) * 13 - index) % 997
     return h, e, index * 3 - 1
-
-
-def _shm_names() -> set[str]:
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith(SHM_NAME_PREFIX)}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 def _producer_ok(ring: ShmRing, count: int, rows: int) -> None:
@@ -150,17 +144,8 @@ class TestConcurrent:
 
 
 class TestTeardown:
-    def test_unlink_removes_the_segment(self):
-        ctx = mp.get_context()
-        before = _shm_names()
-        ring = ShmRing(ctx, capacity=2, max_rows=4)
-        assert ring.name in _shm_names()
-        ring.unlink()
-        assert _shm_names() <= before
-        ring.unlink()  # idempotent
-
     def test_no_leaks_after_concurrent_use(self):
-        before = _shm_names()
+        before = set(list_segments())
         ctx = mp.get_context()
         ring = ShmRing(ctx, capacity=2, max_rows=8)
         proc = ctx.Process(target=_producer_ok, args=(ring, 5, 8))
@@ -169,4 +154,4 @@ class TestTeardown:
             ring.recv_border(timeout=10.0)
         proc.join(timeout=10.0)
         ring.unlink()
-        assert _shm_names() <= before
+        assert set(list_segments()) <= before

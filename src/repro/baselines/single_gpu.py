@@ -8,10 +8,9 @@ best-score scoreboard (``pruning=True`` on any engine; see
 for the single-device pruned fraction.
 
 The tiers (``mode``) come from the shared front door
-(:mod:`repro.sw.tiers`): this engine supplies only its exact/banded
-sweep — :func:`~repro.sw.blocks.compute_blocked` with the same
-block-granular static band as every other engine — and charges an
-inline X-drop extension's cells to the device.
+(:mod:`repro.sw.tiers`): this engine supplies only its exact sweep —
+:func:`~repro.sw.blocks.compute_blocked` — and charges an inline band
+or X-drop sweep's cells to the device.
 
 Like the chain, it runs in compute mode (real cells, exact score) or
 timing mode (virtual clock only, any scale).
@@ -55,7 +54,6 @@ class SingleGpuResult:
     mode: str = "exact"
     tier: str = "exact"
     escalated: bool = False
-    blocks_skipped_band: int = 0
     #: Block-sweep kernel the run used ("scalar"/"batched"/"compiled").
     kernel: str = "scalar"
     #: DP dtype policy the run resolved to and its narrow/wide block split.
@@ -117,12 +115,12 @@ def run_single_gpu(
     The comparison's knobs are *config* (an
     :class:`~repro.sw.config.AlignConfig`, defaults when ``None``) with
     keyword *overrides* of its fields (``block_rows=``, ``pruning=``,
-    ``mode=``, ...).  Every swept tier goes through
-    :func:`~repro.sw.blocks.compute_blocked` with the same block-granular
-    static band as every other engine; an X-drop extension's cells are
-    charged to the device.  ``block_cols`` defaults to ``block_rows``;
-    pruning operates per block, so 2-D blocking (not full-width stripes)
-    is what lets similar-sequence runs skip off-diagonal work.  Pass a
+    ``mode=``, ...).  The exact sweep is
+    :func:`~repro.sw.blocks.compute_blocked`; an inline band or X-drop
+    sweep's cells are charged to the device.  ``block_cols`` defaults
+    to ``block_rows``; pruning operates per block, so 2-D blocking (not
+    full-width stripes) is what lets similar-sequence runs skip
+    off-diagonal work.  Pass a
     :class:`~repro.obs.registry.MetricsRegistry` as *metrics* for the
     standard instrument set (virtual-clock latencies, no border traffic —
     a single device has no neighbours).
@@ -135,20 +133,18 @@ def run_single_gpu(
     instruments = (EngineInstruments(metrics, "single-gpu")
                    if metrics is not None else None)
 
-    def sweep(band_half_width: int | None) -> SingleGpuResult:
+    def sweep() -> SingleGpuResult:
         if kernel == "compiled":
             compiled_warmup()  # idempotent; keeps compile out of callers' timings
         pruner = BlockPruner(match=scoring.match) if cfg.pruning else None
         outcome: BlockedOutcome = compute_blocked(
             a_codes, b_codes, scoring,
             block_rows=block_rows, block_cols=block_cols, pruner=pruner,
-            kernel=kernel, band_half_width=band_half_width,
-            dp_dtype=cfg.dp_dtype,
+            kernel=kernel, dp_dtype=cfg.dp_dtype,
         )
-        computed = (outcome.cells_total - outcome.cells_pruned
-                    - outcome.cells_skipped_band)
-        # One compute charge per block row over the full width; pruned and
-        # band-skipped cells are charged nothing (the device skips them).
+        computed = outcome.cells_total - outcome.cells_pruned
+        # One compute charge per block row over the full width; pruned
+        # cells are charged nothing (the device skips them).
         chunks, remaining = [], computed
         for r0 in range(0, m, block_rows):
             rows = min(block_rows, m - r0)
@@ -164,7 +160,6 @@ def run_single_gpu(
             pruned_fraction=outcome.pruned_fraction,
             blocks_checked=pruner.blocks_checked if pruner is not None else 0,
             blocks_pruned=pruner.blocks_pruned if pruner is not None else 0,
-            blocks_skipped_band=outcome.blocks_skipped_band,
             kernel=kernel,
             dp_dtype=outcome.dp_dtype,
             blocks_narrow=outcome.blocks_narrow,
@@ -172,12 +167,10 @@ def run_single_gpu(
             dtype_escalations=outcome.dtype_escalations,
         )
         if instruments is not None:
-            # 2-D-block skip and dtype decisions happen inside
+            # 2-D-block prune and dtype decisions happen inside
             # compute_blocked, so they are bulk-recorded from its outcome.
             if result.blocks_pruned:
                 instruments.block_pruned(result.blocks_pruned)
-            if result.blocks_skipped_band:
-                instruments.block_skipped_band(result.blocks_skipped_band)
             if outcome.dp_dtype != "int32":
                 record_dtype(metrics, device="single-gpu",
                              narrow=outcome.blocks_narrow,
@@ -185,12 +178,12 @@ def run_single_gpu(
                              escalations=outcome.dtype_escalations)
         return result
 
-    def from_xdrop(xo) -> SingleGpuResult:
-        # The frontier runs on the host; the device is charged its actual
-        # cells so the virtual clock stays comparable to the swept tiers.
-        cells = xo.cells_computed
+    def from_inline(out) -> SingleGpuResult:
+        # The heuristic runs on the host; the device is charged its actual
+        # cells so the virtual clock stays comparable to the exact sweep.
+        cells = out.cells_computed
         return SingleGpuResult(
-            best=xo.best,
+            best=out.best,
             total_time_s=_device_time(spec, n, [(cells, block_rows)],
                                       instruments),
             cells=m * n, cells_computed=cells, pruned_fraction=0.0,
@@ -199,7 +192,7 @@ def run_single_gpu(
     result = run_tiers(a_codes, b_codes, scoring, mode=cfg.mode,
                        band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
                        sweep=sweep,
-                       from_xdrop=from_xdrop, elapsed="total_time_s",
+                       from_inline=from_inline, elapsed="total_time_s",
                        backend="single", metrics=metrics)
     if metrics is not None:
         finalize_run_metrics(

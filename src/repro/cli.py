@@ -125,12 +125,14 @@ _CONFIG_FLAGS: dict[str, dict] = {
              "similar sequences)"),
     "mode": dict(
         choices=MODES,
-        help="alignment tier: exact, banded (static diagonal "
-             "band, heuristic lower bound), xdrop (origin-anchored X-drop "
-             "extension), or auto (heuristic first, exact re-run only "
-             "when the confidence check fails)"),
+        help="alignment tier: exact, banded (adaptive band, heuristic "
+             "lower bound), xdrop (origin-anchored X-drop extension), or "
+             "auto (adaptive band first, exact re-run only when the "
+             "confidence check fails); banded and xdrop run in the calling "
+             "process, and auto starts workers only to escalate"),
     "band_width": dict(
-        type=int, help="band half-width for --mode banded/auto"),
+        type=int, help="adaptive band, initial half-width, for --mode "
+                       "banded/auto"),
     "xdrop_x": dict(
         type=int, help="X-drop termination threshold for --mode xdrop"),
     "dp_dtype": dict(
@@ -218,8 +220,10 @@ def cmd_align(args: argparse.Namespace) -> int:
     import time as time_mod
     from pathlib import Path
 
-    a = seq.read_single(args.seq_a).codes
-    b = seq.read_single(args.seq_b).codes
+    # Strict: a protein or otherwise non-DNA letter is refused here,
+    # before any worker spawns, instead of being scored as N.
+    a = seq.read_single(args.seq_a, strict=True).codes
+    b = seq.read_single(args.seq_b, strict=True).codes
     title = f"{args.seq_a} vs {args.seq_b}"
     telemetry = args.telemetry is not None
     serve = getattr(args, "serve_metrics", None) is not None

@@ -28,14 +28,12 @@ from ..errors import SimulationError
 #: time for work that never ran.  ``checkpoint`` is a worker publishing
 #: its row state into the shared checkpoint area; ``recovery`` is a
 #: supervisor span covering teardown + re-partition + resume after a
-#: worker failure.  ``band-skip`` marks a block skipped because it lies
-#: entirely outside the static alignment band (``mode="banded"``) — like
-#: ``pruned``, a zero-length bookkeeping span.
-#: ``warmup`` marks one-time per-process setup (JIT compilation of the
-#: compiled kernel backend) that deliberately runs *before* the first
-#: block so it never pollutes compute spans or latency histograms.
+#: worker failure.  ``warmup`` marks one-time per-process setup (JIT
+#: compilation of the compiled kernel backend) that deliberately runs
+#: *before* the first block so it never pollutes compute spans or
+#: latency histograms.
 KINDS = ("compute", "d2h", "h2d", "wait", "pruned", "checkpoint", "recovery",
-         "band-skip", "warmup")
+         "warmup")
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ class ChainConfig(AlignConfig):
 
     The comparison knobs run in compute mode only (phantom runs ignore
     them, except ``block_rows``).  ``mode`` is answered by the shared
-    front door :func:`~repro.sw.tiers.run_tiers`: ``xdrop``'s sequential
-    frontier runs inline and is charged to the first device, and a
+    front door :func:`~repro.sw.tiers.run_tiers`: the banded and X-drop
+    tiers run inline and are charged to the first device, and a
     ``"compiled"`` kernel is JIT-warmed before the event loop starts, so
     compile time never lands inside a virtual compute span.
 
@@ -130,9 +130,6 @@ class GpuReport:
     #: mode with ``ChainConfig.pruning`` only; zero otherwise).
     blocks_checked: int = 0
     blocks_pruned: int = 0
-    #: Slab block rows skipped because they miss the static band
-    #: (banded sweeps only).
-    blocks_skipped_band: int = 0
     #: Narrow/wide split of this device's swept blocks (zeros unless a
     #: narrow DP dtype policy was active).
     blocks_narrow: int = 0
@@ -165,7 +162,7 @@ class ChainResult:
     tier: str = "exact"
     escalated: bool = False
     #: DP dtype policy the run resolved to (compute mode; phantom runs
-    #: and the xdrop tier report the int32 default).
+    #: and the inline tiers report the int32 default).
     dp_dtype: str = "int32"
 
     @property
@@ -186,11 +183,6 @@ class ChainResult:
     @property
     def blocks_pruned(self) -> int:
         return sum(g.blocks_pruned for g in self.gpus)
-
-    @property
-    def blocks_skipped_band(self) -> int:
-        """Slab block rows skipped by the static band (0 unless banded)."""
-        return sum(g.blocks_skipped_band for g in self.gpus)
 
     @property
     def blocks_narrow(self) -> int:
@@ -272,9 +264,9 @@ class MultiGpuChain:
         accumulates across segments.
 
         ``config.mode`` is answered by the shared tier front door
-        (:func:`~repro.sw.tiers.run_tiers`) over this chain's
-        exact/banded sweep; heuristic modes need a compute-mode workload
-        and refuse ``resume``/``stop_row``.
+        (:func:`~repro.sw.tiers.run_tiers`) over this chain's exact
+        sweep; heuristic modes need a compute-mode workload and refuse
+        ``resume``/``stop_row``.
 
         ``metrics`` accepts a :class:`~repro.obs.registry.MetricsRegistry`
         to collect the standard per-device instrument set (block and
@@ -304,8 +296,8 @@ class MultiGpuChain:
             band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
             sweep=partial(self._sweep, workload, tracer=tracer, resume=resume,
                           stop_row=stop_row, metrics=metrics),
-            from_xdrop=partial(self._from_xdrop, workload, tracer=tracer,
-                               metrics=metrics),
+            from_inline=partial(self._from_inline, workload, tracer=tracer,
+                                metrics=metrics),
             elapsed="total_time_s", backend="sim", metrics=metrics,
             events=events)
         if metrics is not None:
@@ -320,12 +312,9 @@ class MultiGpuChain:
                         tier=result.tier, escalated=result.escalated)
         return result
 
-    def _sweep(self, workload: MatrixWorkload | PhantomWorkload,
-               band_half_width: int | None, *, tracer, resume, stop_row,
-               metrics) -> ChainResult:
-        """One exact sweep of the chain, or a banded one: slab block rows
-        that miss the static band ``|j - i| <= band_half_width`` are
-        skipped outright, compounding with pruning."""
+    def _sweep(self, workload: MatrixWorkload | PhantomWorkload, *, tracer,
+               resume, stop_row, metrics) -> ChainResult:
+        """One exact sweep of the chain."""
         cfg = self.config
         m, n = workload.rows, workload.cols
         slabs = self.partition_for(n)
@@ -395,8 +384,8 @@ class MultiGpuChain:
                 cols = slice(slab.col0, slab.col1)
                 sweepers[g] = SlabSweep(
                     cfg, workload.scoring, profile[:, cols], slab.col0,
-                    slab.col1, m=m, n_cols=n, band_half_width=band_half_width,
-                    dp=dp_policy, scoreboard=scoreboard, slot=g,
+                    slab.col1, m=m, n_cols=n, dp=dp_policy,
+                    scoreboard=scoreboard, slot=g,
                     workspace=workspace,
                     instruments=instruments[g] if instruments else None,
                     h_top=resume.h_row[cols] if resume is not None else None,
@@ -431,7 +420,8 @@ class MultiGpuChain:
                     yield out_ch.reserve_out_slot()
                     gpu.record_wait(t0)
 
-                work = skip = None
+                work = None
+                pruned = False
                 if sweeper is not None:
                     if in_ch is not None:
                         h_left, e_left, corner = payload_in.payload
@@ -439,20 +429,20 @@ class MultiGpuChain:
                         h_left = np.zeros(rows, dtype=DTYPE)
                         e_left = np.full(rows, NEG_INF, dtype=DTYPE)
                         corner = 0
-                    skip = sweeper.skip(r0, r1, h_left, corner)
-                    if skip is not None:
+                    pruned = sweeper.prune(r0, r1, h_left, corner)
+                    if pruned:
                         # Skip the device sweep entirely: emit restart
                         # borders (legal lower bounds) and charge no
-                        # virtual compute time — the pruning/band payoff.
+                        # virtual compute time — the pruning payoff.
                         result = sweeper.restart(r0, r1)
                         if gpu.tracer is not None:
-                            gpu.tracer.record(gpu.name, skip, engine.now,
+                            gpu.tracer.record(gpu.name, "pruned", engine.now,
                                               engine.now)
                     else:
                         work = partial(sweeper.sweep, workload.a[r0:r1],
                                        h_left, e_left, corner)
 
-                if skip is None:
+                if not pruned:
                     t_c0 = engine.now
                     result = yield from gpu.compute(rows * w, w, work, block_rows=rows)
                     if instruments is not None:
@@ -522,13 +512,12 @@ class MultiGpuChain:
             dp_dtype=dp_name,
         )
 
-    def _from_xdrop(self, workload: MatrixWorkload, xo, *, tracer,
-                    metrics) -> ChainResult:
-        """An X-drop outcome as a chain result: the extension frontier is
-        a sequential anti-diagonal sweep with no block decomposition, so
-        its cells are charged to the first device (the rest of the chain
-        stays idle — a documented scheduling decision, not a limitation
-        of the virtual clock)."""
+    def _from_inline(self, workload: MatrixWorkload, out, *, tracer,
+                     metrics) -> ChainResult:
+        """An inline X-drop or band outcome as a chain result: neither
+        sweep follows the column slabs, so its cells are charged to the
+        first device (the rest of the chain stays idle — a documented
+        scheduling decision, not a limitation of the virtual clock)."""
         cfg = self.config
         n = workload.cols
         slabs = self.partition_for(n)
@@ -540,11 +529,11 @@ class MultiGpuChain:
 
         def proc():
             t0 = engine.now
-            yield from gpus[0].compute(max(1, xo.cells_computed), n,
+            yield from gpus[0].compute(max(1, out.cells_computed), n,
                                        block_rows=cfg.block_rows)
             if instruments is not None:
                 instruments.block_computed(engine.now - t0,
-                                           cells=xo.cells_computed)
+                                           cells=out.cells_computed)
 
         engine.process(proc(), "gpu0")
         total = engine.run()
@@ -554,7 +543,7 @@ class MultiGpuChain:
                       finished_at=total if g == 0 else 0.0)
             for g in range(len(gpus))
         ]
-        return ChainResult(best=xo.best, total_time_s=total,
+        return ChainResult(best=out.best, total_time_s=total,
                            cells=workload.rows * n, gpus=reports, channels=[],
                            config=cfg, partition=slabs)
 

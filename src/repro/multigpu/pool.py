@@ -56,9 +56,9 @@ from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, resolve_config
 from ..sw.constants import resolve_dp_dtype
 from ..sw.kernel import BestCell
-from ..sw.tiers import BANDED_MODES, SWEPT_MODES, run_tiers
+from ..sw.tiers import BANDED_MODES, INLINE_MODES, run_tiers
 from .checkpoint import CheckpointArea, RetryPolicy
-from .partition import proportional_partition, surviving_partition
+from .partition import Slab, proportional_partition, surviving_partition
 from .procchain import (
     TRANSPORTS,
     PipeLink,
@@ -408,15 +408,17 @@ class WorkerPool:
         ``kernel=``, ``pruning=``, ``mode=``, ``band_width=``,
         ``xdrop_x=``, ``dp_dtype=``), which the config class documents.
         The tiers are dispatched by
-        :func:`~repro.sw.tiers.run_tiers` over this pool's exact/banded
-        sweep: a banded sweep skips slab block rows that miss the static
-        band, ``xdrop`` runs inline in the parent while the workers stay
-        idle, and ``auto`` re-runs exact over the same live workers when
-        the confidence check fails.  Pruning runs against the chain's
-        shared scoreboard, reset before each comparison.  Pass a
+        :func:`~repro.sw.tiers.run_tiers` over this pool's exact sweep:
+        ``banded`` and ``xdrop`` run inline in the parent while the
+        workers stay idle, and ``auto`` runs the band inline, then the
+        exact sweep over the live workers when the confidence check
+        fails.  Pruning runs against the chain's shared scoreboard,
+        reset before each comparison.  Pass a
         :class:`~repro.device.trace.Tracer` to collect per-worker
-        wall-clock intervals (actors ``worker0``, ...; one is created on
-        the result regardless).
+        wall-clock intervals (actors ``worker0``, ..., and ``parent``
+        for an inline sweep, whose result reports the one slab
+        ``[0, n)`` it swept; a tracer is created on the result
+        regardless).
 
         Telemetry (INTERNALS.md section 8): *metrics* collects per-worker
         counters (spawn-safe snapshot-and-merge into the same registry
@@ -486,36 +488,43 @@ class WorkerPool:
             self.events.emit(
                 "run_start", backend=self._backend, mode=cfg.mode,
                 rows=int(a_codes.size), cols=int(b_codes.size),
-                workers=self.workers if cfg.mode in SWEPT_MODES else 0,
+                workers=0 if cfg.mode in INLINE_MODES else self.workers,
                 kernel=cfg.kernel, transport=self.transport,
                 pruning=cfg.pruning, max_restarts=retry.max_restarts,
                 band_width=(cfg.band_width if cfg.mode in BANDED_MODES
                             else None))
         t0 = time.perf_counter()
-        faults = iter([_fault])  # the crash hook fires on the first sweep only
+        # One time base and one tracer for every tier of the comparison.
+        result_tracer = tracer if tracer is not None else Tracer()
+        n = int(b_codes.size)
 
-        def sweep(band_half_width: int | None) -> ProcessChainResult:
+        def sweep() -> ProcessChainResult:
             return self._sweep(
-                a_codes, b_codes, scoring, band_half_width, cfg,
-                timeout_s=timeout_s, tracer=tracer, metrics=metrics,
+                a_codes, b_codes, scoring, cfg, origin=t0,
+                timeout_s=timeout_s, tracer=result_tracer, metrics=metrics,
                 heartbeat_s=heartbeat_s, on_stall=on_stall, retry=retry,
                 checkpoint_blocks=checkpoint_blocks, rebalance=rebalance,
                 rebalance_threshold=rebalance_threshold, timeline=timeline,
-                fault=next(faults, None))
+                fault=_fault)
 
-        def from_xdrop(xo) -> ProcessChainResult:
-            # The frontier has no block decomposition to distribute: it
-            # ran inline in the parent and no worker took part.
+        def from_inline(out) -> ProcessChainResult:
+            # The parent swept (a band of) the whole width; no worker
+            # took part.
+            result_tracer.record("parent", "compute", out.started - t0,
+                                 out.started - t0 + out.wall_s)
+            if metrics is not None:
+                EngineInstruments(metrics, "parent").block_computed(
+                    out.wall_s, cells=out.cells_computed)
             return ProcessChainResult(
-                best=xo.best, wall_time_s=time.perf_counter() - t0,
-                cells=int(a_codes.size) * int(b_codes.size), workers=0,
-                transport=self.transport, start_method=self.start_method,
-                tracer=tracer if tracer is not None else Tracer(),
+                best=out.best, wall_time_s=time.perf_counter() - t0,
+                cells=int(a_codes.size) * n, workers=0,
+                partition=(Slab(0, 0, n),), transport=self.transport,
+                start_method=self.start_method, tracer=result_tracer,
                 kernel=cfg.kernel)
 
         result = run_tiers(a_codes, b_codes, scoring, mode=cfg.mode,
                            band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
-                           sweep=sweep, from_xdrop=from_xdrop,
+                           sweep=sweep, from_inline=from_inline,
                            elapsed="wall_time_s", backend=self._backend,
                            metrics=metrics, events=self.events)
         if _finalize_metrics:
@@ -523,19 +532,19 @@ class WorkerPool:
                         events=self.events)
         return result
 
-    def _sweep(self, a_codes, b_codes, scoring, band_half_width, cfg, *,
+    def _sweep(self, a_codes, b_codes, scoring, cfg, *, origin,
                timeout_s, tracer, metrics, heartbeat_s, on_stall, retry,
                checkpoint_blocks, rebalance, rebalance_threshold, timeline,
                fault) -> ProcessChainResult:
-        """One exact sweep over the chain, or a banded one (slab block rows
-        missing the static band ``|j - i| <= band_half_width`` are
-        skipped): one attempt per loop iteration; a failed attempt either
-        checkpoint-resumes on the re-spawned survivors or raises."""
+        """One exact sweep over the chain: one attempt per loop
+        iteration; a failed attempt either checkpoint-resumes on the
+        re-spawned survivors or raises.  Trace records are relative to
+        *origin*; the result's wall time covers this sweep only."""
         if not self._procs:
             self._spawn_workers()
+        started = time.perf_counter()
         m, n = int(a_codes.size), int(b_codes.size)
         recovery = retry.max_restarts > 0
-        result_tracer = tracer if tracer is not None else Tracer()
         restarts = 0
         rows_recomputed_total = 0
         resume: tuple | None = None          # (row, h_full, f_full)
@@ -550,7 +559,6 @@ class WorkerPool:
                                  restarts=restarts, detail=detail)
             return RuntimeError(detail)
 
-        origin = time.perf_counter()
         try:
             while True:
                 # The DP dtype policy is resolved per attempt against the
@@ -589,30 +597,28 @@ class WorkerPool:
                         fault_block=(fault[1] if fault is not None
                                      and fault[0] == g and restarts == 0
                                      else None),
-                        band_half_width=band_half_width, dp=dp))
+                        dp=dp))
 
                 reports, failures = self._collect(
                     timeout_s, heartbeat_s=heartbeat_s, on_stall=on_stall,
                     recovery=recovery, metrics=metrics, timeline=timeline,
                     rows=m, slabs=slabs, attempt=restarts)
-                wall = time.perf_counter() - origin
+                wall = time.perf_counter() - started
 
                 # Fold whatever this attempt reported — survivors of a
                 # failed attempt still deliver honest trace records and
                 # counters.
                 attempt_best = BestCell.none()
                 worker_blocks = []
-                attempt_skipped_band = 0
                 for g in sorted(reports):
                     report = reports[g]
                     outcome = report.outcome
-                    merge_wall_records(result_tracer, f"worker{g}",
+                    merge_wall_records(tracer, f"worker{g}",
                                        report.records)
                     if metrics is not None and report.metrics is not None:
                         metrics.merge_snapshot(report.metrics)
                     worker_blocks.append((outcome.blocks_checked,
                                           outcome.blocks_pruned))
-                    attempt_skipped_band += outcome.blocks_skipped_band
                     total_narrow += outcome.blocks_narrow
                     total_wide += outcome.blocks_wide
                     total_esc += outcome.dtype_escalations
@@ -631,7 +637,7 @@ class WorkerPool:
                         wall_time_s=wall, cells=m * n,
                         workers=self.workers,
                         partition=tuple(slabs), transport=self.transport,
-                        start_method=self.start_method, tracer=result_tracer,
+                        start_method=self.start_method, tracer=tracer,
                         kernel=cfg.kernel,
                         pruning=cfg.pruning,
                         blocks_checked=base_checked
@@ -641,7 +647,6 @@ class WorkerPool:
                         worker_blocks=tuple(worker_blocks),
                         restarts=restarts,
                         rows_recomputed=rows_recomputed_total,
-                        blocks_skipped_band=attempt_skipped_band,
                         dp_dtype=dp_policy.name,
                         blocks_narrow=total_narrow,
                         blocks_wide=total_wide,
@@ -712,8 +717,8 @@ class WorkerPool:
                                      workers_left=self.workers,
                                      rows_recomputed=rows_recomputed)
                 time.sleep(retry.delay_s(restarts - 1))
-                result_tracer.record("supervisor", "recovery", fail_t,
-                                     time.perf_counter() - origin)
+                tracer.record("supervisor", "recovery", fail_t,
+                              time.perf_counter() - origin)
         except BaseException:
             # Whatever ended the comparison early (worker failure, timeout,
             # KeyboardInterrupt), the transports' state is now unknown.

@@ -127,7 +127,7 @@ class ProcessChainResult:
     """Outcome of a real-process run (wall-clock, not virtual, time).
 
     ``tracer`` holds per-worker wall-clock intervals (actors ``worker0``,
-    ``worker1``, ...) recorded through the
+    ``worker1``, ...; ``parent`` for a tier run inline) recorded through the
     :class:`~repro.device.trace.WallClockRecorder` adapter, so the same
     breakdown/utilisation/overlap queries work as for simulated runs.
     """
@@ -153,11 +153,13 @@ class ProcessChainResult:
     restarts: int = 0
     rows_recomputed: int = 0
     #: Heuristic-tier fields: the requested mode, the tier that produced
-    #: the reported score, whether ``mode="auto"`` fell back to exact, and
-    #: slab block rows skipped because they miss the static band.
+    #: the reported score, and whether ``mode="auto"`` fell back to exact.
     mode: str = "exact"
     tier: str = "exact"
     escalated: bool = False
+    #: Always 0: no engine skips blocks by band any more.
+    #: ``perfbench/layers.py`` reads it, so it goes with the next change
+    #: to the benchmark.
     blocks_skipped_band: int = 0
     #: DP dtype policy the run resolved to and its chain-wide
     #: narrow/wide block split (zeros on plain int32 runs).
@@ -211,12 +213,11 @@ class ProcessChainResult:
 
 @dataclass(frozen=True)
 class SlabOutcome:
-    """What one slab sweep found: its best cell + skip/prune counters."""
+    """What one slab sweep found: its best cell + prune/dtype counters."""
 
     best: BestCell
     blocks_checked: int = 0
     blocks_pruned: int = 0
-    blocks_skipped_band: int = 0
     blocks_narrow: int = 0
     blocks_wide: int = 0
     dtype_escalations: int = 0
@@ -235,10 +236,9 @@ class SlabTask:
     sweep at matrix row *start_row* from *h_init*/*f_init* (H/F of row
     ``start_row - 1`` across the slab) and name the per-attempt
     *checkpoints* area to publish into (attached on unpickle, closed
-    after the task).  *fault_block* is the test-only crash hook,
-    *band_half_width* is set only for a banded sweep, and *dp* is
-    the narrow :class:`~repro.sw.constants.DpPolicy` (``None`` for plain
-    int32).
+    after the task).  *fault_block* is the test-only crash hook, and
+    *dp* is the narrow :class:`~repro.sw.constants.DpPolicy` (``None``
+    for plain int32).
     """
 
     a_codes: np.ndarray
@@ -256,7 +256,6 @@ class SlabTask:
     checkpoints: CheckpointArea | None = None
     checkpoint_blocks: int = 1
     fault_block: int | None = None
-    band_half_width: int | None = None
     dp: DpPolicy | None = None
 
 
@@ -298,10 +297,10 @@ def sweep_slab(
     ends); the task's *fault_block* kills the process just before
     computing that block row (failure-injection tests).  Each block row
     goes through the shared :class:`~repro.sw.blocks.SlabSweep` step:
-    skipped rows (static band, or pruned against the chain-wide
+    rows pruned against the chain-wide
     :class:`~repro.comm.scoreboard.SharedScoreboard` at this worker's
-    *slot*; stale reads are safe by monotonicity) are recorded as
-    zero-length ``band-skip``/``pruned`` spans.  The persistent worker's
+    *slot* (stale reads are safe by monotonicity) are recorded as
+    zero-length ``pruned`` spans.  The persistent worker's
     *workspace* is the batched kernel's scratch, and the profile is
     content-LRU-cached per process.
 
@@ -335,8 +334,7 @@ def sweep_slab(
         raise CommError("resuming needs h_init and f_init")
     sweeper = SlabSweep(
         task.config, task.scoring, cached_profile(task.b_slab, task.scoring),
-        slab.col0, slab.col1, m=m, n_cols=task.n_cols,
-        band_half_width=task.band_half_width, dp=task.dp,
+        slab.col0, slab.col1, m=m, n_cols=task.n_cols, dp=task.dp,
         scoreboard=scoreboard, slot=slot, workspace=workspace,
         instruments=instruments, h_top=task.h_init, f_top=task.f_init)
     prev_right_last = int(sweeper.h_top[-1]) if start_row > 0 else 0
@@ -363,10 +361,9 @@ def sweep_slab(
         if block_index == task.fault_block:
             os._exit(3)  # simulated hard crash: no exception, no result
 
-        skip = sweeper.skip(r0, r1, h_left, corner)
-        if skip is not None:
+        if sweeper.prune(r0, r1, h_left, corner):
             progress.beat(slot, r0, "pruned")
-            with recorder.span(skip):
+            with recorder.span("pruned"):
                 result = sweeper.restart(r0, r1)
         else:
             progress.beat(slot, r0, "compute")
@@ -558,7 +555,8 @@ def align_multi_process(
     in *options* (``block_rows=``, ``kernel=``, ``mode=``, ...) make the
     comparison's config; every other option means what it means on
     :meth:`WorkerPool.align <repro.multigpu.pool.WorkerPool.align>`.
-    ``mode="xdrop"`` runs inline in the parent and spawns nothing.
+    ``mode="banded"`` and ``"xdrop"`` run inline in the parent and spawn
+    nothing; ``"auto"`` spawns the workers only when it escalates.
 
     *events* journals ``run_start``, the pool's ``worker_spawn`` and
     recovery records, and ``run_end``.  The result's ``wall_time_s``, the
@@ -576,7 +574,7 @@ def align_multi_process(
                                     if n in options})
     check_comparison(a_codes, b_codes, workers=workers)
     # A lazy pool: every remaining check runs before its first sweep
-    # spawns the workers, and an inline X-drop run spawns none.
+    # spawns the workers, and a tier answered inline spawns none.
     with WorkerPool(workers, weights=weights, max_block_rows=cfg.block_rows,
                     capacity=capacity, transport=transport,
                     start_method=start_method,

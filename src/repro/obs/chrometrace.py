@@ -37,7 +37,6 @@ KIND_COLOURS = {
     "pruned": "good",
     "checkpoint": "grey",
     "recovery": "terrible",
-    "band-skip": "good",
     "warmup": "generic_work",
 }
 

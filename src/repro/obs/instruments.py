@@ -13,7 +13,6 @@ same metric families under the same names, labelled by ``device``:
 ``border_bytes_received``      counter   border payload bytes consumed
 ``block_sweep_seconds``        histogram per-block sweep latency
 ``prune_rate``                 gauge     pruned / checked blocks (per run)
-``blocks_skipped_band``        counter   blocks skipped by the static band
 ``heuristic_hits``             counter   auto runs answered by the heuristic
 ``escalations``                counter   auto runs re-run on the exact tier
 ``blocks_narrow``              counter   blocks computed in a narrow DP dtype
@@ -69,12 +68,6 @@ class EngineInstruments:
 
     def block_pruned(self, count: int = 1) -> None:
         self._pruned.inc(count, device=self.device)
-
-    def block_skipped_band(self, count: int = 1) -> None:
-        self.registry.counter(
-            "blocks_skipped_band",
-            help="blocks skipped because they miss the diagonal band",
-        ).inc(count, device=self.device)
 
     def border_sent(self, nbytes: int) -> None:
         self._sent.inc(nbytes, device=self.device)

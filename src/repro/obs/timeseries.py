@@ -7,7 +7,7 @@ a background thread in the supervisor periodically (default 250 ms)
 reads the :class:`~repro.comm.progress.ProgressBoard` plus a delta of
 the local :class:`~repro.obs.registry.MetricsRegistry` and appends one
 :class:`TimelineFrame` to a bounded ring — per-worker rows/s and phase,
-GCUPS-so-far, prune/band-skip rates, restart count, and an ETA
+GCUPS-so-far, prune rate, restart count, and an ETA
 (rows remaining ÷ smoothed aggregate rate).  It is the only thread
 that reads the board: an attached
 :class:`~repro.obs.heartbeat.HeartbeatMonitor` sets the frames' stall
@@ -82,7 +82,6 @@ class TimelineFrame:
     eta_s: float | None    #: rows remaining / rate (None until a rate exists)
     gcups: float           #: cells completed so far / elapsed, in 1e9 units
     prune_rate: float      #: blocks_pruned / blocks checked (0.0 early)
-    band_skip_rate: float  #: blocks_skipped_band / blocks checked
     restarts: int          #: worker_restarts counter (registry delta source)
     workers: tuple[WorkerFrame, ...] = field(default_factory=tuple)
 
@@ -151,7 +150,7 @@ class TimeSeriesSampler:
         one JSON line as it is sampled.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` (the
-        *supervisor's* registry) read for prune/band-skip rates and the
+        *supervisor's* registry) read for the prune rate and the
         restart count.  Worker-side counters only merge into it at run
         end, so mid-run these reflect what the supervisor has seen —
         restarts update on every recovery, prune totals at completion.
@@ -305,16 +304,13 @@ class TimeSeriesSampler:
             eta = remaining / agg_rate
         else:
             eta = None
-        prune_rate = band_rate = 0.0
+        prune_rate = 0.0
         restarts = 0
         if self._registry is not None:
             computed = self._registry.counter("blocks_computed").total()
             pruned = self._registry.counter("blocks_pruned").total()
-            skipped = self._registry.counter("blocks_skipped_band").total()
-            checked = computed + pruned + skipped
-            if checked:
-                prune_rate = pruned / checked
-                band_rate = skipped / checked
+            if computed + pruned:
+                prune_rate = pruned / (computed + pruned)
             restarts = int(self._registry.counter("worker_restarts").total())
         frame = TimelineFrame(
             t_s=round(elapsed, 4),
@@ -326,7 +322,6 @@ class TimeSeriesSampler:
             eta_s=None if eta is None else round(eta, 3),
             gcups=round(cells_done / elapsed / 1e9, 6) if elapsed > 0 else 0.0,
             prune_rate=round(prune_rate, 4),
-            band_skip_rate=round(band_rate, 4),
             restarts=restarts,
             workers=tuple(workers),
         )

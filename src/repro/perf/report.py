@@ -168,8 +168,7 @@ def _heuristic_dict(result) -> dict | None:
     if getattr(result, "mode", "exact") == "exact":
         return None
     return {"mode": result.mode, "tier": result.tier,
-            "escalated": result.escalated,
-            "blocks_skipped_band": result.blocks_skipped_band}
+            "escalated": result.escalated}
 
 
 def _dtype_dict(result) -> dict | None:
@@ -200,17 +199,12 @@ def _dtype_line(result) -> str | None:
 
 
 def _heuristic_line(result) -> str | None:
-    """One report line for a non-exact run: which tier answered, and the
-    static-band skip count when it is nonzero."""
+    """One report line for a non-exact run: which tier answered."""
     mode = getattr(result, "mode", "exact")
     if mode == "exact":
         return None
-    line = (f"tier: mode={mode} answered_by={result.tier}"
+    return (f"tier: mode={mode} answered_by={result.tier}"
             f" escalated={'yes' if result.escalated else 'no'}")
-    skipped = getattr(result, "blocks_skipped_band", 0)
-    if skipped:
-        line += f" blocks_skipped_band={skipped}"
-    return line
 
 
 def _best_line(result) -> str:

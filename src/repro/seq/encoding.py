@@ -48,8 +48,10 @@ def encode(text: str | bytes | bytearray | np.ndarray, *, strict: bool = False) 
     if strict:
         codes = alphabet.STRICT_LUT[raw]
         if codes.size and int(codes.max(initial=0)) == 255:
-            bad = raw[codes == 255][0]
-            raise SequenceError(f"invalid base byte {bad!r} ({chr(int(bad))!r}) in strict mode")
+            bad = int(raw[codes == 255][0])
+            raise SequenceError(
+                f"invalid base {chr(bad)!r} (byte {bad}): not a DNA or "
+                "IUPAC letter")
         return codes
     return alphabet.LENIENT_LUT[raw]
 

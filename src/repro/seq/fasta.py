@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import FastaError
+from ..errors import FastaError, SequenceError
 from . import encoding
 
 
@@ -40,7 +40,10 @@ def iter_fasta(source: str | os.PathLike | io.TextIOBase, *, strict: bool = Fals
     """Yield :class:`FastaRecord` objects from a path or open text handle.
 
     Raises :class:`~repro.errors.FastaError` on structural problems
-    (sequence data before any header, empty record, empty file).
+    (sequence data before any header, empty record, empty file) and,
+    with *strict*, :class:`~repro.errors.SequenceError` on a letter that
+    is neither DNA nor IUPAC; read from a path, the message names the
+    file.
     """
     own = False
     if isinstance(source, (str, os.PathLike)):
@@ -74,6 +77,10 @@ def iter_fasta(source: str | os.PathLike | io.TextIOBase, *, strict: bool = Fals
             yield _make_record(header, chunks, strict)
         elif not saw_any:
             raise FastaError("empty FASTA input")
+    except SequenceError as exc:
+        if not own:
+            raise
+        raise type(exc)(f"{os.fspath(source)}: {exc}") from None
     finally:
         if own:
             handle.close()

@@ -500,16 +500,17 @@ class ServeDaemon:
         The :class:`~repro.sw.config.AlignConfig` and ``scoring`` fields
         are decoded by their declared types, strictly: ``64.9``, ``true``
         or ``"128"`` for an int field is refused, not coerced.  An absent
-        field takes its default.
+        field takes its default.  Sequences are read strictly: a letter
+        that is neither DNA nor IUPAC is refused, not scored as ``N``.
         """
 
         def codes_for(side: str):
             inline = req.get(f"seq_{side}")
             path = req.get(f"path_{side}")
             if inline is not None:
-                return seq.encode(inline)
+                return seq.encode(inline, strict=True)
             if path is not None:
-                return seq.read_single(path).codes
+                return seq.read_single(path, strict=True).codes
             raise ServeError(f"submit needs seq_{side} or path_{side}")
 
         scoring = replace(seq.DNA_DEFAULT,

@@ -99,10 +99,12 @@ class JobSpec(AlignConfig):
     def effective_cells(self) -> int:
         """Cost estimate the scheduler classifies and weighs by.
 
-        The banded tier only sweeps the static band, X-drop typically
-        terminates after a small extension — so a heuristic-tier job
-        over a megabase pair is still *short* work, and must ride the
-        short lane (the whole point of the priority lanes).
+        The banded tier sweeps an adaptive band of initial half-width
+        ``band_width`` around the alignment, X-drop typically terminates
+        after a small extension — so a heuristic-tier job over a
+        megabase pair is still *short* work, and must ride the short
+        lane (the whole point of the priority lanes).  An ``auto`` job
+        is estimated at its band cost, even though it may escalate.
         """
         m, n = int(self.a_codes.size), int(self.b_codes.size)
         if self.mode in BANDED_MODES:

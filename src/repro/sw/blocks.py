@@ -24,7 +24,6 @@ from .compiled import sweep_block_compiled
 from .constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
 from .kernel import BestCell, BlockResult, build_profile, sweep_block
 from .pruning import BlockPruner
-from .xdrop import band_intersects
 
 
 @dataclass(frozen=True)
@@ -137,14 +136,13 @@ def pruned_border_result(spec: BlockSpec) -> BlockResult:
 class SlabSweep:
     """One column slab's rolling block-row sweep, the step every chain
     device runs (simulated or real): per block row an engine asks
-    :meth:`skip`, takes :meth:`restart` borders or runs :meth:`sweep`,
+    :meth:`prune`, takes :meth:`restart` borders or runs :meth:`sweep`,
     then hands the result to :meth:`advance`.  It holds the slab's top
     border (*h_top*/*f_top* resume part-way down), best cell and
     counters; time, transport and tracing stay with the engine."""
 
     def __init__(self, config, scoring: Scoring, profile: np.ndarray,
                  col0: int, col1: int, *, m: int, n_cols: int,
-                 band_half_width: int | None = None,
                  dp: DpPolicy | None = None, scoreboard=None, slot: int = 0,
                  workspace: KernelWorkspace | None = None, instruments=None,
                  h_top: np.ndarray | None = None,
@@ -152,7 +150,7 @@ class SlabSweep:
                  best: BestCell = BestCell.none()) -> None:
         self.kernel, self.scoring, self.profile = config.kernel, scoring, profile
         self.col0, self.col1, self.m, self.n_cols = col0, col1, m, n_cols
-        self.band_half_width, self.dp = band_half_width, dp
+        self.dp = dp
         self.scoreboard, self.slot = scoreboard, slot
         if self.kernel == "batched" and workspace is None:
             workspace = KernelWorkspace()
@@ -163,28 +161,21 @@ class SlabSweep:
                               dtype=DTYPE)
         self.best = best
         self.pruner = BlockPruner(match=scoring.match) if config.pruning else None
-        self.blocks_skipped_band = 0
         self.blocks_narrow = self.blocks_wide = self.dtype_escalations = 0
 
-    def skip(self, r0: int, r1: int, h_left: np.ndarray,
-             corner: int) -> str | None:
-        """Why block row ``[r0, r1)`` needs no sweep: ``"band-skip"`` (it
-        misses the static band), ``"pruned"`` (it cannot beat the
-        chain-wide best on the *scoreboard*), or ``None``."""
-        spec = BlockSpec(r0, r1, self.col0, self.col1)
-        if not band_intersects(spec, self.band_half_width):
-            self.blocks_skipped_band += 1
-            if self.instruments is not None:
-                self.instruments.block_skipped_band()
-            return "band-skip"
-        if self.pruner is not None and self.pruner.should_prune(
-                spec, self.m, self.n_cols, int(self.h_top.max(initial=NEG_INF)),
+    def prune(self, r0: int, r1: int, h_left: np.ndarray,
+              corner: int) -> bool:
+        """True when block row ``[r0, r1)`` needs no sweep: it cannot
+        beat the chain-wide best on the *scoreboard* (pruning on)."""
+        if self.pruner is None or not self.pruner.should_prune(
+                BlockSpec(r0, r1, self.col0, self.col1), self.m, self.n_cols,
+                int(self.h_top.max(initial=NEG_INF)),
                 int(h_left.max(initial=NEG_INF)), self.scoreboard.read(),
                 corner=int(corner)):
-            if self.instruments is not None:
-                self.instruments.block_pruned()
-            return "pruned"
-        return None
+            return False
+        if self.instruments is not None:
+            self.instruments.block_pruned()
+        return True
 
     def restart(self, r0: int, r1: int) -> BlockResult:
         """The restart borders a skipped block row emits."""
@@ -227,12 +218,10 @@ class SlabSweep:
                 self.scoreboard.publish(self.slot, cell.score)
 
     def counters(self) -> dict[str, int]:
-        """The prune, band-skip and narrow-DP counters, by result-field
-        name."""
+        """The prune and narrow-DP counters, by result-field name."""
         return {
             "blocks_checked": self.pruner.blocks_checked if self.pruner else 0,
             "blocks_pruned": self.pruner.blocks_pruned if self.pruner else 0,
-            "blocks_skipped_band": self.blocks_skipped_band,
             "blocks_narrow": self.blocks_narrow,
             "blocks_wide": self.blocks_wide,
             "dtype_escalations": self.dtype_escalations,
@@ -248,10 +237,6 @@ class BlockedOutcome:
     blocks_pruned: int
     cells_total: int
     cells_pruned: int
-    #: Blocks/cells skipped because they miss the static diagonal band
-    #: (``band_half_width``); disjoint from the pruning counters.
-    blocks_skipped_band: int = 0
-    cells_skipped_band: int = 0
     #: DP dtype policy the run resolved to, plus how many swept blocks
     #: actually computed narrow vs. wide (escalations + entry rejects);
     #: all zero under the plain int32 policy.
@@ -285,7 +270,6 @@ def compute_blocked(
     pruner: BlockPruner | None = None,
     kernel: str = "scalar",
     workspace: KernelWorkspace | None = None,
-    band_half_width: int | None = None,
     dp_dtype: str | DpPolicy = "auto",
 ) -> BlockedOutcome:
     """Compute the whole matrix block-by-block on one device.
@@ -307,13 +291,6 @@ def compute_blocked(
     identical pruning decisions to scalar, JIT speed (or the scalar
     sweep itself where numba is absent).
 
-    With *band_half_width* (local mode only), blocks that do not intersect
-    the static band ``|j - i| <= band_half_width`` are skipped outright —
-    before the pruner even looks at them — and emit the same restart
-    borders as pruned blocks (H = 0 lower bounds, so in-band scores are
-    never overestimated).  The result is then the *banded* best, a lower
-    bound of the unrestricted optimum.
-
     ``dp_dtype`` selects the kernels' internal compute dtype (``"auto"``,
     a name from :data:`~repro.sw.constants.DP_DTYPE_CHOICES`, or a
     pre-resolved :class:`~repro.sw.constants.DpPolicy`); narrow sweeps
@@ -323,10 +300,6 @@ def compute_blocked(
     """
     if pruner is not None and not local:
         raise ConfigError("block pruning applies to local alignment only")
-    if band_half_width is not None and not local:
-        raise ConfigError("band restriction applies to local alignment only")
-    if band_half_width is not None and band_half_width < 0:
-        raise ConfigError("band_half_width must be >= 0")
     validate_kernel(kernel)
     m, n = int(a_codes.size), int(b_codes.size)
     if isinstance(dp_dtype, DpPolicy):
@@ -341,7 +314,7 @@ def compute_blocked(
         return _compute_blocked_wavefront(
             a_codes, profile_full, scoring, specs, m, n,
             local=local, pruner=pruner, workspace=workspace,
-            band_half_width=band_half_width, dp=dp, dp_name=policy.name)
+            dp=dp, dp_name=policy.name)
     # "compiled" shares the scalar rolling-border schedule (so pruning
     # decisions match the scalar kernel block-for-block) with the jitted
     # sweep swapped in per block.
@@ -358,8 +331,6 @@ def compute_blocked(
     best = BestCell.none()
     blocks_pruned = 0
     cells_pruned = 0
-    blocks_skipped = 0
-    cells_skipped = 0
     blocks_narrow = 0
     blocks_wide = 0
     escalations = 0
@@ -368,14 +339,6 @@ def compute_blocked(
         row_corner_updates = [0] * (n_bcols + 1)
         for bc in range(n_bcols):
             spec = specs[br][bc]
-            if not band_intersects(spec, band_half_width):
-                result = pruned_border_result(spec)
-                blocks_skipped += 1
-                cells_skipped += spec.cells
-                bottom[bc] = (result.h_bottom, result.f_bottom)
-                right = (result.h_right, result.e_right)
-                row_corner_updates[bc + 1] = result.corner
-                continue
             if br == 0 or bc == 0:
                 # Only edge blocks keep any origin border; interior blocks
                 # overwrite all four, so skip the allocations entirely.
@@ -441,8 +404,6 @@ def compute_blocked(
         blocks_pruned=blocks_pruned,
         cells_total=m * n,
         cells_pruned=cells_pruned,
-        blocks_skipped_band=blocks_skipped,
-        cells_skipped_band=cells_skipped,
         dp_dtype=policy.name,
         blocks_narrow=blocks_narrow,
         blocks_wide=blocks_wide,
@@ -481,7 +442,6 @@ def _compute_blocked_wavefront(
     local: bool,
     pruner: BlockPruner | None,
     workspace: KernelWorkspace | None,
-    band_half_width: int | None = None,
     dp: DpPolicy | None = None,
     dp_name: str = "int32",
 ) -> BlockedOutcome:
@@ -501,8 +461,6 @@ def _compute_blocked_wavefront(
     best = BestCell.none()
     blocks_pruned = 0
     cells_pruned = 0
-    blocks_skipped = 0
-    cells_skipped = 0
     blocks_narrow = 0
     blocks_wide = 0
     escalations = 0
@@ -511,18 +469,6 @@ def _compute_blocked_wavefront(
         placed: list[tuple[int, int, BlockSpec]] = []
         for br, bc in diag:
             spec = specs[br][bc]
-            if not band_intersects(spec, band_half_width):
-                # Still pop the incoming borders so the resident set
-                # stays one wavefront deep.
-                bottom.pop((br, bc), None)
-                right.pop((br, bc), None)
-                corner.pop((br, bc), None)
-                result = pruned_border_result(spec)
-                blocks_skipped += 1
-                cells_skipped += spec.cells
-                _store_borders(br, bc, result, n_brows, n_bcols,
-                               bottom, right, corner)
-                continue
             if br == 0 or bc == 0:
                 bnd = origin_boundaries(spec, local=local, scoring=scoring)
                 if br > 0:
@@ -587,8 +533,6 @@ def _compute_blocked_wavefront(
         blocks_pruned=blocks_pruned,
         cells_total=m * n,
         cells_pruned=cells_pruned,
-        blocks_skipped_band=blocks_skipped,
-        cells_skipped_band=cells_skipped,
         dp_dtype=dp_name,
         blocks_narrow=blocks_narrow,
         blocks_wide=blocks_wide,

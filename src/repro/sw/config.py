@@ -19,8 +19,11 @@ class AlignConfig:
     """``block_rows`` (block row height), ``kernel`` (block sweep kernel,
     or ``auto``), ``pruning`` (exact block pruning), ``mode`` with its
     ``band_width`` and ``xdrop_x`` (the tier, :mod:`repro.sw.tiers`) and
-    ``dp_dtype`` (the DP dtype policy, exact).  Construction refuses a
-    bad field with :class:`ConfigError`."""
+    ``dp_dtype`` (the DP dtype policy, exact).  ``band_width`` is the
+    adaptive band's initial half-width for ``banded``/``auto``; the band
+    recentres and may widen up to
+    :data:`~repro.sw.tiers.MAX_WIDENING` times it.  Construction refuses
+    a bad field with :class:`ConfigError`."""
 
     block_rows: int = 512
     kernel: str = "scalar"

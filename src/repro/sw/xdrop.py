@@ -17,13 +17,12 @@ similar sequences.  This module is that tier:
   stripe and **widens** (doubling, up to a cap) whenever the stripe's
   best hugs an interior band edge, recomputing the stripe at the new
   width.
-* :func:`band_intersects` — the static band/block intersection test the
-  blocked engines use to skip out-of-band blocks entirely
-  (``mode="banded"``), compounding with distributed pruning.
+* :func:`band_intersects` — whether a block meets the static band
+  ``|j - i| <= half_width`` (a geometry helper; no engine skips blocks).
 * :func:`assess_heuristic` — the ``mode="auto"`` confidence check: a
-  heuristic answer is trusted only when the band did not saturate, the
-  best cell sits away from the band edge, and the score clears a
-  Karlin-Altschul significance threshold (:mod:`repro.stats.karlin`).
+  heuristic answer is trusted only when the band did not saturate and
+  the score clears a Karlin-Altschul significance threshold
+  (:mod:`repro.stats.karlin`).
 
 Soundness (INTERNALS.md section 10): every heuristic cell value is the
 score of a genuine alignment path, so heuristic scores are lower bounds
@@ -362,7 +361,7 @@ def adaptive_banded_score(
 
 
 # ---------------------------------------------------------------------------
-# Static band / block intersection (the blocked engines' skip test)
+# Static band / block intersection
 # ---------------------------------------------------------------------------
 
 def band_intersects(spec: "BlockSpec", half_width: int | None) -> bool:
@@ -372,9 +371,7 @@ def band_intersects(spec: "BlockSpec", half_width: int | None) -> bool:
 
     The diagonal offset ``j - i`` over the block spans
     ``[col0 - (row1 - 1), (col1 - 1) - row0]``; the block intersects the
-    band iff that interval meets ``[-half_width, half_width]``.  Blocks
-    that miss emit restart borders (H = 0 lower bounds), so in-band
-    scores are never overestimated.
+    band iff that interval meets ``[-half_width, half_width]``.
     """
     if half_width is None:
         return True
@@ -388,22 +385,39 @@ def band_intersects(spec: "BlockSpec", half_width: int | None) -> bool:
 # The auto-mode confidence check
 # ---------------------------------------------------------------------------
 
+#: Monte-Carlo sample count of the confidence check's K fit: the
+#: threshold gates an *escalation* decision, not a reported E-value, so
+#: coarse K is fine.
+K_SAMPLES = 32
+
+#: K of the shipped scoring presets, keyed by ``(match, mismatch,
+#: gap_open, gap_extend)``: each entry is exactly what
+#: ``estimate_k(scoring, lam, samples=K_SAMPLES, seed=0)`` returns
+#: (``tests/test_karlin_table.py`` recomputes it), so a fresh process
+#: skips the fit and every threshold stays bit-identical.
+KARLIN_K = {(1, -3, 3, 2): 0.43271812450280284}  # DNA_DEFAULT
+
+
 @lru_cache(maxsize=16)
 def _cached_statistics(match: int, mismatch: int, gap_open: int, gap_extend: int):
     """Karlin-Altschul lambda/K for a scheme, or None when the scheme
-    admits no local statistics (non-negative expected score).
+    admits no local statistics.
 
-    Small Monte-Carlo sample: the threshold gates an *escalation*
-    decision, not a reported E-value, so coarse K is fine — and the
-    cache keeps the fit off every hot path after the first call.
+    lambda is solved exactly; K comes from :data:`KARLIN_K`, or from a
+    :data:`K_SAMPLES` Monte-Carlo fit for any other scheme.  The cache
+    keeps both off every hot path after the first call.
     """
-    from ..stats.karlin import dna_statistics
+    from ..stats.karlin import (UNIFORM_DNA, ScoreStatistics, dna_statistics,
+                                solve_lambda)
 
+    scoring = Scoring(match=match, mismatch=mismatch, gap_open=gap_open,
+                      gap_extend=gap_extend)
+    k = KARLIN_K.get((match, mismatch, gap_open, gap_extend))
     try:
-        return dna_statistics(
-            Scoring(match=match, mismatch=mismatch,
-                    gap_open=gap_open, gap_extend=gap_extend),
-            k_samples=32)
+        if k is None:
+            return dna_statistics(scoring, k_samples=K_SAMPLES)
+        lam = solve_lambda(scoring.matrix[:4, :4], UNIFORM_DNA, UNIFORM_DNA)
+        return ScoreStatistics(lam=lam, k=k)
     except ConfigError:
         return None
 
@@ -435,7 +449,6 @@ def assess_heuristic(
     n: int,
     scoring: Scoring,
     *,
-    band_half_width: int | None = None,
     saturated: bool = False,
     evalue: float = SIGNIFICANCE_EVALUE,
 ) -> HeuristicDecision:
@@ -444,10 +457,8 @@ def assess_heuristic(
     A heuristic answer is trusted only when every check passes:
 
     * the adaptive band did not *saturate* (hit its width cap with the
-      best still hugging an interior edge);
-    * under a static band, the best cell's diagonal offset keeps a
-      ``half_width / 4`` margin from the band edge (a best near the edge
-      means the optimum may continue outside the band);
+      best still hugging an interior edge, so the optimum may continue
+      outside the band);
     * the score clears the Karlin-Altschul significance threshold at
       *evalue* — an insignificant in-band score says nothing about what
       lies off-band.  Schemes without statistics always escalate.
@@ -456,13 +467,6 @@ def assess_heuristic(
     if saturated:
         reasons.append("band saturated at its width cap")
     score = best.score if best.row >= 0 else 0
-    if (band_half_width is not None and best.row >= 0
-            and band_half_width < max(m, n)):
-        margin = max(1, band_half_width // 4)
-        if abs(best.col - best.row) > band_half_width - margin:
-            reasons.append(
-                f"best cell offset {abs(best.col - best.row)} within "
-                f"{margin} of the band edge ({band_half_width})")
     threshold = significance_threshold(scoring, m, n, evalue=evalue)
     if threshold is None:
         reasons.append("scoring scheme has no Karlin-Altschul statistics")

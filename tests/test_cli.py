@@ -106,6 +106,29 @@ def test_align_reports_a_zero_optimum(tmp_path, capsys, backend):
     assert "best score: 0 (no positive-scoring cell)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("backend", ["sim", "process"])
+def test_align_refuses_a_protein_fasta(tmp_path, capsys, backend):
+    """A letter that is neither DNA nor IUPAC is refused with a message
+    naming the file and the letter, before any worker or segment is
+    made; IUPAC codes and lowercase stay accepted."""
+    import multiprocessing as mp
+
+    from repro.comm import list_segments
+
+    prot = tmp_path / "prot.fa"
+    dna = tmp_path / "dna.fa"
+    prot.write_text(">p\nLQEFPILLEQ\n")
+    dna.write_text(">d\nACGTacgtRYNNacgtACGT\n")
+    before = list_segments()
+    assert main(["align", str(prot), str(dna), "--backend", backend]) == 1
+    err = capsys.readouterr().err
+    assert str(prot) in err and "'L'" in err
+    assert list_segments() == before
+    assert mp.active_children() == []
+    assert main(["align", str(dna), str(dna), "--backend", backend]) == 0
+    assert "best score: 8 ending at (7, 7)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("backend_args", [
     ("--backend", "sim"),
     ("--backend", "process", "--workers", "2"),

@@ -38,7 +38,7 @@ def frame(*workers: WorkerFrame) -> TimelineFrame:
         t_s=0.0, ts_unix=0.0, attempt=0,
         rows_done=sum(w.rows_done for w in workers), rows_target=0,
         rows_per_s=0.0, eta_s=None, gcups=0.0, prune_rate=0.0,
-        band_skip_rate=0.0, restarts=0, workers=workers)
+        restarts=0, workers=workers)
 
 
 def worker(g: int, rows: int, *, stalled: bool, silent_s: float = 0.0,

@@ -144,6 +144,30 @@ class TestObservability:
             bad.gcups
 
 
+class TestInlineTiers:
+    @pytest.mark.parametrize("mode", ["banded", "xdrop"])
+    def test_inline_tier_reports_a_parent_span_and_partition(self, rng, mode):
+        """A tier answered inline reports what the parent did: one
+        ``compute`` span of actor ``parent`` over the one slab it swept,
+        with no worker started and no shared-memory segment left."""
+        from repro.comm import list_segments
+        from repro.obs import EventJournal
+
+        a = random_codes(rng, 150)
+        b = mutated_copy(rng, a, 0.03)
+        before = list_segments()
+        journal = EventJournal()
+        res = align_multi_process(a, b, DNA_DEFAULT, workers=2, mode=mode,
+                                  events=journal)
+        assert list_segments() == before
+        assert journal.count("worker_spawn") == 0
+        assert res.workers == 0 and res.tier == mode
+        assert [(iv.actor, iv.kind) for iv in res.tracer.intervals] == \
+            [("parent", "compute")]
+        assert 0 < res.tracer.intervals[0].duration <= res.wall_time_s
+        assert [(s.col0, s.col1) for s in res.partition] == [(0, b.size)]
+
+
 class TestFailureHandling:
     def test_killed_worker_raises_descriptively(self, rng):
         """Failure injection: a worker hard-crashes mid-run; the parent

@@ -508,6 +508,23 @@ class TestServeDaemon:
                 assert len(daemon.queue.jobs()) == jobs_before, bad
                 assert submitted() == count_before, bad
 
+    def test_submit_refuses_a_protein_fasta(self, daemon, tmp_path, capsys):
+        """``mgsw submit`` of a protein FASTA is refused at the daemon's
+        boundary: a non-zero exit whose message names the file and the
+        letter, and no job record."""
+        from repro.cli import main
+
+        prot = tmp_path / "prot.fa"
+        prot.write_text(">p\nLQEFPILLEQ\n")
+        dna = tmp_path / "dna.fa"
+        dna.write_text(">d\nACGTACGTAC\n")
+        jobs_before = len(daemon.queue.jobs())
+        assert main(["submit", str(prot), str(dna),
+                     "--port", str(daemon.port)]) == 1
+        err = capsys.readouterr().err
+        assert str(prot) in err and "'L'" in err
+        assert len(daemon.queue.jobs()) == jobs_before
+
     def test_status_server_routes(self, daemon):
         with ServeClient(port=daemon.port) as client:
             job = client.check(client.submit(

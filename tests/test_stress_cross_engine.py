@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.single_gpu import run_single_gpu
-from repro.comm import NetworkLink
+from repro.comm import NetworkLink, list_segments
 from repro.device import ENV1_HETEROGENEOUS, TESLA_M2090
 from repro.multigpu import (
     ChainConfig,
@@ -50,6 +50,7 @@ from repro.sw import (
 )
 from repro.sw.banded import banded_score
 from repro.sw.constants import DTYPE
+from repro.sw.tiers import MAX_WIDENING
 from repro.workloads import insert_n_runs, mutate, HUMAN_CHIMP, random_dna
 
 
@@ -521,67 +522,75 @@ class TestHeuristicDifferential:
         assert sim.score == real.score == pooled.score
         assert counts[0] >= 1 and counts == [counts[0]] * 3, counts
 
-    def test_banded_mode_skips_blocks(self, rng):
-        """``mode="banded"`` must actually skip off-band blocks on every
-        engine — the single device included — counted on the result AND
-        in the metrics registry, while still matching exact on a similar
-        pair."""
-        from repro.obs import MetricsRegistry
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=120, max_value=320),
+        band_width=st.integers(min_value=4, max_value=64),
+        divergent=st.booleans(),
+    )
+    def test_inline_band_through_every_front_door(self, seed, m, band_width,
+                                                  divergent):
+        """The band runs inline on every engine.  ``banded`` and ``auto``
+        never beat the naive oracle; ``auto`` on a low-divergence pair
+        equals exact from the band with no worker spawned; a divergent
+        pair escalates to the exact answer; and the band's swept cells
+        stay inside its widening cap.  Each final stripe is at most
+        ``2 * cap + 128`` columns wide (``cap = MAX_WIDENING *
+        band_width``, 128-row stripes), and each of the at most
+        ``log2(MAX_WIDENING)`` widenings re-sweeps one stripe that was
+        at most ``cap + 128`` wide."""
+        from repro.obs import EventJournal, MetricsRegistry
 
-        a = random_dna(900, rng=rng)
-        b = mutate(a, HUMAN_CHIMP, rng=rng)
-        want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
+        rng = np.random.default_rng(seed)
+        a = random_dna(m, rng=rng)
+        b = (random_dna(m, rng=rng) if divergent
+             else mutate(a, HUMAN_CHIMP, rng=rng))
+        want = sw_score_naive(a, b, DNA_DEFAULT)
+        cap = MAX_WIDENING * band_width
+        widenings = MAX_WIDENING.bit_length() - 1
+        max_cells = m * (2 * cap + 1 + 128) + widenings * 128 * (cap + 128)
+        tiers = dict(band_width=band_width, block_rows=64)
 
-        registry = MetricsRegistry()
-        sim = align_multi_gpu(
-            a, b, DNA_DEFAULT, [TESLA_M2090] * 3,
-            config=ChainConfig(block_rows=96, mode="banded", band_width=64),
-            metrics=registry)
-        assert sim.score == want
-        assert sim.blocks_skipped_band > 0
-        assert _counter_total(registry, "blocks_skipped_band") == \
-            sim.blocks_skipped_band
+        def pooled(mode, reg, journal):
+            with WorkerPool(2, max_block_rows=64) as pool:
+                return pool.align(a, b, DNA_DEFAULT, mode=mode, metrics=reg,
+                                  **tiers)
 
-        registry = MetricsRegistry()
-        real = align_multi_process(a, b, DNA_DEFAULT, workers=2,
-                                   block_rows=96, mode="banded",
-                                   band_width=64, metrics=registry)
-        assert real.score == want
-        assert real.blocks_skipped_band > 0
-        assert _counter_total(registry, "blocks_skipped_band") == \
-            real.blocks_skipped_band
-
-        registry = MetricsRegistry()
-        single = run_single_gpu(a, b, DNA_DEFAULT, TESLA_M2090,
-                                block_rows=96, mode="banded", band_width=64,
-                                metrics=registry)
-        assert single.score == want
-        assert single.blocks_skipped_band > 0
-        assert _counter_total(registry, "blocks_skipped_band") == \
-            single.blocks_skipped_band
-
-    def test_banded_compounds_with_pruning(self, rng):
-        """Band skipping and distributed pruning are disjoint counters
-        that compose.  The band handles off-diagonal blocks; to make
-        pruning fire *in-band* the pair shares a strong prefix and then
-        diverges — once the prefix seals a high best score, the divergent
-        tail's diagonal blocks cannot beat it and are pruned."""
-        prefix = random_dna(1200, rng=rng)
-        a = np.concatenate([prefix, random_dna(1200, rng=rng)])
-        b = np.concatenate([prefix, random_dna(1200, rng=rng)])
-        exact = align_multi_gpu(a, b, DNA_DEFAULT, [TESLA_M2090] * 3,
-                                config=ChainConfig(block_rows=96))
-        want = exact.score
-        res = align_multi_gpu(
-            a, b, DNA_DEFAULT, [TESLA_M2090] * 3,
-            config=ChainConfig(block_rows=96, mode="banded", band_width=64,
-                               pruning=True))
-        assert res.score == want
-        assert res.blocks_skipped_band > 0
-        assert res.blocks_pruned > 0
-        # Disjoint: a skipped block is never also counted as pruned.
-        per_gpu_total = sum(g.blocks_checked for g in res.gpus)
-        assert res.blocks_pruned <= per_gpu_total
+        doors = {
+            "single": lambda mode, reg, journal: run_single_gpu(
+                a, b, DNA_DEFAULT, TESLA_M2090, mode=mode, metrics=reg,
+                **tiers),
+            "sim": lambda mode, reg, journal: align_multi_gpu(
+                a, b, DNA_DEFAULT, [TESLA_M2090] * 2,
+                config=ChainConfig(mode=mode, **tiers), metrics=reg,
+                events=journal),
+            "process": lambda mode, reg, journal: align_multi_process(
+                a, b, DNA_DEFAULT, workers=2, mode=mode, metrics=reg,
+                events=journal, **tiers),
+            "pool": pooled,
+        }
+        segments = list_segments()
+        for mode in ("banded", "auto"):
+            for name, run in doors.items():
+                reg, journal = MetricsRegistry(), EventJournal()
+                res = run(mode, reg, journal)
+                got = (res.score, res.best.row, res.best.col)
+                assert res.score <= want[0], (name, mode)
+                if mode == "banded":
+                    assert res.tier == "banded", name
+                    assert 0 < _counter_total(reg, "cells_computed") \
+                        <= max_cells, name
+                elif divergent:
+                    assert res.escalated and res.tier == "exact", name
+                    assert got == want, name
+                else:
+                    assert not res.escalated and res.tier == "banded", name
+                    assert got == want, name
+                    assert journal.count("worker_spawn") == 0, name
+                    assert getattr(res, "workers", 0) == 0, name
+        assert list_segments() == segments
 
 
 class TestDpDtypeDifferential:

@@ -198,15 +198,13 @@ class TestFrameContents:
 
     def test_registry_delta_fills_rates_and_restarts(self, board):
         registry = MetricsRegistry()
-        registry.counter("blocks_computed").inc(6)
+        registry.counter("blocks_computed").inc(7)
         registry.counter("blocks_pruned").inc(3)
-        registry.counter("blocks_skipped_band").inc(1)
         registry.counter("worker_restarts").inc(2)
         with manual_sampler(registry=registry) as sampler:
             sampler.attach(board, rows=10, cols_per_worker=[5, 5])
             frame = sampler.sample_once()
             assert frame.prune_rate == pytest.approx(0.3)
-            assert frame.band_skip_rate == pytest.approx(0.1)
             assert frame.restarts == 2
             sampler.detach()
 
@@ -224,7 +222,7 @@ class TestSpillAndRoundtrip:
         frame = TimelineFrame(
             t_s=1.5, ts_unix=1e9, attempt=1, rows_done=8, rows_target=20,
             rows_per_s=4.0, eta_s=3.0, gcups=0.001, prune_rate=0.25,
-            band_skip_rate=0.0, restarts=1,
+            restarts=1,
             workers=(WorkerFrame(0, 8, "compute", 4.0, 0.1, False),))
         doc = frame.to_json_dict()
         assert doc["schema"] == FRAME_SCHEMA
@@ -265,7 +263,7 @@ class TestSpillAndRoundtrip:
         frame = TimelineFrame(
             t_s=1.5, ts_unix=1e9, attempt=1, rows_done=8, rows_target=20,
             rows_per_s=4.0, eta_s=3.0, gcups=0.001, prune_rate=0.25,
-            band_skip_rate=0.0, restarts=1,
+            restarts=1,
             workers=(WorkerFrame(0, 8, "compute", 4.0, 0.1, False),))
         doc = frame.to_json_dict()
         doc["power_w"] = 180.5               # hypothetical v2 frame field
@@ -297,7 +295,7 @@ class TestSpillAndRoundtrip:
         frame = TimelineFrame(
             t_s=1.5, ts_unix=1e9, attempt=1, rows_done=8, rows_target=20,
             rows_per_s=4.0, eta_s=3.0, gcups=0.001, prune_rate=0.25,
-            band_skip_rate=0.0, restarts=1, workers=())
+            restarts=1, workers=())
         good = frame.to_json_dict()
         bad = dict(good)
         del bad["rows_done"]

@@ -278,18 +278,20 @@ class TestConfidenceCheck:
         assert thresh is not None
         best = BestCell(max(2 * thresh, 2000), n - 1, n - 1)
         decision = assess_heuristic(best, m, n, DNA_DEFAULT,
-                                    band_half_width=64)
+                                    saturated=False)
         assert decision.confident
         assert decision.reasons == ()
 
-    def test_best_near_static_band_edge_escalates(self):
-        """An end cell hugging the static band edge means the real
-        optimum may continue beyond it."""
+    def test_strong_score_at_a_saturated_band_edge_escalates(self):
+        """A significant score does not save a band that saturated: its
+        best hugged the band edge at the width cap, so the real optimum
+        may continue beyond it."""
         m = n = 10_000
-        best = BestCell(5000, 5000, 5060)  # offset 60 with half-width 64
+        best = BestCell(5000, 5000, 5060)
         decision = assess_heuristic(best, m, n, DNA_DEFAULT,
-                                    band_half_width=64)
+                                    saturated=True)
         assert not decision.confident
+        assert decision.reasons == ("band saturated at its width cap",)
 
     def test_scheme_without_statistics_escalates(self):
         """No Karlin-Altschul stats (e.g. a non-scorable scheme) means no

@@ -489,6 +489,72 @@ class TestHeuristicDifferential:
             assert res.mode == res.tier == "xdrop" and not res.escalated
             assert _counter_total(registry, "alignments_total") == 1
 
+    def test_banded_mode_skips_blocks(self, rng):
+        """``mode="banded"`` skips the block sweep on every engine — the
+        single device included: the inline band is the one swept block,
+        it covers far fewer cells than the matrix, the process engine
+        spawns no worker, and the score still matches exact on a similar
+        pair."""
+        from repro.obs import EventJournal, MetricsRegistry
+
+        a = random_dna(900, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
+        full = int(a.size) * int(b.size)
+        tiers = dict(block_rows=96, mode="banded", band_width=64)
+
+        doors = {
+            "sim": lambda reg, journal: align_multi_gpu(
+                a, b, DNA_DEFAULT, [TESLA_M2090] * 3,
+                config=ChainConfig(**tiers), metrics=reg, events=journal),
+            "process": lambda reg, journal: align_multi_process(
+                a, b, DNA_DEFAULT, workers=2, metrics=reg, events=journal,
+                **tiers),
+            "single": lambda reg, journal: run_single_gpu(
+                a, b, DNA_DEFAULT, TESLA_M2090, metrics=reg, **tiers),
+        }
+        for name, run in doors.items():
+            registry, journal = MetricsRegistry(), EventJournal()
+            res = run(registry, journal)
+            assert res.score == want, name
+            assert res.tier == "banded" and not res.escalated, name
+            assert _counter_total(registry, "blocks_computed") == 1, name
+            assert 0 < _counter_total(registry, "cells_computed") \
+                < full // 2, name
+            assert journal.count("worker_spawn") == 0, name
+
+    def test_banded_compounds_with_pruning(self, rng):
+        """Band and distributed pruning compose: pruning acts on the exact
+        chain sweep, the band runs inline beside it.  The pair shares a
+        strong prefix and then diverges, so the exact chain prunes the
+        divergent tail's blocks; with pruning on, ``banded`` and ``auto``
+        still answer from the band — the exact score, no chain block
+        checked or pruned, and bit-identical to pruning off."""
+        prefix = random_dna(1200, rng=rng)
+        a = np.concatenate([prefix, random_dna(1200, rng=rng)])
+        b = np.concatenate([prefix, random_dna(1200, rng=rng)])
+        exact = align_multi_gpu(a, b, DNA_DEFAULT, [TESLA_M2090] * 3,
+                                config=ChainConfig(block_rows=96))
+        want = (exact.score, exact.best.row, exact.best.col)
+
+        pruned = align_multi_gpu(a, b, DNA_DEFAULT, [TESLA_M2090] * 3,
+                                 config=ChainConfig(block_rows=96,
+                                                    pruning=True))
+        assert (pruned.score, pruned.best.row, pruned.best.col) == want
+        assert pruned.blocks_pruned > 0
+
+        for mode in ("banded", "auto"):
+            got = []
+            for pruning in (True, False):
+                res = align_multi_gpu(
+                    a, b, DNA_DEFAULT, [TESLA_M2090] * 3,
+                    config=ChainConfig(block_rows=96, mode=mode,
+                                       band_width=64, pruning=pruning))
+                assert res.tier == "banded" and not res.escalated, mode
+                assert res.blocks_checked == res.blocks_pruned == 0, mode
+                got.append((res.score, res.best.row, res.best.col))
+            assert got == [want, want], mode
+
     def test_dtype_escalation_journaled_alike(self):
         """One ``dtype_escalation`` rule on every engine: an escalating
         auto run with a narrow DP dtype journals one event per swept tier

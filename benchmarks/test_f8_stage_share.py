@@ -10,7 +10,9 @@ to narrow partitions hugging the optimal path (total area ~ m x interval
 instead of m x n).
 
 The harness measures real wall-clock for stage 1, the monolithic
-traceback, and the partitioned traceback on a compute-mode homolog pair,
+traceback (``align_local(special_interval=0)``), and the partitioned
+traceback (``align_local(special_interval=INTERVAL)``) on a compute-mode
+homolog pair,
 asserting the partitioned path is several times cheaper than the
 monolithic one and costs less than stage 1 itself.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import time
 
 from repro.seq import DNA_DEFAULT
-from repro.sw import align_local, align_local_partitioned, stage1_score
+from repro.sw import align_local, stage1_score
 from repro.perf import format_table
 from repro.workloads import get_pair, synthesize_pair
 
@@ -38,12 +40,11 @@ def run():
     t_score = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    mono = align_local(human, chimp, DNA_DEFAULT)
+    mono = align_local(human, chimp, DNA_DEFAULT, special_interval=0)
     t_mono = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    part = align_local_partitioned(human, chimp, DNA_DEFAULT,
-                                   special_interval=INTERVAL)
+    part = align_local(human, chimp, DNA_DEFAULT, special_interval=INTERVAL)
     t_part = time.perf_counter() - t0
 
     assert mono.score == part.score == s1.score
@@ -54,7 +55,7 @@ def test_f8_traceback_strategies(benchmark):
     print_header("F8 stage costs",
                  "crossing-point partitioning makes the traceback cheap")
     t_score, t_mono, t_part, cells = run()
-    # Both align_local* calls internally re-run stage 1; subtract it to
+    # Both align_local calls internally re-run stage 1; subtract it to
     # compare the *traceback* portion (stages 2+) of each strategy.
     trace_mono = t_mono - t_score
     trace_part = t_part - t_score

@@ -4,9 +4,12 @@
 Mirrors the paper's end-to-end flow on a scaled chr21 homolog pair:
 
 1. stage 1 distributed over the multi-GPU chain (exact score + end point),
-2. stage 2 anchored reverse pass (start point, early-terminated),
-3. stage 2b crossing points on the saved special rows,
-4. stage 3 Myers-Miller linear-space alignment, validated by re-scoring.
+2. stage 2: one anchored reverse pass finds the start point
+   (early-terminated) and the crossing points on the saved special rows,
+3. stage 3 Myers-Miller linear-space alignment, validated by re-scoring.
+
+``repro.sw.align_local`` runs the same stages in one call, splitting
+stage 3 at the crossing points.
 
 Run:  python examples/chromosome_comparison.py
 """
@@ -14,7 +17,7 @@ Run:  python examples/chromosome_comparison.py
 from repro import ChainConfig, align_multi_gpu
 from repro.device import ENV1_HETEROGENEOUS
 from repro.seq import DNA_DEFAULT
-from repro.sw import find_crossings, stage1_score, stage2_start, stage3_align
+from repro.sw import stage1_score, stage2_with_crossings, stage3_align
 from repro.workloads import get_pair, synthesize_pair
 
 
@@ -34,11 +37,10 @@ def main() -> None:
     s1 = stage1_score(human, chimp, DNA_DEFAULT, special_interval=512)
     assert s1.score == chain.score
 
-    si, sj = stage2_start(human, chimp, DNA_DEFAULT, s1.score, s1.end_i, s1.end_j)
-    print(f"[stage 2] alignment starts at ({si},{sj})")
-
-    crossings = find_crossings(human, chimp, DNA_DEFAULT, s1, si, sj)
-    print(f"[stage 2b] optimal path crossings on {len(crossings)} special rows "
+    with s1.special_rows:  # closing the store removes any spilled rows
+        si, sj, crossings = stage2_with_crossings(human, chimp, DNA_DEFAULT, s1)
+    print(f"[stage 2] alignment starts at ({si},{sj}); optimal path crossings "
+          f"on {len(crossings)} special rows "
           f"(first 3: {[(c.row, c.col) for c in crossings[:3]]})")
 
     aln = stage3_align(human, chimp, DNA_DEFAULT, s1.score,

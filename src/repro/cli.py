@@ -4,7 +4,8 @@ Subcommands:
 
 * ``mgsw generate`` — write a synthetic homologous chromosome pair as FASTA;
 * ``mgsw align A.fa B.fa`` — exact multi-GPU comparison (score, end point,
-  virtual GCUPS; ``--trace`` also reconstructs the alignment).
+  virtual GCUPS; ``--trace`` also reconstructs the alignment, exact mode
+  only).
   ``--backend sim`` (default) runs the simulated device chain;
   ``--backend process`` runs the same dataflow on real OS processes with
   shared-memory border rings (``--workers``, ``--transport``,
@@ -61,7 +62,8 @@ from .multigpu import (
     time_multi_gpu,
 )
 from .perf import format_table, humanize_cells, humanize_time
-from .sw import DP_DTYPE_CHOICES, KERNEL_CHOICES, align_local, resolve_kernel
+from .multigpu.pipeline import require_exact, trace_best
+from .sw import DP_DTYPE_CHOICES, KERNEL_CHOICES, resolve_kernel
 from .sw.config import CONFIG_FIELDS, AlignConfig
 from .sw.xdrop import MODES
 
@@ -220,6 +222,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     import time as time_mod
     from pathlib import Path
 
+    if args.trace:
+        require_exact(args.mode)
     # Strict: a protein or otherwise non-DNA letter is refused here,
     # before any worker spawns, instead of being scored as N.
     a = seq.read_single(args.seq_a, strict=True).codes
@@ -336,7 +340,7 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
                          tracer=tracer, a=a, b=b, wall_time_s=wall,
                          command=getattr(args, "_argv", None))
     if args.trace and res.score > 0:
-        aln = align_local(a, b, seq.DNA_DEFAULT)
+        aln = trace_best(a, b, seq.DNA_DEFAULT, res.best)
         print(aln.pretty(a, b))
     return 0
 
@@ -429,8 +433,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_dotplot(args: argparse.Namespace) -> int:
     from .perf.dotplot import dotplot as make_dotplot
 
-    a = seq.read_single(args.seq_a).codes
-    b = seq.read_single(args.seq_b).codes
+    a = seq.read_single(args.seq_a, strict=True).codes
+    b = seq.read_single(args.seq_b, strict=True).codes
     plot = make_dotplot(a, b, seq.DNA_DEFAULT, tiles=args.tiles)
     print(f"dotplot of {len(a):,} bp vs {len(b):,} bp "
           f"({plot.tile_rows} x {plot.tile_cols} bp tiles)")
@@ -443,8 +447,8 @@ def cmd_perf_trace_export(args: argparse.Namespace) -> int:
     from .device.trace import Tracer
     from .obs import tracer_to_chrome, write_chrome_trace
 
-    a = seq.read_single(args.seq_a).codes
-    b = seq.read_single(args.seq_b).codes
+    a = seq.read_single(args.seq_a, strict=True).codes
+    b = seq.read_single(args.seq_b, strict=True).codes
     tracer = Tracer()
     config = _config_from_args(args, kernel=resolve_kernel(args.kernel))
     if args.backend == "process":
@@ -647,7 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="exact multi-GPU comparison of two FASTA files")
     p.add_argument("seq_a")
     p.add_argument("seq_b")
-    p.add_argument("--trace", action="store_true", help="also reconstruct the alignment")
+    p.add_argument("--trace", action="store_true",
+                   help="also reconstruct the alignment, checked against the "
+                        "engine's best cell (--mode exact only)")
     p.add_argument("--backend", choices=("sim", "process"), default="sim",
                    help="sim: simulated device chain on the virtual clock; "
                         "process: real OS processes with shared-memory borders")

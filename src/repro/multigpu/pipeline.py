@@ -6,12 +6,15 @@ the cheaper host-side stages.  :func:`align_and_trace` packages that flow:
 
 1. stage 1 on the simulated multi-GPU chain (exact score + end point,
    virtual-clock GCUPS),
-2. stage 2's anchored reverse pass for the start point,
-3. stage 3's Myers-Miller (optionally crossing-point partitioned)
-   reconstruction, validated by re-scoring,
-4. a consistency check that the chain and the host stages agree on the
-   score and end point — any divergence raises, because it would mean a
+2. the host traceback :func:`~repro.sw.stages.align_local` (its own
+   stage 1 with special rows, the anchored reverse pass, crossing-point
+   partitioned Myers-Miller), validated by re-scoring,
+3. a cross-check that the alignment's score and end cell equal the
+   engine's best cell — any divergence raises, because it would mean a
    border-exchange bug.
+
+``mgsw align --trace`` runs the same traceback and check
+(:func:`trace_best`) against either backend's result.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from ..device.spec import DeviceSpec
-from ..errors import AlignmentError
+from ..errors import AlignmentError, ConfigError
 from ..seq.scoring import Scoring
 from ..sw.alignment import Alignment
-from ..sw.stages import align_local, align_local_partitioned, stage1_score
+from ..sw.kernel import BestCell
+from ..sw.stages import align_local
 from .chain import ChainConfig, ChainResult, MatrixWorkload, MultiGpuChain
 
 
@@ -45,6 +49,35 @@ class TracedResult:
         return self.chain.gcups
 
 
+def require_exact(mode: str) -> None:
+    """Refuse a traceback of a heuristic tier: the traceback is exact, so
+    its alignment could disagree with the score the tier reports."""
+    if mode != "exact":
+        raise ConfigError(
+            f"tracing needs mode 'exact', got {mode!r}: the traceback is "
+            "exact and may not match a heuristic tier's score")
+
+
+def trace_best(
+    a_codes: np.ndarray,
+    b_codes: np.ndarray,
+    scoring: Scoring,
+    best: BestCell,
+    *,
+    special_interval: int = 512,
+) -> Alignment:
+    """Host traceback of an engine's positive best cell, cross-checked:
+    the alignment must score ``best.score`` and end at its cell."""
+    alignment = align_local(a_codes, b_codes, scoring,
+                            special_interval=special_interval)
+    traced = (alignment.score, alignment.end_i - 1, alignment.end_j - 1)
+    if traced != (best.score, best.row, best.col):
+        raise AlignmentError(
+            f"engine and traceback disagree: engine=({best.score}, "
+            f"{best.row}, {best.col}) traceback={traced}")
+    return alignment
+
+
 def align_and_trace(
     a_codes: np.ndarray,
     b_codes: np.ndarray,
@@ -52,43 +85,22 @@ def align_and_trace(
     devices: Sequence[DeviceSpec],
     *,
     config: ChainConfig | None = None,
-    partitioned: bool = False,
     special_interval: int = 512,
 ) -> TracedResult:
     """Run the full pipeline (see module docstring).
 
-    ``partitioned=True`` uses the crossing-point-partitioned traceback
-    (bounded working set); otherwise the monolithic stage-2/3 path.
+    ``special_interval`` is :func:`~repro.sw.stages.align_local`'s: ``0``
+    traces monolithically.  A heuristic ``config.mode`` is refused with
+    :class:`~repro.errors.ConfigError` before the chain runs.
     """
+    if config is not None:
+        require_exact(config.mode)
     chain = MultiGpuChain(devices, config=config)
     chain_result = chain.run(MatrixWorkload(a_codes, b_codes, scoring))
 
     if chain_result.score <= 0:
         empty = Alignment(score=0, ops="", start_i=0, end_i=0, start_j=0, end_j=0)
         return TracedResult(chain=chain_result, alignment=empty)
-
-    # Cross-check the distributed stage 1 against the host sweep before
-    # spending traceback time on it.
-    host = stage1_score(a_codes, b_codes, scoring)
-    if (host.score, host.end_i, host.end_j) != (
-        chain_result.score, chain_result.best.row, chain_result.best.col
-    ):
-        raise AlignmentError(
-            "multi-GPU chain and host stage 1 disagree: "
-            f"chain=({chain_result.score}, {chain_result.best.row}, "
-            f"{chain_result.best.col}) host=({host.score}, {host.end_i}, {host.end_j})"
-        )
-
-    if partitioned:
-        alignment = align_local_partitioned(
-            a_codes, b_codes, scoring, special_interval=special_interval
-        )
-    else:
-        alignment = align_local(a_codes, b_codes, scoring)
-    alignment.validate(a_codes, b_codes, scoring)
-    if alignment.score != chain_result.score:
-        raise AlignmentError(
-            f"traceback produced score {alignment.score}, chain reported "
-            f"{chain_result.score}"
-        )
+    alignment = trace_best(a_codes, b_codes, scoring, chain_result.best,
+                           special_interval=special_interval)
     return TracedResult(chain=chain_result, alignment=alignment)

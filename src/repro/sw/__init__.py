@@ -79,13 +79,9 @@ from .xdrop import (
 )
 from .stages import (
     CrossingPoint,
-    SpecialRowStore,
     Stage1Result,
     align_local,
-    align_local_partitioned,
-    find_crossings,
     stage1_score,
-    stage2_start,
     stage2_with_crossings,
     stage3_align,
 )
@@ -142,13 +138,9 @@ __all__ = [
     "naive_semiglobal",
     "semiglobal_score",
     "CrossingPoint",
-    "SpecialRowStore",
     "Stage1Result",
     "align_local",
-    "align_local_partitioned",
-    "find_crossings",
     "stage1_score",
-    "stage2_start",
     "stage2_with_crossings",
     "stage3_align",
     "AlignConfig",

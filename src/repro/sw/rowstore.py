@@ -7,10 +7,8 @@ traceback stages.  :class:`BudgetedRowStore` reproduces that behaviour:
 rows are kept in memory up to ``max_memory_bytes`` and transparently
 spilled to a directory beyond that, with access-order retrieval and
 explicit lifetime management (:meth:`close` removes the spill files).
-
-It is a drop-in provider of the mapping interface
-:class:`~repro.sw.stages.SpecialRowStore` exposes (``rows[r]`` →
-``(H, F)``), so the traceback stages work unchanged against either.
+It is the one special-row store: :func:`~repro.sw.stages.stage1_score`
+writes into it and the crossing search reads it back with :meth:`load`.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ class BudgetedRowStore:
         self._mem: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._spilled: dict[int, str] = {}
         self._dir_owned = spill_dir is None
-        self._dir = spill_dir or tempfile.mkdtemp(prefix="repro-rows-")
+        self._dir = spill_dir  # an owned directory is made on first spill
         self.stats = StoreStats()
         self._closed = False
 
@@ -73,6 +71,8 @@ class BudgetedRowStore:
             self.stats.rows_in_memory += 1
             self.stats.bytes_in_memory += nbytes
         else:
+            if self._dir is None:
+                self._dir = tempfile.mkdtemp(prefix="repro-rows-")
             path = os.path.join(self._dir, f"row-{row}.npz")
             np.savez(path, h=h, f=f)
             self._spilled[row] = path
@@ -103,12 +103,6 @@ class BudgetedRowStore:
     def bytes_stored(self) -> int:
         return self.stats.bytes_in_memory + self.stats.bytes_spilled
 
-    # -- the SpecialRowStore facade used by stages.find_crossings ---------------
-    @property
-    def rows(self) -> "BudgetedRowStore":
-        """Self-view exposing ``store.rows[r]`` like the in-memory store."""
-        return self
-
     # -- lifetime -----------------------------------------------------------------
     def close(self) -> None:
         """Delete spill files (and the directory if this store made it)."""
@@ -120,7 +114,7 @@ class BudgetedRowStore:
                 os.unlink(path)
             except OSError:
                 pass
-        if self._dir_owned:
+        if self._dir_owned and self._dir is not None:
             try:
                 os.rmdir(self._dir)
             except OSError:

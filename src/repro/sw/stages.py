@@ -1,32 +1,35 @@
-"""The multi-stage alignment pipeline (CUDAlign stages 1-6 analogue).
+"""The multi-stage alignment pipeline (CUDAlign stages 1-4 analogue).
 
 Retrieving a full local alignment of megabase sequences runs as a pipeline
-of stages, each much cheaper than the one-shot full-matrix approach:
+of stages, each much cheaper than the one-shot full-matrix approach.
+:func:`align_local` is the one front door; ``special_interval`` picks the
+strategy (``0``: no special rows, one partition — a monolithic
+Myers-Miller traceback):
 
 * **Stage 1 — score pass.**  Linear-space local sweep of the whole matrix:
   best score and its *end point*.  Optionally saves *special rows* (H and F
-  snapshots every ``special_interval`` rows) for stage 2b.  This is the
-  stage the multi-GPU engine distributes; at megabase scale it dominates
-  total time, which is why the paper reports GCUPS of this stage.
+  snapshots every ``special_interval`` rows) in a
+  :class:`~repro.sw.rowstore.BudgetedRowStore`.  This is the stage the
+  multi-GPU engine distributes; at megabase scale it dominates total time,
+  which is why the paper reports GCUPS of this stage.
 
-* **Stage 2 — start pass.**  An *anchored* reverse sweep from the end
-  point: a global-start DP over the reversed prefixes whose first aligned
-  pair is pinned to the end point.  The cell where the running maximum
-  reaches the known score is the alignment's *start point*; the sweep is
-  chunked so it terminates as soon as that happens (for similar sequences
-  this stops after a near-diagonal band instead of the whole prefix).
+* **Stage 2 — start pass and crossing points.**  One *anchored* reverse
+  sweep from the end point: a global-start DP over the reversed prefixes
+  whose first aligned pair is pinned to the end point.  The cell where the
+  running maximum reaches the known score is the alignment's *start
+  point*; the sweep is chunked so it terminates as soon as that happens.
+  The same sweep captures the reverse rows matching stage 1's special
+  rows, and the optimal path's crossing column on each is found by
+  matching forward and reverse DP values (``Hf + Hr == score`` for a
+  diagonal crossing, ``Ff + Fr + gap_open == score`` for a vertical-gap
+  crossing).
 
-* **Stage 2b — crossing points (optional).**  With special rows from
-  stage 1, the optimal path's crossing column on each special row can be
-  found by matching forward and reverse DP values
-  (``Hf + Hr == score`` for a diagonal crossing,
-  ``Ff + Fr + gap_open == score`` for a vertical-gap crossing).  Crossing
-  points split the traceback region into independent partitions — the
-  paper family's way of parallelising stages 3+.
-
-* **Stage 3 — alignment pass.**  Myers-Miller linear-space global
-  alignment between start and end (per partition when crossing points are
-  available), validated by re-scoring.
+* **Stage 3 — alignment pass.**  Diagonal crossing points split the
+  region between start and end into independent partitions, each solved
+  by a small Myers-Miller global alignment and stitched together.  Under
+  score ties the crossings may belong to different co-optimal paths and
+  not telescope; then one monolithic :func:`stage3_align` over the whole
+  region replaces the stitch.
 
 The pipeline is exact: every stage's output is checked against the known
 score, and the final :class:`~repro.sw.alignment.Alignment` validates
@@ -35,44 +38,17 @@ before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import AlignmentError, ConfigError
+from ..errors import AlignmentError
 from ..seq.scoring import Scoring
 from .alignment import Alignment
 from .constants import DTYPE, NEG_INF
-from .kernel import BestCell, build_profile, sweep_block
+from .kernel import BestCell, build_profile, sw_score, sweep_block
 from .myers_miller import DEFAULT_BASE_CELLS, align_global
-
-
-@dataclass
-class SpecialRowStore:
-    """Snapshots of H and F on every ``interval``-th matrix row.
-
-    Row index ``r`` (0-based, the index of the last consumed ``a`` base)
-    is stored when ``(r + 1) % interval == 0``.  At megabase scale the
-    paper's system spills these to disk; here they live in memory — the
-    *capacity accounting* (``bytes_stored``) is what the experiments use.
-    """
-
-    interval: int
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ConfigError("special row interval must be positive")
-
-    def store(self, row: int, h: np.ndarray, f: np.ndarray) -> None:
-        self.rows[row] = (h.copy(), f.copy())
-
-    def row_indices(self) -> list[int]:
-        return sorted(self.rows)
-
-    @property
-    def bytes_stored(self) -> int:
-        return sum(h.nbytes + f.nbytes for h, f in self.rows.values())
+from .rowstore import BudgetedRowStore
 
 
 @dataclass(frozen=True)
@@ -83,7 +59,7 @@ class Stage1Result:
     score: int
     end_i: int
     end_j: int
-    special_rows: SpecialRowStore | None
+    special_rows: BudgetedRowStore | None
 
 
 def stage1_score(
@@ -92,97 +68,28 @@ def stage1_score(
     scoring: Scoring,
     *,
     special_interval: int = 0,
-    row_store=None,
+    row_store: BudgetedRowStore | None = None,
 ) -> Stage1Result:
     """Stage 1: linear-space local score + end point (+ special rows).
 
-    Pass ``row_store`` (e.g. a :class:`repro.sw.rowstore.BudgetedRowStore`)
-    to control where special rows live; otherwise an in-memory
-    :class:`SpecialRowStore` is created when ``special_interval > 0``.
+    Special rows land in ``row_store`` when given (its interval wins);
+    otherwise a :class:`BudgetedRowStore` with its default budget is
+    created when ``special_interval > 0``.  The caller closes the store.
     """
-    if row_store is not None:
-        store = row_store
-        special_interval = row_store.interval
-    else:
-        store = SpecialRowStore(special_interval) if special_interval > 0 else None
+    store = row_store
+    if store is None and special_interval > 0:
+        store = BudgetedRowStore(special_interval)
 
     sink = None
     if store is not None:
         def sink(row: int, h: np.ndarray, _e: np.ndarray, f: np.ndarray) -> None:
             store.store(row, h, f)
 
-    m, n = int(a_codes.size), int(b_codes.size)
-    h_top = np.zeros(n, dtype=DTYPE)
-    f_top = np.full(n, NEG_INF, dtype=DTYPE)
-    h_left = np.zeros(m, dtype=DTYPE)
-    e_left = np.full(m, NEG_INF, dtype=DTYPE)
-    res = sweep_block(
-        a_codes, build_profile(b_codes, scoring),
-        h_top, f_top, h_left, e_left, 0, scoring,
-        local=True, row_sink=sink, sink_interval=special_interval if store else 0,
-    )
-    best = res.best
+    best = sw_score(a_codes, b_codes, scoring, row_sink=sink,
+                    sink_interval=store.interval if store is not None else 0)
     if best.row < 0:
         return Stage1Result(0, -1, -1, store)
     return Stage1Result(best.score, best.row, best.col, store)
-
-
-def stage2_start(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    scoring: Scoring,
-    score: int,
-    end_i: int,
-    end_j: int,
-    *,
-    chunk_rows: int = 1024,
-) -> tuple[int, int]:
-    """Stage 2: find the start point of an optimal alignment ending at
-    ``(end_i, end_j)`` with the given *score*.
-
-    Runs the anchored reverse DP in chunks of rows and stops at the first
-    chunk whose maximum reaches *score*.  Returns ``(start_i, start_j)``
-    (0-based indices of the first aligned pair).
-    """
-    if score <= 0:
-        raise AlignmentError("stage2 requires a positive score")
-    ar = a_codes[: end_i + 1][::-1].copy()
-    br = b_codes[: end_j + 1][::-1].copy()
-    m, n = int(ar.size), int(br.size)
-    profile = build_profile(br, scoring)
-
-    # Anchored boundaries: everything -inf except the corner, so the only
-    # way into the matrix is the diagonal move aligning ar[0] with br[0].
-    h_top = np.full(n, NEG_INF, dtype=DTYPE)
-    f_top = np.full(n, NEG_INF, dtype=DTYPE)
-    corner = 0
-
-    best = BestCell.none()
-    row0 = 0
-    while row0 < m:
-        rows = min(chunk_rows, m - row0)
-        h_left = np.full(rows, NEG_INF, dtype=DTYPE)
-        e_left = np.full(rows, NEG_INF, dtype=DTYPE)
-        res = sweep_block(
-            ar[row0 : row0 + rows], profile,
-            h_top, f_top, h_left, e_left, corner, scoring,
-            local=False, track_best=True,
-        )
-        cell = res.best.shifted(row0, 0)
-        if cell.better_than(best):
-            best = cell
-        if best.score >= score:
-            break
-        h_top, f_top = res.h_bottom, res.f_bottom
-        corner = NEG_INF  # only the true origin corner is anchored
-        row0 += rows
-
-    if best.score != score:
-        raise AlignmentError(
-            f"stage2 reverse sweep reached {best.score}, expected {score}; "
-            "end point and score are inconsistent"
-        )
-    return end_i - best.row, end_j - best.col
 
 
 @dataclass(frozen=True)
@@ -199,79 +106,26 @@ class CrossingPoint:
     gapped: bool
 
 
-def find_crossings(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    scoring: Scoring,
-    result: Stage1Result,
-    start_i: int,
-    start_j: int,
-) -> list[CrossingPoint]:
-    """Stage 2b: locate the optimal path's crossing on each special row.
-
-    For every stored special row strictly between the alignment's start and
-    end rows, runs the anchored reverse DP down to that row and matches
-    forward/backward values: a cell is a diagonal crossing when
-    ``Hf + Hr == score`` and a gapped crossing when
-    ``Ff + Fr + gap_open == score``.  Returns crossings ordered by row.
-
-    This mirrors the paper family's stages 2-3 (special rows bound how much
-    of the matrix the traceback must revisit and let stage 4+ run per
-    partition); the alignment itself is produced by
-    :func:`stage3_align` either way.
-    """
-    if result.special_rows is None:
-        raise ConfigError("stage1 was run without special rows")
-    store = result.special_rows
-    score = result.score
-    rows_between = [r for r in store.row_indices() if start_i <= r < result.end_i]
-    if not rows_between:
-        return []
-
-    # One anchored reverse sweep from the end point; capture reverse H/F on
-    # each special row via the sink (reverse row p maps to forward row
-    # end_i - p - 1 boundary... we need values *at* forward row r, i.e.
-    # reverse row index p = end_i - r - 1 consumed).
-    ar = a_codes[: result.end_i + 1][::-1].copy()
-    br = b_codes[: result.end_j + 1][::-1].copy()
-    n = int(br.size)
-    want_rows = {result.end_i - r - 1: r for r in rows_between}
-    rev_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def sink(p: int, h: np.ndarray, _e: np.ndarray, f: np.ndarray) -> None:
-        if p in want_rows:
-            rev_rows[p] = (h.copy(), f.copy())
-
-    h_top = np.full(n, NEG_INF, dtype=DTYPE)
-    f_top = np.full(n, NEG_INF, dtype=DTYPE)
-    h_left = np.full(int(ar.size), NEG_INF, dtype=DTYPE)
-    e_left = np.full(int(ar.size), NEG_INF, dtype=DTYPE)
-    sweep_block(
-        ar, build_profile(br, scoring),
-        h_top, f_top, h_left, e_left, 0, scoring,
-        local=False, track_best=False, row_sink=sink, sink_interval=1,
-    )
-
-    return _match_crossings(store, rev_rows, want_rows, score, scoring)
-
-
 def _match_crossings(
-    store,
+    store: BudgetedRowStore,
     rev_rows: dict[int, tuple[np.ndarray, np.ndarray]],
     want_rows: dict[int, int],
     score: int,
     scoring: Scoring,
 ) -> list[CrossingPoint]:
-    """Pair forward special rows with captured reverse rows (see
-    :func:`find_crossings` for the matching conditions and index algebra:
-    forward vertex (I=r+1, J=j) has Hf = hf[j-1]; its reverse complement
-    has Hr = hr_rev[end_j - j]; with hr = hr_rev[::-1] the condition at
-    k = j-1 pairs hf[k] with hr[k+1])."""
+    """Pair forward special rows with captured reverse rows.
+
+    A cell is a diagonal crossing when ``Hf + Hr == score`` and a gapped
+    crossing when ``Ff + Fr + gap_open == score``.  Index algebra: forward
+    vertex (I=r+1, J=j) has Hf = hf[j-1]; its reverse complement has
+    Hr = hr_rev[end_j - j]; with hr = hr_rev[::-1] the condition at
+    k = j-1 pairs hf[k] with hr[k+1].  Returns crossings ordered by row.
+    """
     crossings: list[CrossingPoint] = []
     for p, r in sorted(want_rows.items(), key=lambda kv: kv[1]):
         if p not in rev_rows:  # special row above the start point
             continue
-        hf, ff = store.rows[r]
+        hf, ff = store.load(r)
         hr_rev, fr_rev = rev_rows[p]
         width = int(hr_rev.size)  # == end_j + 1
         hfv = hf[:width].astype(np.int64)
@@ -298,22 +152,22 @@ def stage2_with_crossings(
     *,
     chunk_rows: int = 1024,
 ) -> tuple[int, int, list[CrossingPoint]]:
-    """Stages 2 and 2b fused: ONE anchored reverse sweep finds the start
-    point *and* captures the reverse rows needed for crossing points.
+    """Stage 2: the one anchored reverse sweep from the end point.
 
-    This is the production path (``align_local_partitioned`` uses it): the
-    separate :func:`stage2_start` + :func:`find_crossings` combination
-    sweeps the reverse matrix twice.  Early termination still applies —
-    every wanted reverse row lies above the start row, so all captures
-    happen before the stop condition fires.
+    Runs the anchored reverse DP in chunks of rows and stops at the first
+    chunk whose maximum reaches the stage-1 score; returns
+    ``(start_i, start_j, crossings)`` — the 0-based first aligned pair and
+    the optimal path's crossing on each special row strictly between the
+    start and end rows.  Without special rows the crossings are ``[]``.
+    Early termination loses no crossing: every wanted reverse row lies
+    above the start row, so all captures happen before the stop fires.
     """
-    if result.special_rows is None:
-        raise ConfigError("stage2_with_crossings needs stage-1 special rows")
     score, end_i, end_j = result.score, result.end_i, result.end_j
     if score <= 0:
         raise AlignmentError("stage2 requires a positive score")
     store = result.special_rows
-    want_rows = {end_i - r - 1: r for r in store.row_indices() if r < end_i}
+    want_rows = ({} if store is None else
+                 {end_i - r - 1: r for r in store.row_indices() if r < end_i})
 
     ar = a_codes[: end_i + 1][::-1].copy()
     br = b_codes[: end_j + 1][::-1].copy()
@@ -321,6 +175,8 @@ def stage2_with_crossings(
     profile = build_profile(br, scoring)
     rev_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+    # Anchored boundaries: everything -inf except the corner, so the only
+    # way into the matrix is the diagonal move aligning ar[0] with br[0].
     h_top = np.full(n, NEG_INF, dtype=DTYPE)
     f_top = np.full(n, NEG_INF, dtype=DTYPE)
     corner = 0
@@ -340,7 +196,9 @@ def stage2_with_crossings(
         res = sweep_block(
             ar[row0 : row0 + rows], profile,
             h_top, f_top, h_left, e_left, corner, scoring,
-            local=False, track_best=True, row_sink=sink, sink_interval=1,
+            local=False, track_best=True,
+            row_sink=sink if want_rows else None,
+            sink_interval=1 if want_rows else 0,
         )
         cell = res.best.shifted(row0, 0)
         if cell.better_than(best):
@@ -348,15 +206,18 @@ def stage2_with_crossings(
         if best.score >= score:
             break
         h_top, f_top = res.h_bottom, res.f_bottom
-        corner = NEG_INF
+        corner = NEG_INF  # only the true origin corner is anchored
         row0 += rows
 
     if best.score != score:
         raise AlignmentError(
-            f"stage2 reverse sweep reached {best.score}, expected {score}"
+            f"stage2 reverse sweep reached {best.score}, expected {score}; "
+            "end point and score are inconsistent"
         )
     start_i = end_i - best.row
     start_j = end_j - best.col
+    if not want_rows:
+        return start_i, start_j, []
     usable = {p: r for p, r in want_rows.items() if start_i <= r < end_i}
     crossings = _match_crossings(store, rev_rows, usable, score, scoring)
     return start_i, start_j, crossings
@@ -393,33 +254,9 @@ def stage3_align(
     return aln
 
 
-def _stage3_fallback(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    scoring: Scoring,
-    s1,
-    si: int,
-    sj: int,
-    base_cells: int,
-) -> Alignment:
-    """Monolithic traceback reusing stage-1/2 work already in hand.
-
-    The partitioned path computes ``s1`` (full quadratic sweep) and the
-    stage-2 start before it knows whether its crossings telescope.  When
-    they don't, only stage 3 needs redoing monolithically —
-    ``stage2_with_crossings`` finds the same start point as
-    ``stage2_start``, so falling back through :func:`align_local` would
-    pay both quadratic passes a second time for identical answers.
-    """
-    aln = stage3_align(
-        a_codes, b_codes, scoring, s1.score, (si, sj), (s1.end_i, s1.end_j),
-        base_cells=base_cells,
-    )
-    aln.validate(a_codes, b_codes, scoring)
-    return aln
 
 
-def align_local_partitioned(
+def align_local(
     a_codes: np.ndarray,
     b_codes: np.ndarray,
     scoring: Scoring,
@@ -427,24 +264,33 @@ def align_local_partitioned(
     special_interval: int = 512,
     base_cells: int = DEFAULT_BASE_CELLS,
 ) -> Alignment:
-    """Stage 4-style partitioned traceback: align between crossing points.
+    """Optimal local alignment in linear space: the crossing-point traceback.
 
-    Diagonal crossing points on the special rows split the traceback
-    region into independent partitions, each solved by a (much smaller)
-    Myers-Miller global alignment — the paper family's way of keeping the
-    traceback's working set bounded and parallelisable.  The stitched
-    alignment is validated against the stage-1 score; if the chosen
-    crossings belong to different co-optimal paths and do not telescope
-    (possible under score ties), the function falls back to a monolithic
-    stage-3 traceback that reuses the stage-1 sweep and stage-2 start
-    already computed — the result is exact either way.
+    Stage 1 saves special rows every ``special_interval`` rows; stage 2
+    finds the start point and the path's diagonal crossings on them, and
+    the crossings split stage 3 into small Myers-Miller partitions (the
+    paper family's way of keeping the traceback's working set bounded).
+    ``special_interval=0`` saves no rows: one partition, the monolithic
+    traceback.  The stitched alignment is checked against the stage-1
+    score; if the crossings belong to different co-optimal paths and do
+    not telescope (possible under score ties), one monolithic
+    :func:`stage3_align` reusing the stage-1 end and stage-2 start
+    replaces it — the result is exact either way.
+
+    Returns the empty alignment (score 0) when no positive-scoring pair of
+    substrings exists.  The result always passes
+    :meth:`~repro.sw.alignment.Alignment.validate`.
     """
-    if special_interval <= 0:
-        raise ConfigError("align_local_partitioned needs a positive special_interval")
-    s1 = stage1_score(a_codes, b_codes, scoring, special_interval=special_interval)
-    if s1.score <= 0:
-        return Alignment(score=0, ops="", start_i=0, end_i=0, start_j=0, end_j=0)
-    si, sj, crossings = stage2_with_crossings(a_codes, b_codes, scoring, s1)
+    store = BudgetedRowStore(special_interval) if special_interval else None
+    try:
+        s1 = stage1_score(a_codes, b_codes, scoring, row_store=store)
+        if s1.score <= 0:
+            return Alignment(score=0, ops="", start_i=0, end_i=0, start_j=0, end_j=0)
+        si, sj, crossings = stage2_with_crossings(a_codes, b_codes, scoring, s1)
+    finally:
+        if store is not None:
+            store.close()
+
     # Usable anchors: diagonal crossings with strictly monotone columns.
     anchors: list[tuple[int, int]] = []
     last_col = sj
@@ -466,11 +312,6 @@ def align_local_partitioned(
                            base_cells=base_cells)
         total += sub.score
         ops.append(sub.ops)
-
-    if total != s1.score:
-        # Co-optimal-path tie: crossings do not telescope; fall back to a
-        # monolithic stage 3 (s1 and the start point are already exact).
-        return _stage3_fallback(a_codes, b_codes, scoring, s1, si, sj, base_cells)
     aln = Alignment(
         score=s1.score,
         ops="".join(ops),
@@ -479,34 +320,13 @@ def align_local_partitioned(
         start_j=sj,
         end_j=s1.end_j + 1,
     )
-    # Stitching at shared vertices can only merge gaps (raising the score);
-    # rescore equality is therefore a hard validity check.
-    if aln.rescore(a_codes, b_codes, scoring) != s1.score:
-        return _stage3_fallback(a_codes, b_codes, scoring, s1, si, sj, base_cells)
-    return aln
-
-
-def align_local(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    scoring: Scoring,
-    *,
-    special_interval: int = 0,
-    base_cells: int = DEFAULT_BASE_CELLS,
-) -> Alignment:
-    """Full pipeline: optimal local alignment in linear space.
-
-    Returns the empty alignment (score 0) when no positive-scoring pair of
-    substrings exists.  The result always passes
-    :meth:`~repro.sw.alignment.Alignment.validate`.
-    """
-    s1 = stage1_score(a_codes, b_codes, scoring, special_interval=special_interval)
-    if s1.score <= 0:
-        return Alignment(score=0, ops="", start_i=0, end_i=0, start_j=0, end_j=0)
-    si, sj = stage2_start(a_codes, b_codes, scoring, s1.score, s1.end_i, s1.end_j)
-    aln = stage3_align(
-        a_codes, b_codes, scoring, s1.score, (si, sj), (s1.end_i, s1.end_j),
-        base_cells=base_cells,
-    )
+    # Stitching at shared vertices can only merge gaps (raising the
+    # score), so a partition sum or rescore off the stage-1 score means a
+    # co-optimal-path tie: redo stage 3 monolithically.
+    if total != s1.score or aln.rescore(a_codes, b_codes, scoring) != s1.score:
+        aln = stage3_align(
+            a_codes, b_codes, scoring, s1.score, (si, sj), (s1.end_i, s1.end_j),
+            base_cells=base_cells,
+        )
     aln.validate(a_codes, b_codes, scoring)
     return aln

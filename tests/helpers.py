@@ -30,3 +30,16 @@ def mutated_copy(rng: np.random.Generator, codes: np.ndarray, snp_rate: float) -
     shift = rng.integers(1, 4, int(mask.sum()), dtype=np.uint8)
     out[mask] = (out[mask] + shift) % 4
     return out
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so each call appends to the returned list."""
+    calls: list = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

@@ -129,6 +129,68 @@ def test_align_refuses_a_protein_fasta(tmp_path, capsys, backend):
     assert "best score: 8 ending at (7, 7)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [("dotplot",), ("perf", "trace-export")],
+                         ids=["dotplot", "trace-export"])
+def test_fasta_subcommands_refuse_a_protein_fasta(tmp_path, capsys, command):
+    """``dotplot`` and ``perf trace-export`` read FASTA as strictly as
+    ``align``: a non-DNA letter is refused naming the file and the letter,
+    before anything runs; IUPAC codes and lowercase stay accepted."""
+    from repro.comm import list_segments
+
+    prot = tmp_path / "prot.fa"
+    dna = tmp_path / "dna.fa"
+    prot.write_text(">p\nLQEFPILLEQ\n")
+    dna.write_text(">d\nACGTacgtRYNNacgtACGT\n")
+    out = tmp_path / "trace.json"
+    extra = ["--out", str(out)] if command[0] == "perf" else ["--tiles", "4"]
+    before = list_segments()
+    assert main([*command, str(prot), str(dna), *extra]) == 1
+    err = capsys.readouterr().err
+    assert str(prot) in err and "'L'" in err
+    assert list_segments() == before
+    assert not out.exists()
+    assert main([*command, str(dna), str(dna), *extra]) == 0
+
+
+@pytest.mark.parametrize("backend", ["sim", "process"])
+@pytest.mark.parametrize("mode", ["banded", "xdrop", "auto"])
+def test_trace_refuses_a_heuristic_mode(tmp_path, capsys, backend, mode):
+    """``--trace`` prints an exact alignment, so it is refused with a
+    heuristic tier — before any FASTA is read (the files do not exist)
+    and before any worker or segment is made."""
+    import multiprocessing as mp
+
+    from repro.comm import list_segments
+
+    missing = str(tmp_path / "missing.fa")
+    before = list_segments()
+    assert main(["align", missing, missing, "--trace", "--mode", mode,
+                 "--backend", backend]) == 1
+    err = capsys.readouterr().err
+    assert "exact" in err and "missing.fa" not in err
+    assert list_segments() == before
+    assert mp.active_children() == []
+
+
+@pytest.mark.parametrize("backend", ["sim", "process"])
+def test_trace_runs_one_host_stage1_pass(tmp_path, capsys, monkeypatch,
+                                         backend):
+    """``--trace`` reuses the engine's answer as the cross-check: the
+    host runs stage 1 once (inside align_local), on both backends."""
+    from helpers import count_calls
+    from repro.sw import stages
+
+    calls = count_calls(monkeypatch, stages, "stage1_score")
+    fa = str(tmp_path / "a.fa")
+    fb = str(tmp_path / "b.fa")
+    main(["generate", "chr22", fa, fb, "--scale", "3e-5"])
+    capsys.readouterr()
+    assert main(["align", fa, fb, "--trace", "--backend", backend]) == 0
+    out = capsys.readouterr().out
+    assert "best score: " in out and "a: " in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("backend_args", [
     ("--backend", "sim"),
     ("--backend", "process", "--workers", "2"),

@@ -5,12 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.device import ENV1_HETEROGENEOUS, ENV2_HOMOGENEOUS
-from repro.multigpu import ChainConfig, align_and_trace, time_multi_gpu
+from repro.errors import AlignmentError, ConfigError
+from repro.multigpu import (
+    ChainConfig,
+    MultiGpuChain,
+    align_and_trace,
+    time_multi_gpu,
+)
+from repro.multigpu.pipeline import trace_best
 from repro.perf import chain_report
 from repro.seq import DNA_DEFAULT
-from repro.sw import sw_score_naive
+from repro.sw import BestCell, stages, sw_score_naive
 
-from helpers import mutated_copy, random_codes
+from helpers import count_calls, mutated_copy, random_codes
 
 
 class TestAlignAndTrace:
@@ -31,8 +38,51 @@ class TestAlignAndTrace:
         want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
         res = align_and_trace(a, b, DNA_DEFAULT, ENV2_HOMOGENEOUS,
                               config=ChainConfig(block_rows=32),
-                              partitioned=True, special_interval=32)
+                              special_interval=32)
         assert res.alignment.score == want
+        mono = align_and_trace(a, b, DNA_DEFAULT, ENV2_HOMOGENEOUS,
+                               config=ChainConfig(block_rows=32),
+                               special_interval=0)
+        assert mono.alignment.score == want
+
+    def test_one_host_stage1_pass(self, rng, monkeypatch):
+        """The chain is stage 1; the host traceback runs stage 1 once more
+        (for its special rows) and no separate cross-check pass."""
+        calls = count_calls(monkeypatch, stages, "stage1_score")
+        a = random_codes(rng, 200)
+        b = mutated_copy(rng, a, 0.05)
+        res = align_and_trace(a, b, DNA_DEFAULT, ENV2_HOMOGENEOUS,
+                              config=ChainConfig(block_rows=32),
+                              special_interval=32)
+        assert res.alignment.score == res.score > 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["banded", "xdrop", "auto"])
+    def test_refuses_heuristic_mode(self, rng, monkeypatch, mode):
+        """A heuristic tier's score need not match the exact traceback,
+        so a non-exact mode is refused before the chain runs."""
+        def never(*args, **kwargs):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(MultiGpuChain, "run", never)
+        a = random_codes(rng, 60)
+        with pytest.raises(ConfigError, match="exact"):
+            align_and_trace(a, a, DNA_DEFAULT, ENV2_HOMOGENEOUS,
+                            config=ChainConfig(mode=mode))
+
+    def test_engine_disagreement_raises(self, rng):
+        """The alignment's score and end cell are checked against the
+        engine's best cell."""
+        a = random_codes(rng, 80)
+        b = mutated_copy(rng, a, 0.05)
+        res = align_and_trace(a, b, DNA_DEFAULT, ENV2_HOMOGENEOUS)
+        best = res.chain.best
+        assert (res.alignment.end_i - 1, res.alignment.end_j - 1) == \
+            (best.row, best.col)
+        for wrong in (BestCell(best.score + 1, best.row, best.col),
+                      BestCell(best.score, best.row - 1, best.col)):
+            with pytest.raises(AlignmentError, match="disagree"):
+                trace_best(a, b, DNA_DEFAULT, wrong)
 
     def test_empty_alignment(self, rng):
         import numpy as np

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.comm import RingBuffer
@@ -98,11 +98,26 @@ def test_local_always_geq_global(a, b, sc):
     assert local_s >= global_score(a, b, sc) or local_s >= 0
 
 
-@settings(max_examples=25, deadline=None)
-@given(dna_codes_nonempty, dna_codes_nonempty, scorings)
-def test_align_local_validates_and_matches_score(a, b, sc):
+@st.composite
+def seq_pairs(draw):
+    """Two sequences over one alphabet: DNA+N, or two letters, whose
+    score ties make co-optimal paths (the traceback's tie fallback)."""
+    text = st.text(alphabet=draw(st.sampled_from(["ACGTN", "AC"])),
+                   min_size=1, max_size=40)
+    return encode(draw(text)), encode(draw(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq_pairs(), scorings, st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 8]))
+# Random draws reach the tie fallback in roughly 1% of binary-alphabet
+# pairs; this pair always does (tests/test_stages.py::TestTieFallback).
+@example(pair=(encode("ACCCACCCCAAACACAACAAAAACAA"),
+               encode("CCCAAAAACACACAAAAACAACC")),
+         sc=DNA_DEFAULT, interval=1)
+def test_align_local_validates_and_matches_score(pair, sc, interval):
+    a, b = pair
     want, *_ = sw_score_naive(a, b, sc)
-    aln = align_local(a, b, sc, base_cells=16)
+    aln = align_local(a, b, sc, special_interval=interval, base_cells=16)
     assert aln.score == want
     aln.validate(a, b, sc)  # raises on any inconsistency
 

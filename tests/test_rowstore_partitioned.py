@@ -1,8 +1,9 @@
-"""Unit tests: repro.sw.rowstore and align_local_partitioned."""
+"""Unit tests: repro.sw.rowstore and the crossing-point align_local."""
 
 from __future__ import annotations
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,12 +13,11 @@ from repro.seq import DNA_DEFAULT
 from repro.sw import (
     BudgetedRowStore,
     align_local,
-    align_local_partitioned,
-    find_crossings,
     stage1_score,
-    stage2_start,
+    stage2_with_crossings,
     sw_score_naive,
 )
+from repro.sw import stages
 
 from helpers import mutated_copy, random_codes
 
@@ -62,9 +62,9 @@ class TestBudgetedRowStore:
         with BudgetedRowStore(32, max_memory_bytes=0,
                               spill_dir=str(tmp_path)) as store:
             s1 = stage1_score(a, b, DNA_DEFAULT, row_store=store)
-            si, sj = stage2_start(a, b, DNA_DEFAULT, s1.score, s1.end_i, s1.end_j)
-            cps = find_crossings(a, b, DNA_DEFAULT, s1, si, sj)
+            _, _, cps = stage2_with_crossings(a, b, DNA_DEFAULT, s1)
             assert cps  # crossings found via the disk tier
+            assert store.stats.spill_reads == len(cps)
 
     def test_close_removes_spill_files(self, rng, tmp_path):
         store = BudgetedRowStore(8, max_memory_bytes=0, spill_dir=str(tmp_path))
@@ -87,6 +87,20 @@ class TestBudgetedRowStore:
         with pytest.raises(ConfigError):
             BudgetedRowStore(4, max_memory_bytes=-1)
 
+    def test_spill_dir_made_on_first_spill(self, rng, tmp_path, monkeypatch):
+        """An owned spill directory exists only once a row spills, and
+        close removes it."""
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        a = random_codes(rng, 64)
+        with BudgetedRowStore(8) as ram:
+            stage1_score(a, a, DNA_DEFAULT, row_store=ram)
+            assert ram.stats.rows_in_memory == 8
+            assert os.listdir(tmp_path) == []
+        with BudgetedRowStore(8, max_memory_bytes=0) as disk:
+            stage1_score(a, a, DNA_DEFAULT, row_store=disk)
+            assert len(os.listdir(tmp_path)) == 1
+        assert os.listdir(tmp_path) == []
 
 class TestPartitionedAlignment:
     def test_equals_oracle_on_homologs(self, rng):
@@ -94,16 +108,16 @@ class TestPartitionedAlignment:
             a = random_codes(rng, 250)
             b = mutated_copy(rng, a, snp)
             want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
-            aln = align_local_partitioned(a, b, DNA_DEFAULT,
-                                          special_interval=32, base_cells=64)
+            aln = align_local(a, b, DNA_DEFAULT,
+                              special_interval=32, base_cells=64)
             assert aln.score == want
             aln.validate(a, b, DNA_DEFAULT)
 
     def test_equals_monolithic_pipeline(self, rng):
         a = random_codes(rng, 200)
         b = mutated_copy(rng, a, 0.05)
-        mono = align_local(a, b, DNA_DEFAULT)
-        part = align_local_partitioned(a, b, DNA_DEFAULT, special_interval=32)
+        mono = align_local(a, b, DNA_DEFAULT, special_interval=0)
+        part = align_local(a, b, DNA_DEFAULT, special_interval=32)
         assert part.score == mono.score
         assert (part.start_i, part.end_i) == (mono.start_i, mono.end_i)
 
@@ -112,27 +126,58 @@ class TestPartitionedAlignment:
             a = random_codes(rng, int(rng.integers(20, 120)))
             b = random_codes(rng, int(rng.integers(20, 120)))
             want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
-            aln = align_local_partitioned(a, b, DNA_DEFAULT,
-                                          special_interval=16, base_cells=32)
+            aln = align_local(a, b, DNA_DEFAULT,
+                              special_interval=16, base_cells=32)
             assert aln.score == want
             aln.validate(a, b, DNA_DEFAULT)
 
     def test_empty_result(self):
         from repro.seq import encode
-        aln = align_local_partitioned(encode("AAAA"), encode("TTTT"), DNA_DEFAULT,
-                                      special_interval=2)
+        aln = align_local(encode("AAAA"), encode("TTTT"), DNA_DEFAULT,
+                          special_interval=2)
         assert aln.score == 0 and aln.ops == ""
 
     def test_requires_interval(self, rng):
+        """A negative interval is refused; 0 is the monolithic path."""
         a = random_codes(rng, 10)
         with pytest.raises(ConfigError):
-            align_local_partitioned(a, a, DNA_DEFAULT, special_interval=0)
+            align_local(a, a, DNA_DEFAULT, special_interval=-1)
+        assert align_local(a, a, DNA_DEFAULT, special_interval=0).score == \
+            align_local(a, a, DNA_DEFAULT, special_interval=2).score
 
     def test_with_indels(self, rng):
         a = random_codes(rng, 300)
         b = mutated_copy(rng, a, 0.05)
         b = np.concatenate([b[:100], b[110:]])  # 10-base deletion
         want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
-        aln = align_local_partitioned(a, b, DNA_DEFAULT, special_interval=64)
+        aln = align_local(a, b, DNA_DEFAULT, special_interval=64)
         assert aln.score == want
         aln.validate(a, b, DNA_DEFAULT)
+
+    def test_leaves_no_spill_files(self, rng, tmp_path, monkeypatch):
+        """align_local closes its row store on success and on error: with
+        every row spilled under TMPDIR, nothing is left behind."""
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        made = []
+
+        def spilling_store(interval):
+            made.append(BudgetedRowStore(interval, max_memory_bytes=0))
+            return made[-1]
+
+        monkeypatch.setattr(stages, "BudgetedRowStore", spilling_store)
+        a = random_codes(rng, 120)
+        b = mutated_copy(rng, a, 0.05)
+        want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
+        assert align_local(a, b, DNA_DEFAULT, special_interval=8).score == want
+        assert made[-1].stats.rows_spilled > 0
+        assert os.listdir(tmp_path) == []
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("stage 2 failed")
+
+        monkeypatch.setattr(stages, "stage2_with_crossings", boom)
+        with pytest.raises(RuntimeError):
+            align_local(a, b, DNA_DEFAULT, special_interval=8)
+        assert made[-1].stats.rows_spilled > 0
+        assert os.listdir(tmp_path) == []

@@ -7,18 +7,18 @@ import pytest
 
 from repro.errors import AlignmentError, ConfigError
 from repro.seq import DNA_DEFAULT, encode
-from repro.sw import naive
+from repro.sw import naive, stages
 from repro.sw.myers_miller import global_score
+from repro.sw.rowstore import BudgetedRowStore
 from repro.sw.stages import (
-    SpecialRowStore,
+    Stage1Result,
     align_local,
-    find_crossings,
     stage1_score,
-    stage2_start,
+    stage2_with_crossings,
     stage3_align,
 )
 
-from helpers import mutated_copy, random_codes, random_scoring
+from helpers import count_calls, mutated_copy, random_codes, random_scoring
 
 
 class TestStage1:
@@ -47,7 +47,7 @@ class TestStage1:
 
     def test_store_validation(self):
         with pytest.raises(ConfigError):
-            SpecialRowStore(0)
+            BudgetedRowStore(0)
 
 
 class TestStage2:
@@ -61,7 +61,8 @@ class TestStage2:
             s1 = stage1_score(a, b, sc)
             if s1.score <= 0:
                 continue
-            si, sj = stage2_start(a, b, sc, s1.score, s1.end_i, s1.end_j, chunk_rows=5)
+            si, sj, cps = stage2_with_crossings(a, b, sc, s1, chunk_rows=5)
+            assert cps == []
             assert 0 <= si <= s1.end_i
             assert 0 <= sj <= s1.end_j
             anchored = global_score(a[si : s1.end_i + 1], b[sj : s1.end_j + 1], sc)
@@ -70,12 +71,13 @@ class TestStage2:
     def test_rejects_nonpositive_score(self):
         a = encode("ACGT")
         with pytest.raises(AlignmentError):
-            stage2_start(a, a, DNA_DEFAULT, 0, 3, 3)
+            stage2_with_crossings(a, a, DNA_DEFAULT, Stage1Result(0, 3, 3, None))
 
     def test_inconsistent_endpoint_detected(self):
         a = encode("ACGTACGT")
         with pytest.raises(AlignmentError, match="inconsistent"):
-            stage2_start(a, a, DNA_DEFAULT, score=999, end_i=7, end_j=7)
+            stage2_with_crossings(a, a, DNA_DEFAULT,
+                                  Stage1Result(999, 7, 7, None))
 
     def test_early_termination_on_similar_sequences(self, rng):
         """On a high-identity pair the reverse sweep must stop near the
@@ -83,8 +85,7 @@ class TestStage2:
         a = random_codes(rng, 500)
         b = mutated_copy(rng, a, 0.02)
         s1 = stage1_score(a, b, DNA_DEFAULT)
-        si, sj = stage2_start(a, b, DNA_DEFAULT, s1.score, s1.end_i, s1.end_j,
-                              chunk_rows=64)
+        si, sj, _ = stage2_with_crossings(a, b, DNA_DEFAULT, s1, chunk_rows=64)
         assert si <= 64  # alignment spans nearly everything → start near 0
 
 
@@ -95,9 +96,11 @@ class TestStage3AndPipeline:
             b = random_codes(rng, int(rng.integers(1, 35)))
             sc = random_scoring(rng)
             want, *_ = naive.sw_score_naive(a, b, sc)
-            aln = align_local(a, b, sc, base_cells=16)
-            assert aln.score == want
-            aln.validate(a, b, sc)
+            for interval in (0, 4):
+                aln = align_local(a, b, sc, special_interval=interval,
+                                  base_cells=16)
+                assert aln.score == want
+                aln.validate(a, b, sc)
 
     def test_empty_result(self):
         aln = align_local(encode("AAAA"), encode("TTTT"), DNA_DEFAULT)
@@ -117,32 +120,53 @@ class TestStage3AndPipeline:
         assert aln.a_span > 500  # covers most of the sequences
 
 
-class TestFusedStage2:
-    def test_agrees_with_separate_calls(self, rng):
-        """stage2_with_crossings must reproduce stage2_start +
-        find_crossings exactly (it is the same math in one sweep)."""
-        from repro.sw.stages import stage2_with_crossings
+class TestTieFallback:
+    def test_co_optimal_crossings_fall_back_to_one_stage3(self, monkeypatch):
+        """Regression: on this binary-alphabet pair the special-row
+        crossings belong to different co-optimal paths and do not
+        telescope; align_local must redo stage 3 monolithically (one
+        stage3_align call) and still return the exact score."""
+        calls = count_calls(monkeypatch, stages, "stage3_align")
+        a = encode("ACCCACCCCAAACACAACAAAAACAA")
+        b = encode("CCCAAAAACACACAAAAACAACC")
+        aln = align_local(a, b, DNA_DEFAULT, special_interval=1)
+        assert aln.score == 11
+        assert naive.sw_score_naive(a, b, DNA_DEFAULT)[0] == 11
+        aln.validate(a, b, DNA_DEFAULT)
+        assert len(calls) == 1
+        # The partitioned path that does telescope never calls stage 3.
+        assert align_local(a, b, DNA_DEFAULT, special_interval=0).score == 11
+        assert len(calls) == 1
 
+
+class TestFusedStage2:
+    def test_start_point_independent_of_special_rows(self, rng):
+        """The start point is the same with and without special rows, and
+        the crossings do not depend on the sweep's chunking."""
         for _ in range(15):
             a = random_codes(rng, 150)
             b = mutated_copy(rng, a, 0.08)
             s1 = stage1_score(a, b, DNA_DEFAULT, special_interval=32)
             if s1.score <= 0:
                 continue
-            si, sj = stage2_start(a, b, DNA_DEFAULT, s1.score, s1.end_i, s1.end_j)
-            separate = find_crossings(a, b, DNA_DEFAULT, s1, si, sj)
+            plain = stage1_score(a, b, DNA_DEFAULT)
+            si, sj, none = stage2_with_crossings(a, b, DNA_DEFAULT, plain)
             fi, fj, fused = stage2_with_crossings(a, b, DNA_DEFAULT, s1)
-            assert (fi, fj) == (si, sj)
-            assert fused == separate
+            ci, cj, chunked = stage2_with_crossings(a, b, DNA_DEFAULT, s1,
+                                                    chunk_rows=7)
+            assert none == []
+            assert (fi, fj) == (si, sj) == (ci, cj)
+            assert fused == chunked
 
     def test_requires_special_rows(self, rng):
-        from repro.errors import ConfigError
-        from repro.sw.stages import stage2_with_crossings
-
+        """No special rows, no crossings: the sweep still finds the start."""
         a = random_codes(rng, 30)
         s1 = stage1_score(a, a, DNA_DEFAULT)
-        with pytest.raises(ConfigError):
-            stage2_with_crossings(a, a, DNA_DEFAULT, s1)
+        si, sj, cps = stage2_with_crossings(a, a, DNA_DEFAULT, s1)
+        assert cps == []
+        assert (si, sj) == (0, 0)
+        with_rows = stage1_score(a, a, DNA_DEFAULT, special_interval=8)
+        assert stage2_with_crossings(a, a, DNA_DEFAULT, with_rows)[2]
 
 
 class TestCrossings:
@@ -154,8 +178,7 @@ class TestCrossings:
             s1 = stage1_score(a, b, DNA_DEFAULT, special_interval=32)
             if s1.score <= 0:
                 continue
-            si, sj = stage2_start(a, b, DNA_DEFAULT, s1.score, s1.end_i, s1.end_j)
-            cps = find_crossings(a, b, DNA_DEFAULT, s1, si, sj)
+            si, sj, cps = stage2_with_crossings(a, b, DNA_DEFAULT, s1)
             expected_rows = [r for r in s1.special_rows.row_indices()
                              if si <= r < s1.end_i]
             assert len(cps) == len(expected_rows)
@@ -174,8 +197,7 @@ class TestCrossings:
         a = random_codes(rng, 200)
         b = mutated_copy(rng, a, 0.05)
         s1 = stage1_score(a, b, DNA_DEFAULT, special_interval=16)
-        si, sj = stage2_start(a, b, DNA_DEFAULT, s1.score, s1.end_i, s1.end_j)
-        cps = find_crossings(a, b, DNA_DEFAULT, s1, si, sj)
+        si, sj, cps = stage2_with_crossings(a, b, DNA_DEFAULT, s1)
         cols = [c.col for c in cps]
         # Crossing columns of an optimal monotone path are sorted by row...
         # but ties between different optimal paths may break monotonicity;
@@ -183,7 +205,10 @@ class TestCrossings:
         assert all(c2 >= c1 - 16 for c1, c2 in zip(cols, cols[1:]))
 
     def test_requires_special_rows(self, rng):
+        """Crossings lie only on stored special rows; none without them."""
         a = random_codes(rng, 30)
-        s1 = stage1_score(a, a, DNA_DEFAULT)
-        with pytest.raises(ConfigError):
-            find_crossings(a, a, DNA_DEFAULT, s1, 0, 0)
+        assert stage2_with_crossings(
+            a, a, DNA_DEFAULT, stage1_score(a, a, DNA_DEFAULT))[2] == []
+        s1 = stage1_score(a, a, DNA_DEFAULT, special_interval=8)
+        cps = stage2_with_crossings(a, a, DNA_DEFAULT, s1)[2]
+        assert [c.row for c in cps] == s1.special_rows.row_indices()

@@ -33,7 +33,6 @@ from ..sw.blocks import BlockedOutcome, compute_blocked
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, resolve_config
 from ..sw.kernel import BestCell
-from ..sw.pruning import BlockPruner
 from ..sw.tiers import run_tiers
 
 
@@ -136,11 +135,10 @@ def run_single_gpu(
     def sweep() -> SingleGpuResult:
         if kernel == "compiled":
             compiled_warmup()  # idempotent; keeps compile out of callers' timings
-        pruner = BlockPruner(match=scoring.match) if cfg.pruning else None
         outcome: BlockedOutcome = compute_blocked(
             a_codes, b_codes, scoring,
-            block_rows=block_rows, block_cols=block_cols, pruner=pruner,
-            kernel=kernel, dp_dtype=cfg.dp_dtype,
+            block_rows=block_rows, block_cols=block_cols,
+            pruning=cfg.pruning, kernel=kernel, dp_dtype=cfg.dp_dtype,
         )
         computed = outcome.cells_total - outcome.cells_pruned
         # One compute charge per block row over the full width; pruned
@@ -158,8 +156,8 @@ def run_single_gpu(
             cells=m * n,
             cells_computed=computed,
             pruned_fraction=outcome.pruned_fraction,
-            blocks_checked=pruner.blocks_checked if pruner is not None else 0,
-            blocks_pruned=pruner.blocks_pruned if pruner is not None else 0,
+            blocks_checked=outcome.blocks_checked,
+            blocks_pruned=outcome.blocks_pruned,
             kernel=kernel,
             dp_dtype=outcome.dp_dtype,
             blocks_narrow=outcome.blocks_narrow,

@@ -398,10 +398,6 @@ class MultiGpuChain:
             sweeper = sweepers[g]
             in_ch = channels[g - 1] if g > 0 else None
             out_ch = channels[g] if g < len(gpus) - 1 else None
-            # H(r0-1, col1-1): the right neighbour's corner.
-            prev_right_last = (int(sweeper.h_top[-1])
-                               if sweeper is not None and resume is not None
-                               else 0)
 
             for r in range(n_block_rows):
                 r0, r1 = row_edges[r], row_edges[r + 1]
@@ -448,19 +444,15 @@ class MultiGpuChain:
                     if instruments is not None:
                         instruments[g].block_computed(engine.now - t_c0,
                                                       cells=rows * w)
-                if sweeper is not None:
-                    sweeper.advance(result, r0)
+                # Phantom runs carry no payload: the right border is None.
+                border = (sweeper.advance(result, r0) if sweeper is not None
+                          else None)
 
                 if out_ch is not None:
                     nbytes = rows * BORDER_BYTES_PER_ROW + BORDER_BYTES_FIXED
                     if instruments is not None:
                         instruments[g].border_sent(nbytes)
-                    if workload.phantom:
-                        payload = None
-                    else:
-                        payload = (result.h_right, result.e_right, prev_right_last)
-                        prev_right_last = int(result.h_right[-1])
-                    segment = BorderSegment(index=r, nbytes=nbytes, payload=payload)
+                    segment = BorderSegment(index=r, nbytes=nbytes, payload=border)
                     if cfg.async_transfers:
                         engine.process(out_ch.sender(segment), f"send{g}:{r}")
                     else:

@@ -337,7 +337,6 @@ def sweep_slab(
         slab.col0, slab.col1, m=m, n_cols=task.n_cols, dp=task.dp,
         scoreboard=scoreboard, slot=slot, workspace=workspace,
         instruments=instruments, h_top=task.h_init, f_top=task.f_init)
-    prev_right_last = int(sweeper.h_top[-1]) if start_row > 0 else 0
     ckpt_stride = max(1, int(task.checkpoint_blocks)) * block_rows
 
     row_edges = list(range(start_row, m, block_rows)) + [m]
@@ -373,17 +372,16 @@ def sweep_slab(
                 _, span_start, span_end = recorder.records[-1]
                 instruments.block_computed(span_end - span_start,
                                            cells=rows * slab.cols)
-        sweeper.advance(result, r0)
+        h_right, e_right, corner_out = sweeper.advance(result, r0)
 
         if send_link is not None:
             progress.beat(slot, r0, "send")
             with recorder.span("d2h"):
-                send_link.send_border(result.h_right, result.e_right,
-                                      prev_right_last, timeout=border_timeout_s)
+                send_link.send_border(h_right, e_right, corner_out,
+                                      timeout=border_timeout_s)
             if instruments is not None:
                 instruments.border_sent(
-                    result.h_right.nbytes + result.e_right.nbytes + HEADER_BYTES)
-            prev_right_last = int(result.h_right[-1])
+                    h_right.nbytes + e_right.nbytes + HEADER_BYTES)
         if task.checkpoints is not None and (r1 == m or r1 % ckpt_stride == 0):
             progress.beat(slot, r0, "checkpoint")
             counters = sweeper.counters()

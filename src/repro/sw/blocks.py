@@ -3,11 +3,11 @@
 The paper's GPUs compute the huge SW matrix as a grid of rectangular
 blocks processed in wavefront order; neighbouring blocks exchange border
 vectors (bottom row downwards, right column rightwards).  This module
-provides the grid geometry, the per-block compute wrapper around
-:func:`repro.sw.kernel.sweep_block`, and a single-device blocked executor
-that the CPU baseline and the tests use.  The multi-GPU engine in
-:mod:`repro.multigpu` reuses the same block contract but distributes block
-columns over devices.
+provides the grid geometry, the one block-row step every engine runs
+(:class:`SlabSweep`: a column slab swept in block rows, handing its right
+border to the next slab), and the single-device blocked executor
+:func:`compute_blocked`, which treats each block column of its grid as
+such a slab.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from typing import Iterator
 
 import numpy as np
 
+from ..comm.scoreboard import LocalScoreboard
 from ..errors import ConfigError
 from ..seq.scoring import Scoring
 from .batched import BlockJob, KernelWorkspace, sweep_wavefront, validate_kernel
 from .compiled import sweep_block_compiled
+from .config import AlignConfig
 from .constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
 from .kernel import BestCell, BlockResult, build_profile, sweep_block
 from .pruning import BlockPruner
@@ -82,39 +84,6 @@ def wavefront_order(n_block_rows: int, n_block_cols: int) -> Iterator[list[tuple
         yield diag
 
 
-@dataclass
-class BlockBoundaries:
-    """Input boundaries of one block (global coordinates irrelevant here)."""
-
-    h_top: np.ndarray
-    f_top: np.ndarray
-    h_left: np.ndarray
-    e_left: np.ndarray
-    h_diag: int
-
-
-def origin_boundaries(spec: BlockSpec, *, local: bool, scoring: Scoring) -> BlockBoundaries:
-    """Boundaries for blocks touching the matrix's top/left edge."""
-    if local:
-        h_top = np.zeros(spec.cols, dtype=DTYPE)
-        h_left = np.zeros(spec.rows, dtype=DTYPE)
-        h_diag = 0
-    else:
-        j = np.arange(spec.col0 + 1, spec.col1 + 1, dtype=DTYPE)
-        i = np.arange(spec.row0 + 1, spec.row1 + 1, dtype=DTYPE)
-        h_top = (-scoring.gap_open - j * scoring.gap_extend).astype(DTYPE)
-        h_left = (-scoring.gap_open - i * scoring.gap_extend).astype(DTYPE)
-        if spec.row0 == 0 and spec.col0 == 0:
-            h_diag = 0
-        elif spec.row0 == 0:
-            h_diag = -scoring.gap_open - spec.col0 * scoring.gap_extend
-        else:
-            h_diag = -scoring.gap_open - spec.row0 * scoring.gap_extend
-    f_top = np.full(spec.cols, NEG_INF, dtype=DTYPE)
-    e_left = np.full(spec.rows, NEG_INF, dtype=DTYPE)
-    return BlockBoundaries(h_top, f_top, h_left, e_left, h_diag)
-
-
 def pruned_border_result(spec: BlockSpec) -> BlockResult:
     """Borders emitted for a pruned block (local mode only).
 
@@ -137,9 +106,12 @@ class SlabSweep:
     """One column slab's rolling block-row sweep, the step every chain
     device runs (simulated or real): per block row an engine asks
     :meth:`prune`, takes :meth:`restart` borders or runs :meth:`sweep`,
-    then hands the result to :meth:`advance`.  It holds the slab's top
-    border (*h_top*/*f_top* resume part-way down), best cell and
-    counters; time, transport and tracing stay with the engine."""
+    then hands the result to :meth:`advance`, which returns the right
+    border for the next slab.  A caller stacking several slabs' block
+    rows into one batched sweep builds each with :meth:`job` and counts
+    each result with :meth:`tally`.  It holds the slab's top border
+    (*h_top*/*f_top* resume part-way down), best cell and counters;
+    time, transport and tracing stay with the engine."""
 
     def __init__(self, config, scoring: Scoring, profile: np.ndarray,
                  col0: int, col1: int, *, m: int, n_cols: int,
@@ -160,6 +132,9 @@ class SlabSweep:
         self.f_top = np.array(np.full(w, NEG_INF) if f_top is None else f_top,
                               dtype=DTYPE)
         self.best = best
+        # H(r0 - 1, col1 - 1) of the next block row: the corner the right
+        # neighbour's block enters through.
+        self.corner_out = int(self.h_top[-1])
         self.pruner = BlockPruner(match=scoring.match) if config.pruning else None
         self.blocks_narrow = self.blocks_wide = self.dtype_escalations = 0
 
@@ -181,22 +156,31 @@ class SlabSweep:
         """The restart borders a skipped block row emits."""
         return pruned_border_result(BlockSpec(r0, r1, self.col0, self.col1))
 
+    def job(self, a_rows: np.ndarray, h_left: np.ndarray,
+            e_left: np.ndarray, corner: int) -> BlockJob:
+        """The next block row as one job of a stacked batched sweep."""
+        return BlockJob(a_rows, self.profile, self.h_top, self.f_top,
+                        h_left, e_left, corner)
+
     def sweep(self, a_rows: np.ndarray, h_left: np.ndarray,
               e_left: np.ndarray, corner: int) -> BlockResult:
         """Sweep the next block row with the config's kernel, counting
         the narrow-DP outcome."""
-        dp = self.dp
         if self.kernel == "batched":
-            job = BlockJob(a_rows, self.profile, self.h_top, self.f_top,
-                           h_left, e_left, corner)
-            result = sweep_wavefront([job], self.scoring, local=True,
-                                     workspace=self.workspace, dp=dp)[0]
+            result = sweep_wavefront([self.job(a_rows, h_left, e_left, corner)],
+                                     self.scoring, local=True,
+                                     workspace=self.workspace, dp=self.dp)[0]
         else:
             sweep = (sweep_block_compiled if self.kernel == "compiled"
                      else sweep_block)
             result = sweep(a_rows, self.profile, self.h_top, self.f_top,
                            h_left, e_left, corner, self.scoring, local=True,
-                           dp=dp)
+                           dp=self.dp)
+        return self.tally(result)
+
+    def tally(self, result: BlockResult) -> BlockResult:
+        """Count a swept block row's narrow-DP outcome (whoever swept it)."""
+        dp = self.dp
         if dp is not None:
             narrow, esc = int(result.dtype == dp.name), int(result.escalated)
             self.blocks_narrow += narrow
@@ -207,15 +191,21 @@ class SlabSweep:
                                              escalations=esc)
         return result
 
-    def advance(self, result: BlockResult, r0: int) -> None:
-        """Roll the top border past the block row starting at *r0* and
-        publish a better best cell to the chain's scoreboard."""
+    def advance(self, result: BlockResult,
+                r0: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Roll the top border past the block row starting at *r0*,
+        publish a better best cell to the chain's scoreboard and return
+        the right border ``(h_right, e_right, corner)`` the next slab
+        takes as its left input."""
+        border = (result.h_right, result.e_right, self.corner_out)
+        self.corner_out = int(result.h_right[-1])
         self.h_top, self.f_top = result.h_bottom, result.f_bottom
         cell = result.best.shifted(r0, self.col0)
         if cell.better_than(self.best):
             self.best = cell
             if self.pruner is not None:
                 self.scoreboard.publish(self.slot, cell.score)
+        return border
 
     def counters(self) -> dict[str, int]:
         """The prune and narrow-DP counters, by result-field name."""
@@ -237,6 +227,7 @@ class BlockedOutcome:
     blocks_pruned: int
     cells_total: int
     cells_pruned: int
+    blocks_checked: int = 0
     #: DP dtype policy the run resolved to, plus how many swept blocks
     #: actually computed narrow vs. wide (escalations + entry rejects);
     #: all zero under the plain int32 policy.
@@ -250,15 +241,6 @@ class BlockedOutcome:
         return self.cells_pruned / self.cells_total if self.cells_total else 0.0
 
 
-def _edge_diag(spec: BlockSpec, *, local: bool, scoring: Scoring) -> int:
-    """``h_diag`` for a block touching the top or left matrix edge when
-    the *other* boundary comes from a computed neighbour."""
-    if local:
-        return 0
-    offset = spec.col0 if spec.row0 == 0 else spec.row0
-    return -scoring.gap_open - offset * scoring.gap_extend
-
-
 def compute_blocked(
     a_codes: np.ndarray,
     b_codes: np.ndarray,
@@ -266,30 +248,31 @@ def compute_blocked(
     *,
     block_rows: int = 512,
     block_cols: int = 512,
-    local: bool = True,
-    pruner: BlockPruner | None = None,
+    pruning: bool = False,
     kernel: str = "scalar",
     workspace: KernelWorkspace | None = None,
     dp_dtype: str | DpPolicy = "auto",
 ) -> BlockedOutcome:
-    """Compute the whole matrix block-by-block on one device.
+    """Compute the local-alignment matrix block by block on one device.
 
-    Produces exactly the same best cell as a monolithic
-    :func:`repro.sw.kernel.sw_score` sweep (tested cell-exactly); with a
-    *pruner* (local mode only), blocks that provably cannot influence the
-    optimum are skipped and replaced by :func:`pruned_border_result`.
+    Each block column is a :class:`SlabSweep`, the step a chain device
+    runs, and all of them share one
+    :class:`~repro.comm.scoreboard.LocalScoreboard`.  A block's left input
+    is its left neighbour's right border, as a chain device hands it on.
+    The best cell equals a monolithic :func:`repro.sw.kernel.sw_score`
+    sweep (tested cell-exactly).  With *pruning*, blocks that provably
+    cannot beat the best so far are skipped and emit
+    :func:`pruned_border_result`.
 
-    ``kernel="scalar"`` sweeps blocks one at a time in row-major order;
-    ``kernel="batched"`` walks the grid in wavefront order and executes
-    every surviving block of an anti-diagonal in one stacked
-    :func:`~repro.sw.batched.sweep_wavefront` call (same scores, end
-    points, and borders — pruning *decisions* may differ because the
-    batched schedule sees best-so-far updates one diagonal later).  A
+    One loop serves every kernel; only the grouping of blocks differs.
+    ``"scalar"`` and ``"compiled"`` visit blocks one at a time in
+    row-major order.  ``"batched"`` visits each anti-diagonal of
+    :func:`wavefront_order` and stacks its surviving blocks into one
+    :func:`~repro.sw.batched.sweep_wavefront` call.  A group's prune
+    decisions are all made before any of it is swept, so the batched
+    grouping sees best-so-far updates one diagonal later and may prune
+    slightly less; scores, end points and borders are the same.  A
     caller-supplied *workspace* lets repeated batched runs share scratch.
-    ``kernel="compiled"`` runs the scalar schedule with the jitted fused
-    sweep (:func:`~repro.sw.compiled.sweep_block_compiled`) per block —
-    identical pruning decisions to scalar, JIT speed (or the scalar
-    sweep itself where numba is absent).
 
     ``dp_dtype`` selects the kernels' internal compute dtype (``"auto"``,
     a name from :data:`~repro.sw.constants.DP_DTYPE_CHOICES`, or a
@@ -298,243 +281,74 @@ def compute_blocked(
     to the wide run, with the narrow/wide/escalation split reported on
     the :class:`BlockedOutcome`.
     """
-    if pruner is not None and not local:
-        raise ConfigError("block pruning applies to local alignment only")
     validate_kernel(kernel)
     m, n = int(a_codes.size), int(b_codes.size)
     if isinstance(dp_dtype, DpPolicy):
         policy = dp_dtype
     else:
         policy = resolve_dp_dtype(dp_dtype, scoring, block_cols=block_cols,
-                                  m=m, n=n, local=local)
+                                  m=m, n=n, local=True)
     dp = policy if policy.narrow else None
     specs = grid_specs(m, n, block_rows, block_cols)
-    profile_full = build_profile(b_codes, scoring)
+    n_brows, n_bcols = len(specs), len(specs[0])
+    profile = build_profile(b_codes, scoring)
+    if kernel == "batched" and workspace is None:
+        workspace = KernelWorkspace()
+    config = AlignConfig(kernel=kernel, pruning=pruning)
+    scoreboard = LocalScoreboard() if pruning else None
+    sweepers = [
+        SlabSweep(config, scoring, profile[:, spec.col0:spec.col1],
+                  spec.col0, spec.col1, m=m, n_cols=n, dp=dp,
+                  scoreboard=scoreboard, workspace=workspace)
+        for spec in specs[0]]
+    # borders[bc]: the right border block column bc emitted last, the left
+    # input of column bc + 1's next block.
+    borders: list[tuple[np.ndarray, np.ndarray, int] | None] = [None] * n_bcols
     if kernel == "batched":
-        return _compute_blocked_wavefront(
-            a_codes, profile_full, scoring, specs, m, n,
-            local=local, pruner=pruner, workspace=workspace,
-            dp=dp, dp_name=policy.name)
-    # "compiled" shares the scalar rolling-border schedule (so pruning
-    # decisions match the scalar kernel block-for-block) with the jitted
-    # sweep swapped in per block.
-    sweep_fn = sweep_block_compiled if kernel == "compiled" else sweep_block
-    n_brows, n_bcols = len(specs), len(specs[0])
+        groups = wavefront_order(n_brows, n_bcols)
+    else:
+        groups = ([(br, bc)] for br in range(n_brows) for bc in range(n_bcols))
 
-    # Rolling borders: bottom borders of the previous block row (per block
-    # column) and right borders of the previous block column (per block row).
-    bottom: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_bcols
-    right: tuple[np.ndarray, np.ndarray] | None = None
-    # corner[bc] = H at (row above current block row, last col of block bc-1)
-    corners = [0] * (n_bcols + 1)
+    cells_pruned = 0
+    for group in groups:
+        # Decide the whole group, then sweep it, then roll its borders: no
+        # block of a group feeds another, so none may see its output.
+        swept, done = [], []
+        for br, bc in group:
+            spec, sweeper = specs[br][bc], sweepers[bc]
+            if bc:
+                h_left, e_left, corner = borders[bc - 1]  # type: ignore[misc]
+            else:
+                h_left = np.zeros(spec.rows, dtype=DTYPE)
+                e_left = np.full(spec.rows, NEG_INF, dtype=DTYPE)
+                corner = 0
+            if sweeper.prune(spec.row0, spec.row1, h_left, corner):
+                cells_pruned += spec.cells
+                done.append((bc, spec.row0,
+                             sweeper.restart(spec.row0, spec.row1)))
+            else:
+                swept.append((bc, spec.row0, (a_codes[spec.row0:spec.row1],
+                                              h_left, e_left, corner)))
+        if kernel == "batched":
+            stacked = sweep_wavefront(
+                [sweepers[bc].job(*args) for bc, _, args in swept],
+                scoring, local=True, workspace=workspace, dp=dp)
+            results = [sweepers[bc].tally(result)
+                       for (bc, _, _), result in zip(swept, stacked)]
+        else:
+            results = [sweepers[bc].sweep(*args) for bc, _, args in swept]
+        done += [(bc, r0, result)
+                 for (bc, r0, _), result in zip(swept, results)]
+        for bc, r0, result in done:
+            borders[bc] = sweepers[bc].advance(result, r0)
 
     best = BestCell.none()
-    blocks_pruned = 0
-    cells_pruned = 0
-    blocks_narrow = 0
-    blocks_wide = 0
-    escalations = 0
-    for br in range(n_brows):
-        right = None
-        row_corner_updates = [0] * (n_bcols + 1)
-        for bc in range(n_bcols):
-            spec = specs[br][bc]
-            if br == 0 or bc == 0:
-                # Only edge blocks keep any origin border; interior blocks
-                # overwrite all four, so skip the allocations entirely.
-                bnd = origin_boundaries(spec, local=local, scoring=scoring)
-                if br > 0:
-                    bnd.h_top, bnd.f_top = bottom[bc]  # type: ignore[misc]
-                    bnd.h_diag = _edge_diag(spec, local=local, scoring=scoring)
-                elif bc > 0:
-                    bnd.h_left, bnd.e_left = right  # type: ignore[misc]
-                    bnd.h_diag = _edge_diag(spec, local=local, scoring=scoring)
-            else:
-                h_top, f_top = bottom[bc]  # type: ignore[misc]
-                h_left, e_left = right  # type: ignore[misc]
-                bnd = BlockBoundaries(h_top, f_top, h_left, e_left, corners[bc])
-
-            if pruner is not None and pruner.should_prune(
-                spec,
-                m,
-                n,
-                int(bnd.h_top.max(initial=NEG_INF)),
-                int(bnd.h_left.max(initial=NEG_INF)),
-                best.score if best.row >= 0 else 0,
-                corner=int(bnd.h_diag),
-            ):
-                result = pruned_border_result(spec)
-                blocks_pruned += 1
-                cells_pruned += spec.cells
-            else:
-                result = sweep_fn(
-                    a_codes[spec.row0 : spec.row1],
-                    profile_full[:, spec.col0 : spec.col1],
-                    bnd.h_top,
-                    bnd.f_top,
-                    bnd.h_left,
-                    bnd.e_left,
-                    bnd.h_diag,
-                    scoring,
-                    local=local,
-                    dp=dp,
-                )
-                if dp is not None:
-                    if result.dtype == dp.name:
-                        blocks_narrow += 1
-                    else:
-                        blocks_wide += 1
-                    if result.escalated:
-                        escalations += 1
-                cell = result.best.shifted(spec.row0, spec.col0)
-                if cell.better_than(best):
-                    best = cell
-
-            bottom[bc] = (result.h_bottom, result.f_bottom)
-            right = (result.h_right, result.e_right)
-            # The corner for block (br+1, bc+1) is H at (spec.row1-1,
-            # spec.col1-1) == result.corner.
-            row_corner_updates[bc + 1] = result.corner
-        corners = row_corner_updates
-
-    total_blocks = n_brows * n_bcols
-    return BlockedOutcome(
-        best=best,
-        blocks_total=total_blocks,
-        blocks_pruned=blocks_pruned,
-        cells_total=m * n,
-        cells_pruned=cells_pruned,
-        dp_dtype=policy.name,
-        blocks_narrow=blocks_narrow,
-        blocks_wide=blocks_wide,
-        dtype_escalations=escalations,
-    )
-
-
-def _store_borders(
-    br: int,
-    bc: int,
-    result: BlockResult,
-    n_brows: int,
-    n_bcols: int,
-    bottom: dict,
-    right: dict,
-    corner: dict,
-) -> None:
-    """File one block's output borders for its downstream neighbours
-    (skipping matrix-edge destinations that will never consume them)."""
-    if br + 1 < n_brows:
-        bottom[(br + 1, bc)] = (result.h_bottom, result.f_bottom)
-    if bc + 1 < n_bcols:
-        right[(br, bc + 1)] = (result.h_right, result.e_right)
-    if br + 1 < n_brows and bc + 1 < n_bcols:
-        corner[(br + 1, bc + 1)] = result.corner
-
-
-def _compute_blocked_wavefront(
-    a_codes: np.ndarray,
-    profile_full: np.ndarray,
-    scoring: Scoring,
-    specs: list[list[BlockSpec]],
-    m: int,
-    n: int,
-    *,
-    local: bool,
-    pruner: BlockPruner | None,
-    workspace: KernelWorkspace | None,
-    dp: DpPolicy | None = None,
-    dp_name: str = "int32",
-) -> BlockedOutcome:
-    """Wavefront executor: one batched sweep per external anti-diagonal.
-
-    Borders are keyed per block and popped as they are consumed, so the
-    resident set stays one wavefront deep — the same O(m + n) border
-    memory as the rolling scalar schedule.
-    """
-    n_brows, n_bcols = len(specs), len(specs[0])
-    ws = workspace if workspace is not None else KernelWorkspace()
-
-    bottom: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    right: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    corner: dict[tuple[int, int], int] = {}
-
-    best = BestCell.none()
-    blocks_pruned = 0
-    cells_pruned = 0
-    blocks_narrow = 0
-    blocks_wide = 0
-    escalations = 0
-    for diag in wavefront_order(n_brows, n_bcols):
-        jobs: list[BlockJob] = []
-        placed: list[tuple[int, int, BlockSpec]] = []
-        for br, bc in diag:
-            spec = specs[br][bc]
-            if br == 0 or bc == 0:
-                bnd = origin_boundaries(spec, local=local, scoring=scoring)
-                if br > 0:
-                    bnd.h_top, bnd.f_top = bottom.pop((br, bc))
-                    bnd.h_diag = _edge_diag(spec, local=local, scoring=scoring)
-                elif bc > 0:
-                    bnd.h_left, bnd.e_left = right.pop((br, bc))
-                    bnd.h_diag = _edge_diag(spec, local=local, scoring=scoring)
-            else:
-                h_top, f_top = bottom.pop((br, bc))
-                h_left, e_left = right.pop((br, bc))
-                bnd = BlockBoundaries(h_top, f_top, h_left, e_left,
-                                      corner.pop((br, bc)))
-
-            if pruner is not None and pruner.should_prune(
-                spec,
-                m,
-                n,
-                int(bnd.h_top.max(initial=NEG_INF)),
-                int(bnd.h_left.max(initial=NEG_INF)),
-                best.score if best.row >= 0 else 0,
-                corner=int(bnd.h_diag),
-            ):
-                # Pruned blocks drop out of the batch: their restart
-                # borders are constant, no sweep lane needed.
-                result = pruned_border_result(spec)
-                blocks_pruned += 1
-                cells_pruned += spec.cells
-                _store_borders(br, bc, result, n_brows, n_bcols,
-                               bottom, right, corner)
-                continue
-
-            jobs.append(BlockJob(
-                a_codes=a_codes[spec.row0 : spec.row1],
-                profile=profile_full[:, spec.col0 : spec.col1],
-                h_top=bnd.h_top,
-                f_top=bnd.f_top,
-                h_left=bnd.h_left,
-                e_left=bnd.e_left,
-                h_diag=bnd.h_diag,
-            ))
-            placed.append((br, bc, spec))
-
-        for (br, bc, spec), result in zip(placed, sweep_wavefront(
-                jobs, scoring, local=local, workspace=ws, dp=dp)):
-            if dp is not None:
-                if result.dtype == dp.name:
-                    blocks_narrow += 1
-                else:
-                    blocks_wide += 1
-                if result.escalated:
-                    escalations += 1
-            cell = result.best.shifted(spec.row0, spec.col0)
-            if cell.better_than(best):
-                best = cell
-            _store_borders(br, bc, result, n_brows, n_bcols,
-                           bottom, right, corner)
-
-    return BlockedOutcome(
-        best=best,
-        blocks_total=n_brows * n_bcols,
-        blocks_pruned=blocks_pruned,
-        cells_total=m * n,
-        cells_pruned=cells_pruned,
-        dp_dtype=dp_name,
-        blocks_narrow=blocks_narrow,
-        blocks_wide=blocks_wide,
-        dtype_escalations=escalations,
-    )
+    counters = dict.fromkeys(sweepers[0].counters(), 0)
+    for sweeper in sweepers:
+        if sweeper.best.better_than(best):
+            best = sweeper.best
+        for name, value in sweeper.counters().items():
+            counters[name] += value
+    return BlockedOutcome(best=best, blocks_total=n_brows * n_bcols,
+                          cells_total=m * n, cells_pruned=cells_pruned,
+                          dp_dtype=policy.name, **counters)

@@ -23,12 +23,14 @@ true cells, so downstream blocks never overestimate, and since no optimal
 path crosses a pruned block the final best score is exact.
 
 Schedule interaction: the criterion reads the *best-so-far* score, so how
-much gets pruned depends on the visiting order.  The scalar row-major
-executor updates best-so-far within an anti-diagonal; the batched
-wavefront executor (``kernel="batched"``) decides a whole diagonal at
-once, so its decisions lag by up to one diagonal and it may prune
-slightly less.  Both schedules are exact — only the pruned *counts*
-differ, never the score or end point.
+much gets pruned depends on the visiting order.  The one blocked loop
+(:func:`repro.sw.blocks.compute_blocked`) decides a whole group of blocks
+before sweeping any of it.  The scalar and ``compiled`` kernels visit
+single blocks in row-major order, so every decision sees the best of
+every block before it.  The batched kernel's groups are anti-diagonals,
+so its decisions lag by up to one diagonal and it may prune slightly
+less.  Both groupings are exact: only the pruned *counts* differ, never
+the score or end point.
 """
 
 from __future__ import annotations
@@ -44,19 +46,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class BlockPruner:
-    """Stateful pruning oracle used by the blocked executors.
+    """Stateful pruning oracle of one :class:`~repro.sw.blocks.SlabSweep`.
 
     Attributes
     ----------
     match:
         The (positive) match score of the scheme in use — the per-diagonal
         gain bound.
-    enabled:
-        Allows callers to keep one code path and toggle pruning.
     """
 
     match: int
-    enabled: bool = True
     blocks_checked: int = field(default=0, init=False)
     blocks_pruned: int = field(default=0, init=False)
 
@@ -90,8 +89,6 @@ class BlockPruner:
     ) -> bool:
         """True when the block provably cannot improve on *best_score*;
         *corner* is the diagonal entry ``H(row0 - 1, col0 - 1)``."""
-        if not self.enabled:
-            return False
         self.blocks_checked += 1
         if best_score <= 0:
             return False
@@ -100,7 +97,3 @@ class BlockPruner:
             self.blocks_pruned += 1
             return True
         return False
-
-    @property
-    def pruned_ratio(self) -> float:
-        return self.blocks_pruned / self.blocks_checked if self.blocks_checked else 0.0

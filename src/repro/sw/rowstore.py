@@ -93,12 +93,6 @@ class BudgetedRowStore:
     def row_indices(self) -> list[int]:
         return sorted(set(self._mem) | set(self._spilled))
 
-    def __contains__(self, row: int) -> bool:
-        return row in self._mem or row in self._spilled
-
-    def __getitem__(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.load(row)
-
     @property
     def bytes_stored(self) -> int:
         return self.stats.bytes_in_memory + self.stats.bytes_spilled

@@ -24,7 +24,6 @@ from repro.seq import DNA_DEFAULT
 from repro.sw import (
     KERNELS,
     BlockJob,
-    BlockPruner,
     KernelWorkspace,
     ProfileCache,
     cached_profile,
@@ -238,20 +237,18 @@ class TestKernelSelector:
             compute_blocked(np.zeros(4, np.uint8), np.zeros(4, np.uint8),
                             DNA_DEFAULT, kernel="simd")
 
-    @pytest.mark.parametrize("local", [True, False])
-    def test_compute_blocked_batched_equals_scalar(self, rng, local):
+    def test_compute_blocked_batched_equals_scalar(self, rng):
         scoring = random_scoring(rng)
         a = random_codes(rng, 150, with_n=True)
         b = random_codes(rng, 190, with_n=True)
-        ref = compute_blocked(a, b, scoring, block_rows=32, block_cols=48,
-                              local=local)
+        ref = compute_blocked(a, b, scoring, block_rows=32, block_cols=48)
         ws = KernelWorkspace()
         got = compute_blocked(a, b, scoring, block_rows=32, block_cols=48,
-                              local=local, kernel="batched", workspace=ws)
+                              kernel="batched", workspace=ws)
         assert got.best == ref.best
         misses = ws.misses
         again = compute_blocked(a, b, scoring, block_rows=32, block_cols=48,
-                                local=local, kernel="batched", workspace=ws)
+                                kernel="batched", workspace=ws)
         assert again.best == ref.best
         assert ws.misses == misses  # workspace amortised the second run
 
@@ -259,10 +256,9 @@ class TestKernelSelector:
         a = random_codes(rng, 300)
         b = mutated_copy(rng, a, snp_rate=0.03)
         ref = compute_blocked(a, b, DNA_DEFAULT, block_rows=32, block_cols=32,
-                              pruner=BlockPruner(match=DNA_DEFAULT.match))
+                              pruning=True)
         got = compute_blocked(a, b, DNA_DEFAULT, block_rows=32, block_cols=32,
-                              pruner=BlockPruner(match=DNA_DEFAULT.match),
-                              kernel="batched")
+                              pruning=True, kernel="batched")
         assert got.best == ref.best
         assert got.blocks_pruned > 0  # the batched schedule still prunes
 

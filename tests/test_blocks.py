@@ -15,7 +15,6 @@ from repro.sw.blocks import (
     pruned_border_result,
     wavefront_order,
 )
-from repro.sw.pruning import BlockPruner
 
 from helpers import mutated_copy, random_codes, random_scoring
 
@@ -88,19 +87,6 @@ class TestBlockedExecutor:
             if want > 0:
                 assert (out.best.row, out.best.col) == (wi, wj)
 
-    def test_global_mode_equals_oracle(self, rng):
-        for _ in range(10):
-            m = int(rng.integers(2, 30))
-            n = int(rng.integers(2, 30))
-            a = random_codes(rng, m)
-            b = random_codes(rng, n)
-            sc = random_scoring(rng)
-            mats = naive.full_matrices(a, b, sc, local=False)
-            # Global best cell equals oracle's max H (blocked executor
-            # tracks the best cell in both modes).
-            out = compute_blocked(a, b, sc, block_rows=7, block_cols=9, local=False)
-            assert out.best.score == int(mats.H[1:, 1:].max())
-
     def test_block_accounting(self, rng):
         a = random_codes(rng, 20)
         b = random_codes(rng, 30)
@@ -110,13 +96,6 @@ class TestBlockedExecutor:
         assert out.blocks_pruned == 0
         assert out.pruned_fraction == 0.0
 
-    def test_pruner_rejected_in_global_mode(self, rng):
-        a = random_codes(rng, 5)
-        b = random_codes(rng, 5)
-        with pytest.raises(ConfigError):
-            compute_blocked(a, b, DNA_DEFAULT, local=False,
-                            pruner=BlockPruner(match=1))
-
 
 class TestPrunedExactness:
     def test_similar_sequences_prune_and_stay_exact(self, rng):
@@ -124,9 +103,8 @@ class TestPrunedExactness:
             a = random_codes(rng, 400)
             b = mutated_copy(rng, a, snp)
             base = compute_blocked(a, b, DNA_DEFAULT, block_rows=32, block_cols=32)
-            pruner = BlockPruner(match=DNA_DEFAULT.match)
             pruned = compute_blocked(a, b, DNA_DEFAULT, block_rows=32, block_cols=32,
-                                     pruner=pruner)
+                                     pruning=True)
             assert pruned.best.score == base.best.score
             if snp <= 0.1:
                 assert pruned.cells_pruned > 0
@@ -137,7 +115,7 @@ class TestPrunedExactness:
         for snp in (0.02, 0.2, 0.5):
             b = mutated_copy(rng, a, snp)
             out = compute_blocked(a, b, DNA_DEFAULT, block_rows=32, block_cols=32,
-                                  pruner=BlockPruner(match=1))
+                                  pruning=True)
             fractions.append(out.pruned_fraction)
         assert fractions[0] > fractions[1] >= fractions[2]
 
@@ -148,3 +126,53 @@ class TestPrunedExactness:
         assert res.h_right.shape == (4,)
         assert (res.h_bottom == 0).all()
         assert res.best.row == -1
+
+
+class TestPinnedDecisions:
+    """Exact prune and narrow-DP decision counts of the blocked executor
+    per kernel.  Scores alone cannot catch a grouping change that prunes
+    or narrows differently; these counts can."""
+
+    # (seed, m, n, snp rate or None for an unrelated pair, block_rows,
+    #  block_cols, dp_dtype)
+    CONFIGS = {
+        "similar-auto": (11, 300, 280, 0.02, 32, 48, "auto"),
+        "similar-int8-odd": (12, 400, 400, 0.05, 37, 29, "int8"),
+        "divergent-auto-odd": (13, 250, 310, None, 23, 41, "auto"),
+        "divergent-int8-thin": (14, 200, 200, None, 64, 17, "int8"),
+        "looser-auto": (15, 360, 330, 0.1, 50, 50, "auto"),
+        "close-int8-odd": (16, 180, 220, 0.01, 13, 31, "int8"),
+    }
+    # ((score, row, col), blocks_pruned, cells_pruned, blocks_narrow,
+    #  blocks_wide, dtype_escalations); "compiled" shares scalar's row.
+    EXPECTED = {
+        ("similar-auto", "scalar"): ((260, 279, 279), 27, 34336, 33, 0, 0),
+        ("similar-auto", "batched"): ((260, 279, 279), 26, 32544, 34, 0, 0),
+        ("similar-int8-odd", "scalar"): ((300, 399, 399), 66, 66384, 52, 36, 36),
+        ("similar-int8-odd", "batched"): ((300, 399, 399), 66, 66384, 52, 36, 36),
+        ("divergent-auto-odd", "scalar"): ((7, 56, 174), 0, 0, 88, 0, 0),
+        ("divergent-auto-odd", "batched"): ((7, 56, 174), 0, 0, 88, 0, 0),
+        ("divergent-int8-thin", "scalar"): ((7, 120, 119), 0, 0, 48, 0, 0),
+        ("divergent-int8-thin", "batched"): ((7, 120, 119), 0, 0, 48, 0, 0),
+        ("looser-auto", "scalar"): ((231, 326, 326), 24, 40800, 32, 0, 0),
+        ("looser-auto", "batched"): ((231, 326, 326), 24, 40800, 32, 0, 0),
+        ("close-int8-odd", "scalar"): ((168, 179, 179), 33, 12287, 35, 16, 16),
+        ("close-int8-odd", "batched"): ((168, 179, 179), 35, 12937, 33, 16, 16),
+    }
+
+    @pytest.mark.parametrize("kernel", ["scalar", "compiled", "batched"])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_decisions_pinned(self, name, kernel):
+        seed, m, n, snp, block_rows, block_cols, dp_dtype = self.CONFIGS[name]
+        rng = np.random.default_rng(seed)
+        a = random_codes(rng, m)
+        b = (random_codes(rng, n) if snp is None
+             else mutated_copy(rng, a, snp)[:n])
+        out = compute_blocked(a, b, DNA_DEFAULT, block_rows=block_rows,
+                              block_cols=block_cols, pruning=True,
+                              kernel=kernel, dp_dtype=dp_dtype)
+        got = ((out.best.score, out.best.row, out.best.col), out.blocks_pruned,
+               out.cells_pruned, out.blocks_narrow, out.blocks_wide,
+               out.dtype_escalations)
+        row = "batched" if kernel == "batched" else "scalar"
+        assert got == self.EXPECTED[name, row]

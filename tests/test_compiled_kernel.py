@@ -36,7 +36,6 @@ from repro.sw.config import AlignConfig
 from repro.sw.constants import DTYPE, get_policy
 from repro.sw.kernel import build_profile, local_boundaries, sweep_block
 from repro.sw.naive import sw_score_naive
-from repro.sw.pruning import BlockPruner
 from repro.sw.scan import escan_row, escan_segmented
 from repro.workloads import random_dna
 
@@ -284,9 +283,8 @@ class TestCompiledSweepDifferential:
         b = mutated_copy(rng, a, 0.04)
 
         def run(kernel):
-            pruner = BlockPruner(match=DNA_DEFAULT.match) if prune else None
             return compute_blocked(a, b, DNA_DEFAULT, block_rows=32,
-                                   block_cols=48, pruner=pruner,
+                                   block_cols=48, pruning=prune,
                                    kernel=kernel, dp_dtype=dp_dtype)
 
         scalar = run("scalar")

@@ -43,12 +43,6 @@ class TestShouldPrune:
         p = BlockPruner(match=1)
         assert not p.should_prune(spec(row0=0, col0=0), 1000, 1000, 0, 0, best_score=100)
 
-    def test_disabled_pruner_never_prunes(self):
-        p = BlockPruner(match=1, enabled=False)
-        s = spec(row0=990, col0=990, rows=5, cols=5)
-        assert not p.should_prune(s, 1000, 1000, 0, 0, best_score=10**6)
-        assert p.blocks_checked == 0
-
     def test_ratio_accounting(self):
         p = BlockPruner(match=1)
         s_near_end = spec(row0=995, col0=995, rows=4, cols=4)
@@ -57,10 +51,10 @@ class TestShouldPrune:
         p.should_prune(s_at_start, 1000, 1000, 0, 0, best_score=50)
         assert p.blocks_checked == 2
         assert p.blocks_pruned == 1
-        assert p.pruned_ratio == 0.5
 
-    def test_zero_checked_ratio(self):
-        assert BlockPruner(match=1).pruned_ratio == 0.0
+    def test_fresh_pruner_counts_nothing(self):
+        p = BlockPruner(match=1)
+        assert (p.blocks_checked, p.blocks_pruned) == (0, 0)
 
     def test_corner_entry_counts(self):
         """A path may enter through the diagonal corner, which can exceed
@@ -83,8 +77,7 @@ class TestShouldPrune:
         codes = np.array([2, 0, 0], dtype=np.uint8)
         scoring = Scoring(match=1, mismatch=0, gap_open=0, gap_extend=1)
         out = compute_blocked(codes, codes, scoring, block_rows=1,
-                              block_cols=1, pruner=BlockPruner(match=1),
-                              kernel=kernel)
+                              block_cols=1, pruning=True, kernel=kernel)
         want, wi, wj = sw_score_naive(codes, codes, scoring)
         assert (out.best.score, out.best.row, out.best.col) == (want, wi, wj)
 

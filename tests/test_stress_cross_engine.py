@@ -36,7 +36,6 @@ from repro.multigpu.partition import proportional_partition
 from repro.seq import DNA_DEFAULT, Scoring
 from repro.sw import (
     BlockJob,
-    BlockPruner,
     align_local,
     build_profile,
     compute_blocked,
@@ -81,7 +80,7 @@ class TestAllEnginesAgree:
     def test_blocked_pruned(self, workload, reference):
         a, b = workload
         out = compute_blocked(a, b, DNA_DEFAULT, block_rows=64, block_cols=64,
-                              pruner=BlockPruner(match=DNA_DEFAULT.match))
+                              pruning=True)
         assert out.best.score == reference.score
         assert out.cells_pruned > 0  # similarity high enough to prune
 
@@ -262,9 +261,8 @@ class TestBatchedKernelDifferential:
                           gap_open=gap_open, gap_extend=gap_extend)
 
         def run(kernel, pruned):
-            pruner = BlockPruner(match=scoring.match) if pruned else None
             return compute_blocked(a, b, scoring, block_rows=block_rows,
-                                   block_cols=block_cols, pruner=pruner,
+                                   block_cols=block_cols, pruning=pruned,
                                    kernel=kernel)
 
         oracle = sw_score_diagonal(a, b, scoring)

@@ -91,12 +91,12 @@ class TestAutotuneWithSMModel:
         sm = calibrated(GTX_680.gcups, sm_count=8, min_block_cols=2048,
                         rows_per_step=8)
         dev = replace(GTX_680, sm_model=sm)
-        t = autotune((dev, dev), 20_000_000, 20_000_000,
+        t = autotune((dev, dev), 2_000_000, 2_000_000,
                      block_rows_candidates=(64, 256, 4096, 16384))
         assert t.config.block_rows >= 4096
         # Confirm on the simulator: the tuned config beats the smallest.
-        tuned = time_multi_gpu(20_000_000, 20_000_000, (dev, dev), config=t.config)
-        tiny = time_multi_gpu(20_000_000, 20_000_000, (dev, dev),
+        tuned = time_multi_gpu(2_000_000, 2_000_000, (dev, dev), config=t.config)
+        tiny = time_multi_gpu(2_000_000, 2_000_000, (dev, dev),
                               config=ChainConfig(block_rows=64,
                                                  channel_capacity=t.config.channel_capacity))
         assert tuned.gcups > tiny.gcups

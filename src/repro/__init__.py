@@ -31,20 +31,22 @@ Sub-packages:
 ===================  ====================================================
 """
 
-from . import baselines, comm, device, multigpu, obs, perf, seq, stats, sw, workloads
+from ._lazy import lazy_package
 from .errors import ReproError
-from .multigpu import (
-    ChainConfig,
-    ChainResult,
-    ProcessChainResult,
-    WorkerPool,
-    align_multi_gpu,
-    align_multi_process,
-    time_multi_gpu,
-)
-from .sw import align_local, sw_score
 
 __version__ = "1.0.0"
+
+# Sub-packages and re-exports load on first access, so a command imports
+# only what it uses.
+lazy_package(__name__, {
+    ".multigpu.chain": ("ChainConfig", "ChainResult", "align_multi_gpu",
+                        "time_multi_gpu"),
+    ".multigpu.procchain": ("ProcessChainResult", "align_multi_process"),
+    ".multigpu.pool": ("WorkerPool",),
+    ".sw.stages": ("align_local",),
+    ".sw.kernel": ("sw_score",),
+}, subpackages=("baselines", "comm", "device", "multigpu", "obs", "perf",
+                "seq", "stats", "sw", "workloads"))
 
 __all__ = [
     "baselines",

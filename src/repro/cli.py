@@ -47,25 +47,21 @@ import sys
 from dataclasses import asdict
 from typing import Sequence
 
-from . import seq, workloads
+from . import seq
 from .device import spec as device_spec
 from .device.spec import DeviceSpec
 from .errors import ReproError
-from .multigpu import (
-    TRANSPORTS,
-    ChainConfig,
-    align_multi_gpu,
-    align_multi_process,
-    autotune,
-    run_campaign_chained,
-    run_campaign_split,
-    time_multi_gpu,
-)
-from .perf import format_table, humanize_cells, humanize_time
+from .multigpu.chain import ChainConfig, align_multi_gpu, time_multi_gpu
 from .multigpu.pipeline import require_exact, trace_best
+from .multigpu.procchain import TRANSPORTS, align_multi_process
+from .perf import format_table, humanize_cells, humanize_time
 from .sw import DP_DTYPE_CHOICES, KERNEL_CHOICES, resolve_kernel
 from .sw.config import CONFIG_FIELDS, AlignConfig
 from .sw.xdrop import MODES
+
+# Everything else a subcommand needs (the workload catalog, the tuner,
+# the campaigns, statistics, serve, the HTTP exporter) is imported inside
+# that subcommand, so `mgsw align` does not load it.
 
 #: Name -> preset mapping for --gpu flags.
 PRESETS: dict[str, DeviceSpec] = {
@@ -90,6 +86,17 @@ def _devices_from_args(args: argparse.Namespace) -> tuple[DeviceSpec, ...]:
     return ENVIRONMENTS["env1"]
 
 
+def _paper_pair(name: str):
+    """The paper pair *name* (``generate``'s argument type): the workload
+    catalog loads only when ``generate`` parses it."""
+    from .workloads import get_pair
+
+    try:
+        return get_pair(name)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_device_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--env", choices=sorted(ENVIRONMENTS), default=None,
                    help="named GPU environment (default: env1)")
@@ -112,7 +119,11 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 #: argparse keywords and help for each AlignConfig field's flag.
 _CONFIG_FLAGS: dict[str, dict] = {
     "block_rows": dict(
-        type=int, help="block row height (border segment granularity)"),
+        type=int, help="block row height (border segment granularity); the "
+                       "simulated chain runs exactly this many rows, the "
+                       "process backend and serve treat it as the largest "
+                       "and run min(BLOCK_ROWS, max(64, ceil(query rows / "
+                       "(8 * workers)))) rows"),
     "kernel": dict(
         choices=KERNEL_CHOICES,
         help="block sweep kernel: scalar (one block at a time), batched "
@@ -308,6 +319,7 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
             max_restarts=args.max_restarts,
             restart_backoff_s=args.restart_backoff_s, events=journal,
             timeline=sampler)
+        config = res.config  # block_rows as the engine resolved it
         backend_keys = dict(
             workers=args.workers, transport=args.transport,
             start_method=res.start_method, heartbeat_s=heartbeat_s,
@@ -346,7 +358,9 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    pair = workloads.get_pair(args.pair)
+    from . import workloads
+
+    pair = args.pair
     human, chimp = workloads.synthesize_pair(pair, scale=args.scale, seed=args.seed)
     seq.write_fasta(args.out_a, seq.FastaRecord(
         name=f"human_{pair.name}", description=f"synthetic {pair.human_label} scale={args.scale}",
@@ -371,6 +385,8 @@ def cmd_time(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    from .multigpu.autotune import autotune
+
     devices = _devices_from_args(args)
     result = autotune(devices, args.rows, args.cols, measured=args.measured)
     print(f"devices: {', '.join(d.name for d in devices)}")
@@ -394,6 +410,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from . import workloads
+    from .multigpu.batch import run_campaign_chained, run_campaign_split
+
     devices = _devices_from_args(args)
     cfg = ChainConfig(block_rows=args.block_rows, channel_capacity=args.buffer)
     pairs = list(workloads.PAPER_PAIRS)
@@ -682,7 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("generate", help="write a synthetic homolog pair as FASTA")
-    p.add_argument("pair", choices=[c.name for c in workloads.PAPER_PAIRS])
+    p.add_argument("pair", type=_paper_pair, metavar="PAIR",
+                   help="paper chromosome pair to synthesize, e.g. chr22")
     p.add_argument("out_a")
     p.add_argument("out_b")
     p.add_argument("--scale", type=float, default=1e-3,

@@ -36,6 +36,7 @@ unlinks the shared memory.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,7 +54,7 @@ from ..seq.scoring import Scoring
 from ..sw.backend import KERNELS
 from ..sw.batched import KernelWorkspace
 from ..sw.compiled import warmup as compiled_warmup
-from ..sw.config import AlignConfig, resolve_config
+from ..sw.config import AlignConfig, block_height, resolve_config
 from ..sw.constants import resolve_dp_dtype
 from ..sw.kernel import BestCell
 from ..sw.tiers import BANDED_MODES, INLINE_MODES, run_tiers
@@ -407,7 +408,10 @@ class WorkerPool:
         with keyword *overrides* of its fields (``block_rows=``,
         ``kernel=``, ``pruning=``, ``mode=``, ``band_width=``,
         ``xdrop_x=``, ``dp_dtype=``), which the config class documents.
-        The tiers are dispatched by
+        ``block_rows`` is the largest block height: the sweep runs
+        :func:`~repro.sw.config.block_height` rows for this query length
+        and worker count, the same in every recovery attempt, and the
+        result's ``config`` records it.  The tiers are dispatched by
         :func:`~repro.sw.tiers.run_tiers` over this pool's exact sweep:
         ``banded`` and ``xdrop`` run inline in the parent while the
         workers stay idle, and ``auto`` runs the band inline, then the
@@ -479,6 +483,10 @@ class WorkerPool:
             raise ConfigError(
                 f"block_rows {cfg.block_rows} exceeds the pool's "
                 f"max_block_rows {self.max_block_rows}")
+        # block_rows is a cap; the height is derived once, here, so every
+        # recovery attempt resumes at the rows the checkpoints hold.
+        cfg = replace(cfg, block_rows=block_height(
+            cfg.block_rows, int(a_codes.size), self.workers))
         if rebalance_threshold <= 0:
             raise ConfigError("rebalance_threshold must be positive")
         if retry is None:
@@ -520,7 +528,7 @@ class WorkerPool:
                 cells=int(a_codes.size) * n, workers=0,
                 partition=(Slab(0, 0, n),), transport=self.transport,
                 start_method=self.start_method, tracer=result_tracer,
-                kernel=cfg.kernel)
+                config=cfg)
 
         result = run_tiers(a_codes, b_codes, scoring, mode=cfg.mode,
                            band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
@@ -638,8 +646,7 @@ class WorkerPool:
                         workers=self.workers,
                         partition=tuple(slabs), transport=self.transport,
                         start_method=self.start_method, tracer=tracer,
-                        kernel=cfg.kernel,
-                        pruning=cfg.pruning,
+                        config=cfg,
                         blocks_checked=base_checked
                         + sum(c for c, _ in worker_blocks),
                         blocks_pruned=base_pruned

@@ -140,10 +140,8 @@ class ProcessChainResult:
     transport: str = "pipe"
     start_method: str = "fork"
     tracer: Tracer | None = None
-    kernel: str = "scalar"
     #: Distributed-pruning accounting (zeros unless ``pruning`` was on):
     #: chain-wide totals plus per-worker ``(checked, pruned)`` pairs.
-    pruning: bool = False
     blocks_checked: int = 0
     blocks_pruned: int = 0
     worker_blocks: tuple = ()
@@ -167,6 +165,17 @@ class ProcessChainResult:
     blocks_narrow: int = 0
     blocks_wide: int = 0
     dtype_escalations: int = 0
+    #: The config the run swept, ``block_rows`` resolved by
+    #: :func:`~repro.sw.config.block_height`.
+    config: AlignConfig = AlignConfig()
+
+    @property
+    def kernel(self) -> str:
+        return self.config.kernel
+
+    @property
+    def pruning(self) -> bool:
+        return self.config.pruning
 
     @property
     def score(self) -> int:

@@ -29,33 +29,25 @@ Sections 8 and 13 of INTERNALS.md cover the post-hoc and live halves
 respectively.
 """
 
-from .chrometrace import (
-    KIND_COLOURS,
-    load_chrome_trace,
-    tracer_to_chrome,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .diff import DiffEntry, diff_documents, flatten_scalars, format_diff
-from .events import EVENT_KINDS, EventJournal, read_events, validate_event
-from .exporter import StatusServer
-from .heartbeat import DEFAULT_STALL_AFTER_S, HeartbeatMonitor, StallReport
-from .instruments import EngineInstruments, finalize_run_metrics
-from .manifest import (
-    MANIFEST_SCHEMA,
-    build_manifest,
-    load_manifest,
-    sequence_digest,
-    validate_manifest,
-    write_manifest,
-)
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .timeseries import (
-    TimelineFrame,
-    TimeSeriesSampler,
-    WorkerFrame,
-    read_timeline,
-)
+from .._lazy import lazy_package
+
+# Each name loads its module on first access: an engine that only counts
+# metrics does not import the HTTP exporter or the diff tool.
+lazy_package(__name__, {
+    ".chrometrace": ("KIND_COLOURS", "load_chrome_trace", "tracer_to_chrome",
+                     "validate_chrome_trace", "write_chrome_trace"),
+    ".diff": ("DiffEntry", "diff_documents", "flatten_scalars", "format_diff"),
+    ".events": ("EVENT_KINDS", "EventJournal", "read_events",
+                "validate_event"),
+    ".exporter": ("StatusServer",),
+    ".heartbeat": ("DEFAULT_STALL_AFTER_S", "HeartbeatMonitor", "StallReport"),
+    ".instruments": ("EngineInstruments", "finalize_run_metrics"),
+    ".manifest": ("MANIFEST_SCHEMA", "build_manifest", "load_manifest",
+                  "sequence_digest", "validate_manifest", "write_manifest"),
+    ".registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".timeseries": ("TimelineFrame", "TimeSeriesSampler", "WorkerFrame",
+                    "read_timeline"),
+})
 
 __all__ = [
     "Counter",

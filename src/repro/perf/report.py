@@ -81,6 +81,7 @@ def process_result_dict(result) -> dict:
             "start_method": result.start_method,
             "kernel": result.kernel,
             "pruning": result.pruning,
+            "block_rows": result.config.block_rows,
         },
         "pruning": {
             "blocks_checked": result.blocks_checked,
@@ -144,14 +145,14 @@ def result_dict(result) -> dict:
 
     The manifest builder (:mod:`repro.obs.manifest`) and the CLI call
     this so they never need to know which backend produced the result:
-    a ``config`` attribute marks the simulated chain, ``wall_time_s``
-    the real-process engines, and anything else (``cells_computed``)
-    the single-device baseline.
+    ``wall_time_s`` marks the real-process engines, a ``config``
+    attribute the simulated chain, and anything else
+    (``cells_computed``) the single-device baseline.
     """
-    if hasattr(result, "config"):
-        return chain_result_dict(result)
     if hasattr(result, "wall_time_s"):
         return process_result_dict(result)
+    if hasattr(result, "config"):
+        return chain_result_dict(result)
     return single_result_dict(result)
 
 
@@ -256,6 +257,7 @@ def process_report(result, *, title: str = "process chain run") -> str:
     lines.append(
         f"config: workers={result.workers} transport={result.transport} "
         f"start_method={result.start_method} kernel={result.kernel} "
+        f"block_rows={result.config.block_rows} "
         f"pruning={'on' if result.pruning else 'off'}"
     )
     if result.pruning:

@@ -56,6 +56,15 @@ def encode(text: str | bytes | bytearray | np.ndarray, *, strict: bool = False) 
     return alphabet.LENIENT_LUT[raw]
 
 
+def require_base(codes: np.ndarray, what: str) -> np.ndarray:
+    """*codes*, unless none of them is A, C, G or T: an all-N sequence
+    (ambiguity codes read as N) has nothing to align, so the front doors
+    refuse it with :class:`~repro.errors.SequenceError` naming *what*."""
+    if not (codes != alphabet.N).any():
+        raise SequenceError(f"{what} is all N: no base to align")
+    return codes
+
+
 def decode(codes: np.ndarray) -> str:
     """Decode a ``uint8`` code array back into an ASCII string."""
     if not alphabet.is_valid_code_array(codes):

@@ -42,8 +42,8 @@ def iter_fasta(source: str | os.PathLike | io.TextIOBase, *, strict: bool = Fals
     Raises :class:`~repro.errors.FastaError` on structural problems
     (sequence data before any header, empty record, empty file) and,
     with *strict*, :class:`~repro.errors.SequenceError` on a letter that
-    is neither DNA nor IUPAC; read from a path, the message names the
-    file.
+    is neither DNA nor IUPAC or on a record that is all ``N``; read from
+    a path, the message names the file.
     """
     own = False
     if isinstance(source, (str, os.PathLike)):
@@ -91,6 +91,8 @@ def _make_record(header: str, chunks: list[bytes], strict: bool) -> FastaRecord:
         raise FastaError(f"record {header!r} has no sequence data")
     codes = encoding.encode(b"".join(chunks), strict=strict)
     name = header.split()[0] if header else ""
+    if strict:
+        encoding.require_base(codes, f"record {name!r}")
     return FastaRecord(name=name, description=header, codes=codes)
 
 

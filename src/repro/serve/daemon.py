@@ -53,6 +53,7 @@ from ..obs.events import EventJournal
 from ..obs.exporter import StatusServer
 from ..obs.registry import MetricsRegistry
 from ..obs.timeseries import TimeSeriesSampler
+from ..seq.encoding import require_base
 from ..seq.scoring import Scoring
 from ..sw.backend import resolve_kernel
 from ..sw.config import AlignConfig
@@ -501,14 +502,16 @@ class ServeDaemon:
         are decoded by their declared types, strictly: ``64.9``, ``true``
         or ``"128"`` for an int field is refused, not coerced.  An absent
         field takes its default.  Sequences are read strictly: a letter
-        that is neither DNA nor IUPAC is refused, not scored as ``N``.
+        that is neither DNA nor IUPAC is refused, not scored as ``N``, and
+        so is a sequence that is all ``N``.
         """
 
         def codes_for(side: str):
             inline = req.get(f"seq_{side}")
             path = req.get(f"path_{side}")
             if inline is not None:
-                return seq.encode(inline, strict=True)
+                return require_base(seq.encode(inline, strict=True),
+                                    f"seq_{side}")
             if path is not None:
                 return seq.read_single(path, strict=True).codes
             raise ServeError(f"submit needs seq_{side} or path_{side}")

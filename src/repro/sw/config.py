@@ -16,14 +16,15 @@ from .xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
 
 @dataclass(frozen=True)
 class AlignConfig:
-    """``block_rows`` (block row height), ``kernel`` (block sweep kernel,
-    or ``auto``), ``pruning`` (exact block pruning), ``mode`` with its
-    ``band_width`` and ``xdrop_x`` (the tier, :mod:`repro.sw.tiers`) and
-    ``dp_dtype`` (the DP dtype policy, exact).  ``band_width`` is the
-    adaptive band's initial half-width for ``banded``/``auto``; the band
-    recentres and may widen up to
-    :data:`~repro.sw.tiers.MAX_WIDENING` times it.  Construction refuses
-    a bad field with :class:`ConfigError`."""
+    """``block_rows`` (the largest block row height: the real-process
+    engine runs :func:`block_height` of it, the simulated chain exactly
+    it), ``kernel`` (block sweep kernel, or ``auto``), ``pruning``
+    (exact block pruning), ``mode`` with its ``band_width`` and
+    ``xdrop_x`` (the tier, :mod:`repro.sw.tiers`) and ``dp_dtype`` (the
+    DP dtype policy, exact).  ``band_width`` is the adaptive band's
+    initial half-width for ``banded``/``auto``; the band recentres and
+    may widen up to :data:`~repro.sw.tiers.MAX_WIDENING` times it.
+    Construction refuses a bad field with :class:`ConfigError`."""
 
     block_rows: int = 512
     kernel: str = "scalar"
@@ -65,6 +66,22 @@ class AlignConfig:
         if self.kernel != "auto":
             return self
         return replace(self, kernel=resolve_kernel("auto"))
+
+
+#: Fewest rows :func:`block_height` picks (unless the cap is smaller).
+MIN_BLOCK_ROWS = 64
+
+
+def block_height(block_rows: int, m: int, workers: int) -> int:
+    """The real-process engine's block row height for an *m*-row query
+    on a chain of *workers*: ``min(block_rows, max(64, ceil(m / (8 *
+    workers))))``.  The last worker idles until the first block row's
+    border has crossed the chain, so short rows shrink that pipeline
+    fill; at least 8 block rows per worker keeps it a small share of the
+    run, and 64 rows bound the per-block fixed cost.  *block_rows* is a
+    cap: an explicit smaller height wins."""
+    eighth = -(-m // (8 * workers))  # ceil division
+    return min(block_rows, max(MIN_BLOCK_ROWS, eighth))
 
 
 #: The field names, in declaration order.

@@ -96,12 +96,13 @@ def test_campaign_subcommand(capsys):
 
 @pytest.mark.parametrize("backend", ["sim", "process"])
 def test_align_reports_a_zero_optimum(tmp_path, capsys, backend):
-    """An all-N query scores nothing anywhere: the report must still say
-    so instead of omitting the best-score line."""
+    """A query that shares no base with the reference scores nothing
+    anywhere: the report must still say so instead of omitting the
+    best-score line.  (An all-N query is refused at the read.)"""
     fa = tmp_path / "a.fa"
     fb = tmp_path / "b.fa"
-    fa.write_text(">q\n" + "N" * 16 + "\n")
-    fb.write_text(">r\n" + "ACGT" * 4 + "AC\n")
+    fa.write_text(">q\n" + "A" * 16 + "\n")
+    fb.write_text(">r\n" + "CGT" * 6 + "\n")
     assert main(["align", str(fa), str(fb), "--backend", backend]) == 0
     assert "best score: 0 (no positive-scoring cell)" in capsys.readouterr().out
 
@@ -127,6 +128,26 @@ def test_align_refuses_a_protein_fasta(tmp_path, capsys, backend):
     assert mp.active_children() == []
     assert main(["align", str(dna), str(dna), "--backend", backend]) == 0
     assert "best score: 8 ending at (7, 7)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["sim", "process"])
+def test_align_refuses_an_all_n_fasta(tmp_path, capsys, backend):
+    """An all-N record is refused at the read, naming the file, before
+    any worker or segment is made."""
+    import multiprocessing as mp
+
+    from repro.comm import list_segments
+
+    alln = tmp_path / "alln.fa"
+    dna = tmp_path / "dna.fa"
+    alln.write_text(">gap\n" + "N" * 40 + "\n")
+    dna.write_text(">d\nACGTacgtRYNNacgtACGT\n")
+    before = list_segments()
+    assert main(["align", str(alln), str(dna), "--backend", backend]) == 1
+    err = capsys.readouterr().err
+    assert str(alln) in err and "all N" in err
+    assert list_segments() == before
+    assert mp.active_children() == []
 
 
 @pytest.mark.parametrize("command", [("dotplot",), ("perf", "trace-export")],

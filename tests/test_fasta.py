@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.errors import FastaError
+from repro.errors import FastaError, SequenceError
 from repro.seq import FastaRecord, encode, iter_fasta, read_fasta, read_single, write_fasta
 
 
@@ -105,3 +105,18 @@ def test_read_from_path(tmp_path):
     p = tmp_path / "f.fa"
     p.write_text(">z\nACGT\n")
     assert read_single(p).text == "ACGT"
+
+
+def test_strict_read_refuses_an_all_n_record(tmp_path):
+    """An all-N record (ambiguity codes read as N too) has no base to
+    align: a strict read refuses it naming the file; a lenient read and
+    a record with one real base still pass."""
+    p = tmp_path / "alln.fa"
+    for body in ("NNNN", "nnRYN"):
+        p.write_text(f">gap\n{body}\n")
+        with pytest.raises(SequenceError, match="all N") as info:
+            read_single(p, strict=True)
+        assert str(p) in str(info.value)
+        assert read_single(p).text == "N" * len(body)
+    p.write_text(">gap\nNNANN\n")
+    assert read_single(p, strict=True).text == "NNANN"

@@ -525,6 +525,28 @@ class TestServeDaemon:
         assert str(prot) in err and "'L'" in err
         assert len(daemon.queue.jobs()) == jobs_before
 
+    def test_submit_refuses_an_all_n_sequence(self, daemon, tmp_path,
+                                              capsys):
+        """An all-N sequence is refused at the daemon's boundary, from a
+        FASTA path (``mgsw submit``, the message names the file) or
+        inline, and leaves no job record."""
+        from repro.cli import main
+
+        alln = tmp_path / "alln.fa"
+        alln.write_text(">gap\n" + "n" * 40 + "\n")
+        dna = tmp_path / "dna.fa"
+        dna.write_text(">d\nACGTACGTAC\n")
+        jobs_before = len(daemon.queue.jobs())
+        assert main(["submit", str(dna), str(alln),
+                     "--port", str(daemon.port)]) == 1
+        err = capsys.readouterr().err
+        assert str(alln) in err and "all N" in err
+        with ServeClient(port=daemon.port) as client:
+            resp = client.submit(seq_a="NRYN" * 10, seq_b=B_TEXT)
+        assert resp["ok"] is False and resp["code"] == 400
+        assert "seq_a is all N" in resp["error"]
+        assert len(daemon.queue.jobs()) == jobs_before
+
     def test_status_server_routes(self, daemon):
         with ServeClient(port=daemon.port) as client:
             job = client.check(client.submit(

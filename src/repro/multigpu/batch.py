@@ -20,16 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..device.spec import DeviceSpec
 from ..errors import ConfigError
-from ..seq.scoring import Scoring
-from ..sw.config import AlignConfig, resolve_config
 from ..workloads.catalog import ChromosomePair
 from .chain import ChainConfig, ChainResult, MultiGpuChain, PhantomWorkload
-from .pool import WorkerPool
-from .procchain import ProcessChainResult
 
 
 @dataclass(frozen=True)
@@ -88,40 +82,6 @@ def run_campaign_chained(
                                   end_s=clock + res.total_time_s, gcups=res.gcups))
         clock += res.total_time_s
     return CampaignResult(strategy="chained", items=items, makespan_s=clock)
-
-
-def align_batch_process(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    scoring: Scoring,
-    *,
-    config: AlignConfig | None = None,
-    workers: int = 2,
-    weights: Sequence[float] | None = None,
-    transport: str = "shm",
-    start_method: str | None = None,
-    timeout_s: float = 300.0,
-    metrics=None,
-    **overrides,
-) -> list[ProcessChainResult]:
-    """Run many real comparisons through ONE persistent worker pool.
-
-    The real-parallelism counterpart of the campaign runners above: the
-    slab workers and their shared-memory border rings are created once
-    and reused for every pair, so process startup is amortised across the
-    batch (the reason :class:`~repro.multigpu.pool.WorkerPool` exists).
-    Results are bit-identical to running each pair through
-    :func:`~repro.multigpu.procchain.align_multi_process` under the same
-    config (*config* plus keyword *overrides* of its fields).  A
-    *metrics* registry accumulates across the whole batch (counters are
-    additive).
-    """
-    if not pairs:
-        raise ConfigError("batch needs at least one pair")
-    cfg = resolve_config(config, **overrides)
-    with WorkerPool(workers, weights=weights, max_block_rows=cfg.block_rows,
-                    transport=transport, start_method=start_method) as pool:
-        return pool.map(pairs, scoring, config=cfg, timeout_s=timeout_s,
-                        metrics=metrics)
 
 
 def run_campaign_split(

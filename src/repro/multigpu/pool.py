@@ -14,8 +14,7 @@ transports between them, then serves comparisons over that chain:
 * slab widths are proportional to the pool's *weights* (heterogeneous
   worker speeds), recomputed per comparison for its matrix width.
 
-Batch workloads (:mod:`repro.multigpu.batch` campaigns, the serving
-daemon) keep one pool for many comparisons;
+The serving daemon keeps one pool for many comparisons;
 :func:`~repro.multigpu.procchain.align_multi_process` is the same engine
 with a lifetime of one comparison.
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from ..obs.instruments import EngineInstruments, record_recovery
 from ..obs.registry import MetricsRegistry
 from ..obs.timeseries import TimeSeriesSampler
 from ..seq.scoring import Scoring
-from ..sw.backend import KERNELS
 from ..sw.batched import KernelWorkspace
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, block_height, resolve_config
@@ -76,7 +74,7 @@ from .procchain import (
 
 
 def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
-                 scoreboard, progress, warm_kernels=()):
+                 scoreboard, progress):
     """Long-lived slab worker: one :class:`SlabTask` per comparison,
     ``None`` to exit.
 
@@ -86,20 +84,14 @@ def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
     A task that raises is reported and ends the worker: its transports'
     state is suspect, so the pool must break or re-spawn.
 
-    JIT warmup runs **once per process**, never per block: kernels named
-    in *warm_kernels* compile at spawn (before the worker even blocks on
-    its queue); otherwise the first ``kernel="compiled"`` task pays one
-    lazy warmup wrapped in a ``warmup`` recorder span, so the compile
-    cost is visible in the merged trace instead of inflating that task's
-    first compute interval.
+    JIT warmup runs **once per process**, never per block: the first
+    ``kernel="compiled"`` task pays one lazy warmup wrapped in a
+    ``warmup`` recorder span, so the compile cost is visible in the
+    merged trace instead of inflating that task's first compute
+    interval.
     """
     workspace = KernelWorkspace()  # persists across comparisons
     warmed = False
-    if "compiled" in warm_kernels:
-        progress.beat(worker_id, 0, "warmup")
-        compiled_warmup()  # spawn-time compile: no task is waiting yet
-        warmed = True
-        progress.beat(worker_id, 0, "idle")
     while True:
         task = task_queue.get()
         if task is None:
@@ -155,12 +147,6 @@ class WorkerPool:
     border_timeout_s:
         Bound on every border send/receive, so a dead neighbour surfaces
         as an error instead of a hang.
-    warm_kernels:
-        Kernel backends every worker pre-compiles **at spawn**, before
-        the first task (e.g. ``("compiled",)``) — batch campaigns pay
-        the JIT cost once per process instead of skewing the first
-        comparison.  Kernels not listed here still warm lazily (once
-        per process) on their first use.
     events:
         Optional :class:`~repro.obs.events.EventJournal` shared by the
         pool's whole lifetime: every (re-)spawn journals
@@ -180,7 +166,6 @@ class WorkerPool:
         transport: str = "shm",
         start_method: str | None = None,
         border_timeout_s: float = 60.0,
-        warm_kernels: Sequence[str] = (),
         events=None,
         _backend: str = "pool",
         _lazy: bool = False,
@@ -196,13 +181,8 @@ class WorkerPool:
             raise ConfigError("weights length must equal the worker count")
         if max_block_rows <= 0:
             raise ConfigError("max_block_rows must be positive")
-        for k in warm_kernels:
-            if k not in KERNELS:
-                raise ConfigError(
-                    f"unknown warm kernel {k!r}; expected one of {KERNELS}")
 
         self.workers = workers
-        self.warm_kernels = tuple(warm_kernels)
         self.weights = list(weights) if weights is not None else [1.0] * workers
         self.max_block_rows = max_block_rows
         self.capacity = capacity
@@ -271,7 +251,7 @@ class WorkerPool:
                     target=_pool_worker,
                     args=(g, self._task_queues[g], self._result_queue,
                           recv_link, send_link, self._scoreboard,
-                          self._progress, self.warm_kernels),
+                          self._progress),
                     name=f"mgsw-pool-{g}",
                 )
                 proc.daemon = True
@@ -390,7 +370,6 @@ class WorkerPool:
         on_stall=None,
         max_restarts: int = 0,
         restart_backoff_s: float = 0.5,
-        retry: RetryPolicy | None = None,
         checkpoint_blocks: int = 4,
         rebalance: bool = False,
         rebalance_threshold: float = 0.25,
@@ -439,8 +418,8 @@ class WorkerPool:
         diagnostics with each stalled worker's last completed row and
         phase.
 
-        Recovery (INTERNALS.md section 9): with ``max_restarts > 0`` (or
-        an explicit *retry* policy) workers checkpoint their block-row
+        Recovery (INTERNALS.md section 9): with ``max_restarts > 0``
+        (*restart_backoff_s* apart) workers checkpoint their block-row
         state every *checkpoint_blocks* block rows and a failed attempt
         checkpoint-resumes instead of breaking the pool — the workers and
         transports are re-spawned (dead workers dropped from
@@ -489,9 +468,8 @@ class WorkerPool:
             cfg.block_rows, int(a_codes.size), self.workers))
         if rebalance_threshold <= 0:
             raise ConfigError("rebalance_threshold must be positive")
-        if retry is None:
-            retry = RetryPolicy(max_restarts=max_restarts,
-                                backoff_s=restart_backoff_s)
+        retry = RetryPolicy(max_restarts=max_restarts,
+                            backoff_s=restart_backoff_s)
         if self.events is not None:
             self.events.emit(
                 "run_start", backend=self._backend, mode=cfg.mode,
@@ -815,24 +793,3 @@ class WorkerPool:
                     "slab_rebalance",
                     old_weights=[round(w, 4) for w in old_weights],
                     new_weights=[round(w, 4) for w in self.weights])
-
-    def map(
-        self,
-        pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-        scoring: Scoring,
-        *,
-        config: AlignConfig | None = None,
-        timeout_s: float = 300.0,
-        metrics: MetricsRegistry | None = None,
-        **overrides,
-    ) -> list[ProcessChainResult]:
-        """Run every ``(a, b)`` pair through the pool, in order, under
-        one config (*config* plus keyword *overrides*, as on
-        :meth:`align`).
-
-        A shared *metrics* registry accumulates across the whole batch
-        (counters are additive; each run's merge adds on top)."""
-        cfg = resolve_config(config, **overrides)
-        return [self.align(a, b, scoring, config=cfg, timeout_s=timeout_s,
-                           metrics=metrics)
-                for a, b in pairs]

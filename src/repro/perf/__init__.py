@@ -7,11 +7,9 @@ from .report import (
     process_report,
     process_result_dict,
     result_dict,
-    single_report,
     single_result_dict,
 )
 from .metrics import (
-    BreakdownRow,
     efficiency,
     format_table,
     gcups,
@@ -28,9 +26,7 @@ __all__ = [
     "process_report",
     "process_result_dict",
     "result_dict",
-    "single_report",
     "single_result_dict",
-    "BreakdownRow",
     "efficiency",
     "format_table",
     "gcups",

@@ -9,7 +9,6 @@ tables report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -41,26 +40,6 @@ def efficiency(speedup_value: float, workers: int) -> float:
     if workers <= 0:
         raise ValueError("workers must be positive")
     return speedup_value / workers
-
-
-@dataclass(frozen=True)
-class BreakdownRow:
-    """One device's share of the makespan by activity."""
-
-    name: str
-    compute: float
-    transfer: float
-    wait: float
-    idle: float
-
-    def as_cells(self) -> list[str]:
-        return [
-            self.name,
-            f"{self.compute:6.1%}",
-            f"{self.transfer:6.1%}",
-            f"{self.wait:6.1%}",
-            f"{self.idle:6.1%}",
-        ]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

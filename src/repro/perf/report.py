@@ -101,18 +101,28 @@ def process_result_dict(result) -> dict:
         # One-time JIT compile cost (kernel="compiled"), kept out of the
         # compute totals by construction; 0.0 on the other kernels.
         "warmup_s": _warmup_seconds(result.tracer),
-        "workers": [
-            {
-                "name": f"worker{g}",
-                "slab_cols": slab.cols,
-                "compute_s": result.tracer.total(f"worker{g}", "compute") if result.tracer else None,
-                "transfer_s": (result.tracer.total(f"worker{g}", "d2h")
-                               + result.tracer.total(f"worker{g}", "h2d")) if result.tracer else None,
-                "wait_s": result.tracer.total(f"worker{g}", "wait") if result.tracer else None,
-                "warmup_s": result.tracer.total(f"worker{g}", "warmup") if result.tracer else None,
-            }
-            for g, slab in enumerate(result.partition)
-        ],
+        # A tier answered inline (workers == 0) swept its one slab in the
+        # parent.
+        "workers": [_actor_dict(result.tracer,
+                                "parent" if result.workers == 0
+                                else f"worker{g}", slab)
+                    for g, slab in enumerate(result.partition)],
+    }
+
+
+def _actor_dict(tracer, actor: str, slab) -> dict:
+    """One ``workers`` entry of :func:`process_result_dict`: the actor's
+    span totals (``None`` without a tracer)."""
+    def total(*kinds):
+        return sum(tracer.total(actor, k) for k in kinds) if tracer else None
+
+    return {
+        "name": actor,
+        "slab_cols": slab.cols,
+        "compute_s": total("compute"),
+        "transfer_s": total("d2h", "h2d"),
+        "wait_s": total("wait"),
+        "warmup_s": total("warmup"),
     }
 
 
@@ -215,33 +225,6 @@ def _best_line(result) -> str:
         return "best score: 0 (no positive-scoring cell)"
     return (f"best score: {result.score} ending at "
             f"({result.best.row}, {result.best.col})")
-
-
-def single_report(result, *, title: str = "single-GPU run") -> str:
-    """Text report for a single-device run (same shape as the chain
-    reports, minus partition/channel sections)."""
-    lines: list[str] = [f"== {title} =="]
-    lines.append(
-        f"matrix: {humanize_cells(result.cells)}   "
-        f"virtual time: {humanize_time(result.total_time_s)}   "
-        f"throughput: {result.gcups:.2f} GCUPS"
-    )
-    if result.kernel != "scalar":
-        lines.append(f"kernel: {result.kernel}")
-    lines.append(_best_line(result))
-    if result.blocks_checked:
-        lines.append(
-            f"pruning: {result.blocks_pruned}/{result.blocks_checked} "
-            f"blocks pruned ({result.pruned_ratio:.1%}), "
-            f"{result.pruned_fraction:.1%} of cells skipped"
-        )
-    tier_line = _heuristic_line(result)
-    if tier_line:
-        lines.append(tier_line)
-    dtype_line = _dtype_line(result)
-    if dtype_line:
-        lines.append(dtype_line)
-    return "\n".join(lines)
 
 
 def process_report(result, *, title: str = "process chain run") -> str:

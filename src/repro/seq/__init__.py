@@ -8,7 +8,7 @@ Public surface::
 """
 
 from .alphabet import ALPHABET_SIZE, BASES, A, C, G, T, N
-from .encoding import decode, encode, pack_2bit, reverse_complement, unpack_2bit
+from .encoding import decode, encode, reverse_complement
 from .fasta import FastaRecord, iter_fasta, read_fasta, read_single, write_fasta
 from .protein import (
     AMINO_ACIDS,
@@ -19,9 +19,7 @@ from .protein import (
     decode_protein,
     encode_protein,
 )
-from .matrixio import format_ncbi_matrix, parse_ncbi_matrix
 from .scoring import DNA_DEFAULT, LINEAR_GAPS, Scoring
-from .twobit import load_2bit, save_2bit
 
 __all__ = [
     "ALPHABET_SIZE",
@@ -34,8 +32,6 @@ __all__ = [
     "encode",
     "decode",
     "reverse_complement",
-    "pack_2bit",
-    "unpack_2bit",
     "FastaRecord",
     "iter_fasta",
     "read_fasta",
@@ -51,8 +47,4 @@ __all__ = [
     "CustomScoring",
     "decode_protein",
     "encode_protein",
-    "load_2bit",
-    "save_2bit",
-    "format_ncbi_matrix",
-    "parse_ncbi_matrix",
 ]

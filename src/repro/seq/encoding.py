@@ -78,49 +78,3 @@ def reverse_complement(codes: np.ndarray) -> np.ndarray:
         raise SequenceError("reverse_complement expects a code array")
     return alphabet.COMPLEMENT[codes[::-1]]
 
-
-def pack_2bit(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pack a code array into 2 bits/base plus an N-mask bitmap.
-
-    This mirrors the memory layout GPU aligners use to fit megabase
-    sequences in device memory; the simulator's footprint model charges
-    bytes according to this packing.
-
-    Returns ``(packed, n_mask, length)`` where *packed* holds 4 bases per
-    byte (A..T only; N is stored as A and flagged in *n_mask*), and
-    *n_mask* is a bit-per-base bitmap of ambiguous positions.
-    """
-    if not alphabet.is_valid_code_array(codes):
-        raise SequenceError("pack_2bit expects a code array")
-    n = codes.size
-    is_n = codes == alphabet.N
-    two_bit = np.where(is_n, np.uint8(0), codes).astype(np.uint8)
-    pad = (-n) % 4
-    if pad:
-        two_bit = np.concatenate([two_bit, np.zeros(pad, dtype=np.uint8)])
-    two_bit = two_bit.reshape(-1, 4)
-    packed = (
-        two_bit[:, 0]
-        | (two_bit[:, 1] << 2)
-        | (two_bit[:, 2] << 4)
-        | (two_bit[:, 3] << 6)
-    ).astype(np.uint8)
-    n_mask = np.packbits(is_n)
-    return packed, n_mask, n
-
-
-def unpack_2bit(packed: np.ndarray, n_mask: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of :func:`pack_2bit`."""
-    if length < 0:
-        raise SequenceError("length must be non-negative")
-    b = packed.astype(np.uint8)
-    out = np.empty((b.size, 4), dtype=np.uint8)
-    out[:, 0] = b & 3
-    out[:, 1] = (b >> 2) & 3
-    out[:, 2] = (b >> 4) & 3
-    out[:, 3] = (b >> 6) & 3
-    codes = out.reshape(-1)[:length].copy()
-    if length:
-        is_n = np.unpackbits(n_mask)[:length].astype(bool)
-        codes[is_n] = alphabet.N
-    return codes

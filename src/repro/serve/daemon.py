@@ -500,7 +500,8 @@ class ServeDaemon:
 
         The :class:`~repro.sw.config.AlignConfig` and ``scoring`` fields
         are decoded by their declared types, strictly: ``64.9``, ``true``
-        or ``"128"`` for an int field is refused, not coerced.  An absent
+        or ``"128"`` for an int field is refused, not coerced; ``scoring``
+        must be an object and ``tenant`` and the paths strings.  An absent
         field takes its default.  Sequences are read strictly: a letter
         that is neither DNA nor IUPAC is refused, not scored as ``N``, and
         so is a sequence that is all ``N``.
@@ -513,14 +514,24 @@ class ServeDaemon:
                 return require_base(seq.encode(inline, strict=True),
                                     f"seq_{side}")
             if path is not None:
+                if not isinstance(path, str):
+                    raise ConfigError(
+                        f"path_{side} must be a JSON string, got {path!r}")
                 return seq.read_single(path, strict=True).codes
             raise ServeError(f"submit needs seq_{side} or path_{side}")
 
+        scoring_doc = req.get("scoring", {})
+        if not isinstance(scoring_doc, dict):
+            raise ConfigError(
+                f"scoring must be a JSON object, got {scoring_doc!r}")
         scoring = replace(seq.DNA_DEFAULT,
-                          **_wire_fields(Scoring, req.get("scoring", {})))
+                          **_wire_fields(Scoring, scoring_doc))
         config = _wire_fields(AlignConfig, req)
         if "tenant" in req:
-            config["tenant"] = str(req["tenant"])
+            if not isinstance(req["tenant"], str):
+                raise ConfigError(
+                    f"tenant must be a JSON string, got {req['tenant']!r}")
+            config["tenant"] = req["tenant"]
         return JobSpec(
             a_codes=codes_for("a"), b_codes=codes_for("b"), scoring=scoring,
             use_cache=req.get("use_cache", True),
@@ -551,9 +562,15 @@ class ServeDaemon:
                 return error_response(f"{op} needs a job id")
             if op == "wait":
                 timeout = req.get("timeout_s")
-                record = self.queue.wait_for(
-                    job_id,
-                    timeout=float(timeout) if timeout is not None else None)
+                # A bool is not a number here, and a timeout beyond what
+                # a lock wait accepts (inf, NaN) is refused, not raised.
+                if timeout is not None and (
+                        type(timeout) not in (int, float)
+                        or not 0 <= timeout <= threading.TIMEOUT_MAX):
+                    return error_response(
+                        "timeout_s must be a non-negative JSON number, "
+                        f"got {timeout!r}")
+                record = self.queue.wait_for(job_id, timeout=timeout)
             else:
                 record = self.queue.get(job_id)
             if record is None:
@@ -561,9 +578,10 @@ class ServeDaemon:
             return {"ok": True, "job": record.to_json_dict()}
         if op == "jobs":
             limit = req.get("limit")
-            records = self.queue.jobs(
-                newest_first=True,
-                limit=int(limit) if limit is not None else None)
+            if limit is not None and (type(limit) is not int or limit < 0):
+                return error_response(
+                    f"limit must be a non-negative JSON int, got {limit!r}")
+            records = self.queue.jobs(newest_first=True, limit=limit)
             return {"ok": True, "jobs": [r.to_json_dict() for r in records]}
         if op == "stats":
             return {"ok": True,

@@ -16,7 +16,6 @@ Layering (bottom up):
 * :mod:`repro.sw.pruning` — block pruning for similar sequences.
 * :mod:`repro.sw.myers_miller` — linear-space global alignment.
 * :mod:`repro.sw.stages` — the multi-stage local-alignment pipeline.
-* :mod:`repro.sw.banded` — banded screen / cross-check.
 * :mod:`repro.sw.xdrop` — heuristic tier: X-drop extension, the adaptive
   band engine, and the ``mode="auto"`` confidence check.
 * :mod:`repro.sw.config` — :class:`AlignConfig`, the seven comparison
@@ -33,7 +32,6 @@ from .backend import (
     resolve_kernel,
     validate_kernel,
 )
-from .banded import banded_score
 from .batched import (
     BlockJob,
     KernelWorkspace,
@@ -62,7 +60,6 @@ from .myers_miller import align_global, global_score
 from .naive import align_naive, full_matrices, sw_score_naive
 from .pruning import BlockPruner
 from .rowstore import BudgetedRowStore, StoreStats
-from .semiglobal import SemiGlobalMode, naive_semiglobal, semiglobal_score
 from .xdrop import (
     DEFAULT_BAND_WIDTH,
     DEFAULT_XDROP_X,
@@ -89,7 +86,6 @@ from .stages import (
 __all__ = [
     "Alignment",
     "from_ops",
-    "banded_score",
     "KERNELS",
     "KERNEL_CHOICES",
     "available_kernels",
@@ -134,9 +130,6 @@ __all__ = [
     "BlockPruner",
     "BudgetedRowStore",
     "StoreStats",
-    "SemiGlobalMode",
-    "naive_semiglobal",
-    "semiglobal_score",
     "CrossingPoint",
     "Stage1Result",
     "align_local",

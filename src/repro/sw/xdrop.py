@@ -10,8 +10,7 @@ similar sequences.  This module is that tier:
   matrix origin.  A live window of rows per anti-diagonal is kept; cells
   whose extension score has dropped more than ``x`` below the running
   best leave the window, and the sweep terminates when the window dies.
-* :func:`adaptive_banded_score` — promotes the fixed-width banded sweep
-  (:mod:`repro.sw.banded`) into a first-class engine: the matrix is
+* :func:`adaptive_banded_score` — the banded engine: the matrix is
   swept in block-row stripes over a column window around the current
   centre diagonal; the band **recenters** on the best cell of each
   stripe and **widens** (doubling, up to a cap) whenever the stripe's

@@ -104,31 +104,3 @@ class TestReverseComplement:
     def test_rejects_bad(self):
         with pytest.raises(SequenceError):
             encoding.reverse_complement(np.array([9], dtype=np.uint8))
-
-
-class TestPack2Bit:
-    def test_roundtrip_with_n(self):
-        codes = encoding.encode("ACGTNACGTNNA")
-        packed, mask, length = encoding.pack_2bit(codes)
-        assert length == codes.size
-        assert np.array_equal(encoding.unpack_2bit(packed, mask, length), codes)
-
-    def test_packing_is_4x_dense(self):
-        codes = encoding.encode("ACGT" * 100)
-        packed, _mask, _n = encoding.pack_2bit(codes)
-        assert packed.size == 100
-
-    def test_unaligned_lengths(self):
-        for n in range(9):
-            codes = encoding.encode("ACGTNAC"[:n] if n <= 7 else "ACGTNACG")
-            packed, mask, length = encoding.pack_2bit(codes)
-            assert np.array_equal(encoding.unpack_2bit(packed, mask, length), codes)
-
-    def test_empty(self):
-        packed, mask, length = encoding.pack_2bit(np.array([], dtype=np.uint8))
-        assert length == 0
-        assert encoding.unpack_2bit(packed, mask, 0).size == 0
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(SequenceError):
-            encoding.unpack_2bit(np.array([], dtype=np.uint8), np.array([], dtype=np.uint8), -1)

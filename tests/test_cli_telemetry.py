@@ -74,6 +74,21 @@ class TestAlignTelemetry:
         assert set(per_worker) == {"worker0", "worker1"}
         validate_chrome_trace(load_chrome_trace(out / "trace.json"))
 
+    def test_inline_tier_manifest_names_the_parent(self, fasta_pair,
+                                                    tmp_path, capsys):
+        """``--mode banded`` answers in the CLI process: the result's one
+        compute entry is the parent, with the parent's compute spans, not
+        a ``worker0`` that never ran."""
+        out = tmp_path / "tel"
+        assert _run_align(fasta_pair, out, "--backend", "process",
+                          "--mode", "banded") == 0
+        capsys.readouterr()
+        result = load_manifest(out / "manifest.json")["result"]
+        assert result["config"]["workers"] == 0
+        [entry] = result["workers"]
+        assert entry["name"] == "parent"
+        assert entry["compute_s"] > 0
+
     def test_heartbeat_zero_disables_watchdog(self, fasta_pair, tmp_path,
                                               capsys):
         out = tmp_path / "tel"

@@ -360,30 +360,3 @@ class TestWarmup:
             assert t2.total(f"worker{g}", "warmup") == 0.0
         assert all(iv.duration < delay for iv in t1.intervals
                    if iv.kind == "compute")
-
-    def test_pool_spawn_warm_hook(self, monkeypatch, rng):
-        """``warm_kernels=("compiled",)`` compiles at spawn, before the
-        first slab: no warmup span in any comparison's trace, and no
-        compute span carries the injected cost either."""
-        from repro.device.trace import Tracer
-        from repro.multigpu import WorkerPool
-
-        delay = 0.15
-        monkeypatch.setenv("MGSW_WARMUP_DELAY", str(delay))
-        a = random_dna(160, rng=rng)
-        b = mutated_copy(rng, a, 0.03)
-        with WorkerPool(2, max_block_rows=64,
-                        warm_kernels=("compiled",)) as pool:
-            tracer = Tracer()
-            res = pool.align(a, b, DNA_DEFAULT, block_rows=64,
-                             kernel="compiled", tracer=tracer)
-        assert res.score > 0
-        assert not any(iv.kind == "warmup" for iv in tracer.intervals)
-        assert all(iv.duration < delay for iv in tracer.intervals
-                   if iv.kind == "compute")
-
-    def test_pool_rejects_unknown_warm_kernel(self):
-        from repro.multigpu import WorkerPool
-
-        with pytest.raises(ConfigError, match="warm kernel"):
-            WorkerPool(1, warm_kernels=("cuda",))

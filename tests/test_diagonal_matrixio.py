@@ -1,14 +1,12 @@
-"""Unit tests: repro.sw.diagonal and repro.seq.matrixio."""
+"""Unit tests: repro.sw.diagonal (the anti-diagonal kernel)."""
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ScoringError
-from repro.seq import BLOSUM62_SCORING, DNA_DEFAULT, format_ncbi_matrix, parse_ncbi_matrix
+from repro.errors import ConfigError
+from repro.seq import DNA_DEFAULT
 from repro.sw import sw_score, sw_score_diagonal, sw_score_naive
 
 from helpers import mutated_copy, random_codes, random_scoring
@@ -55,67 +53,3 @@ class TestDiagonalKernel:
         with pytest.raises(ConfigError):
             sw_score_diagonal(np.array([], dtype=np.uint8),
                               np.array([0], dtype=np.uint8), DNA_DEFAULT)
-
-
-class TestMatrixIO:
-    def test_roundtrip_blosum62(self):
-        text = format_ncbi_matrix(BLOSUM62_SCORING, comment="BLOSUM62 roundtrip")
-        parsed = parse_ncbi_matrix(io.StringIO(text))
-        assert np.array_equal(parsed.matrix, BLOSUM62_SCORING.matrix)
-        assert parsed.match == BLOSUM62_SCORING.match
-
-    def test_gap_parameters_passed(self):
-        text = format_ncbi_matrix(BLOSUM62_SCORING)
-        parsed = parse_ncbi_matrix(io.StringIO(text), gap_open=5, gap_extend=2)
-        assert parsed.gap_open == 5 and parsed.gap_extend == 2
-
-    def test_extra_columns_ignored(self):
-        """NCBI files carry *, B, Z columns the library does not model."""
-        text = format_ncbi_matrix(BLOSUM62_SCORING)
-        lines = text.splitlines()
-        lines[0] = lines[0] + "  *"
-        lines = [lines[0]] + [line + " -4" for line in lines[1:]]
-        lines.append("* " + " ".join(["-4"] * 22))
-        parsed = parse_ncbi_matrix(io.StringIO("\n".join(lines)))
-        assert np.array_equal(parsed.matrix, BLOSUM62_SCORING.matrix)
-
-    def test_comments_and_blanks_skipped(self):
-        text = "# a comment\n\n" + format_ncbi_matrix(BLOSUM62_SCORING)
-        parse_ncbi_matrix(io.StringIO(text))
-
-    def test_missing_residue_detected(self):
-        text = format_ncbi_matrix(BLOSUM62_SCORING)
-        lines = [line for line in text.splitlines() if not line.startswith("W")]
-        with pytest.raises(ScoringError, match="missing residue 'W'"):
-            parse_ncbi_matrix(io.StringIO("\n".join(lines)))
-
-    def test_ragged_row_detected(self):
-        text = format_ncbi_matrix(BLOSUM62_SCORING)
-        lines = text.splitlines()
-        lines[1] = lines[1].rsplit(" ", 1)[0]  # drop last value of first row
-        with pytest.raises(ScoringError, match="expected"):
-            parse_ncbi_matrix(io.StringIO("\n".join(lines)))
-
-    def test_non_integer_detected(self):
-        text = format_ncbi_matrix(BLOSUM62_SCORING).replace(" 11", " xx", 1)
-        with pytest.raises(ScoringError, match="non-integer"):
-            parse_ncbi_matrix(io.StringIO(text))
-
-    def test_empty_input(self):
-        with pytest.raises(ScoringError, match="no matrix"):
-            parse_ncbi_matrix(io.StringIO("# only comments\n"))
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "blosum62.txt"
-        path.write_text(format_ncbi_matrix(BLOSUM62_SCORING))
-        parsed = parse_ncbi_matrix(path)
-        assert np.array_equal(parsed.matrix, BLOSUM62_SCORING.matrix)
-
-    def test_parsed_matrix_aligns_proteins(self, rng):
-        """End to end: parse a matrix file, align with it."""
-        parsed = parse_ncbi_matrix(io.StringIO(format_ncbi_matrix(BLOSUM62_SCORING)))
-        a = rng.integers(0, 21, 40).astype(np.uint8)
-        b = rng.integers(0, 21, 40).astype(np.uint8)
-        want, *_ = sw_score_naive(a, b, BLOSUM62_SCORING)
-        got = sw_score(a, b, parsed)
-        assert (got.score if got.row >= 0 else 0) == want

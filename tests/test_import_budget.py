@@ -20,6 +20,10 @@ NOT_LOADED = ("repro.obs.exporter", "http.server", "repro.serve",
               "repro.baselines.cpu", "repro.multigpu.autotune",
               "repro.stats")
 
+#: Most ``repro`` modules a process align may load.  A change that adds a
+#: module to the align path raises this number on purpose.
+MAX_REPRO_MODULES = 58
+
 
 def _python(code: str, *args: str, cwd=None) -> str:
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
@@ -58,6 +62,8 @@ def test_process_align_loads_no_unused_subsystem(tmp_path):
     modules = json.loads(out.strip().splitlines()[-1])
     assert "best score: " in out
     assert [m for m in NOT_LOADED if m in modules] == []
+    loaded = [m for m in modules if m == "repro" or m.startswith("repro.")]
+    assert len(loaded) <= MAX_REPRO_MODULES, sorted(loaded)
     # The workers inherit every module the engine needs from the parent.
     worker_files = sorted(tmp_path.glob("worker*.json"))
     assert len(worker_files) == 2

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.multigpu import WorkerPool, align_batch_process, align_multi_process
+from repro.multigpu import WorkerPool, align_multi_process
 from repro.seq import DNA_DEFAULT
 from repro.sw import sw_score_naive
 
@@ -48,22 +48,6 @@ class TestReuse:
         assert [s.cols for s in res.partition] == [225, 75]
         want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
         assert res.score == want
-
-    def test_map_runs_every_pair(self, rng):
-        pairs = [(random_codes(rng, 50), random_codes(rng, 70)) for _ in range(3)]
-        with WorkerPool(2, max_block_rows=32) as pool:
-            results = pool.map(pairs, DNA_DEFAULT, block_rows=16)
-        assert len(results) == 3
-        for res, (a, b) in zip(results, pairs):
-            want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
-            assert res.score == want
-
-    def test_batch_helper(self, rng):
-        pairs = [(random_codes(rng, 40), random_codes(rng, 60)) for _ in range(2)]
-        results = align_batch_process(pairs, DNA_DEFAULT, workers=2, block_rows=32)
-        for res, (a, b) in zip(results, pairs):
-            want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
-            assert res.score == want
 
 
 class TestLifecycle:

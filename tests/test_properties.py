@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.comm import RingBuffer
 from repro.multigpu import proportional_partition
 from repro.seq import DNA_DEFAULT, Scoring, decode, encode
-from repro.seq.encoding import pack_2bit, reverse_complement, unpack_2bit
+from repro.seq.encoding import reverse_complement
 from repro.sw import align_local, sw_score, sw_score_naive
 from repro.sw.myers_miller import align_global, global_score
 
@@ -39,13 +39,6 @@ def test_encode_decode_roundtrip(text):
 @given(dna_codes)
 def test_reverse_complement_involution(codes):
     assert np.array_equal(reverse_complement(reverse_complement(codes)), codes)
-
-
-@given(dna_codes)
-def test_pack_unpack_roundtrip(codes):
-    packed, mask, n = pack_2bit(codes)
-    assert np.array_equal(unpack_2bit(packed, mask, n), codes)
-    assert packed.size == (n + 3) // 4
 
 
 # -- Smith-Waterman invariants -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests: repro.sw.semiglobal and repro.stats.karlin."""
+"""Unit tests: repro.stats.karlin."""
 
 from __future__ import annotations
 
@@ -8,56 +8,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.seq import DNA_DEFAULT, Scoring, encode
+from repro.seq import DNA_DEFAULT, Scoring
 from repro.stats import ScoreStatistics, dna_statistics, estimate_k, expected_score, solve_lambda
-from repro.sw import SemiGlobalMode, naive_semiglobal, semiglobal_score, sw_score
-
-from helpers import random_codes, random_scoring
-
-
-class TestSemiGlobal:
-    def test_all_modes_match_naive(self, rng):
-        for _ in range(30):
-            m = int(rng.integers(1, 25))
-            n = int(rng.integers(1, 25))
-            a = random_codes(rng, m)
-            b = random_codes(rng, n)
-            sc = random_scoring(rng)
-            for mode in SemiGlobalMode:
-                want = naive_semiglobal(a, b, sc, mode)
-                got = semiglobal_score(a, b, sc, mode).score
-                assert got == want, (mode, m, n)
-
-    def test_fragment_mapping(self, rng):
-        """A fragment embedded in a larger reference maps perfectly under
-        QUERY_IN_REF (free reference gaps, fully aligned query)."""
-        ref = random_codes(rng, 400)
-        frag = ref[100:160].copy()
-        best = semiglobal_score(frag, ref, DNA_DEFAULT, SemiGlobalMode.QUERY_IN_REF)
-        assert best.score == 60 * DNA_DEFAULT.match
-        assert best.col == 159  # ends where the fragment ends in the reference
-
-    def test_overlap_mode_dovetail(self, rng):
-        """Suffix of a overlapping prefix of b scores the overlap length."""
-        a = random_codes(rng, 100)
-        b = np.concatenate([a[60:], random_codes(rng, 80)])
-        best = semiglobal_score(a, b, DNA_DEFAULT, SemiGlobalMode.OVERLAP)
-        assert best.score >= 40 * DNA_DEFAULT.match
-
-    def test_semiglobal_leq_local(self, rng):
-        """Local alignment relaxes every constraint, so it scores >= any
-        semi-global mode."""
-        for _ in range(10):
-            a = random_codes(rng, 30)
-            b = random_codes(rng, 30)
-            local = sw_score(a, b, DNA_DEFAULT)
-            local_s = local.score if local.row >= 0 else 0
-            for mode in SemiGlobalMode:
-                assert semiglobal_score(a, b, DNA_DEFAULT, mode).score <= local_s
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            semiglobal_score(np.array([], dtype=np.uint8), encode("A"), DNA_DEFAULT)
+from repro.sw import sw_score
 
 
 class TestLambda:

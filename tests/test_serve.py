@@ -17,6 +17,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import seq
 from repro.comm import list_segments
@@ -583,3 +585,113 @@ class TestServeDaemon:
         kinds = [e["event"] for e in mine]
         assert kinds.index("job_submit") < kinds.index("job_start") \
             < kinds.index("job_end")
+
+
+# ---------------------------------------------------------------------------
+# The request boundary: malformed requests are refused with a 4xx
+# ---------------------------------------------------------------------------
+OPS = ("ping", "submit", "status", "wait", "jobs", "stats", "shutdown")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+requests = st.fixed_dictionaries(
+    {"op": st.sampled_from(OPS) | json_values},
+    optional={
+        "id": json_values,
+        "timeout_s": st.floats(-1.0, 0.01) | json_values,
+        "limit": st.integers(-3, 3) | json_values,
+        "scoring": json_values,
+        "tenant": json_values,
+        "lane": st.sampled_from(["short", "long"]) | json_values,
+        "use_cache": json_values,
+        "seq_a": st.text(alphabet="ACGTN", max_size=8) | json_values,
+        "seq_b": st.text(alphabet="ACGTN", max_size=8) | json_values,
+        # Not a string: a drawn string could name a real file.
+        "path_a": json_values.filter(lambda v: not isinstance(v, str)),
+    })
+
+
+@pytest.fixture
+def idle_daemon():
+    """A daemon whose executors never start: submissions queue, never
+    run, and are cancelled at stop."""
+    d = ServeDaemon(ServeConfig(pools=1, workers=1, queue_depth=8,
+                                tenant_cap=8), status_port=None)
+    yield d
+    d.stop()
+
+
+class TestRequestBoundary:
+    @pytest.mark.parametrize("req", [
+        {"op": "wait", "id": "job-000001", "timeout_s": "abc"},
+        {"op": "wait", "id": "job-000001", "timeout_s": True},
+        {"op": "wait", "id": "job-000001", "timeout_s": float("inf")},
+        {"op": "jobs", "limit": "x"},
+        {"op": "jobs", "limit": -3},
+        {"op": "jobs", "limit": 2.0},
+        {"op": "submit", "seq_a": "ACGT", "seq_b": "ACGT",
+         "scoring": "junk"},
+        {"op": "submit", "seq_a": "ACGT", "seq_b": "ACGT",
+         "tenant": {"a": 1}},
+        {"op": "submit", "path_a": [">a", "ACGT"], "seq_b": "ACGT"},
+    ])
+    def test_malformed_fields_are_400(self, idle_daemon, req):
+        resp = idle_daemon.handle_request(req)
+        assert resp["ok"] is False and resp["code"] == 400, resp
+        assert idle_daemon.queue.jobs() == []
+
+    def test_handle_request_never_raises(self, idle_daemon):
+        @settings(max_examples=300, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(requests)
+        def check(req):
+            resp = idle_daemon.handle_request(req)
+            assert resp["ok"] is True or 400 <= resp["code"] < 500, resp
+
+        check()
+
+    def test_tcp_junk_overcap_and_half_closed_clients(self, monkeypatch):
+        import socket
+
+        from repro.serve import protocol
+
+        d = ServeDaemon(ServeConfig(pools=1, workers=1), status_port=None)
+        d.start()
+        try:
+            segments = set(list_segments())
+
+            def exchange(payload: bytes, *, half_close: bool) -> bytes:
+                with socket.create_connection(("127.0.0.1", d.port),
+                                              timeout=10) as sock:
+                    sock.sendall(payload)
+                    if half_close:
+                        sock.shutdown(socket.SHUT_WR)
+                    try:
+                        return sock.makefile("rb").readline()
+                    except ConnectionResetError:
+                        return b""
+
+            assert json.loads(exchange(b"not json\n", half_close=False))[
+                "code"] == 400
+            # A half-closed client mid-line: the partial line is refused.
+            assert json.loads(exchange(b'{"op": "pi', half_close=True))[
+                "code"] == 400
+            # A client that half-closes before sending anything.
+            assert exchange(b"", half_close=True) == b""
+            # Over the line cap: refused (or reset, when the unread rest
+            # of the line is still queued as the server closes).
+            monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 1024)
+            reply = exchange(b"x" * 4096 + b"\n", half_close=False)
+            assert reply == b"" or json.loads(reply)["code"] == 400
+            monkeypatch.undo()
+
+            with ServeClient(port=d.port) as client:
+                assert client.ping()["server"] == "mgsw-serve"
+            assert set(list_segments()) == segments
+        finally:
+            d.stop()

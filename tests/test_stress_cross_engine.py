@@ -47,7 +47,6 @@ from repro.sw import (
     sweep_wavefront,
     xdrop_score,
 )
-from repro.sw.banded import banded_score
 from repro.sw.constants import DTYPE
 from repro.sw.tiers import MAX_WIDENING
 from repro.workloads import insert_n_runs, mutate, HUMAN_CHIMP, random_dna
@@ -104,11 +103,6 @@ class TestAllEnginesAgree:
         res = align_multi_process(a, b, DNA_DEFAULT, workers=3, block_rows=128)
         assert res.score == reference.score
         assert (res.best.row, res.best.col) == (reference.row, reference.col)
-
-    def test_banded_wide(self, workload, reference):
-        a, b = workload
-        got = banded_score(a, b, DNA_DEFAULT, half_width=400)
-        assert got.score == reference.score
 
     def test_full_traceback(self, workload, reference):
         a, b = workload

@@ -1,10 +1,9 @@
-"""X11 — narrow-int DP kernels: int16/int8 throughput vs the int32 baseline.
+"""X11 — narrow-int DP kernels: int16 throughput vs the int32 baseline.
 
 Wall-clock numbers from the single-device blocked executor with the
 batched kernel at the paper-style geometry (256-row block rows, 2048-col
-slab-width blocks).  The narrow kernels move half (int16) or a quarter
-(int8) of the bytes per cell through every vectorised ufunc of the row
-sweep — but the per-row ``np.maximum.accumulate`` E-scan is a sequential
+slab-width blocks).  The int16 kernel moves half the bytes per cell
+through every vectorised ufunc of the row sweep — but the per-row ``np.maximum.accumulate`` E-scan is a sequential
 C loop whose cost is dtype-*insensitive* (~3 ns/element regardless of
 width) and claims roughly 40% of the row budget, so Amdahl caps the
 realisable narrow speedup well below the 2x byte ratio.  The bound
@@ -13,15 +12,12 @@ honest executor-level figure for that mechanism; scores stay
 bit-identical throughout (the cross-engine differential suite holds the
 exactness; this experiment holds the speed).
 
-Three sections:
+Two sections:
 
 * square — a 16k x 16k random pair, int32 vs int16 vs auto (auto must
   resolve narrow here and match int16's throughput class);
 * megabase — a 1k x 1M strip, the shape the multi-GPU slabs actually
-  sweep, int32 vs int16;
-* int8 — informational: a 2048 x 2048 pair at the int8-feasible block
-  width (48 cols under DNA defaults), where the quarter-width sweep
-  shows its ceiling despite the narrow blocks.
+  sweep, int32 vs int16.
 
 Set ``MGSW_X11_TINY=1`` for the CI smoke configuration.  Results land in
 ``benchmarks/BENCH_dtype.json`` for regression tracking.
@@ -39,7 +35,6 @@ import numpy as np
 from repro.perf import format_table
 from repro.seq import DNA_DEFAULT
 from repro.sw import KernelWorkspace, compute_blocked
-from repro.sw.constants import resolve_dp_dtype
 from repro.workloads import random_dna
 
 from bench_helpers import print_header
@@ -61,13 +56,13 @@ MIN_SPEEDUP = 0.9 if TINY else 1.08
 OUT_PATH = pathlib.Path(__file__).parent / "BENCH_dtype.json"
 
 
-def _best_run(a, b, dp_dtype, *, block_cols=BLOCK_COLS, repeats=REPEATS):
+def _best_run(a, b, dp_dtype, *, repeats=REPEATS):
     workspace = KernelWorkspace()   # shared across repeats, like the engines
     best_s, out = None, None
     for _ in range(repeats):
         t0 = time.perf_counter()
         run = compute_blocked(a, b, DNA_DEFAULT, block_rows=BLOCK_ROWS,
-                              block_cols=block_cols, kernel="batched",
+                              block_cols=BLOCK_COLS, kernel="batched",
                               workspace=workspace, dp_dtype=dp_dtype)
         elapsed = time.perf_counter() - t0
         if best_s is None or elapsed < best_s:
@@ -116,18 +111,6 @@ def test_x11_dtype_throughput(benchmark):
     mega_speedup = mega_gcups["int16"] / mega_gcups["int32"]
     print(f"megabase int16/int32 speedup: {mega_speedup:.2f}x")
 
-    # -- int8 (informational: narrow blocks cap the batch width) -------------
-    ia = random_dna(2_048, rng=rng)
-    ib = random_dna(2_048, rng=rng)
-    w8 = resolve_dp_dtype("int8", DNA_DEFAULT, block_cols=48,
-                          m=ia.size, n=ib.size).max_width(DNA_DEFAULT)
-    int8_runs, int8_gcups = _section("int8 feasibility", ia, ib,
-                                     ("int32", "int8"), block_cols=w8,
-                                     repeats=REPEATS)
-    int8_speedup = int8_gcups["int8"] / int8_gcups["int32"]
-    print(f"int8/int32 speedup at width {w8}: {int8_speedup:.2f}x "
-          "(informational)")
-
     best = sq_runs["int32"][1].best
     record = {
         "experiment": "x11_dtype",
@@ -145,12 +128,6 @@ def test_x11_dtype_throughput(benchmark):
             "matrix": {"rows": int(ma.size), "cols": int(mb.size)},
             "gcups": mega_gcups,
             "speedup_int16": mega_speedup,
-        },
-        "int8": {
-            "matrix": {"rows": int(ia.size), "cols": int(ib.size)},
-            "block_cols": int(w8),
-            "gcups": int8_gcups,
-            "speedup": int8_speedup,
         },
         "recorded_unix": time.time(),
     }

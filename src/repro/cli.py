@@ -51,7 +51,6 @@ from . import seq
 from .device import spec as device_spec
 from .device.spec import DeviceSpec
 from .errors import ReproError
-from .multigpu.chain import ChainConfig, align_multi_gpu, time_multi_gpu
 from .multigpu.pipeline import require_exact, trace_best
 from .multigpu.procchain import TRANSPORTS, align_multi_process
 from .perf import format_table, humanize_cells, humanize_time
@@ -59,9 +58,10 @@ from .sw import DP_DTYPE_CHOICES, KERNEL_CHOICES, resolve_kernel
 from .sw.config import CONFIG_FIELDS, AlignConfig
 from .sw.xdrop import MODES
 
-# Everything else a subcommand needs (the workload catalog, the tuner,
-# the campaigns, statistics, serve, the HTTP exporter) is imported inside
-# that subcommand, so `mgsw align` does not load it.
+# Everything else a subcommand needs (the simulated chain, the workload
+# catalog, the tuner, the campaigns, statistics, serve, the HTTP
+# exporter) is imported inside that subcommand or backend, so
+# `mgsw align --backend process` does not load it.
 
 #: Name -> preset mapping for --gpu flags.
 PRESETS: dict[str, DeviceSpec] = {
@@ -150,10 +150,10 @@ _CONFIG_FLAGS: dict[str, dict] = {
         type=int, help="X-drop termination threshold for --mode xdrop"),
     "dp_dtype": dict(
         choices=DP_DTYPE_CHOICES,
-        help="DP cell dtype: auto (narrowest type whose headroom "
-             "guarantees no escalation), int32, or a saturating narrow "
-             "type (int16/int8) with per-block escalation back to int32 "
-             "on overflow — final scores are bit-identical either way"),
+        help="DP cell dtype: auto (int16 when its headroom guarantees "
+             "no escalation, else int32), int32, or int16 with per-block "
+             "escalation back to int32 on overflow — final scores are "
+             "bit-identical either way"),
 }
 
 
@@ -326,6 +326,8 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
             max_restarts=args.max_restarts,
             restart_backoff_s=args.restart_backoff_s)
     else:
+        from .multigpu.chain import ChainConfig, align_multi_gpu
+
         devices = _devices_from_args(args)
         t0 = time_mod.perf_counter()
         res = align_multi_gpu(
@@ -373,6 +375,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_time(args: argparse.Namespace) -> int:
+    from .multigpu.chain import ChainConfig, time_multi_gpu
+
     devices = _devices_from_args(args)
     cfg = ChainConfig(block_rows=args.block_rows, channel_capacity=args.buffer)
     res = time_multi_gpu(args.rows, args.cols, devices, config=cfg)
@@ -386,6 +390,7 @@ def cmd_time(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     from .multigpu.autotune import autotune
+    from .multigpu.chain import time_multi_gpu
 
     devices = _devices_from_args(args)
     result = autotune(devices, args.rows, args.cols, measured=args.measured)
@@ -412,6 +417,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def cmd_campaign(args: argparse.Namespace) -> int:
     from . import workloads
     from .multigpu.batch import run_campaign_chained, run_campaign_split
+    from .multigpu.chain import ChainConfig
 
     devices = _devices_from_args(args)
     cfg = ChainConfig(block_rows=args.block_rows, channel_capacity=args.buffer)
@@ -475,6 +481,8 @@ def cmd_perf_trace_export(args: argparse.Namespace) -> int:
             a, b, seq.DNA_DEFAULT, config=config, workers=args.workers,
             capacity=args.buffer, transport=args.transport, tracer=tracer)
     else:
+        from .multigpu.chain import ChainConfig, align_multi_gpu
+
         devices = _devices_from_args(args)
         cfg = ChainConfig(**asdict(config), channel_capacity=args.buffer)
         res = align_multi_gpu(a, b, seq.DNA_DEFAULT, devices, config=cfg,

@@ -6,13 +6,19 @@ scoreboard, the heartbeat board (and the recovery checkpoint area in
 sharing one create/attach/close/unlink lifecycle (:mod:`.shm`).
 """
 
-from .channel import BorderChannel, BorderSegment
-from .network import InterNodeChannel, NetworkLink
-from .progress import PHASES, ProgressBoard, ProgressSample
-from .ringbuf import RingBuffer, RingStats, SimRingBuffer
-from .scoreboard import LocalScoreboard, SharedScoreboard
-from .shm import ShmSegment, list_segments
-from .shmring import ShmRing
+from .._lazy import lazy_package
+
+# Each name loads its module on first access: the real-process engines
+# use the shared-memory modules and never load the simulated channels.
+lazy_package(__name__, {
+    ".channel": ("BorderChannel", "BorderSegment"),
+    ".network": ("InterNodeChannel", "NetworkLink"),
+    ".progress": ("PHASES", "ProgressBoard", "ProgressSample"),
+    ".ringbuf": ("RingBuffer", "RingStats", "SimRingBuffer"),
+    ".scoreboard": ("LocalScoreboard", "SharedScoreboard"),
+    ".shm": ("ShmSegment", "list_segments"),
+    ".shmring": ("ShmRing",),
+})
 
 __all__ = [
     "BorderChannel",

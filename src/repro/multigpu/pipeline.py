@@ -20,17 +20,19 @@ the cheaper host-side stages.  :func:`align_and_trace` packages that flow:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..device.spec import DeviceSpec
 from ..errors import AlignmentError, ConfigError
 from ..seq.scoring import Scoring
 from ..sw.alignment import Alignment
 from ..sw.kernel import BestCell
 from ..sw.stages import align_local
-from .chain import ChainConfig, ChainResult, MatrixWorkload, MultiGpuChain
+
+if TYPE_CHECKING:  # the simulated chain loads only when it runs
+    from ..device.spec import DeviceSpec
+    from .chain import ChainConfig, ChainResult
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,8 @@ def align_and_trace(
     traces monolithically.  A heuristic ``config.mode`` is refused with
     :class:`~repro.errors.ConfigError` before the chain runs.
     """
+    from .chain import MatrixWorkload, MultiGpuChain
+
     if config is not None:
         require_exact(config.mode)
     chain = MultiGpuChain(devices, config=config)

@@ -51,8 +51,8 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..seq.scoring import Scoring
-from .constants import DTYPE, MAX_SWEEP_WIDTH, NEG_INF, DpPolicy, get_policy
-from .kernel import BestCell, BlockResult, build_profile, narrow_entry_ok
+from .constants import DTYPE, NEG_INF, DpPolicy, get_policy
+from .kernel import BestCell, BlockResult, build_profile, check_block, narrow_entry_ok
 from .scan import escan_segmented
 
 #: Per-row callback of the batched sweep: ``(job_index, local_row, H, E, F)``
@@ -222,16 +222,8 @@ class BlockJob:
         return int(self.profile.shape[1])
 
     def validate(self) -> None:
-        rows, cols = self.rows, self.cols
-        if rows == 0 or cols == 0:
-            raise ConfigError("sweep_wavefront requires non-empty blocks")
-        if cols > MAX_SWEEP_WIDTH:
-            raise ConfigError(
-                f"block width {cols} exceeds MAX_SWEEP_WIDTH={MAX_SWEEP_WIDTH}")
-        if self.h_top.shape != (cols,) or self.f_top.shape != (cols,):
-            raise ConfigError("h_top/f_top must have one entry per block column")
-        if self.h_left.shape != (rows,) or self.e_left.shape != (rows,):
-            raise ConfigError("h_left/e_left must have one entry per block row")
+        check_block(self.rows, self.cols, self.h_top, self.f_top,
+                    self.h_left, self.e_left)
 
 
 def sweep_wavefront(

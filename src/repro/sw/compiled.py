@@ -9,7 +9,7 @@ best-cell candidate in one pass — no NumPy temporaries, no per-row
 ufunc launches, and the E dependency is carried in a register, so the
 "scan" costs one ``max`` per cell inside the same loop that already
 touches the cell.  The loop is dtype-generic; numba lazily specialises
-it per DP dtype (int32 / int16 / int8), which is where the narrow
+it per DP dtype (int32 / int16), which is where the narrow
 kernels finally cash their byte-ratio win: int16 halves the memory
 traffic *and* no longer funnels through a dtype-insensitive serial
 scan.
@@ -21,9 +21,11 @@ the name everywhere and the fallback costs nothing over ``scalar``.
 
 Exactness contract: ``sweep_block_compiled`` is bit-identical to
 :func:`repro.sw.kernel.sweep_block` for every (dtype, mode, pruning,
-escalation) combination — the same narrow entry gate, the same per-row
-overflow cap with wide recompute, the same row-major best-cell
-tie-break.  The cross-engine differential suite pins this.
+escalation) combination.  Both run one narrow-DP protocol
+(:func:`repro.sw.kernel.sweep_protocol`: entry gate, per-row overflow
+cap, wide recompute) and differ only in the row engine they hand it;
+the jitted engine keeps the same row-major best-cell tie-break.  The
+cross-engine differential suite pins this.
 
 JIT warmup: the first call per compiled specialisation pays the numba
 compile (hundreds of ms).  Engines must call :func:`warmup` once per
@@ -39,14 +41,14 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..seq.scoring import Scoring
 from . import backend
-from .constants import DTYPE, MAX_SWEEP_WIDTH, NEG_INF, DpPolicy, get_policy
-from .kernel import BestCell, BlockResult, build_profile, local_boundaries, narrow_entry_ok, sweep_block
+from .constants import NEG_INF, DpPolicy, get_policy
+from .kernel import BestCell, BlockResult, build_profile, local_boundaries, sweep_block, sweep_protocol
 
 #: Sentinel cap for wide sweeps: no int32 row maximum can reach it, so
 #: the jitted overflow gate compiles to a dead branch.
@@ -153,28 +155,12 @@ def _build_jit(nb):
 
 
 def _run_jit(sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
-             scoring: Scoring, *, local: bool, track_best: bool,
-             dp: DpPolicy | None = None, cap: int | None = None):
-    """One jitted sweep in ``dp.kind`` (or int32); ``None`` on overflow.
-
-    Border narrowing matches ``_sweep_block_narrow`` exactly: H borders
-    plain-cast (the entry gate certified them), E/F sentinels clipped to
-    the policy's ``neg_inf``; outputs are widened with a plain
-    ``astype``, exact under the local-clamp invariant (INTERNALS.md §11).
-    """
-    narrow = dp is not None
-    kind = dp.kind if narrow else DTYPE
+             scoring: Scoring, cap: int | None, *, local: bool,
+             track_best: bool) -> BlockResult | None:
+    """The jitted row engine of :func:`~repro.sw.kernel.sweep_protocol`:
+    one fused sweep in the borders' dtype; ``None`` on overflow."""
+    kind = h_top.dtype.type
     R = int(a_codes.size)
-    prof = np.ascontiguousarray(profile, dtype=kind)
-    h_row = h_top.astype(kind, copy=True)
-    if narrow:
-        f_row = np.maximum(f_top, dp.neg_inf).astype(kind)
-        h_l = h_left.astype(kind)
-        e_l = np.maximum(e_left, dp.neg_inf).astype(kind)
-    else:
-        f_row = f_top.astype(kind, copy=True)
-        h_l = np.ascontiguousarray(h_left, dtype=kind)
-        e_l = np.ascontiguousarray(e_left, dtype=kind)
     h_right = np.empty(R, dtype=kind)
     e_right = np.empty(R, dtype=kind)
     best_out = np.empty(3, dtype=np.int64)
@@ -182,9 +168,11 @@ def _run_jit(sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
     best_out[1] = -1
     best_out[2] = -1
     overflow = sweep(
-        np.ascontiguousarray(a_codes, dtype=np.int64), prof, h_row, f_row,
-        h_l, e_l, kind(h_diag), kind(scoring.gap_open),
-        kind(scoring.gap_extend), kind(0), bool(local), bool(track_best),
+        np.ascontiguousarray(a_codes, dtype=np.int64),
+        np.ascontiguousarray(profile), h_top, f_top,
+        np.ascontiguousarray(h_left), np.ascontiguousarray(e_left),
+        kind(h_diag), kind(scoring.gap_open), kind(scoring.gap_extend),
+        kind(0), bool(local), bool(track_best),
         np.int64(cap) if cap is not None else _NO_CAP,
         h_right, e_right, best_out)
     if overflow:
@@ -193,15 +181,8 @@ def _run_jit(sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
         best = BestCell(int(best_out[0]), int(best_out[1]), int(best_out[2]))
     else:
         best = BestCell.none()
-    return BlockResult(
-        h_bottom=h_row.astype(DTYPE) if narrow else h_row,
-        f_bottom=f_row.astype(DTYPE) if narrow else f_row,
-        h_right=h_right.astype(DTYPE) if narrow else h_right,
-        e_right=e_right.astype(DTYPE) if narrow else e_right,
-        corner=int(h_row[-1]),
-        best=best,
-        dtype=dp.name if narrow else "int32",
-    )
+    return BlockResult(h_bottom=h_top, f_bottom=f_top, h_right=h_right,
+                       e_right=e_right, corner=int(h_top[-1]), best=best)
 
 
 def sweep_block_compiled(
@@ -221,52 +202,22 @@ def sweep_block_compiled(
     """:func:`repro.sw.kernel.sweep_block` semantics on the compiled path.
 
     Same contract minus the row sink (the traceback stages that need
-    special rows call the NumPy kernels directly).  Narrow policies run
-    the same entry gate / per-row cap / wide-escalation protocol as the
-    scalar kernel, so results are bit-identical across every dtype and
-    escalation outcome.  Without a JIT this is ``sweep_block`` itself.
+    special rows call the NumPy kernels directly).  The jitted sweep is
+    the row engine of the same :func:`~repro.sw.kernel.sweep_protocol`,
+    so results are bit-identical across every dtype and escalation
+    outcome.  Without a JIT this is ``sweep_block`` itself.
     """
     sweep = _get_jit()
     if sweep is None:
         return sweep_block(
             a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
             scoring, local=local, track_best=track_best, dp=dp)
-    R = int(a_codes.size)
-    W = int(profile.shape[1])
-    if W == 0 or R == 0:
-        raise ConfigError("sweep_block requires a non-empty block")
-    if W > MAX_SWEEP_WIDTH:
-        raise ConfigError(f"block width {W} exceeds MAX_SWEEP_WIDTH={MAX_SWEEP_WIDTH}")
-    if h_top.shape != (W,) or f_top.shape != (W,):
-        raise ConfigError("h_top/f_top must have one entry per block column")
-    if h_left.shape != (R,) or e_left.shape != (R,):
-        raise ConfigError("h_left/e_left must have one entry per block row")
-
-    escalated = False
-    if dp is not None and dp.narrow and local:
-        max_w = dp.max_width(scoring)
-        if W > max_w:
-            raise ConfigError(
-                f"block width {W} exceeds {dp.name} max sweep width {max_w} "
-                f"under this scoring scheme")
-        cap = dp.overflow_limit(scoring, W)
-        if narrow_entry_ok(h_top, f_top, h_left, e_left, h_diag, cap):
-            result = _run_jit(
-                sweep, a_codes, profile, h_top, f_top, h_left, e_left,
-                h_diag, scoring, local=True, track_best=track_best,
-                dp=dp, cap=cap)
-            if result is not None:
-                return result
-        escalated = True
-
-    result = _run_jit(
-        sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
-        scoring, local=local, track_best=track_best)
-    result.escalated = escalated
-    return result
+    return sweep_protocol(
+        partial(_run_jit, sweep), a_codes, profile, h_top, f_top, h_left,
+        e_left, h_diag, scoring, local=local, track_best=track_best, dp=dp)
 
 
-def warmup(dp_dtypes: tuple[str, ...] = ("int32", "int16", "int8"),
+def warmup(dp_dtypes: tuple[str, ...] = ("int32", "int16"),
            *, force: bool = False) -> float:
     """Compile the jitted sweep's dtype specialisations; returns seconds.
 
@@ -297,11 +248,10 @@ def warmup(dp_dtypes: tuple[str, ...] = ("int32", "int16", "int8"),
             profile = build_profile(b, DNA_DEFAULT)
             h_top, f_top, h_left, e_left, corner = local_boundaries(n, n)
             for name in todo:
-                pol = get_policy(name)
-                dp = pol if pol.narrow and n <= pol.max_width(DNA_DEFAULT) else None
+                dp = get_policy(name)
                 sweep_block_compiled(a, profile, h_top, f_top, h_left,
                                      e_left, corner, DNA_DEFAULT, dp=dp)
-                if dp is not None:
+                if dp.narrow:
                     # Compile the wide escalation target too: hot blocks
                     # must not pay a mid-run compile on first overflow.
                     sweep_block_compiled(a, profile, h_top, f_top, h_left,

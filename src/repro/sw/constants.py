@@ -6,13 +6,13 @@ sentinel standing in for minus infinity; it is chosen so that any
 realistic sum of penalties added to it stays far above the ``int32``
 minimum (no wraparound) while remaining unreachable by any legal score.
 
-On top of the wide baseline sit *narrow* DP policies (``int16``/``int8``)
-that the kernels may use internally for the row sweep: borders are
+On top of the wide baseline sits the *narrow* ``int16`` DP policy that
+the kernels may use internally for the row sweep: borders are
 narrowed on entry (sentinels clipped to a dtype-scaled ``neg_inf``),
 swept in the narrow dtype, and widened back to ``int32`` on exit.  A
 per-row cap check (:meth:`DpPolicy.overflow_limit`) detects potential
 overflow *before* any real cell can wrap, and callers escalate the block
-to an ``int32`` recompute — so narrow modes are bit-identical to wide.
+to an ``int32`` recompute — so the narrow mode is bit-identical to wide.
 The headroom math lives here; INTERNALS.md section 11 has the proofs.
 """
 
@@ -38,7 +38,7 @@ DTYPE = np.int32
 MAX_SWEEP_WIDTH: int = 1 << 26
 
 #: Names of the supported DP compute dtypes, widest first.
-DP_DTYPES: tuple[str, ...] = ("int32", "int16", "int8")
+DP_DTYPES: tuple[str, ...] = ("int32", "int16")
 
 #: Valid values for the engine-level ``dp_dtype`` knob.
 DP_DTYPE_CHOICES: tuple[str, ...] = ("auto",) + DP_DTYPES
@@ -61,7 +61,7 @@ class DpPolicy:
 
     @property
     def kind(self) -> type:
-        return {"int32": np.int32, "int16": np.int16, "int8": np.int8}[self.name]
+        return {"int32": np.int32, "int16": np.int16}[self.name]
 
     @property
     def lo(self) -> int:
@@ -128,14 +128,13 @@ class DpPolicy:
         return self.max_width(scoring) >= 1
 
 
-#: The three supported policies.  Narrow sentinels: far below any real
+#: The two supported policies.  The narrow sentinel: far below any real
 #: clipped-local value (reals stay >= -(open+ext)), far above the dtype
 #: minimum (one step of penalties cannot wrap), and cheap to separate
 #: from real values when narrowing int32 borders.
 POLICIES: dict[str, DpPolicy] = {
     "int32": DpPolicy("int32", NEG_INF),
     "int16": DpPolicy("int16", -(1 << 13)),   # -8192
-    "int8": DpPolicy("int8", -(1 << 5)),      # -32
 }
 
 
@@ -159,28 +158,26 @@ def resolve_dp_dtype(dp_dtype: str, scoring, *, block_cols: int,
                      m: int, n: int, local: bool = True) -> DpPolicy:
     """Pick the concrete :class:`DpPolicy` for a run.
 
-    ``"auto"`` selects the narrowest policy that is *guaranteed* not to
-    escalate: the scoring scheme must fit (:meth:`DpPolicy.supports`),
-    the effective sweep width ``min(block_cols, n)`` must be within
+    ``"auto"`` picks ``int16`` only when it can never escalate: the
+    scoring scheme must fit (:meth:`DpPolicy.supports`), the effective
+    sweep width ``min(block_cols, n)`` must be within
     :meth:`DpPolicy.max_width`, and the largest possible local score
-    (``match * min(m, n)``) must stay under the overflow cap — so auto
-    is never slower than ``int32``.  Explicit narrow names are honoured
-    whenever the width fits (escalation absorbs any overflow) and fall
-    back is an error, keeping the knob predictable; non-local sweeps
-    always compute wide (traceback stages reuse borders as signed
-    intermediates that the narrow clip would corrupt).
+    (``match * min(m, n)``) must stay under the overflow cap; otherwise
+    it picks ``int32``.  An explicit ``int16`` is honoured whenever the
+    width fits (escalation absorbs any overflow) and falling back is an
+    error, keeping the knob predictable; non-local sweeps always compute
+    wide (traceback stages reuse borders as signed intermediates that
+    the narrow clip would corrupt).
     """
     validate_dp_dtype(dp_dtype)
     eff_w = max(1, min(block_cols, n))
     if dp_dtype == "auto":
-        if local:
-            for name in ("int8", "int16"):
-                policy = POLICIES[name]
-                if (policy.supports(scoring)
-                        and eff_w <= policy.max_width(scoring)
-                        and scoring.match * min(m, n)
-                        < policy.overflow_limit(scoring, eff_w)):
-                    return policy
+        policy = POLICIES["int16"]
+        if (local and policy.supports(scoring)
+                and eff_w <= policy.max_width(scoring)
+                and scoring.match * min(m, n)
+                < policy.overflow_limit(scoring, eff_w)):
+            return policy
         return POLICIES["int32"]
     policy = POLICIES[dp_dtype]
     if policy.narrow:

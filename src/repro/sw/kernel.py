@@ -46,6 +46,7 @@ border columns between neighbouring GPUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,11 @@ from .scan import escan_row
 #: Signature of the optional per-row callback: ``(local_row_index, H, E, F)``
 #: with arrays valid only for the duration of the call (copy to keep).
 RowSink = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
+
+#: A row engine of :func:`sweep_protocol`, called like :func:`_row_loop`:
+#: it sweeps in its inputs' dtype, may overwrite ``h_top``/``f_top``, and
+#: returns ``None`` once a final-H row maximum reaches an int *cap*.
+RowEngine = Callable[..., "BlockResult | None"]
 
 
 @dataclass(frozen=True)
@@ -164,45 +170,93 @@ def narrow_entry_ok(
             and int(e_left.max()) < cap)
 
 
-def _sweep_block_narrow(
-    a_codes: np.ndarray,
-    profile: np.ndarray,
-    h_top: np.ndarray,
-    f_top: np.ndarray,
-    h_left: np.ndarray,
-    e_left: np.ndarray,
-    h_diag: int,
-    scoring: Scoring,
-    dp: DpPolicy,
-    cap: int,
-    *,
-    track_best: bool,
-) -> BlockResult | None:
-    """The local row sweep in a narrow dtype; ``None`` on overflow risk.
+def check_block(rows: int, cols: int, h_top: np.ndarray, f_top: np.ndarray,
+                h_left: np.ndarray, e_left: np.ndarray) -> None:
+    """The block shape every kernel accepts: non-empty, at most
+    :data:`MAX_SWEEP_WIDTH` columns, one top border entry per column and
+    one left border entry per row."""
+    if rows == 0 or cols == 0:
+        raise ConfigError("a block sweep requires a non-empty block")
+    if cols > MAX_SWEEP_WIDTH:
+        raise ConfigError(f"block width {cols} exceeds MAX_SWEEP_WIDTH={MAX_SWEEP_WIDTH}")
+    if h_top.shape != (cols,) or f_top.shape != (cols,):
+        raise ConfigError("h_top/f_top must have one entry per block column")
+    if h_left.shape != (rows,) or e_left.shape != (rows,):
+        raise ConfigError("h_left/e_left must have one entry per block row")
 
-    Same recurrence as the wide loop in :func:`sweep_block`, computed in
-    ``dp.kind`` with the borders narrowed on entry (E/F sentinels clipped
-    to ``dp.neg_inf``).  After each row the row maximum is compared to
-    *cap*: values below it guarantee (INTERNALS.md §11) that no
-    intermediate exceeded the dtype range, so every cell equals the wide
-    sweep's bit-for-bit.  A row maximum at or above *cap* aborts — the
-    caller recomputes the block wide.
+
+def sweep_protocol(rows: RowEngine, a_codes, profile, h_top, f_top, h_left,
+                   e_left, h_diag: int, scoring: Scoring, *, local: bool,
+                   track_best: bool, dp: DpPolicy | None) -> BlockResult:
+    """Sweep one block on the row engine *rows*, narrow first under *dp*.
+
+    A narrow local sweep checks the block's width against the policy and
+    its borders against the overflow cap (:func:`narrow_entry_ok`),
+    narrows the borders (E/F sentinels clipped to ``dp.neg_inf``) and
+    runs *rows* in ``dp.kind`` with the cap.  A cap hit, or borders the
+    gate refuses, recompute the block in int32 (``escalated=True``), so
+    the result is bit-identical to the wide sweep.  Outputs are int32.
     """
     R = int(a_codes.size)
     W = int(profile.shape[1])
-    kind = dp.kind
-    neg = kind(dp.neg_inf)
+    check_block(R, W, h_top, f_top, h_left, e_left)
+    escalated = False
+    if dp is not None and dp.narrow and local:
+        max_w = dp.max_width(scoring)
+        if W > max_w:
+            raise ConfigError(
+                f"block width {W} exceeds {dp.name} max sweep width {max_w} "
+                f"under this scoring scheme")
+        cap = dp.overflow_limit(scoring, W)
+        if narrow_entry_ok(h_top, f_top, h_left, e_left, h_diag, cap):
+            kind = dp.kind
+            result = rows(
+                a_codes, profile.astype(kind, copy=False), h_top.astype(kind),
+                np.maximum(f_top, dp.neg_inf).astype(kind), h_left.astype(kind),
+                np.maximum(e_left, dp.neg_inf).astype(kind), h_diag, scoring,
+                cap, local=True, track_best=track_best)
+            if result is not None:
+                # Plain widening is exact: local clamping plus non-negative
+                # H borders mean no output can carry a sentinel-derived
+                # value (INTERNALS.md §11).
+                return BlockResult(
+                    result.h_bottom.astype(DTYPE), result.f_bottom.astype(DTYPE),
+                    result.h_right.astype(DTYPE), result.e_right.astype(DTYPE),
+                    result.corner, result.best, dtype=dp.name)
+        escalated = True
+    result = rows(
+        a_codes, profile.astype(DTYPE, copy=False), h_top.astype(DTYPE),
+        f_top.astype(DTYPE), h_left.astype(DTYPE, copy=False),
+        e_left.astype(DTYPE, copy=False), h_diag, scoring, None,
+        local=local, track_best=track_best)
+    result.escalated = escalated
+    return result
+
+
+def _row_loop(a_codes: np.ndarray, profile: np.ndarray, h_top: np.ndarray,
+              f_top: np.ndarray, h_left: np.ndarray, e_left: np.ndarray,
+              h_diag: int, scoring: Scoring, cap: int | None, *, local: bool,
+              track_best: bool, row_sink: RowSink | None = None,
+              sink_interval: int = 0) -> BlockResult | None:
+    """The NumPy row engine: the Gotoh row sweep in the borders' dtype.
+
+    With a *cap*, the final-H maximum of every row is compared to it: a
+    maximum below the cap certifies (INTERNALS.md §11) that no
+    intermediate of the row left the dtype's range, and a maximum at or
+    above it returns ``None`` at once.
+    """
+    R = int(a_codes.size)
+    W = int(profile.shape[1])
+    kind = h_top.dtype.type
     open_ = kind(scoring.gap_open)
     ext = kind(scoring.gap_extend)
 
-    prof = profile.astype(kind)
-    h_prev = h_top.astype(kind)                    # checked: 0 <= h < cap
-    f_prev = np.maximum(f_top, dp.neg_inf).astype(kind)
-    h_left_n = h_left.astype(kind)
-    e_left_n = np.maximum(e_left, dp.neg_inf).astype(kind)
-    h_right = np.empty(R, dtype=DTYPE)
-    e_right = np.empty(R, dtype=DTYPE)
+    h_prev = h_top  # the protocol's own copies: the sweep reuses them
+    f_prev = f_top
+    h_right = np.empty(R, dtype=kind)
+    e_right = np.empty(R, dtype=kind)
 
+    # Reusable scratch (one allocation set per block, not per row).
     j_ext = (np.arange(W, dtype=kind) * ext).astype(kind)
     diag = np.empty(W, dtype=kind)
     temp = np.empty(W, dtype=kind)
@@ -211,52 +265,53 @@ def _sweep_block_narrow(
     f_row = np.empty(W, dtype=kind)
 
     best = BestCell.none()
-    best_score = 0
-    corner_prev = kind(h_diag)
+    best_score = NEG_INF if not local else 0  # local never reports < 0 cells
+    corner_prev = kind(h_diag)  # H at (i-1, -1): left border of previous row
 
     for i in range(R):
-        sub = prof[a_codes[i]]
+        sub = profile[a_codes[i]]
 
+        # F (vertical gap): depends only on the previous row.
         np.maximum(f_prev, h_prev - open_, out=f_row)
         f_row -= ext
 
+        # Diagonal term H[i-1, j-1] + s.
         diag[0] = corner_prev
         diag[1:] = h_prev[:-1]
         np.add(diag, sub, out=temp)
         np.maximum(temp, f_row, out=temp)
-        np.maximum(temp, 0, out=temp)
+        if local:
+            np.maximum(temp, 0, out=temp)
 
-        escan_row(temp, h_left_n[i], e_left_n[i], open_, ext, j_ext, scan, e_row)
+        # E (horizontal gap) via running maximum:
+        #   e[j] = E[j] + j*ext;  e[j] = max(e[j-1], Q[j-1]),
+        #   Q[j] = tempH[j] - open + j*ext;
+        #   e[0] = E[0] = max(E_left, H_left - open) - ext.
+        # The shared helper writes Q pre-shifted and evaluates the
+        # prefix-max with the active scan engine (see sw/scan.py).
+        escan_row(temp, h_left[i], e_left[i], open_, ext, j_ext, scan, e_row)
 
-        np.maximum(temp, e_row, out=temp)
+        np.maximum(temp, e_row, out=temp)  # temp is now the final H row
 
-        # The overflow gate: a final-H maximum below cap certifies the
-        # whole row (and the E/F state it feeds forward) stayed exact.
-        j = int(temp.argmax())
-        m = int(temp[j])
-        if m >= cap:
-            return None
-        if track_best and m > best_score:
-            best_score = m
-            best = BestCell(m, i, j)
+        if track_best or cap is not None:
+            j = int(temp.argmax())
+            m = int(temp[j])
+            if cap is not None and m >= cap:
+                return None
+            if track_best and m > best_score:
+                best_score = m
+                best = BestCell(m, i, j)
+
+        if row_sink is not None and (i + 1) % sink_interval == 0:
+            row_sink(i, temp, e_row, f_row)
 
         h_right[i] = temp[-1]
         e_right[i] = e_row[-1]
-        corner_prev = h_left_n[i]
-        h_prev, temp = temp, h_prev
+        corner_prev = h_left[i]
+        h_prev, temp = temp, h_prev  # swap buffers; h_prev now holds row i
         f_prev, f_row = f_row, f_prev
 
-    # Plain widening is exact: local clamping plus non-negative H borders
-    # mean no output can carry a sentinel-derived value (INTERNALS.md §11).
-    return BlockResult(
-        h_bottom=h_prev.astype(DTYPE),
-        f_bottom=f_prev.astype(DTYPE),
-        h_right=h_right,
-        e_right=e_right,
-        corner=int(h_prev[-1]),
-        best=best,
-        dtype=dp.name,
-    )
+    return BlockResult(h_prev, f_prev, h_right, e_right, int(h_prev[-1]), best)
 
 
 def sweep_block(
@@ -291,113 +346,21 @@ def sweep_block(
         When ``sink_interval > 0``, ``row_sink(i, H, E, F)`` is invoked for
         every local row ``i`` with ``(i+1) % sink_interval == 0`` — the
         "special rows" the traceback stages consume.  Arrays must be copied
-        by the sink if kept.
+        by the sink if kept.  A row sink always sweeps in int32.
     dp:
-        Optional narrow :class:`~repro.sw.constants.DpPolicy`.  When set
-        (and the sweep is local without a row sink), the block is first
-        attempted in the narrow dtype; an overflow-cap hit escalates to
-        the wide path, so the result is always bit-identical to int32.
-        Borders and outputs stay int32 either way.
+        Optional narrow :class:`~repro.sw.constants.DpPolicy`, run under
+        :func:`sweep_protocol`: the result is always bit-identical to
+        int32, and borders and outputs stay int32 either way.
     """
-    R = int(a_codes.size)
-    W = int(profile.shape[1])
-    if W == 0 or R == 0:
-        raise ConfigError("sweep_block requires a non-empty block")
-    if W > MAX_SWEEP_WIDTH:
-        raise ConfigError(f"block width {W} exceeds MAX_SWEEP_WIDTH={MAX_SWEEP_WIDTH}")
-    if h_top.shape != (W,) or f_top.shape != (W,):
-        raise ConfigError("h_top/f_top must have one entry per block column")
-    if h_left.shape != (R,) or e_left.shape != (R,):
-        raise ConfigError("h_left/e_left must have one entry per block row")
-    if row_sink is not None and sink_interval <= 0:
-        raise ConfigError("row_sink requires a positive sink_interval")
-
-    escalated = False
-    if dp is not None and dp.narrow and local and row_sink is None:
-        max_w = dp.max_width(scoring)
-        if W > max_w:
-            raise ConfigError(
-                f"block width {W} exceeds {dp.name} max sweep width {max_w} "
-                f"under this scoring scheme")
-        cap = dp.overflow_limit(scoring, W)
-        if narrow_entry_ok(h_top, f_top, h_left, e_left, h_diag, cap):
-            result = _sweep_block_narrow(
-                a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
-                scoring, dp, cap, track_best=track_best)
-            if result is not None:
-                return result
-        escalated = True
-
-    open_ = DTYPE(scoring.gap_open)
-    ext = DTYPE(scoring.gap_extend)
-
-    h_prev = h_top.astype(DTYPE, copy=True)
-    f_prev = f_top.astype(DTYPE, copy=True)
-    h_right = np.empty(R, dtype=DTYPE)
-    e_right = np.empty(R, dtype=DTYPE)
-
-    # Reusable scratch (one allocation set per block, not per row).
-    j_ext = (np.arange(W, dtype=DTYPE) * ext).astype(DTYPE)
-    diag = np.empty(W, dtype=DTYPE)
-    temp = np.empty(W, dtype=DTYPE)
-    scan = np.empty(W, dtype=DTYPE)
-    e_row = np.empty(W, dtype=DTYPE)
-    f_row = np.empty(W, dtype=DTYPE)
-
-    best = BestCell.none()
-    best_score = NEG_INF if not local else 0  # local never reports < 0 cells
-    corner_prev = DTYPE(h_diag)  # H at (i-1, -1): left border of previous row
-
-    for i in range(R):
-        sub = profile[a_codes[i]]
-
-        # F (vertical gap): depends only on the previous row.
-        np.maximum(f_prev, h_prev - open_, out=f_row)
-        f_row -= ext
-
-        # Diagonal term H[i-1, j-1] + s.
-        diag[0] = corner_prev
-        diag[1:] = h_prev[:-1]
-        np.add(diag, sub, out=temp)
-        np.maximum(temp, f_row, out=temp)
-        if local:
-            np.maximum(temp, 0, out=temp)
-
-        # E (horizontal gap) via running maximum:
-        #   e[j] = E[j] + j*ext;  e[j] = max(e[j-1], Q[j-1]),
-        #   Q[j] = tempH[j] - open + j*ext;
-        #   e[0] = E[0] = max(E_left, H_left - open) - ext.
-        # The shared helper writes Q pre-shifted and evaluates the
-        # prefix-max with the active scan engine (see sw/scan.py).
-        escan_row(temp, h_left[i], e_left[i], open_, ext, j_ext, scan, e_row)
-
-        np.maximum(temp, e_row, out=temp)  # temp is now the final H row
-
-        if track_best:
-            j = int(temp.argmax())
-            m = int(temp[j])
-            if m > best_score:
-                best_score = m
-                best = BestCell(m, i, j)
-
-        if row_sink is not None and (i + 1) % sink_interval == 0:
-            row_sink(i, temp, e_row, f_row)
-
-        h_right[i] = temp[-1]
-        e_right[i] = e_row[-1]
-        corner_prev = h_left[i]
-        h_prev, temp = temp, h_prev  # swap buffers; h_prev now holds row i
-        f_prev, f_row = f_row, f_prev
-
-    return BlockResult(
-        h_bottom=h_prev.copy(),
-        f_bottom=f_prev.copy(),
-        h_right=h_right,
-        e_right=e_right,
-        corner=int(h_prev[-1]),
-        best=best,
-        escalated=escalated,
-    )
+    rows: RowEngine = _row_loop
+    if row_sink is not None:
+        if sink_interval <= 0:
+            raise ConfigError("row_sink requires a positive sink_interval")
+        rows = partial(_row_loop, row_sink=row_sink, sink_interval=sink_interval)
+        dp = None
+    return sweep_protocol(
+        rows, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
+        scoring, local=local, track_best=track_best, dp=dp)
 
 
 def sw_score(

@@ -14,13 +14,16 @@ which can exceed every border cell beside it.  The bound holds
 because a local-alignment path can gain at most ``match`` per remaining
 diagonal step, it has at most ``min(m - row0, n - col0)`` diagonal steps
 left counting from the block's top-left corner, and in local mode a path
-can also restart at 0 inside the block.  If the bound does not exceed the
-best score already found, the block is skipped entirely.
+can also restart at 0 inside the block.  If the bound is below the best
+score already found, the block is skipped entirely.  A block whose bound
+*equals* the best is swept: it may hold a cell that ties the best and
+comes earlier in the row-major tie order, which would move the end cell.
 
 Pruned blocks emit *restart borders* (``H = 0``, gap states = -inf; see
 :func:`repro.sw.blocks.pruned_border_result`): legal lower bounds of the
-true cells, so downstream blocks never overestimate, and since no optimal
-path crosses a pruned block the final best score is exact.
+true cells, so downstream blocks never overestimate, and since no path
+scoring the best crosses a pruned block the final best score and its end
+cell are exact.
 
 Schedule interaction: the criterion reads the *best-so-far* score, so how
 much gets pruned depends on the visiting order.  The one blocked loop
@@ -87,13 +90,11 @@ class BlockPruner:
         best_score: int,
         corner: int = 0,
     ) -> bool:
-        """True when the block provably cannot improve on *best_score*;
+        """True when no cell of the block can reach *best_score*;
         *corner* is the diagonal entry ``H(row0 - 1, col0 - 1)``."""
         self.blocks_checked += 1
-        if best_score <= 0:
-            return False
         if self.upper_bound(spec, m, n, h_top_max, h_left_max,
-                            corner) <= best_score:
+                            corner) < best_score:
             self.blocks_pruned += 1
             return True
         return False

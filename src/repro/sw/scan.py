@@ -13,10 +13,10 @@ i.e. an inclusive prefix-max over the shifted domain, evaluated by
 library's documented Amdahl floor (INTERNALS.md §11): it is
 dtype-insensitive (~3 ns/element) and strictly serial, so narrow-int
 NumPy kernels cannot cash their byte-ratio win through it; the compiled
-backend removes it by carrying E in a register.  Before this module,
-the recurrence lived as three hand-expanded copies (scalar narrow,
-scalar wide, batched segmented); they are deduplicated here so the
-transform is written — and tested — exactly once.
+backend removes it by carrying E in a register.  The two NumPy layouts
+(the scalar row loop, in any dtype, and the batched segmented stack)
+share this module, so the transform is written — and tested — exactly
+once.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ import numpy as np
 from repro.seq.scoring import Scoring
 
 
+#: DNA_DEFAULT scaled by 256: under it int16 sweeps at most 48 columns
+#: and overflows after about 70 matches, so similar pairs escalate some
+#: blocks while unrelated pairs stay narrow.
+DNA_X256 = Scoring(match=256, mismatch=-768, gap_open=768, gap_extend=512)
+
+
 def random_codes(rng: np.random.Generator, n: int, *, with_n: bool = False) -> np.ndarray:
     """Random encoded DNA of length *n* (optionally including N)."""
     hi = 5 if with_n else 4

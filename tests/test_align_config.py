@@ -29,6 +29,7 @@ BAD_VALUES = [
     {"band_width": -1},
     {"xdrop_x": 0},
     {"dp_dtype": "int7"},
+    {"dp_dtype": "int8"},
     {"pruning": "no"},
 ]
 

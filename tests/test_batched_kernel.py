@@ -317,9 +317,12 @@ class TestCli:
         assert rc == 0
         assert "kernel=batched" in capsys.readouterr().out
 
-    def test_align_rejects_bad_kernel(self, tmp_path, rng):
+    def test_align_rejects_bad_kernel(self, tmp_path, rng, capsys):
         from repro.cli import main
 
         pa, pb = self._fasta_pair(tmp_path, rng)
-        with pytest.raises(SystemExit):
-            main(["align", pa, pb, "--kernel", "simd"])
+        for flag, bad in (("--kernel", "simd"), ("--dp-dtype", "int8")):
+            with pytest.raises(SystemExit) as exc:
+                main(["align", pa, pb, flag, bad])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{bad}'" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from repro.sw.blocks import (
     wavefront_order,
 )
 
-from helpers import mutated_copy, random_codes, random_scoring
+from helpers import DNA_X256, mutated_copy, random_codes, random_scoring
 
 
 class TestGridSpecs:
@@ -134,41 +134,43 @@ class TestPinnedDecisions:
     or narrows differently; these counts can."""
 
     # (seed, m, n, snp rate or None for an unrelated pair, block_rows,
-    #  block_cols, dp_dtype)
+    #  block_cols, dp_dtype, scoring); the "x256" rows run int16 under
+    #  DNA_X256, whose overflow cap makes similar pairs escalate blocks.
     CONFIGS = {
-        "similar-auto": (11, 300, 280, 0.02, 32, 48, "auto"),
-        "similar-int8-odd": (12, 400, 400, 0.05, 37, 29, "int8"),
-        "divergent-auto-odd": (13, 250, 310, None, 23, 41, "auto"),
-        "divergent-int8-thin": (14, 200, 200, None, 64, 17, "int8"),
-        "looser-auto": (15, 360, 330, 0.1, 50, 50, "auto"),
-        "close-int8-odd": (16, 180, 220, 0.01, 13, 31, "int8"),
+        "similar-auto": (11, 300, 280, 0.02, 32, 48, "auto", DNA_DEFAULT),
+        "similar-x256-odd": (12, 400, 400, 0.05, 37, 29, "int16", DNA_X256),
+        "divergent-auto-odd": (13, 250, 310, None, 23, 41, "auto", DNA_DEFAULT),
+        "divergent-x256-thin": (14, 200, 200, None, 64, 17, "int16", DNA_X256),
+        "looser-auto": (15, 360, 330, 0.1, 50, 50, "auto", DNA_DEFAULT),
+        "close-x256-odd": (16, 180, 220, 0.01, 13, 31, "int16", DNA_X256),
     }
     # ((score, row, col), blocks_pruned, cells_pruned, blocks_narrow,
     #  blocks_wide, dtype_escalations); "compiled" shares scalar's row.
     EXPECTED = {
         ("similar-auto", "scalar"): ((260, 279, 279), 27, 34336, 33, 0, 0),
         ("similar-auto", "batched"): ((260, 279, 279), 26, 32544, 34, 0, 0),
-        ("similar-int8-odd", "scalar"): ((300, 399, 399), 66, 66384, 52, 36, 36),
-        ("similar-int8-odd", "batched"): ((300, 399, 399), 66, 66384, 52, 36, 36),
+        ("similar-x256-odd", "scalar"): ((76800, 399, 399), 66, 66384, 53, 35, 35),
+        ("similar-x256-odd", "batched"): ((76800, 399, 399), 66, 66384, 53, 35, 35),
         ("divergent-auto-odd", "scalar"): ((7, 56, 174), 0, 0, 88, 0, 0),
         ("divergent-auto-odd", "batched"): ((7, 56, 174), 0, 0, 88, 0, 0),
-        ("divergent-int8-thin", "scalar"): ((7, 120, 119), 0, 0, 48, 0, 0),
-        ("divergent-int8-thin", "batched"): ((7, 120, 119), 0, 0, 48, 0, 0),
+        ("divergent-x256-thin", "scalar"): ((1792, 120, 119), 0, 0, 48, 0, 0),
+        ("divergent-x256-thin", "batched"): ((1792, 120, 119), 0, 0, 48, 0, 0),
         ("looser-auto", "scalar"): ((231, 326, 326), 24, 40800, 32, 0, 0),
         ("looser-auto", "batched"): ((231, 326, 326), 24, 40800, 32, 0, 0),
-        ("close-int8-odd", "scalar"): ((168, 179, 179), 33, 12287, 35, 16, 16),
-        ("close-int8-odd", "batched"): ((168, 179, 179), 35, 12937, 33, 16, 16),
+        ("close-x256-odd", "scalar"): ((43008, 179, 179), 33, 12287, 35, 16, 16),
+        ("close-x256-odd", "batched"): ((43008, 179, 179), 35, 12937, 33, 16, 16),
     }
 
     @pytest.mark.parametrize("kernel", ["scalar", "compiled", "batched"])
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_decisions_pinned(self, name, kernel):
-        seed, m, n, snp, block_rows, block_cols, dp_dtype = self.CONFIGS[name]
+        (seed, m, n, snp, block_rows, block_cols, dp_dtype,
+         scoring) = self.CONFIGS[name]
         rng = np.random.default_rng(seed)
         a = random_codes(rng, m)
         b = (random_codes(rng, n) if snp is None
              else mutated_copy(rng, a, snp)[:n])
-        out = compute_blocked(a, b, DNA_DEFAULT, block_rows=block_rows,
+        out = compute_blocked(a, b, scoring, block_rows=block_rows,
                               block_cols=block_cols, pruning=True,
                               kernel=kernel, dp_dtype=dp_dtype)
         got = ((out.best.score, out.best.row, out.best.col), out.blocks_pruned,

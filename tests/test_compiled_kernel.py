@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ class TestCompiledSweepDifferential:
            rows=st.integers(min_value=1, max_value=40),
            cols=st.integers(min_value=1, max_value=40),
            local=st.booleans(),
-           dp_name=st.sampled_from(["int32", "int16", "int8"]))
+           dp_name=st.sampled_from(["int32", "int16"]))
     def test_local_boundaries_all_dtypes(self, seed, rows, cols, local,
                                          dp_name):
         rng = np.random.default_rng(seed)
@@ -250,6 +251,41 @@ class TestCompiledSweepDifferential:
         want = sweep_block(a, profile, h_top, f_top, h_left, e_left, corner,
                            DNA_DEFAULT, local=local)
         _assert_block_equal(got, want)
+
+    def test_jit_row_engine_runs_interpreted(self, monkeypatch, rng):
+        """An ``njit`` that returns the function unchanged runs the jitted
+        row engine as plain Python on any host: its plumbing through the
+        shared narrow-DP protocol (dtypes, owned border copies, the cap,
+        escalation) must match the NumPy engine.  Only CI's numba job
+        runs the real compile."""
+        monkeypatch.setattr(backend, "NUMBA", types.SimpleNamespace(
+            njit=lambda **_: (lambda fn: fn)))
+        compiled.reset_jit()
+        hot = Scoring(match=1500, mismatch=-3, gap_open=3, gap_extend=2)
+        escalated = 0
+        try:
+            assert compiled.jit_available()
+            for scoring in (DNA_DEFAULT, hot):
+                a = random_codes(rng, 24)
+                b = a.copy()  # a 24-match diagonal tops the hot int16 cap
+                profile = build_profile(b, scoring)
+                borders = [local_boundaries(24, 24),
+                           (rng.integers(0, 40, 24).astype(DTYPE),
+                            rng.integers(-90, 30, 24).astype(DTYPE),
+                            rng.integers(0, 40, 24).astype(DTYPE),
+                            rng.integers(-90, 30, 24).astype(DTYPE), 7)]
+                for bounds in borders:
+                    for local, dp in ((True, None), (False, None),
+                                      (True, get_policy("int16"))):
+                        got = compiled.sweep_block_compiled(
+                            a, profile, *bounds, scoring, local=local, dp=dp)
+                        want = sweep_block(a, profile, *bounds, scoring,
+                                           local=local, dp=dp)
+                        _assert_block_equal(got, want)
+                        escalated += want.escalated
+        finally:
+            compiled.reset_jit()
+        assert escalated > 0  # the hot scheme overflowed int16
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

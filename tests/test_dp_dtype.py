@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import mutated_copy, random_codes
+from helpers import DNA_X256, mutated_copy, random_codes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +38,7 @@ from repro.sw.kernel import (
 )
 
 #: A scheme whose per-cell gain is so large that any decent diagonal run
-#: blows through the int16/int8 overflow caps — the must-escalate probe.
+#: blows through the int16 overflow cap — the must-escalate probe.
 HOT = Scoring(match=2000, mismatch=-3, gap_open=3, gap_extend=2)
 
 
@@ -69,9 +69,9 @@ def _assert_results_equal(got, want):
 def test_policy_sentinels_and_kinds():
     assert POLICIES["int32"].neg_inf == NEG_INF
     assert POLICIES["int16"].neg_inf == -(1 << 13)
-    assert POLICIES["int8"].neg_inf == -(1 << 5)
     assert not POLICIES["int32"].narrow
-    assert POLICIES["int16"].narrow and POLICIES["int8"].narrow
+    assert POLICIES["int16"].narrow
+    assert sorted(POLICIES) == ["int16", "int32"]
     for name, policy in POLICIES.items():
         assert policy.kind == np.dtype(name).type
         assert policy.lo <= policy.neg_inf < 0 < policy.min_cap <= policy.hi
@@ -80,14 +80,14 @@ def test_policy_sentinels_and_kinds():
 def test_max_width_formula_dna_default():
     s = DNA_DEFAULT
     assert POLICIES["int32"].max_width(s) == MAX_SWEEP_WIDTH
-    for name in ("int16", "int8"):
-        p = POLICIES[name]
-        w = p.max_width(s)
+    p = POLICIES["int16"]
+    for scoring in (s, DNA_X256):
+        w = p.max_width(scoring)
         # widest W with overflow_limit(s, W) >= min_cap, and one more fails
-        assert p.overflow_limit(s, w) >= p.min_cap
-        assert p.overflow_limit(s, w + 1) < p.min_cap
-    assert POLICIES["int16"].max_width(s) == 12288
-    assert POLICIES["int8"].max_width(s) == 48
+        assert p.overflow_limit(scoring, w) >= p.min_cap
+        assert p.overflow_limit(scoring, w + 1) < p.min_cap
+    assert p.max_width(s) == 12288
+    assert p.max_width(DNA_X256) == 48
 
 
 def test_overflow_limit_arithmetic():
@@ -98,20 +98,27 @@ def test_overflow_limit_arithmetic():
 
 
 def test_supports_rejects_oversized_penalties():
-    # one kernel step from the int8 sentinel must not wrap past int8 min:
-    # -32 - (4 + 2 + 100) = -138 < -128
-    heavy = Scoring(match=2, mismatch=-100, gap_open=4, gap_extend=2)
-    assert not POLICIES["int8"].supports(heavy)
-    assert POLICIES["int16"].supports(heavy)
+    # one kernel step from the int16 sentinel must not wrap past int16
+    # min: -8192 - (4 + 2 + 30000) = -38198 < -32768
+    heavy = Scoring(match=2, mismatch=-30000, gap_open=4, gap_extend=2)
+    assert not POLICIES["int16"].supports(heavy)
+    assert POLICIES["int32"].supports(heavy)
+    # the sentinel must sit below every real value: -8192 > -2 * 4200
+    assert not POLICIES["int16"].supports(
+        Scoring(match=2, mismatch=-3, gap_open=4000, gap_extend=200))
     assert POLICIES["int32"].supports(DNA_DEFAULT)
-    assert POLICIES["int8"].supports(DNA_DEFAULT)
+    assert POLICIES["int16"].supports(DNA_DEFAULT)
 
 
 def test_validate_and_get_policy_errors():
     for name in DP_DTYPE_CHOICES:
         assert validate_dp_dtype(name) == name
-    with pytest.raises(ConfigError):
-        validate_dp_dtype("float16")
+    assert DP_DTYPE_CHOICES == ("auto", "int32", "int16")
+    for bad in ("float16", "int8"):
+        with pytest.raises(ConfigError, match="choose from"):
+            validate_dp_dtype(bad)
+        with pytest.raises(ConfigError, match="choose from"):
+            get_policy(bad)
     with pytest.raises(ConfigError):
         get_policy("auto")  # auto is a knob value, not a policy
 
@@ -120,10 +127,14 @@ def test_validate_and_get_policy_errors():
 
 def test_resolve_auto_picks_narrowest_guaranteed():
     s = DNA_DEFAULT
-    # tiny: int8 fits (width and the match*min(m,n) < cap guarantee)
-    assert resolve_dp_dtype("auto", s, block_cols=32, m=20, n=20).name == "int8"
-    # medium: width fits int16 only
+    # tiny and medium: int16 fits (width and the match*min(m,n) < cap
+    # guarantee)
+    assert resolve_dp_dtype("auto", s, block_cols=32, m=20, n=20).name == "int16"
     assert resolve_dp_dtype("auto", s, block_cols=512, m=4000, n=4000).name == "int16"
+    # too wide for int16 under this scoring: wide, though a sweep this
+    # short could never overflow
+    assert resolve_dp_dtype("auto", DNA_X256, block_cols=64,
+                            m=20, n=64).name == "int32"
     # huge best-possible score: must stay wide (escalation would be certain)
     assert resolve_dp_dtype("auto", s, block_cols=512,
                             m=10**6, n=10**6).name == "int32"
@@ -140,13 +151,13 @@ def test_resolve_explicit_boundary():
     with pytest.raises(ConfigError):
         resolve_dp_dtype("int16", s, block_cols=w16 + 1, m=10**6, n=10**6)
     # eff width is min(block_cols, n): a short B sequence rescues a wide grid
-    assert resolve_dp_dtype("int8", s, block_cols=4096,
-                            m=100, n=40).name == "int8"
+    assert resolve_dp_dtype("int16", s, block_cols=w16 + 100,
+                            m=100, n=40).name == "int16"
     with pytest.raises(ConfigError):
         resolve_dp_dtype("int16", s, block_cols=64, m=100, n=100, local=False)
-    heavy = Scoring(match=2, mismatch=-100, gap_open=4, gap_extend=2)
+    heavy = Scoring(match=2, mismatch=-30000, gap_open=4, gap_extend=2)
     with pytest.raises(ConfigError):
-        resolve_dp_dtype("int8", heavy, block_cols=8, m=10, n=10)
+        resolve_dp_dtype("int16", heavy, block_cols=8, m=10, n=10)
 
 
 def test_narrow_entry_gate():
@@ -165,7 +176,7 @@ def test_narrow_entry_gate():
 
 # -- narrow kernels bit-identical to int32 -----------------------------------
 
-@pytest.mark.parametrize("dtype", ["int16", "int8"])
+@pytest.mark.parametrize("dtype", ["int16"])
 def test_scalar_narrow_matches_wide(dtype):
     rng = np.random.default_rng(7)
     p = POLICIES[dtype]
@@ -195,12 +206,8 @@ def test_property_narrow_equals_wide(a_text, b_text, match, mismatch,
     profile = build_profile(b, s)
     bounds = local_boundaries(a.size, b.size)
     wide = sweep_block(a, profile, *bounds, s)
-    for name in ("int16", "int8"):
-        p = POLICIES[name]
-        if not p.supports(s) or b.size > p.max_width(s):
-            continue
-        got = sweep_block(a, profile, *bounds, s, dp=p)
-        _assert_results_equal(got, wide)
+    got = sweep_block(a, profile, *bounds, s, dp=POLICIES["int16"])
+    _assert_results_equal(got, wide)
 
 
 def test_scalar_escalation_is_exact():
@@ -218,9 +225,9 @@ def test_scalar_escalation_is_exact():
 
 def test_scalar_width_over_policy_limit_raises():
     rng = np.random.default_rng(3)
-    args = _block_inputs(rng, 8, 64, DNA_DEFAULT)
-    with pytest.raises(ConfigError):
-        sweep_block(*args, DNA_DEFAULT, dp=POLICIES["int8"])  # 64 > 48
+    args = _block_inputs(rng, 8, 64, DNA_X256)
+    with pytest.raises(ConfigError, match="max sweep width 48"):
+        sweep_block(*args, DNA_X256, dp=POLICIES["int16"])  # 64 > 48
 
 
 def test_batched_narrow_matches_wide_with_mixed_escalation():
@@ -298,7 +305,7 @@ def test_profile_cache_is_dtype_keyed():
 
 # -- blocked engine + telemetry ----------------------------------------------
 
-@pytest.mark.parametrize("kernel", ["scalar", "batched"])
+@pytest.mark.parametrize("kernel", ["scalar", "compiled", "batched"])
 def test_compute_blocked_narrow_exact_with_escalation(kernel):
     rng = np.random.default_rng(31)
     a = random_codes(rng, 150)

@@ -18,11 +18,12 @@ import repro
 #: Subsystems an align run never touches.
 NOT_LOADED = ("repro.obs.exporter", "http.server", "repro.serve",
               "repro.baselines.cpu", "repro.multigpu.autotune",
-              "repro.stats")
+              "repro.stats", "repro.device.engine", "repro.device.gpu",
+              "repro.device.smmodel", "repro.multigpu.chain")
 
 #: Most ``repro`` modules a process align may load.  A change that adds a
 #: module to the align path raises this number on purpose.
-MAX_REPRO_MODULES = 58
+MAX_REPRO_MODULES = 51
 
 
 def _python(code: str, *args: str, cwd=None) -> str:

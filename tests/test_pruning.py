@@ -1,10 +1,16 @@
-"""Unit tests: repro.sw.pruning — the pruning criterion in isolation."""
+"""Unit tests: repro.sw.pruning — the pruning criterion in isolation, and
+one tie it must keep on every engine."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.device import TESLA_M2090
 from repro.errors import ConfigError
+from repro.multigpu import ChainConfig, align_multi_gpu, align_multi_process
+from repro.seq import DNA_DEFAULT
+from repro.sw import compute_blocked
 from repro.sw.blocks import BlockSpec
 from repro.sw.pruning import BlockPruner
 
@@ -38,6 +44,14 @@ class TestShouldPrune:
     def test_never_prunes_without_positive_best(self):
         p = BlockPruner(match=1)
         assert not p.should_prune(spec(), 1000, 1000, 0, 0, best_score=0)
+
+    def test_keeps_a_block_whose_bound_ties_best(self):
+        """A block that can reach the best exactly may hold an earlier
+        tying cell, so only a bound below the best prunes."""
+        p = BlockPruner(match=1)
+        s = spec(row0=990, col0=990, rows=5, cols=5)
+        assert not p.should_prune(s, 1000, 1000, 2, 2, best_score=12)
+        assert p.should_prune(s, 1000, 1000, 2, 2, best_score=13)
 
     def test_never_prunes_when_bound_exceeds_best(self):
         p = BlockPruner(match=1)
@@ -80,6 +94,41 @@ class TestShouldPrune:
                               block_cols=1, pruning=True, kernel=kernel)
         want, wi, wj = sw_score_naive(codes, codes, scoring)
         assert (out.best.score, out.best.row, out.best.col) == (want, wi, wj)
+
+
+#: A pair whose best score 6 ends at (19, 30) and also at (20, 10).  A
+#: criterion that pruned blocks whose bound only tied the best skipped
+#: (19, 30)'s block and reported (20, 10).
+TIE_A = np.array([1, 1, 0, 0, 0, 2, 0, 2, 2, 2, 1, 0, 0, 0, 0, 2, 1, 1, 2, 0,
+                  0, 1, 2, 1, 0, 1, 0, 2, 1, 2, 0, 0, 1, 0, 1], dtype=np.uint8)
+TIE_B = np.array([2, 2, 2, 2, 1, 2, 1, 1, 2, 0, 0, 2, 2, 1, 2, 1, 2, 2, 1, 0,
+                  1, 2, 0, 1, 2, 0, 2, 1, 1, 2, 0], dtype=np.uint8)
+
+
+class TestTieKeepsEndCell:
+    """Pruning on reports the end cell of pruning off on a tie, on every
+    engine (the pair and shapes are ones the ``<=`` criterion broke)."""
+
+    @pytest.mark.parametrize("kernel", ["scalar", "compiled", "batched"])
+    def test_compute_blocked(self, kernel):
+        out = compute_blocked(TIE_A, TIE_B, DNA_DEFAULT, block_rows=8,
+                              block_cols=2, pruning=True, kernel=kernel)
+        assert (out.best.score, out.best.row, out.best.col) == (6, 19, 30)
+        assert out.blocks_pruned > 0
+
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    def test_simulated_chain(self, kernel):
+        res = align_multi_gpu(TIE_A, TIE_B, DNA_DEFAULT, [TESLA_M2090] * 6,
+                              config=ChainConfig(block_rows=4, kernel=kernel,
+                                                 pruning=True))
+        assert (res.score, res.best.row, res.best.col) == (6, 19, 30)
+        assert res.blocks_pruned > 0
+
+    def test_process_engine(self):
+        res = align_multi_process(TIE_A, TIE_B, DNA_DEFAULT, workers=6,
+                                  block_rows=4, pruning=True)
+        assert (res.score, res.best.row, res.best.col) == (6, 19, 30)
+        assert res.blocks_pruned > 0
 
 
 class TestValidation:

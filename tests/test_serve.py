@@ -503,7 +503,8 @@ class TestServeDaemon:
                         # Decoded by the AlignConfig field types: refused,
                         # not coerced.
                         {"band_width": 64.9}, {"band_width": True},
-                        {"block_rows": "128"}, {"xdrop_x": 2.5}):
+                        {"block_rows": "128"}, {"xdrop_x": 2.5},
+                        {"dp_dtype": "int8"}):
                 resp = client.submit(seq_a=A_TEXT, seq_b=B_TEXT,
                                      tenant="bad", **bad)
                 assert resp["ok"] is False and resp["code"] == 400, bad

@@ -22,7 +22,8 @@ LENGTH = 1500
 
 def run(identity: float):
     a, b = identity_pair(LENGTH, identity, seed=1)
-    plain = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=64)
+    plain = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=64,
+                           pruning=False)
     pruned = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=64, pruning=True)
     return plain, pruned
 

@@ -52,7 +52,7 @@ def _best_run(a, b, *, telemetry: bool):
         t0 = time.perf_counter()
         res = align_multi_process(
             a, b, DNA_DEFAULT, workers=WORKERS, block_rows=BLOCK,
-            metrics=metrics,
+            metrics=metrics, pruning=False,
             heartbeat_s=30.0 if telemetry else None)
         elapsed = time.perf_counter() - t0
         if best_s is None or elapsed < best_s:

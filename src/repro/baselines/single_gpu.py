@@ -33,6 +33,7 @@ from ..sw.blocks import BlockedOutcome, compute_blocked
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, resolve_config
 from ..sw.kernel import BestCell
+from ..sw.pruning import Floor
 from ..sw.tiers import run_tiers
 
 
@@ -60,6 +61,8 @@ class SingleGpuResult:
     blocks_narrow: int = 0
     blocks_wide: int = 0
     dtype_escalations: int = 0
+    #: Where the exact sweep's pruning scoreboard started.
+    floor: Floor = Floor()
 
     @property
     def pruned_ratio(self) -> float:
@@ -132,13 +135,14 @@ def run_single_gpu(
     instruments = (EngineInstruments(metrics, "single-gpu")
                    if metrics is not None else None)
 
-    def sweep() -> SingleGpuResult:
+    def sweep(floor: int) -> SingleGpuResult:
         if kernel == "compiled":
             compiled_warmup()  # idempotent; keeps compile out of callers' timings
         outcome: BlockedOutcome = compute_blocked(
             a_codes, b_codes, scoring,
             block_rows=block_rows, block_cols=block_cols,
             pruning=cfg.pruning, kernel=kernel, dp_dtype=cfg.dp_dtype,
+            floor=floor,
         )
         computed = outcome.cells_total - outcome.cells_pruned
         # One compute charge per block row over the full width; pruned
@@ -187,9 +191,7 @@ def run_single_gpu(
             cells=m * n, cells_computed=cells, pruned_fraction=0.0,
             kernel=kernel)
 
-    result = run_tiers(a_codes, b_codes, scoring, mode=cfg.mode,
-                       band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
-                       sweep=sweep,
+    result = run_tiers(a_codes, b_codes, scoring, cfg, sweep=sweep,
                        from_inline=from_inline, elapsed="total_time_s",
                        backend="single", metrics=metrics)
     if metrics is not None:

@@ -57,11 +57,10 @@ from .shm import ShmSegment
 
 #: Worker phases, in the order they occur inside one block row.  The
 #: board stores the index; readers translate back through this tuple.
-#: ``warmup`` (appended last to keep older encodings stable) marks the
-#: one-time per-process JIT compile of the compiled kernel backend —
-#: like ``idle``, no rows are advancing.
-PHASES = ("idle", "wait", "compute", "pruned", "send", "done", "checkpoint",
-          "warmup")
+#: ``compute`` covers a whole block row, its pruned sub-blocks
+#: included.  ``warmup`` marks the one-time per-process JIT compile of
+#: the compiled kernel backend — like ``idle``, no rows are advancing.
+PHASES = ("idle", "wait", "compute", "send", "done", "checkpoint", "warmup")
 
 #: Bytes per worker slot: rows_done (int64) + phase (int64) + beat (float64).
 SLOT_BYTES = 24

@@ -23,7 +23,9 @@ larger values (*compare-and-raise*).  Readers take the max over all
 slots without any synchronisation, so a read may be **stale** (miss a
 publish in flight) but never *wrong*: every value ever stored is the
 score of a real alignment, hence a legal lower bound of the final
-optimum.
+optimum.  That includes the *floor* a comparison starts from
+(:meth:`SharedScoreboard.reset`): the score of a seeded alignment
+(:func:`repro.sw.pruning.seed_floor`) or of a checkpointed best cell.
 
 Staleness is exactly what makes distributed pruning exact: the pruning
 criterion skips a block only when its upper bound cannot beat the best
@@ -62,8 +64,8 @@ class LocalScoreboard:
 
     __slots__ = ("_best",)
 
-    def __init__(self) -> None:
-        self._best = 0
+    def __init__(self, floor: int = 0) -> None:
+        self._best = floor
 
     def publish(self, slot: int, score: int) -> None:
         """Raise the scoreboard to *score* if it improves (monotonic)."""
@@ -71,12 +73,14 @@ class LocalScoreboard:
             self._best = score
 
     def read(self) -> int:
-        """The best score published so far (0 before any publish)."""
+        """The best score published so far (the floor before any
+        publish)."""
         return self._best
 
-    def reset(self) -> None:
-        """Forget every published score (between comparisons)."""
-        self._best = 0
+    def reset(self, floor: int = 0) -> None:
+        """Forget every published score (between comparisons) and start
+        at *floor*, the score of a real alignment or 0."""
+        self._best = floor
 
 
 class SharedScoreboard(ShmSegment):
@@ -127,7 +131,8 @@ class SharedScoreboard(ShmSegment):
         """
         return max(0, int(self._slots().max()))
 
-    def reset(self) -> None:
-        """Zero every slot (creator only, between comparisons — callers
-        must ensure no comparison is in flight)."""
-        self._slots().fill(0)
+    def reset(self, floor: int = 0) -> None:
+        """Set every slot to *floor*, the score of a real alignment or 0
+        (creator only, between comparisons — callers must ensure no
+        comparison is in flight)."""
+        self._slots().fill(floor)

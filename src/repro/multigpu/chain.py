@@ -45,6 +45,7 @@ from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
 from ..sw.kernel import BestCell
+from ..sw.pruning import Floor
 from ..sw.tiers import run_tiers
 from .partition import Slab, proportional_partition
 
@@ -164,6 +165,8 @@ class ChainResult:
     #: DP dtype policy the run resolved to (compute mode; phantom runs
     #: and the inline tiers report the int32 default).
     dp_dtype: str = "int32"
+    #: Where the exact sweep's pruning scoreboard started.
+    floor: Floor = Floor()
 
     @property
     def gcups(self) -> float:
@@ -292,8 +295,7 @@ class MultiGpuChain:
                 raise ConfigError(
                     "heuristic modes do not support resume/stop_row")
         result = run_tiers(
-            workload.a, workload.b, workload.scoring, mode=cfg.mode,
-            band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
+            workload.a, workload.b, workload.scoring, cfg,
             sweep=partial(self._sweep, workload, tracer=tracer, resume=resume,
                           stop_row=stop_row, metrics=metrics),
             from_inline=partial(self._from_inline, workload, tracer=tracer,
@@ -312,9 +314,10 @@ class MultiGpuChain:
                         tier=result.tier, escalated=result.escalated)
         return result
 
-    def _sweep(self, workload: MatrixWorkload | PhantomWorkload, *, tracer,
-               resume, stop_row, metrics) -> ChainResult:
-        """One exact sweep of the chain."""
+    def _sweep(self, workload: MatrixWorkload | PhantomWorkload,
+               floor: int, *, tracer, resume, stop_row,
+               metrics) -> ChainResult:
+        """One exact sweep of the chain, pruning from *floor*."""
         cfg = self.config
         m, n = workload.rows, workload.cols
         slabs = self.partition_for(n)
@@ -360,8 +363,9 @@ class MultiGpuChain:
 
         # Compute mode: one SlabSweep per device.  Pruning publishes into
         # one in-process scoreboard (the lock-free SharedScoreboard plays
-        # this role for the real-process engines), seeded from the resume
-        # best so a continued run prunes against everything already found.
+        # this role for the real-process engines), started at the floor
+        # and raised to the resume best so a continued run prunes against
+        # everything already found.
         sweepers: list[SlabSweep | None] = [None] * len(gpus)
         if not workload.phantom:
             # LRU-cached: repeated comparisons against the same horizontal
@@ -376,7 +380,7 @@ class MultiGpuChain:
                 # virtual, but the host wall time callers measure around
                 # run() should not fold numba compiles into block 0.
                 compiled_warmup()
-            scoreboard = LocalScoreboard() if cfg.pruning else None
+            scoreboard = LocalScoreboard(floor) if cfg.pruning else None
             resumed = resume is not None and resume.best.row >= 0
             if resumed and scoreboard is not None:
                 scoreboard.publish(0, resume.best.score)
@@ -416,8 +420,7 @@ class MultiGpuChain:
                     yield out_ch.reserve_out_slot()
                     gpu.record_wait(t0)
 
-                work = None
-                pruned = False
+                result, swept = None, [(w, 0.0)]  # phantom: the whole row
                 if sweeper is not None:
                     if in_ch is not None:
                         h_left, e_left, corner = payload_in.payload
@@ -425,25 +428,21 @@ class MultiGpuChain:
                         h_left = np.zeros(rows, dtype=DTYPE)
                         e_left = np.full(rows, NEG_INF, dtype=DTYPE)
                         corner = 0
-                    pruned = sweeper.prune(r0, r1, h_left, corner)
-                    if pruned:
-                        # Skip the device sweep entirely: emit restart
-                        # borders (legal lower bounds) and charge no
-                        # virtual compute time — the pruning payoff.
-                        result = sweeper.restart(r0, r1)
-                        if gpu.tracer is not None:
-                            gpu.tracer.record(gpu.name, "pruned", engine.now,
-                                              engine.now)
-                    else:
-                        work = partial(sweeper.sweep, workload.a[r0:r1],
-                                       h_left, e_left, corner)
+                    result, swept = sweeper.step(r0, r1, workload.a[r0:r1],
+                                                 h_left, e_left, corner)
 
-                if not pruned:
+                # Each swept sub-block is one device sweep at the slab's
+                # rate, so a run that prunes nothing takes the phantom
+                # run's time; pruned ones charge none, the pruning payoff.
+                for cols, _ in swept:
                     t_c0 = engine.now
-                    result = yield from gpu.compute(rows * w, w, work, block_rows=rows)
+                    yield from gpu.compute(rows * cols, w, block_rows=rows)
                     if instruments is not None:
                         instruments[g].block_computed(engine.now - t_c0,
-                                                      cells=rows * w)
+                                                      cells=rows * cols)
+                if not swept and gpu.tracer is not None:
+                    gpu.tracer.record(gpu.name, "pruned", engine.now,
+                                      engine.now)
                 # Phantom runs carry no payload: the right border is None.
                 border = (sweeper.advance(result, r0) if sweeper is not None
                           else None)

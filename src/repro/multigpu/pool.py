@@ -484,9 +484,9 @@ class WorkerPool:
         result_tracer = tracer if tracer is not None else Tracer()
         n = int(b_codes.size)
 
-        def sweep() -> ProcessChainResult:
+        def sweep(floor: int) -> ProcessChainResult:
             return self._sweep(
-                a_codes, b_codes, scoring, cfg, origin=t0,
+                a_codes, b_codes, scoring, cfg, floor, origin=t0,
                 timeout_s=timeout_s, tracer=result_tracer, metrics=metrics,
                 heartbeat_s=heartbeat_s, on_stall=on_stall, retry=retry,
                 checkpoint_blocks=checkpoint_blocks, rebalance=rebalance,
@@ -508,8 +508,7 @@ class WorkerPool:
                 start_method=self.start_method, tracer=result_tracer,
                 config=cfg)
 
-        result = run_tiers(a_codes, b_codes, scoring, mode=cfg.mode,
-                           band_width=cfg.band_width, xdrop_x=cfg.xdrop_x,
+        result = run_tiers(a_codes, b_codes, scoring, cfg,
                            sweep=sweep, from_inline=from_inline,
                            elapsed="wall_time_s", backend=self._backend,
                            metrics=metrics, events=self.events)
@@ -518,14 +517,17 @@ class WorkerPool:
                         events=self.events)
         return result
 
-    def _sweep(self, a_codes, b_codes, scoring, cfg, *, origin,
+    def _sweep(self, a_codes, b_codes, scoring, cfg, floor, *, origin,
                timeout_s, tracer, metrics, heartbeat_s, on_stall, retry,
                checkpoint_blocks, rebalance, rebalance_threshold, timeline,
                fault) -> ProcessChainResult:
         """One exact sweep over the chain: one attempt per loop
         iteration; a failed attempt either checkpoint-resumes on the
-        re-spawned survivors or raises.  Trace records are relative to
-        *origin*; the result's wall time covers this sweep only."""
+        re-spawned survivors or raises.  Under pruning every attempt
+        starts the scoreboard at *floor*, a resumed one at the
+        checkpoints' best cell when that is higher.  Trace records are
+        relative to *origin*; the result's wall time covers this sweep
+        only."""
         if not self._procs:
             self._spawn_workers()
         started = time.perf_counter()
@@ -559,7 +561,9 @@ class WorkerPool:
                 if cfg.pruning:
                     # Safe: no comparison is in flight here (align is serial
                     # and the previous run's workers have all reported).
-                    self._scoreboard.reset()
+                    # The checkpoints' best is a real cell, so a resumed
+                    # attempt may start from it.
+                    self._scoreboard.reset(max(floor, base_best.score))
                 self._progress.reset()  # same serial-point argument
                 if recovery:
                     checkpoints = CheckpointArea(

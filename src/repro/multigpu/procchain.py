@@ -62,6 +62,7 @@ from ..sw.blocks import SlabSweep
 from ..sw.config import CONFIG_FIELDS, AlignConfig, resolve_config
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy
 from ..sw.kernel import BestCell
+from ..sw.pruning import Floor
 from .checkpoint import CheckpointArea
 from .partition import Slab
 
@@ -168,6 +169,8 @@ class ProcessChainResult:
     #: The config the run swept, ``block_rows`` resolved by
     #: :func:`~repro.sw.config.block_height`.
     config: AlignConfig = AlignConfig()
+    #: Where the exact sweep's pruning scoreboard started.
+    floor: Floor = Floor()
 
     @property
     def kernel(self) -> str:
@@ -305,11 +308,12 @@ def sweep_slab(
     *recv_link* / *send_link* are border transports (``None`` at the chain
     ends); the task's *fault_block* kills the process just before
     computing that block row (failure-injection tests).  Each block row
-    goes through the shared :class:`~repro.sw.blocks.SlabSweep` step:
-    rows pruned against the chain-wide
+    is one :meth:`~repro.sw.blocks.SlabSweep.step`, which prunes its
+    sub-blocks against the chain-wide
     :class:`~repro.comm.scoreboard.SharedScoreboard` at this worker's
-    *slot* (stale reads are safe by monotonicity) are recorded as
-    zero-length ``pruned`` spans.  The persistent worker's
+    *slot* (stale reads are safe by monotonicity); a row whose every
+    sub-block was pruned is recorded as a ``pruned`` span, any other as
+    ``compute``.  The persistent worker's
     *workspace* is the batched kernel's scratch, and the profile is
     content-LRU-cached per process.
 
@@ -369,18 +373,15 @@ def sweep_slab(
         if block_index == task.fault_block:
             os._exit(3)  # simulated hard crash: no exception, no result
 
-        if sweeper.prune(r0, r1, h_left, corner):
-            progress.beat(slot, r0, "pruned")
-            with recorder.span("pruned"):
-                result = sweeper.restart(r0, r1)
-        else:
-            progress.beat(slot, r0, "compute")
-            with recorder.span("compute"):
-                result = sweeper.sweep(a_codes[r0:r1], h_left, e_left, corner)
-            if instruments is not None:
-                _, span_start, span_end = recorder.records[-1]
-                instruments.block_computed(span_end - span_start,
-                                           cells=rows * slab.cols)
+        progress.beat(slot, r0, "compute")
+        with recorder.span("compute"):
+            result, swept = sweeper.step(r0, r1, a_codes[r0:r1], h_left,
+                                         e_left, corner)
+        if not swept:  # every sub-block pruned: a pruned span
+            recorder.records[-1] = ("pruned", *recorder.records[-1][1:])
+        if instruments is not None:
+            for cols, seconds in swept:
+                instruments.block_computed(seconds, cells=rows * cols)
         h_right, e_right, corner_out = sweeper.advance(result, r0)
 
         if send_link is not None:

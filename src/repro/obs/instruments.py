@@ -6,8 +6,8 @@ All three engines — the blocked single-device executor, the simulated
 same metric families under the same names, labelled by ``device``:
 
 =============================  ========= ====================================
-``blocks_computed``            counter   block rows actually swept
-``blocks_pruned``              counter   block rows skipped by pruning
+``blocks_computed``            counter   blocks actually swept
+``blocks_pruned``              counter   blocks skipped by pruning
 ``cells_computed``             counter   DP cells actually computed
 ``border_bytes_sent``          counter   border payload bytes shipped right
 ``border_bytes_received``      counter   border payload bytes consumed
@@ -22,7 +22,9 @@ same metric families under the same names, labelled by ``device``:
 
 Centralising the names here is what makes the cross-engine invariant
 testable: for every engine, ``blocks_computed + blocks_pruned`` summed
-over devices equals the number of block rows times the device count.
+over devices equals the number of blocks checked: block rows times the
+device count, times the sub-blocks per slab row when a pruning chain
+cuts its rows (:func:`repro.sw.blocks.sub_block_edges`).
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ class EngineInstruments:
         self.registry = registry
         self.device = device
         self._blocks = registry.counter(
-            "blocks_computed", help="block rows actually swept")
+            "blocks_computed", help="blocks actually swept")
         self._pruned = registry.counter(
-            "blocks_pruned", help="block rows skipped by distributed pruning")
+            "blocks_pruned", help="blocks skipped by distributed pruning")
         self._cells = registry.counter(
             "cells_computed", help="DP cells actually computed")
         self._sent = registry.counter(

@@ -12,6 +12,8 @@ instead of virtual-clock counters, and read the same way.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from .metrics import format_table, humanize_cells, humanize_time
 
 
@@ -36,6 +38,7 @@ def chain_result_dict(result) -> dict:
             "blocks_pruned": result.blocks_pruned,
             "pruned_ratio": result.pruned_ratio,
         } if result.config.pruning else None,
+        "floor": asdict(result.floor),
         "heuristic": _heuristic_dict(result),
         "dtype": _dtype_dict(result),
         "devices": [
@@ -93,6 +96,7 @@ def process_result_dict(result) -> dict:
             "restarts": result.restarts,
             "rows_recomputed": result.rows_recomputed,
         } if getattr(result, "restarts", 0) else None,
+        "floor": asdict(result.floor),
         "heuristic": _heuristic_dict(result),
         "dtype": _dtype_dict(result),
         # Cross-process clock-skew spans clamped during trace merging —
@@ -145,6 +149,7 @@ def single_result_dict(result) -> dict:
             "pruned_ratio": result.pruned_ratio,
             "pruned_fraction": result.pruned_fraction,
         } if result.blocks_checked else None,
+        "floor": asdict(result.floor),
         "heuristic": _heuristic_dict(result),
         "dtype": _dtype_dict(result),
     }
@@ -209,6 +214,16 @@ def _dtype_line(result) -> str | None:
     return line
 
 
+def _floor_line(result) -> str | None:
+    """One report line for a seeded exact sweep: where its pruning
+    scoreboard started (``None`` when it started at nothing)."""
+    floor = result.floor
+    if floor.source == "none":
+        return None
+    return (f"floor: {floor.score} from {floor.source} "
+            f"({floor.anchors} anchors, {humanize_time(floor.seconds)})")
+
+
 def _heuristic_line(result) -> str | None:
     """One report line for a non-exact run: which tier answered."""
     mode = getattr(result, "mode", "exact")
@@ -248,6 +263,9 @@ def process_report(result, *, title: str = "process chain run") -> str:
             f"pruning: {result.blocks_pruned}/{result.blocks_checked} "
             f"blocks pruned ({result.pruned_ratio:.1%})"
         )
+    floor_line = _floor_line(result)
+    if floor_line:
+        lines.append(floor_line)
     if getattr(result, "restarts", 0):
         lines.append(
             f"recovery: {result.restarts} restart(s), "
@@ -302,6 +320,9 @@ def chain_report(result, *, title: str = "chain run") -> str:
             f"pruning: {result.blocks_pruned}/{result.blocks_checked} "
             f"blocks pruned ({result.pruned_ratio:.1%})"
         )
+    floor_line = _floor_line(result)
+    if floor_line:
+        lines.append(floor_line)
     tier_line = _heuristic_line(result)
     if tier_line:
         lines.append(tier_line)

@@ -12,6 +12,7 @@ such a slab.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -84,6 +85,18 @@ def wavefront_order(n_block_rows: int, n_block_cols: int) -> Iterator[list[tuple
         yield diag
 
 
+#: Widest sub-block a pruning slab decides on its own: with a pruner, a
+#: slab row of width w is ceil(w / SUB_BLOCK_COLS) near-equal sub-blocks.
+SUB_BLOCK_COLS = 4096
+
+
+def sub_block_edges(w: int) -> list[int]:
+    """Column offsets ``[0, ..., w]`` of a ``w``-wide slab row cut into
+    ``ceil(w / SUB_BLOCK_COLS)`` sub-blocks of near-equal width."""
+    parts = -(-w // SUB_BLOCK_COLS)
+    return [w * p // parts for p in range(parts + 1)]
+
+
 def pruned_border_result(spec: BlockSpec) -> BlockResult:
     """Borders emitted for a pruned block (local mode only).
 
@@ -104,12 +117,16 @@ def pruned_border_result(spec: BlockSpec) -> BlockResult:
 
 class SlabSweep:
     """One column slab's rolling block-row sweep, the step every chain
-    device runs (simulated or real): per block row an engine asks
-    :meth:`prune`, takes :meth:`restart` borders or runs :meth:`sweep`,
-    then hands the result to :meth:`advance`, which returns the right
-    border for the next slab.  A caller stacking several slabs' block
-    rows into one batched sweep builds each with :meth:`job` and counts
-    each result with :meth:`tally`.  It holds the slab's top border
+    device runs (simulated or real): per block row an engine runs
+    :meth:`step`, then hands the result to :meth:`advance`, which
+    returns the right border for the next slab.  With pruning, the step
+    cuts the row into sub-blocks of at most :data:`SUB_BLOCK_COLS`
+    columns (:func:`sub_block_edges`) and, for each, asks :meth:`prune`,
+    then takes :meth:`restart` borders or runs :meth:`sweep`.  The
+    single-device :func:`compute_blocked` calls those three per block of
+    its caller's grid instead; stacking several slabs' block rows into
+    one batched sweep, it builds each with :meth:`job` and counts each
+    result with :meth:`tally`.  The sweep holds the slab's top border
     (*h_top*/*f_top* resume part-way down), best cell and counters;
     time, transport and tracing stay with the engine."""
 
@@ -136,25 +153,32 @@ class SlabSweep:
         # neighbour's block enters through.
         self.corner_out = int(self.h_top[-1])
         self.pruner = BlockPruner(match=scoring.match) if config.pruning else None
+        self.edges = sub_block_edges(w) if self.pruner else [0, w]
         self.blocks_narrow = self.blocks_wide = self.dtype_escalations = 0
 
-    def prune(self, r0: int, r1: int, h_left: np.ndarray,
-              corner: int) -> bool:
-        """True when block row ``[r0, r1)`` needs no sweep: it cannot
-        beat the chain-wide best on the *scoreboard* (pruning on)."""
+    def prune(self, r0: int, r1: int, h_left: np.ndarray, corner: int,
+              lo: int = 0, hi: int | None = None) -> bool:
+        """True when slab columns ``[lo, hi)`` (default: all) of block
+        row ``[r0, r1)`` need no sweep: they cannot beat the chain-wide
+        best on the *scoreboard* (pruning on)."""
+        hi = self.col1 - self.col0 if hi is None else hi
         if self.pruner is None or not self.pruner.should_prune(
-                BlockSpec(r0, r1, self.col0, self.col1), self.m, self.n_cols,
-                int(self.h_top.max(initial=NEG_INF)),
-                int(h_left.max(initial=NEG_INF)), self.scoreboard.read(),
+                BlockSpec(r0, r1, self.col0 + lo, self.col0 + hi), self.m,
+                self.n_cols, int(self.h_top[lo:hi].max()),
+                int(h_left.max()), self.scoreboard.read(),
                 corner=int(corner)):
             return False
         if self.instruments is not None:
             self.instruments.block_pruned()
         return True
 
-    def restart(self, r0: int, r1: int) -> BlockResult:
-        """The restart borders a skipped block row emits."""
-        return pruned_border_result(BlockSpec(r0, r1, self.col0, self.col1))
+    def restart(self, r0: int, r1: int, lo: int = 0,
+                hi: int | None = None) -> BlockResult:
+        """The restart borders skipped slab columns ``[lo, hi)`` of a
+        block row emit."""
+        hi = self.col1 - self.col0 if hi is None else hi
+        return pruned_border_result(
+            BlockSpec(r0, r1, self.col0 + lo, self.col0 + hi))
 
     def job(self, a_rows: np.ndarray, h_left: np.ndarray,
             e_left: np.ndarray, corner: int) -> BlockJob:
@@ -163,20 +187,69 @@ class SlabSweep:
                         h_left, e_left, corner)
 
     def sweep(self, a_rows: np.ndarray, h_left: np.ndarray,
-              e_left: np.ndarray, corner: int) -> BlockResult:
-        """Sweep the next block row with the config's kernel, counting
-        the narrow-DP outcome."""
+              e_left: np.ndarray, corner: int, lo: int = 0,
+              hi: int | None = None) -> BlockResult:
+        """Sweep slab columns ``[lo, hi)`` (default: all) of the next
+        block row with the config's kernel, counting the narrow-DP
+        outcome."""
+        hi = self.col1 - self.col0 if hi is None else hi
+        profile = self.profile[:, lo:hi]
+        h_top, f_top = self.h_top[lo:hi], self.f_top[lo:hi]
         if self.kernel == "batched":
-            result = sweep_wavefront([self.job(a_rows, h_left, e_left, corner)],
-                                     self.scoring, local=True,
-                                     workspace=self.workspace, dp=self.dp)[0]
+            result = sweep_wavefront(
+                [BlockJob(a_rows, profile, h_top, f_top, h_left, e_left,
+                          corner)],
+                self.scoring, local=True, workspace=self.workspace,
+                dp=self.dp)[0]
         else:
             sweep = (sweep_block_compiled if self.kernel == "compiled"
                      else sweep_block)
-            result = sweep(a_rows, self.profile, self.h_top, self.f_top,
-                           h_left, e_left, corner, self.scoring, local=True,
-                           dp=self.dp)
+            result = sweep(a_rows, profile, h_top, f_top, h_left, e_left,
+                           corner, self.scoring, local=True, dp=self.dp)
         return self.tally(result)
+
+    def step(self, r0: int, r1: int, a_rows: np.ndarray, h_left: np.ndarray,
+             e_left: np.ndarray,
+             corner: int) -> tuple[BlockResult, list[tuple[int, float]]]:
+        """Run block row ``[r0, r1)``: decide each sub-block against the
+        *scoreboard*, sweep the survivors one at a time and emit restart
+        borders for the rest.  Returns the row's result and, per swept
+        sub-block, its width and wall seconds (empty: the whole row was
+        pruned).
+
+        A sub-block's left input is the right border of the sub-block
+        before it (a restart border if that one was pruned), and its
+        corner is the top border's cell left of it.  Survivors are not
+        merged into one sweep: a merged run's bound would have to cover
+        its unknown inner left borders, and the homolog's top H would
+        keep every sub-block to its right.  A better best cell is
+        published as soon as its sub-block is swept.
+        """
+        parts, swept = [], []
+        for lo, hi in zip(self.edges, self.edges[1:]):
+            sub_corner = corner if lo == 0 else int(self.h_top[lo - 1])
+            if self.prune(r0, r1, h_left, sub_corner, lo, hi):
+                part = self.restart(r0, r1, lo, hi)
+            else:
+                t0 = time.perf_counter()
+                part = self.sweep(a_rows, h_left, e_left, sub_corner, lo, hi)
+                swept.append((hi - lo, time.perf_counter() - t0))
+                self._found(part.best.shifted(r0, self.col0 + lo))
+            h_left, e_left = part.h_right, part.e_right
+            parts.append((lo, part))
+        if len(parts) == 1:
+            return parts[0][1], swept
+        best = BestCell.none()
+        for lo, part in parts:
+            cell = part.best.shifted(0, lo)
+            if cell.better_than(best):
+                best = cell
+        last = parts[-1][1]
+        return BlockResult(
+            h_bottom=np.concatenate([part.h_bottom for _, part in parts]),
+            f_bottom=np.concatenate([part.f_bottom for _, part in parts]),
+            h_right=last.h_right, e_right=last.e_right, corner=last.corner,
+            best=best), swept
 
     def tally(self, result: BlockResult) -> BlockResult:
         """Count a swept block row's narrow-DP outcome (whoever swept it)."""
@@ -200,12 +273,16 @@ class SlabSweep:
         border = (result.h_right, result.e_right, self.corner_out)
         self.corner_out = int(result.h_right[-1])
         self.h_top, self.f_top = result.h_bottom, result.f_bottom
-        cell = result.best.shifted(r0, self.col0)
+        self._found(result.best.shifted(r0, self.col0))
+        return border
+
+    def _found(self, cell: BestCell) -> None:
+        """Keep *cell* (global coordinates) if it beats the slab's best,
+        and publish its score to the chain's scoreboard."""
         if cell.better_than(self.best):
             self.best = cell
             if self.pruner is not None:
                 self.scoreboard.publish(self.slot, cell.score)
-        return border
 
     def counters(self) -> dict[str, int]:
         """The prune and narrow-DP counters, by result-field name."""
@@ -252,6 +329,7 @@ def compute_blocked(
     kernel: str = "scalar",
     workspace: KernelWorkspace | None = None,
     dp_dtype: str | DpPolicy = "auto",
+    floor: int = 0,
 ) -> BlockedOutcome:
     """Compute the local-alignment matrix block by block on one device.
 
@@ -262,7 +340,8 @@ def compute_blocked(
     The best cell equals a monolithic :func:`repro.sw.kernel.sw_score`
     sweep (tested cell-exactly).  With *pruning*, blocks that provably
     cannot beat the best so far are skipped and emit
-    :func:`pruned_border_result`.
+    :func:`pruned_border_result`; the best so far starts at *floor*, the
+    score of a real alignment (:func:`~repro.sw.pruning.seed_floor`).
 
     One loop serves every kernel; only the grouping of blocks differs.
     ``"scalar"`` and ``"compiled"`` visit blocks one at a time in
@@ -295,7 +374,7 @@ def compute_blocked(
     if kernel == "batched" and workspace is None:
         workspace = KernelWorkspace()
     config = AlignConfig(kernel=kernel, pruning=pruning)
-    scoreboard = LocalScoreboard() if pruning else None
+    scoreboard = LocalScoreboard(floor) if pruning else None
     sweepers = [
         SlabSweep(config, scoring, profile[:, spec.col0:spec.col1],
                   spec.col0, spec.col1, m=m, n_cols=n, dp=dp,

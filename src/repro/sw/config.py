@@ -19,7 +19,7 @@ class AlignConfig:
     """``block_rows`` (the largest block row height: the real-process
     engine runs :func:`block_height` of it, the simulated chain exactly
     it), ``kernel`` (block sweep kernel, or ``auto``), ``pruning``
-    (exact block pruning), ``mode`` with its ``band_width`` and
+    (exact block pruning from a seeded floor, on by default), ``mode`` with its ``band_width`` and
     ``xdrop_x`` (the tier, :mod:`repro.sw.tiers`) and ``dp_dtype`` (the
     DP dtype policy, exact).  ``band_width`` is the adaptive band's
     initial half-width for ``banded``/``auto``; the band recentres and
@@ -28,7 +28,7 @@ class AlignConfig:
 
     block_rows: int = 512
     kernel: str = "scalar"
-    pruning: bool = False
+    pruning: bool = True
     mode: str = "exact"
     band_width: int = DEFAULT_BAND_WIDTH
     xdrop_x: int = DEFAULT_XDROP_X

@@ -25,6 +25,12 @@ true cells, so downstream blocks never overestimate, and since no path
 scoring the best crosses a pruned block the final best score and its end
 cell are exact.
 
+What a block is depends on the engine.  The chain engines decide each
+sub-block of at most :data:`~repro.sw.blocks.SUB_BLOCK_COLS` columns of
+a slab row on its own (:meth:`repro.sw.blocks.SlabSweep.step`): a
+bound read at the left edge of a 250k-column slab row would let one
+homolog cell keep the whole row.
+
 Schedule interaction: the criterion reads the *best-so-far* score, so how
 much gets pruned depends on the visiting order.  The one blocked loop
 (:func:`repro.sw.blocks.compute_blocked`) decides a whole group of blocks
@@ -34,14 +40,34 @@ every block before it.  The batched kernel's groups are anti-diagonals,
 so its decisions lag by up to one diagonal and it may prune slightly
 less.  Both groupings are exact: only the pruned *counts* differ, never
 the score or end point.
+
+The floor.  The exact sweep does not start its scoreboard at 0 but at
+the score S of one real local alignment, found before the sweep by
+:func:`seed_floor` (LOGAN's seed step, without its X-drop extension):
+k-mer anchors of :data:`SEED_K` bases that occur once in the shorter
+sequence, the longest chain of them increasing in both sequences, one
+explicit path through that chain, and the best contiguous sub-path of
+it.  S is the score of a real alignment, so S <= the exact optimum,
+like every score the sweep publishes later.  With the strict comparison
+above, no block that holds the optimum, or a tie earlier in row-major
+order, is ever pruned: its bound is at least the optimum (INTERNALS.md
+section 7).  A poor S only prunes less.
+Scoring schemes other than the DNA :class:`~repro.seq.scoring.Scoring`
+(a protein matrix, say) get the floor 0.
 """
 
 from __future__ import annotations
 
+import bisect
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..errors import ConfigError
+from ..seq import alphabet
+from ..seq.scoring import Scoring
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .blocks import BlockSpec
@@ -98,3 +124,175 @@ class BlockPruner:
             self.blocks_pruned += 1
             return True
         return False
+
+
+#: Anchor length: a k-mer of this many bases (2 bits each, so one
+#: ``uint32`` key) that occurs once in the shorter sequence.
+SEED_K = 12
+#: Positions of the longer sequence scanned per step, so the seed's
+#: memory is O(shorter + chunk), never O(longer).
+SCAN_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True)
+class Floor:
+    """Where an exact sweep's scoreboard starts: a certified lower bound
+    of the optimum.
+
+    *source* is ``anchor-chain`` (:func:`seed_floor`), ``band`` (the
+    adaptive band of an escalating ``auto``, when it scored higher) or
+    ``none`` (pruning off, a heuristic answer, a timing run or a
+    non-DNA scoring).  *anchors* counts the k-mer hits the seed found
+    and *seconds* is the seed's own wall time."""
+
+    score: int = 0
+    source: str = "none"
+    anchors: int = 0
+    seconds: float = 0.0
+
+
+def seed_floor(a_codes: np.ndarray, b_codes: np.ndarray, scoring,
+               *, _k: int = SEED_K) -> Floor:
+    """The score of one real local alignment of *a_codes* x *b_codes*.
+
+    1. Anchors: every k-mer without ``N`` that occurs exactly once in the
+       shorter sequence, looked up in the longer one chunk by chunk.
+    2. Chain: the longest run of anchors increasing in both sequences
+       (patience LIS, O(h log h) for h anchors).
+    3. Path: from each chain anchor, diagonal steps up to the next
+       anchor's row or column, then the gap that reaches it; after the
+       last anchor, its k diagonal cells.
+    4. Score: the best contiguous sub-path under *scoring* (a sub-path
+       starting on a segment's first cell does not pay the gap before
+       it), at least 0.
+
+    Any such sub-path is a legal local alignment, so the result never
+    exceeds the exact score.  ``_k`` exists for the property tests.
+    """
+    started = time.perf_counter()
+    if not isinstance(scoring, Scoring):
+        return Floor()
+    rows, cols = _anchors(a_codes, b_codes, _k)
+    score = 0
+    if rows.size:
+        chain_rows, chain_cols = _longest_chain(rows, cols)
+        score = _path_score(a_codes, b_codes, chain_rows, chain_cols,
+                            scoring, _k)
+    return Floor(score, "anchor-chain", int(rows.size),
+                 time.perf_counter() - started)
+
+
+def _kmer_keys(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-bit ``uint32`` key of every k-mer of *codes* and a mask of
+    the k-mers holding no ``N``."""
+    count = codes.size - k + 1
+    keys = np.zeros(count, dtype=np.uint32)
+    for t in range(k):
+        keys <<= np.uint32(2)
+        keys |= (codes[t:t + count] & 3).astype(np.uint32)
+    n_seen = np.zeros(codes.size + 1, dtype=np.int32)
+    np.cumsum(codes == alphabet.N, out=n_seen[1:])
+    return keys, n_seen[k:] == n_seen[:count]
+
+
+def _anchors(a_codes: np.ndarray, b_codes: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of every anchor: a k-mer start in *a_codes* and
+    *b_codes* whose k-mer occurs once in the shorter sequence."""
+    swap = a_codes.size > b_codes.size
+    short, long_ = (b_codes, a_codes) if swap else (a_codes, b_codes)
+    none = np.empty(0, dtype=np.int64)
+    if short.size < k:
+        return none, none
+    keys, clean = _kmer_keys(short, k)
+    pos = np.flatnonzero(clean)
+    order = np.argsort(keys[pos], kind="stable")
+    keys, pos = keys[pos][order], pos[order]
+    differs = keys[1:] != keys[:-1]
+    once = np.ones(keys.size, dtype=bool)
+    once[1:] &= differs
+    once[:-1] &= differs
+    keys, pos = keys[once], pos[once]
+    hits_short, hits_long = [none], [none]
+    if keys.size:
+        for c0 in range(0, long_.size - k + 1, SCAN_CHUNK):
+            chunk_keys, chunk_clean = _kmer_keys(
+                long_[c0:c0 + SCAN_CHUNK + k - 1], k)
+            idx = np.searchsorted(keys, chunk_keys)
+            idx[idx == keys.size] = 0
+            hit = np.flatnonzero(chunk_clean & (keys[idx] == chunk_keys))
+            hits_short.append(pos[idx[hit]])
+            hits_long.append(hit + c0)
+    s, l_ = np.concatenate(hits_short), np.concatenate(hits_long)
+    return (l_, s) if swap else (s, l_)
+
+
+def _longest_chain(rows: np.ndarray,
+                   cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The longest sub-sequence of anchors strictly increasing in both
+    row and column (patience sorting with back-links)."""
+    order = np.lexsort((-cols, rows))  # rows up; equal rows, cols down
+    rows, cols = rows[order], cols[order]
+    tails: list[int] = []       # smallest last column of a chain of length p+1
+    tail_at: list[int] = []     # the anchor holding it
+    back = [-1] * rows.size
+    for x, col in enumerate(cols.tolist()):
+        p = bisect.bisect_left(tails, col)
+        if p == len(tails):
+            tails.append(col)
+            tail_at.append(x)
+        else:
+            tails[p] = col
+            tail_at[p] = x
+        back[x] = tail_at[p - 1] if p else -1
+    chain = []
+    x = tail_at[-1]
+    while x >= 0:
+        chain.append(x)
+        x = back[x]
+    chain.reverse()
+    return rows[chain], cols[chain]
+
+
+def _path_score(a_codes: np.ndarray, b_codes: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray, scoring: Scoring, k: int) -> int:
+    """Best contiguous sub-path score of one path through the chain.
+
+    From anchor s to anchor s + 1 the path aligns ``span = min(d_row,
+    d_col)`` pairs around one gap of ``|d_row - d_col|``: its first t
+    pairs follow anchor s's diagonal and the rest lead up anchor s + 1's
+    diagonal, with t in ``[1, span]`` where the two diagonals score best.
+    The last anchor's k pairs end the path.
+    """
+    d_rows, d_cols = np.diff(rows), np.diff(cols)
+    span = np.minimum(d_rows, d_cols)
+    starts = np.cumsum(span) - span
+    seg = np.repeat(np.arange(span.size), span)
+    step = np.arange(seg.size) - starts[seg]
+    # Pair `step` of segment s on anchor s's diagonal, or on anchor s + 1's.
+    from_r, from_c = rows[seg] + step, cols[seg] + step
+    to_r = rows[seg + 1] - span[seg] + step
+    to_c = cols[seg + 1] - span[seg] + step
+    switch = starts + 1
+    if seg.size:
+        # Switching after pair p of a segment scores its from-pairs
+        # through p plus its to-pairs after p: up to a per-segment
+        # constant, the running sum of (from - to) at p.
+        lead = np.cumsum(scoring.matrix[a_codes[from_r], b_codes[from_c]]
+                         - scoring.matrix[a_codes[to_r], b_codes[to_c]],
+                         dtype=np.int64)
+        best = np.flatnonzero(lead == np.maximum.reduceat(lead, starts)[seg])
+        switch = best[np.unique(seg[best], return_index=True)[1]] + 1
+    on_from = np.arange(seg.size) < switch[seg]
+    path_r = np.append(np.where(on_from, from_r, to_r), rows[-1] + np.arange(k))
+    path_c = np.append(np.where(on_from, from_c, to_c), cols[-1] + np.arange(k))
+    gap_cost = np.zeros(path_r.size, dtype=np.int64)
+    gaps = np.abs(d_rows - d_cols)
+    gap_cost[switch] = np.where(
+        gaps > 0, scoring.gap_open + gaps * scoring.gap_extend, 0)
+    # Sub-path [p, q] scores prefix[q] - (prefix[p - 1] - gap_cost[p]):
+    # a sub-path starting right after a gap does not pay it.
+    prefix = np.cumsum(scoring.matrix[a_codes[path_r], b_codes[path_c]]
+                       - gap_cost)
+    before = np.insert(prefix[:-1], 0, 0) - gap_cost
+    return max(0, int((prefix - np.minimum.accumulate(before)).max()))

@@ -1,12 +1,15 @@
 """The tier front door: one ``mode`` dispatch shared by every engine.
 
 Each engine supplies one exact sweep of the full matrix, and
-:func:`run_tiers` builds the modes on it: ``exact`` is that sweep;
+:func:`run_tiers` builds the modes on it: ``exact`` is that sweep,
+its pruning scoreboard started at a seeded floor
+(:func:`~repro.sw.pruning.seed_floor`) when pruning is on;
 ``banded`` and ``xdrop`` run inline in the calling process
 (:func:`~repro.sw.xdrop.adaptive_banded_score`,
 :func:`~repro.sw.xdrop.xdrop_score`); ``auto`` runs the band inline,
 then escalates to the exact sweep when
-:func:`~repro.sw.xdrop.assess_heuristic` rejects the answer.  The
+:func:`~repro.sw.xdrop.assess_heuristic` rejects the answer, floored at
+the better of the band's score and the seed.  The
 journal records, auto-outcome counters, summed tier time and the
 ``mode``/``tier``/``escalated`` stamps live here too (INTERNALS.md
 section 10).
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
@@ -24,8 +27,12 @@ from ..errors import ConfigError
 from ..obs.instruments import record_heuristic
 from ..seq.scoring import Scoring
 from .kernel import BestCell
+from .pruning import Floor, seed_floor
 from .xdrop import (adaptive_banded_score, assess_heuristic, validate_mode,
                     xdrop_score)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .config import AlignConfig
 
 #: Modes answered inline in the calling process, with no engine sweep.
 INLINE_MODES = ("banded", "xdrop")
@@ -64,36 +71,40 @@ def run_tiers(
     a_codes: np.ndarray | None,
     b_codes: np.ndarray | None,
     scoring: Scoring | None,
+    config: "AlignConfig",
     *,
-    mode: str,
-    band_width: int,
-    xdrop_x: int,
-    sweep: Callable[[], R],
+    sweep: Callable[[int], R],
     from_inline: Callable[[InlineOutcome], R],
     elapsed: str,
     backend: str,
     metrics=None,
     events=None,
 ) -> R:
-    """Answer one comparison in *mode* through an engine's *sweep*.
+    """Answer one comparison in ``config.mode`` through an engine's *sweep*.
 
-    *sweep* runs the engine's exact sweep; *from_inline* wraps an inline
-    X-drop or band outcome in the engine's result type; *elapsed* names
-    its time field (virtual ``total_time_s`` or wall ``wall_time_s``),
-    summed when auto escalates.  An exact sweep whose narrow DP kernel
+    ``sweep(floor)`` runs the engine's exact sweep with its pruning
+    scoreboard starting at *floor*, the score of a real alignment (0
+    without pruning); the result records the :class:`~repro.sw.pruning.Floor`
+    in its ``floor`` field.  *from_inline* wraps an inline X-drop or
+    band outcome in the engine's result type; *elapsed* names its time
+    field (virtual ``total_time_s`` or wall ``wall_time_s``), summed
+    when auto escalates.  An exact sweep whose narrow DP kernel
     escalated journals one ``dtype_escalation``.  Only the heuristic
-    modes read the sequences, so an exact timing-mode caller may pass
-    ``None``.
+    modes and the seed read the sequences, so an exact timing-mode
+    caller may pass ``None``.
     """
+    mode = config.mode
     if mode == "exact":
-        return replace(_swept(sweep, events), mode=mode, tier=mode,
-                       escalated=False)
+        return replace(_swept(sweep, _seed(a_codes, b_codes, scoring, config),
+                              events),
+                       mode=mode, tier=mode, escalated=False)
     started = time.perf_counter()
     if mode == "xdrop":
-        out = xdrop_score(a_codes, b_codes, scoring, xdrop_x)
+        out = xdrop_score(a_codes, b_codes, scoring, config.xdrop_x)
     else:
-        out = adaptive_banded_score(a_codes, b_codes, scoring, band_width,
-                                    max_half_width=MAX_WIDENING * band_width)
+        out = adaptive_banded_score(
+            a_codes, b_codes, scoring, config.band_width,
+            max_half_width=MAX_WIDENING * config.band_width)
     heur = from_inline(InlineOutcome(out.best, out.cells_computed, started,
                                      time.perf_counter() - started))
     if mode in INLINE_MODES:
@@ -107,9 +118,14 @@ def run_tiers(
     else:
         if events is not None:
             events.emit("heuristic_escalation", tier="exact",
-                        heur_score=int(out.score), band_width=band_width,
+                        heur_score=int(out.score),
+                        band_width=config.band_width,
                         reason="; ".join(decision.reasons))
-        exact = _swept(sweep, events)
+        floor = _seed(a_codes, b_codes, scoring, config)
+        if config.pruning and out.score > floor.score:
+            # The band's best cell is a real alignment too.
+            floor = replace(floor, score=int(out.score), source="band")
+        exact = _swept(sweep, floor, events)
         result = replace(
             exact, mode=mode, tier="exact", escalated=True,
             **{elapsed: getattr(heur, elapsed) + getattr(exact, elapsed)})
@@ -119,8 +135,16 @@ def run_tiers(
     return result
 
 
-def _swept(sweep: Callable[[], R], events) -> R:
-    res = sweep()
+def _seed(a_codes, b_codes, scoring, config) -> Floor:
+    """The exact sweep's floor: seeded under pruning when the sequences
+    are at hand, else none."""
+    if not config.pruning or a_codes is None:
+        return Floor()
+    return seed_floor(a_codes, b_codes, scoring)
+
+
+def _swept(sweep: Callable[[int], R], floor: Floor, events) -> R:
+    res = replace(sweep(floor.score), floor=floor)
     if events is not None and res.dtype_escalations > 0:
         events.emit("dtype_escalation", dp_dtype=res.dp_dtype,
                     escalations=res.dtype_escalations,

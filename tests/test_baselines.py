@@ -34,7 +34,8 @@ class TestSingleGpu:
     def test_pruning_reduces_virtual_time(self, rng):
         a = random_codes(rng, 500)
         b = mutated_copy(rng, a, 0.02)
-        plain = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=32)
+        plain = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=32,
+                               pruning=False)
         pruned = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=32, pruning=True)
         assert pruned.score == plain.score
         assert pruned.pruned_fraction > 0.2

@@ -80,7 +80,8 @@ class TestTimingModel:
         configuration → identical virtual clock."""
         a = random_codes(rng, 64)
         b = random_codes(rng, 96)
-        cfg = ChainConfig(block_rows=8, channel_capacity=3)
+        # A phantom run cannot prune, so the compute run must not either.
+        cfg = ChainConfig(block_rows=8, channel_capacity=3, pruning=False)
         chain = MultiGpuChain(ENV1_HETEROGENEOUS, config=cfg)
         t_compute = chain.run(MatrixWorkload(a, b, DNA_DEFAULT)).total_time_s
         t_phantom = chain.run(PhantomWorkload(64, 96)).total_time_s

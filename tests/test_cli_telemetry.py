@@ -121,6 +121,32 @@ class TestAlignTelemetry:
             "mode": "banded", "band_width": 32, "xdrop_x": 7,
             "dp_dtype": "int32", "capacity": 3}
 
+    def test_report_and_manifest_record_the_floor(self, fasta_pair, tmp_path,
+                                                  capsys):
+        """Pruning is on by default: both backends print the seeded floor
+        and the manifest records its score, source, anchors and seconds;
+        --no-pruning prints none and records source ``none``."""
+        for backend in ("sim", "process"):
+            out = tmp_path / backend
+            assert _run_align(fasta_pair, out, "--backend", backend) == 0
+            stdout = capsys.readouterr().out
+            result = load_manifest(out / "manifest.json")["result"]
+            floor = result["floor"]
+            assert set(floor) == {"score", "source", "anchors", "seconds"}
+            assert floor["source"] == "anchor-chain"
+            assert 0 < floor["score"] <= result["score"]
+            assert floor["anchors"] > 0 and floor["seconds"] >= 0
+            assert f"floor: {floor['score']} from anchor-chain" in stdout
+
+            off = tmp_path / f"{backend}-off"
+            assert _run_align(fasta_pair, off, "--backend", backend,
+                              "--no-pruning") == 0
+            assert "floor:" not in capsys.readouterr().out
+            off_result = load_manifest(off / "manifest.json")["result"]
+            assert off_result["floor"]["source"] == "none"
+            assert (off_result["score"], off_result["end"]) == \
+                (result["score"], result["end"])
+
     def test_align_without_telemetry_writes_nothing(self, fasta_pair, tmp_path,
                                                     capsys):
         fa, fb = fasta_pair

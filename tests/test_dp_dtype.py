@@ -333,7 +333,7 @@ def test_metrics_fire_once_per_block_and_stay_absent_wide():
 
     registry = MetricsRegistry()
     res = run_single_gpu(a, b, HOT, GTX_580, block_rows=32,
-                         dp_dtype="int16", metrics=registry)
+                         dp_dtype="int16", metrics=registry, pruning=False)
     snap = registry.snapshot()["counters"]
 
     def total(name):

@@ -40,7 +40,7 @@ class TestProcessChainAccounting:
         b = random_codes(rng, 900)
         reg = MetricsRegistry()
         res = align_multi_process(a, b, DNA_DEFAULT, workers=3, block_rows=64,
-                                  metrics=reg)
+                                  metrics=reg, pruning=False)
         n_rows = math.ceil(a.size / 64)
         computed, pruned = _block_totals(reg)
         assert pruned == 0  # pruning off
@@ -69,7 +69,7 @@ class TestProcessChainAccounting:
         b = random_codes(rng, 384)
         reg = MetricsRegistry()
         align_multi_process(a, b, DNA_DEFAULT, workers=2, block_rows=64,
-                            metrics=reg)
+                            metrics=reg, pruning=False)
         assert reg.counter("cells_computed").total() == a.size * b.size
         # One internal boundary: worker0 sends, worker1 receives, byte
         # for byte.
@@ -111,7 +111,8 @@ class TestPoolAccounting:
             a = random_codes(rng, 300)
             b = random_codes(rng, 300)
             for _ in range(2):
-                res = pool.align(a, b, DNA_DEFAULT, block_rows=64, metrics=reg)
+                res = pool.align(a, b, DNA_DEFAULT, block_rows=64, metrics=reg,
+                                 pruning=False)
             assert res.score == sw_score_naive(a, b, DNA_DEFAULT)[0]
         n_rows = math.ceil(300 / 64)
         computed, pruned = _block_totals(reg)
@@ -136,7 +137,8 @@ class TestSimChainAccounting:
         b = random_codes(rng, 640)
         reg = MetricsRegistry()
         res = align_multi_gpu(a, b, DNA_DEFAULT, ENV2_HOMOGENEOUS,
-                              config=ChainConfig(block_rows=64), metrics=reg)
+                              config=ChainConfig(block_rows=64, pruning=False),
+                              metrics=reg)
         n_gpus = len(ENV2_HOMOGENEOUS)
         computed, pruned = _block_totals(reg)
         assert pruned == 0
@@ -166,7 +168,7 @@ class TestSingleGpuAccounting:
         b = random_codes(rng, 400)
         reg = MetricsRegistry()
         res = run_single_gpu(a, b, DNA_DEFAULT, GTX_680, block_rows=64,
-                             metrics=reg)
+                             metrics=reg, pruning=False)
         assert reg.counter("cells_computed").total() == a.size * b.size
         assert reg.counter("blocks_computed").value(
             device="single-gpu") == math.ceil(a.size / 64)

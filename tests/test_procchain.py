@@ -108,7 +108,7 @@ class TestObservability:
         b = random_codes(rng, 200)
         tracer = Tracer()
         res = align_multi_process(a, b, DNA_DEFAULT, workers=2, block_rows=32,
-                                  tracer=tracer)
+                                  tracer=tracer, pruning=False)
         assert res.tracer is tracer
         assert tracer.actors() == ["worker0", "worker1"]
         # Every worker computed; the downstream worker waited on borders.

@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.comm import list_segments
+from repro.comm import SharedScoreboard, list_segments
 from repro.errors import CommError, ConfigError, PartitionError
 from repro.multigpu import (
     ChainCheckpoint,
@@ -42,8 +42,9 @@ from repro.multigpu import pool as pool_mod
 from repro.multigpu.procchain import SlabOutcome, SlabReport, collect_results
 from repro.obs.registry import MetricsRegistry
 from repro.seq import DNA_DEFAULT
-from repro.sw import sw_score_naive
+from repro.sw import blocks, sw_score_naive, tiers
 from repro.sw.kernel import BestCell
+from repro.sw.pruning import Floor
 
 from helpers import random_codes
 
@@ -360,6 +361,43 @@ class TestProcessRecovery:
         assert res.score == want
         assert (res.best.row, res.best.col) == (end_i, end_j)
         assert res.restarts == 1
+        assert list_segments() == []
+
+    def test_resumed_attempt_starts_from_the_checkpointed_best(
+            self, rng, monkeypatch):
+        """A resumed attempt starts the scoreboard at the best cell the
+        checkpoints hold, a real cell, so the answer stays exact and the
+        attempt prunes at least as much as one restarted from the seed
+        floor alone."""
+        a = random_codes(rng, 240)
+        b = np.concatenate([a[:120], random_codes(rng, 120)])  # similar pair
+        want = sw_score_naive(a, b, DNA_DEFAULT)
+        # With a zero seed floor, the checkpoints' best is the only floor.
+        monkeypatch.setattr(tiers, "seed_floor",
+                            lambda a_codes, b_codes, scoring: Floor())
+        monkeypatch.setattr(blocks, "SUB_BLOCK_COLS", 16)
+        reset = SharedScoreboard.reset
+        floors = []
+
+        def run(cap):
+            def capped(board, floor=0):
+                floors.append(min(floor, cap))
+                reset(board, floors[-1])
+
+            monkeypatch.setattr(SharedScoreboard, "reset", capped)
+            return align_multi_process(
+                a, b, DNA_DEFAULT, workers=2, block_rows=16, timeout_s=120.0,
+                border_timeout_s=2.0, max_restarts=1, restart_backoff_s=0.01,
+                start_method="fork", _fault=(1, 9))
+
+        res = run(cap=10**9)
+        assert res.restarts == 1
+        assert (res.score, res.best.row, res.best.col) == want
+        assert floors[-1] >= 120  # the shared prefix's best, checkpointed
+        seed_only = run(cap=0)    # a restart from the seed floor alone
+        assert floors[-1] == 0 and seed_only.best == res.best
+        # The resumed attempt is the one survivor's: its prune count.
+        assert res.worker_blocks[0][1] > seed_only.worker_blocks[0][1]
         assert list_segments() == []
 
     def test_fail_fast_without_restarts(self, pair):

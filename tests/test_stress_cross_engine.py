@@ -300,7 +300,8 @@ class TestDistributedPruningDifferential:
 
         ref = align_multi_gpu(
             a, b, scoring, [TESLA_M2090] * workers,
-            config=ChainConfig(block_rows=block_rows, kernel=kernel))
+            config=ChainConfig(block_rows=block_rows, kernel=kernel,
+                               pruning=False))
 
         sim = align_multi_gpu(
             a, b, scoring, [TESLA_M2090] * workers,
@@ -311,7 +312,8 @@ class TestDistributedPruningDifferential:
         assert sim.blocks_checked > 0
 
         real_off = align_multi_process(a, b, scoring, workers=min(workers, n),
-                                       block_rows=block_rows, kernel=kernel)
+                                       block_rows=block_rows, kernel=kernel,
+                                       pruning=False)
         real_on = align_multi_process(a, b, scoring, workers=min(workers, n),
                                       block_rows=block_rows, kernel=kernel,
                                       pruning=True)

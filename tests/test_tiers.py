@@ -17,7 +17,9 @@ from repro.errors import ConfigError
 from repro.obs import EventJournal, MetricsRegistry
 from repro.seq import DNA_DEFAULT
 from repro.sw import adaptive_banded_score, sw_score_naive, xdrop_score
+from repro.sw.config import AlignConfig
 from repro.sw.kernel import BestCell
+from repro.sw.pruning import Floor, seed_floor
 from repro.sw.tiers import MAX_WIDENING, run_tiers, validate_tiers
 from repro.workloads import HUMAN_CHIMP, mutate, random_dna
 
@@ -33,20 +35,24 @@ class FakeResult:
     blocks_narrow: int = 0
     blocks_wide: int = 0
     dtype_escalations: int = 0
+    floor: Floor = Floor()
 
 
 class FakeEngine:
     """Answers its one exact sweep with the naive score; counts the
-    sweeps and logs the inline outcomes handed to ``from_inline``."""
+    sweeps, logs the floors they start from and the inline outcomes
+    handed to ``from_inline``."""
 
     def __init__(self, a, b, *, escalations: int = 0) -> None:
         self.a, self.b = a, b
         self.escalations = escalations
         self.sweeps = 0
+        self.floors: list = []
         self.inline: list = []
 
-    def sweep(self):
+    def sweep(self, floor):
         self.sweeps += 1
+        self.floors.append(floor)
         best = BestCell(*sw_score_naive(self.a, self.b, DNA_DEFAULT))
         return FakeResult(best=best, elapsed_s=1.5,
                           dp_dtype="int16" if self.escalations else "int32",
@@ -57,12 +63,13 @@ class FakeEngine:
         return FakeResult(best=out.best, elapsed_s=0.25)
 
     def run(self, mode, *, events=None, metrics=None, band_width=64,
-            xdrop_x=20):
+            xdrop_x=20, pruning=True):
+        config = AlignConfig(mode=mode, band_width=band_width,
+                             xdrop_x=xdrop_x, pruning=pruning)
         return run_tiers(
-            self.a, self.b, DNA_DEFAULT, mode=mode, band_width=band_width,
-            xdrop_x=xdrop_x, sweep=self.sweep, from_inline=self.from_inline,
-            elapsed="elapsed_s", backend="fake", metrics=metrics,
-            events=events)
+            self.a, self.b, DNA_DEFAULT, config, sweep=self.sweep,
+            from_inline=self.from_inline, elapsed="elapsed_s",
+            backend="fake", metrics=metrics, events=events)
 
 
 def _counter(registry, name):
@@ -169,8 +176,50 @@ class TestDispatch:
         assert journal.count("dtype_escalation") == 0
 
     def test_exact_timing_mode_needs_no_sequences(self):
-        res = run_tiers(None, None, None, mode="exact", band_width=64,
-                        xdrop_x=20,
-                        sweep=lambda: FakeResult(BestCell.none(), 2.0),
+        res = run_tiers(None, None, None, AlignConfig(),
+                        sweep=lambda floor: FakeResult(BestCell.none(), 2.0),
                         from_inline=None, elapsed="elapsed_s", backend="fake")
         assert res.tier == "exact" and res.elapsed_s == 2.0
+        assert res.floor == Floor()  # no sequences, no seed
+
+
+class TestFloor:
+    """Which floor the exact sweep starts from, and what the result
+    records of it."""
+
+    def test_exact_sweep_starts_at_the_seeded_floor(self, similar):
+        a, b = similar
+        engine = FakeEngine(a, b)
+        res = engine.run("exact")
+        want = seed_floor(a, b, DNA_DEFAULT)
+        assert engine.floors == [want.score]
+        assert (res.floor.score, res.floor.source, res.floor.anchors) == \
+            (want.score, "anchor-chain", want.anchors)
+        assert 0 < res.floor.score <= res.best.score
+        assert res.floor.seconds >= 0.0
+
+    def test_no_pruning_no_floor(self, similar):
+        engine = FakeEngine(*similar)
+        res = engine.run("exact", pruning=False)
+        assert engine.floors == [0]
+        assert res.floor == Floor()
+
+    def test_heuristic_answers_carry_no_floor(self, similar):
+        engine = FakeEngine(*similar)
+        for mode in ("banded", "xdrop", "auto"):
+            assert engine.run(mode).floor == Floor()
+        assert engine.sweeps == 0
+
+    def test_escalation_floors_at_the_better_of_band_and_seed(self, rng):
+        a, b = random_dna(300, rng=rng), random_dna(300, rng=rng)
+        engine = FakeEngine(a, b)
+        res = engine.run("auto")
+        assert res.escalated
+        band = adaptive_banded_score(a, b, DNA_DEFAULT, 64,
+                                     max_half_width=MAX_WIDENING * 64)
+        seed = seed_floor(a, b, DNA_DEFAULT)
+        assert engine.floors == [max(band.score, seed.score)]
+        assert res.floor.score == max(band.score, seed.score)
+        assert res.floor.source == ("band" if band.score > seed.score
+                                    else "anchor-chain")
+        assert res.floor.score <= res.best.score

@@ -77,10 +77,9 @@ class LocalScoreboard:
         publish)."""
         return self._best
 
-    def reset(self, floor: int = 0) -> None:
-        """Forget every published score (between comparisons) and start
-        at *floor*, the score of a real alignment or 0."""
-        self._best = floor
+    def reset(self) -> None:
+        """Forget every published score (between comparisons)."""
+        self._best = 0
 
 
 class SharedScoreboard(ShmSegment):

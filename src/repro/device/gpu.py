@@ -19,7 +19,6 @@ virtual-time :class:`~repro.device.engine.Engine`.  Its three facilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from ..errors import DeviceError
 from .engine import Engine, Event
@@ -112,20 +111,17 @@ class SimulatedGPU:
         self,
         cells: int,
         slab_cols: int,
-        work: Callable[[], Any] | None = None,
         block_rows: int | None = None,
     ):
         """Process: execute *cells* DP cells on the device.
 
         Charges ``cells / effective_rate(slab_cols, block_rows)`` of
-        virtual time; runs *work* (the real NumPy block computation) at
-        the start, returning its result when the virtual time has elapsed.
+        virtual time; the engine runs the real block sweep itself.
         """
         if cells <= 0:
             raise DeviceError("cells must be positive")
         yield self._compute_lock.acquire()
         try:
-            result = work() if work is not None else None
             duration = cells / self.spec.effective_rate(slab_cols, block_rows)
             start = self.engine.now
             yield self.engine.timeout(duration, f"{self.name} compute {cells} cells")
@@ -135,7 +131,6 @@ class SimulatedGPU:
                 self.tracer.record(self.name, "compute", start, self.engine.now)
         finally:
             self._compute_lock.release()
-        return result
 
     def copy_to_host(self, nbytes: int):
         """Process: D2H transfer of *nbytes* over PCIe."""

@@ -122,7 +122,9 @@ class SlabSweep:
     returns the right border for the next slab.  With pruning, the step
     cuts the row into sub-blocks of at most :data:`SUB_BLOCK_COLS`
     columns (:func:`sub_block_edges`) and, for each, asks :meth:`prune`,
-    then takes :meth:`restart` borders or runs :meth:`sweep`.  The
+    then takes :meth:`restart` borders or runs :meth:`sweep`, one sweep
+    over a survivor and the sub-blocks after it that no left border
+    could get pruned.  The
     single-device :func:`compute_blocked` calls those three per block of
     its caller's grid instead; stacking several slabs' block rows into
     one batched sweep, it builds each with :meth:`job` and counts each
@@ -212,28 +214,40 @@ class SlabSweep:
              e_left: np.ndarray,
              corner: int) -> tuple[BlockResult, list[tuple[int, float]]]:
         """Run block row ``[r0, r1)``: decide each sub-block against the
-        *scoreboard*, sweep the survivors one at a time and emit restart
-        borders for the rest.  Returns the row's result and, per swept
-        sub-block, its width and wall seconds (empty: the whole row was
-        pruned).
+        *scoreboard*, sweep the survivors and emit restart borders for
+        the rest.  Returns the row's result and, per swept sub-block, its
+        width and wall seconds (empty: the whole row was pruned).
 
         A sub-block's left input is the right border of the sub-block
         before it (a restart border if that one was pruned), and its
-        corner is the top border's cell left of it.  Survivors are not
-        merged into one sweep: a merged run's bound would have to cover
-        its unknown inner left borders, and the homolog's top H would
-        keep every sub-block to its right.  A better best cell is
-        published as soon as its sub-block is swept.
+        corner is the top border's cell left of it.  A survivor's sweep
+        runs on through the sub-blocks after it that the bound keeps even
+        with a zero left border (:meth:`_kept`): no left border can get
+        those pruned, so a row where nothing can be pruned, a dissimilar
+        pair's, is one sweep.  Any other sub-block waits for its real
+        left border: a bound covering an unknown one would let the
+        homolog's top H keep every sub-block to its right.  A better
+        best cell is published as soon as its sweep ends.
         """
         parts, swept = [], []
-        for lo, hi in zip(self.edges, self.edges[1:]):
+        edges, k = self.edges, 0
+        while k < len(edges) - 1:
+            lo, first = edges[k], k
             sub_corner = corner if lo == 0 else int(self.h_top[lo - 1])
-            if self.prune(r0, r1, h_left, sub_corner, lo, hi):
-                part = self.restart(r0, r1, lo, hi)
+            k += 1
+            if self.prune(r0, r1, h_left, sub_corner, lo, edges[k]):
+                part = self.restart(r0, r1, lo, edges[k])
             else:
+                while k < len(edges) - 1 and self._kept(r0, r1, edges[k],
+                                                        edges[k + 1]):
+                    k += 1
                 t0 = time.perf_counter()
-                part = self.sweep(a_rows, h_left, e_left, sub_corner, lo, hi)
-                swept.append((hi - lo, time.perf_counter() - t0))
+                part = self.sweep(a_rows, h_left, e_left, sub_corner, lo,
+                                  edges[k])
+                seconds = time.perf_counter() - t0
+                # Each sub-block of the sweep takes its share of the time.
+                swept += [(c1 - c0, seconds * (c1 - c0) / (edges[k] - lo))
+                          for c0, c1 in zip(edges[first:k], edges[first + 1:])]
                 self._found(part.best.shifted(r0, self.col0 + lo))
             h_left, e_left = part.h_right, part.e_right
             parts.append((lo, part))
@@ -250,6 +264,15 @@ class SlabSweep:
             f_bottom=np.concatenate([part.f_bottom for _, part in parts]),
             h_right=last.h_right, e_right=last.e_right, corner=last.corner,
             best=best), swept
+
+    def _kept(self, r0: int, r1: int, lo: int, hi: int) -> bool:
+        """True when the bound keeps slab columns ``[lo, hi)`` (``lo >
+        0``) of block row ``[r0, r1)`` whatever their left border brings:
+        decided and kept before the sub-block left of them is swept."""
+        return self.pruner.keeps(
+            BlockSpec(r0, r1, self.col0 + lo, self.col0 + hi), self.m,
+            self.n_cols, int(self.h_top[lo:hi].max()), self.scoreboard.read(),
+            corner=int(self.h_top[lo - 1]))
 
     def tally(self, result: BlockResult) -> BlockResult:
         """Count a swept block row's narrow-DP outcome (whoever swept it)."""

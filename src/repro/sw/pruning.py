@@ -29,7 +29,9 @@ What a block is depends on the engine.  The chain engines decide each
 sub-block of at most :data:`~repro.sw.blocks.SUB_BLOCK_COLS` columns of
 a slab row on its own (:meth:`repro.sw.blocks.SlabSweep.step`): a
 bound read at the left edge of a 250k-column slab row would let one
-homolog cell keep the whole row.
+homolog cell keep the whole row.  Sub-blocks the bound keeps whatever
+their left border (:meth:`BlockPruner.keeps`) join the sweep before
+them, so a row where nothing can be pruned stays one sweep.
 
 Schedule interaction: the criterion reads the *best-so-far* score, so how
 much gets pruned depends on the visiting order.  The one blocked loop
@@ -125,6 +127,25 @@ class BlockPruner:
             return True
         return False
 
+    def keeps(
+        self,
+        spec: "BlockSpec",
+        m: int,
+        n: int,
+        h_top_max: int,
+        best_score: int,
+        corner: int = 0,
+    ) -> bool:
+        """True when the block is swept whatever its left border: even a
+        zero one leaves its bound at *best_score* or above, and the left
+        border only raises the bound.  A kept block counts as checked; a
+        block this cannot keep is left undecided for :meth:`should_prune`
+        to judge with its real left border."""
+        if self.upper_bound(spec, m, n, h_top_max, 0, corner) < best_score:
+            return False
+        self.blocks_checked += 1
+        return True
+
 
 #: Anchor length: a k-mer of this many bases (2 bits each, so one
 #: ``uint32`` key) that occurs once in the shorter sequence.
@@ -132,6 +153,9 @@ SEED_K = 12
 #: Positions of the longer sequence scanned per step, so the seed's
 #: memory is O(shorter + chunk), never O(longer).
 SCAN_CHUNK = 1 << 16
+#: Key bits of the presence table that screens the longer sequence's
+#: k-mers before the exact lookup (a 256 KiB table at k = 12).
+SCREEN_BITS = 18
 
 
 @dataclass(frozen=True)
@@ -215,14 +239,20 @@ def _anchors(a_codes: np.ndarray, b_codes: np.ndarray,
     keys, pos = keys[once], pos[once]
     hits_short, hits_long = [none], [none]
     if keys.size:
+        # Only k-mers whose leading key bits some short k-mer shares go
+        # to the (slow, cache-missing) binary search.
+        shift = max(0, 2 * k - SCREEN_BITS)
+        screen = np.zeros(1 << min(2 * k, SCREEN_BITS), dtype=bool)
+        screen[keys >> shift] = True
         for c0 in range(0, long_.size - k + 1, SCAN_CHUNK):
             chunk_keys, chunk_clean = _kmer_keys(
                 long_[c0:c0 + SCAN_CHUNK + k - 1], k)
-            idx = np.searchsorted(keys, chunk_keys)
+            at = np.flatnonzero(chunk_clean & screen[chunk_keys >> shift])
+            idx = np.searchsorted(keys, chunk_keys[at])
             idx[idx == keys.size] = 0
-            hit = np.flatnonzero(chunk_clean & (keys[idx] == chunk_keys))
+            hit = keys[idx] == chunk_keys[at]
             hits_short.append(pos[idx[hit]])
-            hits_long.append(hit + c0)
+            hits_long.append(at[hit] + c0)
     s, l_ = np.concatenate(hits_short), np.concatenate(hits_long)
     return (l_, s) if swap else (s, l_)
 

@@ -83,16 +83,13 @@ class TestSimulatedGPU:
         eng = Engine()
         spec = DeviceSpec("x", gcups=1.0, saturation_cols=0)
         gpu = SimulatedGPU(eng, spec)
-        results = []
 
         def proc():
-            value = yield from gpu.compute(2_000_000_000, 1024, work=lambda: "payload")
-            results.append(value)
+            yield from gpu.compute(2_000_000_000, 1024)
 
         eng.process(proc())
         total = eng.run()
         assert total == pytest.approx(2.0)
-        assert results == ["payload"]
         assert gpu.counters.cells == 2_000_000_000
         assert gpu.counters.compute_s == pytest.approx(2.0)
 

@@ -19,7 +19,11 @@ from repro.multigpu import ChainConfig, align_multi_gpu, align_multi_process
 from repro.obs import MetricsRegistry
 from repro.seq import BLOSUM62_SCORING, DNA_DEFAULT, Scoring, encode_protein
 from repro.sw import blocks, compute_blocked, sw_score_naive
-from repro.sw.blocks import BlockSpec, sub_block_edges
+from repro.comm.scoreboard import LocalScoreboard
+from repro.sw.blocks import BlockSpec, SlabSweep, sub_block_edges
+from repro.sw.config import AlignConfig
+from repro.sw.constants import DTYPE, NEG_INF
+from repro.sw.kernel import build_profile
 from repro.sw.pruning import SEED_K, BlockPruner, Floor, seed_floor
 from repro.workloads import HUMAN_CHIMP, insert_n_runs, mutate, random_dna
 
@@ -265,6 +269,40 @@ class TestSubBlocks:
             assert computed + res.blocks_pruned == res.blocks_checked
             assert reg.counter("cells_computed").total() < \
                 a.size * b.size * (1 - res.pruned_ratio) + 40 * 3750
+
+
+    def test_rows_nothing_can_prune_are_one_sweep(self, rng):
+        """A sub-block the bound keeps even with a zero left border joins
+        the sweep before it, so a dissimilar pair's slab row, where no
+        sub-block can be pruned, is one sweep, as without pruning."""
+        a, b = random_dna(200, rng=rng), random_dna(20_000, rng=rng)
+        profile = build_profile(b, DNA_DEFAULT)
+
+        def slab(pruning):
+            floor = seed_floor(a, b, DNA_DEFAULT).score
+            return SlabSweep(AlignConfig(pruning=pruning), DNA_DEFAULT,
+                             profile, 0, b.size, m=a.size, n_cols=b.size,
+                             scoreboard=LocalScoreboard(floor))
+
+        pruned, plain = slab(True), slab(False)
+        calls = []
+        sweep = pruned.sweep
+        pruned.sweep = lambda *args: calls.append(args[-2:]) or sweep(*args)
+        for r0 in range(0, a.size, 64):
+            r1 = min(a.size, r0 + 64)
+            left = (np.zeros(r1 - r0, dtype=DTYPE),
+                    np.full(r1 - r0, NEG_INF, dtype=DTYPE), 0)
+            got, swept = pruned.step(r0, r1, a[r0:r1], *left)
+            want, _ = plain.step(r0, r1, a[r0:r1], *left)
+            assert calls.pop() == (0, b.size) and not calls
+            assert [cols for cols, _ in swept] == np.diff(pruned.edges).tolist()
+            np.testing.assert_array_equal(got.h_bottom, want.h_bottom)
+            np.testing.assert_array_equal(got.h_right, want.h_right)
+            pruned.advance(got, r0)
+            plain.advance(want, r0)
+        assert pruned.best == plain.best
+        assert pruned.counters()["blocks_checked"] == 4 * 5  # rows x subs
+        assert pruned.counters()["blocks_pruned"] == 0
 
 
 class TestPruningByDefault:

@@ -134,10 +134,9 @@ _CONFIG_FLAGS: dict[str, dict] = {
     "pruning": dict(
         action=argparse.BooleanOptionalAction,
         help="distributed block pruning (default on): skip every "
-             "sub-block of at most 4096 columns that cannot beat a "
-             "chain-wide best-score scoreboard, which starts at the score "
-             "of a k-mer anchor-chain alignment; exact: same score and "
-             "end cell as --no-pruning"),
+             "cell that cannot beat a chain-wide best-score scoreboard, "
+             "which starts at the score of a k-mer anchor-chain "
+             "alignment; exact: same score and end cell as --no-pruning"),
     "mode": dict(
         choices=MODES,
         help="alignment tier: exact, banded (adaptive band, heuristic "

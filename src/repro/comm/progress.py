@@ -57,8 +57,8 @@ from .shm import ShmSegment
 
 #: Worker phases, in the order they occur inside one block row.  The
 #: board stores the index; readers translate back through this tuple.
-#: ``compute`` covers a whole block row, its pruned sub-blocks
-#: included.  ``warmup`` marks the one-time per-process JIT compile of
+#: ``compute`` covers a whole block row, its dead cells included.
+#: ``warmup`` marks the one-time per-process JIT compile of
 #: the compiled kernel backend — like ``idle``, no rows are advancing.
 PHASES = ("idle", "wait", "compute", "send", "done", "checkpoint", "warmup")
 

@@ -131,6 +131,8 @@ class GpuReport:
     #: mode with ``ChainConfig.pruning`` only; zero otherwise).
     blocks_checked: int = 0
     blocks_pruned: int = 0
+    #: DP cells this device's sweeps computed (compute mode).
+    cells_swept: int = 0
     #: Narrow/wide split of this device's swept blocks (zeros unless a
     #: narrow DP dtype policy was active).
     blocks_narrow: int = 0
@@ -186,6 +188,11 @@ class ChainResult:
     @property
     def blocks_pruned(self) -> int:
         return sum(g.blocks_pruned for g in self.gpus)
+
+    @property
+    def cells_swept(self) -> int:
+        """DP cells the devices' sweeps computed (compute mode)."""
+        return sum(g.cells_swept for g in self.gpus)
 
     @property
     def blocks_narrow(self) -> int:
@@ -420,7 +427,7 @@ class MultiGpuChain:
                     yield out_ch.reserve_out_slot()
                     gpu.record_wait(t0)
 
-                result, swept = None, [(w, 0.0)]  # phantom: the whole row
+                result, swept = None, (rows * w, 0.0)  # phantom: every cell
                 if sweeper is not None:
                     if in_ch is not None:
                         h_left, e_left, corner = payload_in.payload
@@ -431,16 +438,17 @@ class MultiGpuChain:
                     result, swept = sweeper.step(r0, r1, workload.a[r0:r1],
                                                  h_left, e_left, corner)
 
-                # Each swept sub-block is one device sweep at the slab's
-                # rate, so a run that prunes nothing takes the phantom
-                # run's time; pruned ones charge none, the pruning payoff.
-                for cols, _ in swept:
+                # A swept row's cells run at the slab's rate, so a run that
+                # prunes nothing takes the phantom run's time; pruned rows
+                # and dead cells charge none, the pruning payoff.
+                if swept is not None:
                     t_c0 = engine.now
-                    yield from gpu.compute(rows * cols, w, block_rows=rows)
+                    if swept[0]:
+                        yield from gpu.compute(swept[0], w, block_rows=rows)
                     if instruments is not None:
                         instruments[g].block_computed(engine.now - t_c0,
-                                                      cells=rows * cols)
-                if not swept and gpu.tracer is not None:
+                                                      cells=swept[0])
+                elif gpu.tracer is not None:
                     gpu.tracer.record(gpu.name, "pruned", engine.now,
                                       engine.now)
                 # Phantom runs carry no payload: the right border is None.

@@ -538,7 +538,7 @@ class WorkerPool:
         resume: tuple | None = None          # (row, h_full, f_full)
         base_best = BestCell.none()
         base_checked = base_pruned = 0
-        total_narrow = total_wide = total_esc = 0
+        total_narrow = total_wide = total_esc = total_cells = 0
         checkpoints: CheckpointArea | None = None
 
         def fail(detail: str) -> RuntimeError:
@@ -610,6 +610,7 @@ class WorkerPool:
                     worker_blocks.append((outcome.blocks_checked,
                                           outcome.blocks_pruned))
                     total_narrow += outcome.blocks_narrow
+                    total_cells += outcome.cells_swept
                     total_wide += outcome.blocks_wide
                     total_esc += outcome.dtype_escalations
                     if outcome.best.better_than(attempt_best):
@@ -638,6 +639,7 @@ class WorkerPool:
                         rows_recomputed=rows_recomputed_total,
                         dp_dtype=dp_policy.name,
                         blocks_narrow=total_narrow,
+                        cells_swept=total_cells,
                         blocks_wide=total_wide,
                         dtype_escalations=total_esc,
                     )

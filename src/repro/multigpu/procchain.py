@@ -146,6 +146,8 @@ class ProcessChainResult:
     blocks_checked: int = 0
     blocks_pruned: int = 0
     worker_blocks: tuple = ()
+    #: DP cells the workers' sweeps computed, every attempt included.
+    cells_swept: int = 0
     #: Recovery accounting (zeros unless ``max_restarts`` allowed a resume):
     #: attempts resumed after a failure, and matrix rows swept again because
     #: they lay past the newest consistent checkpoint when the failure hit.
@@ -230,6 +232,7 @@ class SlabOutcome:
     best: BestCell
     blocks_checked: int = 0
     blocks_pruned: int = 0
+    cells_swept: int = 0
     blocks_narrow: int = 0
     blocks_wide: int = 0
     dtype_escalations: int = 0
@@ -308,14 +311,13 @@ def sweep_slab(
     *recv_link* / *send_link* are border transports (``None`` at the chain
     ends); the task's *fault_block* kills the process just before
     computing that block row (failure-injection tests).  Each block row
-    is one :meth:`~repro.sw.blocks.SlabSweep.step`, which prunes its
-    sub-blocks against the chain-wide
+    is one :meth:`~repro.sw.blocks.SlabSweep.step`, which prunes the
+    row, or the dead cells of its live window, against the chain-wide
     :class:`~repro.comm.scoreboard.SharedScoreboard` at this worker's
-    *slot* (stale reads are safe by monotonicity); a row whose every
-    sub-block was pruned is recorded as a ``pruned`` span, any other as
-    ``compute``.  The persistent worker's
-    *workspace* is the batched kernel's scratch, and the profile is
-    content-LRU-cached per process.
+    *slot* (stale reads are safe by monotonicity); a pruned row is
+    recorded as a ``pruned`` span, a swept one as ``compute``.  The
+    persistent worker's *workspace* is the batched kernel's scratch, and
+    the profile is content-LRU-cached per process.
 
     Telemetry: *progress* is the shared-memory heartbeat board this
     worker beats into at every phase transition — ``rows_done`` carries
@@ -377,11 +379,11 @@ def sweep_slab(
         with recorder.span("compute"):
             result, swept = sweeper.step(r0, r1, a_codes[r0:r1], h_left,
                                          e_left, corner)
-        if not swept:  # every sub-block pruned: a pruned span
+        if swept is None:  # the whole row pruned: a pruned span
             recorder.records[-1] = ("pruned", *recorder.records[-1][1:])
-        if instruments is not None:
-            for cols, seconds in swept:
-                instruments.block_computed(seconds, cells=rows * cols)
+        elif instruments is not None:
+            cells, seconds = swept
+            instruments.block_computed(seconds, cells=cells)
         h_right, e_right, corner_out = sweeper.advance(result, r0)
 
         if send_link is not None:

@@ -22,9 +22,9 @@ same metric families under the same names, labelled by ``device``:
 
 Centralising the names here is what makes the cross-engine invariant
 testable: for every engine, ``blocks_computed + blocks_pruned`` summed
-over devices equals the number of blocks checked: block rows times the
-device count, times the sub-blocks per slab row when a pruning chain
-cuts its rows (:func:`repro.sw.blocks.sub_block_edges`).
+over devices equals the number of blocks checked, block rows times the
+device count; a chain's ``cells_computed`` counts the cells of each
+swept row's live window (:class:`repro.sw.kernel.LiveWindow`).
 """
 
 from __future__ import annotations

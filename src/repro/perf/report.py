@@ -37,6 +37,7 @@ def chain_result_dict(result) -> dict:
             "blocks_checked": result.blocks_checked,
             "blocks_pruned": result.blocks_pruned,
             "pruned_ratio": result.pruned_ratio,
+            "cells_swept": result.cells_swept,
         } if result.config.pruning else None,
         "floor": asdict(result.floor),
         "heuristic": _heuristic_dict(result),
@@ -90,6 +91,7 @@ def process_result_dict(result) -> dict:
             "blocks_checked": result.blocks_checked,
             "blocks_pruned": result.blocks_pruned,
             "pruned_ratio": result.pruned_ratio,
+            "cells_swept": result.cells_swept,
             "per_worker": [list(wb) for wb in result.worker_blocks],
         } if result.pruning else None,
         "recovery": {
@@ -242,6 +244,19 @@ def _best_line(result) -> str:
             f"({result.best.row}, {result.best.col})")
 
 
+def _prune_line(result) -> str | None:
+    """The cells a pruned exact sweep computed out of m x n, and the
+    slab rows it skipped whole; ``None`` when no pruned sweep ran
+    (pruning off, or a heuristic tier answered)."""
+    if not (result.config.pruning and result.blocks_checked):
+        return None
+    return (f"pruning: {humanize_cells(result.cells_swept)} of "
+            f"{humanize_cells(result.cells)} swept "
+            f"({result.cells_swept / result.cells:.1%}), "
+            f"{result.blocks_pruned}/{result.blocks_checked} block rows "
+            f"pruned whole")
+
+
 def process_report(result, *, title: str = "process chain run") -> str:
     """Multi-section text report for a ProcessChainResult — the same
     sections as :func:`chain_report`, on wall-clock time."""
@@ -258,11 +273,9 @@ def process_report(result, *, title: str = "process chain run") -> str:
         f"block_rows={result.config.block_rows} "
         f"pruning={'on' if result.pruning else 'off'}"
     )
-    if result.pruning:
-        lines.append(
-            f"pruning: {result.blocks_pruned}/{result.blocks_checked} "
-            f"blocks pruned ({result.pruned_ratio:.1%})"
-        )
+    prune_line = _prune_line(result)
+    if prune_line:
+        lines.append(prune_line)
     floor_line = _floor_line(result)
     if floor_line:
         lines.append(floor_line)
@@ -315,11 +328,9 @@ def chain_report(result, *, title: str = "chain run") -> str:
         f"transfers={'async' if cfg.async_transfers else 'sync'} "
         f"kernel={cfg.kernel} pruning={'on' if cfg.pruning else 'off'}"
     )
-    if cfg.pruning:
-        lines.append(
-            f"pruning: {result.blocks_pruned}/{result.blocks_checked} "
-            f"blocks pruned ({result.pruned_ratio:.1%})"
-        )
+    prune_line = _prune_line(result)
+    if prune_line:
+        lines.append(prune_line)
     floor_line = _floor_line(result)
     if floor_line:
         lines.append(floor_line)

@@ -153,9 +153,13 @@ class ProfileCache:
                dp_dtype: str = "int32") -> tuple:
         codes = np.ascontiguousarray(b_codes)
         digest = hashlib.blake2b(codes.data, digest_size=16).digest()
+        # The profile is columns of the substitution matrix: key on all
+        # of it, whatever scheme (DNA match/mismatch or a protein matrix)
+        # built it.
+        matrix = np.ascontiguousarray(scoring.matrix)
         return (
-            digest, codes.size, codes.dtype.str, dp_dtype,
-            scoring.match, scoring.mismatch, scoring.gap_open, scoring.gap_extend,
+            digest, codes.size, codes.dtype.str, dp_dtype, matrix.shape,
+            hashlib.blake2b(matrix.data, digest_size=16).digest(),
         )
 
     def get(self, b_codes: np.ndarray, scoring: Scoring,

@@ -25,7 +25,8 @@ from .batched import BlockJob, KernelWorkspace, sweep_wavefront, validate_kernel
 from .compiled import sweep_block_compiled
 from .config import AlignConfig
 from .constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
-from .kernel import BestCell, BlockResult, build_profile, sweep_block
+from .kernel import (BestCell, BlockResult, LiveWindow, build_profile,
+                     sweep_block)
 from .pruning import BlockPruner
 
 
@@ -85,18 +86,6 @@ def wavefront_order(n_block_rows: int, n_block_cols: int) -> Iterator[list[tuple
         yield diag
 
 
-#: Widest sub-block a pruning slab decides on its own: with a pruner, a
-#: slab row of width w is ceil(w / SUB_BLOCK_COLS) near-equal sub-blocks.
-SUB_BLOCK_COLS = 4096
-
-
-def sub_block_edges(w: int) -> list[int]:
-    """Column offsets ``[0, ..., w]`` of a ``w``-wide slab row cut into
-    ``ceil(w / SUB_BLOCK_COLS)`` sub-blocks of near-equal width."""
-    parts = -(-w // SUB_BLOCK_COLS)
-    return [w * p // parts for p in range(parts + 1)]
-
-
 def pruned_border_result(spec: BlockSpec) -> BlockResult:
     """Borders emitted for a pruned block (local mode only).
 
@@ -112,6 +101,7 @@ def pruned_border_result(spec: BlockSpec) -> BlockResult:
         e_right=np.full(spec.rows, NEG_INF, dtype=DTYPE),
         corner=0,
         best=BestCell.none(),
+        live=(0, 0),
     )
 
 
@@ -120,17 +110,16 @@ class SlabSweep:
     device runs (simulated or real): per block row an engine runs
     :meth:`step`, then hands the result to :meth:`advance`, which
     returns the right border for the next slab.  With pruning, the step
-    cuts the row into sub-blocks of at most :data:`SUB_BLOCK_COLS`
-    columns (:func:`sub_block_edges`) and, for each, asks :meth:`prune`,
-    then takes :meth:`restart` borders or runs :meth:`sweep`, one sweep
-    over a survivor and the sub-blocks after it that no left border
-    could get pruned.  The
+    asks :meth:`prune` whether the whole row can be skipped, then takes
+    :meth:`restart` borders or runs one :meth:`sweep` over the row's
+    live window (:class:`~repro.sw.kernel.LiveWindow`).  The
     single-device :func:`compute_blocked` calls those three per block of
-    its caller's grid instead; stacking several slabs' block rows into
-    one batched sweep, it builds each with :meth:`job` and counts each
-    result with :meth:`tally`.  The sweep holds the slab's top border
-    (*h_top*/*f_top* resume part-way down), best cell and counters;
-    time, transport and tracing stay with the engine."""
+    its caller's grid instead, without windows; stacking several slabs'
+    block rows into one batched sweep, it builds each with :meth:`job`
+    and counts each result with :meth:`tally`.  The sweep holds the
+    slab's top border (*h_top*/*f_top* resume part-way down), its live
+    hull, best cell and counters; time, transport and tracing stay with
+    the engine."""
 
     def __init__(self, config, scoring: Scoring, profile: np.ndarray,
                  col0: int, col1: int, *, m: int, n_cols: int,
@@ -150,37 +139,33 @@ class SlabSweep:
         self.h_top = np.array(np.zeros(w) if h_top is None else h_top, dtype=DTYPE)
         self.f_top = np.array(np.full(w, NEG_INF) if f_top is None else f_top,
                               dtype=DTYPE)
+        # The top border holds restart values outside these columns.
+        self.live = (0, 0) if h_top is None else (0, w)
         self.best = best
         # H(r0 - 1, col1 - 1) of the next block row: the corner the right
         # neighbour's block enters through.
         self.corner_out = int(self.h_top[-1])
         self.pruner = BlockPruner(match=scoring.match) if config.pruning else None
-        self.edges = sub_block_edges(w) if self.pruner else [0, w]
         self.blocks_narrow = self.blocks_wide = self.dtype_escalations = 0
+        self.cells_swept = 0
 
-    def prune(self, r0: int, r1: int, h_left: np.ndarray, corner: int,
-              lo: int = 0, hi: int | None = None) -> bool:
-        """True when slab columns ``[lo, hi)`` (default: all) of block
-        row ``[r0, r1)`` need no sweep: they cannot beat the chain-wide
-        best on the *scoreboard* (pruning on)."""
-        hi = self.col1 - self.col0 if hi is None else hi
+    def prune(self, r0: int, r1: int, h_left: np.ndarray, corner: int) -> bool:
+        """True when block row ``[r0, r1)`` needs no sweep: it cannot
+        beat the chain-wide best on the *scoreboard* (pruning on)."""
+        lo, hi = self.live
+        top = int(self.h_top[lo:hi].max()) if lo < hi else 0
         if self.pruner is None or not self.pruner.should_prune(
-                BlockSpec(r0, r1, self.col0 + lo, self.col0 + hi), self.m,
-                self.n_cols, int(self.h_top[lo:hi].max()),
-                int(h_left.max()), self.scoreboard.read(),
+                BlockSpec(r0, r1, self.col0, self.col1), self.m, self.n_cols,
+                top, int(h_left.max()), self.scoreboard.read(),
                 corner=int(corner)):
             return False
         if self.instruments is not None:
             self.instruments.block_pruned()
         return True
 
-    def restart(self, r0: int, r1: int, lo: int = 0,
-                hi: int | None = None) -> BlockResult:
-        """The restart borders skipped slab columns ``[lo, hi)`` of a
-        block row emit."""
-        hi = self.col1 - self.col0 if hi is None else hi
-        return pruned_border_result(
-            BlockSpec(r0, r1, self.col0 + lo, self.col0 + hi))
+    def restart(self, r0: int, r1: int) -> BlockResult:
+        """The restart borders a skipped block row emits."""
+        return pruned_border_result(BlockSpec(r0, r1, self.col0, self.col1))
 
     def job(self, a_rows: np.ndarray, h_left: np.ndarray,
             e_left: np.ndarray, corner: int) -> BlockJob:
@@ -189,93 +174,53 @@ class SlabSweep:
                         h_left, e_left, corner)
 
     def sweep(self, a_rows: np.ndarray, h_left: np.ndarray,
-              e_left: np.ndarray, corner: int, lo: int = 0,
-              hi: int | None = None) -> BlockResult:
-        """Sweep slab columns ``[lo, hi)`` (default: all) of the next
-        block row with the config's kernel, counting the narrow-DP
-        outcome."""
-        hi = self.col1 - self.col0 if hi is None else hi
-        profile = self.profile[:, lo:hi]
-        h_top, f_top = self.h_top[lo:hi], self.f_top[lo:hi]
-        if self.kernel == "batched":
+              e_left: np.ndarray, corner: int,
+              window: LiveWindow | None = None) -> BlockResult:
+        """Sweep the next block row with the config's kernel, over
+        *window*'s live cells only when one is given, counting the
+        narrow-DP outcome.  A slab row is a single job, so the batched
+        kernel has nothing to stack: a windowed row runs on the NumPy row
+        engine instead."""
+        if self.kernel == "batched" and window is None:
             result = sweep_wavefront(
-                [BlockJob(a_rows, profile, h_top, f_top, h_left, e_left,
-                          corner)],
+                [BlockJob(a_rows, self.profile, self.h_top, self.f_top,
+                          h_left, e_left, corner)],
                 self.scoring, local=True, workspace=self.workspace,
                 dp=self.dp)[0]
         else:
             sweep = (sweep_block_compiled if self.kernel == "compiled"
                      else sweep_block)
-            result = sweep(a_rows, profile, h_top, f_top, h_left, e_left,
-                           corner, self.scoring, local=True, dp=self.dp)
+            result = sweep(a_rows, self.profile, self.h_top, self.f_top,
+                           h_left, e_left, corner, self.scoring, local=True,
+                           dp=self.dp, window=window)
         return self.tally(result)
 
     def step(self, r0: int, r1: int, a_rows: np.ndarray, h_left: np.ndarray,
              e_left: np.ndarray,
-             corner: int) -> tuple[BlockResult, list[tuple[int, float]]]:
-        """Run block row ``[r0, r1)``: decide each sub-block against the
-        *scoreboard*, sweep the survivors and emit restart borders for
-        the rest.  Returns the row's result and, per swept sub-block, its
-        width and wall seconds (empty: the whole row was pruned).
-
-        A sub-block's left input is the right border of the sub-block
-        before it (a restart border if that one was pruned), and its
-        corner is the top border's cell left of it.  A survivor's sweep
-        runs on through the sub-blocks after it that the bound keeps even
-        with a zero left border (:meth:`_kept`): no left border can get
-        those pruned, so a row where nothing can be pruned, a dissimilar
-        pair's, is one sweep.  Any other sub-block waits for its real
-        left border: a bound covering an unknown one would let the
-        homolog's top H keep every sub-block to its right.  A better
-        best cell is published as soon as its sweep ends.
-        """
-        parts, swept = [], []
-        edges, k = self.edges, 0
-        while k < len(edges) - 1:
-            lo, first = edges[k], k
-            sub_corner = corner if lo == 0 else int(self.h_top[lo - 1])
-            k += 1
-            if self.prune(r0, r1, h_left, sub_corner, lo, edges[k]):
-                part = self.restart(r0, r1, lo, edges[k])
-            else:
-                while k < len(edges) - 1 and self._kept(r0, r1, edges[k],
-                                                        edges[k + 1]):
-                    k += 1
-                t0 = time.perf_counter()
-                part = self.sweep(a_rows, h_left, e_left, sub_corner, lo,
-                                  edges[k])
-                seconds = time.perf_counter() - t0
-                # Each sub-block of the sweep takes its share of the time.
-                swept += [(c1 - c0, seconds * (c1 - c0) / (edges[k] - lo))
-                          for c0, c1 in zip(edges[first:k], edges[first + 1:])]
-                self._found(part.best.shifted(r0, self.col0 + lo))
-            h_left, e_left = part.h_right, part.e_right
-            parts.append((lo, part))
-        if len(parts) == 1:
-            return parts[0][1], swept
-        best = BestCell.none()
-        for lo, part in parts:
-            cell = part.best.shifted(0, lo)
-            if cell.better_than(best):
-                best = cell
-        last = parts[-1][1]
-        return BlockResult(
-            h_bottom=np.concatenate([part.h_bottom for _, part in parts]),
-            f_bottom=np.concatenate([part.f_bottom for _, part in parts]),
-            h_right=last.h_right, e_right=last.e_right, corner=last.corner,
-            best=best), swept
-
-    def _kept(self, r0: int, r1: int, lo: int, hi: int) -> bool:
-        """True when the bound keeps slab columns ``[lo, hi)`` (``lo >
-        0``) of block row ``[r0, r1)`` whatever their left border brings:
-        decided and kept before the sub-block left of them is swept."""
-        return self.pruner.keeps(
-            BlockSpec(r0, r1, self.col0 + lo, self.col0 + hi), self.m,
-            self.n_cols, int(self.h_top[lo:hi].max()), self.scoreboard.read(),
-            corner=int(self.h_top[lo - 1]))
+             corner: int) -> tuple[BlockResult, tuple[int, float] | None]:
+        """Run block row ``[r0, r1)``: restart borders when the bound
+        prunes it whole, else one sweep over its live window.  Returns
+        the row's result and, for a swept row, the cells it computed and
+        its wall seconds (``None``: pruned).  A better best cell is
+        published as soon as the sweep ends."""
+        if self.prune(r0, r1, h_left, corner):
+            return self.restart(r0, r1), None
+        window = None
+        if self.pruner is not None:  # the best now, from the top's live hull
+            window = LiveWindow(self.scoreboard.read(), self.scoring.match,
+                                self.m - 1 - r0, self.n_cols - 1 - self.col0,
+                                *self.live)
+        t0, cells = time.perf_counter(), self.cells_swept
+        result = self.sweep(a_rows, h_left, e_left, corner, window)
+        seconds = time.perf_counter() - t0
+        self._found(result.best.shifted(r0, self.col0))
+        return result, (self.cells_swept - cells, seconds)
 
     def tally(self, result: BlockResult) -> BlockResult:
-        """Count a swept block row's narrow-DP outcome (whoever swept it)."""
+        """Count a swept block row's cells and narrow-DP outcome (whoever
+        swept it)."""
+        self.cells_swept += (result.cells if result.cells is not None
+                             else result.h_right.size * result.h_bottom.size)
         dp = self.dp
         if dp is not None:
             narrow, esc = int(result.dtype == dp.name), int(result.escalated)
@@ -296,6 +241,8 @@ class SlabSweep:
         border = (result.h_right, result.e_right, self.corner_out)
         self.corner_out = int(result.h_right[-1])
         self.h_top, self.f_top = result.h_bottom, result.f_bottom
+        self.live = (result.live if result.live is not None
+                     else (0, result.h_bottom.size))
         self._found(result.best.shifted(r0, self.col0))
         return border
 
@@ -308,10 +255,11 @@ class SlabSweep:
                 self.scoreboard.publish(self.slot, cell.score)
 
     def counters(self) -> dict[str, int]:
-        """The prune and narrow-DP counters, by result-field name."""
+        """The prune, cell and narrow-DP counters, by result-field name."""
         return {
             "blocks_checked": self.pruner.blocks_checked if self.pruner else 0,
             "blocks_pruned": self.pruner.blocks_pruned if self.pruner else 0,
+            "cells_swept": self.cells_swept,
             "blocks_narrow": self.blocks_narrow,
             "blocks_wide": self.blocks_wide,
             "dtype_escalations": self.dtype_escalations,
@@ -411,7 +359,6 @@ def compute_blocked(
     else:
         groups = ([(br, bc)] for br in range(n_brows) for bc in range(n_bcols))
 
-    cells_pruned = 0
     for group in groups:
         # Decide the whole group, then sweep it, then roll its borders: no
         # block of a group feeds another, so none may see its output.
@@ -425,7 +372,6 @@ def compute_blocked(
                 e_left = np.full(spec.rows, NEG_INF, dtype=DTYPE)
                 corner = 0
             if sweeper.prune(spec.row0, spec.row1, h_left, corner):
-                cells_pruned += spec.cells
                 done.append((bc, spec.row0,
                              sweeper.restart(spec.row0, spec.row1)))
             else:
@@ -451,6 +397,7 @@ def compute_blocked(
             best = sweeper.best
         for name, value in sweeper.counters().items():
             counters[name] += value
+    cells_pruned = m * n - counters.pop("cells_swept")
     return BlockedOutcome(best=best, blocks_total=n_brows * n_bcols,
                           cells_total=m * n, cells_pruned=cells_pruned,
                           dp_dtype=policy.name, **counters)

@@ -48,7 +48,8 @@ import numpy as np
 from ..seq.scoring import Scoring
 from . import backend
 from .constants import NEG_INF, DpPolicy, get_policy
-from .kernel import BestCell, BlockResult, build_profile, local_boundaries, sweep_block, sweep_protocol
+from .kernel import (TRIM_ROWS, BestCell, BlockResult, LiveWindow, build_profile,
+                     local_boundaries, sweep_block, sweep_protocol)
 
 #: Sentinel cap for wide sweeps: no int32 row maximum can reach it, so
 #: the jitted overflow gate compiles to a dead branch.
@@ -97,23 +98,55 @@ def _build_jit(nb):
     @nb.njit(nogil=True, cache=True)
     def _sweep_rows(a_codes, prof, h_row, f_row, h_left, e_left, corner,
                     open_, ext, zero, local, track_best, cap,
-                    h_right, e_right, best_out):
+                    h_right, e_right, best_out, win, left_open, dead,
+                    trim_rows):
         # One fused pass per cell: E carried in a register (the scan is
         # free), F and the diagonal read from the previous row in place.
         # h_row/f_row arrive holding the top borders and leave holding
         # the bottom row.  Returns True when a row maximum reaches cap
-        # (narrow overflow — caller recomputes wide).
+        # (narrow overflow — caller recomputes wide).  With win[0] set,
+        # each row runs over its live window (LiveWindow, the same rule
+        # as the NumPy engine's _window_loop); win[5:8] return the bottom
+        # row's live hull and the cells computed.
         R = a_codes.shape[0]
         W = h_row.shape[0]
         best_s = best_out[0]
+        windowed = win[0] != 0
+        lbest, match = win[1], win[2]
+        rows_left, cols_left = win[3], win[4]
+        wlo, whi = win[5], win[6]   # the row above's live hull
+        dlo, dhi = wlo, whi         # columns holding non-restart values
+        need = 0
+        if windowed:
+            need = -((-lbest) // match) - 1
+        step = np.int64(ext)
+        cells = 0
         for i in range(R):
             code = a_codes[i]
-            hl = h_left[i]          # final H[i, j-1]; starts at the left border
-            e = e_left[i]           # E[i, j-1]
-            d = corner              # H[i-1, j-1]
+            lo, hi = 0, W
+            if windowed:
+                lo, hi = wlo, whi
+                if lo < hi:
+                    hi = min(W, hi + 1)
+                fresh = 0
+                if rows_left - i >= need:
+                    fresh = min(W, max(0, cols_left - need + 1))
+                if fresh > 0 or left_open[i]:
+                    lo, hi = 0, max(hi, fresh, 1)
+                if lo >= hi:
+                    lo, hi = 0, 0
+            hl = zero               # final H[i, j-1]; starts at the left border
+            e = dead                # E[i, j-1]
+            d = zero                # H[i-1, j-1]
+            if lo == 0:
+                hl = h_left[i]
+                e = e_left[i]
+                d = corner
+            elif lo < hi:
+                d = h_row[lo - 1]
             row_best = np.int64(-_NO_CAP)
             row_j = -1
-            for j in range(W):
+            for j in range(lo, hi):
                 hp = h_row[j]       # H[i-1, j]
                 a = hl - open_
                 if e < a:
@@ -139,8 +172,41 @@ def _build_jit(nb):
                 if v > row_best:
                     row_best = v
                     row_j = j
-            h_right[i] = hl
-            e_right[i] = e
+            if windowed:
+                if lo < hi and hi < W:
+                    # Widen while the E leaving the window stays live.
+                    e_out = np.int64(hl) - open_
+                    if e_out < e:
+                        e_out = np.int64(e)
+                    e_out -= step
+                    spare_r = e_out + match * (rows_left - i) - lbest
+                    spare_c = e_out + match * (cols_left - hi) - lbest
+                    count = 0
+                    if spare_r >= 0 and spare_c >= 0:
+                        count = min(W - hi, spare_r // step + 1,
+                                    spare_c // (step + match) + 1)
+                    for t in range(count):
+                        h_row[hi + t] = e_out - t * step
+                        f_row[hi + t] = dead
+                    if count > 0:
+                        hl = h_row[hi + count - 1]
+                        e = hl
+                        hi += count
+                # Row i-1's values outside [lo, hi) are stale for row i.
+                for j in range(dlo, min(dhi, lo)):
+                    h_row[j] = zero
+                    f_row[j] = dead
+                for j in range(max(dlo, hi), dhi):
+                    h_row[j] = zero
+                    f_row[j] = dead
+                dlo, dhi = lo, hi
+                cells += hi - lo
+            if hi == W:
+                h_right[i] = hl
+                e_right[i] = e
+            else:
+                h_right[i] = zero
+                e_right[i] = dead
             corner = h_left[i]
             if row_best >= cap:
                 return True
@@ -149,6 +215,49 @@ def _build_jit(nb):
                 best_out[0] = row_best
                 best_out[1] = i
                 best_out[2] = row_j
+            if windowed:
+                if row_best > lbest:
+                    lbest = row_best
+                    need = -((-lbest) // match) - 1
+                if lo < hi and ((i + 1) % trim_rows == 0 or i == R - 1):
+                    # Trim right of the next row's fresh-start prefix.
+                    keep = 0
+                    if rows_left - i > need and cols_left >= need:
+                        keep = min(hi, cols_left - need + 1)
+                    steps = rows_left - i
+                    first, last = -1, -1
+                    for j in range(max(lo, keep), hi):
+                        left = cols_left - j
+                        if left > steps:
+                            left = steps
+                        if np.int64(h_row[j]) + match * left >= lbest:
+                            if first < 0:
+                                first = j
+                            last = j
+                    if keep > lo:
+                        if first >= 0:
+                            hi = last + 1
+                        else:
+                            hi = keep
+                    elif first >= 0:
+                        lo, hi = first, last + 1
+                    else:
+                        lo, hi = 0, 0
+                if lo < hi:
+                    wlo, whi = lo, hi
+                else:
+                    wlo, whi = 0, 0
+        if windowed:
+            # The bottom row's dead cells outside its live hull restart.
+            for j in range(dlo, min(dhi, wlo)):
+                h_row[j] = zero
+                f_row[j] = dead
+            for j in range(max(dlo, whi), dhi):
+                h_row[j] = zero
+                f_row[j] = dead
+            win[5] = wlo
+            win[6] = whi
+            win[7] = cells
         return False
 
     return _sweep_rows
@@ -156,7 +265,8 @@ def _build_jit(nb):
 
 def _run_jit(sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
              scoring: Scoring, cap: int | None, *, local: bool,
-             track_best: bool) -> BlockResult | None:
+             track_best: bool,
+             window: LiveWindow | None = None) -> BlockResult | None:
     """The jitted row engine of :func:`~repro.sw.kernel.sweep_protocol`:
     one fused sweep in the borders' dtype; ``None`` on overflow."""
     kind = h_top.dtype.type
@@ -167,6 +277,15 @@ def _run_jit(sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
     best_out[0] = 0 if local else NEG_INF   # the NumPy kernels' tie-break base
     best_out[1] = -1
     best_out[2] = -1
+    win = np.zeros(8, dtype=np.int64)
+    if window is None:
+        left_open = np.zeros(R, dtype=np.bool_)
+        dead = 0  # unused: every row starts at the left border
+    else:
+        win[:7] = (1, window.best, window.match, window.rows_left,
+                   window.cols_left, window.lo, window.hi)
+        left_open = window.left_open(h_left, e_left, h_diag)
+        dead = window.dead
     overflow = sweep(
         np.ascontiguousarray(a_codes, dtype=np.int64),
         np.ascontiguousarray(profile), h_top, f_top,
@@ -174,15 +293,19 @@ def _run_jit(sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
         kind(h_diag), kind(scoring.gap_open), kind(scoring.gap_extend),
         kind(0), bool(local), bool(track_best),
         np.int64(cap) if cap is not None else _NO_CAP,
-        h_right, e_right, best_out)
+        h_right, e_right, best_out, win, left_open, kind(dead), TRIM_ROWS)
     if overflow:
         return None
     if best_out[1] >= 0:
         best = BestCell(int(best_out[0]), int(best_out[1]), int(best_out[2]))
     else:
         best = BestCell.none()
+    if window is None:
+        return BlockResult(h_bottom=h_top, f_bottom=f_top, h_right=h_right,
+                           e_right=e_right, corner=int(h_top[-1]), best=best)
     return BlockResult(h_bottom=h_top, f_bottom=f_top, h_right=h_right,
-                       e_right=e_right, corner=int(h_top[-1]), best=best)
+                       e_right=e_right, corner=int(h_top[-1]), best=best,
+                       cells=int(win[7]), live=(int(win[5]), int(win[6])))
 
 
 def sweep_block_compiled(
@@ -198,6 +321,7 @@ def sweep_block_compiled(
     local: bool = True,
     track_best: bool = True,
     dp: DpPolicy | None = None,
+    window: LiveWindow | None = None,
 ) -> BlockResult:
     """:func:`repro.sw.kernel.sweep_block` semantics on the compiled path.
 
@@ -211,10 +335,12 @@ def sweep_block_compiled(
     if sweep is None:
         return sweep_block(
             a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
-            scoring, local=local, track_best=track_best, dp=dp)
+            scoring, local=local, track_best=track_best, dp=dp,
+            window=window)
     return sweep_protocol(
         partial(_run_jit, sweep), a_codes, profile, h_top, f_top, h_left,
-        e_left, h_diag, scoring, local=local, track_best=track_best, dp=dp)
+        e_left, h_diag, scoring, local=local, track_best=track_best, dp=dp,
+        window=window)
 
 
 def warmup(dp_dtypes: tuple[str, ...] = ("int32", "int16"),

@@ -113,14 +113,16 @@ class DpPolicy:
         """Whether *scoring*'s magnitudes leave sentinel headroom.
 
         Two requirements: one kernel step applied to the sentinel must
-        not wrap (``neg_inf - (gap_open + gap_extend + |mismatch|) >=
-        lo``), and the sentinel must sit strictly below every reachable
+        not wrap (``neg_inf - (gap_open + gap_extend + |worst|) >= lo``,
+        *worst* the scheme's lowest substitution score), and the
+        sentinel must sit strictly below every reachable
         real value with margin (``neg_inf <= -2 * (gap_open +
         gap_extend)``, reals never drop below ``-(gap_open +
         gap_extend)`` in the clipped local sweep).  Plus at least one
         column must fit under the overflow cap.
         """
-        step = scoring.gap_open + scoring.gap_extend + abs(scoring.mismatch)
+        step = (scoring.gap_open + scoring.gap_extend
+                + abs(int(scoring.matrix.min())))
         if self.neg_inf - step < self.lo:
             return False
         if self.neg_inf > -2 * (scoring.gap_open + scoring.gap_extend):
@@ -188,7 +190,7 @@ def resolve_dp_dtype(dp_dtype: str, scoring, *, block_cols: int,
             raise ConfigError(
                 f"scoring scheme exceeds {dp_dtype} sentinel headroom "
                 f"(open={scoring.gap_open} extend={scoring.gap_extend} "
-                f"mismatch={scoring.mismatch})")
+                f"worst substitution={int(scoring.matrix.min())})")
         if eff_w > policy.max_width(scoring):
             raise ConfigError(
                 f"block width {eff_w} exceeds {dp_dtype} max sweep width "

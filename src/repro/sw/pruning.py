@@ -26,12 +26,12 @@ scoring the best crosses a pruned block the final best score and its end
 cell are exact.
 
 What a block is depends on the engine.  The chain engines decide each
-sub-block of at most :data:`~repro.sw.blocks.SUB_BLOCK_COLS` columns of
-a slab row on its own (:meth:`repro.sw.blocks.SlabSweep.step`): a
-bound read at the left edge of a 250k-column slab row would let one
-homolog cell keep the whole row.  Sub-blocks the bound keeps whatever
-their left border (:meth:`BlockPruner.keeps`) join the sweep before
-them, so a row where nothing can be pruned stays one sweep.
+slab row as a whole and sweep a kept one over its live window
+(:class:`~repro.sw.kernel.LiveWindow`): the same bound applied per cell,
+so the cells of a 250k-column slab row that cannot reach the best are
+restart values, never swept.  The single-device
+:func:`~repro.sw.blocks.compute_blocked` decides the blocks of its
+caller's grid and sweeps each kept one whole.
 
 Schedule interaction: the criterion reads the *best-so-far* score, so how
 much gets pruned depends on the visiting order.  The one blocked loop
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import bisect
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -126,25 +127,6 @@ class BlockPruner:
             self.blocks_pruned += 1
             return True
         return False
-
-    def keeps(
-        self,
-        spec: "BlockSpec",
-        m: int,
-        n: int,
-        h_top_max: int,
-        best_score: int,
-        corner: int = 0,
-    ) -> bool:
-        """True when the block is swept whatever its left border: even a
-        zero one leaves its bound at *best_score* or above, and the left
-        border only raises the bound.  A kept block counts as checked; a
-        block this cannot keep is left undecided for :meth:`should_prune`
-        to judge with its real left border."""
-        if self.upper_bound(spec, m, n, h_top_max, 0, corner) < best_score:
-            return False
-        self.blocks_checked += 1
-        return True
 
 
 #: Anchor length: a k-mer of this many bases (2 bits each, so one
@@ -225,7 +207,7 @@ def _anchors(a_codes: np.ndarray, b_codes: np.ndarray,
     *b_codes* whose k-mer occurs once in the shorter sequence."""
     swap = a_codes.size > b_codes.size
     short, long_ = (b_codes, a_codes) if swap else (a_codes, b_codes)
-    none = np.empty(0, dtype=np.int64)
+    none = np.empty(0, dtype=np.intc)
     if short.size < k:
         return none, none
     keys, clean = _kmer_keys(short, k)
@@ -251,8 +233,8 @@ def _anchors(a_codes: np.ndarray, b_codes: np.ndarray,
             idx = np.searchsorted(keys, chunk_keys[at])
             idx[idx == keys.size] = 0
             hit = keys[idx] == chunk_keys[at]
-            hits_short.append(pos[idx[hit]])
-            hits_long.append(at[hit] + c0)
+            hits_short.append(pos[idx[hit]].astype(np.intc))
+            hits_long.append((at[hit] + c0).astype(np.intc))
     s, l_ = np.concatenate(hits_short), np.concatenate(hits_long)
     return (l_, s) if swap else (s, l_)
 
@@ -260,13 +242,15 @@ def _anchors(a_codes: np.ndarray, b_codes: np.ndarray,
 def _longest_chain(rows: np.ndarray,
                    cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The longest sub-sequence of anchors strictly increasing in both
-    row and column (patience sorting with back-links)."""
+    row and column (patience sorting with back-links, kept in C-int
+    arrays rather than lists of Python ints)."""
     order = np.lexsort((-cols, rows))  # rows up; equal rows, cols down
     rows, cols = rows[order], cols[order]
+    del order
     tails: list[int] = []       # smallest last column of a chain of length p+1
-    tail_at: list[int] = []     # the anchor holding it
-    back = [-1] * rows.size
-    for x, col in enumerate(cols.tolist()):
+    tail_at = array("i")        # the anchor holding it
+    back = array("i", bytes(rows.nbytes))
+    for x, col in enumerate(memoryview(cols)):
         p = bisect.bisect_left(tails, col)
         if p == len(tails):
             tails.append(col)
@@ -275,13 +259,13 @@ def _longest_chain(rows: np.ndarray,
             tails[p] = col
             tail_at[p] = x
         back[x] = tail_at[p - 1] if p else -1
-    chain = []
+    chain = array("i")
     x = tail_at[-1]
     while x >= 0:
         chain.append(x)
         x = back[x]
-    chain.reverse()
-    return rows[chain], cols[chain]
+    at = np.frombuffer(chain, dtype=np.intc)[::-1]
+    return rows[at], cols[at]
 
 
 def _path_score(a_codes: np.ndarray, b_codes: np.ndarray, rows: np.ndarray,
@@ -294,35 +278,46 @@ def _path_score(a_codes: np.ndarray, b_codes: np.ndarray, rows: np.ndarray,
     diagonal, with t in ``[1, span]`` where the two diagonals score best.
     The last anchor's k pairs end the path.
     """
+    # C ints throughout (anchor coordinates and scores fit), and each
+    # path temporary dropped once used: the seed's peak is this path.
+    i32 = np.intc
+    matrix = scoring.matrix
     d_rows, d_cols = np.diff(rows), np.diff(cols)
     span = np.minimum(d_rows, d_cols)
-    starts = np.cumsum(span) - span
-    seg = np.repeat(np.arange(span.size), span)
-    step = np.arange(seg.size) - starts[seg]
+    starts = np.cumsum(span, dtype=i32) - span
+    seg = np.repeat(np.arange(span.size, dtype=i32), span)
+    step = np.arange(seg.size, dtype=i32) - starts[seg]
     # Pair `step` of segment s on anchor s's diagonal, or on anchor s + 1's.
     from_r, from_c = rows[seg] + step, cols[seg] + step
     to_r = rows[seg + 1] - span[seg] + step
     to_c = cols[seg + 1] - span[seg] + step
+    del step
     switch = starts + 1
     if seg.size:
         # Switching after pair p of a segment scores its from-pairs
         # through p plus its to-pairs after p: up to a per-segment
         # constant, the running sum of (from - to) at p.
-        lead = np.cumsum(scoring.matrix[a_codes[from_r], b_codes[from_c]]
-                         - scoring.matrix[a_codes[to_r], b_codes[to_c]],
-                         dtype=np.int64)
+        lead = np.cumsum(matrix[a_codes[from_r], b_codes[from_c]]
+                         - matrix[a_codes[to_r], b_codes[to_c]], dtype=i32)
         best = np.flatnonzero(lead == np.maximum.reduceat(lead, starts)[seg])
+        del lead
         switch = best[np.unique(seg[best], return_index=True)[1]] + 1
-    on_from = np.arange(seg.size) < switch[seg]
-    path_r = np.append(np.where(on_from, from_r, to_r), rows[-1] + np.arange(k))
-    path_c = np.append(np.where(on_from, from_c, to_c), cols[-1] + np.arange(k))
-    gap_cost = np.zeros(path_r.size, dtype=np.int64)
+        del best
+    on_from = np.arange(seg.size, dtype=i32) < switch[seg]
+    del seg
+    tail = np.arange(k, dtype=i32)
+    path_r = np.append(np.where(on_from, from_r, to_r), rows[-1] + tail)
+    del from_r, to_r
+    path_c = np.append(np.where(on_from, from_c, to_c), cols[-1] + tail)
+    del from_c, to_c, on_from
+    gap_cost = np.zeros(path_r.size, dtype=i32)
     gaps = np.abs(d_rows - d_cols)
     gap_cost[switch] = np.where(
         gaps > 0, scoring.gap_open + gaps * scoring.gap_extend, 0)
     # Sub-path [p, q] scores prefix[q] - (prefix[p - 1] - gap_cost[p]):
     # a sub-path starting right after a gap does not pay it.
-    prefix = np.cumsum(scoring.matrix[a_codes[path_r], b_codes[path_c]]
-                       - gap_cost)
+    prefix = np.cumsum(matrix[a_codes[path_r], b_codes[path_c]] - gap_cost,
+                       dtype=i32)
+    del path_r, path_c
     before = np.insert(prefix[:-1], 0, 0) - gap_cost
     return max(0, int((prefix - np.minimum.accumulate(before)).max()))

@@ -425,7 +425,10 @@ def significance_threshold(
     scoring: Scoring, m: int, n: int, *, evalue: float = SIGNIFICANCE_EVALUE
 ) -> int | None:
     """Smallest score significant at *evalue* for an ``m x n`` comparison,
-    or ``None`` when the scheme has no Karlin-Altschul statistics."""
+    or ``None`` when the scheme has no Karlin-Altschul statistics (a
+    substitution matrix other than the DNA :class:`Scoring`'s, say)."""
+    if not isinstance(scoring, Scoring):
+        return None
     stats = _cached_statistics(int(scoring.match), int(scoring.mismatch),
                                int(scoring.gap_open), int(scoring.gap_extend))
     if stats is None:

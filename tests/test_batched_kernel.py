@@ -205,6 +205,21 @@ class TestProfileCache:
         p2 = cache.get(b, random_scoring(np.random.default_rng(99)))
         assert p1 is not p2 and cache.misses == 2
 
+    def test_a_protein_matrix_is_the_key(self, rng):
+        """A substitution-matrix scheme has no mismatch: the cache keys
+        on the matrix itself."""
+        from repro.seq import BLOSUM62_SCORING, CustomScoring
+
+        tweaked = BLOSUM62_SCORING.matrix.copy()
+        tweaked[0, 1] = tweaked[1, 0] = 3
+        cache = ProfileCache()
+        b = rng.integers(0, 20, 30).astype(np.uint8)
+        p1 = cache.get(b, BLOSUM62_SCORING)
+        assert cache.get(b, CustomScoring(BLOSUM62_SCORING.matrix.copy())) is p1
+        p2 = cache.get(b, CustomScoring(tweaked))
+        assert p2 is not p1 and (cache.hits, cache.misses) == (1, 2)
+        np.testing.assert_array_equal(p2, build_profile(b, CustomScoring(tweaked)))
+
     def test_lru_eviction(self, rng):
         cache = ProfileCache(capacity=2)
         seqs = [random_codes(rng, 20) for _ in range(3)]

@@ -34,8 +34,9 @@ from repro.seq import DNA_DEFAULT, Scoring
 from repro.sw import backend, compiled
 from repro.sw.blocks import compute_blocked
 from repro.sw.config import AlignConfig
-from repro.sw.constants import DTYPE, get_policy
-from repro.sw.kernel import build_profile, local_boundaries, sweep_block
+from repro.sw.constants import DTYPE, NEG_INF, get_policy
+from repro.sw.kernel import (LiveWindow, build_profile, local_boundaries,
+                             sweep_block)
 from repro.sw.naive import sw_score_naive
 from repro.sw.scan import escan_row, escan_segmented
 from repro.workloads import random_dna
@@ -204,6 +205,44 @@ def _assert_block_equal(got, want):
     assert got.escalated == want.escalated
 
 
+def _windowed_cases(rng, count):
+    """Random windowed sweeps: tie-heavy blocks of 1-11 rows and 1-40
+    columns, top borders live inside the window's hull only, live or
+    restart left borders, floors from 0 up, and (under the match-1500
+    scheme) int16 sweeps that must escalate."""
+    hot = Scoring(match=1500, mismatch=-3, gap_open=3, gap_extend=2)
+    for _ in range(count):
+        scoring = hot if rng.random() < 0.3 else DNA_DEFAULT
+        rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 41))
+        letters = int(rng.integers(2, 4))
+        a = rng.integers(0, letters, rows).astype(np.uint8)
+        b = rng.integers(0, letters, cols).astype(np.uint8)
+        lo = int(rng.integers(0, cols + 1))
+        hi = int(rng.integers(lo, cols + 1))
+        h_top = np.zeros(cols, dtype=DTYPE)
+        f_top = np.full(cols, NEG_INF, dtype=DTYPE)
+        h_top[lo:hi] = rng.integers(0, 30, hi - lo) * scoring.match
+        f_top[lo:hi] = rng.integers(-60, 20, hi - lo)
+        h_left = (rng.integers(0, 30, rows) * (rng.random(rows) < 0.5)
+                  * scoring.match).astype(DTYPE)
+        e_left = np.where(rng.random(rows) < 0.5, NEG_INF,
+                          rng.integers(-60, 20, rows)).astype(DTYPE)
+        window = LiveWindow(
+            best=int(rng.integers(0, 60)) * scoring.match,
+            match=scoring.match, rows_left=rows - 1 + int(rng.integers(0, 30)),
+            cols_left=cols - 1 + int(rng.integers(0, 30)), lo=lo, hi=hi)
+        dp = get_policy("int16") if rng.random() < 0.5 else None
+        yield ((a, build_profile(b, scoring), h_top, f_top, h_left, e_left,
+                int(rng.integers(0, 30)), scoring),
+               dict(dp=dp, window=window))
+
+
+def _assert_windowed_equal(got, want):
+    _assert_block_equal(got, want)
+    assert (got.cells, got.live) == (want.cells, want.live)
+    assert want.cells is not None
+
+
 class TestCompiledSweepDifferential:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -286,6 +325,30 @@ class TestCompiledSweepDifferential:
         finally:
             compiled.reset_jit()
         assert escalated > 0  # the hot scheme overflowed int16
+
+    def test_windowed_sweep_matches_numpy(self, rng):
+        """A live window through the compiled path: the real JIT where
+        numba imports (the tests-numba job), the scalar sweep here."""
+        for args, kwargs in _windowed_cases(rng, 60):
+            _assert_windowed_equal(
+                compiled.sweep_block_compiled(*args, **kwargs),
+                sweep_block(*args, **kwargs))
+
+    def test_windowed_jit_runs_interpreted(self, monkeypatch, rng):
+        """The jitted engine's window (open, E widening, stale reset,
+        trim, hull) run as plain Python matches the NumPy engine's bit
+        for bit, escalation included."""
+        monkeypatch.setattr(backend, "NUMBA", types.SimpleNamespace(
+            njit=lambda **_: (lambda fn: fn)))
+        compiled.reset_jit()
+        try:
+            assert compiled.jit_available()
+            for args, kwargs in _windowed_cases(rng, 150):
+                _assert_windowed_equal(
+                    compiled.sweep_block_compiled(*args, **kwargs),
+                    sweep_block(*args, **kwargs))
+        finally:
+            compiled.reset_jit()
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -125,6 +125,33 @@ class TestChainReport:
         text = chain_report(res)
         assert f"best score: {res.score}" in text
 
+    def test_pruning_line_counts_swept_cells(self, rng):
+        """An exact pruned sweep reports the cells it swept out of m x n;
+        an auto run the band answered swept nothing and prints no
+        pruning line (it used to print ``0/0 blocks pruned``)."""
+        from repro.multigpu import align_multi_gpu, align_multi_process
+        from repro.perf import process_report
+
+        a = random_codes(rng, 400)
+        b = mutated_copy(rng, a, 0.02)
+        for mode in ("exact", "auto"):
+            sim = align_multi_gpu(a, b, DNA_DEFAULT, ENV2_HOMOGENEOUS,
+                                  config=ChainConfig(block_rows=64, mode=mode))
+            real = align_multi_process(a, b, DNA_DEFAULT, workers=2,
+                                       block_rows=64, mode=mode)
+            for res, text in ((sim, chain_report(sim)),
+                              (real, process_report(real))):
+                lines = [line for line in text.splitlines()
+                         if line.startswith("pruning:")]
+                if res.tier == "exact":
+                    assert 0 < res.cells_swept < res.cells
+                    share = f"({res.cells_swept / res.cells:.1%})"
+                    assert len(lines) == 1 and share in lines[0]
+                    assert lines[0].endswith("block rows pruned whole")
+                else:
+                    assert lines == [] and res.blocks_checked == 0
+        assert real.tier == sim.tier == "banded"
+
     def test_json_dict_roundtrips_through_json(self, rng):
         import json
 
@@ -139,7 +166,9 @@ class TestChainReport:
         assert back["gcups"] == pytest.approx(res.gcups)
         assert len(back["devices"]) == 2
         assert len(back["channels"]) == 1
-        assert back["devices"][0]["cells"] + back["devices"][1]["cells"] == res.cells
+        # Pruning is on: the devices computed the swept cells of m x n.
+        assert back["devices"][0]["cells"] + back["devices"][1]["cells"] \
+            == back["pruning"]["cells_swept"] == res.cells_swept
 
     def test_json_dict_phantom_has_null_score(self):
         from repro.perf import chain_result_dict

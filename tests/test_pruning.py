@@ -4,7 +4,6 @@ one tie it must keep on every engine."""
 from __future__ import annotations
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +17,13 @@ from repro.errors import ConfigError
 from repro.multigpu import ChainConfig, align_multi_gpu, align_multi_process
 from repro.obs import MetricsRegistry
 from repro.seq import BLOSUM62_SCORING, DNA_DEFAULT, Scoring, encode_protein
-from repro.sw import blocks, compute_blocked, sw_score_naive
+from repro.sw import compute_blocked, sw_score_naive
 from repro.comm.scoreboard import LocalScoreboard
-from repro.sw.blocks import BlockSpec, SlabSweep, sub_block_edges
+from repro.sw.blocks import BlockSpec, SlabSweep
 from repro.sw.config import AlignConfig
-from repro.sw.constants import DTYPE, NEG_INF
-from repro.sw.kernel import build_profile
+from repro.sw.constants import DTYPE, NEG_INF, get_policy
+from repro.sw.kernel import (BestCell, LiveWindow, build_profile,
+                             local_boundaries, sweep_block)
 from repro.sw.pruning import SEED_K, BlockPruner, Floor, seed_floor
 from repro.workloads import HUMAN_CHIMP, insert_n_runs, mutate, random_dna
 
@@ -234,21 +234,162 @@ class TestSeedFloor:
         assert peak < 4 * 2**20
 
 
-class TestSubBlocks:
-    @pytest.mark.parametrize("w,width,parts", [
-        (1, 4096, 1), (4096, 4096, 1), (4097, 4096, 2), (250_000, 4096, 62),
-        (10, 3, 4)])
-    def test_near_equal_widths(self, w, width, parts):
-        with mock.patch.object(blocks, "SUB_BLOCK_COLS", width):
-            edges = sub_block_edges(w)
-        sizes = np.diff(edges)
-        assert edges[0] == 0 and edges[-1] == w and sizes.size == parts
-        assert sizes.max() <= width and sizes.max() - sizes.min() <= 1
+def sweep_slabs(a, b, scoring, *, floor, block_rows, slabs, kernel="scalar",
+                dp=None):
+    """The chain engines' block-row step over *slabs* column slabs, left
+    to right in every block row, from a scoreboard at *floor*: returns
+    the best cell and the cells the windows swept."""
+    m, n = a.size, b.size
+    profile = build_profile(b, scoring)
+    board = LocalScoreboard(floor)
+    edges = [n * g // slabs for g in range(slabs + 1)]
+    sweepers = [SlabSweep(AlignConfig(kernel=kernel), scoring,
+                          profile[:, c0:c1], c0, c1, m=m, n_cols=n, dp=dp,
+                          scoreboard=board, slot=g)
+                for g, (c0, c1) in enumerate(zip(edges, edges[1:]))]
+    for r0 in range(0, m, block_rows):
+        r1 = min(m, r0 + block_rows)
+        border = (np.zeros(r1 - r0, dtype=DTYPE),
+                  np.full(r1 - r0, NEG_INF, dtype=DTYPE), 0)
+        for sweeper in sweepers:
+            result, _ = sweeper.step(r0, r1, a[r0:r1], *border)
+            border = sweeper.advance(result, r0)
+    best = BestCell.none()
+    for sweeper in sweepers:
+        if sweeper.best.better_than(best):
+            best = sweeper.best
+    return best, sum(sweeper.cells_swept for sweeper in sweepers)
 
-    def test_wide_slabs_prune_sub_blocks(self, rng):
-        """A strip whose slabs are many sub-blocks wide prunes most of
-        them, keeps the exact answer, and counts every sub-block once:
-        swept or pruned, in the result and in the metrics."""
+
+HOT = Scoring(match=1500, mismatch=-3, gap_open=3, gap_extend=2)
+GAPPY = Scoring(match=2, mismatch=-3, gap_open=0, gap_extend=1)
+
+
+class TestLiveWindow:
+    """A kept slab row is one sweep over its live window: the cells that
+    can still reach the best.  The answer stays the oracle's."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        letters=st.integers(min_value=2, max_value=3),
+        change=st.sampled_from([None, 0.0, 0.1, 0.3]),
+        m=st.integers(min_value=1, max_value=30),
+        n=st.integers(min_value=1, max_value=40),
+        block_rows=st.integers(min_value=1, max_value=11),
+        slabs=st.integers(min_value=1, max_value=3),
+        scoring=st.sampled_from([DNA_DEFAULT, HOT, GAPPY]),
+        dp_dtype=st.sampled_from(["int32", "int16"]),
+        floor_share=st.one_of(st.just(1.0),
+                              st.floats(min_value=0.0, max_value=1.0)),
+        kernel=st.sampled_from(["scalar", "compiled"]),
+    )
+    def test_windowed_slabs_match_the_oracle(self, seed, letters, change,
+                                             m, n, block_rows, slabs,
+                                             scoring, dp_dtype, floor_share,
+                                             kernel):
+        """Tie-heavy random pairs, or homologs with a share *change* of
+        substitutions and indels; floors anywhere in [0, opt] (a low one
+        keeps whole rows live for fresh starts, one at opt leaves only
+        the optimal paths live); live left borders between slabs; cheap
+        gaps that make gapped paths optimal; and, under the match-1500
+        scheme, int16 sweeps that escalate."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, letters, m).astype(np.uint8)
+        if change is None:
+            b = rng.integers(0, letters, n).astype(np.uint8)
+        else:
+            b = a.copy()
+            for _ in range(int(change * m) + 1):
+                at = int(rng.integers(0, b.size + 1))
+                if rng.random() < 0.5:
+                    b = np.insert(b, at, rng.integers(0, letters, 2))
+                elif b.size > 2:
+                    b = np.delete(b, slice(at, at + 2))
+            b = b.astype(np.uint8)
+            b[rng.random(b.size) < change] = rng.integers(0, letters)
+            n = b.size
+        score, row, col = sw_score_naive(a, b, scoring)
+        floor = int(floor_share * score)
+        dp = get_policy(dp_dtype) if dp_dtype != "int32" else None
+        best, cells = sweep_slabs(a, b, scoring, floor=floor,
+                                  block_rows=block_rows,
+                                  slabs=min(slabs, n), kernel=kernel, dp=dp)
+        if score:
+            assert (best.score, best.row, best.col) == (score, row, col)
+        else:
+            assert best.row < 0
+        assert 0 <= cells <= m * n
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           scoring=st.sampled_from([DNA_DEFAULT, GAPPY]))
+    def test_windowed_borders_are_lower_bounds(self, seed, scoring):
+        """The invariant the exactness proof rests on: every border a
+        windowed sweep emits is at most the full sweep's (a dead cell's
+        restart value, never a stale one from two rows up)."""
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 20)), int(rng.integers(1, 41))
+        a = rng.integers(0, 3, rows).astype(np.uint8)
+        b = rng.integers(0, 3, cols).astype(np.uint8)
+        h_top = rng.integers(0, 12, cols).astype(DTYPE)
+        f_top = np.maximum(h_top - scoring.gap_first,
+                           rng.integers(-20, 8, cols)).astype(DTYPE)
+        h_left = (rng.integers(0, 12, rows)
+                  * (rng.random(rows) < 0.3)).astype(DTYPE)
+        e_left = np.full(rows, NEG_INF, dtype=DTYPE)
+        args = (a, build_profile(b, scoring), h_top, f_top, h_left, e_left,
+                int(rng.integers(0, 12)), scoring)
+        window = LiveWindow(best=int(rng.integers(0, 30)),
+                            match=scoring.match,
+                            rows_left=rows - 1 + int(rng.integers(0, 12)),
+                            cols_left=cols - 1 + int(rng.integers(0, 12)),
+                            lo=0, hi=cols)
+        got, want = sweep_block(*args, window=window), sweep_block(*args)
+        for name in ("h_bottom", "f_bottom", "h_right", "e_right"):
+            assert (getattr(got, name) <= getattr(want, name)).all(), name
+        assert got.best.score <= want.best.score
+        # The next block row reads restart values outside the live hull.
+        lo, hi = got.live
+        outside = np.r_[0:lo, hi:cols]
+        assert (got.h_bottom[outside] == 0).all()
+        assert (got.f_bottom[outside] == NEG_INF).all()
+
+    def test_a_gap_entering_from_the_left_widens_the_window(self):
+        """The block's best path enters at row 8 from a live left border
+        and runs on in a horizontal gap past the one column that border
+        opens: the E leaving the window must widen it, or (9, 2) scores
+        less than 22."""
+        h_left = np.array([17, 0, 15, 0, 0, 7, 10, 0, 22, 1], dtype=DTYPE)
+        args = (np.array([2, 0, 0, 1, 0, 0, 1, 0, 1, 1], dtype=np.uint8),
+                build_profile(np.array([2, 0, 1], dtype=np.uint8), GAPPY),
+                np.array([3, 0, 0], dtype=DTYPE),
+                np.array([2, -1, -1], dtype=DTYPE), h_left,
+                np.maximum(h_left - 1, -1).astype(DTYPE), 6, GAPPY)
+        window = LiveWindow(best=21, match=GAPPY.match, rows_left=12,
+                            cols_left=4, lo=0, hi=3)
+        want = sweep_block(*args).best
+        assert want == BestCell(22, 9, 2)
+        assert sweep_block(*args, window=window).best == want
+
+    def test_homolog_sweeps_a_band(self, rng):
+        """On a homolog square from a floor near the optimum, the window
+        follows the diagonal: a small share of the cells is swept."""
+        a = random_dna(600, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        floor = seed_floor(a, b, DNA_DEFAULT).score
+        want = sw_score_naive(a, b, DNA_DEFAULT)
+        best, cells = sweep_slabs(a, b, DNA_DEFAULT, floor=floor,
+                                  block_rows=64, slabs=2)
+        assert (best.score, best.row, best.col) == want
+        assert cells < 0.25 * a.size * b.size
+
+    def test_wide_slabs_prune_cells(self, rng):
+        """A strip whose slabs are thousands of columns wide sweeps a
+        band around the homolog, keeps the exact answer, and counts each
+        swept row's window cells, in the result and in the metrics."""
         b = random_dna(30_000, rng=rng)
         a = mutate(b[20_000:20_200], HUMAN_CHIMP, rng=rng)
         want = compute_blocked(a, b, DNA_DEFAULT, block_rows=64,
@@ -262,47 +403,55 @@ class TestSubBlocks:
         for res, reg in ((sim, sim_reg), (real, real_reg)):
             assert res.best == want
             assert res.floor.source == "anchor-chain"
-            assert res.blocks_checked == 5 * 2 * 4  # rows x slabs x subs
-            assert res.pruned_ratio > 0.5
+            assert res.blocks_checked == 5 * 2  # block rows x slabs
             computed = reg.counter("blocks_computed").total()
             assert reg.counter("blocks_pruned").total() == res.blocks_pruned
             assert computed + res.blocks_pruned == res.blocks_checked
-            assert reg.counter("cells_computed").total() < \
-                a.size * b.size * (1 - res.pruned_ratio) + 40 * 3750
+            assert reg.counter("cells_computed").total() == res.cells_swept
+            assert 0 < res.cells_swept < 0.2 * a.size * b.size
 
-
-    def test_rows_nothing_can_prune_are_one_sweep(self, rng):
-        """A sub-block the bound keeps even with a zero left border joins
-        the sweep before it, so a dissimilar pair's slab row, where no
-        sub-block can be pruned, is one sweep, as without pruning."""
-        a, b = random_dna(200, rng=rng), random_dna(20_000, rng=rng)
+    def test_rows_nothing_can_prune_are_full_sweeps(self, rng):
+        """A dissimilar pair's floor is far below what a fresh start can
+        still reach, so every block row well above the bottom is swept
+        whole but for its last columns, and its bottom row there is the
+        unpruned sweep's."""
+        a, b = random_dna(256, rng=rng), random_dna(20_000, rng=rng)
         profile = build_profile(b, DNA_DEFAULT)
+        floor = seed_floor(a, b, DNA_DEFAULT).score
 
         def slab(pruning):
-            floor = seed_floor(a, b, DNA_DEFAULT).score
             return SlabSweep(AlignConfig(pruning=pruning), DNA_DEFAULT,
                              profile, 0, b.size, m=a.size, n_cols=b.size,
                              scoreboard=LocalScoreboard(floor))
 
         pruned, plain = slab(True), slab(False)
-        calls = []
-        sweep = pruned.sweep
-        pruned.sweep = lambda *args: calls.append(args[-2:]) or sweep(*args)
+        # No score tops 64 on this pair, so from these columns a fresh
+        # start can still reach the best down to 64 rows above the end.
+        keep = b.size - 64
         for r0 in range(0, a.size, 64):
-            r1 = min(a.size, r0 + 64)
-            left = (np.zeros(r1 - r0, dtype=DTYPE),
-                    np.full(r1 - r0, NEG_INF, dtype=DTYPE), 0)
+            r1 = r0 + 64
+            left = (np.zeros(64, dtype=DTYPE),
+                    np.full(64, NEG_INF, dtype=DTYPE), 0)
             got, swept = pruned.step(r0, r1, a[r0:r1], *left)
             want, _ = plain.step(r0, r1, a[r0:r1], *left)
-            assert calls.pop() == (0, b.size) and not calls
-            assert [cols for cols, _ in swept] == np.diff(pruned.edges).tolist()
-            np.testing.assert_array_equal(got.h_bottom, want.h_bottom)
-            np.testing.assert_array_equal(got.h_right, want.h_right)
+            if r1 < a.size:
+                assert swept[0] >= 64 * keep
+                np.testing.assert_array_equal(got.h_bottom[:keep],
+                                              want.h_bottom[:keep])
             pruned.advance(got, r0)
             plain.advance(want, r0)
-        assert pruned.best == plain.best
-        assert pruned.counters()["blocks_checked"] == 4 * 5  # rows x subs
+        assert pruned.best == plain.best and pruned.best.score < 64
+        assert pruned.counters()["blocks_checked"] == 4
         assert pruned.counters()["blocks_pruned"] == 0
+
+    def test_window_needs_a_local_sweep(self):
+        codes = np.zeros(4, dtype=np.uint8)
+        window = LiveWindow(best=3, match=1, rows_left=3, cols_left=3,
+                            lo=0, hi=4)
+        with pytest.raises(ConfigError):
+            sweep_block(codes, build_profile(codes, DNA_DEFAULT),
+                        *local_boundaries(4, 4), DNA_DEFAULT, local=False,
+                        window=window)
 
 
 class TestPruningByDefault:
@@ -325,14 +474,13 @@ class TestPruningByDefault:
             assert 0 < res.floor.score <= want[0]
         assert sim.config.pruning and real.config.pruning
 
-    @pytest.mark.parametrize("width", [3, 4096])
-    def test_tie_pair(self, width):
-        with mock.patch.object(blocks, "SUB_BLOCK_COLS", width):
-            sim = align_multi_gpu(TIE_A, TIE_B, DNA_DEFAULT,
-                                  [TESLA_M2090] * 2,
-                                  config=ChainConfig(block_rows=4))
-            real = align_multi_process(TIE_A, TIE_B, DNA_DEFAULT, workers=2,
-                                       block_rows=4, start_method="fork")
+    @pytest.mark.parametrize("block_rows", [3, 4096])
+    def test_tie_pair(self, block_rows):
+        sim = align_multi_gpu(TIE_A, TIE_B, DNA_DEFAULT, [TESLA_M2090] * 2,
+                              config=ChainConfig(block_rows=block_rows))
+        real = align_multi_process(TIE_A, TIE_B, DNA_DEFAULT, workers=2,
+                                   block_rows=block_rows,
+                                   start_method="fork")
         for res in (sim, real):
             assert (res.score, res.best.row, res.best.col) == (6, 19, 30)
 
@@ -344,38 +492,34 @@ class TestPruningByDefault:
         m=st.integers(min_value=8, max_value=48),
         n=st.integers(min_value=8, max_value=48),
         block_rows=st.integers(min_value=1, max_value=11),
-        width=st.integers(min_value=3, max_value=11),
         workers=st.integers(min_value=1, max_value=3),
     )
-    def test_tie_heavy_sub_blocks_keep_end_cell(self, seed, letters, m, n,
-                                                block_rows, width, workers):
+    def test_tie_heavy_pairs_keep_end_cell(self, seed, letters, m, n,
+                                           block_rows, workers):
         """Two- or three-letter pairs are full of tying end cells, and
-        sub-blocks as narrow as 3 columns give pruning many chances to
-        skip the earliest one."""
+        every dead cell is a chance to skip the earliest one."""
         rng = np.random.default_rng(seed)
         a = rng.integers(0, letters, m).astype(np.uint8)
         b = rng.integers(0, letters, n).astype(np.uint8)
         want = sw_score_naive(a, b, DNA_DEFAULT)
-        with mock.patch.object(blocks, "SUB_BLOCK_COLS", width):
-            sim = align_multi_gpu(a, b, DNA_DEFAULT, [TESLA_M2090] * workers,
-                                  config=ChainConfig(block_rows=block_rows))
-            real = align_multi_process(a, b, DNA_DEFAULT, workers=workers,
-                                       block_rows=block_rows,
-                                       start_method="fork")
+        sim = align_multi_gpu(a, b, DNA_DEFAULT, [TESLA_M2090] * workers,
+                              config=ChainConfig(block_rows=block_rows))
+        real = align_multi_process(a, b, DNA_DEFAULT, workers=workers,
+                                   block_rows=block_rows,
+                                   start_method="fork")
         for res in (sim, real):
             assert (res.score, res.best.row, res.best.col) == want
 
     def test_worker_killed_mid_run(self, rng):
-        """A recovered run under default pruning, with 5-column
-        sub-blocks, is exact."""
+        """A recovered run under default pruning, resumed from windowed
+        rows' checkpoints, is exact."""
         a = random_dna(160, rng=rng)
         b = mutate(a, HUMAN_CHIMP, rng=rng)
         want = sw_score_naive(a, b, DNA_DEFAULT)
-        with mock.patch.object(blocks, "SUB_BLOCK_COLS", 5):
-            res = align_multi_process(
-                a, b, DNA_DEFAULT, workers=3, block_rows=8, timeout_s=120.0,
-                border_timeout_s=2.0, max_restarts=1, restart_backoff_s=0.01,
-                start_method="fork", _fault=(1, 9))
+        res = align_multi_process(
+            a, b, DNA_DEFAULT, workers=3, block_rows=8, timeout_s=120.0,
+            border_timeout_s=2.0, max_restarts=1, restart_backoff_s=0.01,
+            start_method="fork", _fault=(1, 9))
         assert res.restarts == 1
         assert (res.score, res.best.row, res.best.col) == want
         assert list_segments() == []
@@ -384,10 +528,20 @@ class TestPruningByDefault:
         a = rng.integers(0, 20, 90).astype(np.uint8)
         b = np.concatenate([a[10:70], rng.integers(0, 20, 30).astype(np.uint8)])
         want = sw_score_naive(a, b, BLOSUM62_SCORING)
-        # The single engine: dp_dtype "auto" and the chains' profile
-        # cache read a DNA scoring's mismatch, which a matrix lacks.
-        res = run_single_gpu(a, b, BLOSUM62_SCORING, TESLA_M2090,
-                             block_rows=8, dp_dtype="int32")
-        assert res.floor == Floor()
-        assert (res.score, res.best.row, res.best.col) == want
-        assert res.blocks_checked > 0
+        # Default settings: dp_dtype "auto" judges the matrix's worst
+        # entry, and the chains' profile cache keys on the matrix.
+        single = run_single_gpu(a, b, BLOSUM62_SCORING, TESLA_M2090,
+                                block_rows=8)
+        sim = align_multi_gpu(a, b, BLOSUM62_SCORING, [TESLA_M2090] * 2,
+                              config=ChainConfig(block_rows=8))
+        real = align_multi_process(a, b, BLOSUM62_SCORING, workers=2,
+                                   block_rows=8)
+        # auto finds no statistics for the matrix and escalates to exact.
+        auto = align_multi_gpu(a, b, BLOSUM62_SCORING, [TESLA_M2090] * 2,
+                               config=ChainConfig(block_rows=8, mode="auto"))
+        assert auto.tier == "exact"
+        assert (auto.score, auto.best.row, auto.best.col) == want
+        for res in (single, sim, real):
+            assert res.floor == Floor()
+            assert (res.score, res.best.row, res.best.col) == want
+            assert res.blocks_checked > 0

@@ -42,7 +42,7 @@ from repro.multigpu import pool as pool_mod
 from repro.multigpu.procchain import SlabOutcome, SlabReport, collect_results
 from repro.obs.registry import MetricsRegistry
 from repro.seq import DNA_DEFAULT
-from repro.sw import blocks, sw_score_naive, tiers
+from repro.sw import sw_score_naive, tiers
 from repro.sw.kernel import BestCell
 from repro.sw.pruning import Floor
 
@@ -367,15 +367,14 @@ class TestProcessRecovery:
             self, rng, monkeypatch):
         """A resumed attempt starts the scoreboard at the best cell the
         checkpoints hold, a real cell, so the answer stays exact and the
-        attempt prunes at least as much as one restarted from the seed
-        floor alone."""
+        attempt sweeps fewer cells than one restarted from the seed floor
+        alone."""
         a = random_codes(rng, 240)
         b = np.concatenate([a[:120], random_codes(rng, 120)])  # similar pair
         want = sw_score_naive(a, b, DNA_DEFAULT)
         # With a zero seed floor, the checkpoints' best is the only floor.
         monkeypatch.setattr(tiers, "seed_floor",
                             lambda a_codes, b_codes, scoring: Floor())
-        monkeypatch.setattr(blocks, "SUB_BLOCK_COLS", 16)
         reset = SharedScoreboard.reset
         floors = []
 
@@ -396,8 +395,8 @@ class TestProcessRecovery:
         assert floors[-1] >= 120  # the shared prefix's best, checkpointed
         seed_only = run(cap=0)    # a restart from the seed floor alone
         assert floors[-1] == 0 and seed_only.best == res.best
-        # The resumed attempt is the one survivor's: its prune count.
-        assert res.worker_blocks[0][1] > seed_only.worker_blocks[0][1]
+        # Only the resumed attempts differ: the higher floor sweeps less.
+        assert res.cells_swept < seed_only.cells_swept
         assert list_segments() == []
 
     def test_fail_fast_without_restarts(self, pair):

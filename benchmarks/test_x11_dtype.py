@@ -91,7 +91,8 @@ def _section(title, a, b, dtypes, **kwargs):
     wall = {d: float(np.median(times[d])) for d in dtypes}
     gcups = {d: cells / wall[d] / 1e9 for d in dtypes}
     rows = [[d, outs[d].dp_dtype, f"{gcups[d]:.4f}", f"{wall[d]:.3f}s",
-             str(outs[d].blocks_narrow), str(outs[d].dtype_escalations)]
+             str(outs[d].tally.blocks_narrow),
+             str(outs[d].tally.dtype_escalations)]
             for d in dtypes]
     print(f"\n{title}: {a.size:,} x {b.size:,} ({cells / 1e6:.0f} Mcells, "
           f"median of {kwargs.get('rounds', ROUNDS)} interleaved rounds)")
@@ -119,7 +120,7 @@ def test_x11_dtype_throughput(benchmark):
                                            ("int32", "int16", "auto"))
     auto_resolved = sq_outs["auto"].dp_dtype
     assert auto_resolved != "int32", "auto failed to go narrow on this pair"
-    assert sq_outs["int16"].dtype_escalations == 0  # random pair: no risk
+    assert sq_outs["int16"].tally.dtype_escalations == 0  # random pair: no risk
     speedup = _ratio(sq_times, "int32", "int16")
     print(f"int16/int32 speedup: {speedup:.2f}x  (auto -> {auto_resolved})")
 

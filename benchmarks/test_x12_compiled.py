@@ -82,7 +82,7 @@ def _section(title, a, b, cases, *, repeats=REPEATS):
     assert len(outcomes) == 1, f"{title}: kernels disagree on the best cell"
     gcups = {c: cells / s / 1e9 for c, (s, _) in runs.items()}
     rows = [[k, d, runs[c][1].dp_dtype, f"{gcups[c]:.4f}",
-             f"{runs[c][0]:.3f}s", str(runs[c][1].dtype_escalations)]
+             f"{runs[c][0]:.3f}s", str(runs[c][1].tally.dtype_escalations)]
             for c in cases for k, d in [c]]
     print(f"\n{title}: {a.size:,} x {b.size:,} "
           f"({cells / 1e6:.0f} Mcells, best-of-{repeats})")

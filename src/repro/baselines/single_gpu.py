@@ -18,7 +18,7 @@ timing mode (virtual clock only, any scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,58 +28,32 @@ from ..device.spec import DeviceSpec
 from ..errors import ConfigError
 from ..obs.instruments import (EngineInstruments, finalize_run_metrics,
                                record_dtype)
+from ..perf.metrics import gcups as _metrics_gcups
 from ..seq.scoring import Scoring
 from ..sw.blocks import BlockedOutcome, compute_blocked
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, resolve_config
 from ..sw.kernel import BestCell
-from ..sw.pruning import Floor
-from ..sw.tiers import run_tiers
+from ..sw.tiers import RunResult, run_tiers
 
 
-@dataclass
-class SingleGpuResult:
-    """Outcome of a single-device run (virtual-clock timing)."""
+@dataclass(frozen=True, kw_only=True)
+class SingleGpuResult(RunResult):
+    """Outcome of a single-device run (virtual-clock timing): the shared
+    :class:`~repro.sw.tiers.RunResult` fields plus the virtual time, the
+    cells the device was charged, the pruned fraction of the matrix and
+    the block-sweep kernel the run used."""
 
-    best: BestCell
     total_time_s: float
-    cells: int
     cells_computed: int
     pruned_fraction: float
-    #: Per-block pruning decisions (zeros when pruning was off).
-    blocks_checked: int = 0
-    blocks_pruned: int = 0
-    #: Heuristic-tier fields: the requested *mode*, the tier that produced
-    #: the reported score, and whether ``mode="auto"`` fell back to exact.
-    mode: str = "exact"
-    tier: str = "exact"
-    escalated: bool = False
-    #: Block-sweep kernel the run used ("scalar"/"batched"/"compiled").
     kernel: str = "scalar"
-    #: DP dtype policy the run resolved to and its narrow/wide block split.
-    dp_dtype: str = "int32"
-    blocks_narrow: int = 0
-    blocks_wide: int = 0
-    dtype_escalations: int = 0
-    #: Where the exact sweep's pruning scoreboard started.
-    floor: Floor = Floor()
-
-    @property
-    def pruned_ratio(self) -> float:
-        """Fraction of checked blocks that were pruned."""
-        return self.blocks_pruned / self.blocks_checked if self.blocks_checked else 0.0
 
     @property
     def gcups(self) -> float:
         """Matrix cells over virtual time — comparable to the chain's
         figure (pruning raises it by skipping cells)."""
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.cells / self.total_time_s / 1e9
-
-    @property
-    def score(self) -> int:
-        return self.best.score if self.best.row >= 0 else 0
+        return _metrics_gcups(self.cells, self.total_time_s)
 
 
 def _device_time(spec: DeviceSpec, cols: int,
@@ -144,7 +118,7 @@ def run_single_gpu(
             pruning=cfg.pruning, kernel=kernel, dp_dtype=cfg.dp_dtype,
             floor=floor,
         )
-        computed = outcome.cells_total - outcome.cells_pruned
+        computed = outcome.tally.cells_swept
         # One compute charge per block row over the full width; pruned
         # cells are charged nothing (the device skips them).
         chunks, remaining = [], computed
@@ -160,13 +134,9 @@ def run_single_gpu(
             cells=m * n,
             cells_computed=computed,
             pruned_fraction=outcome.pruned_fraction,
-            blocks_checked=outcome.blocks_checked,
-            blocks_pruned=outcome.blocks_pruned,
             kernel=kernel,
             dp_dtype=outcome.dp_dtype,
-            blocks_narrow=outcome.blocks_narrow,
-            blocks_wide=outcome.blocks_wide,
-            dtype_escalations=outcome.dtype_escalations,
+            **asdict(outcome.tally),
         )
         if instruments is not None:
             # 2-D-block prune and dtype decisions happen inside
@@ -175,9 +145,9 @@ def run_single_gpu(
                 instruments.block_pruned(result.blocks_pruned)
             if outcome.dp_dtype != "int32":
                 record_dtype(metrics, device="single-gpu",
-                             narrow=outcome.blocks_narrow,
-                             wide=outcome.blocks_wide,
-                             escalations=outcome.dtype_escalations)
+                             narrow=result.blocks_narrow,
+                             wide=result.blocks_wide,
+                             escalations=result.dtype_escalations)
         return result
 
     def from_inline(out) -> SingleGpuResult:

@@ -127,8 +127,9 @@ _CONFIG_FLAGS: dict[str, dict] = {
     "kernel": dict(
         choices=KERNEL_CHOICES,
         help="block sweep kernel: scalar (one block at a time), batched "
-             "(one NumPy sweep per row across all resident blocks), "
-             "compiled (numba-jitted fused row sweeps; needs the optional "
+             "(one NumPy sweep per row across all resident blocks; a "
+             "chain's slab row is one block, so a chain runs it on the "
+             "scalar row engine), compiled (numba-jitted fused row sweeps; needs the optional "
              "'.[compiled]' extra), or auto (compiled where numba "
              "imports, else scalar); scores are bit-identical"),
     "pruning": dict(

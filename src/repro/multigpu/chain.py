@@ -24,7 +24,7 @@ Two execution modes share this engine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Sequence
 
@@ -38,15 +38,15 @@ from ..device.gpu import GpuCounters, SimulatedGPU
 from ..device.spec import DeviceSpec
 from ..errors import ConfigError
 from ..obs.instruments import EngineInstruments, finalize_run_metrics
+from ..perf.metrics import gcups as _metrics_gcups
 from ..seq.scoring import Scoring
-from ..sw.batched import KernelWorkspace, cached_profile
+from ..sw.batched import cached_profile
 from ..sw.blocks import SlabSweep
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
 from ..sw.kernel import BestCell
-from ..sw.pruning import Floor
-from ..sw.tiers import run_tiers
+from ..sw.tiers import RunResult, SweepTally, run_tiers
 from .partition import Slab, proportional_partition
 
 #: Bytes per border row: H (int32) + E (int32).
@@ -119,39 +119,32 @@ class PhantomWorkload:
         self.phantom = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuReport:
-    """Per-device outcome."""
+    """Per-device outcome: the device's slab, virtual-clock counters and
+    finish time, and the :class:`~repro.sw.tiers.SweepTally` of its
+    slab's sweep (compute mode; zeros otherwise)."""
 
     name: str
     slab: Slab
     counters: GpuCounters
     finished_at: float
-    #: Distributed-pruning decisions this device made / took (compute
-    #: mode with ``ChainConfig.pruning`` only; zero otherwise).
-    blocks_checked: int = 0
-    blocks_pruned: int = 0
-    #: DP cells this device's sweeps computed (compute mode).
-    cells_swept: int = 0
-    #: Narrow/wide split of this device's swept blocks (zeros unless a
-    #: narrow DP dtype policy was active).
-    blocks_narrow: int = 0
-    blocks_wide: int = 0
-    dtype_escalations: int = 0
+    tally: SweepTally = SweepTally()
 
 
-@dataclass
-class ChainResult:
-    """Outcome of one chain run.
+@dataclass(frozen=True, kw_only=True)
+class ChainResult(RunResult):
+    """Outcome of one chain run: the shared
+    :class:`~repro.sw.tiers.RunResult` fields, its counters summed over
+    the devices' reports, plus the virtual time, per-device reports,
+    channel statistics, config and partition.
 
     ``best`` is meaningful only in compute mode (phantom runs report the
     empty cell).  ``gcups`` is measured on the virtual clock — the figure
     the paper reports.
     """
 
-    best: BestCell
     total_time_s: float
-    cells: int
     gpus: list[GpuReport]
     channels: list[RingStats]
     config: ChainConfig
@@ -159,60 +152,10 @@ class ChainResult:
     #: set when the run stopped early (``stop_row``): resume with
     #: ``chain.run(workload, resume=result.checkpoint)``.
     checkpoint: "object | None" = None
-    #: Heuristic-tier fields: the requested mode, the tier that produced
-    #: the reported score, and whether ``mode="auto"`` fell back to exact.
-    mode: str = "exact"
-    tier: str = "exact"
-    escalated: bool = False
-    #: DP dtype policy the run resolved to (compute mode; phantom runs
-    #: and the inline tiers report the int32 default).
-    dp_dtype: str = "int32"
-    #: Where the exact sweep's pruning scoreboard started.
-    floor: Floor = Floor()
 
     @property
     def gcups(self) -> float:
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.cells / self.total_time_s / 1e9
-
-    @property
-    def score(self) -> int:
-        return self.best.score if self.best.row >= 0 else 0
-
-    @property
-    def blocks_checked(self) -> int:
-        """Distributed-pruning decisions across the chain (0 if disabled)."""
-        return sum(g.blocks_checked for g in self.gpus)
-
-    @property
-    def blocks_pruned(self) -> int:
-        return sum(g.blocks_pruned for g in self.gpus)
-
-    @property
-    def cells_swept(self) -> int:
-        """DP cells the devices' sweeps computed (compute mode)."""
-        return sum(g.cells_swept for g in self.gpus)
-
-    @property
-    def blocks_narrow(self) -> int:
-        """Blocks the narrow DP kernel answered (0 on int32 runs)."""
-        return sum(g.blocks_narrow for g in self.gpus)
-
-    @property
-    def blocks_wide(self) -> int:
-        """Blocks computed wide despite a narrow policy."""
-        return sum(g.blocks_wide for g in self.gpus)
-
-    @property
-    def dtype_escalations(self) -> int:
-        """Narrow sweeps recomputed in int32 after overflow detection."""
-        return sum(g.dtype_escalations for g in self.gpus)
-
-    @property
-    def pruned_ratio(self) -> float:
-        checked = self.blocks_checked
-        return self.blocks_pruned / checked if checked else 0.0
+        return _metrics_gcups(self.cells, self.total_time_s)
 
     def breakdown(self) -> list[dict[str, float]]:
         """Per-GPU compute/transfer/wait/idle fractions of the makespan."""
@@ -378,10 +321,6 @@ class MultiGpuChain:
             # LRU-cached: repeated comparisons against the same horizontal
             # sequence (batch campaigns, resumed runs) skip the rebuild.
             profile = cached_profile(workload.b, workload.scoring)
-            # Shared across the simulated devices: their sweeps never
-            # interleave (each work thunk runs atomically inside the
-            # single-threaded event loop).
-            workspace = KernelWorkspace() if cfg.kernel == "batched" else None
             if cfg.kernel == "compiled":
                 # JIT-warm before the event loop: the simulated clock is
                 # virtual, but the host wall time callers measure around
@@ -397,7 +336,6 @@ class MultiGpuChain:
                     cfg, workload.scoring, profile[:, cols], slab.col0,
                     slab.col1, m=m, n_cols=n, dp=dp_policy,
                     scoreboard=scoreboard, slot=g,
-                    workspace=workspace,
                     instruments=instruments[g] if instruments else None,
                     h_top=resume.h_row[cols] if resume is not None else None,
                     f_top=resume.f_row[cols] if resume is not None else None,
@@ -482,7 +420,7 @@ class MultiGpuChain:
         reports = [
             GpuReport(name=gpus[g].name, slab=slabs[g], counters=gpus[g].counters,
                       finished_at=finished_at[g],
-                      **(sweepers[g].counters() if sweepers[g] else {}))
+                      tally=sweepers[g].tally() if sweepers[g] else SweepTally())
             for g in range(len(gpus))
         ]
         checkpoint = None
@@ -509,6 +447,7 @@ class MultiGpuChain:
             partition=slabs,
             checkpoint=checkpoint,
             dp_dtype=dp_name,
+            **asdict(sum((r.tally for r in reports), SweepTally())),
         )
 
     def _from_inline(self, workload: MatrixWorkload, out, *, tracer,

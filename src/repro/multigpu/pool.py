@@ -35,7 +35,7 @@ unlinks the shared memory.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
 import numpy as np
@@ -50,12 +50,11 @@ from ..obs.instruments import EngineInstruments, record_recovery
 from ..obs.registry import MetricsRegistry
 from ..obs.timeseries import TimeSeriesSampler
 from ..seq.scoring import Scoring
-from ..sw.batched import KernelWorkspace
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, block_height, resolve_config
 from ..sw.constants import resolve_dp_dtype
 from ..sw.kernel import BestCell
-from ..sw.tiers import BANDED_MODES, INLINE_MODES, run_tiers
+from ..sw.tiers import BANDED_MODES, INLINE_MODES, SweepTally, run_tiers
 from .checkpoint import CheckpointArea, RetryPolicy
 from .partition import Slab, proportional_partition, surviving_partition
 from .procchain import (
@@ -90,7 +89,6 @@ def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
     merged trace instead of inflating that task's first compute
     interval.
     """
-    workspace = KernelWorkspace()  # persists across comparisons
     warmed = False
     while True:
         task = task_queue.get()
@@ -108,7 +106,7 @@ def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
                     compiled_warmup()
                 warmed = True
             outcome = sweep_slab(task, recv_link, send_link, recorder,
-                                 progress, slot=worker_id, workspace=workspace,
+                                 progress, slot=worker_id,
                                  scoreboard=scoreboard, instruments=instruments)
         except Exception as exc:
             error = repr(exc)
@@ -537,8 +535,10 @@ class WorkerPool:
         rows_recomputed_total = 0
         resume: tuple | None = None          # (row, h_full, f_full)
         base_best = BestCell.none()
-        base_checked = base_pruned = 0
-        total_narrow = total_wide = total_esc = total_cells = 0
+        # What the earlier attempts add to the last one's tally: every
+        # sweep's cells and narrow-DP split, but only the checkpointed
+        # prefix's prune decisions.
+        base = SweepTally()
         checkpoints: CheckpointArea | None = None
 
         def fail(detail: str) -> RuntimeError:
@@ -598,7 +598,7 @@ class WorkerPool:
                 # Fold whatever this attempt reported — survivors of a
                 # failed attempt still deliver honest trace records and
                 # counters.
-                attempt_best = BestCell.none()
+                attempt_best, attempt = BestCell.none(), SweepTally()
                 worker_blocks = []
                 for g in sorted(reports):
                     report = reports[g]
@@ -607,12 +607,9 @@ class WorkerPool:
                                        report.records)
                     if metrics is not None and report.metrics is not None:
                         metrics.merge_snapshot(report.metrics)
-                    worker_blocks.append((outcome.blocks_checked,
-                                          outcome.blocks_pruned))
-                    total_narrow += outcome.blocks_narrow
-                    total_cells += outcome.cells_swept
-                    total_wide += outcome.blocks_wide
-                    total_esc += outcome.dtype_escalations
+                    worker_blocks.append((outcome.tally.blocks_checked,
+                                          outcome.tally.blocks_pruned))
+                    attempt += outcome.tally
                     if outcome.best.better_than(attempt_best):
                         attempt_best = outcome.best
 
@@ -630,21 +627,15 @@ class WorkerPool:
                         partition=tuple(slabs), transport=self.transport,
                         start_method=self.start_method, tracer=tracer,
                         config=cfg,
-                        blocks_checked=base_checked
-                        + sum(c for c, _ in worker_blocks),
-                        blocks_pruned=base_pruned
-                        + sum(p for _, p in worker_blocks),
                         worker_blocks=tuple(worker_blocks),
                         restarts=restarts,
                         rows_recomputed=rows_recomputed_total,
                         dp_dtype=dp_policy.name,
-                        blocks_narrow=total_narrow,
-                        cells_swept=total_cells,
-                        blocks_wide=total_wide,
-                        dtype_escalations=total_esc,
+                        **asdict(base + attempt),
                     )
 
                 # -- failed attempt --------------------------------------------
+                base += replace(attempt, blocks_checked=0, blocks_pruned=0)
                 if self.events is not None:
                     for key, desc, kind in failures:
                         self.events.emit("worker_death", worker=key,
@@ -687,8 +678,8 @@ class WorkerPool:
                 if r_new > resume_row:
                     h_full, f_full, _b, checked_at, pruned_at = \
                         checkpoints.assemble(r_new)
-                    base_checked += checked_at
-                    base_pruned += pruned_at
+                    base += SweepTally(blocks_checked=checked_at,
+                                       blocks_pruned=pruned_at)
                     resume = (r_new, h_full, f_full)
                     resume_row = r_new
                 checkpoints.unlink()

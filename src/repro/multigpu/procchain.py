@@ -57,12 +57,12 @@ from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..obs.registry import MetricsRegistry
 from ..perf.metrics import gcups as _metrics_gcups
 from ..seq.scoring import Scoring
-from ..sw.batched import KernelWorkspace, cached_profile
+from ..sw.batched import cached_profile
 from ..sw.blocks import SlabSweep
 from ..sw.config import CONFIG_FIELDS, AlignConfig, resolve_config
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy
 from ..sw.kernel import BestCell
-from ..sw.pruning import Floor
+from ..sw.tiers import RunResult, SweepTally
 from .checkpoint import CheckpointArea
 from .partition import Slab
 
@@ -123,9 +123,18 @@ class PipeLink:
         return h, e, int(corner)
 
 
-@dataclass(frozen=True)
-class ProcessChainResult:
-    """Outcome of a real-process run (wall-clock, not virtual, time).
+@dataclass(frozen=True, kw_only=True)
+class ProcessChainResult(RunResult):
+    """Outcome of a real-process run (wall-clock, not virtual, time): the
+    shared :class:`~repro.sw.tiers.RunResult` fields plus the wall time,
+    worker count, partition, transport, trace, recovery accounting and
+    config.
+
+    The counters are chain-wide.  ``cells_swept`` and the narrow/wide
+    split count every attempt; ``blocks_checked``/``blocks_pruned``
+    count the checkpointed prefix a resumed attempt started from plus
+    the last attempt, whose per-worker ``(checked, pruned)`` pairs are
+    ``worker_blocks``.
 
     ``tracer`` holds per-worker wall-clock intervals (actors ``worker0``,
     ``worker1``, ...; ``parent`` for a tier run inline) recorded through the
@@ -133,46 +142,25 @@ class ProcessChainResult:
     breakdown/utilisation/overlap queries work as for simulated runs.
     """
 
-    best: BestCell
     wall_time_s: float
-    cells: int
     workers: int
     partition: tuple[Slab, ...] = ()
     transport: str = "pipe"
     start_method: str = "fork"
     tracer: Tracer | None = None
-    #: Distributed-pruning accounting (zeros unless ``pruning`` was on):
-    #: chain-wide totals plus per-worker ``(checked, pruned)`` pairs.
-    blocks_checked: int = 0
-    blocks_pruned: int = 0
     worker_blocks: tuple = ()
-    #: DP cells the workers' sweeps computed, every attempt included.
-    cells_swept: int = 0
     #: Recovery accounting (zeros unless ``max_restarts`` allowed a resume):
     #: attempts resumed after a failure, and matrix rows swept again because
     #: they lay past the newest consistent checkpoint when the failure hit.
     restarts: int = 0
     rows_recomputed: int = 0
-    #: Heuristic-tier fields: the requested mode, the tier that produced
-    #: the reported score, and whether ``mode="auto"`` fell back to exact.
-    mode: str = "exact"
-    tier: str = "exact"
-    escalated: bool = False
     #: Always 0: no engine skips blocks by band any more.
     #: ``perfbench/layers.py`` reads it, so it goes with the next change
     #: to the benchmark.
     blocks_skipped_band: int = 0
-    #: DP dtype policy the run resolved to and its chain-wide
-    #: narrow/wide block split (zeros on plain int32 runs).
-    dp_dtype: str = "int32"
-    blocks_narrow: int = 0
-    blocks_wide: int = 0
-    dtype_escalations: int = 0
     #: The config the run swept, ``block_rows`` resolved by
     #: :func:`~repro.sw.config.block_height`.
     config: AlignConfig = AlignConfig()
-    #: Where the exact sweep's pruning scoreboard started.
-    floor: Floor = Floor()
 
     @property
     def kernel(self) -> str:
@@ -181,14 +169,6 @@ class ProcessChainResult:
     @property
     def pruning(self) -> bool:
         return self.config.pruning
-
-    @property
-    def score(self) -> int:
-        return self.best.score if self.best.row >= 0 else 0
-
-    @property
-    def pruned_ratio(self) -> float:
-        return self.blocks_pruned / self.blocks_checked if self.blocks_checked else 0.0
 
     @property
     def gcups(self) -> float:
@@ -227,15 +207,11 @@ class ProcessChainResult:
 
 @dataclass(frozen=True)
 class SlabOutcome:
-    """What one slab sweep found: its best cell + prune/dtype counters."""
+    """What one slab sweep found: its best cell and its
+    :class:`~repro.sw.tiers.SweepTally`."""
 
     best: BestCell
-    blocks_checked: int = 0
-    blocks_pruned: int = 0
-    cells_swept: int = 0
-    blocks_narrow: int = 0
-    blocks_wide: int = 0
-    dtype_escalations: int = 0
+    tally: SweepTally = SweepTally()
 
 
 @dataclass(frozen=True)
@@ -301,7 +277,6 @@ def sweep_slab(
     progress: ProgressBoard,
     *,
     slot: int = 0,
-    workspace: KernelWorkspace | None = None,
     scoreboard: SharedScoreboard | None = None,
     instruments: EngineInstruments | None = None,
 ) -> SlabOutcome:
@@ -316,8 +291,7 @@ def sweep_slab(
     :class:`~repro.comm.scoreboard.SharedScoreboard` at this worker's
     *slot* (stale reads are safe by monotonicity); a pruned row is
     recorded as a ``pruned`` span, a swept one as ``compute``.  The
-    persistent worker's *workspace* is the batched kernel's scratch, and
-    the profile is content-LRU-cached per process.
+    profile is content-LRU-cached per process.
 
     Telemetry: *progress* is the shared-memory heartbeat board this
     worker beats into at every phase transition — ``rows_done`` carries
@@ -350,7 +324,7 @@ def sweep_slab(
     sweeper = SlabSweep(
         task.config, task.scoring, cached_profile(task.b_slab, task.scoring),
         slab.col0, slab.col1, m=m, n_cols=task.n_cols, dp=task.dp,
-        scoreboard=scoreboard, slot=slot, workspace=workspace,
+        scoreboard=scoreboard, slot=slot,
         instruments=instruments, h_top=task.h_init, f_top=task.f_init)
     ckpt_stride = max(1, int(task.checkpoint_blocks)) * block_rows
 
@@ -396,16 +370,16 @@ def sweep_slab(
                     h_right.nbytes + e_right.nbytes + HEADER_BYTES)
         if task.checkpoints is not None and (r1 == m or r1 % ckpt_stride == 0):
             progress.beat(slot, r0, "checkpoint")
-            counters = sweeper.counters()
+            tally = sweeper.tally()
             with recorder.span("checkpoint"):
                 task.checkpoints.publish(
                     slot, r1, sweeper.h_top, sweeper.f_top, sweeper.best,
-                    counters["blocks_checked"], counters["blocks_pruned"])
+                    tally.blocks_checked, tally.blocks_pruned)
             if instruments is not None:
                 instruments.checkpoint_published()
         progress.beat(slot, r1, "idle")
     progress.beat(slot, m, "done")
-    return SlabOutcome(best=sweeper.best, **sweeper.counters())
+    return SlabOutcome(best=sweeper.best, tally=sweeper.tally())
 
 
 def collect_results(

@@ -16,7 +16,8 @@ def gcups(cells: int, seconds: float) -> float:
     """Billions of DP cells per second.
 
     This is the single library-wide definition: every result type
-    (simulated :class:`~repro.multigpu.chain.ChainResult` GCUPS on the
+    (simulated :class:`~repro.multigpu.chain.ChainResult` and
+    :class:`~repro.baselines.single_gpu.SingleGpuResult` GCUPS on the
     virtual clock, real-process
     :class:`~repro.multigpu.procchain.ProcessChainResult` GCUPS on wall
     time) routes through it, and the one documented behaviour for a

@@ -23,8 +23,7 @@ def chain_result_dict(result) -> dict:
         "cells": result.cells,
         "total_time_s": result.total_time_s,
         "gcups": result.gcups,
-        "score": result.score if result.best.row >= 0 else None,
-        "end": [result.best.row, result.best.col] if result.best.row >= 0 else None,
+        **_answer_dict(result),
         "config": {
             "block_rows": result.config.block_rows,
             "channel_capacity": result.config.channel_capacity,
@@ -33,15 +32,9 @@ def chain_result_dict(result) -> dict:
             "kernel": result.config.kernel,
             "pruning": result.config.pruning,
         },
-        "pruning": {
-            "blocks_checked": result.blocks_checked,
-            "blocks_pruned": result.blocks_pruned,
-            "pruned_ratio": result.pruned_ratio,
-            "cells_swept": result.cells_swept,
-        } if result.config.pruning else None,
-        "floor": asdict(result.floor),
-        "heuristic": _heuristic_dict(result),
-        "dtype": _dtype_dict(result),
+        "pruning": _pruning_dict(result, cells_swept=result.cells_swept)
+        if result.config.pruning else None,
+        **_stamp_dicts(result),
         "devices": [
             {
                 "name": gpu.name,
@@ -52,8 +45,8 @@ def chain_result_dict(result) -> dict:
                 "cells": gpu.counters.cells,
                 "bytes_in": gpu.counters.bytes_in,
                 "bytes_out": gpu.counters.bytes_out,
-                "blocks_checked": gpu.blocks_checked,
-                "blocks_pruned": gpu.blocks_pruned,
+                "blocks_checked": gpu.tally.blocks_checked,
+                "blocks_pruned": gpu.tally.blocks_pruned,
             }
             for gpu in result.gpus
         ],
@@ -77,8 +70,7 @@ def process_result_dict(result) -> dict:
         "cells": result.cells,
         "wall_time_s": result.wall_time_s,
         "gcups": result.gcups,
-        "score": result.score if result.best.row >= 0 else None,
-        "end": [result.best.row, result.best.col] if result.best.row >= 0 else None,
+        **_answer_dict(result),
         "config": {
             "workers": result.workers,
             "transport": result.transport,
@@ -87,20 +79,15 @@ def process_result_dict(result) -> dict:
             "pruning": result.pruning,
             "block_rows": result.config.block_rows,
         },
-        "pruning": {
-            "blocks_checked": result.blocks_checked,
-            "blocks_pruned": result.blocks_pruned,
-            "pruned_ratio": result.pruned_ratio,
-            "cells_swept": result.cells_swept,
-            "per_worker": [list(wb) for wb in result.worker_blocks],
-        } if result.pruning else None,
+        "pruning": _pruning_dict(
+            result, cells_swept=result.cells_swept,
+            per_worker=[list(wb) for wb in result.worker_blocks])
+        if result.pruning else None,
         "recovery": {
             "restarts": result.restarts,
             "rows_recomputed": result.rows_recomputed,
-        } if getattr(result, "restarts", 0) else None,
-        "floor": asdict(result.floor),
-        "heuristic": _heuristic_dict(result),
-        "dtype": _dtype_dict(result),
+        } if result.restarts else None,
+        **_stamp_dicts(result),
         # Cross-process clock-skew spans clamped during trace merging —
         # nonzero values flag workers whose perf_counter drifted.
         "clamped_records": result.tracer.clamped_records if result.tracer else 0,
@@ -143,18 +130,36 @@ def single_result_dict(result) -> dict:
         "cells_computed": result.cells_computed,
         "total_time_s": result.total_time_s,
         "gcups": result.gcups,
-        "score": result.score if result.best.row >= 0 else None,
-        "end": [result.best.row, result.best.col] if result.best.row >= 0 else None,
-        "pruning": {
-            "blocks_checked": result.blocks_checked,
-            "blocks_pruned": result.blocks_pruned,
-            "pruned_ratio": result.pruned_ratio,
-            "pruned_fraction": result.pruned_fraction,
-        } if result.blocks_checked else None,
-        "floor": asdict(result.floor),
-        "heuristic": _heuristic_dict(result),
-        "dtype": _dtype_dict(result),
+        **_answer_dict(result),
+        "pruning": _pruning_dict(result,
+                                 pruned_fraction=result.pruned_fraction)
+        if result.blocks_checked else None,
+        **_stamp_dicts(result),
     }
+
+
+def _answer_dict(result) -> dict:
+    """The ``score`` and ``end`` keys of a result dict (``None`` when no
+    cell scored)."""
+    found = result.best.row >= 0
+    return {"score": result.score if found else None,
+            "end": [result.best.row, result.best.col] if found else None}
+
+
+def _pruning_dict(result, **extra) -> dict:
+    """The ``pruning`` section of a result dict: the prune decisions,
+    then the engine's *extra* keys."""
+    return {"blocks_checked": result.blocks_checked,
+            "blocks_pruned": result.blocks_pruned,
+            "pruned_ratio": result.pruned_ratio, **extra}
+
+
+def _stamp_dicts(result) -> dict:
+    """The ``floor``, ``heuristic`` and ``dtype`` sections of a result
+    dict."""
+    return {"floor": asdict(result.floor),
+            "heuristic": _heuristic_dict(result),
+            "dtype": _dtype_dict(result)}
 
 
 def result_dict(result) -> dict:
@@ -183,7 +188,7 @@ def _warmup_seconds(tracer) -> float:
 
 def _heuristic_dict(result) -> dict | None:
     """The tier section of a result dict (``None`` on exact runs)."""
-    if getattr(result, "mode", "exact") == "exact":
+    if result.mode == "exact":
         return None
     return {"mode": result.mode, "tier": result.tier,
             "escalated": result.escalated}
@@ -192,11 +197,10 @@ def _heuristic_dict(result) -> dict | None:
 def _dtype_dict(result) -> dict | None:
     """The DP-dtype section of a result dict (``None`` on plain int32
     runs, matching the ``pruning``/``heuristic`` sections' convention)."""
-    name = getattr(result, "dp_dtype", "int32")
-    if name == "int32":
+    if result.dp_dtype == "int32":
         return None
     return {
-        "dp_dtype": name,
+        "dp_dtype": result.dp_dtype,
         "blocks_narrow": result.blocks_narrow,
         "blocks_wide": result.blocks_wide,
         "dtype_escalations": result.dtype_escalations,
@@ -206,10 +210,9 @@ def _dtype_dict(result) -> dict | None:
 def _dtype_line(result) -> str | None:
     """One report line for a narrow-dtype run: the resolved policy and the
     narrow/wide split (``None`` on plain int32 runs)."""
-    name = getattr(result, "dp_dtype", "int32")
-    if name == "int32":
+    if result.dp_dtype == "int32":
         return None
-    line = (f"dp dtype: {name} ({result.blocks_narrow} narrow / "
+    line = (f"dp dtype: {result.dp_dtype} ({result.blocks_narrow} narrow / "
             f"{result.blocks_wide} wide blocks)")
     if result.dtype_escalations:
         line += f" escalations={result.dtype_escalations}"
@@ -228,10 +231,9 @@ def _floor_line(result) -> str | None:
 
 def _heuristic_line(result) -> str | None:
     """One report line for a non-exact run: which tier answered."""
-    mode = getattr(result, "mode", "exact")
-    if mode == "exact":
+    if result.mode == "exact":
         return None
-    return (f"tier: mode={mode} answered_by={result.tier}"
+    return (f"tier: mode={result.mode} answered_by={result.tier}"
             f" escalated={'yes' if result.escalated else 'no'}")
 
 
@@ -257,103 +259,76 @@ def _prune_line(result) -> str | None:
             f"pruned whole")
 
 
+def _report_lines(result, title: str, clock: str, seconds: float,
+                  config: str, extra=()) -> list[str]:
+    """The lines :func:`chain_report` and :func:`process_report` share:
+    the title, the matrix line on the engine's *clock*, the best score,
+    the *config* line, then the pruning and floor lines, the engine's
+    *extra* lines, and the tier and DP-dtype lines (absent ones
+    skipped)."""
+    lines = [
+        f"== {title} ==",
+        f"matrix: {humanize_cells(result.cells)}   "
+        f"{clock}: {humanize_time(seconds)}   "
+        f"throughput: {result.gcups:.2f} GCUPS",
+        _best_line(result),
+        f"config: {config}",
+        _prune_line(result),
+        _floor_line(result),
+        *extra,
+        _heuristic_line(result),
+        _dtype_line(result),
+    ]
+    return [line for line in lines if line is not None]
+
+
+def _breakdown_table(label: str, rows) -> str:
+    """The per-device (or per-worker) table of a report: one
+    ``(name, slab cols, breakdown)`` row each, its compute, transfer,
+    wait and idle fractions of the run's time."""
+    kinds = ("compute", "transfer", "wait", "idle")
+    return format_table(
+        [label, "slab cols", *kinds],
+        [[name, f"{cols:,}", *(f"{bd[k]:.1%}" for k in kinds)]
+         for name, cols, bd in rows])
+
+
 def process_report(result, *, title: str = "process chain run") -> str:
     """Multi-section text report for a ProcessChainResult — the same
     sections as :func:`chain_report`, on wall-clock time."""
-    lines: list[str] = [f"== {title} =="]
-    lines.append(
-        f"matrix: {humanize_cells(result.cells)}   "
-        f"wall time: {humanize_time(result.wall_time_s)}   "
-        f"throughput: {result.gcups:.2f} GCUPS"
-    )
-    lines.append(_best_line(result))
-    lines.append(
-        f"config: workers={result.workers} transport={result.transport} "
+    warmup_s = _warmup_seconds(result.tracer)
+    lines = _report_lines(
+        result, title, "wall time", result.wall_time_s,
+        f"workers={result.workers} transport={result.transport} "
         f"start_method={result.start_method} kernel={result.kernel} "
         f"block_rows={result.config.block_rows} "
-        f"pruning={'on' if result.pruning else 'off'}"
-    )
-    prune_line = _prune_line(result)
-    if prune_line:
-        lines.append(prune_line)
-    floor_line = _floor_line(result)
-    if floor_line:
-        lines.append(floor_line)
-    if getattr(result, "restarts", 0):
-        lines.append(
+        f"pruning={'on' if result.pruning else 'off'}",
+        extra=(
             f"recovery: {result.restarts} restart(s), "
             f"{result.rows_recomputed} rows recomputed from checkpoints"
-        )
-    warmup_s = _warmup_seconds(result.tracer)
-    if warmup_s > 0:
-        lines.append(f"jit warmup: {humanize_time(warmup_s)} total "
-                     "(excluded from compute spans)")
-    tier_line = _heuristic_line(result)
-    if tier_line:
-        lines.append(tier_line)
-    dtype_line = _dtype_line(result)
-    if dtype_line:
-        lines.append(dtype_line)
+            if result.restarts else None,
+            f"jit warmup: {humanize_time(warmup_s)} total "
+            "(excluded from compute spans)" if warmup_s > 0 else None))
     breakdown = result.breakdown()
     if breakdown:
-        lines.append("")
-        rows = []
-        for g, (slab, bd) in enumerate(zip(result.partition, breakdown)):
-            rows.append([
-                f"worker{g}",
-                f"{slab.cols:,}",
-                f"{bd['compute']:.1%}",
-                f"{bd['transfer']:.1%}",
-                f"{bd['wait']:.1%}",
-                f"{bd['idle']:.1%}",
-            ])
-        lines.append(format_table(
-            ["worker", "slab cols", "compute", "transfer", "wait", "idle"], rows))
+        lines += ["", _breakdown_table("worker", [
+            (f"worker{g}", slab.cols, bd)
+            for g, (slab, bd) in enumerate(zip(result.partition, breakdown))])]
     return "\n".join(lines)
 
 
 def chain_report(result, *, title: str = "chain run") -> str:
     """Multi-section text report for a ChainResult."""
-    lines: list[str] = [f"== {title} =="]
-    lines.append(
-        f"matrix: {humanize_cells(result.cells)}   "
-        f"virtual time: {humanize_time(result.total_time_s)}   "
-        f"throughput: {result.gcups:.2f} GCUPS"
-    )
-    lines.append(_best_line(result))
     cfg = result.config
-    lines.append(
-        f"config: block_rows={cfg.block_rows} buffer={cfg.channel_capacity} "
+    lines = _report_lines(
+        result, title, "virtual time", result.total_time_s,
+        f"block_rows={cfg.block_rows} buffer={cfg.channel_capacity} "
         f"device_slots={cfg.device_slots} "
         f"transfers={'async' if cfg.async_transfers else 'sync'} "
-        f"kernel={cfg.kernel} pruning={'on' if cfg.pruning else 'off'}"
-    )
-    prune_line = _prune_line(result)
-    if prune_line:
-        lines.append(prune_line)
-    floor_line = _floor_line(result)
-    if floor_line:
-        lines.append(floor_line)
-    tier_line = _heuristic_line(result)
-    if tier_line:
-        lines.append(tier_line)
-    dtype_line = _dtype_line(result)
-    if dtype_line:
-        lines.append(dtype_line)
-    lines.append("")
-
-    rows = []
-    for gpu, bd in zip(result.gpus, result.breakdown()):
-        rows.append([
-            gpu.name,
-            f"{gpu.slab.cols:,}",
-            f"{bd['compute']:.1%}",
-            f"{bd['transfer']:.1%}",
-            f"{bd['wait']:.1%}",
-            f"{bd['idle']:.1%}",
-        ])
-    lines.append(format_table(
-        ["device", "slab cols", "compute", "transfer", "wait", "idle"], rows))
+        f"kernel={cfg.kernel} pruning={'on' if cfg.pruning else 'off'}")
+    lines += ["", _breakdown_table("device", [
+        (gpu.name, gpu.slab.cols, bd)
+        for gpu, bd in zip(result.gpus, result.breakdown())])]
 
     if result.channels:
         lines.append("")

@@ -12,6 +12,7 @@ aligners do so that masked repeat runs cannot inflate the score.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,16 @@ class Scoring:
         if length < 0:
             raise ScoringError("gap length must be >= 0")
         return 0 if length == 0 else self.gap_open + length * self.gap_extend
+
+
+def matrix_digest(scoring) -> bytes:
+    """A 16-byte digest of *scoring*'s substitution matrix (its shape and
+    values): the one key of the substitution scores, for a DNA
+    match/mismatch scheme or a protein matrix alike."""
+    matrix = np.ascontiguousarray(scoring.matrix)
+    h = hashlib.blake2b(str(matrix.shape).encode(), digest_size=16)
+    h.update(matrix.data)
+    return h.digest()
 
 
 #: The scheme used throughout the paper's system for DNA.

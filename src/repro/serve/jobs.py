@@ -12,7 +12,7 @@ behind megabase runs (INTERNALS.md section 14).
 
 The cache key (:meth:`JobSpec.cache_key`) is derived from the
 manifest-style SHA-256 content digests of both sequences plus the
-scoring parameters and the config's
+scoring scheme (substitution-matrix digest and gap costs) and the config's
 :meth:`~repro.sw.config.AlignConfig.answer_key` — so two submissions
 of the same popular comparison collapse onto one computed result
 whatever file paths or tenants they came from.
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError, ServeError
-from ..seq.scoring import Scoring
+from ..seq.scoring import Scoring, matrix_digest
 from ..sw.config import AlignConfig
 from ..sw.tiers import BANDED_MODES
 from .scheduler import LANES, FairScheduler
@@ -121,8 +121,9 @@ class JobSpec(AlignConfig):
     def cache_key(self) -> str:
         """Digest-keyed identity of the comparison (hex SHA-256).
 
-        Sequence *content* digests (not paths) + the scoring scheme +
-        the config's :meth:`~repro.sw.config.AlignConfig.answer_key`.
+        Sequence *content* digests (not paths) + the scoring scheme (its
+        substitution-matrix digest and gap costs) + the config's
+        :meth:`~repro.sw.config.AlignConfig.answer_key`.
         """
         h = hashlib.sha256()
         for codes in (self.a_codes, self.b_codes):
@@ -130,9 +131,9 @@ class JobSpec(AlignConfig):
             h.update(str(arr.size).encode())
             h.update(hashlib.sha256(arr.tobytes()).digest())
         s = self.scoring
-        key = {"match": s.match, "mismatch": s.mismatch,
-               "gap_open": s.gap_open, "gap_extend": s.gap_extend,
-               **self.answer_key()}
+        # The matrix digest keys any scheme, DNA or protein.
+        key = {"matrix": matrix_digest(s).hex(), "gap_open": s.gap_open,
+               "gap_extend": s.gap_extend, **self.answer_key()}
         h.update(",".join(f"{k}={v}" for k, v in key.items()).encode())
         return h.hexdigest()
 

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..seq.scoring import Scoring
+from ..seq.scoring import Scoring, matrix_digest
 from .constants import DTYPE, NEG_INF, DpPolicy, get_policy
 from .kernel import BestCell, BlockResult, build_profile, check_block, narrow_entry_ok
 from .scan import escan_segmented
@@ -129,10 +129,11 @@ class KernelWorkspace:
 class ProfileCache:
     """Content-keyed LRU over :func:`~repro.sw.kernel.build_profile`.
 
-    The key is ``(sequence digest, length, dtype, scoring parameters)`` —
-    a stable identity for the *value* of the sequence, so the pool
-    workers (which receive a fresh copy of their slab per comparison) hit
-    the cache whenever the content repeats.  Digesting costs one linear
+    The key is ``(sequence digest, length, dtype, DP dtype,
+    substitution-matrix digest)`` — a stable identity for the *value* of
+    the sequence, so the pool workers (which receive a fresh copy of
+    their slab per comparison) hit the cache whenever the content
+    repeats.  Digesting costs one linear
     read of the codes; a build costs five linear writes of int32, so a
     hit saves ~95% of the profile-construction memory traffic.  Capacity
     is small by design: profiles are 20 bytes per column and megabase
@@ -156,11 +157,8 @@ class ProfileCache:
         # The profile is columns of the substitution matrix: key on all
         # of it, whatever scheme (DNA match/mismatch or a protein matrix)
         # built it.
-        matrix = np.ascontiguousarray(scoring.matrix)
-        return (
-            digest, codes.size, codes.dtype.str, dp_dtype, matrix.shape,
-            hashlib.blake2b(matrix.data, digest_size=16).digest(),
-        )
+        return (digest, codes.size, codes.dtype.str, dp_dtype,
+                matrix_digest(scoring))
 
     def get(self, b_codes: np.ndarray, scoring: Scoring,
             dp_dtype: str = "int32") -> np.ndarray:

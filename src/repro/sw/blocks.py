@@ -28,6 +28,7 @@ from .constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
 from .kernel import (BestCell, BlockResult, LiveWindow, build_profile,
                      sweep_block)
 from .pruning import BlockPruner
+from .tiers import SweepTally
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,15 @@ class SlabSweep:
     single-device :func:`compute_blocked` calls those three per block of
     its caller's grid instead, without windows; stacking several slabs'
     block rows into one batched sweep, it builds each with :meth:`job`
-    and counts each result with :meth:`tally`.  The sweep holds the
+    and counts each result with :meth:`count`.  The sweep holds the
     slab's top border (*h_top*/*f_top* resume part-way down), its live
-    hull, best cell and counters; time, transport and tracing stay with
-    the engine."""
+    hull, best cell and counters (:meth:`tally`); time, transport and
+    tracing stay with the engine."""
 
     def __init__(self, config, scoring: Scoring, profile: np.ndarray,
                  col0: int, col1: int, *, m: int, n_cols: int,
                  dp: DpPolicy | None = None, scoreboard=None, slot: int = 0,
-                 workspace: KernelWorkspace | None = None, instruments=None,
+                 instruments=None,
                  h_top: np.ndarray | None = None,
                  f_top: np.ndarray | None = None,
                  best: BestCell = BestCell.none()) -> None:
@@ -132,9 +133,7 @@ class SlabSweep:
         self.col0, self.col1, self.m, self.n_cols = col0, col1, m, n_cols
         self.dp = dp
         self.scoreboard, self.slot = scoreboard, slot
-        if self.kernel == "batched" and workspace is None:
-            workspace = KernelWorkspace()
-        self.workspace, self.instruments = workspace, instruments
+        self.instruments = instruments
         w = col1 - col0
         self.h_top = np.array(np.zeros(w) if h_top is None else h_top, dtype=DTYPE)
         self.f_top = np.array(np.full(w, NEG_INF) if f_top is None else f_top,
@@ -179,21 +178,13 @@ class SlabSweep:
         """Sweep the next block row with the config's kernel, over
         *window*'s live cells only when one is given, counting the
         narrow-DP outcome.  A slab row is a single job, so the batched
-        kernel has nothing to stack: a windowed row runs on the NumPy row
-        engine instead."""
-        if self.kernel == "batched" and window is None:
-            result = sweep_wavefront(
-                [BlockJob(a_rows, self.profile, self.h_top, self.f_top,
-                          h_left, e_left, corner)],
-                self.scoring, local=True, workspace=self.workspace,
-                dp=self.dp)[0]
-        else:
-            sweep = (sweep_block_compiled if self.kernel == "compiled"
-                     else sweep_block)
-            result = sweep(a_rows, self.profile, self.h_top, self.f_top,
-                           h_left, e_left, corner, self.scoring, local=True,
-                           dp=self.dp, window=window)
-        return self.tally(result)
+        kernel has nothing to stack: its rows run on the NumPy row
+        engine."""
+        sweep = (sweep_block_compiled if self.kernel == "compiled"
+                 else sweep_block)
+        return self.count(sweep(a_rows, self.profile, self.h_top, self.f_top,
+                                h_left, e_left, corner, self.scoring,
+                                local=True, dp=self.dp, window=window))
 
     def step(self, r0: int, r1: int, a_rows: np.ndarray, h_left: np.ndarray,
              e_left: np.ndarray,
@@ -216,7 +207,7 @@ class SlabSweep:
         self._found(result.best.shifted(r0, self.col0))
         return result, (self.cells_swept - cells, seconds)
 
-    def tally(self, result: BlockResult) -> BlockResult:
+    def count(self, result: BlockResult) -> BlockResult:
         """Count a swept block row's cells and narrow-DP outcome (whoever
         swept it)."""
         self.cells_swept += (result.cells if result.cells is not None
@@ -254,35 +245,32 @@ class SlabSweep:
             if self.pruner is not None:
                 self.scoreboard.publish(self.slot, cell.score)
 
-    def counters(self) -> dict[str, int]:
-        """The prune, cell and narrow-DP counters, by result-field name."""
-        return {
-            "blocks_checked": self.pruner.blocks_checked if self.pruner else 0,
-            "blocks_pruned": self.pruner.blocks_pruned if self.pruner else 0,
-            "cells_swept": self.cells_swept,
-            "blocks_narrow": self.blocks_narrow,
-            "blocks_wide": self.blocks_wide,
-            "dtype_escalations": self.dtype_escalations,
-        }
+    def tally(self) -> SweepTally:
+        """The slab's prune, cell and narrow-DP counters so far."""
+        pruner = self.pruner
+        return SweepTally(
+            blocks_checked=pruner.blocks_checked if pruner else 0,
+            blocks_pruned=pruner.blocks_pruned if pruner else 0,
+            cells_swept=self.cells_swept, blocks_narrow=self.blocks_narrow,
+            blocks_wide=self.blocks_wide,
+            dtype_escalations=self.dtype_escalations)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockedOutcome:
-    """Result of a blocked single-device run."""
+    """Result of a blocked single-device run: the best cell, the grid's
+    size, the summed :class:`~repro.sw.tiers.SweepTally` of its block
+    columns, and the DP dtype policy the run resolved to."""
 
     best: BestCell
     blocks_total: int
-    blocks_pruned: int
     cells_total: int
-    cells_pruned: int
-    blocks_checked: int = 0
-    #: DP dtype policy the run resolved to, plus how many swept blocks
-    #: actually computed narrow vs. wide (escalations + entry rejects);
-    #: all zero under the plain int32 policy.
+    tally: SweepTally
     dp_dtype: str = "int32"
-    blocks_narrow: int = 0
-    blocks_wide: int = 0
-    dtype_escalations: int = 0
+
+    @property
+    def cells_pruned(self) -> int:
+        return self.cells_total - self.tally.cells_swept
 
     @property
     def pruned_fraction(self) -> float:
@@ -349,7 +337,7 @@ def compute_blocked(
     sweepers = [
         SlabSweep(config, scoring, profile[:, spec.col0:spec.col1],
                   spec.col0, spec.col1, m=m, n_cols=n, dp=dp,
-                  scoreboard=scoreboard, workspace=workspace)
+                  scoreboard=scoreboard)
         for spec in specs[0]]
     # borders[bc]: the right border block column bc emitted last, the left
     # input of column bc + 1's next block.
@@ -381,7 +369,7 @@ def compute_blocked(
             stacked = sweep_wavefront(
                 [sweepers[bc].job(*args) for bc, _, args in swept],
                 scoring, local=True, workspace=workspace, dp=dp)
-            results = [sweepers[bc].tally(result)
+            results = [sweepers[bc].count(result)
                        for (bc, _, _), result in zip(swept, stacked)]
         else:
             results = [sweepers[bc].sweep(*args) for bc, _, args in swept]
@@ -390,14 +378,11 @@ def compute_blocked(
         for bc, r0, result in done:
             borders[bc] = sweepers[bc].advance(result, r0)
 
-    best = BestCell.none()
-    counters = dict.fromkeys(sweepers[0].counters(), 0)
+    best, tally = BestCell.none(), SweepTally()
     for sweeper in sweepers:
         if sweeper.best.better_than(best):
             best = sweeper.best
-        for name, value in sweeper.counters().items():
-            counters[name] += value
-    cells_pruned = m * n - counters.pop("cells_swept")
+        tally += sweeper.tally()
     return BlockedOutcome(best=best, blocks_total=n_brows * n_bcols,
-                          cells_total=m * n, cells_pruned=cells_pruned,
-                          dp_dtype=policy.name, **counters)
+                          cells_total=m * n, tally=tally,
+                          dp_dtype=policy.name)

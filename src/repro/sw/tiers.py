@@ -12,13 +12,15 @@ then escalates to the exact sweep when
 the better of the band's score and the seed.  The
 journal records, auto-outcome counters, summed tier time and the
 ``mode``/``tier``/``escalated`` stamps live here too (INTERNALS.md
-section 10).
+section 10), and so do the fields every engine's result shares:
+:class:`SweepTally`, the sweep counters, and :class:`RunResult`, the
+answer (INTERNALS.md section 15).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
@@ -43,7 +45,72 @@ BANDED_MODES = ("banded", "auto")
 #: after a few percent of the matrix instead of widening to full width.
 MAX_WIDENING = 8
 
-R = TypeVar("R")
+#: An engine's result type.
+R = TypeVar("R", bound="RunResult")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepTally:
+    """The counters of an exact sweep, summed with ``+`` over slabs,
+    devices and attempts.
+
+    ``blocks_checked``/``blocks_pruned`` are the whole-block (or whole
+    slab-row) pruning decisions, ``cells_swept`` the DP cells the
+    sweeps computed, and ``blocks_narrow``/``blocks_wide``/
+    ``dtype_escalations`` the narrow-DP split of the swept blocks (all
+    zero under the plain int32 policy).
+    """
+
+    blocks_checked: int = 0
+    blocks_pruned: int = 0
+    cells_swept: int = 0
+    blocks_narrow: int = 0
+    blocks_wide: int = 0
+    dtype_escalations: int = 0
+
+    def __add__(self, other: "SweepTally") -> "SweepTally":
+        return SweepTally(**{f.name: getattr(self, f.name)
+                             + getattr(other, f.name)
+                             for f in fields(SweepTally)})
+
+    @property
+    def tally(self) -> "SweepTally":
+        """The counters alone (a :class:`RunResult` projected down)."""
+        return SweepTally(**{f.name: getattr(self, f.name)
+                             for f in fields(SweepTally)})
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunResult(SweepTally):
+    """What every engine answers: the best cell over a matrix of
+    ``cells`` cells, the sweep's counters, and the stamps
+    :func:`run_tiers` sets.  Each engine's result class derives from it
+    and adds only its own fields (clock, partition, trace, recovery).
+
+    ``mode`` is the requested tier, ``tier`` the one that produced the
+    score, and ``escalated`` whether ``mode="auto"`` fell back to exact.
+    ``dp_dtype`` is the DP dtype policy the run resolved to (``int32``
+    on timing-mode runs and inline tiers), and ``floor`` where the exact
+    sweep's pruning scoreboard started.
+    """
+
+    best: BestCell
+    cells: int
+    mode: str = "exact"
+    tier: str = "exact"
+    escalated: bool = False
+    dp_dtype: str = "int32"
+    floor: Floor = Floor()
+
+    @property
+    def score(self) -> int:
+        return self.best.score if self.best.row >= 0 else 0
+
+    @property
+    def pruned_ratio(self) -> float:
+        """Fraction of the pruning decisions that pruned."""
+        return (self.blocks_pruned / self.blocks_checked
+                if self.blocks_checked else 0.0)
 
 
 @dataclass(frozen=True)

@@ -275,7 +275,7 @@ class TestKernelSelector:
         got = compute_blocked(a, b, DNA_DEFAULT, block_rows=32, block_cols=32,
                               pruning=True, kernel="batched")
         assert got.best == ref.best
-        assert got.blocks_pruned > 0  # the batched schedule still prunes
+        assert got.tally.blocks_pruned > 0  # the batched schedule still prunes
 
     def test_chain_batched(self, rng):
         from repro.device import ENV1_HETEROGENEOUS

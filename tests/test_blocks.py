@@ -93,7 +93,7 @@ class TestBlockedExecutor:
         out = compute_blocked(a, b, DNA_DEFAULT, block_rows=8, block_cols=10)
         assert out.blocks_total == 3 * 3
         assert out.cells_total == 600
-        assert out.blocks_pruned == 0
+        assert out.tally.blocks_pruned == 0
         assert out.pruned_fraction == 0.0
 
 
@@ -173,8 +173,9 @@ class TestPinnedDecisions:
         out = compute_blocked(a, b, scoring, block_rows=block_rows,
                               block_cols=block_cols, pruning=True,
                               kernel=kernel, dp_dtype=dp_dtype)
-        got = ((out.best.score, out.best.row, out.best.col), out.blocks_pruned,
-               out.cells_pruned, out.blocks_narrow, out.blocks_wide,
-               out.dtype_escalations)
+        tally = out.tally
+        got = ((out.best.score, out.best.row, out.best.col),
+               tally.blocks_pruned, out.cells_pruned, tally.blocks_narrow,
+               tally.blocks_wide, tally.dtype_escalations)
         row = "batched" if kernel == "batched" else "scalar"
         assert got == self.EXPECTED[name, row]

@@ -391,11 +391,12 @@ class TestCompiledSweepDifferential:
         assert comp.best == scalar.best
         # Same rolling-border schedule → identical pruning decisions and
         # identical narrow/wide accounting, block for block.
-        assert comp.blocks_pruned == scalar.blocks_pruned
+        assert comp.tally.blocks_pruned == scalar.tally.blocks_pruned
         assert comp.cells_pruned == scalar.cells_pruned
-        assert comp.blocks_narrow == scalar.blocks_narrow
-        assert comp.blocks_wide == scalar.blocks_wide
-        assert comp.dtype_escalations == scalar.dtype_escalations
+        assert comp.tally.blocks_narrow == scalar.tally.blocks_narrow
+        assert comp.tally.blocks_wide == scalar.tally.blocks_wide
+        assert (comp.tally.dtype_escalations
+                == scalar.tally.dtype_escalations)
         assert comp.dp_dtype == scalar.dp_dtype
 
 

@@ -317,9 +317,9 @@ def test_compute_blocked_narrow_exact_with_escalation(kernel):
     assert got.best.score == wide.best.score
     assert (got.best.row, got.best.col) == (wide.best.row, wide.best.col)
     assert got.dp_dtype == "int16"
-    assert got.blocks_narrow + got.blocks_wide == got.blocks_total
-    assert got.dtype_escalations > 0
-    assert wide.blocks_narrow == wide.blocks_wide == 0
+    assert got.tally.blocks_narrow + got.tally.blocks_wide == got.blocks_total
+    assert got.tally.dtype_escalations > 0
+    assert wide.tally.blocks_narrow == wide.tally.blocks_wide == 0
 
 
 def test_metrics_fire_once_per_block_and_stay_absent_wide():

@@ -127,7 +127,7 @@ class TestTieKeepsEndCell:
         out = compute_blocked(TIE_A, TIE_B, DNA_DEFAULT, block_rows=8,
                               block_cols=2, pruning=True, kernel=kernel)
         assert (out.best.score, out.best.row, out.best.col) == (6, 19, 30)
-        assert out.blocks_pruned > 0
+        assert out.tally.blocks_pruned > 0
 
     @pytest.mark.parametrize("kernel", ["scalar", "batched"])
     def test_simulated_chain(self, kernel):
@@ -441,8 +441,8 @@ class TestLiveWindow:
             pruned.advance(got, r0)
             plain.advance(want, r0)
         assert pruned.best == plain.best and pruned.best.score < 64
-        assert pruned.counters()["blocks_checked"] == 4
-        assert pruned.counters()["blocks_pruned"] == 0
+        assert pruned.tally().blocks_checked == 4
+        assert pruned.tally().blocks_pruned == 0
 
     def test_window_needs_a_local_sweep(self):
         codes = np.zeros(4, dtype=np.uint8)

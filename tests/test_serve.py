@@ -14,6 +14,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ class TestJobSpec:
         assert base.cache_key() == spec(block_rows=64).cache_key()
         assert base.cache_key() == spec(pruning=True).cache_key()
         assert base.cache_key() == spec(tenant="other").cache_key()
+
+    def test_cache_key_keys_any_substitution_matrix(self):
+        """A protein scheme has no match/mismatch pair: its key is the
+        matrix digest plus the gap costs, like a DNA scheme's."""
+        from repro.seq.protein import BLOSUM62_SCORING, encode_protein
+
+        a = encode_protein("MKTAYIAKQRQISFVKSHFSRQ")
+        protein = JobSpec(a_codes=a, b_codes=a, scoring=BLOSUM62_SCORING)
+        key = protein.cache_key()
+        assert key == JobSpec(a_codes=a, b_codes=a,
+                              scoring=BLOSUM62_SCORING).cache_key()
+        dna = JobSpec(a_codes=a, b_codes=a, scoring=seq.DNA_DEFAULT)
+        assert key != dna.cache_key()
+        wider_gaps = JobSpec(a_codes=a, b_codes=a, scoring=replace(
+            BLOSUM62_SCORING, gap_open=11))
+        assert key != wider_gaps.cache_key()
+        # Two DNA schemes that differ only in mismatch: different matrices.
+        harsher = JobSpec(a_codes=a, b_codes=a, scoring=seq.Scoring(
+            match=1, mismatch=-4, gap_open=3, gap_extend=2))
+        assert dna.cache_key() != harsher.cache_key()
 
     def test_band_width_only_keys_banded_modes(self):
         assert spec(band_width=8).cache_key() == spec(band_width=9).cache_key()

@@ -774,7 +774,7 @@ class TestDpDtypeDifferential:
         assert sim.dtype_escalations > 0
         # every computed block is accounted narrow or wide, never both
         assert sim.blocks_narrow + sim.blocks_wide == \
-            sum(g.blocks_narrow + g.blocks_wide for g in sim.gpus) > 0
+            sum(g.tally.blocks_narrow + g.tally.blocks_wide for g in sim.gpus) > 0
 
         real = align_multi_process(a, b, hot, workers=workers,
                                    block_rows=32, kernel=kernel,

@@ -10,6 +10,12 @@ virtual-clock results printed in the tables and asserted as shape checks.
 
 from __future__ import annotations
 
+import os
+import platform
+import shlex
+import subprocess
+from pathlib import Path
+
 from repro.multigpu import ChainConfig
 
 #: Block-row height used by the paper-scale timing runs.
@@ -29,3 +35,32 @@ def print_header(experiment: str, claim: str) -> None:
     print()
     print(f"=== {experiment} ===")
     print(f"paper claim: {claim}")
+
+
+def host_stamp() -> dict:
+    """What a wall-clock record's figures depend on besides the code:
+    cores, CPU model, Python, NumPy and the C compiler.  Records from
+    different stamps are not compared."""
+    import numpy
+
+    model = platform.processor() or "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    try:
+        cc = subprocess.run([*shlex.split(os.environ.get("CC") or "cc"),
+                             "--version"], capture_output=True, text=True,
+                            timeout=30, check=True).stdout.splitlines()[0]
+    except (OSError, subprocess.SubprocessError, ValueError, IndexError):
+        cc = None
+    return {
+        "cores": os.cpu_count(),
+        "cpu_model": model,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cc": cc,
+    }

@@ -1,25 +1,25 @@
-"""X12 — compiled kernel backend: JIT row sweeps.
+"""X12 — compiled kernel backend: the C row engine.
 
 Wall-clock comparison of the three block-sweep kernels (scalar, batched,
 compiled) at int32 and int16 on the paper-style geometry.  X11 measured
 the Amdahl floor: the sequential per-row ``np.maximum.accumulate``
 E-scan is dtype-insensitive, so narrow-int kernels cap near 1.15x over
-int32 no matter how many bytes they save.  The numba-jitted fused row
-sweep (``sw/compiled.py``) breaks that floor: it removes the NumPy
-temporaries entirely, computing H/E/F and the best cell in one
-dtype-specialised pass with E carried in a register.
+int32 no matter how many bytes they save.  The C row engine
+(``sw/compiled.py``, ``sw/rowsweep.c``) sweeps a whole block per call:
+no NumPy temporaries and no per-row launches, with the two elementwise
+passes of each row vectorised in the sweep dtype.
 
-JIT compile time is excluded: ``compiled_warmup()`` runs before any
-timed sweep, exactly as the engines warm their workers once per process.
-Scores must stay bit-identical across every kernel x dtype cell (the
-cross-engine differential suite holds exactness; this holds speed).
+The engine's build or load is excluded: ``compiled_warmup()`` runs
+before any timed sweep, exactly as the engines warm their workers once
+per process.  Scores must stay bit-identical across every kernel x
+dtype cell (the cross-engine differential suite holds exactness; this
+holds speed).
 
-The headline bound — compiled int16 >= 1.5x batched int32 — only
-applies where numba is importable; without it ``compiled`` is the
-scalar sweep, so the run degrades to a parity-check (bit-identical
-scores, no speed claim).  Set
-``MGSW_X12_TINY=1`` for the CI smoke configuration.  Results land in
-``benchmarks/BENCH_compiled.json`` for regression tracking.
+The headline bound — compiled int16 >= 1.5x batched int32 — applies
+wherever the C engine built; without it ``compiled`` is the scalar
+sweep, so the run degrades to a parity-check (bit-identical scores, no
+speed claim).  Set ``MGSW_X12_TINY=1`` for the CI smoke configuration.
+Results land in ``benchmarks/BENCH_compiled.json`` with a host stamp.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from repro.sw import (
     KernelWorkspace,
     compiled_warmup,
     compute_blocked,
-    numba_available,
+    engine_available,
 )
 from repro.workloads import random_dna
 
-from bench_helpers import print_header
+from bench_helpers import host_stamp, print_header
 
 TINY = bool(os.environ.get("MGSW_X12_TINY"))
 N = 2_048 if TINY else 16_384
@@ -51,11 +51,11 @@ BLOCK_ROWS = 256
 BLOCK_COLS = 2_048
 REPEATS = 2 if TINY else 3          # best-of to shed scheduler noise
 KERNELS = ("scalar", "batched", "compiled")
-#: Headline bound: the fused JIT sweep at int16 over the batched NumPy
-#: sweep at int32 — the cross-kernel *and* cross-dtype win the paper's
-#: CUDA kernel banks on.  Only asserted where numba actually compiles
-#: (the scalar fallback is a correctness lane, not a speed lane) and at
-#: full scale (the tiny matrix can't amortise anything).
+#: Headline bound: the C engine at int16 over the batched NumPy sweep at
+#: int32 — the cross-kernel *and* cross-dtype win the paper's CUDA
+#: kernel banks on.  Asserted wherever the C engine built (the scalar
+#: fallback is a correctness lane, not a speed lane) and at full scale
+#: (the tiny matrix can't amortise anything).
 MIN_SPEEDUP = 1.5
 OUT_PATH = pathlib.Path(__file__).parent / "BENCH_compiled.json"
 
@@ -93,13 +93,13 @@ def _section(title, a, b, cases, *, repeats=REPEATS):
 
 
 def test_x12_compiled_throughput(benchmark):
-    jit = numba_available()
+    warm_s = compiled_warmup()
+    engine = engine_available()
     print_header("X12 compiled kernel backend",
                  f"compiled int16 vs batched int32 >= {MIN_SPEEDUP}x "
                  "(wall clock, warmup excluded), bit-identical scores; "
-                 f"numba {'present' if jit else 'ABSENT -> scalar parity run'}")
-    warm_s = compiled_warmup()
-    print(f"jit warmup: {warm_s:.3f}s (excluded from every timed sweep)")
+                 f"C engine {'built' if engine else 'ABSENT -> scalar parity run'}")
+    print(f"engine warmup: {warm_s:.3f}s (excluded from every timed sweep)")
     rng = np.random.default_rng(54)
 
     cases = [(k, d) for k in KERNELS for d in ("int32", "int16")]
@@ -125,7 +125,8 @@ def test_x12_compiled_throughput(benchmark):
     record = {
         "experiment": "x12_compiled",
         "tiny": TINY,
-        "numba": jit,
+        "engine": engine,
+        "host": host_stamp(),
         "matrix": {"rows": int(a.size), "cols": int(b.size)},
         "block": {"rows": BLOCK_ROWS, "cols": BLOCK_COLS},
         "repeats": REPEATS,
@@ -144,11 +145,11 @@ def test_x12_compiled_throughput(benchmark):
     }
     OUT_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
-    if jit and not TINY:
+    if engine and not TINY:
         assert speedup >= MIN_SPEEDUP, (
             f"compiled int16 only {speedup:.2f}x over batched int32 "
             f"(need {MIN_SPEEDUP}x)")
-    elif jit:
+    elif engine:
         # Tiny matrices can't amortise the row loop; just hold parity.
         assert speedup >= 0.5, f"compiled collapsed under TINY: {speedup:.2f}x"
 

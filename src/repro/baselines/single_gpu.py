@@ -111,7 +111,7 @@ def run_single_gpu(
 
     def sweep(floor: int) -> SingleGpuResult:
         if kernel == "compiled":
-            compiled_warmup()  # idempotent; keeps compile out of callers' timings
+            compiled_warmup()  # idempotent; keeps the load out of callers' timings
         outcome: BlockedOutcome = compute_blocked(
             a_codes, b_codes, scoring,
             block_rows=block_rows, block_cols=block_cols,

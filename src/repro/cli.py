@@ -129,9 +129,10 @@ _CONFIG_FLAGS: dict[str, dict] = {
         help="block sweep kernel: scalar (one block at a time), batched "
              "(one NumPy sweep per row across all resident blocks; a "
              "chain's slab row is one block, so a chain runs it on the "
-             "scalar row engine), compiled (numba-jitted fused row sweeps; needs the optional "
-             "'.[compiled]' extra), or auto (compiled where numba "
-             "imports, else scalar); scores are bit-identical"),
+             "scalar row engine), compiled (the C row engine, built on "
+             "first use with $CC or cc into ~/.cache/mgsw; refused where "
+             "it does not build), or auto (compiled where it builds, "
+             "else scalar); scores are bit-identical"),
     "pruning": dict(
         action=argparse.BooleanOptionalAction,
         help="distributed block pruning (default on): skip every "
@@ -295,9 +296,10 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
                journal, sampler, time_mod) -> int:
     from .perf.report import chain_report, process_report, timeline_report
 
-    # Resolve before spawning: an explicit --kernel compiled without
-    # numba fails here with a clean ConfigError; --kernel auto is the
-    # one static rule on both backends.
+    # Resolve before spawning: this builds or loads the C engine once in
+    # the parent, an explicit --kernel compiled without it fails here
+    # with a clean ConfigError, and --kernel auto is the one static rule
+    # on both backends.
     config = _config_from_args(args, kernel=resolve_kernel(args.kernel))
     if args.backend == "process":
         heartbeat_s = args.heartbeat_s

@@ -64,8 +64,8 @@ class ChainConfig(AlignConfig):
     them, except ``block_rows``).  ``mode`` is answered by the shared
     front door :func:`~repro.sw.tiers.run_tiers`: the banded and X-drop
     tiers run inline and are charged to the first device, and a
-    ``"compiled"`` kernel is JIT-warmed before the event loop starts, so
-    compile time never lands inside a virtual compute span.
+    ``"compiled"`` kernel's C engine is loaded before the event loop
+    starts, so a build never lands inside a virtual compute span.
 
     Attributes
     ----------
@@ -322,9 +322,9 @@ class MultiGpuChain:
             # sequence (batch campaigns, resumed runs) skip the rebuild.
             profile = cached_profile(workload.b, workload.scoring)
             if cfg.kernel == "compiled":
-                # JIT-warm before the event loop: the simulated clock is
-                # virtual, but the host wall time callers measure around
-                # run() should not fold numba compiles into block 0.
+                # Load the C engine before the event loop: the simulated
+                # clock is virtual, but the host wall time callers measure
+                # around run() should not fold a build into block 0.
                 compiled_warmup()
             scoreboard = LocalScoreboard(floor) if cfg.pruning else None
             resumed = resume is not None and resume.best.row >= 0

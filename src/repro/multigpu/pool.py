@@ -83,9 +83,9 @@ def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
     A task that raises is reported and ends the worker: its transports'
     state is suspect, so the pool must break or re-spawn.
 
-    JIT warmup runs **once per process**, never per block: the first
-    ``kernel="compiled"`` task pays one lazy warmup wrapped in a
-    ``warmup`` recorder span, so the compile cost is visible in the
+    Kernel warmup runs **once per process**, never per block: the first
+    ``kernel="compiled"`` task loads the C engine inside a ``warmup``
+    recorder span, so the load cost is visible in the
     merged trace instead of inflating that task's first compute
     interval.
     """

@@ -91,7 +91,7 @@ def process_result_dict(result) -> dict:
         # Cross-process clock-skew spans clamped during trace merging —
         # nonzero values flag workers whose perf_counter drifted.
         "clamped_records": result.tracer.clamped_records if result.tracer else 0,
-        # One-time JIT compile cost (kernel="compiled"), kept out of the
+        # One-time engine load (kernel="compiled"), kept out of the
         # compute totals by construction; 0.0 on the other kernels.
         "warmup_s": _warmup_seconds(result.tracer),
         # A tier answered inline (workers == 0) swept its one slab in the
@@ -179,7 +179,7 @@ def result_dict(result) -> dict:
 
 
 def _warmup_seconds(tracer) -> float:
-    """Total JIT warmup time recorded across every actor (0.0 without a
+    """Total kernel warmup time recorded across every actor (0.0 without a
     tracer or on kernels that never warm)."""
     if tracer is None:
         return 0.0
@@ -307,7 +307,7 @@ def process_report(result, *, title: str = "process chain run") -> str:
             f"recovery: {result.restarts} restart(s), "
             f"{result.rows_recomputed} rows recomputed from checkpoints"
             if result.restarts else None,
-            f"jit warmup: {humanize_time(warmup_s)} total "
+            f"kernel warmup: {humanize_time(warmup_s)} total "
             "(excluded from compute spans)" if warmup_s > 0 else None))
     breakdown = result.breakdown()
     if breakdown:

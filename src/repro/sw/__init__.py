@@ -8,9 +8,10 @@ Layering (bottom up):
 * :mod:`repro.sw.batched` — batched wavefront kernel + workspace arena +
   profile cache (one stacked sweep per anti-diagonal).
 * :mod:`repro.sw.backend` — kernel registry + capability probing
-  (``--kernel`` resolution, numba detection).
-* :mod:`repro.sw.compiled` — numba-jitted fused row sweeps with the
-  register-carried E-scan (the scalar sweep where numba is absent).
+  (``--kernel`` validation and resolution).
+* :mod:`repro.sw.compiled` — the C row engine (``rowsweep.c``), built
+  on first use and loaded through ctypes (the scalar sweep where it
+  does not build).
 * :mod:`repro.sw.naive` — full-matrix oracle used by the tests.
 * :mod:`repro.sw.blocks` — block grid + single-device blocked executor.
 * :mod:`repro.sw.pruning` — block pruning for similar sequences.
@@ -27,7 +28,7 @@ from .backend import (
     KERNEL_CHOICES,
     KERNELS,
     available_kernels,
-    numba_available,
+    engine_available,
     require_kernel,
     resolve_kernel,
     validate_kernel,
@@ -39,7 +40,7 @@ from .batched import (
     cached_profile,
     sweep_wavefront,
 )
-from .compiled import jit_available, sweep_block_compiled
+from .compiled import sweep_block_compiled
 from .compiled import warmup as compiled_warmup
 from .scan import escan_row, escan_segmented
 from .blocks import BlockSpec, BlockedOutcome, compute_blocked, grid_specs, wavefront_order
@@ -89,11 +90,10 @@ __all__ = [
     "KERNELS",
     "KERNEL_CHOICES",
     "available_kernels",
-    "numba_available",
+    "engine_available",
     "require_kernel",
     "resolve_kernel",
     "validate_kernel",
-    "jit_available",
     "sweep_block_compiled",
     "compiled_warmup",
     "escan_row",

@@ -22,11 +22,10 @@ from ..comm.scoreboard import LocalScoreboard
 from ..errors import ConfigError
 from ..seq.scoring import Scoring
 from .batched import BlockJob, KernelWorkspace, sweep_wavefront, validate_kernel
-from .compiled import sweep_block_compiled
+from .compiled import block_sweeper
 from .config import AlignConfig
 from .constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
-from .kernel import (BestCell, BlockResult, LiveWindow, build_profile,
-                     sweep_block)
+from .kernel import BestCell, BlockResult, LiveWindow, build_profile
 from .pruning import BlockPruner
 from .tiers import SweepTally
 
@@ -180,8 +179,7 @@ class SlabSweep:
         narrow-DP outcome.  A slab row is a single job, so the batched
         kernel has nothing to stack: its rows run on the NumPy row
         engine."""
-        sweep = (sweep_block_compiled if self.kernel == "compiled"
-                 else sweep_block)
+        sweep = block_sweeper(self.kernel)
         return self.count(sweep(a_rows, self.profile, self.h_top, self.f_top,
                                 h_left, e_left, corner, self.scoring,
                                 local=True, dp=self.dp, window=window))

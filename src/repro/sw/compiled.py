@@ -1,300 +1,264 @@
-"""Compiled kernel backend: JIT-fused row sweeps over the Gotoh recurrence.
+"""Compiled kernel backend: the Gotoh row sweep in C, through ctypes.
 
-The NumPy kernels evaluate each DP row as a handful of full-width vector
-ops plus one *sequential* E-scan — the scan is the documented Amdahl
-floor (INTERNALS.md §11) that caps the narrow-dtype win at ~1.15x.
-With numba (``pip install .[compiled]``) this backend removes the
-floor: a single ``@njit`` fused cell loop computes E, F, H and the
-best-cell candidate in one pass — no NumPy temporaries, no per-row
-ufunc launches, and the E dependency is carried in a register, so the
-"scan" costs one ``max`` per cell inside the same loop that already
-touches the cell.  The loop is dtype-generic; numba lazily specialises
-it per DP dtype (int32 / int16), which is where the narrow
-kernels finally cash their byte-ratio win: int16 halves the memory
-traffic *and* no longer funnels through a dtype-insensitive serial
-scan.
+The NumPy row engines pay a dozen ufunc launches per DP row, so a
+narrow row (a pruned window of a few thousand cells) is bound by
+per-row overhead, not by its cells.  This backend sweeps a whole block
+in one native call: ``rowsweep.c``, shipped beside this module, is the
+row engine of :func:`~repro.sw.kernel.sweep_protocol` for
+``kernel="compiled"``, in int16 and int32, with or without a
+:class:`~repro.sw.kernel.LiveWindow`.  Each row is three passes (F, the
+diagonal term and the E-scan input; the serial offset-form prefix max;
+final H, E and the row maximum), so the first and last vectorise
+(INTERNALS.md section 12).
 
-Without numba (or when its compilation fails) ``kernel="compiled"`` is
-the scalar sweep: :func:`sweep_block_compiled` returns
-:func:`repro.sw.kernel.sweep_block` directly, so the library accepts
-the name everywhere and the fallback costs nothing over ``scalar``.
+Build and load.  The library is built on first use with ``$CC`` (else
+``cc``) into a per-user cache, ``$XDG_CACHE_HOME/mgsw`` or
+``~/.cache/mgsw``, else a private directory under
+:func:`tempfile.gettempdir`.  Its file name is keyed by the source, the
+compiler's ``--version`` text, the flags and (for ``-march=native``) the
+host CPU, so a cached library is reused only where it was built for,
+and ends in a digest of the file's own bytes.  A build writes a unique
+temporary file and :func:`os.replace` s it into place, so concurrent
+builders never load half a file.  A load first checks the digest (a
+truncated library can crash the process that maps it), then runs a
+small block through the library and the NumPy engine and keeps the
+library only if they agree; a damaged file is rebuilt once.
+:func:`engine` does all this once per process: the CLI and
+:meth:`~repro.sw.config.AlignConfig.concrete` reach it through
+``resolve_kernel("auto")`` before any worker starts, so workers only
+load the cached file, inside their ``warmup`` span.
+
+Fallback.  With no compiler, or a build or load that fails,
+:func:`engine` is ``None``: ``auto`` resolves to ``scalar``, the CLI
+refuses ``--kernel compiled``, and the library's ``kernel="compiled"``
+is :func:`~repro.sw.kernel.sweep_block` itself.
 
 Exactness contract: ``sweep_block_compiled`` is bit-identical to
-:func:`repro.sw.kernel.sweep_block` for every (dtype, mode, pruning,
-escalation) combination.  Both run one narrow-DP protocol
-(:func:`repro.sw.kernel.sweep_protocol`: entry gate, per-row overflow
-cap, wide recompute) and differ only in the row engine they hand it;
-the jitted engine keeps the same row-major best-cell tie-break.  The
-cross-engine differential suite pins this.
+:func:`repro.sw.kernel.sweep_block` for every (dtype, mode, window,
+escalation) combination.  Both run one narrow-DP protocol and differ
+only in the row engine they hand it; the C engine keeps every value in
+the sweep dtype, with the NumPy engine's wrap-around, and the same
+row-major best-cell tie-break.  The differential suites pin this.
 
-JIT warmup: the first call per compiled specialisation pays the numba
-compile (hundreds of ms).  Engines must call :func:`warmup` once per
-process *before* the first timed block (pool workers do it at spawn or
-inside their first compiled task's tracer ``warmup`` span) so latency
-histograms and GCUPS figures never fold compile time into row 0.
-``MGSW_WARMUP_DELAY=<seconds>`` injects an artificial warmup cost — the
-telemetry tests use it to prove the exclusion holds even where numba
-itself is absent.
+``MGSW_WARMUP_DELAY=<seconds>`` makes :func:`warmup` sleep, so the
+telemetry tests can prove that warmup never lands in a compute span.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import os
+import shlex
+import subprocess
+import tempfile
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from ..seq.scoring import Scoring
-from . import backend
-from .constants import NEG_INF, DpPolicy, get_policy
-from .kernel import (TRIM_ROWS, BestCell, BlockResult, LiveWindow, build_profile,
+from .constants import NEG_INF, DpPolicy
+from .kernel import (TRIM_ROWS, BestCell, BlockResult, LiveWindow, _row_loop,
                      local_boundaries, sweep_block, sweep_protocol)
 
-#: Sentinel cap for wide sweeps: no int32 row maximum can reach it, so
-#: the jitted overflow gate compiles to a dead branch.
-_NO_CAP = np.int64(1) << 62
+#: The engine's source, shipped as package data.
+SOURCE = Path(__file__).with_name("rowsweep.c")
 
-_JIT = None
-_JIT_FAILED = False
-_WARMED: set[str] = set()
+#: Compiler flags.  ``-fwrapv`` gives signed overflow NumPy's wrap-around.
+FLAGS = ("-O3", "-march=native", "-fwrapv", "-fPIC", "-shared")
 
+#: Sentinel cap for wide sweeps: no row maximum can reach it.
+_NO_CAP = 1 << 62
 
-def reset_jit() -> None:
-    """Drop the compiled function and warmup record (test hook — pair
-    with monkeypatching :data:`repro.sw.backend.NUMBA`)."""
-    global _JIT, _JIT_FAILED
-    _JIT = None
-    _JIT_FAILED = False
-    _WARMED.clear()
+_ARRAY = ctypes.c_void_p
+_I64 = ctypes.c_int64
+_ARGTYPES = (_ARRAY, _I64, _ARRAY, _I64, _I64, _ARRAY, _ARRAY, _ARRAY,
+             _ARRAY, _I64, _I64, _I64, _I64, ctypes.c_int, ctypes.c_int,
+             _I64, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _I64)
 
 
-def _get_jit():
-    """The jitted sweep, building it on first use; ``None`` when numba
-    is absent (or its compilation failed — sticky, so a broken install
-    degrades to the scalar sweep once instead of retrying per block)."""
-    global _JIT, _JIT_FAILED
-    if _JIT is not None or _JIT_FAILED:
-        return _JIT
-    nb = backend.NUMBA
-    if nb is None:
-        return None
+class Engine:
+    """The loaded library: one sweep function per DP dtype."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        lib = ctypes.CDLL(str(path))
+        self.sweeps = {np.int16: lib.mgsw_sweep_rows_i16,
+                       np.int32: lib.mgsw_sweep_rows_i32}
+        for fn in self.sweeps.values():
+            fn.argtypes = _ARGTYPES
+            fn.restype = ctypes.c_int
+        self._lib = lib  # keeps the library mapped
+
+
+def _cpu_identity() -> str:
+    """What ``-march=native`` reads of the host CPU."""
     try:
-        _JIT = _build_jit(nb)
-    except Exception:
-        _JIT_FAILED = True
-        _JIT = None
-    return _JIT
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return os.uname().machine
+    keys = ("vendor_id", "model name", "flags", "CPU implementer",
+            "CPU part", "Features")
+    return "\n".join(dict.fromkeys(
+        line for line in text.splitlines() if line.startswith(keys)))
 
 
-def jit_available() -> bool:
-    """Whether ``kernel="compiled"`` runs the JIT path (vs the scalar sweep)."""
-    return _get_jit() is not None
+def library_stem(cc: list[str]) -> str | None:
+    """The cache key of a library built by *cc*, or ``None`` when *cc*
+    cannot report its version (no compiler)."""
+    try:
+        version = subprocess.run([*cc, "--version"], capture_output=True,
+                                 timeout=30, check=True).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    key = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), version, " ".join(FLAGS).encode(),
+                 _cpu_identity().encode()):
+        key.update(part)
+        key.update(b"\0")
+    return f"rowsweep-{key.hexdigest()[:24]}"
 
 
-def _build_jit(nb):
-    """Compile the fused row sweep (lazily specialised per DP dtype)."""
+def cache_dirs() -> list[Path]:
+    """Where the library may be cached, in order of preference: the
+    per-user cache, then a private directory under the temp dir."""
+    dirs = []
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    try:
+        dirs.append((Path(xdg) if xdg else Path.home() / ".cache") / "mgsw")
+    except RuntimeError:  # no home directory
+        pass
+    dirs.append(Path(tempfile.gettempdir()) / f"mgsw-{os.getuid()}")
+    return dirs
 
-    @nb.njit(nogil=True, cache=True)
-    def _sweep_rows(a_codes, prof, h_row, f_row, h_left, e_left, corner,
-                    open_, ext, zero, local, track_best, cap,
-                    h_right, e_right, best_out, win, left_open, dead,
-                    trim_rows):
-        # One fused pass per cell: E carried in a register (the scan is
-        # free), F and the diagonal read from the previous row in place.
-        # h_row/f_row arrive holding the top borders and leave holding
-        # the bottom row.  Returns True when a row maximum reaches cap
-        # (narrow overflow — caller recomputes wide).  With win[0] set,
-        # each row runs over its live window (LiveWindow, the same rule
-        # as the NumPy engine's _window_loop); win[5:8] return the bottom
-        # row's live hull and the cells computed.
-        R = a_codes.shape[0]
-        W = h_row.shape[0]
-        best_s = best_out[0]
-        windowed = win[0] != 0
-        lbest, match = win[1], win[2]
-        rows_left, cols_left = win[3], win[4]
-        wlo, whi = win[5], win[6]   # the row above's live hull
-        dlo, dhi = wlo, whi         # columns holding non-restart values
-        need = 0
-        if windowed:
-            need = -((-lbest) // match) - 1
-        step = np.int64(ext)
-        cells = 0
-        for i in range(R):
-            code = a_codes[i]
-            lo, hi = 0, W
-            if windowed:
-                lo, hi = wlo, whi
-                if lo < hi:
-                    hi = min(W, hi + 1)
-                fresh = 0
-                if rows_left - i >= need:
-                    fresh = min(W, max(0, cols_left - need + 1))
-                if fresh > 0 or left_open[i]:
-                    lo, hi = 0, max(hi, fresh, 1)
-                if lo >= hi:
-                    lo, hi = 0, 0
-            hl = zero               # final H[i, j-1]; starts at the left border
-            e = dead                # E[i, j-1]
-            d = zero                # H[i-1, j-1]
-            if lo == 0:
-                hl = h_left[i]
-                e = e_left[i]
-                d = corner
-            elif lo < hi:
-                d = h_row[lo - 1]
-            row_best = np.int64(-_NO_CAP)
-            row_j = -1
-            for j in range(lo, hi):
-                hp = h_row[j]       # H[i-1, j]
-                a = hl - open_
-                if e < a:
-                    e = a
-                e = e - ext         # E[i, j]
-                b = hp - open_
-                f = f_row[j]
-                if f < b:
-                    f = b
-                f = f - ext         # F[i, j]
-                h = d + prof[code, j]
-                if h < f:
-                    h = f
-                if h < e:
-                    h = e
-                if local and h < zero:
-                    h = zero
-                d = hp
-                h_row[j] = h
-                f_row[j] = f
-                hl = h
-                v = np.int64(h)
-                if v > row_best:
-                    row_best = v
-                    row_j = j
-            if windowed:
-                if lo < hi and hi < W:
-                    # Widen while the E leaving the window stays live.
-                    e_out = np.int64(hl) - open_
-                    if e_out < e:
-                        e_out = np.int64(e)
-                    e_out -= step
-                    spare_r = e_out + match * (rows_left - i) - lbest
-                    spare_c = e_out + match * (cols_left - hi) - lbest
-                    count = 0
-                    if spare_r >= 0 and spare_c >= 0:
-                        count = min(W - hi, spare_r // step + 1,
-                                    spare_c // (step + match) + 1)
-                    for t in range(count):
-                        h_row[hi + t] = e_out - t * step
-                        f_row[hi + t] = dead
-                    if count > 0:
-                        hl = h_row[hi + count - 1]
-                        e = hl
-                        hi += count
-                # Row i-1's values outside [lo, hi) are stale for row i.
-                for j in range(dlo, min(dhi, lo)):
-                    h_row[j] = zero
-                    f_row[j] = dead
-                for j in range(max(dlo, hi), dhi):
-                    h_row[j] = zero
-                    f_row[j] = dead
-                dlo, dhi = lo, hi
-                cells += hi - lo
-            if hi == W:
-                h_right[i] = hl
-                e_right[i] = e
-            else:
-                h_right[i] = zero
-                e_right[i] = dead
-            corner = h_left[i]
-            if row_best >= cap:
-                return True
-            if track_best and row_best > best_s:
-                best_s = row_best
-                best_out[0] = row_best
-                best_out[1] = i
-                best_out[2] = row_j
-            if windowed:
-                if row_best > lbest:
-                    lbest = row_best
-                    need = -((-lbest) // match) - 1
-                if lo < hi and ((i + 1) % trim_rows == 0 or i == R - 1):
-                    # Trim right of the next row's fresh-start prefix.
-                    keep = 0
-                    if rows_left - i > need and cols_left >= need:
-                        keep = min(hi, cols_left - need + 1)
-                    steps = rows_left - i
-                    first, last = -1, -1
-                    for j in range(max(lo, keep), hi):
-                        left = cols_left - j
-                        if left > steps:
-                            left = steps
-                        if np.int64(h_row[j]) + match * left >= lbest:
-                            if first < 0:
-                                first = j
-                            last = j
-                    if keep > lo:
-                        if first >= 0:
-                            hi = last + 1
-                        else:
-                            hi = keep
-                    elif first >= 0:
-                        lo, hi = first, last + 1
-                    else:
-                        lo, hi = 0, 0
-                if lo < hi:
-                    wlo, whi = lo, hi
-                else:
-                    wlo, whi = 0, 0
-        if windowed:
-            # The bottom row's dead cells outside its live hull restart.
-            for j in range(dlo, min(dhi, wlo)):
-                h_row[j] = zero
-                f_row[j] = dead
-            for j in range(max(dlo, whi), dhi):
-                h_row[j] = zero
-                f_row[j] = dead
-            win[5] = wlo
-            win[6] = whi
-            win[7] = cells
+
+def _private(directory: Path) -> bool:
+    """Create *directory* if need be; whether it is ours alone to load
+    code from (owned by this user, writable by no one else)."""
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = directory.stat()
+    except OSError:
         return False
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
 
-    return _sweep_rows
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _run_jit(sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
-             scoring: Scoring, cap: int | None, *, local: bool,
-             track_best: bool,
-             window: LiveWindow | None = None) -> BlockResult | None:
-    """The jitted row engine of :func:`~repro.sw.kernel.sweep_protocol`:
-    one fused sweep in the borders' dtype; ``None`` on overflow."""
+def build(cc: list[str], directory: Path, stem: str) -> Path:
+    """Compile the engine into *directory* as ``<stem>-<digest>.so``,
+    *digest* naming the file's own bytes, and return its path.  The
+    compiler writes a unique temporary file, which then replaces the
+    target, so a reader never sees half a library."""
+    fd, tmp = tempfile.mkstemp(prefix=stem + ".", suffix=".tmp",
+                               dir=directory)
+    os.close(fd)
+    try:
+        subprocess.run([*cc, *FLAGS, "-o", tmp, str(SOURCE.resolve())],
+                       capture_output=True, timeout=300, check=True)
+        target = directory / f"{stem}-{_digest(Path(tmp).read_bytes())}.so"
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _load(path: Path) -> Engine | None:
+    """Load *path* if its bytes still match the digest in its name (a
+    damaged library can crash the process that maps it) and it sweeps
+    as the NumPy engine does; else ``None``."""
+    try:
+        if _digest(path.read_bytes()) != path.stem.rsplit("-", 1)[-1]:
+            return None
+        eng = Engine(path)
+    except (OSError, AttributeError):
+        return None
+    return eng if _self_check(eng) else None
+
+
+def load_or_build() -> Engine | None:
+    """A checked engine from the first cache dir that holds one, else
+    from the first that a fresh build succeeds in; ``None`` when there
+    is no compiler or every attempt fails."""
+    try:
+        cc = shlex.split(os.environ.get("CC") or "cc")
+    except ValueError:  # unbalanced quotes in $CC
+        return None
+    stem = library_stem(cc)
+    if stem is None:
+        return None
+    dirs = [d for d in cache_dirs() if _private(d)]
+    for d in dirs:
+        for path in sorted(d.glob(stem + "-*.so")):
+            eng = _load(path)
+            if eng is not None:
+                return eng
+    for d in dirs:
+        try:
+            eng = _load(build(cc, d, stem))
+        except (OSError, subprocess.SubprocessError):
+            continue
+        if eng is not None:
+            return eng
+    return None
+
+
+@functools.cache
+def engine() -> Engine | None:
+    """This process's engine, loaded (or built) once; ``None`` without
+    one.  ``engine.cache_clear()`` forgets it."""
+    return load_or_build()
+
+
+def _address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def _run_c(eng: Engine, a_codes, profile, h_top, f_top, h_left, e_left,
+           h_diag, scoring: Scoring, cap: int | None, *, local: bool,
+           track_best: bool,
+           window: LiveWindow | None = None) -> BlockResult | None:
+    """The C row engine of :func:`~repro.sw.kernel.sweep_protocol`: one
+    native sweep in the borders' dtype; ``None`` on overflow.  Every
+    array it hands the library is a local here, alive across the call."""
     kind = h_top.dtype.type
-    R = int(a_codes.size)
+    R, W = int(a_codes.size), int(h_top.size)
+    codes = np.ascontiguousarray(a_codes, dtype=np.int64)
+    if codes.min() < 0 or codes.max() >= profile.shape[0]:
+        raise IndexError("a residue code has no profile row")
+    if profile.strides[1] != profile.itemsize or profile.strides[0] < 0:
+        profile = np.ascontiguousarray(profile)
+    h_left = np.ascontiguousarray(h_left)
+    e_left = np.ascontiguousarray(e_left)
     h_right = np.empty(R, dtype=kind)
     e_right = np.empty(R, dtype=kind)
-    best_out = np.empty(3, dtype=np.int64)
-    best_out[0] = 0 if local else NEG_INF   # the NumPy kernels' tie-break base
-    best_out[1] = -1
-    best_out[2] = -1
+    best_out = np.array([0 if local else NEG_INF, -1, -1], dtype=np.int64)
     win = np.zeros(8, dtype=np.int64)
     if window is None:
-        left_open = np.zeros(R, dtype=np.bool_)
+        left_open = np.zeros(R, dtype=np.uint8)
         dead = 0  # unused: every row starts at the left border
     else:
         win[:7] = (1, window.best, window.match, window.rows_left,
                    window.cols_left, window.lo, window.hi)
-        left_open = window.left_open(h_left, e_left, h_diag)
+        left_open = window.left_open(h_left, e_left, h_diag).view(np.uint8)
         dead = window.dead
-    overflow = sweep(
-        np.ascontiguousarray(a_codes, dtype=np.int64),
-        np.ascontiguousarray(profile), h_top, f_top,
-        np.ascontiguousarray(h_left), np.ascontiguousarray(e_left),
-        kind(h_diag), kind(scoring.gap_open), kind(scoring.gap_extend),
-        kind(0), bool(local), bool(track_best),
-        np.int64(cap) if cap is not None else _NO_CAP,
-        h_right, e_right, best_out, win, left_open, kind(dead), TRIM_ROWS)
-    if overflow:
+    rc = eng.sweeps[kind](
+        _address(codes), R, _address(profile),
+        profile.strides[0] // profile.itemsize, W, _address(h_top),
+        _address(f_top), _address(h_left), _address(e_left), int(h_diag),
+        int(scoring.gap_open), int(scoring.gap_extend), int(dead),
+        int(local), int(track_best), _NO_CAP if cap is None else int(cap),
+        _address(h_right), _address(e_right), _address(best_out),
+        _address(win), _address(left_open), TRIM_ROWS)
+    if rc < 0:
+        raise MemoryError("row engine scratch allocation failed")
+    if rc:
         return None
     if best_out[1] >= 0:
         best = BestCell(int(best_out[0]), int(best_out[1]), int(best_out[2]))
@@ -306,6 +270,33 @@ def _run_jit(sweep, a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
     return BlockResult(h_bottom=h_top, f_bottom=f_top, h_right=h_right,
                        e_right=e_right, corner=int(h_top[-1]), best=best,
                        cells=int(win[7]), live=(int(win[5]), int(win[6])))
+
+
+def _self_check(eng: Engine) -> bool:
+    """Whether *eng* sweeps a small block as the NumPy engine does, in
+    both dtypes, with and without a live window."""
+    from ..seq import DNA_DEFAULT
+    from .kernel import build_profile
+
+    a = (np.arange(12) * 7 % 11 % 4).astype(np.uint8)
+    b = np.concatenate([a, a[::-1], a[:8]])
+    profile = build_profile(b, DNA_DEFAULT)
+    for kind in (np.int32, np.int16):
+        for window in (None, LiveWindow(10, 1, 11, 31, 0, 0, dead=-8192)):
+            outs = []
+            for rows in (partial(_run_c, eng), _row_loop):
+                h_top, f_top, h_left, e_left, _ = local_boundaries(12, 32)
+                f_top[:], e_left[:] = -8192, -8192
+                res = rows(a, profile.astype(kind), h_top.astype(kind),
+                           f_top.astype(kind), h_left.astype(kind),
+                           e_left.astype(kind), 0, DNA_DEFAULT, None,
+                           local=True, track_best=True, window=window)
+                outs.append((res.h_bottom.tolist(), res.f_bottom.tolist(),
+                             res.h_right.tolist(), res.e_right.tolist(),
+                             res.best, res.cells, res.live))
+            if outs[0] != outs[1]:
+                return False
+    return True
 
 
 def sweep_block_compiled(
@@ -323,64 +314,43 @@ def sweep_block_compiled(
     dp: DpPolicy | None = None,
     window: LiveWindow | None = None,
 ) -> BlockResult:
-    """:func:`repro.sw.kernel.sweep_block` semantics on the compiled path.
+    """:func:`repro.sw.kernel.sweep_block` semantics on the C engine.
 
     Same contract minus the row sink (the traceback stages that need
-    special rows call the NumPy kernels directly).  The jitted sweep is
-    the row engine of the same :func:`~repro.sw.kernel.sweep_protocol`,
-    so results are bit-identical across every dtype and escalation
-    outcome.  Without a JIT this is ``sweep_block`` itself.
+    special rows call the NumPy kernels directly).  Without an engine
+    this is ``sweep_block`` itself.
     """
-    sweep = _get_jit()
-    if sweep is None:
+    eng = engine()
+    if eng is None:
         return sweep_block(
             a_codes, profile, h_top, f_top, h_left, e_left, h_diag,
             scoring, local=local, track_best=track_best, dp=dp,
             window=window)
     return sweep_protocol(
-        partial(_run_jit, sweep), a_codes, profile, h_top, f_top, h_left,
+        partial(_run_c, eng), a_codes, profile, h_top, f_top, h_left,
         e_left, h_diag, scoring, local=local, track_best=track_best, dp=dp,
         window=window)
 
 
-def warmup(dp_dtypes: tuple[str, ...] = ("int32", "int16"),
-           *, force: bool = False) -> float:
-    """Compile the jitted sweep's dtype specialisations; returns seconds.
+def block_sweeper(kernel: str):
+    """The one-block sweep behind *kernel*: the C engine's for
+    ``compiled``, else the NumPy row engine's (a single block has
+    nothing for ``batched`` to stack)."""
+    return sweep_block_compiled if kernel == "compiled" else sweep_block
 
-    Idempotent per process (per dtype) unless *force*.  Each dtype is
-    warmed through the full ``sweep_block_compiled`` protocol on a tiny
-    block — narrow dtypes compile both their narrow specialisation and
-    the wide escalation target.  A no-op (0.0 s) without numba, except
-    for the ``MGSW_WARMUP_DELAY`` hook: a float number of seconds slept
-    unconditionally so tests can simulate compile cost on any machine.
 
-    Engines call this once per process before the first timed block so
-    compile time lands in an explicit ``warmup`` tracer span instead of
-    polluting ``block_sweep_seconds`` and the ProgressBoard rates.
+def warmup() -> float:
+    """Load the engine once per process; returns seconds.
+
+    Engines call this before their first timed block, inside a
+    ``warmup`` tracer span, so loading (or, without a cached library,
+    building) never lands in ``block_sweep_seconds`` or the
+    ProgressBoard rates.  ``MGSW_WARMUP_DELAY`` adds a sleep of that
+    many seconds, so tests can give warmup a cost on any machine.
     """
     t0 = time.perf_counter()
     delay = float(os.environ.get("MGSW_WARMUP_DELAY", "0") or 0.0)
     if delay > 0:
         time.sleep(delay)
-    if _get_jit() is not None:
-        from ..seq import DNA_DEFAULT
-
-        todo = [n for n in dp_dtypes if force or n not in _WARMED]
-        if todo:
-            n = 8
-            rng = np.random.default_rng(0)
-            a = rng.integers(0, 4, size=n).astype(np.int8)
-            b = rng.integers(0, 4, size=n).astype(np.int8)
-            profile = build_profile(b, DNA_DEFAULT)
-            h_top, f_top, h_left, e_left, corner = local_boundaries(n, n)
-            for name in todo:
-                dp = get_policy(name)
-                sweep_block_compiled(a, profile, h_top, f_top, h_left,
-                                     e_left, corner, DNA_DEFAULT, dp=dp)
-                if dp.narrow:
-                    # Compile the wide escalation target too: hot blocks
-                    # must not pay a mid-run compile on first overflow.
-                    sweep_block_compiled(a, profile, h_top, f_top, h_left,
-                                         e_left, corner, DNA_DEFAULT)
-                _WARMED.add(name)
+    engine()
     return time.perf_counter() - t0

@@ -27,7 +27,7 @@ class AlignConfig:
     Construction refuses a bad field with :class:`ConfigError`."""
 
     block_rows: int = 512
-    kernel: str = "scalar"
+    kernel: str = "auto"
     pruning: bool = True
     mode: str = "exact"
     band_width: int = DEFAULT_BAND_WIDTH

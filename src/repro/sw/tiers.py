@@ -171,7 +171,8 @@ def run_tiers(
     else:
         out = adaptive_banded_score(
             a_codes, b_codes, scoring, config.band_width,
-            max_half_width=MAX_WIDENING * config.band_width)
+            max_half_width=MAX_WIDENING * config.band_width,
+            kernel=config.kernel)
     heur = from_inline(InlineOutcome(out.best, out.cells_computed, started,
                                      time.perf_counter() - started))
     if mode in INLINE_MODES:

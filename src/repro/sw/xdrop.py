@@ -41,7 +41,8 @@ import numpy as np
 from ..errors import ConfigError
 from ..seq.scoring import Scoring
 from .constants import DTYPE, NEG_INF
-from .kernel import BestCell, build_profile, sweep_block
+from .compiled import block_sweeper
+from .kernel import BestCell, build_profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .blocks import BlockSpec
@@ -241,12 +242,14 @@ def adaptive_banded_score(
     block_rows: int = 128,
     max_half_width: int | None = None,
     edge_fraction: float = 0.125,
+    kernel: str = "scalar",
 ) -> BandedOutcome:
     """Best local score within an adaptive diagonal band.
 
     The matrix is swept in stripes of *block_rows* rows.  Each stripe
     computes the column window ``[centre + r0 - hw, centre + r1 - 1 + hw]``
-    (clipped to the matrix) with :func:`~repro.sw.kernel.sweep_block`,
+    (clipped to the matrix) with *kernel*'s block sweep
+    (:func:`~repro.sw.compiled.block_sweeper`),
     chaining the previous stripe's bottom border where the windows
     overlap and *restart borders* (H = 0, gap states -inf — legal local
     lower bounds, exactly :func:`repro.sw.blocks.pruned_border_result`'s
@@ -272,6 +275,7 @@ def adaptive_banded_score(
     cap = full if max_half_width is None else max(int(max_half_width), half_width)
 
     profile = build_profile(b_codes, scoring)
+    sweep = block_sweeper(kernel)
     hw = half_width
     center = 0  # the band is centred on diagonal offset j - i == center
     best = BestCell.none()
@@ -313,7 +317,7 @@ def adaptive_banded_score(
             h_left = np.zeros(rows, dtype=DTYPE)
             e_left = np.full(rows, NEG_INF, dtype=DTYPE)
 
-            result = sweep_block(
+            result = sweep(
                 a_codes[r0:r1], profile[:, c0:c1],
                 h_top, f_top, h_left, e_left, h_diag, scoring, local=True)
             cells += rows * w

@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
 from repro.seq.scoring import DNA_DEFAULT, Scoring
+
+
+def pytest_configure(config):
+    """Build the C row engine into a cache of the session's own, not the
+    user's (subprocesses inherit it through the environment)."""
+    config._mgsw_cache = tempfile.mkdtemp(prefix="mgsw-test-cache-")
+    config._mgsw_saved = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = config._mgsw_cache
+
+
+def pytest_unconfigure(config):
+    saved = getattr(config, "_mgsw_saved", None)
+    if saved is None:
+        os.environ.pop("XDG_CACHE_HOME", None)
+    else:
+        os.environ["XDG_CACHE_HOME"] = saved
+    shutil.rmtree(getattr(config, "_mgsw_cache", ""), ignore_errors=True)
 
 
 @pytest.fixture

@@ -147,7 +147,7 @@ class TestCli:
         for name in set(CONFIG_FIELDS) - {"block_rows"}:
             assert getattr(submit, name) == getattr(AlignConfig, name)
         trace = parser.parse_args(["perf", "trace-export", "a", "b"])
-        assert (trace.block_rows, trace.kernel, trace.pruning) == (512, "scalar", True)
+        assert (trace.block_rows, trace.kernel, trace.pruning) == (512, "auto", True)
         assert (trace.workers, trace.transport, trace.buffer) == (2, "shm", 4)
         serve = parser.parse_args(["serve"])
         assert (serve.workers, serve.transport, serve.buffer,

@@ -1,19 +1,22 @@
-"""Compiled backend unit tests: scan helpers, registry, fallback, warmup.
+"""Compiled backend unit tests: scan helpers, registry, build, engine, warmup.
 
-Four layers, bottom up:
+Five layers, bottom up:
 
 * the shared E-scan helpers are *property-tested* against a
   hand-written sequential reference of Gotoh's horizontal recurrence
   (hypothesis draws the values and dtype);
-* the kernel backend registry: capability probing, the strict
-  (``require_kernel``) vs degrading (``resolve_kernel("auto")``)
-  resolution split, and the numba-absent import shim;
-* ``sweep_block_compiled`` differentially against ``sweep_block`` for
-  every dtype policy, mode, and the forced-escalation path — these run
-  identically with or without numba (without it ``compiled`` is the
-  scalar sweep, and these pin that fallback);
+* the kernel backend registry: the strict (``require_kernel``) vs
+  degrading (``resolve_kernel("auto")``) resolution split, with and
+  without a C compiler;
+* the build of the C engine: concurrent builders, an unwritable cache,
+  a truncated library and ``CC=false`` each end in a checked library or
+  the NumPy fallback, never a crash;
+* the C engine differentially against the NumPy engine through
+  ``sweep_protocol`` (hypothesis draws dtypes, windows, escalations,
+  global sweeps, tie-heavy alphabets and BLOSUM62), and
+  ``sweep_block_compiled`` against ``sweep_block``;
 * the warmup hook: idempotence, the ``MGSW_WARMUP_DELAY`` test injector,
-  and the end-to-end telemetry guarantee that compile time lands in
+  and the end-to-end telemetry guarantee that warmup lands in
   ``warmup`` tracer spans and never in compute spans (the pool engine,
   lazily and at spawn).
 """
@@ -21,22 +24,27 @@ Four layers, bottom up:
 from __future__ import annotations
 
 import importlib
+import os
+import pathlib
+import subprocess
 import sys
-import types
+import tempfile
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import ConfigError
-from repro.seq import DNA_DEFAULT, Scoring
+from repro.seq import BLOSUM62_SCORING, DNA_DEFAULT, Scoring
 from repro.sw import backend, compiled
 from repro.sw.blocks import compute_blocked
 from repro.sw.config import AlignConfig
 from repro.sw.constants import DTYPE, NEG_INF, get_policy
-from repro.sw.kernel import (LiveWindow, build_profile, local_boundaries,
-                             sweep_block)
+from repro.sw.kernel import (LiveWindow, _row_loop, build_profile,
+                             local_boundaries, sweep_block, sweep_protocol)
 from repro.sw.naive import sw_score_naive
 from repro.sw.scan import escan_row, escan_segmented
 from repro.workloads import random_dna
@@ -108,8 +116,41 @@ class TestEscanHelpers:
 
 
 # ---------------------------------------------------------------------------
-# backend registry / capability probing
+# backend registry, and the build: cache, fallback, robustness
 # ---------------------------------------------------------------------------
+
+def _python(code: str, **env) -> subprocess.CompletedProcess:
+    """Run *code* in a fresh interpreter with *env* on top of ours."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
+    return subprocess.run([sys.executable, "-c", code], env=full,
+                          capture_output=True, text=True, timeout=300)
+
+
+#: Prints the loaded engine's file and one swept block's answer.
+_LOAD = """
+import numpy as np
+from repro.seq import DNA_DEFAULT
+from repro.sw import compiled
+from repro.sw.kernel import build_profile, local_boundaries
+eng = compiled.engine()
+a = np.arange(40, dtype=np.uint8) % 4
+res = compiled.sweep_block_compiled(a, build_profile(a, DNA_DEFAULT),
+                                    *local_boundaries(40, 40), DNA_DEFAULT)
+print(eng.path if eng else None, res.best.score, res.h_bottom.sum())
+"""
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """``CC=false`` and an empty cache: no engine in this process."""
+    monkeypatch.setenv("CC", "false")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    compiled.engine.cache_clear()
+    yield
+    compiled.engine.cache_clear()
+
 
 class TestBackendRegistry:
     def test_kernel_universe(self):
@@ -121,73 +162,142 @@ class TestBackendRegistry:
     def test_validate_rejects_unknown(self):
         with pytest.raises(ConfigError, match="unknown kernel"):
             backend.validate_kernel("vectorised")
-        # membership only: compiled passes even where numba is absent
+        # membership only: compiled passes even without the C engine
         assert backend.validate_kernel("compiled") == "compiled"
 
-    def test_without_numba_require_errors_and_auto_degrades(self, monkeypatch):
-        monkeypatch.setattr(backend, "NUMBA", None)
-        compiled.reset_jit()
-        try:
-            assert backend.available_kernels() == ("scalar", "batched")
-            assert not backend.numba_available()
-            with pytest.raises(ConfigError, match="numba"):
-                backend.require_kernel("compiled")
-            assert backend.resolve_kernel("auto") == "scalar"
-            assert AlignConfig(kernel="auto").concrete().kernel == "scalar"
-            assert backend.resolve_kernel("scalar") == "scalar"
-            assert backend.resolve_kernel("batched") == "batched"
-        finally:
-            compiled.reset_jit()
+    def test_without_numba_require_errors_and_auto_degrades(self,
+                                                            no_compiler):
+        """No kernel uses numba any more, and without a C compiler the
+        compiled kernel is unavailable: an explicit pick errors and
+        ``auto`` degrades to scalar."""
+        assert backend.available_kernels() == ("scalar", "batched")
+        assert not backend.engine_available()
+        with pytest.raises(ConfigError, match="C row engine"):
+            backend.require_kernel("compiled")
+        assert backend.resolve_kernel("auto") == "scalar"
+        assert AlignConfig().concrete().kernel == "scalar"
+        assert backend.resolve_kernel("scalar") == "scalar"
+        assert backend.resolve_kernel("batched") == "batched"
 
-    def test_with_numba_auto_prefers_compiled(self, monkeypatch):
-        monkeypatch.setattr(backend, "NUMBA", object())  # fake probe success
-        compiled.reset_jit()
-        try:
-            assert backend.available_kernels() == backend.KERNELS
-            assert backend.require_kernel("compiled") == "compiled"
-            assert backend.resolve_kernel("auto") == "compiled"
-        finally:
-            compiled.reset_jit()
+    def test_with_engine_auto_prefers_compiled(self):
+        assert backend.engine_available(), "no C engine: is cc on PATH?"
+        assert backend.available_kernels() == backend.KERNELS
+        assert backend.require_kernel("compiled") == "compiled"
+        assert backend.resolve_kernel("auto") == "compiled"
+        assert AlignConfig().kernel == "auto"
+        assert AlignConfig().concrete().kernel == "compiled"
 
-    def test_broken_numba_degrades_to_oracle_once(self, monkeypatch, rng):
-        """A numba whose jit build fails must not take the library down:
-        the failure is sticky, ``jit_available()`` answers False, and the
-        sweep transparently runs the scalar sweep."""
-        monkeypatch.setattr(backend, "NUMBA", object())
-        compiled.reset_jit()
+    def test_broken_engine_degrades_to_oracle_once(self, monkeypatch,
+                                                   tmp_path, rng):
+        """A compiler that writes a library which will not load must not
+        take the library down: the failure is remembered for the
+        process (one build attempt per cache dir, not one per block),
+        and the sweep runs the scalar sweep."""
+        log = tmp_path / "calls"
+        fake = tmp_path / "fakecc"
+        fake.write_text("#!/bin/sh\n"
+                        f"echo \"$@\" >> {log}\n"
+                        'for a; do [ "$prev" = -o ] && echo junk > "$a"; '
+                        'prev=$a; done\n')
+        fake.chmod(0o755)
+        monkeypatch.setenv("CC", str(fake))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setenv("TMPDIR", str(tmp_path / "tmp"))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        (tmp_path / "tmp").mkdir()
+        compiled.engine.cache_clear()
         try:
-            assert not compiled.jit_available()
             a = random_codes(rng, 24)
             b = random_codes(rng, 30)
             profile = build_profile(b, DNA_DEFAULT)
-            h_top, f_top, h_left, e_left, corner = local_boundaries(24, 30)
-            got = compiled.sweep_block_compiled(
-                a, profile, h_top, f_top, h_left, e_left, corner, DNA_DEFAULT)
-            want = sweep_block(a, profile, h_top, f_top, h_left, e_left,
-                               corner, DNA_DEFAULT)
-            assert got.best == want.best
-            np.testing.assert_array_equal(got.h_bottom, want.h_bottom)
+            for _ in range(3):
+                got = compiled.sweep_block_compiled(
+                    a, profile, *local_boundaries(24, 30), DNA_DEFAULT)
+                want = sweep_block(a, profile, *local_boundaries(24, 30),
+                                   DNA_DEFAULT)
+                _assert_block_equal(got, want)
+            assert compiled.engine() is None
+            builds = [ln for ln in log.read_text().splitlines()
+                      if "--version" not in ln]
+            assert len(builds) == 2  # the user cache, then the temp dir
         finally:
-            compiled.reset_jit()
+            compiled.engine.cache_clear()
 
     def test_numba_absent_import_shim(self):
-        """Reloading the registry under a poisoned ``sys.modules`` entry
-        (raises on import, exactly like an uninstalled numba) must leave
-        a working degraded registry — and a second clean reload restores
-        whatever this machine actually has."""
+        """The registry never imports numba: with ``import numba``
+        poisoned, a reloaded registry answers exactly as before."""
+        before = backend.available_kernels()
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(sys.modules, "numba", None)  # import raises ImportError
             importlib.reload(backend)
-            assert backend.NUMBA is None
-            assert backend.available_kernels() == ("scalar", "batched")
-            with pytest.raises(ConfigError, match="numba"):
-                backend.require_kernel("compiled")
+            assert backend.available_kernels() == before
+            assert backend.resolve_kernel("auto") == (
+                "compiled" if "compiled" in before else "scalar")
         importlib.reload(backend)
-        compiled.reset_jit()
 
-    def test_mgsw_no_numba_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("MGSW_NO_NUMBA", "1")
-        assert backend._probe_numba() is None
+
+class TestEngineBuild:
+    """Every way the build can go wrong ends in a checked library or the
+    NumPy fallback, never a crash."""
+
+    def test_concurrent_builders_share_one_library(self, tmp_path):
+        env = {"XDG_CACHE_HOME": str(tmp_path)}
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        procs = [subprocess.Popen([sys.executable, "-c", _LOAD],
+                                  env=dict(os.environ, **env),
+                                  stdout=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        outs = [p.communicate(timeout=300)[0].split() for p in procs]
+        assert all(p.returncode == 0 for p in procs)
+        assert outs[0] == outs[1] and outs[0][0] != "None"
+        built = sorted(p.name for p in (tmp_path / "mgsw").iterdir())
+        assert len(built) == 1 and built[0].endswith(".so")  # no temp left
+
+    def test_unwritable_cache_dir_falls_back_to_temp(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")  # mkdir under a file fails, even for root
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        out = _python(_LOAD, XDG_CACHE_HOME=str(blocker), TMPDIR=str(tmp))
+        assert out.returncode == 0, out.stderr
+        path = pathlib.Path(out.stdout.split()[0])
+        assert path.parent == tmp / f"mgsw-{os.getuid()}"
+        assert path.parent.stat().st_mode & 0o777 == 0o700
+
+    def test_truncated_library_is_rebuilt(self, tmp_path):
+        env = dict(XDG_CACHE_HOME=str(tmp_path))
+        first = _python(_LOAD, **env)
+        assert first.returncode == 0, first.stderr
+        lib = pathlib.Path(first.stdout.split()[0])
+        size = lib.stat().st_size
+        with open(lib, "r+b") as fh:
+            fh.truncate(size // 2)
+        again = _python(_LOAD, **env)
+        assert again.returncode == 0, again.stderr
+        assert again.stdout == first.stdout
+        assert lib.stat().st_size == size
+
+    def test_cc_false_degrades_every_front_door(self, no_compiler, tmp_path,
+                                                rng):
+        assert backend.resolve_kernel("auto") == "scalar"
+        a = random_dna(90, rng=rng)
+        b = mutated_copy(rng, a, 0.05)
+        got = compute_blocked(a, b, DNA_DEFAULT, block_rows=32,
+                              block_cols=40, kernel="compiled")
+        want, *_ = sw_score_naive(a, b, DNA_DEFAULT)
+        assert got.best.score == want
+        fa, fb = tmp_path / "a.fa", tmp_path / "b.fa"
+        fa.write_text(">a\nACGTACGTTGCA\n")
+        fb.write_text(">b\nACGTACCTTGCA\n")
+        code = ("import sys; from repro.cli import main; "
+                f"sys.exit(main(['align', {str(fa)!r}, {str(fb)!r}, "
+                "'--kernel', 'compiled']))")
+        out = _python(code)
+        assert out.returncode == 1
+        assert "C row engine" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +353,75 @@ def _assert_windowed_equal(got, want):
     assert want.cells is not None
 
 
+#: Scoring schemes the engine differentials draw: DNA, a match score
+#: that overflows int16 within a few cells, and BLOSUM62.
+HOT = Scoring(match=1500, mismatch=-3, gap_open=3, gap_extend=2)
+SCHEMES = (DNA_DEFAULT, HOT, BLOSUM62_SCORING)
+
+
+@st.composite
+def protocol_blocks(draw, windowed: bool):
+    """One ``sweep_protocol`` call: codes, profile, borders, scoring and
+    keywords.  Blocks are 1-24 rows by 1-48 columns over 2 letters (tie
+    heavy) up to the scheme's alphabet, often with a homologous diagonal;
+    the DP dtype is int32 or int16; a windowed block draws its
+    ``LiveWindow`` (best, hull, rows and columns left) and keeps its top
+    border live inside the hull only; an unwindowed one may be global
+    with arbitrary interior borders."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scoring = draw(st.sampled_from(SCHEMES))
+    rows = draw(st.sampled_from([1, 2, 3, 8, 17, 24]))
+    cols = draw(st.sampled_from([1, 2, 5, 16, 33, 48]))
+    letters = draw(st.sampled_from([2, 4, scoring.matrix.shape[0]]))
+    a = rng.integers(0, letters, rows).astype(np.uint8)
+    b = rng.integers(0, letters, cols).astype(np.uint8)
+    if draw(st.booleans()):
+        k = min(rows, cols)
+        b[:k] = a[:k]
+    unit = scoring.match
+    local = windowed or draw(st.booleans())
+    if local:
+        h_top = rng.integers(0, 30, cols) * unit
+        f_top = rng.integers(-60, 20, cols)
+        h_left = rng.integers(0, 30, rows) * unit * (rng.random(rows) < 0.5)
+        e_left = np.where(rng.random(rows) < 0.5, NEG_INF,
+                          rng.integers(-60, 20, rows))
+        corner = int(rng.integers(0, 30)) * unit
+    else:
+        h_top = rng.integers(-80, 90, cols)
+        f_top = rng.integers(-150, 60, cols)
+        h_left = rng.integers(-80, 90, rows)
+        e_left = rng.integers(-150, 60, rows)
+        corner = int(rng.integers(-80, 90))
+    window = None
+    if windowed:
+        lo = draw(st.integers(0, cols))
+        hi = draw(st.integers(lo, cols))
+        h_top[:lo] = h_top[hi:] = 0
+        f_top[:lo] = f_top[hi:] = NEG_INF
+        window = LiveWindow(best=draw(st.integers(0, 60)) * unit, match=unit,
+                            rows_left=rows - 1 + draw(st.integers(0, 30)),
+                            cols_left=cols - 1 + draw(st.integers(0, 30)),
+                            lo=lo, hi=hi)
+    dp = None
+    if local and draw(st.booleans()):
+        dp = get_policy("int16")
+    borders = [np.asarray(v, dtype=DTYPE) for v in (h_top, f_top, h_left,
+                                                    e_left)]
+    return ((a, build_profile(b, scoring), *borders, corner, scoring),
+            dict(local=local, track_best=True, dp=dp, window=window))
+
+
+def _protocol_pair(args, kwargs):
+    """The block through ``sweep_protocol`` on the C engine and on the
+    NumPy engine (``_row_loop``, ``_window_loop`` with a window)."""
+    eng = compiled.engine()
+    assert eng is not None, "no C engine: is cc on PATH?"
+    got = sweep_protocol(partial(compiled._run_c, eng), *args, **kwargs)
+    want = sweep_protocol(_row_loop, *args, **kwargs)
+    return got, want
+
+
 class TestCompiledSweepDifferential:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -291,64 +470,30 @@ class TestCompiledSweepDifferential:
                            DNA_DEFAULT, local=local)
         _assert_block_equal(got, want)
 
-    def test_jit_row_engine_runs_interpreted(self, monkeypatch, rng):
-        """An ``njit`` that returns the function unchanged runs the jitted
-        row engine as plain Python on any host: its plumbing through the
-        shared narrow-DP protocol (dtypes, owned border copies, the cap,
-        escalation) must match the NumPy engine.  Only CI's numba job
-        runs the real compile."""
-        monkeypatch.setattr(backend, "NUMBA", types.SimpleNamespace(
-            njit=lambda **_: (lambda fn: fn)))
-        compiled.reset_jit()
-        hot = Scoring(match=1500, mismatch=-3, gap_open=3, gap_extend=2)
-        escalated = 0
-        try:
-            assert compiled.jit_available()
-            for scoring in (DNA_DEFAULT, hot):
-                a = random_codes(rng, 24)
-                b = a.copy()  # a 24-match diagonal tops the hot int16 cap
-                profile = build_profile(b, scoring)
-                borders = [local_boundaries(24, 24),
-                           (rng.integers(0, 40, 24).astype(DTYPE),
-                            rng.integers(-90, 30, 24).astype(DTYPE),
-                            rng.integers(0, 40, 24).astype(DTYPE),
-                            rng.integers(-90, 30, 24).astype(DTYPE), 7)]
-                for bounds in borders:
-                    for local, dp in ((True, None), (False, None),
-                                      (True, get_policy("int16"))):
-                        got = compiled.sweep_block_compiled(
-                            a, profile, *bounds, scoring, local=local, dp=dp)
-                        want = sweep_block(a, profile, *bounds, scoring,
-                                           local=local, dp=dp)
-                        _assert_block_equal(got, want)
-                        escalated += want.escalated
-        finally:
-            compiled.reset_jit()
-        assert escalated > 0  # the hot scheme overflowed int16
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(block=protocol_blocks(windowed=False))
+    def test_c_engine_matches_numpy_engine(self, block):
+        """Every field of every result, int16 escalations included."""
+        got, want = _protocol_pair(*block)
+        _assert_block_equal(got, want)
+        assert (got.cells, got.live) == (want.cells, want.live) == (None,
+                                                                    None)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(block=protocol_blocks(windowed=True))
+    def test_windowed_c_engine_matches_numpy_engine(self, block):
+        """The window (open, E widening, stale reset, trim, hull) too."""
+        got, want = _protocol_pair(*block)
+        _assert_windowed_equal(got, want)
 
     def test_windowed_sweep_matches_numpy(self, rng):
-        """A live window through the compiled path: the real JIT where
-        numba imports (the tests-numba job), the scalar sweep here."""
+        """A live window through the compiled path, on the C engine."""
         for args, kwargs in _windowed_cases(rng, 60):
             _assert_windowed_equal(
                 compiled.sweep_block_compiled(*args, **kwargs),
                 sweep_block(*args, **kwargs))
-
-    def test_windowed_jit_runs_interpreted(self, monkeypatch, rng):
-        """The jitted engine's window (open, E widening, stale reset,
-        trim, hull) run as plain Python matches the NumPy engine's bit
-        for bit, escalation included."""
-        monkeypatch.setattr(backend, "NUMBA", types.SimpleNamespace(
-            njit=lambda **_: (lambda fn: fn)))
-        compiled.reset_jit()
-        try:
-            assert compiled.jit_available()
-            for args, kwargs in _windowed_cases(rng, 150):
-                _assert_windowed_equal(
-                    compiled.sweep_block_compiled(*args, **kwargs),
-                    sweep_block(*args, **kwargs))
-        finally:
-            compiled.reset_jit()
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

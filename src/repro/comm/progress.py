@@ -58,8 +58,8 @@ from .shm import ShmSegment
 #: Worker phases, in the order they occur inside one block row.  The
 #: board stores the index; readers translate back through this tuple.
 #: ``compute`` covers a whole block row, its dead cells included.
-#: ``warmup`` marks the one-time per-process JIT compile of
-#: the compiled kernel backend — like ``idle``, no rows are advancing.
+#: ``warmup`` marks the one-time per-process load of the compiled
+#: kernel's C engine — like ``idle``, no rows are advancing.
 PHASES = ("idle", "wait", "compute", "send", "done", "checkpoint", "warmup")
 
 #: Bytes per worker slot: rows_done (int64) + phase (int64) + beat (float64).

@@ -28,8 +28,8 @@ from ..errors import SimulationError
 #: time for work that never ran.  ``checkpoint`` is a worker publishing
 #: its row state into the shared checkpoint area; ``recovery`` is a
 #: supervisor span covering teardown + re-partition + resume after a
-#: worker failure.  ``warmup`` marks one-time per-process setup (JIT
-#: compilation of the compiled kernel backend) that deliberately runs
+#: worker failure.  ``warmup`` marks one-time per-process setup (loading,
+#: or first building, the compiled kernel's C engine) that deliberately runs
 #: *before* the first block so it never pollutes compute spans or
 #: latency histograms.
 KINDS = ("compute", "d2h", "h2d", "wait", "pruned", "checkpoint", "recovery",

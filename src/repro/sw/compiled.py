@@ -59,10 +59,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..seq.scoring import Scoring
+from ..seq.scoring import DNA_DEFAULT, Scoring
 from .constants import NEG_INF, DpPolicy
 from .kernel import (TRIM_ROWS, BestCell, BlockResult, LiveWindow, _row_loop,
-                     local_boundaries, sweep_block, sweep_protocol)
+                     build_profile, local_boundaries, sweep_block,
+                     sweep_protocol)
 
 #: The engine's source, shipped as package data.
 SOURCE = Path(__file__).with_name("rowsweep.c")
@@ -229,6 +230,10 @@ def _run_c(eng: Engine, a_codes, profile, h_top, f_top, h_left, e_left,
     array it hands the library is a local here, alive across the call."""
     kind = h_top.dtype.type
     R, W = int(a_codes.size), int(h_top.size)
+    if {profile.dtype, f_top.dtype, h_left.dtype, e_left.dtype} != {h_top.dtype}:
+        raise TypeError("a row engine sweeps in its borders' one dtype")
+    if not (h_top.flags.c_contiguous and f_top.flags.c_contiguous):
+        raise ValueError("the top borders are swept in place: contiguous only")
     codes = np.ascontiguousarray(a_codes, dtype=np.int64)
     if codes.min() < 0 or codes.max() >= profile.shape[0]:
         raise IndexError("a residue code has no profile row")
@@ -264,20 +269,17 @@ def _run_c(eng: Engine, a_codes, profile, h_top, f_top, h_left, e_left,
         best = BestCell(int(best_out[0]), int(best_out[1]), int(best_out[2]))
     else:
         best = BestCell.none()
-    if window is None:
-        return BlockResult(h_bottom=h_top, f_bottom=f_top, h_right=h_right,
-                           e_right=e_right, corner=int(h_top[-1]), best=best)
+    cells = live = None
+    if window is not None:
+        cells, live = int(win[7]), (int(win[5]), int(win[6]))
     return BlockResult(h_bottom=h_top, f_bottom=f_top, h_right=h_right,
                        e_right=e_right, corner=int(h_top[-1]), best=best,
-                       cells=int(win[7]), live=(int(win[5]), int(win[6])))
+                       cells=cells, live=live)
 
 
 def _self_check(eng: Engine) -> bool:
     """Whether *eng* sweeps a small block as the NumPy engine does, in
     both dtypes, with and without a live window."""
-    from ..seq import DNA_DEFAULT
-    from .kernel import build_profile
-
     a = (np.arange(12) * 7 % 11 % 4).astype(np.uint8)
     b = np.concatenate([a, a[::-1], a[:8]])
     profile = build_profile(b, DNA_DEFAULT)

@@ -301,7 +301,7 @@ class TestEngineBuild:
 
 
 # ---------------------------------------------------------------------------
-# compiled sweep vs scalar kernel (runs with or without numba)
+# compiled sweep vs scalar kernel (the C engine; the scalar sweep without it)
 # ---------------------------------------------------------------------------
 
 def _assert_block_equal(got, want):

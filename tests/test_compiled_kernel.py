@@ -119,12 +119,16 @@ class TestEscanHelpers:
 # backend registry, and the build: cache, fallback, robustness
 # ---------------------------------------------------------------------------
 
+def _env(**extra) -> dict:
+    """Our environment with this checkout on ``PYTHONPATH``, plus *extra*."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra)
+
+
 def _python(code: str, **env) -> subprocess.CompletedProcess:
     """Run *code* in a fresh interpreter with *env* on top of ours."""
-    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    full = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
-    return subprocess.run([sys.executable, "-c", code], env=full,
+    return subprocess.run([sys.executable, "-c", code], env=_env(**env),
                           capture_output=True, text=True, timeout=300)
 
 
@@ -241,17 +245,14 @@ class TestEngineBuild:
     NumPy fallback, never a crash."""
 
     def test_concurrent_builders_share_one_library(self, tmp_path):
-        env = {"XDG_CACHE_HOME": str(tmp_path)}
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        procs = [subprocess.Popen([sys.executable, "-c", _LOAD],
-                                  env=dict(os.environ, **env),
+        """Three builders start on one empty cache at once."""
+        env = _env(XDG_CACHE_HOME=str(tmp_path))
+        procs = [subprocess.Popen([sys.executable, "-c", _LOAD], env=env,
                                   stdout=subprocess.PIPE, text=True)
-                 for _ in range(2)]
+                 for _ in range(3)]
         outs = [p.communicate(timeout=300)[0].split() for p in procs]
         assert all(p.returncode == 0 for p in procs)
-        assert outs[0] == outs[1] and outs[0][0] != "None"
+        assert all(out == outs[0] for out in outs) and outs[0][0] != "None"
         built = sorted(p.name for p in (tmp_path / "mgsw").iterdir())
         assert len(built) == 1 and built[0].endswith(".so")  # no temp left
 

@@ -13,7 +13,7 @@ from repro.seq.scoring import DNA_DEFAULT, Scoring
 
 
 def pytest_configure(config):
-    """Build the C row engine into a cache of the session's own, not the
+    """Build the C row engine into a cache of the test run's own, not the
     user's (subprocesses inherit it through the environment)."""
     config._mgsw_cache = tempfile.mkdtemp(prefix="mgsw-test-cache-")
     config._mgsw_saved = os.environ.get("XDG_CACHE_HOME")

@@ -29,7 +29,7 @@ from ..errors import ConfigError
 from ..obs.instruments import (EngineInstruments, finalize_run_metrics,
                                record_dtype)
 from ..perf.metrics import gcups as _metrics_gcups
-from ..seq.scoring import Scoring
+from ..seq.scoring import Scoring, check_pair
 from ..sw.blocks import BlockedOutcome, compute_blocked
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, resolve_config
@@ -102,6 +102,7 @@ def run_single_gpu(
     a single device has no neighbours).
     """
     cfg = resolve_config(config, **overrides)
+    check_pair(a_codes, b_codes, scoring)
     block_rows, kernel = cfg.block_rows, cfg.kernel
     m, n = int(a_codes.size), int(b_codes.size)
     if block_cols is None:

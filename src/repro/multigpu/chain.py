@@ -39,13 +39,12 @@ from ..device.spec import DeviceSpec
 from ..errors import ConfigError
 from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..perf.metrics import gcups as _metrics_gcups
-from ..seq.scoring import Scoring
-from ..sw.batched import cached_profile
+from ..seq.scoring import Scoring, check_pair
 from ..sw.blocks import SlabSweep
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
-from ..sw.kernel import BestCell
+from ..sw.kernel import BestCell, cached_profile
 from ..sw.tiers import RunResult, SweepTally, run_tiers
 from .partition import Slab, proportional_partition
 
@@ -96,8 +95,7 @@ class MatrixWorkload:
     """Compute-mode workload: real sequences, real DP cells."""
 
     def __init__(self, a_codes: np.ndarray, b_codes: np.ndarray, scoring: Scoring) -> None:
-        if a_codes.size == 0 or b_codes.size == 0:
-            raise ConfigError("sequences must be non-empty")
+        check_pair(a_codes, b_codes, scoring)
         self.a = a_codes
         self.b = b_codes
         self.scoring = scoring

@@ -455,7 +455,7 @@ class WorkerPool:
         if self._broken:
             raise ConfigError("pool is broken by an earlier failure")
         cfg = resolve_config(config, **overrides)
-        check_comparison(a_codes, b_codes, workers=self.workers)
+        check_comparison(a_codes, b_codes, scoring, workers=self.workers)
         if cfg.block_rows > self.max_block_rows:
             raise ConfigError(
                 f"block_rows {cfg.block_rows} exceeds the pool's "

@@ -56,12 +56,11 @@ from ..errors import CommError, ConfigError
 from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..obs.registry import MetricsRegistry
 from ..perf.metrics import gcups as _metrics_gcups
-from ..seq.scoring import Scoring
-from ..sw.batched import cached_profile
+from ..seq.scoring import Scoring, check_pair
 from ..sw.blocks import SlabSweep
 from ..sw.config import CONFIG_FIELDS, AlignConfig, resolve_config
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy
-from ..sw.kernel import BestCell
+from ..sw.kernel import BestCell, cached_profile
 from ..sw.tiers import RunResult, SweepTally
 from .checkpoint import CheckpointArea
 from .partition import Slab
@@ -484,12 +483,11 @@ def checkpoint_history_for(workers: int, capacity: int,
     return max(4, (workers - 1) * per_link + 2)
 
 
-def check_comparison(a_codes: np.ndarray, b_codes: np.ndarray, *,
-                     workers: int) -> None:
-    """Refuse sequences a *workers*-long chain cannot run (the config
-    validated itself on construction)."""
-    if a_codes.size == 0 or b_codes.size == 0:
-        raise ConfigError("sequences must be non-empty")
+def check_comparison(a_codes: np.ndarray, b_codes: np.ndarray,
+                     scoring: Scoring, *, workers: int) -> None:
+    """Refuse a pair *scoring* cannot score, or one a *workers*-long
+    chain cannot run (the config validated itself on construction)."""
+    check_pair(a_codes, b_codes, scoring)
     if b_codes.size < workers:
         raise ConfigError("matrix narrower than the worker count")
 
@@ -556,7 +554,7 @@ def align_multi_process(
     t0 = time.perf_counter()
     cfg = resolve_config(config, **{n: options.pop(n) for n in CONFIG_FIELDS
                                     if n in options})
-    check_comparison(a_codes, b_codes, workers=workers)
+    check_comparison(a_codes, b_codes, scoring, workers=workers)
     # A lazy pool: every remaining check runs before its first sweep
     # spawns the workers, and a tier answered inline spawns none.
     with WorkerPool(workers, weights=weights, max_block_rows=cfg.block_rows,

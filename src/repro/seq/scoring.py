@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ScoringError
+from ..errors import ConfigError, ScoringError
 from . import alphabet
 
 
@@ -95,6 +95,22 @@ def matrix_digest(scoring) -> bytes:
     h = hashlib.blake2b(str(matrix.shape).encode(), digest_size=16)
     h.update(matrix.data)
     return h.digest()
+
+
+def check_pair(a_codes, b_codes, scoring) -> None:
+    """Refuse a pair *scoring* cannot score, before any engine runs it:
+    each side a non-empty 1-D integer array of codes in ``[0,
+    scoring.matrix.shape[0])``.  One min/max pass each, no copy."""
+    letters = scoring.matrix.shape[0]
+    for side, codes in (("a", a_codes), ("b", b_codes)):
+        if not (isinstance(codes, np.ndarray) and codes.ndim == 1
+                and codes.dtype.kind in "iu"):
+            raise ConfigError(f"sequence {side} must be a 1-D integer array")
+        if codes.size == 0:
+            raise ConfigError("sequences must be non-empty")
+        if codes.min() < 0 or codes.max() >= letters:
+            raise ConfigError(f"sequence {side} has a code outside the "
+                              f"scoring's {letters}-letter alphabet")
 
 
 #: The scheme used throughout the paper's system for DNA.

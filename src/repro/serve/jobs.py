@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError, ServeError
-from ..seq.scoring import Scoring, matrix_digest
+from ..seq.scoring import Scoring, check_pair, matrix_digest
 from ..sw.config import AlignConfig
 from ..sw.tiers import BANDED_MODES
 from .scheduler import LANES, FairScheduler
@@ -82,8 +82,7 @@ class JobSpec(AlignConfig):
         if not isinstance(self.use_cache, bool):
             raise ConfigError(
                 f"use_cache must be a bool, got {self.use_cache!r}")
-        if self.a_codes.size == 0 or self.b_codes.size == 0:
-            raise ConfigError("sequences must be non-empty")
+        check_pair(self.a_codes, self.b_codes, self.scoring)
         if not self.tenant:
             raise ConfigError("tenant must be a non-empty string")
         if self.lane_override is not None and self.lane_override not in LANES:

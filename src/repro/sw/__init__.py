@@ -4,9 +4,10 @@ Layering (bottom up):
 
 * :mod:`repro.sw.scan` — the shared E-scan recurrence (one sequential
   prefix-max, two layouts).
-* :mod:`repro.sw.kernel` — the vectorised Gotoh row-sweep ("GPU kernel").
-* :mod:`repro.sw.batched` — batched wavefront kernel + workspace arena +
-  profile cache (one stacked sweep per anti-diagonal).
+* :mod:`repro.sw.kernel` — the vectorised Gotoh row-sweep ("GPU kernel")
+  and its profile cache.
+* :mod:`repro.sw.batched` — batched wavefront kernel + workspace arena
+  (one stacked sweep per anti-diagonal).
 * :mod:`repro.sw.backend` — kernel registry + capability probing
   (``--kernel`` validation and resolution).
 * :mod:`repro.sw.compiled` — the C row engine (``rowsweep.c``), built
@@ -33,13 +34,7 @@ from .backend import (
     resolve_kernel,
     validate_kernel,
 )
-from .batched import (
-    BlockJob,
-    KernelWorkspace,
-    ProfileCache,
-    cached_profile,
-    sweep_wavefront,
-)
+from .batched import BlockJob, KernelWorkspace, sweep_wavefront
 from .compiled import sweep_block_compiled
 from .compiled import warmup as compiled_warmup
 from .scan import escan_row, escan_segmented
@@ -56,7 +51,8 @@ from .constants import (
     validate_dp_dtype,
 )
 from .diagonal import sw_score_diagonal
-from .kernel import BestCell, BlockResult, build_profile, sw_score, sweep_block
+from .kernel import (BestCell, BlockResult, ProfileCache, build_profile,
+                     cached_profile, sw_score, sweep_block)
 from .myers_miller import align_global, global_score
 from .naive import align_naive, full_matrices, sw_score_naive
 from .pruning import BlockPruner

@@ -28,30 +28,22 @@ height ``R`` and stacked along axis 0:
   back out of the stack after the sweep, bit-identical to what ``B``
   scalar :func:`~repro.sw.kernel.sweep_block` calls would produce.
 
-Two allocation amortisers ride along:
-
-* :class:`KernelWorkspace` — a shape-keyed arena of scratch buffers, so
-  repeated sweeps (a blocked executor runs one per anti-diagonal; a chain
-  worker one per block row) stop allocating ~10 fresh arrays each;
-* :class:`ProfileCache` — a small content-keyed LRU over
-  :func:`~repro.sw.kernel.build_profile`, so engines that see the same
-  horizontal sequence repeatedly (the persistent
-  :class:`~repro.multigpu.pool.WorkerPool`, batch campaigns) stop
-  rebuilding the ``(5, W)`` profile per comparison.
+An allocation amortiser rides along: :class:`KernelWorkspace`, a
+shape-keyed arena of scratch buffers, so repeated sweeps (a blocked
+executor runs one per anti-diagonal; a chain worker one per block row)
+stop allocating ~10 fresh arrays each.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..seq.scoring import Scoring, matrix_digest
-from .constants import DTYPE, NEG_INF, DpPolicy, get_policy
+from ..seq.scoring import Scoring
+from .constants import DTYPE, NEG_INF, DpPolicy
 from .kernel import BestCell, BlockResult, build_profile, check_block, narrow_entry_ok
 from .scan import escan_segmented
 
@@ -60,11 +52,6 @@ from .scan import escan_segmented
 #: duration of the call (copy to keep) — the scalar RowSink contract plus
 #: the job index.
 BatchRowSink = Callable[[int, int, np.ndarray, np.ndarray, np.ndarray], None]
-
-# The kernel registry moved to sw/backend.py when the compiled backend
-# landed; re-exported here because every engine historically imported it
-# from this module.
-from .backend import KERNELS, validate_kernel  # noqa: F401
 
 
 class KernelWorkspace:
@@ -126,89 +113,13 @@ class KernelWorkspace:
         self._arena.clear()
 
 
-class ProfileCache:
-    """Content-keyed LRU over :func:`~repro.sw.kernel.build_profile`.
-
-    The key is ``(sequence digest, length, dtype, DP dtype,
-    substitution-matrix digest)`` — a stable identity for the *value* of
-    the sequence, so the pool workers (which receive a fresh copy of
-    their slab per comparison) hit the cache whenever the content
-    repeats.  Digesting costs one linear
-    read of the codes; a build costs five linear writes of int32, so a
-    hit saves ~95% of the profile-construction memory traffic.  Capacity
-    is small by design: profiles are 20 bytes per column and megabase
-    entries are large.
-    """
-
-    def __init__(self, capacity: int = 4) -> None:
-        if capacity <= 0:
-            raise ConfigError("profile cache capacity must be positive")
-        self.capacity = capacity
-        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def key_of(b_codes: np.ndarray, scoring: Scoring,
-               dp_dtype: str = "int32") -> tuple:
-        codes = np.ascontiguousarray(b_codes)
-        digest = hashlib.blake2b(codes.data, digest_size=16).digest()
-        # The profile is columns of the substitution matrix: key on all
-        # of it, whatever scheme (DNA match/mismatch or a protein matrix)
-        # built it.
-        return (digest, codes.size, codes.dtype.str, dp_dtype,
-                matrix_digest(scoring))
-
-    def get(self, b_codes: np.ndarray, scoring: Scoring,
-            dp_dtype: str = "int32") -> np.ndarray:
-        # The DP dtype is part of the key: a cached narrow profile served
-        # to a wide sweep (or vice versa) would silently change element
-        # widths mid-run, so each dtype caches its own entry.
-        key = self.key_of(b_codes, scoring, dp_dtype)
-        profile = self._entries.get(key)
-        if profile is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return profile
-        self.misses += 1
-        profile = build_profile(b_codes, scoring)
-        if dp_dtype != "int32":
-            profile = profile.astype(get_policy(dp_dtype).kind)
-        self._entries[key] = profile
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return profile
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-#: Process-wide default cache used by the engines (each OS process gets
-#: its own copy, so the pool's slab workers each cache their own slab).
-_DEFAULT_PROFILE_CACHE = ProfileCache()
-
-
-def cached_profile(
-    b_codes: np.ndarray, scoring: Scoring, cache: ProfileCache | None = None,
-    dp_dtype: str = "int32",
-) -> np.ndarray:
-    """:func:`~repro.sw.kernel.build_profile` through an LRU (treat the
-    result as read-only — it is shared between callers)."""
-    return (cache or _DEFAULT_PROFILE_CACHE).get(b_codes, scoring, dp_dtype)
-
-
 @dataclass(frozen=True)
 class BlockJob:
     """One block of a wavefront: the exact argument set of
     :func:`~repro.sw.kernel.sweep_block` minus the scoring scheme."""
 
     a_codes: np.ndarray   #: vertical codes for the block's rows (R_k)
-    profile: np.ndarray   #: ``(5, W_k)`` column profile (may be a view)
+    profile: np.ndarray   #: ``(letters, W_k)`` column profile (may be a view)
     h_top: np.ndarray
     f_top: np.ndarray
     h_left: np.ndarray
@@ -345,11 +256,12 @@ def _sweep_stack(
     ext = kind(scoring.gap_extend)
     j_ext = ws.ramp(W, int(scoring.gap_extend), dtype=kind)
     idx_b = np.arange(B, dtype=np.intp)
+    letters = int(scoring.matrix.shape[0])  # profile rows: 5 DNA, 21 protein
 
     # -- stack the inputs (pads: sentinel boundaries, zero profile/codes;
     # narrow mode clips the E/F sentinels to the policy's neg_inf while
     # downcasting — exact for the clipped local recurrence) --------------
-    prof = ws.take("wf.prof", (B, 5, W), dtype=kind)
+    prof = ws.take("wf.prof", (B, letters, W), dtype=kind)
     a_stack = ws.take("wf.a", (B, R), dtype=np.intp)
     h_prev = ws.take("wf.h_prev", (B, W), dtype=kind)
     f_prev = ws.take("wf.f_prev", (B, W), dtype=kind)
@@ -375,8 +287,8 @@ def _sweep_stack(
         h_left[k, rk:] = neg
         e_left[k, rk:] = neg
         corner0[k] = job.h_diag
-    prof2d = prof.reshape(B * 5, W)
-    prof_base = idx_b * 5
+    prof2d = prof.reshape(B * letters, W)
+    prof_base = idx_b * letters
 
     # -- scratch reused across rows (and, via the workspace, sweeps) -----
     sub = ws.take("wf.sub", (B, W), dtype=kind)

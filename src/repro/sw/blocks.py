@@ -21,7 +21,8 @@ import numpy as np
 from ..comm.scoreboard import LocalScoreboard
 from ..errors import ConfigError
 from ..seq.scoring import Scoring
-from .batched import BlockJob, KernelWorkspace, sweep_wavefront, validate_kernel
+from .backend import validate_kernel
+from .batched import BlockJob, KernelWorkspace, sweep_wavefront
 from .compiled import block_sweeper
 from .config import AlignConfig
 from .constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype

@@ -45,6 +45,8 @@ border columns between neighbouring GPUs.
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -52,8 +54,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError
-from ..seq.scoring import Scoring
-from .constants import DTYPE, MAX_SWEEP_WIDTH, NEG_INF, DpPolicy
+from ..seq.scoring import Scoring, matrix_digest
+from .constants import DTYPE, MAX_SWEEP_WIDTH, NEG_INF, DpPolicy, get_policy
 from .scan import escan_row
 
 #: Signature of the optional per-row callback: ``(local_row_index, H, E, F)``
@@ -205,6 +207,82 @@ def build_profile(b_codes: np.ndarray, scoring: Scoring) -> np.ndarray:
     base ``x``; the sweep fetches one contiguous row per DP row.
     """
     return scoring.matrix.take(b_codes.astype(np.intp), axis=1).astype(DTYPE)
+
+
+class ProfileCache:
+    """Content-keyed LRU over :func:`build_profile`.
+
+    The key is ``(sequence digest, length, dtype, DP dtype,
+    substitution-matrix digest)`` — a stable identity for the *value* of
+    the sequence, so the pool workers (which receive a fresh copy of
+    their slab per comparison) hit the cache whenever the content
+    repeats.  Digesting costs one linear
+    read of the codes; a build costs five linear writes of int32, so a
+    hit saves ~95% of the profile-construction memory traffic.  Capacity
+    is small by design: profiles are 20 bytes per column and megabase
+    entries are large.
+    """
+
+    def __init__(self, capacity: int = 4) -> None:
+        if capacity <= 0:
+            raise ConfigError("profile cache capacity must be positive")
+        self.capacity = capacity
+        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    @staticmethod
+    def key_of(b_codes: np.ndarray, scoring: Scoring,
+               dp_dtype: str = "int32") -> tuple:
+        codes = np.ascontiguousarray(b_codes)
+        digest = hashlib.blake2b(codes.data, digest_size=16).digest()
+        # The profile is columns of the substitution matrix: key on all
+        # of it, whatever scheme (DNA match/mismatch or a protein matrix)
+        # built it.
+        return (digest, codes.size, codes.dtype.str, dp_dtype,
+                matrix_digest(scoring))
+
+    def get(self, b_codes: np.ndarray, scoring: Scoring,
+            dp_dtype: str = "int32") -> np.ndarray:
+        # The DP dtype is part of the key: a cached narrow profile served
+        # to a wide sweep (or vice versa) would silently change element
+        # widths mid-run, so each dtype caches its own entry.
+        key = self.key_of(b_codes, scoring, dp_dtype)
+        profile = self._entries.get(key)
+        if profile is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return profile
+        self.misses += 1
+        profile = build_profile(b_codes, scoring)
+        if dp_dtype != "int32":
+            profile = profile.astype(get_policy(dp_dtype).kind)
+        self._entries[key] = profile
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+        return profile
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+#: Process-wide default cache used by the engines (each OS process gets
+#: its own copy, so the pool's slab workers each cache their own slab).
+_DEFAULT_PROFILE_CACHE = ProfileCache()
+
+
+def cached_profile(
+    b_codes: np.ndarray, scoring: Scoring, cache: ProfileCache | None = None,
+    dp_dtype: str = "int32",
+) -> np.ndarray:
+    """:func:`build_profile` through an LRU (treat the
+    result as read-only — it is shared between callers)."""
+    return (cache or _DEFAULT_PROFILE_CACHE).get(b_codes, scoring, dp_dtype)
 
 
 def narrow_entry_ok(

@@ -2,8 +2,8 @@
 
 The shared-memory scoreboard is the piece of distributed pruning that can
 actually go wrong operationally — every *correctness* property (stale
-reads prune less, never wrongly) is covered by the cross-engine
-differential suite, so this file concentrates on the scoreboard contract
+reads prune less, never wrongly) is covered by the oracle harness
+(``test_oracle.py``), so this file concentrates on the scoreboard contract
 itself: monotonic compare-and-raise, slot isolation, spawn-safe pickling,
 segment hygiene, and the lock-free claim that a worker dying mid-publish
 cannot wedge any reader.  The lifecycle shared by every segment kind is

@@ -104,7 +104,8 @@ class TestJobSpec:
         matrix digest plus the gap costs, like a DNA scheme's."""
         from repro.seq.protein import BLOSUM62_SCORING, encode_protein
 
-        a = encode_protein("MKTAYIAKQRQISFVKSHFSRQ")
+        # Codes 0-4 only, so the DNA schemes below can score them too.
+        a = encode_protein("ARNDCRANDCCARDNR")
         protein = JobSpec(a_codes=a, b_codes=a, scoring=BLOSUM62_SCORING)
         key = protein.cache_key()
         assert key == JobSpec(a_codes=a, b_codes=a,

@@ -1,7 +1,7 @@
 """Unit tests: repro.sw.tiers — the one tier front door, over a fake engine.
 
-The engines' own differential suites (``TestHeuristicDifferential``)
-prove every front door gives the same answers; these tests pin the
+The oracle harness (``test_oracle.py``) proves every engine and front
+door gives the same answers; these tests pin the
 dispatch contract itself: which tiers run inline and which call the
 engine's exact sweep, what the result is stamped with, how elapsed time
 is summed, and which events and counters fire.

@@ -7,9 +7,8 @@ row-major tie-break.  This file pins that contract on hand-built wavefronts
 (uniform, ragged, local and global, with row sinks), exercises the
 :class:`~repro.sw.batched.KernelWorkspace` and
 :class:`~repro.sw.kernel.ProfileCache` amortisers, and checks the
-``kernel=`` selector's refusals and the CLI flag.  The block-level
-hypothesis sweep lives in ``test_stress_cross_engine.py``; every engine
-under every kernel is the oracle harness's (``test_oracle.py``).
+``kernel="batched"`` selector end-to-end in every engine and the CLI.
+The randomized hypothesis sweep lives in ``test_stress_cross_engine.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pytest
 
 from helpers import mutated_copy, random_codes, random_scoring
 from repro.errors import ConfigError
-from repro.multigpu import ChainConfig
+from repro.multigpu import ChainConfig, align_multi_gpu, align_multi_process
 from repro.multigpu.pool import WorkerPool
 from repro.seq import DNA_DEFAULT
 from repro.sw import (
@@ -185,14 +184,6 @@ class TestKernelWorkspace:
         for job, got in zip(jobs, results):
             assert_results_equal(got, scalar_reference(job, scoring))
         assert ws.nbytes > 0
-        # compute_blocked hands a caller's workspace to every wavefront
-        a, b = random_codes(rng, 150), random_codes(rng, 190)
-        compute_blocked(a, b, scoring, block_rows=32, block_cols=48,
-                        kernel="batched", workspace=ws)
-        misses = ws.misses
-        compute_blocked(a, b, scoring, block_rows=32, block_cols=48,
-                        kernel="batched", workspace=ws)
-        assert ws.misses == misses
         ws.clear()
         assert len(ws) == 0
 
@@ -260,6 +251,57 @@ class TestKernelSelector:
         with pytest.raises(ConfigError):
             compute_blocked(np.zeros(4, np.uint8), np.zeros(4, np.uint8),
                             DNA_DEFAULT, kernel="simd")
+
+    def test_compute_blocked_batched_equals_scalar(self, rng):
+        scoring = random_scoring(rng)
+        a = random_codes(rng, 150, with_n=True)
+        b = random_codes(rng, 190, with_n=True)
+        ref = compute_blocked(a, b, scoring, block_rows=32, block_cols=48)
+        ws = KernelWorkspace()
+        got = compute_blocked(a, b, scoring, block_rows=32, block_cols=48,
+                              kernel="batched", workspace=ws)
+        assert got.best == ref.best
+        misses = ws.misses
+        again = compute_blocked(a, b, scoring, block_rows=32, block_cols=48,
+                                kernel="batched", workspace=ws)
+        assert again.best == ref.best
+        assert ws.misses == misses  # workspace amortised the second run
+
+    def test_compute_blocked_batched_with_pruning(self, rng):
+        a = random_codes(rng, 300)
+        b = mutated_copy(rng, a, snp_rate=0.03)
+        ref = compute_blocked(a, b, DNA_DEFAULT, block_rows=32, block_cols=32,
+                              pruning=True)
+        got = compute_blocked(a, b, DNA_DEFAULT, block_rows=32, block_cols=32,
+                              pruning=True, kernel="batched")
+        assert got.best == ref.best
+        assert got.tally.blocks_pruned > 0  # the batched schedule still prunes
+
+    def test_chain_batched(self, rng):
+        from repro.device import ENV1_HETEROGENEOUS
+
+        a, b = random_codes(rng, 300), random_codes(rng, 400)
+        runs = [align_multi_gpu(a, b, DNA_DEFAULT, ENV1_HETEROGENEOUS,
+                                config=ChainConfig(block_rows=64, kernel=k))
+                for k in KERNELS]
+        assert runs[0].best == runs[1].best
+        assert runs[1].config.kernel == "batched"
+
+    def test_procchain_batched(self, rng):
+        a, b = random_codes(rng, 200), random_codes(rng, 260)
+        runs = [align_multi_process(a, b, DNA_DEFAULT, workers=2,
+                                    block_rows=64, kernel=k)
+                for k in KERNELS]
+        assert runs[0].best == runs[1].best
+        assert runs[1].kernel == "batched"
+
+    def test_pool_batched(self, rng):
+        a, b = random_codes(rng, 200), random_codes(rng, 260)
+        with WorkerPool(2, max_block_rows=64) as pool:
+            runs = [pool.align(a, b, DNA_DEFAULT, block_rows=64, kernel=k)
+                    for k in KERNELS]
+        assert runs[0].best == runs[1].best
+        assert runs[1].kernel == "batched"
 
     def test_pool_rejects_bad_kernel(self, rng):
         a, b = random_codes(rng, 40), random_codes(rng, 40)

@@ -517,6 +517,35 @@ class TestCompiledSweepDifferential:
         _assert_block_equal(got, want)
         assert want.escalated  # the scheme really does overflow int16
 
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           prune=st.booleans(),
+           dp_dtype=st.sampled_from(["int32", "int16", "auto"]))
+    def test_compute_blocked_matches_scalar(self, seed, prune, dp_dtype):
+        rng = np.random.default_rng(seed)
+        a = random_dna(120, rng=rng)
+        b = mutated_copy(rng, a, 0.04)
+
+        def run(kernel):
+            return compute_blocked(a, b, DNA_DEFAULT, block_rows=32,
+                                   block_cols=48, pruning=prune,
+                                   kernel=kernel, dp_dtype=dp_dtype)
+
+        scalar = run("scalar")
+        comp = run("compiled")
+        assert comp.best == scalar.best
+        # Same rolling-border schedule → identical pruning decisions and
+        # identical narrow/wide accounting, block for block.
+        assert comp.tally.blocks_pruned == scalar.tally.blocks_pruned
+        assert comp.cells_pruned == scalar.cells_pruned
+        assert comp.tally.blocks_narrow == scalar.tally.blocks_narrow
+        assert comp.tally.blocks_wide == scalar.tally.blocks_wide
+        assert (comp.tally.dtype_escalations
+                == scalar.tally.dtype_escalations)
+        assert comp.dp_dtype == scalar.dp_dtype
+
+
 # ---------------------------------------------------------------------------
 # warmup hook + telemetry exclusion
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.seq import DNA_DEFAULT, Scoring, encode
 from repro.sw.batched import BlockJob, KernelWorkspace, sweep_wavefront
+from repro.sw.blocks import compute_blocked
 from repro.sw.constants import (
     DP_DTYPE_CHOICES,
     MAX_SWEEP_WIDTH,
@@ -303,7 +304,24 @@ def test_profile_cache_is_dtype_keyed():
     assert np.array_equal(narrow, wide.astype(np.int16))
 
 
-# -- telemetry ----------------------------------------------------------------
+# -- blocked engine + telemetry ----------------------------------------------
+
+@pytest.mark.parametrize("kernel", ["scalar", "compiled", "batched"])
+def test_compute_blocked_narrow_exact_with_escalation(kernel):
+    rng = np.random.default_rng(31)
+    a = random_codes(rng, 150)
+    b = mutated_copy(rng, a, 0.04)  # similar -> high scores -> escalations
+    wide = compute_blocked(a, b, HOT, block_rows=32, block_cols=32,
+                           kernel=kernel, dp_dtype="int32")
+    got = compute_blocked(a, b, HOT, block_rows=32, block_cols=32,
+                          kernel=kernel, dp_dtype="int16")
+    assert got.best.score == wide.best.score
+    assert (got.best.row, got.best.col) == (wide.best.row, wide.best.col)
+    assert got.dp_dtype == "int16"
+    assert got.tally.blocks_narrow + got.tally.blocks_wide == got.blocks_total
+    assert got.tally.dtype_escalations > 0
+    assert wide.tally.blocks_narrow == wide.tally.blocks_wide == 0
+
 
 def test_metrics_fire_once_per_block_and_stay_absent_wide():
     from repro.baselines.single_gpu import run_single_gpu

@@ -118,6 +118,32 @@ TIE_B = np.array([2, 2, 2, 2, 1, 2, 1, 1, 2, 0, 0, 2, 2, 1, 2, 1, 2, 2, 1, 0,
                   1, 2, 0, 1, 2, 0, 2, 1, 1, 2, 0], dtype=np.uint8)
 
 
+class TestTieKeepsEndCell:
+    """Pruning on reports the end cell of pruning off on a tie, on every
+    engine (the pair and shapes are ones the ``<=`` criterion broke)."""
+
+    @pytest.mark.parametrize("kernel", ["scalar", "compiled", "batched"])
+    def test_compute_blocked(self, kernel):
+        out = compute_blocked(TIE_A, TIE_B, DNA_DEFAULT, block_rows=8,
+                              block_cols=2, pruning=True, kernel=kernel)
+        assert (out.best.score, out.best.row, out.best.col) == (6, 19, 30)
+        assert out.tally.blocks_pruned > 0
+
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    def test_simulated_chain(self, kernel):
+        res = align_multi_gpu(TIE_A, TIE_B, DNA_DEFAULT, [TESLA_M2090] * 6,
+                              config=ChainConfig(block_rows=4, kernel=kernel,
+                                                 pruning=True))
+        assert (res.score, res.best.row, res.best.col) == (6, 19, 30)
+        assert res.blocks_pruned > 0
+
+    def test_process_engine(self):
+        res = align_multi_process(TIE_A, TIE_B, DNA_DEFAULT, workers=6,
+                                  block_rows=4, pruning=True)
+        assert (res.score, res.best.row, res.best.col) == (6, 19, 30)
+        assert res.blocks_pruned > 0
+
+
 class TestValidation:
     @pytest.mark.parametrize("match", [0, -1])
     def test_bad_match_rejected(self, match):
@@ -455,10 +481,34 @@ class TestPruningByDefault:
         real = align_multi_process(TIE_A, TIE_B, DNA_DEFAULT, workers=2,
                                    block_rows=block_rows,
                                    start_method="fork")
-        single = run_single_gpu(TIE_A, TIE_B, DNA_DEFAULT, TESLA_M2090,
-                                block_rows=block_rows, block_cols=2)
-        for res in (sim, real, single):
+        for res in (sim, real):
             assert (res.score, res.best.row, res.best.col) == (6, 19, 30)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        letters=st.integers(min_value=2, max_value=3),
+        m=st.integers(min_value=8, max_value=48),
+        n=st.integers(min_value=8, max_value=48),
+        block_rows=st.integers(min_value=1, max_value=11),
+        workers=st.integers(min_value=1, max_value=3),
+    )
+    def test_tie_heavy_pairs_keep_end_cell(self, seed, letters, m, n,
+                                           block_rows, workers):
+        """Two- or three-letter pairs are full of tying end cells, and
+        every dead cell is a chance to skip the earliest one."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, letters, m).astype(np.uint8)
+        b = rng.integers(0, letters, n).astype(np.uint8)
+        want = sw_score_naive(a, b, DNA_DEFAULT)
+        sim = align_multi_gpu(a, b, DNA_DEFAULT, [TESLA_M2090] * workers,
+                              config=ChainConfig(block_rows=block_rows))
+        real = align_multi_process(a, b, DNA_DEFAULT, workers=workers,
+                                   block_rows=block_rows,
+                                   start_method="fork")
+        for res in (sim, real):
+            assert (res.score, res.best.row, res.best.col) == want
 
     def test_worker_killed_mid_run(self, rng):
         """A recovered run under default pruning, resumed from windowed

@@ -1,14 +1,16 @@
-"""Stress tests: every engine agrees, on a fixed workload and pinned cases.
+"""Stress tests: every engine agrees, on fixed and randomized workloads.
 
 Part one: one moderately large compute-mode comparison (1000 x 1200 with
 indels and an N-run) pushed through ALL six score paths — monolithic
 kernel, blocked executor, pruned blocked executor, simulated multi-GPU
 chain, cluster chain, real-process chain — plus the full traceback.
 
-Part two: the batched wavefront kernel against the scalar block sweep,
-block by block, and the pinned per-engine tier and metrics cases.  The
-randomized differential over configs, pairs, engines and front doors is
-the one oracle harness, ``test_oracle.py``.
+Part two: a hypothesis-driven differential suite that draws the sequences,
+the scoring scheme, the worker count, the block height, AND the slab ratio,
+then demands bit-identical scores and end points from the naive oracle, the
+simulated chain, and the shared-memory process backend.  The oracle
+harness (``test_oracle.py``) checks the same guarantee over whole configs,
+pairs, scoring schemes, engines and front doors.
 """
 
 from __future__ import annotations
@@ -19,30 +21,35 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.single_gpu import run_single_gpu
-from repro.comm import NetworkLink
+from repro.comm import NetworkLink, list_segments
 from repro.device import ENV1_HETEROGENEOUS, TESLA_M2090
 from repro.multigpu import (
     ChainConfig,
     ClusterChain,
     MatrixWorkload,
+    MultiGpuChain,
     Node,
     WorkerPool,
     align_multi_gpu,
     align_multi_process,
 )
+from repro.multigpu.partition import proportional_partition
 from repro.seq import DNA_DEFAULT, Scoring
 from repro.sw import (
     BlockJob,
     align_local,
     build_profile,
     compute_blocked,
+    grid_specs,
     sw_score,
+    sw_score_diagonal,
     sw_score_naive,
     sweep_block,
     sweep_wavefront,
     xdrop_score,
 )
 from repro.sw.constants import DTYPE
+from repro.sw.tiers import MAX_WIDENING
 from repro.workloads import insert_n_runs, mutate, HUMAN_CHIMP, random_dna
 
 
@@ -107,12 +114,73 @@ class TestAllEnginesAgree:
         assert aln.end_j == reference.col + 1
 
 
+class TestDifferentialRandomized:
+    """Hypothesis drives the full configuration space through three engines.
+
+    Every example is one randomized comparison run through (1) the naive
+    full-matrix oracle, (2) the simulated device chain with an explicit
+    proportional partition, and (3) the shared-memory real-process backend
+    with the same slab ratio.  All three must agree bit-exactly on the
+    score and on the end point the traceback would start from.
+    """
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=24, max_value=140),
+        n=st.integers(min_value=36, max_value=180),
+        match=st.integers(min_value=1, max_value=4),
+        mismatch=st.integers(min_value=-4, max_value=0),
+        gap_open=st.integers(min_value=0, max_value=5),
+        gap_extend=st.integers(min_value=1, max_value=3),
+        workers=st.integers(min_value=1, max_value=3),
+        block_rows=st.integers(min_value=5, max_value=64),
+        ratios=st.lists(st.floats(min_value=0.5, max_value=4.0),
+                        min_size=3, max_size=3),
+        homolog=st.booleans(),
+    )
+    def test_three_engines_bit_identical(self, seed, m, n, match, mismatch,
+                                         gap_open, gap_extend, workers,
+                                         block_rows, ratios, homolog):
+        rng = np.random.default_rng(seed)
+        a = random_dna(m, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng) if homolog else random_dna(n, rng=rng)
+        b = b[:n] if b.size >= n else np.concatenate(
+            [b, random_dna(n - b.size, rng=rng)])
+        scoring = Scoring(match=match, mismatch=mismatch,
+                          gap_open=gap_open, gap_extend=gap_extend)
+        weights = ratios[:workers]
+        partition = proportional_partition(n, weights)
+
+        want, wi, wj = sw_score_naive(a, b, scoring)
+
+        sim = MultiGpuChain([TESLA_M2090] * workers,
+                            config=ChainConfig(block_rows=block_rows),
+                            partition=partition).run(
+            MatrixWorkload(a, b, scoring))
+        assert sim.score == want
+
+        real = align_multi_process(a, b, scoring, workers=workers,
+                                   block_rows=block_rows, transport="shm",
+                                   weights=weights)
+        assert real.score == want
+        assert [s.cols for s in real.partition] == [s.cols for s in partition]
+
+        if want > 0:
+            assert (sim.best.row, sim.best.col) == (wi, wj)
+            assert (real.best.row, real.best.col) == (wi, wj)
+
+
 class TestBatchedKernelDifferential:
-    """Hypothesis drives the batched wavefront kernel against the scalar one
-    at block level: a random wavefront of ragged blocks with random
-    boundary state, ``sweep_wavefront`` vs per-job ``sweep_block``,
+    """Hypothesis drives the batched wavefront kernel against the scalar one.
+
+    Two levels: (1) block level — a random wavefront of ragged blocks with
+    random boundary state, ``sweep_wavefront`` vs per-job ``sweep_block``,
     bit-exact on every border, corner, and best cell, in local AND global
-    mode.  The matrix level is the oracle harness's (``test_oracle.py``).
+    mode; (2) matrix level — ``compute_blocked(kernel="batched")`` (with
+    and without pruning) vs the scalar executor AND the independent
+    anti-diagonal oracle ``sw_score_diagonal``.
     """
 
     @settings(max_examples=12, deadline=None,
@@ -160,6 +228,146 @@ class TestBatchedKernelDifferential:
             assert got.corner == want.corner
             assert got.best == want.best
 
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=3, max_value=130),
+        n=st.integers(min_value=3, max_value=170),
+        block_rows=st.integers(min_value=1, max_value=48),
+        block_cols=st.integers(min_value=1, max_value=48),
+        match=st.integers(min_value=1, max_value=4),
+        mismatch=st.integers(min_value=-4, max_value=0),
+        gap_open=st.integers(min_value=0, max_value=5),
+        gap_extend=st.integers(min_value=1, max_value=3),
+        homolog=st.booleans(),
+        prune=st.booleans(),
+    )
+    def test_blocked_executor_bit_identical(self, seed, m, n, block_rows,
+                                            block_cols, match, mismatch,
+                                            gap_open, gap_extend, homolog,
+                                            prune):
+        rng = np.random.default_rng(seed)
+        a = random_dna(m, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng) if homolog else random_dna(n, rng=rng)
+        b = b[:n] if b.size >= n else np.concatenate(
+            [b, random_dna(n - b.size, rng=rng)])
+        scoring = Scoring(match=match, mismatch=mismatch,
+                          gap_open=gap_open, gap_extend=gap_extend)
+
+        def run(kernel, pruned):
+            return compute_blocked(a, b, scoring, block_rows=block_rows,
+                                   block_cols=block_cols, pruning=pruned,
+                                   kernel=kernel)
+
+        oracle = sw_score_diagonal(a, b, scoring)
+        scalar = run("scalar", prune)
+        batched = run("batched", prune)
+        assert batched.best == scalar.best
+        if oracle.score > 0:
+            assert batched.best == oracle
+        else:
+            assert batched.best.row == -1  # no positive cell anywhere
+
+
+class TestDistributedPruningDifferential:
+    """Hypothesis proves distributed pruning is a pure optimisation.
+
+    High-similarity mutated self-comparisons (the workload pruning is for)
+    run with pruning on and off through the simulated chain and the
+    real-process backend, under both block kernels.  Every combination
+    must report the bit-identical score AND end cell; the end cell is
+    further cross-checked against the full traceback pipeline
+    (``align_local``), so a pruning bug that shifted the optimum's
+    endpoint — and thus every stage-2/3 special row downstream — cannot
+    hide behind a coincidentally equal score.
+    """
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=80, max_value=200),
+        workers=st.integers(min_value=1, max_value=3),
+        block_rows=st.integers(min_value=8, max_value=48),
+        kernel=st.sampled_from(["scalar", "batched"]),
+    )
+    def test_pruning_on_equals_off(self, seed, m, workers, block_rows, kernel):
+        rng = np.random.default_rng(seed)
+        a = random_dna(m, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        n = int(b.size)
+        scoring = DNA_DEFAULT
+
+        ref = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=block_rows, kernel=kernel,
+                               pruning=False))
+
+        sim = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=block_rows, kernel=kernel,
+                               pruning=True))
+        assert sim.score == ref.score
+        assert (sim.best.row, sim.best.col) == (ref.best.row, ref.best.col)
+        assert sim.blocks_checked > 0
+
+        real_off = align_multi_process(a, b, scoring, workers=min(workers, n),
+                                       block_rows=block_rows, kernel=kernel,
+                                       pruning=False)
+        real_on = align_multi_process(a, b, scoring, workers=min(workers, n),
+                                      block_rows=block_rows, kernel=kernel,
+                                      pruning=True)
+        assert real_off.score == ref.score
+        assert real_on.score == ref.score
+        assert (real_on.best.row, real_on.best.col) == \
+            (ref.best.row, ref.best.col)
+        assert real_on.blocks_checked > 0
+        assert not real_off.pruning and real_off.blocks_checked == 0
+
+        # Traceback cross-check: the endpoint every engine agreed on is the
+        # one the stage-2/3 pipeline actually walks back from.
+        if ref.score > 0:
+            aln = align_local(a, b, scoring)
+            assert aln.score == ref.score
+            assert (aln.end_i - 1, aln.end_j - 1) == \
+                (ref.best.row, ref.best.col)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        letters=st.integers(min_value=2, max_value=3),
+        m=st.integers(min_value=8, max_value=48),
+        n=st.integers(min_value=8, max_value=48),
+        block_rows=st.integers(min_value=1, max_value=11),
+        block_cols=st.integers(min_value=1, max_value=11),
+        workers=st.integers(min_value=1, max_value=3),
+    )
+    def test_tie_heavy_pruning_keeps_end_cell(self, seed, letters, m, n,
+                                              block_rows, block_cols,
+                                              workers):
+        """Two- or three-letter sequences are full of equal-scoring end
+        cells, and tiny blocks give pruning many chances to skip the
+        earliest one; every engine must still report the oracle's."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, letters, m).astype(np.uint8)
+        b = rng.integers(0, letters, n).astype(np.uint8)
+        want = sw_score_naive(a, b, DNA_DEFAULT)
+        for kernel in ("scalar", "compiled", "batched"):
+            out = compute_blocked(a, b, DNA_DEFAULT, block_rows=block_rows,
+                                  block_cols=block_cols, pruning=True,
+                                  kernel=kernel)
+            assert (max(out.best.score, 0), out.best.row,
+                    out.best.col) == want
+        sim = align_multi_gpu(
+            a, b, DNA_DEFAULT, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=block_rows, pruning=True))
+        real = align_multi_process(a, b, DNA_DEFAULT, workers=workers,
+                                   block_rows=block_rows, pruning=True)
+        for res in (sim, real):
+            assert (res.score, res.best.row, res.best.col) == want
+
 
 def _counter_total(registry, name: str) -> float:
     fam = registry.snapshot()["counters"].get(name)
@@ -188,16 +396,81 @@ def _front_doors(a, b, **tiers):
 
 
 class TestHeuristicDifferential:
-    """The tier contract's pinned cases on every engine.
+    """The ``mode="auto"`` contract, differentially, across engines.
 
-    The randomized draws (heuristics never beat exact, auto on a similar
-    pair answers exactly from the band, an escalated answer is exact) are
-    the oracle harness's P1-P3.  These cases pin what it does not check:
-    the tier taken, as the metrics registry records it
-    (``heuristic_hits`` / ``escalations``, each exactly once), the inline
-    band's swept blocks, band and pruning together, and one
-    ``dtype_escalation`` rule.
+    On similar pairs (the <= 5%-divergence traffic the heuristic tier is
+    for) auto must return the bit-exact score of the exact engines while
+    answering from the banded tier; on divergent pairs the confidence
+    check must force an escalation and the final answer must again equal
+    exact.  The tier taken is asserted through the metrics registry
+    (``heuristic_hits`` / ``escalations``), not just the result fields,
+    so the reporting path is pinned too.
     """
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=100, max_value=220),
+        workers=st.integers(min_value=1, max_value=3),
+        block_rows=st.integers(min_value=16, max_value=64),
+        kernel=st.sampled_from(["scalar", "batched"]),
+    )
+    def test_auto_matches_exact_on_similar_pairs(self, seed, m, workers,
+                                                 block_rows, kernel):
+        rng = np.random.default_rng(seed)
+        a = random_dna(m, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        scoring = DNA_DEFAULT
+        want, wi, wj = sw_score_naive(a, b, scoring)
+
+        sim = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=block_rows, kernel=kernel,
+                               mode="auto"))
+        assert sim.score == want
+        assert sim.mode == "auto" and not sim.escalated
+        assert sim.tier == "banded"
+        assert (sim.best.row, sim.best.col) == (wi, wj)
+
+        real = align_multi_process(
+            a, b, scoring, workers=min(workers, int(b.size)),
+            block_rows=block_rows, kernel=kernel, mode="auto")
+        assert real.score == want
+        assert not real.escalated and real.tier == "banded"
+
+        single = run_single_gpu(a, b, scoring, TESLA_M2090,
+                                block_rows=block_rows, mode="auto")
+        assert single.score == want
+        assert not single.escalated
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        workers=st.integers(min_value=1, max_value=3),
+        kernel=st.sampled_from(["scalar", "batched"]),
+    )
+    def test_divergent_pair_escalates_to_exact(self, seed, workers, kernel):
+        """Unrelated sequences produce an insignificant heuristic score:
+        auto must escalate, and the escalated answer must equal the exact
+        engines bit-for-bit."""
+        rng = np.random.default_rng(seed)
+        a = random_dna(300, rng=rng)
+        b = random_dna(300, rng=rng)
+        scoring = DNA_DEFAULT
+        want, *_ = sw_score_naive(a, b, scoring)
+
+        sim = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=64, kernel=kernel, mode="auto"))
+        assert sim.escalated and sim.tier == "exact"
+        assert sim.score == want
+
+        real = align_multi_process(a, b, scoring, workers=workers,
+                                   block_rows=64, kernel=kernel, mode="auto")
+        assert real.escalated and real.tier == "exact"
+        assert real.score == want
 
     def test_heuristic_hit_recorded_once(self, rng):
         """A similar-pair auto run answers from the heuristic tier:
@@ -344,3 +617,299 @@ class TestHeuristicDifferential:
             assert res.escalated and res.dtype_escalations > 0
         assert sim.score == real.score == pooled.score
         assert counts[0] >= 1 and counts == [counts[0]] * 3, counts
+
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=120, max_value=320),
+        band_width=st.integers(min_value=4, max_value=64),
+        divergent=st.booleans(),
+    )
+    def test_inline_band_through_every_front_door(self, seed, m, band_width,
+                                                  divergent):
+        """The band runs inline on every engine.  ``banded`` and ``auto``
+        never beat the naive oracle; ``auto`` on a low-divergence pair
+        equals exact from the band with no worker spawned; a divergent
+        pair escalates to the exact answer; and the band's swept cells
+        stay inside its widening cap.  Each final stripe is at most
+        ``2 * cap + 128`` columns wide (``cap = MAX_WIDENING *
+        band_width``, 128-row stripes), and each of the at most
+        ``log2(MAX_WIDENING)`` widenings re-sweeps one stripe that was
+        at most ``cap + 128`` wide."""
+        from repro.obs import EventJournal, MetricsRegistry
+
+        rng = np.random.default_rng(seed)
+        a = random_dna(m, rng=rng)
+        b = (random_dna(m, rng=rng) if divergent
+             else mutate(a, HUMAN_CHIMP, rng=rng))
+        want = sw_score_naive(a, b, DNA_DEFAULT)
+        cap = MAX_WIDENING * band_width
+        widenings = MAX_WIDENING.bit_length() - 1
+        max_cells = m * (2 * cap + 1 + 128) + widenings * 128 * (cap + 128)
+        tiers = dict(band_width=band_width, block_rows=64)
+
+        def pooled(mode, reg, journal):
+            with WorkerPool(2, max_block_rows=64) as pool:
+                return pool.align(a, b, DNA_DEFAULT, mode=mode, metrics=reg,
+                                  **tiers)
+
+        doors = {
+            "single": lambda mode, reg, journal: run_single_gpu(
+                a, b, DNA_DEFAULT, TESLA_M2090, mode=mode, metrics=reg,
+                **tiers),
+            "sim": lambda mode, reg, journal: align_multi_gpu(
+                a, b, DNA_DEFAULT, [TESLA_M2090] * 2,
+                config=ChainConfig(mode=mode, **tiers), metrics=reg,
+                events=journal),
+            "process": lambda mode, reg, journal: align_multi_process(
+                a, b, DNA_DEFAULT, workers=2, mode=mode, metrics=reg,
+                events=journal, **tiers),
+            "pool": pooled,
+        }
+        segments = list_segments()
+        for mode in ("banded", "auto"):
+            for name, run in doors.items():
+                reg, journal = MetricsRegistry(), EventJournal()
+                res = run(mode, reg, journal)
+                got = (res.score, res.best.row, res.best.col)
+                assert res.score <= want[0], (name, mode)
+                if mode == "banded":
+                    assert res.tier == "banded", name
+                    assert 0 < _counter_total(reg, "cells_computed") \
+                        <= max_cells, name
+                elif divergent:
+                    assert res.escalated and res.tier == "exact", name
+                    assert got == want, name
+                else:
+                    assert not res.escalated and res.tier == "banded", name
+                    assert got == want, name
+                    assert journal.count("worker_spawn") == 0, name
+                    assert getattr(res, "workers", 0) == 0, name
+        assert list_segments() == segments
+
+
+class TestDpDtypeDifferential:
+    """Narrow DP dtypes are bit-identical to int32 across every engine.
+
+    The same drawn workload runs through the simulated chain, the
+    real-process chain, and the persistent worker pool under both block
+    kernels, once wide and once narrow; scores AND end cells must match
+    exactly.  A second suite repeats the exercise with a hot scoring
+    scheme that forces mid-sweep escalations, so the recompute path is
+    held to the same standard — and the escalations are visible in the
+    engine counters.
+    """
+
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=80, max_value=180),
+        workers=st.integers(min_value=1, max_value=3),
+        block_rows=st.integers(min_value=8, max_value=48),
+        kernel=st.sampled_from(["scalar", "batched"]),
+        dtype=st.sampled_from(["int16", "auto"]),
+    )
+    def test_narrow_matches_wide_across_engines(self, seed, m, workers,
+                                                block_rows, kernel, dtype):
+        rng = np.random.default_rng(seed)
+        a = random_dna(m, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        scoring = DNA_DEFAULT
+
+        ref = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=block_rows, kernel=kernel,
+                               dp_dtype="int32"))
+        assert ref.dp_dtype == "int32"
+
+        sim = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=block_rows, kernel=kernel,
+                               dp_dtype=dtype))
+        assert sim.score == ref.score
+        assert (sim.best.row, sim.best.col) == (ref.best.row, ref.best.col)
+        assert sim.dp_dtype != "int32"  # small matrices always fit narrow
+        assert sim.blocks_narrow > 0 and sim.dtype_escalations == 0
+
+        real = align_multi_process(a, b, scoring, workers=workers,
+                                   block_rows=block_rows, kernel=kernel,
+                                   dp_dtype=dtype)
+        assert real.score == ref.score
+        assert (real.best.row, real.best.col) == (ref.best.row, ref.best.col)
+        assert real.dp_dtype == sim.dp_dtype
+
+        with WorkerPool(workers, max_block_rows=max(block_rows, 8)) as pool:
+            pooled = pool.align(a, b, scoring, block_rows=block_rows,
+                                kernel=kernel, dp_dtype=dtype)
+        assert pooled.score == ref.score
+        assert (pooled.best.row, pooled.best.col) == \
+            (ref.best.row, ref.best.col)
+
+    @settings(max_examples=3, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        workers=st.integers(min_value=1, max_value=2),
+        kernel=st.sampled_from(["scalar", "batched"]),
+    )
+    def test_forced_escalation_stays_exact(self, seed, workers, kernel):
+        # per-cell gain 1500 overwhelms the int16 overflow cap on any
+        # decent diagonal run, so narrow attempts must escalate mid-run
+        hot = Scoring(match=1500, mismatch=-3, gap_open=3, gap_extend=2)
+        rng = np.random.default_rng(seed)
+        a = random_dna(160, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+
+        ref = align_multi_gpu(
+            a, b, hot, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=32, kernel=kernel,
+                               dp_dtype="int32"))
+        sim = align_multi_gpu(
+            a, b, hot, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=32, kernel=kernel,
+                               dp_dtype="int16"))
+        assert sim.score == ref.score
+        assert (sim.best.row, sim.best.col) == (ref.best.row, ref.best.col)
+        assert sim.dtype_escalations > 0
+        # every computed block is accounted narrow or wide, never both
+        assert sim.blocks_narrow + sim.blocks_wide == \
+            sum(g.tally.blocks_narrow + g.tally.blocks_wide for g in sim.gpus) > 0
+
+        real = align_multi_process(a, b, hot, workers=workers,
+                                   block_rows=32, kernel=kernel,
+                                   dp_dtype="int16")
+        assert real.score == ref.score
+        assert real.dtype_escalations > 0
+
+
+class TestCompiledDifferential:
+    """The compiled backend agrees bit-exactly with the scalar kernel on
+    every engine, in every mode, under every DP dtype — including the
+    pruned and forced-escalation paths.
+
+    They run the C row engine wherever it builds (every CI leg); without
+    a C compiler ``compiled`` is the scalar sweep itself.  Either way
+    the contract is identical:
+    ``kernel="compiled"`` may only change *when* a cell is computed,
+    never *what* it evaluates to.
+    """
+
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=80, max_value=180),
+        workers=st.integers(min_value=1, max_value=3),
+        block_rows=st.integers(min_value=8, max_value=48),
+        dtype=st.sampled_from(["int32", "int16", "auto"]),
+        prune=st.booleans(),
+    )
+    def test_compiled_matches_scalar_across_engines(self, seed, m, workers,
+                                                    block_rows, dtype, prune):
+        rng = np.random.default_rng(seed)
+        a = random_dna(m, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        scoring = DNA_DEFAULT
+
+        ref = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=block_rows, kernel="scalar",
+                               pruning=prune, dp_dtype=dtype))
+
+        sim = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=block_rows, kernel="compiled",
+                               pruning=prune, dp_dtype=dtype))
+        assert sim.score == ref.score
+        assert (sim.best.row, sim.best.col) == (ref.best.row, ref.best.col)
+        assert sim.dp_dtype == ref.dp_dtype
+        assert sim.blocks_narrow == ref.blocks_narrow
+        assert sim.dtype_escalations == ref.dtype_escalations
+
+        real = align_multi_process(a, b, scoring, workers=workers,
+                                   block_rows=block_rows, kernel="compiled",
+                                   pruning=prune, dp_dtype=dtype)
+        assert real.score == ref.score
+        assert (real.best.row, real.best.col) == (ref.best.row, ref.best.col)
+        assert real.dp_dtype == ref.dp_dtype
+
+        single = run_single_gpu(a, b, scoring, TESLA_M2090,
+                                block_rows=block_rows, kernel="compiled",
+                                dp_dtype=dtype)
+        assert single.score == ref.score
+        assert (single.best.row, single.best.col) == \
+            (ref.best.row, ref.best.col)
+        assert single.kernel == "compiled"
+
+        with WorkerPool(workers, max_block_rows=max(block_rows, 8)) as pool:
+            pooled = pool.align(a, b, scoring, block_rows=block_rows,
+                                kernel="compiled", pruning=prune,
+                                dp_dtype=dtype)
+        assert pooled.score == ref.score
+        assert (pooled.best.row, pooled.best.col) == \
+            (ref.best.row, ref.best.col)
+
+    @settings(max_examples=3, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        workers=st.integers(min_value=1, max_value=2),
+        mode=st.sampled_from(["banded", "auto"]),
+    )
+    def test_compiled_heuristic_modes_match_scalar(self, seed, workers, mode):
+        rng = np.random.default_rng(seed)
+        a = random_dna(160, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+        scoring = DNA_DEFAULT
+
+        ref = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=32, kernel="scalar", mode=mode))
+        sim = align_multi_gpu(
+            a, b, scoring, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=32, kernel="compiled", mode=mode))
+        assert sim.score == ref.score
+        assert sim.tier == ref.tier and sim.escalated == ref.escalated
+
+        real = align_multi_process(a, b, scoring, workers=workers,
+                                   block_rows=32, kernel="compiled",
+                                   mode=mode)
+        assert real.score == ref.score
+        assert real.tier == ref.tier
+
+    @settings(max_examples=3, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        workers=st.integers(min_value=1, max_value=2),
+    )
+    def test_compiled_forced_escalation_stays_exact(self, seed, workers):
+        # per-cell gain 1500 overwhelms the int16 cap mid-run: the
+        # compiled kernel must take the same escalations as scalar and
+        # land on the same bits.
+        hot = Scoring(match=1500, mismatch=-3, gap_open=3, gap_extend=2)
+        rng = np.random.default_rng(seed)
+        a = random_dna(160, rng=rng)
+        b = mutate(a, HUMAN_CHIMP, rng=rng)
+
+        ref = align_multi_gpu(
+            a, b, hot, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=32, kernel="scalar",
+                               dp_dtype="int16"))
+        sim = align_multi_gpu(
+            a, b, hot, [TESLA_M2090] * workers,
+            config=ChainConfig(block_rows=32, kernel="compiled",
+                               dp_dtype="int16"))
+        assert sim.score == ref.score
+        assert (sim.best.row, sim.best.col) == (ref.best.row, ref.best.col)
+        assert sim.dtype_escalations == ref.dtype_escalations > 0
+        assert sim.blocks_narrow == ref.blocks_narrow
+        assert sim.blocks_wide == ref.blocks_wide
+
+        real = align_multi_process(a, b, hot, workers=workers,
+                                   block_rows=32, kernel="compiled",
+                                   dp_dtype="int16")
+        assert real.score == ref.score
+        assert real.dtype_escalations > 0

@@ -305,3 +305,22 @@ class TestConfidenceCheck:
     def test_no_positive_cell_escalates(self):
         decision = assess_heuristic(BestCell.none(), 1000, 1000, DNA_DEFAULT)
         assert not decision.confident
+
+
+class TestHeuristicNeverExceedsExactRandomised:
+    def test_all_tiers_bounded_by_oracle(self, rng):
+        """One randomised sweep across both heuristics and many shapes,
+        schemes and thresholds — the differential guarantee in one place."""
+        for _ in range(60):
+            m = int(rng.integers(1, 60))
+            n = int(rng.integers(1, 60))
+            a = random_codes(rng, m, with_n=True)
+            b = random_codes(rng, n, with_n=True)
+            sc = random_scoring(rng)
+            want, *_ = sw_score_naive(a, b, sc)
+            x = int(rng.integers(1, 40))
+            hw = int(rng.integers(0, 20))
+            br = int(rng.integers(1, 24))
+            assert xdrop_score(a, b, sc, x).score <= want
+            assert adaptive_banded_score(a, b, sc, hw,
+                                         block_rows=br).score <= want

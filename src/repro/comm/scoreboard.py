@@ -56,8 +56,9 @@ SLOT_BYTES = 8
 class LocalScoreboard:
     """In-process scoreboard: a monotonic best-score maximum.
 
-    Mirrors :class:`SharedScoreboard`'s interface so the simulated chain
-    and the real-process engines share one pruning code path.  The
+    Mirrors :class:`SharedScoreboard`'s publish/read interface so the
+    simulated chain and the real-process engines share one pruning code
+    path; each run builds a fresh board at its floor.  The
     ``slot`` argument is accepted for parity and ignored — all callers
     live in one process, so a single maximum suffices.
     """
@@ -76,10 +77,6 @@ class LocalScoreboard:
         """The best score published so far (the floor before any
         publish)."""
         return self._best
-
-    def reset(self) -> None:
-        """Forget every published score (between comparisons)."""
-        self._best = 0
 
 
 class SharedScoreboard(ShmSegment):

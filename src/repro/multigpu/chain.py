@@ -24,7 +24,7 @@ Two execution modes share this engine:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -40,7 +40,7 @@ from ..errors import ConfigError
 from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..perf.metrics import gcups as _metrics_gcups
 from ..seq.scoring import Scoring, check_pair
-from ..sw.blocks import SlabSweep
+from ..sw.blocks import RowState, SlabSweep
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy, resolve_dp_dtype
@@ -149,7 +149,7 @@ class ChainResult(RunResult):
     partition: list[Slab]
     #: set when the run stopped early (``stop_row``): resume with
     #: ``chain.run(workload, resume=result.checkpoint)``.
-    checkpoint: "object | None" = None
+    checkpoint: RowState | None = None
 
     @property
     def gcups(self) -> float:
@@ -208,11 +208,12 @@ class MultiGpuChain:
         """Execute the workload; pass a :class:`repro.device.trace.Tracer`
         to record per-device activity intervals.
 
-        ``resume`` accepts a :class:`~repro.multigpu.checkpoint.ChainCheckpoint`
-        to continue a previous run; ``stop_row`` ends this run exactly at
-        that matrix row (the block row containing it is truncated, and the
-        result carries a ``checkpoint`` to resume from).  Virtual time
-        accumulates across segments.
+        ``resume`` accepts a :class:`~repro.sw.blocks.RowState` (exported
+        as :class:`~repro.multigpu.checkpoint.ChainCheckpoint`) to continue
+        a previous run; ``stop_row`` ends this run exactly at that matrix
+        row (the block row containing it is truncated, and the result
+        carries a ``checkpoint`` to resume from).  Virtual time and the
+        prune counters accumulate across segments.
 
         ``config.mode`` is answered by the shared tier front door
         (:func:`~repro.sw.tiers.run_tiers`) over this chain's exact
@@ -309,10 +310,11 @@ class MultiGpuChain:
         n_block_rows = len(row_edges) - 1
         finished_at = [0.0] * len(gpus)
 
-        # Compute mode: one SlabSweep per device.  Pruning publishes into
-        # one in-process scoreboard (the lock-free SharedScoreboard plays
-        # this role for the real-process engines), started at the floor
-        # and raised to the resume best so a continued run prunes against
+        # Compute mode: one SlabSweep per device, resumed from its slice
+        # of the checkpoint.  Pruning publishes into one in-process
+        # scoreboard (the lock-free SharedScoreboard plays this role for
+        # the real-process engines), started at the floor or the resumed
+        # best, whichever is higher, so a continued run prunes against
         # everything already found.
         sweepers: list[SlabSweep | None] = [None] * len(gpus)
         if not workload.phantom:
@@ -324,20 +326,17 @@ class MultiGpuChain:
                 # clock is virtual, but the host wall time callers measure
                 # around run() should not fold a build into block 0.
                 compiled_warmup()
+            if resume is not None:
+                floor = max(floor, resume.best.score)
             scoreboard = LocalScoreboard(floor) if cfg.pruning else None
-            resumed = resume is not None and resume.best.row >= 0
-            if resumed and scoreboard is not None:
-                scoreboard.publish(0, resume.best.score)
             for g, slab in enumerate(slabs):
-                cols = slice(slab.col0, slab.col1)
                 sweepers[g] = SlabSweep(
-                    cfg, workload.scoring, profile[:, cols], slab.col0,
-                    slab.col1, m=m, n_cols=n, dp=dp_policy,
+                    cfg, workload.scoring, profile[:, slab.col0:slab.col1],
+                    slab.col0, slab.col1, m=m, n_cols=n, dp=dp_policy,
                     scoreboard=scoreboard, slot=g,
                     instruments=instruments[g] if instruments else None,
-                    h_top=resume.h_row[cols] if resume is not None else None,
-                    f_top=resume.f_row[cols] if resume is not None else None,
-                    best=resume.best if resumed and g == 0 else BestCell.none())
+                    resume=(resume.slice(slab.col0, slab.col1)
+                            if resume is not None else None))
 
         def gpu_proc(g: int):
             gpu = gpus[g]
@@ -411,10 +410,7 @@ class MultiGpuChain:
 
         total = elapsed_before + engine.run()
 
-        best = BestCell.none()
-        for sweeper in sweepers:
-            if sweeper is not None and sweeper.best.better_than(best):
-                best = sweeper.best
+        best = BestCell.best_of(sw.best for sw in sweepers if sw is not None)
         reports = [
             GpuReport(name=gpus[g].name, slab=slabs[g], counters=gpus[g].counters,
                       finished_at=finished_at[g],
@@ -423,16 +419,10 @@ class MultiGpuChain:
         ]
         checkpoint = None
         if end_row < m:
-            from .checkpoint import ChainCheckpoint
-
-            if workload.phantom:
-                h_row = f_row = None
-            else:
-                h_row = np.concatenate([sw.h_top for sw in sweepers])
-                f_row = np.concatenate([sw.f_top for sw in sweepers])
-            checkpoint = ChainCheckpoint(
-                row=end_row, h_row=h_row, f_row=f_row, best=best, elapsed_s=total
-            )
+            checkpoint = replace(
+                RowState(end_row, None, None, best) if workload.phantom
+                else RowState.join([sw.state() for sw in sweepers]),
+                elapsed_s=total)
         return ChainResult(
             best=best,
             total_time_s=total,

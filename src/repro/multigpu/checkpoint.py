@@ -2,11 +2,13 @@
 
 Paper-scale comparisons run for hours; the system family supports stopping
 and resuming a comparison at a matrix-row boundary.  A consistent
-checkpoint of the chain is exactly the DP state of one full matrix row:
+checkpoint of the chain is exactly the DP state of one full matrix row, a
+:class:`~repro.sw.blocks.RowState` (exported here as
+:class:`ChainCheckpoint`):
 
 * the row index,
 * the H and F values of that row across the *whole* width (compute mode),
-* the best cell found so far,
+* the best cell found so far and the prune decisions made so far,
 * the virtual time already spent.
 
 Nothing about in-flight borders needs saving because checkpoints are
@@ -16,55 +18,39 @@ overlap model predicts).
 
 :func:`save_checkpoint` / :func:`load_checkpoint` serialise to ``.npz``.
 
-The same row-state idea powers live fault tolerance on the real-process
+The same row state powers live fault tolerance on the real-process
 engines (INTERNALS.md section 9): every slab worker periodically
-publishes its slab's slice of a block-row boundary — H/F values, best
-cell, pruning counters — into a :class:`CheckpointArea`, a small
-POSIX-shared-memory segment the *parent* owns, so the state survives any
-worker's death.  After a failure the supervisor assembles the newest
-row every slab published (:meth:`CheckpointArea.consistent_row` /
-:meth:`CheckpointArea.assemble`), re-partitions the matrix across the
-surviving workers, and resumes from that row under a :class:`RetryPolicy`
-instead of aborting the whole comparison.
+publishes its slab's state at a block-row boundary into a
+:class:`CheckpointArea`, a small POSIX-shared-memory segment the
+*parent* owns, so the state survives any worker's death.  After a
+failure the supervisor assembles the newest row every slab published
+(:meth:`CheckpointArea.consistent_row` / :meth:`CheckpointArea.assemble`),
+re-partitions the matrix across the surviving workers, and resumes from
+that row under a :class:`RetryPolicy` instead of aborting the whole
+comparison.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from ..comm.shm import ShmSegment
 from ..errors import CommError, ConfigError
+from ..sw.blocks import RowState
 from ..sw.constants import DTYPE
 from ..sw.kernel import BestCell
 
+#: The chain's checkpoint is the one row state every resume carries.
+ChainCheckpoint = RowState
 
-@dataclass(frozen=True)
-class ChainCheckpoint:
-    """Resumable state at a matrix-row boundary (see module docstring)."""
-
-    row: int                      #: rows [0, row) are done
-    h_row: np.ndarray | None      #: H of row ``row-1`` across the full width
-    f_row: np.ndarray | None      #: F of row ``row-1``
-    best: BestCell                #: best cell over the completed rows
-    elapsed_s: float              #: virtual time spent so far
-
-    def __post_init__(self) -> None:
-        if self.row <= 0:
-            raise ConfigError("checkpoint row must be positive")
-        if (self.h_row is None) != (self.f_row is None):
-            raise ConfigError("h_row and f_row must both be present or absent")
-        if self.elapsed_s < 0:
-            raise ConfigError("elapsed_s must be >= 0")
-
-    @property
-    def phantom(self) -> bool:
-        """True for timing-mode checkpoints (no DP state carried)."""
-        return self.h_row is None
+#: Block rows between two checkpoints a slab worker publishes (plus the
+#: final row).
+CHECKPOINT_BLOCKS = 4
 
 
 def _npz_path(path: str | os.PathLike) -> str:
@@ -87,6 +73,7 @@ def save_checkpoint(path: str | os.PathLike, ckpt: ChainCheckpoint) -> None:
         row=np.int64(ckpt.row),
         elapsed=np.float64(ckpt.elapsed_s),
         best=np.array([ckpt.best.score, ckpt.best.row, ckpt.best.col], dtype=np.int64),
+        blocks=np.array([ckpt.blocks_checked, ckpt.blocks_pruned], dtype=np.int64),
         phantom=np.bool_(ckpt.phantom),
     )
     if not ckpt.phantom:
@@ -102,11 +89,16 @@ def load_checkpoint(path: str | os.PathLike) -> ChainCheckpoint:
     with np.load(exact if os.path.exists(exact) else _npz_path(path)) as data:
         best = BestCell(int(data["best"][0]), int(data["best"][1]), int(data["best"][2]))
         phantom = bool(data["phantom"])
+        # Checkpoints saved before the counters were stored carry none.
+        checked, pruned = ((int(x) for x in data["blocks"])
+                           if "blocks" in data.files else (0, 0))
         return ChainCheckpoint(
             row=int(data["row"]),
             h_row=None if phantom else data["h_row"].copy(),
             f_row=None if phantom else data["f_row"].copy(),
             best=best,
+            blocks_checked=checked,
+            blocks_pruned=pruned,
             elapsed_s=float(data["elapsed"]),
         )
 
@@ -161,29 +153,16 @@ class RetryPolicy:
 _ENTRY_HEADER = struct.Struct("<qqqqqq")
 
 
-@dataclass(frozen=True)
-class SlabCheckpoint:
-    """One slab's published row state: rows ``[0, row)`` of the slab are
-    done, ``h``/``f`` are H and F of row ``row - 1`` across the slab."""
-
-    slot: int
-    row: int
-    h: np.ndarray
-    f: np.ndarray
-    best: BestCell
-    blocks_checked: int
-    blocks_pruned: int
-
-
 class CheckpointArea(ShmSegment):
     """Shared-memory per-slab checkpoint board for the process engines.
 
     One POSIX-shared-memory segment, owned by the *parent*, holding a
-    small ring of row-state entries per slab (``history`` deep, newest
-    overwrites oldest).  Each slab worker publishes into its own ring on
-    the global checkpoint ladder (every ``checkpoint_blocks`` block rows,
-    plus the final row), so the rows published by different slabs line
-    up and a full matrix row can be reassembled after a crash.
+    small ring of :class:`~repro.sw.blocks.RowState` entries per slab
+    (``history`` deep, newest overwrites oldest).  Each slab worker
+    publishes into its own ring on the global checkpoint ladder (every
+    :data:`CHECKPOINT_BLOCKS` block rows, plus the final row), so the
+    rows published by different slabs line up and a full matrix row can
+    be reassembled after a crash.
 
     Consistency argument — why post-mortem reads are safe:
 
@@ -194,11 +173,15 @@ class CheckpointArea(ShmSegment):
     * the supervisor only reads the area **after** every worker of the
       failed attempt has been joined or killed, so there are no
       concurrent writers at read time at all;
-    * ``history`` is sized from the border-ring capacity: adjacent slabs
-      can drift by at most ``capacity`` block rows, so the newest row of
-      the laggard is always still present in every leader's ring.  If it
-      ever is not (defence in depth), :meth:`consistent_row` returns 0
-      and the run restarts from scratch — slower, never wrong.
+    * ``history`` is sized from the border rings' *capacity*: adjacent
+      slabs drift by at most ``capacity`` block rows, so across the
+      chain the spread is ``(slabs - 1) * capacity`` block rows —
+      ``ceil`` of that in checkpoint-ladder units, plus slack for the
+      final-row entry and one in-flight publish — and the newest row of
+      the laggard is always still present in every leader's ring.  If
+      it ever is not (defence in depth), :meth:`consistent_row` returns
+      0 and the run restarts from scratch — slower, never wrong.  An
+      explicit *history* overrides the depth.
 
     Ownership, spawn-safe pickling (the segment name and geometry) and
     teardown are the :class:`~repro.comm.shm.ShmSegment` lifecycle.
@@ -206,12 +189,16 @@ class CheckpointArea(ShmSegment):
 
     kind = "ckpt"
 
-    def __init__(self, widths: Sequence[int], *, history: int = 4,
+    def __init__(self, widths: Sequence[int], *, capacity: int = 4,
+                 history: int | None = None,
                  label: str = "checkpoints") -> None:
         if not widths:
             raise CommError("checkpoint area needs at least one slab")
         if any(int(w) <= 0 for w in widths):
             raise CommError("slab widths must be positive")
+        if history is None:
+            per_link = -(-capacity // CHECKPOINT_BLOCKS)  # ceil division
+            history = max(4, (len(widths) - 1) * per_link + 2)
         if history <= 0:
             raise CommError("checkpoint history must be positive")
         self.widths = tuple(int(w) for w in widths)
@@ -238,10 +225,8 @@ class CheckpointArea(ShmSegment):
         return self._offsets[slot] + 8 + index * self._entry_bytes[slot]
 
     # -- worker side ---------------------------------------------------------
-    def publish(self, slot: int, row: int, h: np.ndarray, f: np.ndarray,
-                best: BestCell, blocks_checked: int = 0,
-                blocks_pruned: int = 0) -> None:
-        """Publish *slot*'s state at *row* (single writer per slab ring).
+    def publish(self, slot: int, state: RowState) -> None:
+        """Publish *slot*'s row *state* (single writer per slab ring).
 
         The entry payload is written first and the ring count last, so a
         writer killed at any point never corrupts an already-published
@@ -249,6 +234,7 @@ class CheckpointArea(ShmSegment):
         """
         self._check_slot(slot)
         w = self.widths[slot]
+        h, f, best = state.h_row, state.f_row, state.best
         if h.size != w or f.size != w:
             raise CommError(
                 f"{self.label}: slot {slot} expects width {w}, "
@@ -256,9 +242,9 @@ class CheckpointArea(ShmSegment):
         count = int(self._count_view(slot)[0])
         off = self._entry_offset(slot, count % self.history)
         buf = self._shm.buf
-        _ENTRY_HEADER.pack_into(buf, off, int(row), int(best.score),
-                                int(best.row), int(best.col),
-                                int(blocks_checked), int(blocks_pruned))
+        _ENTRY_HEADER.pack_into(buf, off, state.row, best.score, best.row,
+                                best.col, state.blocks_checked,
+                                state.blocks_pruned)
         view = np.frombuffer(buf, dtype=DTYPE, count=2 * w,
                              offset=off + _ENTRY_HEADER.size)
         view[:w] = h
@@ -267,8 +253,8 @@ class CheckpointArea(ShmSegment):
         self._count_view(slot)[0] = count + 1  # count last: commit point
 
     # -- supervisor side (read only after the attempt is torn down) ----------
-    def entries(self, slot: int) -> list[SlabCheckpoint]:
-        """Valid entries of *slot*'s ring, oldest first."""
+    def entries(self, slot: int) -> list[RowState]:
+        """Valid entries of *slot*'s ring (slab states), oldest first."""
         self._check_slot(slot)
         count = int(self._count_view(slot)[0])
         valid = min(count, self.history)
@@ -280,16 +266,9 @@ class CheckpointArea(ShmSegment):
                 self._shm.buf, off)
             view = np.frombuffer(self._shm.buf, dtype=DTYPE, count=2 * w,
                                  offset=off + _ENTRY_HEADER.size)
-            out.append(SlabCheckpoint(
-                slot=slot, row=int(row), h=view[:w].copy(), f=view[w:].copy(),
-                best=BestCell(int(score), int(brow), int(bcol)),
-                blocks_checked=int(checked), blocks_pruned=int(pruned)))
+            out.append(RowState(row, view[:w].copy(), view[w:].copy(),
+                                BestCell(score, brow, bcol), checked, pruned))
         return out
-
-    def newest_row(self, slot: int) -> int:
-        """The newest row *slot* published (0 before any publish)."""
-        entries = self.entries(slot)
-        return entries[-1].row if entries else 0
 
     def consistent_row(self) -> int:
         """Newest matrix row present in **every** slab's ring (0 if none).
@@ -306,39 +285,18 @@ class CheckpointArea(ShmSegment):
                 return 0
         return max(common) if common else 0
 
-    def assemble(self, row: int) -> tuple[np.ndarray, np.ndarray, BestCell, int, int]:
-        """Full-width DP state at *row*: ``(H, F, best, checked, pruned)``.
-
-        H/F are the concatenated per-slab slices of matrix row
-        ``row - 1``; *best* is the best cell over every published entry
-        (monotone, so folding newer-than-*row* bests is safe — any cell
-        they name was truly scored); the counters sum the per-slab work
-        retained at *row*.
-        """
-        h_parts, f_parts = [], []
-        best = BestCell.none()
-        checked = pruned = 0
+    def assemble(self, row: int) -> RowState:
+        """The full-width :class:`~repro.sw.blocks.RowState` at *row*: the
+        join of every slab's entry at *row*, whose best cell is the best
+        over every published entry (monotone, so folding newer-than-*row*
+        bests is safe — any cell they name was truly scored)."""
+        at_row, bests = [], []
         for slot in range(self.n_slots):
             entries = self.entries(slot)
-            at_row = [e for e in entries if e.row == row]
-            if not at_row:
+            found = [e for e in entries if e.row == row]
+            if not found:
                 raise CommError(
                     f"{self.label}: slab {slot} has no entry at row {row}")
-            h_parts.append(at_row[-1].h)
-            f_parts.append(at_row[-1].f)
-            checked += at_row[-1].blocks_checked
-            pruned += at_row[-1].blocks_pruned
-            for e in entries:
-                if e.best.better_than(best):
-                    best = e.best
-        return (np.concatenate(h_parts), np.concatenate(f_parts),
-                best, checked, pruned)
-
-    def best_overall(self) -> BestCell:
-        """Best cell over every published entry of every slab."""
-        best = BestCell.none()
-        for slot in range(self.n_slots):
-            for e in self.entries(slot):
-                if e.best.better_than(best):
-                    best = e.best
-        return best
+            at_row.append(found[-1])
+            bests += [e.best for e in entries]
+        return replace(RowState.join(at_row), best=BestCell.best_of(bests))

@@ -50,6 +50,7 @@ from ..obs.instruments import EngineInstruments, record_recovery
 from ..obs.registry import MetricsRegistry
 from ..obs.timeseries import TimeSeriesSampler
 from ..seq.scoring import Scoring
+from ..sw.blocks import RowState
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, block_height, resolve_config
 from ..sw.constants import resolve_dp_dtype
@@ -64,7 +65,6 @@ from .procchain import (
     SlabReport,
     SlabTask,
     check_comparison,
-    checkpoint_history_for,
     collect_results,
     pick_context,
     publish_run,
@@ -101,7 +101,8 @@ def _pool_worker(worker_id, task_queue, result_queue, recv_link, send_link,
         outcome = error = None
         try:
             if task.config.kernel == "compiled" and not warmed:
-                progress.beat(worker_id, task.start_row, "warmup")
+                progress.beat(worker_id, task.resume.row
+                              if task.resume is not None else 0, "warmup")
                 with recorder.span("warmup"):
                     compiled_warmup()
                 warmed = True
@@ -368,7 +369,6 @@ class WorkerPool:
         on_stall=None,
         max_restarts: int = 0,
         restart_backoff_s: float = 0.5,
-        checkpoint_blocks: int = 4,
         rebalance: bool = False,
         rebalance_threshold: float = 0.25,
         timeline=None,
@@ -418,7 +418,8 @@ class WorkerPool:
 
         Recovery (INTERNALS.md section 9): with ``max_restarts > 0``
         (*restart_backoff_s* apart) workers checkpoint their block-row
-        state every *checkpoint_blocks* block rows and a failed attempt
+        state every :data:`~repro.multigpu.checkpoint.CHECKPOINT_BLOCKS`
+        block rows and a failed attempt
         checkpoint-resumes instead of breaking the pool — the workers and
         transports are re-spawned (dead workers dropped from
         ``self.weights``, so later comparisons inherit the shrunken
@@ -487,9 +488,8 @@ class WorkerPool:
                 a_codes, b_codes, scoring, cfg, floor, origin=t0,
                 timeout_s=timeout_s, tracer=result_tracer, metrics=metrics,
                 heartbeat_s=heartbeat_s, on_stall=on_stall, retry=retry,
-                checkpoint_blocks=checkpoint_blocks, rebalance=rebalance,
-                rebalance_threshold=rebalance_threshold, timeline=timeline,
-                fault=_fault)
+                rebalance=rebalance, rebalance_threshold=rebalance_threshold,
+                timeline=timeline, fault=_fault)
 
         def from_inline(out) -> ProcessChainResult:
             # The parent swept (a band of) the whole width; no worker
@@ -517,13 +517,16 @@ class WorkerPool:
 
     def _sweep(self, a_codes, b_codes, scoring, cfg, floor, *, origin,
                timeout_s, tracer, metrics, heartbeat_s, on_stall, retry,
-               checkpoint_blocks, rebalance, rebalance_threshold, timeline,
+               rebalance, rebalance_threshold, timeline,
                fault) -> ProcessChainResult:
         """One exact sweep over the chain: one attempt per loop
         iteration; a failed attempt either checkpoint-resumes on the
-        re-spawned survivors or raises.  Under pruning every attempt
-        starts the scoreboard at *floor*, a resumed one at the
-        checkpoints' best cell when that is higher.  Trace records are
+        re-spawned survivors or raises.  Each attempt resumes from
+        *resume*, the newest full :class:`~repro.sw.blocks.RowState` the
+        checkpoints hold (``None``: row 0); its best cell and prune
+        counters ride into the first worker.  Under pruning every
+        attempt starts the scoreboard at *floor*, a resumed one at the
+        resumed best cell when that is higher.  Trace records are
         relative to *origin*; the result's wall time covers this sweep
         only."""
         if not self._procs:
@@ -533,11 +536,10 @@ class WorkerPool:
         recovery = retry.max_restarts > 0
         restarts = 0
         rows_recomputed_total = 0
-        resume: tuple | None = None          # (row, h_full, f_full)
-        base_best = BestCell.none()
-        # What the earlier attempts add to the last one's tally: every
-        # sweep's cells and narrow-DP split, but only the checkpointed
-        # prefix's prune decisions.
+        resume: RowState | None = None
+        # What the failed attempts add to the last one's tally: their
+        # cells and narrow-DP split (the prune decisions of the prefix
+        # the last attempt resumed from ride in *resume*).
         base = SweepTally()
         checkpoints: CheckpointArea | None = None
 
@@ -558,32 +560,30 @@ class WorkerPool:
                     block_cols=max(s.cols for s in slabs), m=m, n=n,
                     local=True)
                 dp = dp_policy if dp_policy.narrow else None
+                start_row = 0 if resume is None else resume.row
                 if cfg.pruning:
                     # Safe: no comparison is in flight here (align is serial
                     # and the previous run's workers have all reported).
-                    # The checkpoints' best is a real cell, so a resumed
+                    # The resumed best is a real cell, so a resumed
                     # attempt may start from it.
-                    self._scoreboard.reset(max(floor, base_best.score))
+                    self._scoreboard.reset(
+                        floor if resume is None
+                        else max(floor, resume.best.score))
                 self._progress.reset()  # same serial-point argument
                 if recovery:
                     checkpoints = CheckpointArea(
-                        [s.cols for s in slabs],
-                        history=checkpoint_history_for(
-                            len(slabs), self.capacity, checkpoint_blocks),
+                        [s.cols for s in slabs], capacity=self.capacity,
                         label="pool-ckpt")
-                start_row, h_full, f_full = resume or (0, None, None)
                 for g, slab in enumerate(slabs):
-                    cols = slice(slab.col0, slab.col1)
                     self._task_queues[g].put(SlabTask(
-                        a_codes=a_codes, b_slab=b_codes[cols].copy(),
+                        a_codes=a_codes,
+                        b_slab=b_codes[slab.col0:slab.col1].copy(),
                         slab=slab, scoring=scoring, config=cfg,
                         origin=origin, border_timeout_s=self.border_timeout_s,
                         n_cols=n, collect_metrics=metrics is not None,
-                        start_row=start_row,
-                        h_init=None if h_full is None else h_full[cols].copy(),
-                        f_init=None if f_full is None else f_full[cols].copy(),
+                        resume=(resume.slice(slab.col0, slab.col1)
+                                if resume is not None else None),
                         checkpoints=checkpoints,
-                        checkpoint_blocks=checkpoint_blocks,
                         fault_block=(fault[1] if fault is not None
                                      and fault[0] == g and restarts == 0
                                      else None),
@@ -598,7 +598,7 @@ class WorkerPool:
                 # Fold whatever this attempt reported — survivors of a
                 # failed attempt still deliver honest trace records and
                 # counters.
-                attempt_best, attempt = BestCell.none(), SweepTally()
+                attempt = SweepTally()
                 worker_blocks = []
                 for g in sorted(reports):
                     report = reports[g]
@@ -610,8 +610,6 @@ class WorkerPool:
                     worker_blocks.append((outcome.tally.blocks_checked,
                                           outcome.tally.blocks_pruned))
                     attempt += outcome.tally
-                    if outcome.best.better_than(attempt_best):
-                        attempt_best = outcome.best
 
                 if not failures:
                     if rebalance:
@@ -619,9 +617,8 @@ class WorkerPool:
                             [reports[g] for g in range(len(slabs))], slabs,
                             m - start_row, rebalance_threshold, metrics)
                     return ProcessChainResult(
-                        best=(attempt_best
-                              if attempt_best.better_than(base_best)
-                              else base_best),
+                        best=BestCell.best_of(
+                            r.outcome.best for r in reports.values()),
                         wall_time_s=wall, cells=m * n,
                         workers=self.workers,
                         partition=tuple(slabs), transport=self.transport,
@@ -667,21 +664,13 @@ class WorkerPool:
                 except Exception as exc:
                     raise fail(detail + f"; recovery impossible: {exc!r}") from None
 
-                resume_row = start_row
                 r_new = checkpoints.consistent_row()
                 if self.events is not None:
                     self.events.emit("checkpoint", attempt=restarts,
                                      consistent_row=r_new)
-                ckpt_best = checkpoints.best_overall()
-                if ckpt_best.better_than(base_best):
-                    base_best = ckpt_best
-                if r_new > resume_row:
-                    h_full, f_full, _b, checked_at, pruned_at = \
-                        checkpoints.assemble(r_new)
-                    base += SweepTally(blocks_checked=checked_at,
-                                       blocks_pruned=pruned_at)
-                    resume = (r_new, h_full, f_full)
-                    resume_row = r_new
+                if r_new > start_row:
+                    resume = checkpoints.assemble(r_new)
+                resume_row = max(r_new, start_row)
                 checkpoints.unlink()
                 checkpoints = None
 

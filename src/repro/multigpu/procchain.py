@@ -33,8 +33,9 @@ bounded by a timeout, failures propagate as one deterministic
 :class:`RuntimeError` listing the failed workers in id order, and shared
 memory segments are unlinked on every exit path.  Recovery from failures
 (checkpoint-resume on the survivors, INTERNALS.md section 9) is the
-pool's job; :class:`~repro.multigpu.checkpoint.CheckpointArea` and
-:func:`checkpoint_history_for` are the pieces it uses.
+pool's job; a :class:`SlabTask` carries the slab's
+:class:`~repro.sw.blocks.RowState` to resume from and the
+:class:`~repro.multigpu.checkpoint.CheckpointArea` to publish into.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ from ..obs.instruments import EngineInstruments, finalize_run_metrics
 from ..obs.registry import MetricsRegistry
 from ..perf.metrics import gcups as _metrics_gcups
 from ..seq.scoring import Scoring, check_pair
-from ..sw.blocks import SlabSweep
+from ..sw.blocks import RowState, SlabSweep
 from ..sw.config import CONFIG_FIELDS, AlignConfig, resolve_config
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy
 from ..sw.kernel import BestCell, cached_profile
 from ..sw.tiers import RunResult, SweepTally
-from .checkpoint import CheckpointArea
+from .checkpoint import CHECKPOINT_BLOCKS, CheckpointArea
 from .partition import Slab
 
 #: Supported border transports.
@@ -131,9 +132,9 @@ class ProcessChainResult(RunResult):
 
     The counters are chain-wide.  ``cells_swept`` and the narrow/wide
     split count every attempt; ``blocks_checked``/``blocks_pruned``
-    count the checkpointed prefix a resumed attempt started from plus
-    the last attempt, whose per-worker ``(checked, pruned)`` pairs are
-    ``worker_blocks``.
+    count the last attempt, whose per-worker ``(checked, pruned)`` pairs
+    are ``worker_blocks``, and the checkpointed prefix it resumed from,
+    which the first worker's pair carries.
 
     ``tracer`` holds per-worker wall-clock intervals (actors ``worker0``,
     ``worker1``, ...; ``parent`` for a tier run inline) recorded through the
@@ -222,13 +223,13 @@ class SlabTask:
     and ``pruning`` drive the sweep.  *b_slab* is the worker's column
     slab of the reference and *n_cols* the full matrix width; *origin*
     is the parent's ``perf_counter``
-    origin for wall-clock trace records.  The recovery fields resume the
-    sweep at matrix row *start_row* from *h_init*/*f_init* (H/F of row
-    ``start_row - 1`` across the slab) and name the per-attempt
-    *checkpoints* area to publish into (attached on unpickle, closed
-    after the task).  *fault_block* is the test-only crash hook, and
-    *dp* is the narrow :class:`~repro.sw.constants.DpPolicy` (``None``
-    for plain int32).
+    origin for wall-clock trace records.  The recovery fields are
+    *resume*, the slab's slice of the
+    :class:`~repro.sw.blocks.RowState` to resume from (``None``: start
+    at row 0), and the per-attempt *checkpoints* area to publish into
+    (attached on unpickle, closed after the task).  *fault_block* is
+    the test-only crash hook, and *dp* is the narrow
+    :class:`~repro.sw.constants.DpPolicy` (``None`` for plain int32).
     """
 
     a_codes: np.ndarray
@@ -240,11 +241,8 @@ class SlabTask:
     border_timeout_s: float
     n_cols: int
     collect_metrics: bool
-    start_row: int = 0
-    h_init: np.ndarray | None = None
-    f_init: np.ndarray | None = None
+    resume: RowState | None = None
     checkpoints: CheckpointArea | None = None
-    checkpoint_blocks: int = 1
     fault_block: int | None = None
     dp: DpPolicy | None = None
 
@@ -300,15 +298,17 @@ def sweep_slab(
     latencies (:mod:`repro.obs.instruments`).
 
     Recovery (INTERNALS.md section 9): with ``task.checkpoints`` this
-    slab's DP state is published on the checkpoint ladder — after every
-    ``checkpoint_blocks``-th block row, plus the final row — so a later
-    attempt can resume; ``task.start_row``/``h_init``/``f_init`` resume
-    the sweep from that published state.  The border contract is
-    unchanged: every worker of an attempt resumes from the *same* row,
-    so the first border a resumed worker receives is for rows
-    ``[start_row, start_row + rows)`` and its first corner is
-    ``h_init[-1]`` — exactly ``H[start_row-1, col0-1]`` of its right
-    neighbour's view.
+    slab's :class:`~repro.sw.blocks.RowState` is published on the
+    checkpoint ladder — after every
+    :data:`~repro.multigpu.checkpoint.CHECKPOINT_BLOCKS`-th block row,
+    plus the final row — so a later attempt can resume; ``task.resume``
+    resumes the sweep from such a state.  The border contract is
+    unchanged: every worker of an attempt resumes from the *same* row
+    ``R``, so the first border a resumed worker receives is for rows
+    ``[R, R + rows)`` and its first corner
+    (:attr:`~repro.sw.blocks.SlabSweep.corner_out`) is the last H of its
+    resume slice — exactly ``H[R-1, col0-1]`` of its right neighbour's
+    view.
 
     DP dtype: ``task.dp`` is the narrow
     :class:`~repro.sw.constants.DpPolicy` the parent resolved for the
@@ -317,17 +317,14 @@ def sweep_slab(
     a_codes, slab = task.a_codes, task.slab
     block_rows, border_timeout_s = task.config.block_rows, task.border_timeout_s
     m = int(a_codes.size)
-    start_row = task.start_row
-    if start_row > 0 and (task.h_init is None or task.f_init is None):
-        raise CommError("resuming needs h_init and f_init")
     sweeper = SlabSweep(
         task.config, task.scoring, cached_profile(task.b_slab, task.scoring),
         slab.col0, slab.col1, m=m, n_cols=task.n_cols, dp=task.dp,
-        scoreboard=scoreboard, slot=slot,
-        instruments=instruments, h_top=task.h_init, f_top=task.f_init)
-    ckpt_stride = max(1, int(task.checkpoint_blocks)) * block_rows
+        scoreboard=scoreboard, slot=slot, instruments=instruments,
+        resume=task.resume)
+    ckpt_stride = CHECKPOINT_BLOCKS * block_rows
 
-    row_edges = list(range(start_row, m, block_rows)) + [m]
+    row_edges = list(range(sweeper.row, m, block_rows)) + [m]
     for block_index, (r0, r1) in enumerate(zip(row_edges, row_edges[1:])):
         rows = r1 - r0
         if recv_link is not None:
@@ -369,11 +366,8 @@ def sweep_slab(
                     h_right.nbytes + e_right.nbytes + HEADER_BYTES)
         if task.checkpoints is not None and (r1 == m or r1 % ckpt_stride == 0):
             progress.beat(slot, r0, "checkpoint")
-            tally = sweeper.tally()
             with recorder.span("checkpoint"):
-                task.checkpoints.publish(
-                    slot, r1, sweeper.h_top, sweeper.f_top, sweeper.best,
-                    tally.blocks_checked, tally.blocks_pruned)
+                task.checkpoints.publish(slot, sweeper.state())
             if instruments is not None:
                 instruments.checkpoint_published()
         progress.beat(slot, r1, "idle")
@@ -467,20 +461,6 @@ def collect_results(
             continue
         accept(report)
     return reports, sorted(failures)
-
-
-def checkpoint_history_for(workers: int, capacity: int,
-                           checkpoint_blocks: int) -> int:
-    """Ring depth that keeps the laggard's newest row in every leader's ring.
-
-    Adjacent slabs drift by at most *capacity* block rows (the border
-    ring's depth bounds how far ahead a producer can run), so across a
-    *workers*-long chain the spread is ``(workers - 1) * capacity`` block
-    rows — ``ceil`` of that in checkpoint-ladder units, plus slack for
-    the final-row entry and one in-flight publish.
-    """
-    per_link = -(-capacity // max(1, checkpoint_blocks))  # ceil division
-    return max(4, (workers - 1) * per_link + 2)
 
 
 def check_comparison(a_codes: np.ndarray, b_codes: np.ndarray,

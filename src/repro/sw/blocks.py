@@ -13,8 +13,8 @@ such a slab.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +87,64 @@ def wavefront_order(n_block_rows: int, n_block_cols: int) -> Iterator[list[tuple
         yield diag
 
 
+@dataclass(frozen=True)
+class RowState:
+    """The DP state at a matrix-row boundary, the one state every resume
+    carries: rows ``[0, row)`` are done, *h_row*/*f_row* are H and F of
+    row ``row - 1`` across the columns the state covers (``None`` in a
+    timing-mode run), *best* is the best cell so far and the counters
+    are the prune decisions made so far.  *elapsed_s* is the simulated
+    chain's virtual time spent so far.
+
+    :meth:`slice` cuts a full-width state to one slab and :meth:`join`
+    puts slab states back together.  The whole-row fields (best cell,
+    counters, time) ride on the slab that starts at column 0, so the
+    join of a state's slices is the state again.
+    """
+
+    row: int
+    h_row: np.ndarray | None
+    f_row: np.ndarray | None
+    best: BestCell = BestCell.none()
+    blocks_checked: int = 0
+    blocks_pruned: int = 0
+    elapsed_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.row <= 0:
+            raise ConfigError("checkpoint row must be positive")
+        if (self.h_row is None) != (self.f_row is None):
+            raise ConfigError("h_row and f_row must both be present or absent")
+        if self.elapsed_s < 0:
+            raise ConfigError("elapsed_s must be >= 0")
+
+    @property
+    def phantom(self) -> bool:
+        """True for timing-mode states (no DP values carried)."""
+        return self.h_row is None
+
+    def slice(self, col0: int, col1: int) -> "RowState":
+        """The state of the slab over columns ``[col0, col1)`` (compute
+        mode: H/F are views of this state's)."""
+        cut = replace(self, h_row=self.h_row[col0:col1],
+                      f_row=self.f_row[col0:col1])
+        return cut if col0 == 0 else RowState(cut.row, cut.h_row, cut.f_row)
+
+    @staticmethod
+    def join(parts: Sequence["RowState"]) -> "RowState":
+        """The state across *parts*, adjacent slab states of one row
+        given left to right."""
+        if len({p.row for p in parts}) != 1:
+            raise ConfigError("joined slab states must share one row")
+        return RowState(
+            parts[0].row, np.concatenate([p.h_row for p in parts]),
+            np.concatenate([p.f_row for p in parts]),
+            BestCell.best_of(p.best for p in parts),
+            sum(p.blocks_checked for p in parts),
+            sum(p.blocks_pruned for p in parts),
+            max(p.elapsed_s for p in parts))
+
+
 def pruned_border_result(spec: BlockSpec) -> BlockResult:
     """Borders emitted for a pruned block (local mode only).
 
@@ -118,33 +176,40 @@ class SlabSweep:
     its caller's grid instead, without windows; stacking several slabs'
     block rows into one batched sweep, it builds each with :meth:`job`
     and counts each result with :meth:`count`.  The sweep holds the
-    slab's top border (*h_top*/*f_top* resume part-way down), its live
-    hull, best cell and counters (:meth:`tally`); time, transport and
-    tracing stay with the engine."""
+    slab's :class:`RowState` in parts: the row its top border closes, the
+    top border itself, its live hull, best cell and counters
+    (:meth:`tally`); :meth:`state` reads them back, and a *resume* state
+    (the slab's slice) starts the sweep part-way down.  Time, transport
+    and tracing stay with the engine."""
 
     def __init__(self, config, scoring: Scoring, profile: np.ndarray,
                  col0: int, col1: int, *, m: int, n_cols: int,
                  dp: DpPolicy | None = None, scoreboard=None, slot: int = 0,
-                 instruments=None,
-                 h_top: np.ndarray | None = None,
-                 f_top: np.ndarray | None = None,
-                 best: BestCell = BestCell.none()) -> None:
+                 instruments=None, resume: RowState | None = None) -> None:
         self.kernel, self.scoring, self.profile = config.kernel, scoring, profile
         self.col0, self.col1, self.m, self.n_cols = col0, col1, m, n_cols
         self.dp = dp
         self.scoreboard, self.slot = scoreboard, slot
         self.instruments = instruments
         w = col1 - col0
-        self.h_top = np.array(np.zeros(w) if h_top is None else h_top, dtype=DTYPE)
-        self.f_top = np.array(np.full(w, NEG_INF) if f_top is None else f_top,
-                              dtype=DTYPE)
-        # The top border holds restart values outside these columns.
-        self.live = (0, 0) if h_top is None else (0, w)
-        self.best = best
+        self.pruner = BlockPruner(match=scoring.match) if config.pruning else None
+        if resume is None:
+            self.row, self.best = 0, BestCell.none()
+            self.h_top = np.zeros(w, dtype=DTYPE)
+            self.f_top = np.full(w, NEG_INF, dtype=DTYPE)
+            self.live = (0, 0)
+        else:
+            self.row, self.best = resume.row, resume.best
+            self.h_top = np.array(resume.h_row, dtype=DTYPE)
+            self.f_top = np.array(resume.f_row, dtype=DTYPE)
+            # The top border holds restart values outside these columns.
+            self.live = (0, w)
+            if self.pruner is not None:
+                self.pruner.blocks_checked = resume.blocks_checked
+                self.pruner.blocks_pruned = resume.blocks_pruned
         # H(r0 - 1, col1 - 1) of the next block row: the corner the right
         # neighbour's block enters through.
         self.corner_out = int(self.h_top[-1])
-        self.pruner = BlockPruner(match=scoring.match) if config.pruning else None
         self.blocks_narrow = self.blocks_wide = self.dtype_escalations = 0
         self.cells_swept = 0
 
@@ -230,6 +295,7 @@ class SlabSweep:
         takes as its left input."""
         border = (result.h_right, result.e_right, self.corner_out)
         self.corner_out = int(result.h_right[-1])
+        self.row = r0 + result.h_right.size
         self.h_top, self.f_top = result.h_bottom, result.f_bottom
         self.live = (result.live if result.live is not None
                      else (0, result.h_bottom.size))
@@ -243,6 +309,13 @@ class SlabSweep:
             self.best = cell
             if self.pruner is not None:
                 self.scoreboard.publish(self.slot, cell.score)
+
+    def state(self) -> RowState:
+        """The slab's :class:`RowState` after its last block row; H/F are
+        the sweep's own top border, which the next step may overwrite."""
+        tally = self.tally()
+        return RowState(self.row, self.h_top, self.f_top, self.best,
+                        tally.blocks_checked, tally.blocks_pruned)
 
     def tally(self) -> SweepTally:
         """The slab's prune, cell and narrow-DP counters so far."""
@@ -377,11 +450,8 @@ def compute_blocked(
         for bc, r0, result in done:
             borders[bc] = sweepers[bc].advance(result, r0)
 
-    best, tally = BestCell.none(), SweepTally()
-    for sweeper in sweepers:
-        if sweeper.best.better_than(best):
-            best = sweeper.best
-        tally += sweeper.tally()
-    return BlockedOutcome(best=best, blocks_total=n_brows * n_bcols,
+    tally = sum((sweeper.tally() for sweeper in sweepers), SweepTally())
+    return BlockedOutcome(best=BestCell.best_of(sw.best for sw in sweepers),
+                          blocks_total=n_brows * n_bcols,
                           cells_total=m * n, tally=tally,
                           dp_dtype=policy.name)

@@ -49,7 +49,7 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -94,6 +94,15 @@ class BestCell:
         if self.row != other.row:
             return 0 <= self.row < other.row or other.row < 0 <= self.row
         return 0 <= self.col < other.col or other.col < 0 <= self.col
+
+    @staticmethod
+    def best_of(cells: Iterable["BestCell"]) -> "BestCell":
+        """The best of *cells* under :meth:`better_than` (none if empty)."""
+        best = BestCell.none()
+        for cell in cells:
+            if cell.better_than(best):
+                best = cell
+        return best
 
 
 @dataclass

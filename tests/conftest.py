@@ -8,8 +8,16 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from repro.seq.scoring import DNA_DEFAULT, Scoring
+
+#: ``--hypothesis-profile=ci``: every phase but shrinking, so a failing
+#: example is printed as soon as it is found.  Shrinking one through the
+#: process and CLI doors of ``test_oracle.py`` takes minutes, past a
+#: per-test timeout.  Example counts and assertions stay the tests' own.
+settings.register_profile(
+    "ci", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 
 
 def pytest_configure(config):

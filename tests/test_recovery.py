@@ -22,15 +22,22 @@ import queue
 import os
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.comm import SharedScoreboard, list_segments
+from repro.comm import (LocalScoreboard, ProgressBoard, SharedScoreboard,
+                        list_segments)
+from repro.device import TESLA_M2090
+from repro.device.trace import WallClockRecorder
 from repro.errors import CommError, ConfigError, PartitionError
 from repro.multigpu import (
     ChainCheckpoint,
+    ChainConfig,
     CheckpointArea,
+    MatrixWorkload,
+    MultiGpuChain,
     RetryPolicy,
     WorkerPool,
     align_multi_process,
@@ -39,7 +46,10 @@ from repro.multigpu import (
     surviving_partition,
 )
 from repro.multigpu import pool as pool_mod
-from repro.multigpu.procchain import SlabOutcome, SlabReport, collect_results
+from repro.multigpu.checkpoint import CHECKPOINT_BLOCKS
+from repro.multigpu.partition import Slab
+from repro.multigpu.procchain import (SlabOutcome, SlabReport, SlabTask,
+                                      collect_results, sweep_slab)
 from repro.obs.registry import MetricsRegistry
 from repro.seq import DNA_DEFAULT
 from repro.sw import sw_score_naive, tiers
@@ -87,6 +97,36 @@ class TestCheckpointPathRoundTrip:
         path = tmp_path / "ck"
         save_checkpoint(path, self._checkpoint())
         assert load_checkpoint(str(path) + ".npz").row == 32
+
+    def test_round_trip_keeps_prune_counters(self, tmp_path):
+        path = tmp_path / "ck"
+        save_checkpoint(path, replace(self._checkpoint(), blocks_checked=7,
+                                      blocks_pruned=3))
+        loaded = load_checkpoint(path)
+        assert (loaded.blocks_checked, loaded.blocks_pruned) == (7, 3)
+        assert (loaded.best, loaded.elapsed_s) == (BestCell(5, 3, 4), 1.5)
+
+    def test_counterless_file_loads_with_zero_counters(self, tmp_path):
+        """A file saved before the counters were stored still loads."""
+        path = tmp_path / "old.npz"
+        np.savez(path, row=np.int64(32), elapsed=np.float64(1.5),
+                 best=np.array([5, 3, 4], dtype=np.int64),
+                 phantom=np.bool_(True))
+        loaded = load_checkpoint(path)
+        assert loaded.phantom and loaded.row == 32
+        assert (loaded.blocks_checked, loaded.blocks_pruned) == (0, 0)
+
+    @pytest.mark.parametrize("edges", [(0, 10), (0, 3, 10), (0, 1, 4, 9, 10)])
+    def test_join_of_slices_is_the_state(self, edges):
+        state = replace(self._checkpoint(), blocks_checked=7, blocks_pruned=3)
+        parts = [state.slice(c0, c1) for c0, c1 in zip(edges, edges[1:])]
+        assert [p.h_row.size for p in parts] == \
+            [c1 - c0 for c0, c1 in zip(edges, edges[1:])]
+        back = ChainCheckpoint.join(parts)
+        assert np.array_equal(back.h_row, state.h_row)
+        assert np.array_equal(back.f_row, state.f_row)
+        assert (back.row, back.best, back.blocks_checked, back.blocks_pruned,
+                back.elapsed_s) == (32, BestCell(5, 3, 4), 7, 3, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +265,16 @@ class TestSpawnFailureReleases:
 class TestCheckpointArea:
     def test_publish_assemble_round_trip(self):
         with CheckpointArea([4, 3], history=3) as area:
-            area.publish(0, 8, np.arange(4, dtype=np.int32),
-                         np.zeros(4, dtype=np.int32), BestCell(7, 2, 1), 3, 1)
-            area.publish(1, 8, 10 + np.arange(3, dtype=np.int32),
-                         np.zeros(3, dtype=np.int32), BestCell(9, 5, 6), 2, 0)
+            area.publish(0, ChainCheckpoint(
+                8, np.arange(4, dtype=np.int32), np.zeros(4, dtype=np.int32),
+                BestCell(7, 2, 1), 3, 1))
+            area.publish(1, ChainCheckpoint(
+                8, 10 + np.arange(3, dtype=np.int32),
+                np.zeros(3, dtype=np.int32), BestCell(9, 5, 6), 2, 0))
             assert area.consistent_row() == 8
-            h, f, best, checked, pruned = area.assemble(8)
+            state = area.assemble(8)
+            h, best = state.h_row, state.best
+            checked, pruned = state.blocks_checked, state.blocks_pruned
             assert h.tolist() == [0, 1, 2, 3, 10, 11, 12]
             assert best == BestCell(9, 5, 6)
             assert (checked, pruned) == (5, 1)
@@ -239,24 +283,24 @@ class TestCheckpointArea:
         with CheckpointArea([2, 2], history=4) as area:
             h = np.zeros(2, dtype=np.int32)
             for row in (8, 16, 24):
-                area.publish(0, row, h, h, BestCell.none())
+                area.publish(0, ChainCheckpoint(row, h, h))
             for row in (8, 16):
-                area.publish(1, row, h, h, BestCell.none())
-            assert area.newest_row(0) == 24
-            assert area.newest_row(1) == 16
+                area.publish(1, ChainCheckpoint(row, h, h))
+            assert area.entries(0)[-1].row == 24
+            assert area.entries(1)[-1].row == 16
             assert area.consistent_row() == 16
 
     def test_no_common_row_resumes_from_scratch(self):
         with CheckpointArea([2, 2], history=2) as area:
             h = np.zeros(2, dtype=np.int32)
-            area.publish(0, 8, h, h, BestCell.none())
+            area.publish(0, ChainCheckpoint(8, h, h))
             assert area.consistent_row() == 0
 
     def test_history_ring_keeps_newest(self):
         with CheckpointArea([1], history=2) as area:
             h = np.zeros(1, dtype=np.int32)
             for row in (8, 16, 24):
-                area.publish(0, row, h, h, BestCell.none())
+                area.publish(0, ChainCheckpoint(row, h, h))
             rows = [e.row for e in area.entries(0)]
             assert rows == [16, 24]
 
@@ -264,12 +308,46 @@ class TestCheckpointArea:
         with CheckpointArea([3]) as area:
             h3 = np.zeros(3, dtype=np.int32)
             with pytest.raises(CommError):
-                area.publish(0, 8, np.zeros(2, dtype=np.int32), h3,
-                             BestCell.none())
+                area.publish(0, ChainCheckpoint(
+                    8, np.zeros(2, dtype=np.int32), h3))
             with pytest.raises(CommError):
-                area.publish(1, 8, h3, h3, BestCell.none())
+                area.publish(1, ChainCheckpoint(8, h3, h3))
             with pytest.raises(CommError):
                 area.assemble(99)
+
+    @pytest.mark.parametrize("pruning", [False, True])
+    def test_assembled_row_is_the_chain_checkpoint(self, rng, pruning):
+        """One slab, two engines: the simulated chain stopped at row r and
+        an in-process slab sweep's checkpoint area assembled at r (on the
+        checkpoint ladder) hold the same row state, prune counters
+        included when both prune from the same floor."""
+        a = random_codes(rng, 200)
+        b = np.concatenate([a[:90], random_codes(rng, 70)])
+        cfg = ChainConfig(block_rows=8, kernel="scalar", pruning=pruning,
+                          dp_dtype="int32")
+        r = 5 * CHECKPOINT_BLOCKS * cfg.block_rows
+        chain = MultiGpuChain([TESLA_M2090], config=cfg)
+        seg = chain.run(MatrixWorkload(a, b, DNA_DEFAULT), stop_row=r)
+        want = seg.checkpoint
+        assert want.row == r
+
+        slab = Slab(0, 0, b.size)
+        with CheckpointArea([b.size]) as area, \
+                ProgressBoard(1, label="ckpt-test-progress") as progress:
+            task = SlabTask(
+                a_codes=a, b_slab=b, slab=slab, scoring=DNA_DEFAULT,
+                config=cfg, origin=time.perf_counter(),
+                border_timeout_s=1.0, n_cols=b.size, collect_metrics=False,
+                checkpoints=area)
+            sweep_slab(task, None, None, WallClockRecorder(task.origin),
+                       progress,
+                       scoreboard=LocalScoreboard(seg.floor.score))
+            got = area.assemble(r)
+        assert np.array_equal(got.h_row, want.h_row)
+        assert np.array_equal(got.f_row, want.f_row)
+        assert (got.best, got.blocks_checked, got.blocks_pruned) == \
+            (want.best, want.blocks_checked, want.blocks_pruned)
+        assert (want.blocks_checked > 0) == pruning
 
 
 class TestRetryPolicy:

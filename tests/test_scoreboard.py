@@ -34,12 +34,6 @@ class TestLocalScoreboard:
         board.publish(1, 11)
         assert board.read() == 11
 
-    def test_reset(self):
-        board = LocalScoreboard()
-        board.publish(0, 9)
-        board.reset()
-        assert board.read() == 0
-
 
 class TestSharedScoreboard:
     def test_read_is_max_over_slots(self):

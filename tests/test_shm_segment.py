@@ -14,6 +14,7 @@ import pytest
 import repro.comm.shm as shm_mod
 from repro.comm import ProgressBoard, SharedScoreboard, ShmRing, list_segments
 from repro.multigpu import CheckpointArea
+from repro.sw.blocks import RowState
 from repro.sw.constants import DTYPE
 from repro.sw.kernel import BestCell
 
@@ -38,9 +39,10 @@ KINDS = {
     ),
     "ckpt": (
         lambda ctx: CheckpointArea([2], label="test-ckpt"),
-        lambda seg: seg.publish(0, 4, np.ones(2, DTYPE), np.ones(2, DTYPE),
-                                BestCell(1, 0, 0)),
-        lambda seg: (seg.newest_row(0), 4),
+        lambda seg: seg.publish(0, RowState(4, np.ones(2, DTYPE),
+                                            np.ones(2, DTYPE),
+                                            BestCell(1, 0, 0))),
+        lambda seg: (seg.entries(0)[-1].row, 4),
     ),
 }
 

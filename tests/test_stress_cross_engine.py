@@ -782,134 +782,3 @@ class TestDpDtypeDifferential:
                                    dp_dtype="int16")
         assert real.score == ref.score
         assert real.dtype_escalations > 0
-
-
-class TestCompiledDifferential:
-    """The compiled backend agrees bit-exactly with the scalar kernel on
-    every engine, in every mode, under every DP dtype — including the
-    pruned and forced-escalation paths.
-
-    They run the C row engine wherever it builds (every CI leg); without
-    a C compiler ``compiled`` is the scalar sweep itself.  Either way
-    the contract is identical:
-    ``kernel="compiled"`` may only change *when* a cell is computed,
-    never *what* it evaluates to.
-    """
-
-    @settings(max_examples=4, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        m=st.integers(min_value=80, max_value=180),
-        workers=st.integers(min_value=1, max_value=3),
-        block_rows=st.integers(min_value=8, max_value=48),
-        dtype=st.sampled_from(["int32", "int16", "auto"]),
-        prune=st.booleans(),
-    )
-    def test_compiled_matches_scalar_across_engines(self, seed, m, workers,
-                                                    block_rows, dtype, prune):
-        rng = np.random.default_rng(seed)
-        a = random_dna(m, rng=rng)
-        b = mutate(a, HUMAN_CHIMP, rng=rng)
-        scoring = DNA_DEFAULT
-
-        ref = align_multi_gpu(
-            a, b, scoring, [TESLA_M2090] * workers,
-            config=ChainConfig(block_rows=block_rows, kernel="scalar",
-                               pruning=prune, dp_dtype=dtype))
-
-        sim = align_multi_gpu(
-            a, b, scoring, [TESLA_M2090] * workers,
-            config=ChainConfig(block_rows=block_rows, kernel="compiled",
-                               pruning=prune, dp_dtype=dtype))
-        assert sim.score == ref.score
-        assert (sim.best.row, sim.best.col) == (ref.best.row, ref.best.col)
-        assert sim.dp_dtype == ref.dp_dtype
-        assert sim.blocks_narrow == ref.blocks_narrow
-        assert sim.dtype_escalations == ref.dtype_escalations
-
-        real = align_multi_process(a, b, scoring, workers=workers,
-                                   block_rows=block_rows, kernel="compiled",
-                                   pruning=prune, dp_dtype=dtype)
-        assert real.score == ref.score
-        assert (real.best.row, real.best.col) == (ref.best.row, ref.best.col)
-        assert real.dp_dtype == ref.dp_dtype
-
-        single = run_single_gpu(a, b, scoring, TESLA_M2090,
-                                block_rows=block_rows, kernel="compiled",
-                                dp_dtype=dtype)
-        assert single.score == ref.score
-        assert (single.best.row, single.best.col) == \
-            (ref.best.row, ref.best.col)
-        assert single.kernel == "compiled"
-
-        with WorkerPool(workers, max_block_rows=max(block_rows, 8)) as pool:
-            pooled = pool.align(a, b, scoring, block_rows=block_rows,
-                                kernel="compiled", pruning=prune,
-                                dp_dtype=dtype)
-        assert pooled.score == ref.score
-        assert (pooled.best.row, pooled.best.col) == \
-            (ref.best.row, ref.best.col)
-
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        workers=st.integers(min_value=1, max_value=2),
-        mode=st.sampled_from(["banded", "auto"]),
-    )
-    def test_compiled_heuristic_modes_match_scalar(self, seed, workers, mode):
-        rng = np.random.default_rng(seed)
-        a = random_dna(160, rng=rng)
-        b = mutate(a, HUMAN_CHIMP, rng=rng)
-        scoring = DNA_DEFAULT
-
-        ref = align_multi_gpu(
-            a, b, scoring, [TESLA_M2090] * workers,
-            config=ChainConfig(block_rows=32, kernel="scalar", mode=mode))
-        sim = align_multi_gpu(
-            a, b, scoring, [TESLA_M2090] * workers,
-            config=ChainConfig(block_rows=32, kernel="compiled", mode=mode))
-        assert sim.score == ref.score
-        assert sim.tier == ref.tier and sim.escalated == ref.escalated
-
-        real = align_multi_process(a, b, scoring, workers=workers,
-                                   block_rows=32, kernel="compiled",
-                                   mode=mode)
-        assert real.score == ref.score
-        assert real.tier == ref.tier
-
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        workers=st.integers(min_value=1, max_value=2),
-    )
-    def test_compiled_forced_escalation_stays_exact(self, seed, workers):
-        # per-cell gain 1500 overwhelms the int16 cap mid-run: the
-        # compiled kernel must take the same escalations as scalar and
-        # land on the same bits.
-        hot = Scoring(match=1500, mismatch=-3, gap_open=3, gap_extend=2)
-        rng = np.random.default_rng(seed)
-        a = random_dna(160, rng=rng)
-        b = mutate(a, HUMAN_CHIMP, rng=rng)
-
-        ref = align_multi_gpu(
-            a, b, hot, [TESLA_M2090] * workers,
-            config=ChainConfig(block_rows=32, kernel="scalar",
-                               dp_dtype="int16"))
-        sim = align_multi_gpu(
-            a, b, hot, [TESLA_M2090] * workers,
-            config=ChainConfig(block_rows=32, kernel="compiled",
-                               dp_dtype="int16"))
-        assert sim.score == ref.score
-        assert (sim.best.row, sim.best.col) == (ref.best.row, ref.best.col)
-        assert sim.dtype_escalations == ref.dtype_escalations > 0
-        assert sim.blocks_narrow == ref.blocks_narrow
-        assert sim.blocks_wide == ref.blocks_wide
-
-        real = align_multi_process(a, b, hot, workers=workers,
-                                   block_rows=32, kernel="compiled",
-                                   dp_dtype="int16")
-        assert real.score == ref.score
-        assert real.dtype_escalations > 0

@@ -51,7 +51,6 @@ from . import seq
 from .device import spec as device_spec
 from .device.spec import DeviceSpec
 from .errors import ReproError
-from .multigpu.pipeline import require_exact, trace_best
 from .multigpu.procchain import TRANSPORTS, align_multi_process
 from .perf import format_table, humanize_cells, humanize_time
 from .sw import DP_DTYPE_CHOICES, KERNEL_CHOICES, resolve_kernel
@@ -237,6 +236,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     if args.trace:
+        from .multigpu.pipeline import require_exact
+
         require_exact(args.mode)
     # Strict: a protein or otherwise non-DNA letter is refused here,
     # before any worker spawns, instead of being scored as N.
@@ -358,6 +359,8 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
                          tracer=tracer, a=a, b=b, wall_time_s=wall,
                          command=getattr(args, "_argv", None))
     if args.trace and res.score > 0:
+        from .multigpu.pipeline import trace_best
+
         aln = trace_best(a, b, seq.DNA_DEFAULT, res.best)
         print(aln.pretty(a, b))
     return 0

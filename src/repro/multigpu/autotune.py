@@ -1,4 +1,4 @@
-"""Configuration autotuning: analytic model, measured sweeps, re-balancing.
+"""Configuration autotuning: analytic model and measured sweeps.
 
 The chain has two tuning knobs the paper's system sets by hand: the block
 row height (border-segment granularity) and the circular-buffer capacity.
@@ -12,24 +12,16 @@ They trade off against each other:
 * **Buffer capacity ≥ 2** pipelines the two PCIe hops; beyond the point
   where the producer never blocks, more slots only cost host memory.
 
-Two tuners live here:
-
-* :func:`autotune` — evaluates the analytic model (``predict_chain``)
-  over a candidate grid and returns the configuration minimising
-  predicted total time, with the footprint constraint checked against
-  device memory.  With ``measured=True`` every surviving candidate is
-  instead **run** through the event simulator
-  (:func:`~repro.multigpu.chain.time_multi_gpu`) and judged on its
-  simulated makespan — slower per candidate, but exact with respect to
-  the simulator, so it can only match or beat the analytic pick on the
-  simulator's own workload (benchmark ``X3`` asserts exactly that).
-  Measured runs are memoised per (devices, matrix, grid) for the
-  process lifetime.
-* :func:`rebalance_weights` (+ :func:`estimate_capacities`) — the
-  online half: after a :class:`~repro.multigpu.pool.WorkerPool`
-  comparison, per-worker capacity is measured from each worker's own
-  ``compute`` spans, and the pool's slab weights are updated when the
-  drift exceeds a threshold (INTERNALS.md section 11).
+:func:`autotune` evaluates the analytic model (``predict_chain``) over a
+candidate grid and returns the configuration minimising predicted total
+time, with the footprint constraint checked against device memory.  With
+``measured=True`` every surviving candidate is instead **run** through
+the event simulator (:func:`~repro.multigpu.chain.time_multi_gpu`) and
+judged on its simulated makespan — slower per candidate, but exact with
+respect to the simulator, so it can only match or beat the analytic pick
+on the simulator's own workload (benchmark ``X3`` asserts exactly that).
+Measured runs are memoised per (devices, matrix, grid) for the process
+lifetime.
 """
 
 from __future__ import annotations
@@ -41,7 +33,7 @@ from ..device.spec import DeviceSpec
 from ..errors import ConfigError
 from .chain import ChainConfig, time_multi_gpu
 from .overlap import predict_chain, segment_bytes
-from .partition import Slab, proportional_partition
+from .partition import proportional_partition
 
 #: Candidate block-row heights (powers of two spanning the practical range).
 DEFAULT_BLOCK_ROWS = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
@@ -171,89 +163,3 @@ def autotune(
         _MEASURED_CACHE[cache_key] = result
     return result
 
-
-# -- online slab re-balancing -------------------------------------------------
-
-def compute_rates(reports: Sequence, rows: int) -> list[float]:
-    """Matrix rows per second of compute, one per worker's
-    :class:`~repro.multigpu.procchain.SlabReport`: *rows* (swept by the
-    attempt) over the summed length of its ``compute`` spans, 0.0 for a
-    worker that computed nothing."""
-    rates = []
-    for report in reports:
-        busy = sum(end - start for kind, start, end in report.records
-                   if kind == "compute")
-        rates.append(rows / busy if busy > 0 else 0.0)
-    return rates
-
-
-@dataclass(frozen=True)
-class RebalanceDecision:
-    """Outcome of one re-balance check (fired or not, with the evidence)."""
-
-    fired: bool
-    drift: float
-    threshold: float
-    old_weights: tuple[float, ...]
-    new_weights: tuple[float, ...]
-    capacities: tuple[float, ...]
-
-
-def estimate_capacities(reports: Sequence, slabs: Sequence[Slab],
-                        rows: int) -> list[float]:
-    """Per-worker capacity from one comparison's slab reports.
-
-    A worker that swept ``cols_g x rows`` cells in ``compute_g`` seconds
-    of compute pushes ``cols_g * rows / compute_g`` cells/s while not
-    starved — the paper's per-device throughput, measured instead of
-    declared; time spent waiting on borders is not in the spans.
-    Workers with no compute time fall back to their slab width
-    (neutral: they neither gain nor lose columns).
-    """
-    if len(reports) != len(slabs):
-        raise ConfigError("need one slab report per slab")
-    return [slab.cols * rate if rate > 0.0 else float(slab.cols)
-            for slab, rate in zip(slabs, compute_rates(reports, rows))]
-
-
-def rebalance_weights(
-    weights: Sequence[float],
-    capacities: Sequence[float],
-    *,
-    threshold: float = 0.25,
-    floor: float = 0.05,
-) -> RebalanceDecision:
-    """Decide whether measured *capacities* warrant new slab *weights*.
-
-    Drift is the largest relative gap between a worker's current weight
-    share and its capacity share; the decision fires when it exceeds
-    *threshold*.  New weights are the capacity shares floored at *floor*
-    (no worker is starved to zero — it could never demonstrate recovered
-    speed with an empty slab).  Pure arithmetic, deterministic, and
-    side-effect free: callers apply ``new_weights`` themselves.
-    """
-    if len(weights) != len(capacities):
-        raise ConfigError("weights and capacities must have equal length")
-    if not weights:
-        raise ConfigError("need at least one worker")
-    if threshold <= 0:
-        raise ConfigError("threshold must be positive")
-    w_total = float(sum(weights))
-    c_total = float(sum(capacities))
-    if w_total <= 0 or c_total <= 0:
-        raise ConfigError("weights and capacities must sum positive")
-    w_shares = [w / w_total for w in weights]
-    c_shares = [max(c / c_total, floor) for c in capacities]
-    c_norm = sum(c_shares)
-    c_shares = [c / c_norm for c in c_shares]
-    drift = max(abs(c - w) / w if w > 0 else float("inf")
-                for w, c in zip(w_shares, c_shares))
-    fired = drift > threshold
-    return RebalanceDecision(
-        fired=fired,
-        drift=drift,
-        threshold=threshold,
-        old_weights=tuple(weights),
-        new_weights=tuple(c_shares if fired else w_shares),
-        capacities=tuple(capacities),
-    )

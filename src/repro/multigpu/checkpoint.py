@@ -157,8 +157,9 @@ class CheckpointArea(ShmSegment):
     """Shared-memory per-slab checkpoint board for the process engines.
 
     One POSIX-shared-memory segment, owned by the *parent*, holding a
-    small ring of :class:`~repro.sw.blocks.RowState` entries per slab
-    (``history`` deep, newest overwrites oldest).  Each slab worker
+    small ring of :class:`~repro.sw.blocks.RowState` entries per slab:
+    the newest ``history`` entries, readable, plus one spare slot that
+    the next publish writes (newest overwrites oldest).  Each slab worker
     publishes into its own ring on the global checkpoint ladder (every
     :data:`CHECKPOINT_BLOCKS` block rows, plus the final row), so the
     rows published by different slabs line up and a full matrix row can
@@ -166,22 +167,25 @@ class CheckpointArea(ShmSegment):
 
     Consistency argument — why post-mortem reads are safe:
 
-    * each ring has exactly one writer (its worker), and the per-slab
+    * each ring has exactly one writer (its worker), a publish writes
+      only the spare slot, which no reader trusts, and the per-slab
       entry *count* is stored **last**, so a worker killed mid-publish
-      (even SIGKILL) leaves the previously published entries intact and
-      the torn entry invisible;
+      (even SIGKILL) leaves every readable entry intact and the torn one
+      invisible (overwriting a readable entry in place, a kill between
+      its header and its payload would pair a new row with old H/F);
     * the supervisor only reads the area **after** every worker of the
       failed attempt has been joined or killed, so there are no
       concurrent writers at read time at all;
     * ``history`` is sized from the border rings' *capacity*: adjacent
       slabs drift by at most ``capacity`` block rows, so across the
       chain the spread is ``(slabs - 1) * capacity`` block rows —
-      ``ceil`` of that in checkpoint-ladder units, plus slack for the
-      final-row entry and one in-flight publish — and the newest row of
-      the laggard is always still present in every leader's ring.  If
-      it ever is not (defence in depth), :meth:`consistent_row` returns
-      0 and the run restarts from scratch — slower, never wrong.  An
-      explicit *history* overrides the depth.
+      ``ceil`` of that in checkpoint-ladder units, plus one entry for
+      the laggard's own row and one for the final-row entry — and the
+      newest row of the laggard is always still readable in every
+      leader's ring.  If it ever is not (defence in depth),
+      :meth:`consistent_row` returns 0 and the run restarts from
+      scratch — slower, never wrong.  An explicit *history* overrides
+      the depth.
 
     Ownership, spawn-safe pickling (the segment name and geometry) and
     teardown are the :class:`~repro.comm.shm.ShmSegment` lifecycle.
@@ -204,15 +208,16 @@ class CheckpointArea(ShmSegment):
         self.widths = tuple(int(w) for w in widths)
         self.n_slots = len(self.widths)
         self.history = int(history)
-        # Per-slab region: one int64 publish count, then `history` entries
-        # of (header + H + F), each sized for that slab's width.
+        self._ring = self.history + 1  # the spare slot a publish writes
+        # Per-slab region: one int64 publish count, then `history` + 1
+        # entries of (header + H + F), each sized for that slab's width.
         self._entry_bytes = tuple(
             _ENTRY_HEADER.size + 2 * 4 * w for w in self.widths)
         self._offsets = []
         off = 0
         for eb in self._entry_bytes:
             self._offsets.append(off)
-            off += 8 + self.history * eb
+            off += 8 + self._ring * eb
         super().__init__(off, label=label)
         for slot in range(self.n_slots):
             self._count_view(slot)[0] = 0
@@ -228,9 +233,9 @@ class CheckpointArea(ShmSegment):
     def publish(self, slot: int, state: RowState) -> None:
         """Publish *slot*'s row *state* (single writer per slab ring).
 
-        The entry payload is written first and the ring count last, so a
-        writer killed at any point never corrupts an already-published
-        entry (class docstring).
+        The entry goes into the spare slot, payload first and the ring
+        count last, so a writer killed at any point never corrupts a
+        readable entry (class docstring).
         """
         self._check_slot(slot)
         w = self.widths[slot]
@@ -240,7 +245,7 @@ class CheckpointArea(ShmSegment):
                 f"{self.label}: slot {slot} expects width {w}, "
                 f"got H={h.size} F={f.size}")
         count = int(self._count_view(slot)[0])
-        off = self._entry_offset(slot, count % self.history)
+        off = self._entry_offset(slot, count % self._ring)
         buf = self._shm.buf
         _ENTRY_HEADER.pack_into(buf, off, state.row, best.score, best.row,
                                 best.col, state.blocks_checked,
@@ -261,7 +266,7 @@ class CheckpointArea(ShmSegment):
         out = []
         w = self.widths[slot]
         for k in range(count - valid, count):
-            off = self._entry_offset(slot, k % self.history)
+            off = self._entry_offset(slot, k % self._ring)
             row, score, brow, bcol, checked, pruned = _ENTRY_HEADER.unpack_from(
                 self._shm.buf, off)
             view = np.frombuffer(self._shm.buf, dtype=DTYPE, count=2 * w,

@@ -12,7 +12,8 @@ transports between them, then serves comparisons over that chain:
   empty at the end of every successful comparison, so no per-run setup
   or teardown remains on the hot path;
 * slab widths are proportional to the pool's *weights* (heterogeneous
-  worker speeds), recomputed per comparison for its matrix width.
+  worker speeds), recomputed per comparison for its matrix width; the
+  weights change only when recovery drops a dead worker.
 
 The serving daemon keeps one pool for many comparisons;
 :func:`~repro.multigpu.procchain.align_multi_process` is the same engine
@@ -131,7 +132,7 @@ class WorkerPool:
         Number of slab processes (chain length).
     weights:
         Relative per-worker speeds for proportional slab widths
-        (default: equal).
+        (default: equal), the paper's split by declared device power.
     max_block_rows:
         Largest ``block_rows`` any comparison may use — it sizes the
         shared-memory ring slots once, at spawn.
@@ -151,7 +152,7 @@ class WorkerPool:
         pool's whole lifetime: every (re-)spawn journals
         ``worker_spawn``, every :meth:`align` journals its lifecycle
         (``run_start``/``worker_death``/``checkpoint``/
-        ``restart_attempt``/``slab_rebalance``/``run_end``), and the
+        ``restart_attempt``/``run_end``), and the
         per-run heartbeat watchdog adds ``stall`` events.
     """
 
@@ -196,9 +197,6 @@ class WorkerPool:
         self._broken = False
         self._closed = False
 
-        #: Last :class:`~repro.multigpu.autotune.RebalanceDecision` made by
-        #: an ``align(rebalance=True)`` run (``None`` until one completes).
-        self.last_rebalance = None
         # What one set of workers holds; _release() returns the pool to
         # this empty state.  _lazy (align_multi_process) defers the spawn
         # to the first sweep, so a comparison answered inline (X-drop)
@@ -369,8 +367,6 @@ class WorkerPool:
         on_stall=None,
         max_restarts: int = 0,
         restart_backoff_s: float = 0.5,
-        rebalance: bool = False,
-        rebalance_threshold: float = 0.25,
         timeline=None,
         _fault: tuple[int, int] | None = None,
         _finalize_metrics: bool = True,
@@ -437,16 +433,6 @@ class WorkerPool:
         DP dtype (INTERNALS.md section 11): ``dp_dtype="auto"`` resolves
         per attempt against the widest slab of that attempt's partition.
 
-        Online re-balancing: with ``rebalance=True`` per-worker capacity
-        is measured from each worker's ``compute`` spans (slab width x
-        rows swept / compute seconds), and when the capacity shares drift
-        from ``self.weights`` by more than *rebalance_threshold*
-        (relative) the pool's weights are updated **for subsequent
-        comparisons** — the paper's heterogeneous slab split, measured
-        instead of declared.  The decision is recorded on ``self.last_rebalance``
-        and, when *metrics* is given, as a ``slab_rebalances`` counter
-        plus per-worker ``worker_rows_per_s`` gauges.
-
         ``_finalize_metrics=False`` leaves the run's successful ``run_end``
         and the run-level summary metrics to the caller; a failed run
         always journals its ``run_end``.
@@ -465,8 +451,6 @@ class WorkerPool:
         # recovery attempt resumes at the rows the checkpoints hold.
         cfg = replace(cfg, block_rows=block_height(
             cfg.block_rows, int(a_codes.size), self.workers))
-        if rebalance_threshold <= 0:
-            raise ConfigError("rebalance_threshold must be positive")
         retry = RetryPolicy(max_restarts=max_restarts,
                             backoff_s=restart_backoff_s)
         if self.events is not None:
@@ -488,7 +472,6 @@ class WorkerPool:
                 a_codes, b_codes, scoring, cfg, floor, origin=t0,
                 timeout_s=timeout_s, tracer=result_tracer, metrics=metrics,
                 heartbeat_s=heartbeat_s, on_stall=on_stall, retry=retry,
-                rebalance=rebalance, rebalance_threshold=rebalance_threshold,
                 timeline=timeline, fault=_fault)
 
         def from_inline(out) -> ProcessChainResult:
@@ -517,8 +500,7 @@ class WorkerPool:
 
     def _sweep(self, a_codes, b_codes, scoring, cfg, floor, *, origin,
                timeout_s, tracer, metrics, heartbeat_s, on_stall, retry,
-               rebalance, rebalance_threshold, timeline,
-               fault) -> ProcessChainResult:
+               timeline, fault) -> ProcessChainResult:
         """One exact sweep over the chain: one attempt per loop
         iteration; a failed attempt either checkpoint-resumes on the
         re-spawned survivors or raises.  Each attempt resumes from
@@ -612,10 +594,6 @@ class WorkerPool:
                     attempt += outcome.tally
 
                 if not failures:
-                    if rebalance:
-                        self._apply_rebalance(
-                            [reports[g] for g in range(len(slabs))], slabs,
-                            m - start_row, rebalance_threshold, metrics)
                     return ProcessChainResult(
                         best=BestCell.best_of(
                             r.outcome.best for r in reports.values()),
@@ -745,37 +723,3 @@ class WorkerPool:
                 # Final sample before the next attempt resets the board:
                 # the last frame records how far this attempt got.
                 sampler.detach()
-
-    def _apply_rebalance(self, reports, slabs, rows, threshold,
-                         metrics) -> None:
-        """Act on one comparison's slab reports: estimate per-worker
-        capacity from each worker's compute spans over its *rows*,
-        update ``self.weights`` when the drift against the current
-        shares exceeds *threshold* (relative).  Applies to *subsequent*
-        comparisons only — the finished one already ran."""
-        from .autotune import (compute_rates, estimate_capacities,
-                               rebalance_weights)
-
-        capacities = estimate_capacities(reports, slabs, rows)
-        decision = rebalance_weights(self.weights, capacities,
-                                     threshold=threshold)
-        self.last_rebalance = decision
-        if metrics is not None:
-            gauge = metrics.gauge(
-                "worker_rows_per_s",
-                help="matrix rows per second of compute, per pool worker")
-            for g, rate in enumerate(compute_rates(reports, rows)):
-                gauge.set(rate, device=f"worker{g}")
-        if decision.fired:
-            old_weights = list(self.weights)
-            self.weights = list(decision.new_weights)
-            if metrics is not None:
-                metrics.counter(
-                    "slab_rebalances",
-                    help="pool weight updates fired by online re-balancing",
-                ).inc(1, backend=self._backend)
-            if self.events is not None:
-                self.events.emit(
-                    "slab_rebalance",
-                    old_weights=[round(w, 4) for w in old_weights],
-                    new_weights=[round(w, 4) for w in self.weights])

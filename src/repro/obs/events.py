@@ -4,10 +4,10 @@ The telemetry subsystem's metrics (:mod:`repro.obs.registry`) answer
 "how much / how fast"; the event journal answers "what happened, when,
 to whom".  Every discrete lifecycle transition the supervisors see —
 run start/end, worker spawns and deaths, checkpoint assembly, restart
-attempts, heuristic and dtype escalations, slab rebalances, heartbeat
-stalls — is appended as one JSON line carrying correlation ids
-(``run_id`` / ``worker`` / ``attempt``), so a recovery or rebalance is
-reconstructable after the fact from ``events.jsonl`` alone.
+attempts, heuristic and dtype escalations, heartbeat stalls — is
+appended as one JSON line carrying correlation ids (``run_id`` /
+``worker`` / ``attempt``), so a recovery is reconstructable after the
+fact from ``events.jsonl`` alone.
 
 Design constraints:
 
@@ -54,7 +54,6 @@ EVENT_KINDS = (
     "restart_attempt",      # a recovery attempt began (resume row, survivors)
     "heuristic_escalation", # mode=auto fell back to the exact tier
     "dtype_escalation",     # narrow DP blocks were recomputed in int32
-    "slab_rebalance",       # pool weights updated from observed rates
     "stall",                # heartbeat watchdog flagged a silent worker
     "run_end",              # the comparison finished (score, wall time)
     # Serving-layer job lifecycle (INTERNALS.md section 14).  Each carries

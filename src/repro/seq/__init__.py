@@ -7,19 +7,20 @@ Public surface::
     from repro.seq import read_fasta, write_fasta, FastaRecord
 """
 
-from .alphabet import ALPHABET_SIZE, BASES, A, C, G, T, N
-from .encoding import decode, encode, reverse_complement
-from .fasta import FastaRecord, iter_fasta, read_fasta, read_single, write_fasta
-from .protein import (
-    AMINO_ACIDS,
-    BLOSUM62,
-    BLOSUM62_SCORING,
-    PROTEIN_ALPHABET_SIZE,
-    CustomScoring,
-    decode_protein,
-    encode_protein,
-)
-from .scoring import DNA_DEFAULT, LINEAR_GAPS, Scoring
+from .._lazy import lazy_package
+
+# Each name loads its module on first access: a DNA run does not pay for
+# the protein alphabet and its matrices.
+lazy_package(__name__, {
+    ".alphabet": ("ALPHABET_SIZE", "BASES", "A", "C", "G", "T", "N"),
+    ".encoding": ("decode", "encode", "reverse_complement"),
+    ".fasta": ("FastaRecord", "iter_fasta", "read_fasta", "read_single",
+               "write_fasta"),
+    ".protein": ("AMINO_ACIDS", "BLOSUM62", "BLOSUM62_SCORING",
+                 "PROTEIN_ALPHABET_SIZE", "CustomScoring", "decode_protein",
+                 "encode_protein"),
+    ".scoring": ("DNA_DEFAULT", "LINEAR_GAPS", "Scoring"),
+})
 
 __all__ = [
     "ALPHABET_SIZE",

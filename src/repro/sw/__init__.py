@@ -24,61 +24,39 @@ Layering (bottom up):
   knobs every engine, the CLI and serve share.
 """
 
-from .alignment import Alignment, from_ops
-from .backend import (
-    KERNEL_CHOICES,
-    KERNELS,
-    available_kernels,
-    engine_available,
-    require_kernel,
-    resolve_kernel,
-    validate_kernel,
-)
-from .batched import BlockJob, KernelWorkspace, sweep_wavefront
-from .compiled import sweep_block_compiled
-from .compiled import warmup as compiled_warmup
-from .scan import escan_row, escan_segmented
-from .blocks import BlockSpec, BlockedOutcome, compute_blocked, grid_specs, wavefront_order
-from .config import AlignConfig, resolve_config
-from .constants import (
-    DP_DTYPE_CHOICES,
-    DP_DTYPES,
-    NEG_INF,
-    POLICIES,
-    DpPolicy,
-    get_policy,
-    resolve_dp_dtype,
-    validate_dp_dtype,
-)
-from .diagonal import sw_score_diagonal
-from .kernel import (BestCell, BlockResult, ProfileCache, build_profile,
-                     cached_profile, sw_score, sweep_block)
-from .myers_miller import align_global, global_score
-from .naive import align_naive, full_matrices, sw_score_naive
-from .pruning import BlockPruner
-from .rowstore import BudgetedRowStore, StoreStats
-from .xdrop import (
-    DEFAULT_BAND_WIDTH,
-    DEFAULT_XDROP_X,
-    MODES,
-    BandedOutcome,
-    HeuristicDecision,
-    XDropOutcome,
-    adaptive_banded_score,
-    assess_heuristic,
-    band_intersects,
-    significance_threshold,
-    validate_mode,
-    xdrop_score,
-)
-from .stages import (
-    CrossingPoint,
-    Stage1Result,
-    align_local,
-    stage1_score,
-    stage2_with_crossings,
-    stage3_align,
-)
+from .._lazy import lazy_package
+
+# Each name loads its module on first access: a score-only run does not
+# pay for the traceback stages, the oracles or the row stores.
+lazy_package(__name__, {
+    ".alignment": ("Alignment", "from_ops"),
+    ".backend": ("KERNEL_CHOICES", "KERNELS", "available_kernels",
+                 "engine_available", "require_kernel", "resolve_kernel",
+                 "validate_kernel"),
+    ".batched": ("BlockJob", "KernelWorkspace", "sweep_wavefront"),
+    ".compiled": ("compiled_warmup", "sweep_block_compiled"),
+    ".scan": ("escan_row", "escan_segmented"),
+    ".blocks": ("BlockSpec", "BlockedOutcome", "compute_blocked",
+                "grid_specs", "wavefront_order"),
+    ".config": ("AlignConfig", "resolve_config"),
+    ".constants": ("DP_DTYPE_CHOICES", "DP_DTYPES", "NEG_INF", "POLICIES",
+                   "DpPolicy", "get_policy", "resolve_dp_dtype",
+                   "validate_dp_dtype"),
+    ".diagonal": ("sw_score_diagonal",),
+    ".kernel": ("BestCell", "BlockResult", "ProfileCache", "build_profile",
+                "cached_profile", "sw_score", "sweep_block"),
+    ".myers_miller": ("align_global", "global_score"),
+    ".naive": ("align_naive", "full_matrices", "sw_score_naive"),
+    ".pruning": ("BlockPruner",),
+    ".rowstore": ("BudgetedRowStore", "StoreStats"),
+    ".xdrop": ("DEFAULT_BAND_WIDTH", "DEFAULT_XDROP_X", "MODES",
+               "BandedOutcome", "HeuristicDecision", "XDropOutcome",
+               "adaptive_banded_score", "assess_heuristic",
+               "band_intersects", "significance_threshold", "validate_mode",
+               "xdrop_score"),
+    ".stages": ("CrossingPoint", "Stage1Result", "align_local",
+                "stage1_score", "stage2_with_crossings", "stage3_align"),
+})
 
 __all__ = [
     "Alignment",

@@ -157,42 +157,41 @@ class Alignment:
         max_lines: int = 40,
     ) -> str:
         """Human-readable blocked rendering (like BLAST pairwise output)."""
+        # Only the first max_lines lines of columns are printed; each
+        # sequence's aligned span is decoded once, up to the last of them.
+        shown = self.ops[: max(0, width * max_lines)]
+        a_text = iter(encoding.decode(
+            a_codes[self.start_i : self.start_i + len(shown) - shown.count("I")]))
+        b_text = iter(encoding.decode(
+            b_codes[self.start_j : self.start_j + len(shown) - shown.count("D")]))
         a_line: list[str] = []
         m_line: list[str] = []
         b_line: list[str] = []
-        i, j = self.start_i, self.start_j
-        for op in self.ops:
+        for op in shown:
             if op == "M":
-                ca = encoding.decode(a_codes[i : i + 1])
-                cb = encoding.decode(b_codes[j : j + 1])
+                ca = next(a_text)
+                cb = next(b_text)
                 a_line.append(ca)
                 b_line.append(cb)
                 m_line.append("|" if ca == cb and ca != "N" else ".")
-                i += 1
-                j += 1
             elif op == "D":
-                a_line.append(encoding.decode(a_codes[i : i + 1]))
+                a_line.append(next(a_text))
                 b_line.append("-")
                 m_line.append(" ")
-                i += 1
             else:
                 a_line.append("-")
-                b_line.append(encoding.decode(b_codes[j : j + 1]))
+                b_line.append(next(b_text))
                 m_line.append(" ")
-                j += 1
         out: list[str] = [
             f"score={self.score} a[{self.start_i}:{self.end_i}] b[{self.start_j}:{self.end_j}] len={self.length}"
         ]
-        lines_emitted = 0
-        for start in range(0, len(a_line), width):
-            if lines_emitted >= max_lines:
-                out.append(f"... ({len(a_line) - start} more columns)")
-                break
+        for start in range(0, len(shown), width):
             out.append("a: " + "".join(a_line[start : start + width]))
             out.append("   " + "".join(m_line[start : start + width]))
             out.append("b: " + "".join(b_line[start : start + width]))
             out.append("")
-            lines_emitted += 1
+        if len(self.ops) > len(shown):
+            out.append(f"... ({len(self.ops) - len(shown)} more columns)")
         return "\n".join(out)
 
 

@@ -356,3 +356,7 @@ def warmup() -> float:
         time.sleep(delay)
     engine()
     return time.perf_counter() - t0
+
+
+#: :func:`warmup` under the name :mod:`repro.sw` re-exports.
+compiled_warmup = warmup

@@ -128,3 +128,19 @@ class TestPretty:
         aln = make(5000, "M" * 5000, 0, 5000, 0, 5000)
         out = aln.pretty(a, a, width=60, max_lines=3)
         assert "more columns" in out
+
+    def test_exact_rendering_with_gaps_n_and_truncation(self):
+        a = encode("ACGTNACGTT")
+        b = encode("CACTNAGGTT")
+        aln = make(3, "MMDMMMIMMM", 0, 9, 1, 10)
+        assert aln.pretty(a, b, width=4, max_lines=2) == (
+            "score=3 a[0:9] b[1:10] len=10\n"
+            "a: ACGT\n"
+            "   || |\n"
+            "b: AC-T\n"
+            "\n"
+            "a: NA-C\n"
+            "   .| .\n"
+            "b: NAGG\n"
+            "\n"
+            "... (2 more columns)")

@@ -150,12 +150,12 @@ class TestSpillFile:
 
 class TestValidation:
     def test_taxonomy_is_closed_and_documented(self):
-        assert len(EVENT_KINDS) == len(set(EVENT_KINDS)) == 15
-        for kind in ("run_start", "worker_death", "checkpoint", "stall",
-                     "restart_attempt", "slab_rebalance", "run_end",
-                     "job_submit", "job_reject", "job_cache_hit",
-                     "job_start", "job_end"):
-            assert kind in EVENT_KINDS
+        assert len(EVENT_KINDS) == len(set(EVENT_KINDS)) == 14
+        assert set(EVENT_KINDS) == {
+            "run_start", "worker_spawn", "worker_death", "checkpoint",
+            "restart_attempt", "heuristic_escalation", "dtype_escalation",
+            "stall", "run_end", "job_submit", "job_reject", "job_cache_hit",
+            "job_start", "job_end"}
 
     def test_validate_event_rejects_bad_records(self):
         good = EventJournal(run_id="v").emit("run_start")

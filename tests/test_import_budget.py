@@ -23,7 +23,7 @@ NOT_LOADED = ("repro.obs.exporter", "http.server", "repro.serve",
 
 #: Most ``repro`` modules a process align may load.  A change that adds a
 #: module to the align path raises this number on purpose.
-MAX_REPRO_MODULES = 51
+MAX_REPRO_MODULES = 42
 
 
 def _python(code: str, *args: str, cwd=None) -> str:

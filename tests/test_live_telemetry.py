@@ -175,21 +175,6 @@ class TestPoolJournal:
         attempts = {f.rows_target for f in sampler.frames()}
         assert 128 * 2 in attempts and 120 * 2 in attempts
 
-    def test_rebalance_decision_emits_slab_rebalance(self, monkeypatch):
-        import importlib
-
-        autotune = importlib.import_module("repro.multigpu.autotune")
-        journal = EventJournal()
-        with WorkerPool(2, max_block_rows=64, events=journal) as pool:
-            monkeypatch.setattr(autotune, "estimate_capacities",
-                                lambda reports, slabs, rows: [300.0, 100.0])
-            pool._apply_rebalance(None, None, 0, 0.25, None)
-        (rec,) = [r for r in journal.recent()
-                  if r["event"] == "slab_rebalance"]
-        assert rec["old_weights"] == [1.0, 1.0]
-        assert rec["new_weights"][0] > rec["new_weights"][1]
-        assert pool.weights[0] > pool.weights[1]
-
 
 class TestStallEpisodes:
     def test_exactly_one_stall_event_per_episode(self):
@@ -266,13 +251,13 @@ class _ThreadCensus(TimeSeriesSampler):
 
 class TestOneBoardReader:
     def test_one_sampler_thread_serves_watchdog_and_rebalance(self, rng):
-        """Stall watchdog, re-balancing and timeline together run one
-        parent thread over the progress board."""
+        """Stall watchdog and timeline together run one parent thread
+        over the progress board, and no rate sampler beside it."""
         a, b = random_codes(rng, 2400), random_codes(rng, 4000)
         sampler = _ThreadCensus(interval_s=0.01)
         with WorkerPool(2, max_block_rows=64) as pool:
             pool.align(a, b, DNA_DEFAULT, block_rows=64, heartbeat_s=30.0,
-                       rebalance=True, timeline=sampler)
+                       timeline=sampler)
         sampler.close()
         assert sampler.census, "no periodic sample fired during the run"
         for names in sampler.census:

@@ -307,6 +307,49 @@ def test_every_door_answers_as_the_oracle(doors, door, data, cfg, weights,
         assert got.result.dp_dtype == mirror.result.dp_dtype
 
 
+def gap_heavy_pair():
+    """The C engine against the scalar kernel on a pair whose best path
+    takes long gaps both ways, an 18-row vertical one deep inside 32-row
+    blocks, under a cheap-extension scheme."""
+    rng = np.random.default_rng(12)
+    x, y, z = (random_dna(40, rng=rng) for _ in "xyz")
+    a = np.concatenate([x, random_dna(18, rng=rng), y,
+                        random_dna(14, rng=rng), z[:20]])
+    b = np.concatenate([x, y, random_dna(9, rng=rng), z])
+    scoring = Scoring(match=3, mismatch=-3, gap_open=4, gap_extend=1)
+    return a, b, scoring, AlignConfig(block_rows=32, kernel="scalar"), {
+        "kernel": "compiled"}
+
+
+def overflowing_pair():
+    """int16 against int32 on a homolog under ``HOT``: the narrow sweep
+    overflows its cap and must escalate."""
+    rng = np.random.default_rng(7)
+    a = random_dna(160, rng=rng)
+    b = mutate(a, HUMAN_CHIMP, rng=rng)
+    return a, b, HOT, AlignConfig(block_rows=32, dp_dtype="int32"), {
+        "dp_dtype": "int16"}
+
+
+@pytest.mark.parametrize("case", [gap_heavy_pair, overflowing_pair])
+def test_pinned_twin(doors, case):
+    """P5 pinned where the draw rarely looks, on every library engine that
+    keeps the plan: the twin answers as the run and the oracle, and a
+    kernel-only twin keeps every tally field and the DP dtype."""
+    a, b, scoring, cfg, knobs = case()
+    want = sw_score_naive(a, b, scoring)
+    twin_cfg = replace(cfg, **knobs)
+    for door in ("single", "sim", "pool"):
+        got = doors.run(door, a, b, scoring, cfg, [1.0, 2.0], 24)
+        twin = doors.run(door, a, b, scoring, twin_cfg, [1.0, 2.0], 24)
+        assert (got.score, got.row, got.col) == want, door
+        assert twin.key == got.key, door
+        check_stamps(twin.result, twin_cfg, scoring, want[0])
+        if knobs.keys() == {"kernel"}:
+            assert twin.result.tally == got.result.tally, door
+            assert twin.result.dp_dtype == got.result.dp_dtype, door
+
+
 def check_stamps(res, ran: AlignConfig, scoring, best: int) -> None:
     """A library result records the kernel and DP dtype it ran and the
     sweep it made: no prune decision without pruning, at least one with

@@ -45,6 +45,7 @@ from repro.multigpu import (
     save_checkpoint,
     surviving_partition,
 )
+from repro.multigpu import checkpoint as checkpoint_mod
 from repro.multigpu import pool as pool_mod
 from repro.multigpu.checkpoint import CHECKPOINT_BLOCKS
 from repro.multigpu.partition import Slab
@@ -303,6 +304,42 @@ class TestCheckpointArea:
                 area.publish(0, ChainCheckpoint(row, h, h))
             rows = [e.row for e in area.entries(0)]
             assert rows == [16, 24]
+
+    def test_killed_publish_tears_no_readable_entry(self, monkeypatch):
+        """A writer killed after an entry's header but before its payload
+        and commit (watchdog kill, SIGKILL, OOM) must not leave a
+        readable entry whose row is new but whose H/F are old, even once
+        the ring is full."""
+        header = checkpoint_mod._ENTRY_HEADER
+
+        class Killed(Exception):
+            pass
+
+        class DiesAfterHeader:
+            size = header.size
+
+            def pack_into(self, *args):
+                header.pack_into(*args)
+                raise Killed
+
+        def state(row):
+            h = np.full(4, row, dtype=np.int32)
+            return ChainCheckpoint(row, h, h)
+
+        with CheckpointArea([4, 4], history=4) as area:
+            for row in (4, 8, 12, 16):
+                area.publish(0, state(row))
+            for row in (4, 8, 12, 16, 20):
+                area.publish(1, state(row))
+            monkeypatch.setattr(checkpoint_mod, "_ENTRY_HEADER",
+                                DiesAfterHeader())
+            with pytest.raises(Killed):
+                area.publish(0, state(20))
+            monkeypatch.undo()
+            assert [e.row for e in area.entries(0)] == [4, 8, 12, 16]
+            row = area.consistent_row()
+            assert row == 16
+            assert area.assemble(row).h_row.tolist() == [16] * 8
 
     def test_width_and_slot_validation(self):
         with CheckpointArea([3]) as area:

@@ -41,7 +41,7 @@ __version__ = "1.0.0"
 lazy_package(__name__, {
     ".multigpu.chain": ("ChainConfig", "ChainResult", "align_multi_gpu",
                         "time_multi_gpu"),
-    ".multigpu.procchain": ("ProcessChainResult", "align_multi_process"),
+    ".multigpu.front": ("ProcessChainResult", "align_multi_process"),
     ".multigpu.pool": ("WorkerPool",),
     ".sw.stages": ("align_local",),
     ".sw.kernel": ("sw_score",),

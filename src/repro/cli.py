@@ -45,44 +45,58 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import seq
-from .device import spec as device_spec
-from .device.spec import DeviceSpec
 from .errors import ReproError
-from .multigpu.procchain import TRANSPORTS, align_multi_process
 from .perf import format_table, humanize_cells, humanize_time
 from .sw import DP_DTYPE_CHOICES, KERNEL_CHOICES, resolve_kernel
-from .sw.config import CONFIG_FIELDS, AlignConfig
-from .sw.xdrop import MODES
+from .sw.config import CONFIG_FIELDS, MODES, AlignConfig
 
-# Everything else a subcommand needs (the simulated chain, the workload
-# catalog, the tuner, the campaigns, statistics, serve, the HTTP
-# exporter) is imported inside that subcommand or backend, so
-# `mgsw align --backend process` does not load it.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .device.spec import DeviceSpec
 
-#: Name -> preset mapping for --gpu flags.
-PRESETS: dict[str, DeviceSpec] = {
-    "gtx560ti": device_spec.GTX_560_TI,
-    "gtx580": device_spec.GTX_580,
-    "gtx680": device_spec.GTX_680,
-    "k20": device_spec.TESLA_K20,
-    "m2090": device_spec.TESLA_M2090,
+# Everything else a subcommand needs (the process engine, the simulated
+# chain and its device presets, the workload catalog, the tuner, the
+# campaigns, statistics, serve, the HTTP exporter) is imported inside that
+# subcommand or backend, so a run loads only the layers it executes
+# (INTERNALS.md section 17).
+
+#: The process engine's border transports
+#: (:data:`repro.multigpu.front.TRANSPORTS`).
+TRANSPORTS = ("shm", "pipe")
+
+#: --gpu preset name -> its :class:`~repro.device.spec.DeviceSpec` in
+#: :mod:`repro.device.spec`.
+PRESETS: dict[str, str] = {
+    "gtx560ti": "GTX_560_TI",
+    "gtx580": "GTX_580",
+    "gtx680": "GTX_680",
+    "k20": "TESLA_K20",
+    "m2090": "TESLA_M2090",
 }
 
-ENVIRONMENTS: dict[str, tuple[DeviceSpec, ...]] = {
-    "env1": device_spec.ENV1_HETEROGENEOUS,
-    "env2": device_spec.ENV2_HOMOGENEOUS,
+#: --env name -> its device tuple in :mod:`repro.device.spec`.
+ENVIRONMENTS: dict[str, str] = {
+    "env1": "ENV1_HETEROGENEOUS",
+    "env2": "ENV2_HOMOGENEOUS",
 }
+
+
+def _device_spec(name: str):
+    """The :mod:`repro.device.spec` constant *name*: the presets load only
+    for the commands that use them."""
+    from .device import spec
+
+    return getattr(spec, name)
 
 
 def _devices_from_args(args: argparse.Namespace) -> tuple[DeviceSpec, ...]:
     if args.env:
-        return ENVIRONMENTS[args.env]
+        return _device_spec(ENVIRONMENTS[args.env])
     if args.gpu:
-        return tuple(PRESETS[name] for name in args.gpu)
-    return ENVIRONMENTS["env1"]
+        return tuple(_device_spec(PRESETS[name]) for name in args.gpu)
+    return _device_spec(ENVIRONMENTS["env1"])
 
 
 def _paper_pair(name: str):
@@ -314,6 +328,8 @@ def _run_align(args, a, b, title, *, telemetry, registry, tracer,
         def on_stall(report):
             print(f"[mgsw] {report.describe()}", file=sys.stderr)
 
+        from .multigpu.front import align_multi_process
+
         t0 = time_mod.perf_counter()
         res = align_multi_process(
             a, b, seq.DNA_DEFAULT, config=config, workers=args.workers,
@@ -484,6 +500,8 @@ def cmd_perf_trace_export(args: argparse.Namespace) -> int:
     tracer = Tracer()
     config = _config_from_args(args, kernel=resolve_kernel(args.kernel))
     if args.backend == "process":
+        from .multigpu.front import align_multi_process
+
         res = align_multi_process(
             a, b, seq.DNA_DEFAULT, config=config, workers=args.workers,
             capacity=args.buffer, transport=args.transport, tracer=tracer)
@@ -553,11 +571,13 @@ def cmd_top(args: argparse.Namespace) -> int:
 def cmd_devices(_args: argparse.Namespace) -> int:
     rows = [
         [name, d.name, f"{d.gcups:.1f}", f"{d.pcie_gbps:.1f}", str(d.copy_engines)]
-        for name, d in sorted(PRESETS.items())
+        for name, d in ((name, _device_spec(PRESETS[name]))
+                        for name in sorted(PRESETS))
     ]
     print(format_table(["preset", "device", "GCUPS", "PCIe GB/s", "copy engines"], rows))
     print()
-    for name, env in ENVIRONMENTS.items():
+    for name, const in ENVIRONMENTS.items():
+        env = _device_spec(const)
         total = sum(d.gcups for d in env)
         print(f"{name}: {', '.join(d.name for d in env)}  (aggregate {total:.1f} GCUPS)")
     return 0

@@ -10,7 +10,7 @@ state, and this module provides it in two flavours behind one interface:
   processes all run inside one event loop;
 * :class:`SharedScoreboard` — a lock-free shared-memory scoreboard for
   the real-process engine (:class:`~repro.multigpu.pool.WorkerPool`, which
-  :func:`~repro.multigpu.procchain.align_multi_process` runs on).
+  :func:`~repro.multigpu.front.align_multi_process` runs on).
 
 Why lock-free is safe here
 --------------------------

@@ -26,21 +26,21 @@ publishes its slab's state at a block-row boundary into a
 failure the supervisor assembles the newest row every slab published
 (:meth:`CheckpointArea.consistent_row` / :meth:`CheckpointArea.assemble`),
 re-partitions the matrix across the surviving workers, and resumes from
-that row under a :class:`RetryPolicy` instead of aborting the whole
-comparison.
+that row under a :class:`~repro.multigpu.front.RetryPolicy` instead of
+aborting the whole comparison.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from ..comm.shm import ShmSegment
-from ..errors import CommError, ConfigError
+from ..errors import CommError
 from ..sw.blocks import RowState
 from ..sw.constants import DTYPE
 from ..sw.kernel import BestCell
@@ -104,50 +104,8 @@ def load_checkpoint(path: str | os.PathLike) -> ChainCheckpoint:
 
 
 # ---------------------------------------------------------------------------
-# Live recovery: retry policy + shared-memory per-slab checkpoint area
+# Live recovery: the shared-memory per-slab checkpoint area
 # ---------------------------------------------------------------------------
-
-#: Worker-raised exception types that re-executing cannot fix: the same
-#: inputs would fail the same way, so the supervisor must not retry them.
-_PERMANENT_MARKERS = ("ConfigError(", "PartitionError(")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the real-process supervisors respond to a failed attempt.
-
-    ``max_restarts`` bounds how many times one comparison may be resumed
-    (0 keeps the old fail-fast behaviour); between attempts the
-    supervisor sleeps an exponential backoff.  Worker failures whose
-    error text names a deterministic configuration error are classified
-    *permanent* and never retried — re-dispatching the same bad inputs
-    cannot succeed.
-    """
-
-    max_restarts: int = 0
-    backoff_s: float = 0.5
-    backoff_multiplier: float = 2.0
-    max_backoff_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ConfigError("max_restarts must be >= 0")
-        if self.backoff_s < 0 or self.max_backoff_s < 0:
-            raise ConfigError("backoff times must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigError("backoff_multiplier must be >= 1")
-
-    def delay_s(self, restarts_done: int) -> float:
-        """Backoff before restart number ``restarts_done + 1``."""
-        return min(self.max_backoff_s,
-                   self.backoff_s * self.backoff_multiplier ** restarts_done)
-
-    @staticmethod
-    def is_permanent(failure: str) -> bool:
-        """True when *failure* (a worker error description) is one
-        re-execution cannot fix (see :data:`_PERMANENT_MARKERS`)."""
-        return any(marker in failure for marker in _PERMANENT_MARKERS)
-
 
 #: Per-entry header: row, score, best_row, best_col, checked, pruned.
 _ENTRY_HEADER = struct.Struct("<qqqqqq")

@@ -16,8 +16,8 @@ transports between them, then serves comparisons over that chain:
   weights change only when recovery drops a dead worker.
 
 The serving daemon keeps one pool for many comparisons;
-:func:`~repro.multigpu.procchain.align_multi_process` is the same engine
-with a lifetime of one comparison.
+:func:`~repro.multigpu.front.align_multi_process` is the same engine
+with a lifetime of one exact sweep.
 
 Failure semantics: any worker error or death marks the pool **broken**
 (the transports' cursors can no longer be trusted) and raises
@@ -46,29 +46,25 @@ from ..comm.scoreboard import SharedScoreboard
 from ..comm.shmring import ShmRing
 from ..device.trace import Tracer, WallClockRecorder, merge_wall_records
 from ..errors import ConfigError
-from ..obs.heartbeat import HeartbeatMonitor
 from ..obs.instruments import EngineInstruments, record_recovery
 from ..obs.registry import MetricsRegistry
-from ..obs.timeseries import TimeSeriesSampler
 from ..seq.scoring import Scoring
 from ..sw.blocks import RowState
 from ..sw.compiled import warmup as compiled_warmup
 from ..sw.config import AlignConfig, block_height, resolve_config
 from ..sw.constants import resolve_dp_dtype
 from ..sw.kernel import BestCell
-from ..sw.tiers import BANDED_MODES, INLINE_MODES, SweepTally, run_tiers
-from .checkpoint import CheckpointArea, RetryPolicy
-from .partition import Slab, proportional_partition, surviving_partition
+from ..sw.tiers import SweepTally
+from .checkpoint import CheckpointArea
+from .front import (ProcessChainResult, RetryPolicy, answer, check_chain,
+                    check_comparison, publish_run)
+from .partition import proportional_partition, surviving_partition
 from .procchain import (
-    TRANSPORTS,
     PipeLink,
-    ProcessChainResult,
     SlabReport,
     SlabTask,
-    check_comparison,
     collect_results,
     pick_context,
-    publish_run,
     sweep_slab,
 )
 
@@ -168,20 +164,9 @@ class WorkerPool:
         border_timeout_s: float = 60.0,
         events=None,
         _backend: str = "pool",
-        _lazy: bool = False,
     ) -> None:
-        if workers <= 0:
-            raise ConfigError("workers must be positive")
-        if transport not in TRANSPORTS:
-            raise ConfigError(f"unknown transport {transport!r}; expected "
-                              f"one of {TRANSPORTS}")
-        if capacity <= 0:
-            raise ConfigError("capacity must be positive")
-        if weights is not None and len(weights) != workers:
-            raise ConfigError("weights length must equal the worker count")
-        if max_block_rows <= 0:
-            raise ConfigError("max_block_rows must be positive")
-
+        check_chain(workers, weights=weights, max_block_rows=max_block_rows,
+                    capacity=capacity, transport=transport)
         self.workers = workers
         self.weights = list(weights) if weights is not None else [1.0] * workers
         self.max_block_rows = max_block_rows
@@ -198,9 +183,7 @@ class WorkerPool:
         self._closed = False
 
         # What one set of workers holds; _release() returns the pool to
-        # this empty state.  _lazy (align_multi_process) defers the spawn
-        # to the first sweep, so a comparison answered inline (X-drop)
-        # starts no process.
+        # this empty state.
         self._procs: list = []
         self._rings: list[ShmRing] = []
         self._parent_conns: list = []
@@ -208,8 +191,7 @@ class WorkerPool:
         self._progress: ProgressBoard | None = None
         self._result_queue = None
         self._task_queues: list = []
-        if not _lazy:
-            self._spawn_workers()
+        self._spawn_workers()
 
     def _spawn_workers(self) -> None:
         """Create the transports, boards, queues and worker processes for
@@ -369,7 +351,6 @@ class WorkerPool:
         restart_backoff_s: float = 0.5,
         timeline=None,
         _fault: tuple[int, int] | None = None,
-        _finalize_metrics: bool = True,
         **overrides,
     ) -> ProcessChainResult:
         """Local alignment over the pool's worker chain (exact modes are
@@ -432,10 +413,6 @@ class WorkerPool:
 
         DP dtype (INTERNALS.md section 11): ``dp_dtype="auto"`` resolves
         per attempt against the widest slab of that attempt's partition.
-
-        ``_finalize_metrics=False`` leaves the run's successful ``run_end``
-        and the run-level summary metrics to the caller; a failed run
-        always journals its ``run_end``.
         """
         if self._closed:
             raise ConfigError("pool is closed")
@@ -453,54 +430,28 @@ class WorkerPool:
             cfg.block_rows, int(a_codes.size), self.workers))
         retry = RetryPolicy(max_restarts=max_restarts,
                             backoff_s=restart_backoff_s)
-        if self.events is not None:
-            self.events.emit(
-                "run_start", backend=self._backend, mode=cfg.mode,
-                rows=int(a_codes.size), cols=int(b_codes.size),
-                workers=0 if cfg.mode in INLINE_MODES else self.workers,
-                kernel=cfg.kernel, transport=self.transport,
-                pruning=cfg.pruning, max_restarts=retry.max_restarts,
-                band_width=(cfg.band_width if cfg.mode in BANDED_MODES
-                            else None))
-        t0 = time.perf_counter()
-        # One time base and one tracer for every tier of the comparison.
-        result_tracer = tracer if tracer is not None else Tracer()
-        n = int(b_codes.size)
 
-        def sweep(floor: int) -> ProcessChainResult:
-            return self._sweep(
-                a_codes, b_codes, scoring, cfg, floor, origin=t0,
-                timeout_s=timeout_s, tracer=result_tracer, metrics=metrics,
+        def sweep(floor: int, origin: float,
+                  into: Tracer) -> ProcessChainResult:
+            return self.sweep(
+                a_codes, b_codes, scoring, cfg, floor, origin=origin,
+                timeout_s=timeout_s, tracer=into, metrics=metrics,
                 heartbeat_s=heartbeat_s, on_stall=on_stall, retry=retry,
                 timeline=timeline, fault=_fault)
 
-        def from_inline(out) -> ProcessChainResult:
-            # The parent swept (a band of) the whole width; no worker
-            # took part.
-            result_tracer.record("parent", "compute", out.started - t0,
-                                 out.started - t0 + out.wall_s)
-            if metrics is not None:
-                EngineInstruments(metrics, "parent").block_computed(
-                    out.wall_s, cells=out.cells_computed)
-            return ProcessChainResult(
-                best=out.best, wall_time_s=time.perf_counter() - t0,
-                cells=int(a_codes.size) * n, workers=0,
-                partition=(Slab(0, 0, n),), transport=self.transport,
-                start_method=self.start_method, tracer=result_tracer,
-                config=cfg)
-
-        result = run_tiers(a_codes, b_codes, scoring, cfg,
-                           sweep=sweep, from_inline=from_inline,
-                           elapsed="wall_time_s", backend=self._backend,
-                           metrics=metrics, events=self.events)
-        if _finalize_metrics:
-            publish_run(result, backend=self._backend, metrics=metrics,
-                        events=self.events)
+        result = answer(a_codes, b_codes, scoring, cfg, sweep=sweep,
+                        workers=self.workers, transport=self.transport,
+                        start_method=self.start_method,
+                        max_restarts=retry.max_restarts,
+                        backend=self._backend, tracer=tracer,
+                        metrics=metrics, events=self.events)
+        publish_run(result, backend=self._backend, metrics=metrics,
+                    events=self.events)
         return result
 
-    def _sweep(self, a_codes, b_codes, scoring, cfg, floor, *, origin,
-               timeout_s, tracer, metrics, heartbeat_s, on_stall, retry,
-               timeline, fault) -> ProcessChainResult:
+    def sweep(self, a_codes, b_codes, scoring, cfg, floor, *, origin,
+              timeout_s, tracer, metrics, heartbeat_s, on_stall, retry,
+              timeline, fault) -> ProcessChainResult:
         """One exact sweep over the chain: one attempt per loop
         iteration; a failed attempt either checkpoint-resumes on the
         re-spawned survivors or raises.  Each attempt resumes from
@@ -510,9 +461,10 @@ class WorkerPool:
         attempt starts the scoreboard at *floor*, a resumed one at the
         resumed best cell when that is higher.  Trace records are
         relative to *origin*; the result's wall time covers this sweep
-        only."""
-        if not self._procs:
-            self._spawn_workers()
+        only.  *cfg* arrives checked, its ``block_rows`` resolved:
+        :meth:`align` and
+        :func:`~repro.multigpu.front.align_multi_process` hand this sweep
+        to :func:`~repro.multigpu.front.answer`."""
         started = time.perf_counter()
         m, n = int(a_codes.size), int(b_codes.size)
         recovery = retry.max_restarts > 0
@@ -693,6 +645,8 @@ class WorkerPool:
         describe = lambda g: f"{label} {g}"  # noqa: E731
         watchdog = None
         if heartbeat_s is not None:
+            from ..obs.heartbeat import HeartbeatMonitor
+
             on_hard = None
             if recovery:
                 def on_hard(report, _procs=self._procs):
@@ -708,6 +662,8 @@ class WorkerPool:
             describe = lambda g: f"{label} {g} ({watchdog.describe(g)})"  # noqa: E731
         sampler = timeline
         if sampler is None and watchdog is not None:
+            from ..obs.timeseries import TimeSeriesSampler
+
             sampler = TimeSeriesSampler(ring=1)
         if sampler is not None:
             sampler.attach(self._progress, rows=rows,

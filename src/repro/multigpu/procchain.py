@@ -4,8 +4,9 @@ Everything else in :mod:`repro.multigpu` runs on a simulated clock; the
 real-process engine executes the same column-slab / border-column
 dataflow across **real OS processes**, one per slab.  This module holds
 the pieces of that dataflow; :class:`repro.multigpu.pool.WorkerPool` is
-the engine that runs them, and :func:`align_multi_process` is a pool with
-a lifetime of one comparison.  Two border transports implement the
+the engine that runs them, and
+:func:`~repro.multigpu.front.align_multi_process` is a pool with a
+lifetime of one exact sweep.  Two border transports implement the
 paper's host circular buffer:
 
 * ``"shm"`` (default) — a :class:`~repro.comm.shmring.ShmRing` per slab
@@ -44,7 +45,7 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -52,22 +53,21 @@ import numpy as np
 from ..comm.progress import ProgressBoard
 from ..comm.scoreboard import SharedScoreboard
 from ..comm.shmring import HEADER_BYTES, HEADER_STRUCT
-from ..device.trace import Tracer, WallClockRecorder
+from ..device.trace import WallClockRecorder
 from ..errors import CommError, ConfigError
-from ..obs.instruments import EngineInstruments, finalize_run_metrics
-from ..obs.registry import MetricsRegistry
-from ..perf.metrics import gcups as _metrics_gcups
-from ..seq.scoring import Scoring, check_pair
+from ..obs.instruments import EngineInstruments
+from ..seq.scoring import Scoring
 from ..sw.blocks import RowState, SlabSweep
-from ..sw.config import CONFIG_FIELDS, AlignConfig, resolve_config
+from ..sw.config import AlignConfig
 from ..sw.constants import DTYPE, NEG_INF, DpPolicy
 from ..sw.kernel import BestCell, cached_profile
-from ..sw.tiers import RunResult, SweepTally
+from ..sw.tiers import SweepTally
 from .checkpoint import CHECKPOINT_BLOCKS, CheckpointArea
+# The front door (result type, checks, align_multi_process) loads without
+# this module; its names stay importable from here.
+from .front import (TRANSPORTS, ProcessChainResult,  # noqa: F401
+                    align_multi_process)
 from .partition import Slab
-
-#: Supported border transports.
-TRANSPORTS = ("shm", "pipe")
 
 #: Grace period between noticing a dead worker and declaring it failed
 #: (its final result message may still be in flight through the queue).
@@ -121,88 +121,6 @@ class PipeLink:
         e = np.frombuffer(buf, dtype=DTYPE, count=rows,
                           offset=HEADER_BYTES + 4 * rows).copy()
         return h, e, int(corner)
-
-
-@dataclass(frozen=True, kw_only=True)
-class ProcessChainResult(RunResult):
-    """Outcome of a real-process run (wall-clock, not virtual, time): the
-    shared :class:`~repro.sw.tiers.RunResult` fields plus the wall time,
-    worker count, partition, transport, trace, recovery accounting and
-    config.
-
-    The counters are chain-wide.  ``cells_swept`` and the narrow/wide
-    split count every attempt; ``blocks_checked``/``blocks_pruned``
-    count the last attempt, whose per-worker ``(checked, pruned)`` pairs
-    are ``worker_blocks``, and the checkpointed prefix it resumed from,
-    which the first worker's pair carries.
-
-    ``tracer`` holds per-worker wall-clock intervals (actors ``worker0``,
-    ``worker1``, ...; ``parent`` for a tier run inline) recorded through the
-    :class:`~repro.device.trace.WallClockRecorder` adapter, so the same
-    breakdown/utilisation/overlap queries work as for simulated runs.
-    """
-
-    wall_time_s: float
-    workers: int
-    partition: tuple[Slab, ...] = ()
-    transport: str = "pipe"
-    start_method: str = "fork"
-    tracer: Tracer | None = None
-    worker_blocks: tuple = ()
-    #: Recovery accounting (zeros unless ``max_restarts`` allowed a resume):
-    #: attempts resumed after a failure, and matrix rows swept again because
-    #: they lay past the newest consistent checkpoint when the failure hit.
-    restarts: int = 0
-    rows_recomputed: int = 0
-    #: Always 0: no engine skips blocks by band any more.
-    #: ``perfbench/layers.py`` reads it, so it goes with the next change
-    #: to the benchmark.
-    blocks_skipped_band: int = 0
-    #: The config the run swept, ``block_rows`` resolved by
-    #: :func:`~repro.sw.config.block_height`.
-    config: AlignConfig = AlignConfig()
-
-    @property
-    def kernel(self) -> str:
-        return self.config.kernel
-
-    @property
-    def pruning(self) -> bool:
-        return self.config.pruning
-
-    @property
-    def gcups(self) -> float:
-        """Wall-clock GCUPS via :func:`repro.perf.metrics.gcups`.
-
-        One behaviour library-wide: a non-positive elapsed time raises
-        ``ValueError`` (it can only arise from a corrupted result).
-        """
-        return _metrics_gcups(self.cells, self.wall_time_s)
-
-    def breakdown(self) -> list[dict[str, float]]:
-        """Per-worker compute/transfer/wait/idle fractions of the wall time
-        (same shape as :meth:`repro.multigpu.chain.ChainResult.breakdown`)."""
-        if self.tracer is None:
-            return []
-        out = []
-        for g in range(self.workers):
-            actor = f"worker{g}"
-            compute = self.tracer.total(actor, "compute") / self.wall_time_s
-            transfer = (self.tracer.total(actor, "d2h")
-                        + self.tracer.total(actor, "h2d")) / self.wall_time_s
-            wait = self.tracer.total(actor, "wait") / self.wall_time_s
-            entry = {
-                "compute": compute,
-                "transfer": transfer,
-                "wait": wait,
-                "idle": max(0.0, 1.0 - compute - transfer - wait),
-            }
-            if self.pruning and g < len(self.worker_blocks):
-                checked, pruned = self.worker_blocks[g]
-                entry["blocks_checked"] = float(checked)
-                entry["blocks_pruned"] = float(pruned)
-            out.append(entry)
-        return out
 
 
 @dataclass(frozen=True)
@@ -461,90 +379,3 @@ def collect_results(
             continue
         accept(report)
     return reports, sorted(failures)
-
-
-def check_comparison(a_codes: np.ndarray, b_codes: np.ndarray,
-                     scoring: Scoring, *, workers: int) -> None:
-    """Refuse a pair *scoring* cannot score, or one a *workers*-long
-    chain cannot run (the config validated itself on construction)."""
-    check_pair(a_codes, b_codes, scoring)
-    if b_codes.size < workers:
-        raise ConfigError("matrix narrower than the worker count")
-
-
-def publish_run(result: ProcessChainResult, *, backend: str,
-                metrics: MetricsRegistry | None, events) -> None:
-    """Close a successful real-process run: the run-level summary metrics
-    and the ``run_end`` record."""
-    if metrics is not None:
-        finalize_run_metrics(
-            metrics, backend=backend, blocks_checked=result.blocks_checked,
-            blocks_pruned=result.blocks_pruned,
-            wall_time_s=result.wall_time_s, gcups=result.gcups)
-    if events is not None:
-        events.emit("run_end", status="ok", score=int(result.best.score),
-                    wall_time_s=round(result.wall_time_s, 6),
-                    restarts=result.restarts, tier=result.tier,
-                    escalated=result.escalated)
-
-
-def align_multi_process(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    scoring: Scoring,
-    *,
-    config: AlignConfig | None = None,
-    workers: int = 2,
-    weights: Sequence[float] | None = None,
-    capacity: int = 4,
-    transport: str = "shm",
-    start_method: str | None = None,
-    border_timeout_s: float = 60.0,
-    events=None,
-    **options,
-) -> ProcessChainResult:
-    """One comparison across *workers* real processes.
-
-    A :class:`~repro.multigpu.pool.WorkerPool` with a lifetime of one
-    comparison: every argument is validated first (each
-    :class:`ConfigError` is raised before any process spawns), then the
-    pool's first sweep spawns *workers* slab processes, the pool runs
-    this comparison once and is closed on every exit path.  *weights*
-    sizes slabs proportionally to per-worker speed (equal by default),
-    *capacity* is the border ring depth, *transport* picks shared memory
-    or pipes, *start_method* overrides the fork-else-spawn default.
-    *config* and the :class:`~repro.sw.config.AlignConfig` field names
-    in *options* (``block_rows=``, ``kernel=``, ``mode=``, ...) make the
-    comparison's config; every other option means what it means on
-    :meth:`WorkerPool.align <repro.multigpu.pool.WorkerPool.align>`.
-    ``mode="banded"`` and ``"xdrop"`` run inline in the parent and spawn
-    nothing; ``"auto"`` spawns the workers only when it escalates.
-
-    *events* journals ``run_start``, the pool's ``worker_spawn`` and
-    recovery records, and ``run_end``.  The result's ``wall_time_s``, the
-    ``last_run_*`` gauges and ``run_end`` cover the whole call, worker
-    spawn and teardown included; metrics and events carry
-    ``backend="process"``.
-
-    Raises :class:`ConfigError` on bad parameters and ``RuntimeError``
-    when a worker fails or the run times out.
-    """
-    from .pool import WorkerPool  # the engine builds on this module
-
-    t0 = time.perf_counter()
-    cfg = resolve_config(config, **{n: options.pop(n) for n in CONFIG_FIELDS
-                                    if n in options})
-    check_comparison(a_codes, b_codes, scoring, workers=workers)
-    # A lazy pool: every remaining check runs before its first sweep
-    # spawns the workers, and a tier answered inline spawns none.
-    with WorkerPool(workers, weights=weights, max_block_rows=cfg.block_rows,
-                    capacity=capacity, transport=transport,
-                    start_method=start_method,
-                    border_timeout_s=border_timeout_s, events=events,
-                    _backend="process", _lazy=True) as pool:
-        result = pool.align(a_codes, b_codes, scoring, config=cfg,
-                            _finalize_metrics=False, **options)
-    result = replace(result, wall_time_s=time.perf_counter() - t0)
-    publish_run(result, backend="process",
-                metrics=options.get("metrics"), events=events)
-    return result

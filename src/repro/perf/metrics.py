@@ -19,7 +19,7 @@ def gcups(cells: int, seconds: float) -> float:
     (simulated :class:`~repro.multigpu.chain.ChainResult` and
     :class:`~repro.baselines.single_gpu.SingleGpuResult` GCUPS on the
     virtual clock, real-process
-    :class:`~repro.multigpu.procchain.ProcessChainResult` GCUPS on wall
+    :class:`~repro.multigpu.front.ProcessChainResult` GCUPS on wall
     time) routes through it, and the one documented behaviour for a
     non-positive *seconds* is to raise ``ValueError`` — a zero or
     negative elapsed time is always a caller bug, never a rate.

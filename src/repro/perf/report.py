@@ -1,7 +1,7 @@
 """Formatted run reports: one text block summarising a chain result.
 
 Turns a :class:`~repro.multigpu.chain.ChainResult` (simulated) or a
-:class:`~repro.multigpu.procchain.ProcessChainResult` (real processes)
+:class:`~repro.multigpu.front.ProcessChainResult` (real processes)
 into the multi-section report the CLI prints and the examples embed —
 configuration, partition, throughput, per-device breakdown, and channel
 statistics — so every front-end renders runs identically.  The two

@@ -38,7 +38,8 @@ lazy_package(__name__, {
     ".scan": ("escan_row", "escan_segmented"),
     ".blocks": ("BlockSpec", "BlockedOutcome", "compute_blocked",
                 "grid_specs", "wavefront_order"),
-    ".config": ("AlignConfig", "resolve_config"),
+    ".config": ("AlignConfig", "DEFAULT_BAND_WIDTH", "DEFAULT_XDROP_X",
+                "MODES", "resolve_config", "validate_mode"),
     ".constants": ("DP_DTYPE_CHOICES", "DP_DTYPES", "NEG_INF", "POLICIES",
                    "DpPolicy", "get_policy", "resolve_dp_dtype",
                    "validate_dp_dtype"),
@@ -49,11 +50,9 @@ lazy_package(__name__, {
     ".naive": ("align_naive", "full_matrices", "sw_score_naive"),
     ".pruning": ("BlockPruner",),
     ".rowstore": ("BudgetedRowStore", "StoreStats"),
-    ".xdrop": ("DEFAULT_BAND_WIDTH", "DEFAULT_XDROP_X", "MODES",
-               "BandedOutcome", "HeuristicDecision", "XDropOutcome",
+    ".xdrop": ("BandedOutcome", "HeuristicDecision", "XDropOutcome",
                "adaptive_banded_score", "assess_heuristic",
-               "band_intersects", "significance_threshold", "validate_mode",
-               "xdrop_score"),
+               "band_intersects", "significance_threshold", "xdrop_score"),
     ".stages": ("CrossingPoint", "Stage1Result", "align_local",
                 "stage1_score", "stage2_with_crossings", "stage3_align"),
 })

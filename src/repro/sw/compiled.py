@@ -15,9 +15,12 @@ Build and load.  The library is built on first use with ``$CC`` (else
 ``cc``) into a per-user cache, ``$XDG_CACHE_HOME/mgsw`` or
 ``~/.cache/mgsw``, else a private directory under
 :func:`tempfile.gettempdir`.  Its file name is keyed by the source, the
-compiler's ``--version`` text, the flags and (for ``-march=native``) the
-host CPU, so a cached library is reused only where it was built for,
-and ends in a digest of the file's own bytes.  A build writes a unique
+compiler (:func:`compiler_identity`: the resolved path of the
+executable with its size and modification time, so no process runs to
+name it), the flags and (for ``-march=native``) the host CPU, so a
+cached library is reused only where it was built for, and ends in a
+digest of the file's own bytes.  Only a build runs a child process (and
+imports :mod:`subprocess`).  A build writes a unique
 temporary file and :func:`os.replace` s it into place, so concurrent
 builders never load half a file.  A load first checks the digest (a
 truncated library can crash the process that maps it), then runs a
@@ -51,7 +54,7 @@ import functools
 import hashlib
 import os
 import shlex
-import subprocess
+import shutil
 import tempfile
 import time
 from functools import partial
@@ -76,9 +79,9 @@ _NO_CAP = 1 << 62
 
 _ARRAY = ctypes.c_void_p
 _I64 = ctypes.c_int64
-_ARGTYPES = (_ARRAY, _I64, _ARRAY, _I64, _I64, _ARRAY, _ARRAY, _ARRAY,
-             _ARRAY, _I64, _I64, _I64, _I64, ctypes.c_int, ctypes.c_int,
-             _I64, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _I64)
+_ARGTYPES = (_ARRAY, _I64, _ARRAY, _I64, _I64, _I64, _ARRAY, _ARRAY,
+             _ARRAY, _ARRAY, _I64, _I64, _I64, _I64, ctypes.c_int,
+             ctypes.c_int, _I64, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _I64)
 
 
 class Engine:
@@ -107,16 +110,32 @@ def _cpu_identity() -> str:
         line for line in text.splitlines() if line.startswith(keys)))
 
 
-def library_stem(cc: list[str]) -> str | None:
-    """The cache key of a library built by *cc*, or ``None`` when *cc*
-    cannot report its version (no compiler)."""
+def compiler_identity(cc: list[str]) -> bytes | None:
+    """What names the compiler *cc* without running it: its resolved
+    path with the file's size and modification time, and the rest of
+    the command line; ``None`` when ``cc[0]`` is not an executable on
+    ``PATH`` (no compiler).  An upgrade rewrites the file, and so
+    changes the key."""
+    exe = shutil.which(cc[0]) if cc else None
+    if exe is None:
+        return None
+    real = os.path.realpath(exe)
     try:
-        version = subprocess.run([*cc, "--version"], capture_output=True,
-                                 timeout=30, check=True).stdout
-    except (OSError, subprocess.SubprocessError):
+        st = os.stat(real)
+    except OSError:
+        return None
+    return "\0".join([real, str(st.st_size), str(st.st_mtime_ns),
+                       *cc[1:]]).encode()
+
+
+def library_stem(cc: list[str]) -> str | None:
+    """The cache key of a library built by *cc*, or ``None`` when there
+    is no such compiler.  Reading it starts no process."""
+    identity = compiler_identity(cc)
+    if identity is None:
         return None
     key = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), version, " ".join(FLAGS).encode(),
+    for part in (SOURCE.read_bytes(), identity, " ".join(FLAGS).encode(),
                  _cpu_identity().encode()):
         key.update(part)
         key.update(b"\0")
@@ -156,6 +175,8 @@ def build(cc: list[str], directory: Path, stem: str) -> Path:
     *digest* naming the file's own bytes, and return its path.  The
     compiler writes a unique temporary file, which then replaces the
     target, so a reader never sees half a library."""
+    import subprocess  # only a build runs a child process
+
     fd, tmp = tempfile.mkstemp(prefix=stem + ".", suffix=".tmp",
                                dir=directory)
     os.close(fd)
@@ -200,6 +221,8 @@ def load_or_build() -> Engine | None:
             eng = _load(path)
             if eng is not None:
                 return eng
+    import subprocess  # only a build runs a child process
+
     for d in dirs:
         try:
             eng = _load(build(cc, d, stem))
@@ -226,55 +249,70 @@ def _run_c(eng: Engine, a_codes, profile, h_top, f_top, h_left, e_left,
            track_best: bool,
            window: LiveWindow | None = None) -> BlockResult | None:
     """The C row engine of :func:`~repro.sw.kernel.sweep_protocol`: one
-    native sweep in the borders' dtype; ``None`` on overflow.  Every
-    array it hands the library is a local here, alive across the call."""
+    native sweep in the borders' dtype; ``None`` on overflow.
+
+    An address lookup costs more than a small block's cells, so all the
+    call reads and writes except the profile is copied into one arena
+    (its int64 words, then the sweep-dtype columns, then the left-open
+    flags) and every pointer is an offset into it: two lookups a call.
+    The bottom row and right column come back as views of the arena,
+    which stays alive as long as they do."""
     kind = h_top.dtype.type
     R, W = int(a_codes.size), int(h_top.size)
     if {profile.dtype, f_top.dtype, h_left.dtype, e_left.dtype} != {h_top.dtype}:
         raise TypeError("a row engine sweeps in its borders' one dtype")
-    if not (h_top.flags.c_contiguous and f_top.flags.c_contiguous):
-        raise ValueError("the top borders are swept in place: contiguous only")
-    codes = np.ascontiguousarray(a_codes, dtype=np.int64)
-    if codes.min() < 0 or codes.max() >= profile.shape[0]:
-        raise IndexError("a residue code has no profile row")
     if profile.strides[1] != profile.itemsize or profile.strides[0] < 0:
         profile = np.ascontiguousarray(profile)
-    h_left = np.ascontiguousarray(h_left)
-    e_left = np.ascontiguousarray(e_left)
-    h_right = np.empty(R, dtype=kind)
-    e_right = np.empty(R, dtype=kind)
-    best_out = np.array([0 if local else NEG_INF, -1, -1], dtype=np.int64)
-    win = np.zeros(8, dtype=np.int64)
+    item = profile.itemsize
+    # int64 words: the codes, the best cell (3) and the window (8).
+    cols_at = 8 * (R + 11)
+    # Sweep-dtype columns: h_left, e_left, h_right, e_right (R each),
+    # then h_top, f_top (W each), swept into the bottom row in place.
+    flags_at = cols_at + item * (4 * R + 2 * W)
+    arena = np.empty(flags_at + R, dtype=np.uint8)
+    base = _address(arena)
+    words = arena[:cols_at].view(np.int64)
+    words[:R] = a_codes
+    cols = arena[cols_at:flags_at].view(kind)
+    cols[:R], cols[R:2 * R] = h_left, e_left
+    cols[4 * R:4 * R + W], cols[4 * R + W:] = h_top, f_top
+    start = 0 if local else NEG_INF
     if window is None:
-        left_open = np.zeros(R, dtype=np.uint8)
+        words[R:] = (start, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0)
+        arena[flags_at:] = 0
         dead = 0  # unused: every row starts at the left border
     else:
-        win[:7] = (1, window.best, window.match, window.rows_left,
-                   window.cols_left, window.lo, window.hi)
-        left_open = window.left_open(h_left, e_left, h_diag).view(np.uint8)
+        words[R:] = (start, -1, -1, 1, window.best, window.match,
+                     window.rows_left, window.cols_left, window.lo, window.hi,
+                     0)
+        arena[flags_at:] = window.left_open(h_left, e_left, h_diag)
         dead = window.dead
+    col = base + cols_at
     rc = eng.sweeps[kind](
-        _address(codes), R, _address(profile),
-        profile.strides[0] // profile.itemsize, W, _address(h_top),
-        _address(f_top), _address(h_left), _address(e_left), int(h_diag),
-        int(scoring.gap_open), int(scoring.gap_extend), int(dead),
-        int(local), int(track_best), _NO_CAP if cap is None else int(cap),
-        _address(h_right), _address(e_right), _address(best_out),
-        _address(win), _address(left_open), TRIM_ROWS)
+        base, R, _address(profile), profile.strides[0] // item,
+        profile.shape[0], W, col + 4 * R * item, col + (4 * R + W) * item,
+        col, col + R * item, int(h_diag), int(scoring.gap_open),
+        int(scoring.gap_extend), int(dead), int(local), int(track_best),
+        _NO_CAP if cap is None else int(cap), col + 2 * R * item,
+        col + 3 * R * item, base + 8 * R, base + 8 * (R + 3),
+        base + flags_at, TRIM_ROWS)
+    if rc == -2:
+        raise IndexError("a residue code has no profile row")
     if rc < 0:
         raise MemoryError("row engine scratch allocation failed")
     if rc:
         return None
-    if best_out[1] >= 0:
-        best = BestCell(int(best_out[0]), int(best_out[1]), int(best_out[2]))
-    else:
-        best = BestCell.none()
+    score, row, best_col = words[R:R + 3].tolist()
+    best = BestCell(score, row, best_col) if row >= 0 else BestCell.none()
     cells = live = None
     if window is not None:
-        cells, live = int(win[7]), (int(win[5]), int(win[6]))
-    return BlockResult(h_bottom=h_top, f_bottom=f_top, h_right=h_right,
-                       e_right=e_right, corner=int(h_top[-1]), best=best,
-                       cells=cells, live=live)
+        lo, hi, cells = words[R + 8:].tolist()
+        live = (lo, hi)
+    h_bottom = cols[4 * R:4 * R + W]
+    return BlockResult(h_bottom=h_bottom, f_bottom=cols[4 * R + W:],
+                       h_right=cols[2 * R:3 * R], e_right=cols[3 * R:4 * R],
+                       corner=int(h_bottom[-1]), best=best, cells=cells,
+                       live=live)
 
 
 def _self_check(eng: Engine) -> bool:

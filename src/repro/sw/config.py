@@ -10,8 +10,35 @@ from numbers import Integral
 from ..errors import ConfigError
 from .backend import resolve_kernel, validate_kernel
 from .constants import validate_dp_dtype
-from .tiers import BANDED_MODES, validate_tiers
-from .xdrop import DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X
+
+#: Engine mode selector shared by every engine front-end.
+MODES = ("exact", "banded", "xdrop", "auto")
+#: Modes answered inline in the calling process, with no engine sweep.
+INLINE_MODES = ("banded", "xdrop")
+#: Modes whose answer the band names, so ``band_width`` keys it.
+BANDED_MODES = ("banded", "auto")
+
+#: Default band half-width for ``mode="banded"``/``"auto"`` — generous
+#: for percent-level divergence (indel drift of similar genomes is far
+#: smaller), tiny next to megabase matrix widths.
+DEFAULT_BAND_WIDTH = 64
+
+#: Default X-drop threshold, in score units (LOGAN's scale).
+DEFAULT_XDROP_X = 20
+
+
+def validate_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def validate_tiers(mode: str, band_width: int, xdrop_x: int) -> None:
+    """Refuse an unknown *mode* or an unusable band / X-drop knob."""
+    validate_mode(mode)
+    if band_width < 0:
+        raise ConfigError("band_width must be >= 0")
+    if xdrop_x <= 0:
+        raise ConfigError("xdrop_x must be positive")
 
 
 @dataclass(frozen=True)
@@ -20,7 +47,8 @@ class AlignConfig:
     engine runs :func:`block_height` of it, the simulated chain exactly
     it), ``kernel`` (block sweep kernel, or ``auto``), ``pruning``
     (exact block pruning from a seeded floor, on by default), ``mode`` with its ``band_width`` and
-    ``xdrop_x`` (the tier, :mod:`repro.sw.tiers`) and ``dp_dtype`` (the
+    ``xdrop_x`` (the tier, :mod:`repro.sw.tiers`; the heuristic ones in
+    :mod:`repro.sw.xdrop`) and ``dp_dtype`` (the
     DP dtype policy, exact).  ``band_width`` is the adaptive band's
     initial half-width for ``banded``/``auto``; the band recentres and
     may widen up to :data:`~repro.sw.tiers.MAX_WIDENING` times it.

@@ -71,6 +71,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..seq import alphabet
 from ..seq.scoring import Scoring
+from .tiers import Floor  # a result field, declared with RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .blocks import BlockSpec
@@ -138,23 +139,6 @@ SCAN_CHUNK = 1 << 16
 #: Key bits of the presence table that screens the longer sequence's
 #: k-mers before the exact lookup (a 256 KiB table at k = 12).
 SCREEN_BITS = 18
-
-
-@dataclass(frozen=True)
-class Floor:
-    """Where an exact sweep's scoreboard starts: a certified lower bound
-    of the optimum.
-
-    *source* is ``anchor-chain`` (:func:`seed_floor`), ``band`` (the
-    adaptive band of an escalating ``auto``, when it scored higher) or
-    ``none`` (pruning off, a heuristic answer, a timing run or a
-    non-DNA scoring).  *anchors* counts the k-mer hits the seed found
-    and *seconds* is the seed's own wall time."""
-
-    score: int = 0
-    source: str = "none"
-    anchors: int = 0
-    seconds: float = 0.0
 
 
 def seed_floor(a_codes: np.ndarray, b_codes: np.ndarray, scoring,

@@ -66,7 +66,8 @@ static int64_t sw_fresh_need(int64_t best, int64_t match)
 /*
  * Sweep rows 0..R-1 of a block W columns wide.  h_row/f_row arrive
  * holding the top borders and leave holding the bottom row.  prof is
- * the profile: row x of it starts prof_stride elements after row x-1.
+ * the profile: prof_rows rows, row x of it starting prof_stride elements
+ * after row x-1; every a_codes[i] must name one of them.
  * best_out[0..2] holds the best (score, row, col) so far and is updated
  * in place.  With win[0] set, each row runs over its live window:
  * win[1..6] are LiveWindow's best, match, rows_left, cols_left, lo and
@@ -75,10 +76,12 @@ static int64_t sw_fresh_need(int64_t best, int64_t match)
  * the cells computed.
  *
  * Returns 0, 1 once a row maximum reaches cap (the caller recomputes
- * wide), or -1 when the scratch rows cannot be allocated.
+ * wide), -1 when the scratch rows cannot be allocated, or -2 (before
+ * touching any output) when a residue code has no profile row.
  */
 int SW_NAME(const int64_t *a_codes, int64_t R, const SW_T *prof,
-            int64_t prof_stride, int64_t W, SW_T *h_row, SW_T *f_row,
+            int64_t prof_stride, int64_t prof_rows, int64_t W,
+            SW_T *h_row, SW_T *f_row,
             const SW_T *h_left, const SW_T *e_left, int64_t corner_in,
             int64_t open_in, int64_t ext_in, int64_t dead_in, int local,
             int track_best, int64_t cap, SW_T *h_right, SW_T *e_right,
@@ -97,6 +100,10 @@ int SW_NAME(const int64_t *a_codes, int64_t R, const SW_T *prof,
     int64_t best_s = best_out[0], cells = 0;
     SW_T corner = (SW_T)corner_in;
     int rc = 0;
+
+    for (int64_t i = 0; i < R; i++)
+        if ((uint64_t)a_codes[i] >= (uint64_t)prof_rows)
+            return -2;
 
     /* t: pre-E H; q: the E-scan, one column longer (pass 1 writes j+1). */
     SW_T *t = malloc((size_t)(2 * W + 1) * sizeof(SW_T));

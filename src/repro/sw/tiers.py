@@ -21,25 +21,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from ..errors import ConfigError
-from ..obs.instruments import record_heuristic
 from ..seq.scoring import Scoring
+# The mode names and their validation live with the config; they stay
+# importable from here.  The heuristic engines (sw.xdrop) and the seed
+# (sw.pruning) load only when a run reaches them.
+from .config import (BANDED_MODES, INLINE_MODES, AlignConfig,  # noqa: F401
+                     validate_tiers)
 from .kernel import BestCell
-from .pruning import Floor, seed_floor
-from .xdrop import (adaptive_banded_score, assess_heuristic, validate_mode,
-                    xdrop_score)
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .config import AlignConfig
-
-#: Modes answered inline in the calling process, with no engine sweep.
-INLINE_MODES = ("banded", "xdrop")
-#: Modes whose answer the band names, so ``band_width`` keys it.
-BANDED_MODES = ("banded", "auto")
 #: The adaptive band widens up to this many times its initial
 #: half-width, so a divergent pair saturates (and ``auto`` escalates)
 #: after a few percent of the matrix instead of widening to full width.
@@ -78,6 +71,23 @@ class SweepTally:
         """The counters alone (a :class:`RunResult` projected down)."""
         return SweepTally(**{f.name: getattr(self, f.name)
                              for f in fields(SweepTally)})
+
+
+@dataclass(frozen=True)
+class Floor:
+    """Where an exact sweep's scoreboard starts: a certified lower bound
+    of the optimum.
+
+    *source* is ``anchor-chain`` (:func:`~repro.sw.pruning.seed_floor`),
+    ``band`` (the adaptive band of an escalating ``auto``, when it scored
+    higher) or ``none`` (pruning off, a heuristic answer, a timing run or
+    a non-DNA scoring).  *anchors* counts the k-mer hits the seed found
+    and *seconds* is the seed's own wall time."""
+
+    score: int = 0
+    source: str = "none"
+    anchors: int = 0
+    seconds: float = 0.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -125,20 +135,11 @@ class InlineOutcome:
     wall_s: float
 
 
-def validate_tiers(mode: str, band_width: int, xdrop_x: int) -> None:
-    """Refuse an unknown *mode* or an unusable band / X-drop knob."""
-    validate_mode(mode)
-    if band_width < 0:
-        raise ConfigError("band_width must be >= 0")
-    if xdrop_x <= 0:
-        raise ConfigError("xdrop_x must be positive")
-
-
 def run_tiers(
     a_codes: np.ndarray | None,
     b_codes: np.ndarray | None,
     scoring: Scoring | None,
-    config: "AlignConfig",
+    config: AlignConfig,
     *,
     sweep: Callable[[int], R],
     from_inline: Callable[[InlineOutcome], R],
@@ -151,7 +152,7 @@ def run_tiers(
 
     ``sweep(floor)`` runs the engine's exact sweep with its pruning
     scoreboard starting at *floor*, the score of a real alignment (0
-    without pruning); the result records the :class:`~repro.sw.pruning.Floor`
+    without pruning); the result records the :class:`Floor`
     in its ``floor`` field.  *from_inline* wraps an inline X-drop or
     band outcome in the engine's result type; *elapsed* names its time
     field (virtual ``total_time_s`` or wall ``wall_time_s``), summed
@@ -165,6 +166,8 @@ def run_tiers(
         return replace(_swept(sweep, _seed(a_codes, b_codes, scoring, config),
                               events),
                        mode=mode, tier=mode, escalated=False)
+    from .xdrop import adaptive_banded_score, assess_heuristic, xdrop_score
+
     started = time.perf_counter()
     if mode == "xdrop":
         out = xdrop_score(a_codes, b_codes, scoring, config.xdrop_x)
@@ -198,9 +201,19 @@ def run_tiers(
             exact, mode=mode, tier="exact", escalated=True,
             **{elapsed: getattr(heur, elapsed) + getattr(exact, elapsed)})
     if metrics is not None:
+        from ..obs.instruments import record_heuristic
+
         record_heuristic(metrics, backend=backend, tier=result.tier,
                          escalated=result.escalated)
     return result
+
+
+def seed_floor(a_codes, b_codes, scoring) -> Floor:
+    """:func:`repro.sw.pruning.seed_floor`, loaded when a run first seeds
+    (a comparison answered inline never does)."""
+    from . import pruning
+
+    return pruning.seed_floor(a_codes, b_codes, scoring)
 
 
 def _seed(a_codes, b_codes, scoring, config) -> Floor:

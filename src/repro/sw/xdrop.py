@@ -40,6 +40,10 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..seq.scoring import Scoring
+# The mode names and the band / X-drop defaults live with the config they
+# validate; MODES and validate_mode stay importable from here.
+from .config import (DEFAULT_BAND_WIDTH, DEFAULT_XDROP_X, MODES,  # noqa: F401
+                     validate_mode)
 from .constants import DTYPE, NEG_INF
 from .compiled import block_sweeper
 from .kernel import BestCell, build_profile
@@ -47,24 +51,8 @@ from .kernel import BestCell, build_profile
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .blocks import BlockSpec
 
-#: Engine mode selector shared by every engine front-end.
-MODES = ("exact", "banded", "xdrop", "auto")
-
-#: Default band half-width for ``mode="banded"``/``"auto"`` — generous
-#: for percent-level divergence (indel drift of similar genomes is far
-#: smaller), tiny next to megabase matrix widths.
-DEFAULT_BAND_WIDTH = 64
-
-#: Default X-drop threshold, in score units (LOGAN's scale).
-DEFAULT_XDROP_X = 20
-
 #: E-value above which an auto-mode heuristic score is not trusted.
 SIGNIFICANCE_EVALUE = 1e-4
-
-
-def validate_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,14 @@ def test_devices_lists_presets(capsys):
     assert "env1" in out and "140.4" in out
 
 
+def test_transport_choices_are_the_engines():
+    """The parser names the transports without loading the engine."""
+    from repro import cli
+    from repro.multigpu.front import TRANSPORTS
+
+    assert cli.TRANSPORTS == TRANSPORTS
+
+
 def test_generate_then_align(tmp_path, capsys):
     fa = str(tmp_path / "a.fa")
     fb = str(tmp_path / "b.fa")
@@ -234,3 +242,31 @@ def test_kernel_auto_without_numba_is_scalar_on_every_backend(tmp_path,
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
     assert re.findall(r"kernel=(\w+)", out) == ["scalar"]
+
+
+@pytest.mark.parametrize("mode", ["auto", "banded"])
+def test_inline_process_report_is_pinned(tmp_path, capsys, mode):
+    """A band-answered process align prints the report it always did:
+    the same lines, the chain it did not use (transport, start method)
+    on the config line and the tier line; only the timing digits move."""
+    from repro.multigpu.procchain import pick_context
+    from repro.sw import resolve_kernel
+
+    fa, fb = str(tmp_path / "a.fa"), str(tmp_path / "b.fa")
+    assert main(["generate", "chr22", fa, fb, "--scale", "2e-5",
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert main(["align", fa, fb, "--backend", "process",
+                 "--mode", mode]) == 0
+    out = re.sub(r"wall time: [\d.:]+( ms)?   throughput: [\d.]+ GCUPS",
+                 "wall time: T   throughput: G GCUPS",
+                 capsys.readouterr().out)
+    start_method = pick_context().get_start_method()
+    assert out.splitlines() == [
+        f"== {fa} vs {fb} ==",
+        "matrix: 492803 cells   wall time: T   throughput: G GCUPS",
+        "best score: 649 ending at (700, 700)",
+        f"config: workers=0 transport=shm start_method={start_method} "
+        f"kernel={resolve_kernel('auto')} block_rows=64 pruning=on",
+        f"tier: mode={mode} answered_by=banded escalated=no",
+    ]

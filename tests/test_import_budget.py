@@ -1,5 +1,5 @@
-"""Import budget: ``mgsw align --backend process`` loads only what an
-align run uses, and the lazily re-exported package names still resolve.
+"""Import budget: ``mgsw align --backend process`` loads only the layers
+a run executes, and the lazily re-exported package names still resolve.
 
 Every check runs in a fresh interpreter, because the test session itself
 has imported everything long before.
@@ -13,17 +13,38 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import repro
+from repro.seq import FastaRecord, write_fasta
+
+from helpers import mutated_copy, random_codes
 
 #: Subsystems an align run never touches.
 NOT_LOADED = ("repro.obs.exporter", "http.server", "repro.serve",
               "repro.baselines.cpu", "repro.multigpu.autotune",
               "repro.stats", "repro.device.engine", "repro.device.gpu",
-              "repro.device.smmodel", "repro.multigpu.chain")
+              "repro.device.smmodel", "repro.multigpu.chain",
+              "repro.obs.timeseries", "repro.obs.heartbeat", "repro.sw.xdrop",
+              "repro.device.spec")
 
-#: Most ``repro`` modules a process align may load.  A change that adds a
-#: module to the align path raises this number on purpose.
-MAX_REPRO_MODULES = 42
+#: Most ``repro`` modules a score-only exact process align may load.  A
+#: change that adds a module to the align path raises this number on
+#: purpose.
+MAX_REPRO_MODULES = 39
+
+#: What a comparison the band answers inline never loads: the worker
+#: chain (processes, shared memory, the pool), recovery, the live
+#: telemetry and the simulator's device presets.
+NOT_LOADED_INLINE = ("multiprocessing", "multiprocessing.shared_memory",
+                     "subprocess", "repro.comm", "repro.multigpu.pool",
+                     "repro.multigpu.procchain", "repro.multigpu.checkpoint",
+                     "repro.obs.timeseries", "repro.obs.heartbeat",
+                     "repro.obs.registry", "repro.device.spec")
+
+#: Most ``repro`` modules a band-answered ``--mode auto`` process align
+#: may load.
+MAX_INLINE_REPRO_MODULES = 28
 
 
 def _python(code: str, *args: str, cwd=None) -> str:
@@ -35,13 +56,24 @@ def _python(code: str, *args: str, cwd=None) -> str:
         capture_output=True, text=True, timeout=120, check=True).stdout
 
 
+def _write_pair(directory, a, b) -> None:
+    write_fasta(directory / "a.fa", FastaRecord("a", "", a))
+    write_fasta(directory / "b.fa", FastaRecord("b", "", b))
+
+
+def _repro(modules) -> list[str]:
+    return [m for m in modules if m == "repro" or m.startswith("repro.")]
+
+
+#: ``mgsw align a.fa b.fa --backend process ARGS...`` with each forked
+#: worker recording the modules it imports itself, after the fork; prints
+#: the parent's modules as the last line.
 _ALIGN = """
 import json, os, sys
 from repro.cli import main
 from repro.multigpu import pool
 
 def traced_worker(*args, _run=pool._pool_worker):
-    # Modules a worker imports itself, after the fork.
     start = set(sys.modules)
     try:
         _run(*args)
@@ -51,9 +83,26 @@ def traced_worker(*args, _run=pool._pool_worker):
 
 pool._pool_worker = traced_worker
 assert main(["align", "a.fa", "b.fa", "--backend", "process",
-             "--workers", "2", "--start-method", "fork"]) == 0
+             "--workers", "2", "--start-method", "fork", *sys.argv[1:]]) == 0
 print(json.dumps(sorted(sys.modules)))
 """
+
+#: The same front door with nothing loaded ahead of it.
+_ALIGN_BARE = """
+import json, sys
+from repro.cli import main
+assert main(["align", "a.fa", "b.fa", "--backend", "process",
+             *sys.argv[1:]]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _assert_workers_import_nothing(tmp_path) -> None:
+    # The workers inherit every module the engine needs from the parent.
+    worker_files = sorted(tmp_path.glob("worker*.json"))
+    assert len(worker_files) == 2
+    for path in worker_files:
+        assert json.loads(path.read_text()) == []
 
 
 def test_process_align_loads_no_unused_subsystem(tmp_path):
@@ -63,13 +112,32 @@ def test_process_align_loads_no_unused_subsystem(tmp_path):
     modules = json.loads(out.strip().splitlines()[-1])
     assert "best score: " in out
     assert [m for m in NOT_LOADED if m in modules] == []
-    loaded = [m for m in modules if m == "repro" or m.startswith("repro.")]
+    loaded = _repro(modules)
     assert len(loaded) <= MAX_REPRO_MODULES, sorted(loaded)
-    # The workers inherit every module the engine needs from the parent.
-    worker_files = sorted(tmp_path.glob("worker*.json"))
-    assert len(worker_files) == 2
-    for path in worker_files:
-        assert json.loads(path.read_text()) == []
+    _assert_workers_import_nothing(tmp_path)
+
+
+def test_band_answered_auto_loads_no_process_engine(tmp_path):
+    rng = np.random.default_rng(11)
+    a = random_codes(rng, 400)
+    _write_pair(tmp_path, a, mutated_copy(rng, a, 0.02))
+    out = _python(_ALIGN_BARE, "--mode", "auto", cwd=tmp_path)
+    assert "config: workers=0 " in out
+    assert "answered_by=banded escalated=no" in out
+    modules = json.loads(out.strip().splitlines()[-1])
+    assert [m for m in modules if m in NOT_LOADED_INLINE
+            or m.startswith("repro.comm.")] == []
+    loaded = _repro(modules)
+    assert len(loaded) <= MAX_INLINE_REPRO_MODULES, sorted(loaded)
+
+
+def test_escalating_auto_forks_workers_that_import_nothing(tmp_path):
+    rng = np.random.default_rng(12)
+    _write_pair(tmp_path, random_codes(rng, 60), random_codes(rng, 60))
+    out = _python(_ALIGN, "--mode", "auto", cwd=tmp_path)
+    assert "config: workers=2 " in out
+    assert "answered_by=exact escalated=yes" in out
+    _assert_workers_import_nothing(tmp_path)
 
 
 def test_lazy_package_names_resolve():

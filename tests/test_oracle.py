@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
 from dataclasses import asdict, dataclass, replace
 
@@ -117,6 +118,15 @@ def comparisons(draw, front: bool = False):
     scores it under ``DNA_DEFAULT``."""
     scoring = DNA_DEFAULT if front else draw(schemes)
     return draw(pairs(scoring is BLOSUM62_SCORING)), scoring
+
+
+def own_segments() -> list[str]:
+    """The live shared-memory segments this process created.  Each name
+    carries its creator's pid (``mgsw{kind}_{pid}_{tag}``), and every
+    door's segments, the test daemon's included, are created here, so a
+    concurrent session's runs cannot race the leak check."""
+    tag = f"_{os.getpid()}_"
+    return [name for name in list_segments() if tag in name]
 
 
 @dataclass(frozen=True)
@@ -265,9 +275,9 @@ def test_every_door_answers_as_the_oracle(doors, door, data, cfg, weights,
                               label="comparison")
     a, b = pair.a, pair.b
     want = sw_score_naive(a, b, scoring)
-    segments = list_segments()
+    segments = own_segments()
     got = doors.run(door, a, b, scoring, cfg, weights, cols)
-    assert list_segments() == segments
+    assert own_segments() == segments
 
     # P1: an exact answer (exact mode, or auto escalated) is the oracle's;
     # a best score of 0 has no end cell.
@@ -404,11 +414,11 @@ def test_bad_codes_are_refused_at_every_door(doors, comparison, kind, side,
         "pool": lambda: pool.align(a, b, scoring),
         "job": lambda: JobSpec(a_codes=a, b_codes=b, scoring=scoring),
     }[door]
-    journaled, segments = pool.events.count(), list_segments()
+    journaled, segments = pool.events.count(), own_segments()
     with pytest.raises(ConfigError):
         run()
     assert journal.count() == 0 and pool.events.count() == journaled
-    assert list_segments() == segments
+    assert own_segments() == segments
     assert not pool.broken
     got = pool.align(*good, scoring)
     assert (got.score, got.best.row, got.best.col) == \

@@ -91,6 +91,10 @@ class TestTransportsAndContexts:
             assert ctx.get_start_method() == "spawn"
         with pytest.raises(ConfigError):
             pick_context("not-a-method")
+        # The inline tiers stamp the same default without multiprocessing.
+        from repro.multigpu.front import default_start_method
+
+        assert default_start_method() == ctx.get_start_method()
 
     def test_proportional_weights(self, rng):
         a = random_codes(rng, 60)
